@@ -11,8 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bell import alice_measures, dynamical_gap, signaling_gap
-from .engine import (ModelSpec, UnravelingParams, lindblad_evolve, lindblad_rhs,
-                     simulate_ensemble, sse_step)
+from .engine import (ModelSpec, UnravelingParams, _EulerKernel, lindblad_evolve,
+                     lindblad_rhs, simulate_ensemble)
 from .gaussian import (LINEAR, NONLINEAR, MechanicalParams, a_closed_form,
                        centroid_ensemble, conditional_covariance_series,
                        conditional_spread_x, mean_square_x, riccati_matrices,
@@ -303,12 +303,7 @@ def criterion_8() -> CriterionResult:
         nsub = int(round(16.0 / dt))          # substep = dt^2 / 16
         dts = dt / nsub
         dWs = rng.standard_normal((nsub, n_samples)) * np.sqrt(dts)
-        ref = psis.copy()
-        L2 = model.L @ model.L
-        from .engine import _sse_increment_batch
-        for k in range(nsub):
-            ref = ref + _sse_increment_batch(ref, model, u, dWs[k], dts, L2)
-            ref /= np.linalg.norm(ref, axis=1)[:, None]
+        ref = _EulerKernel(model, u, dts).run(psis.T, dWs.T).T
         kr = _kraus_one_step(psis, dWs.sum(axis=0), dt, gp, nu)
         return _phase_aligned_rms(kr, ref)
 
@@ -321,9 +316,7 @@ def criterion_8() -> CriterionResult:
         psis = _rand_states(rng, n_samples)
         dWs = rng.standard_normal(n_samples) * np.sqrt(dt)
         kr = _kraus_one_step(psis, dWs, dt, gp, nu)
-        eu = np.empty_like(psis)
-        for i in range(n_samples):
-            eu[i] = sse_step(psis[i], model, u, dWs[i], dt)
+        eu = _EulerKernel(model, u, dt).step(psis.T, dWs).T
         return _phase_aligned_rms(kr, eu)
 
     rs = [rms_vs_single_euler(dt) for dt in (2e-3, 1e-3)]
@@ -374,14 +367,13 @@ def criterion_9() -> CriterionResult:
     model = spin_model(sp)
     u = UnravelingParams.nonlinear(sp.lam)
     T, n_pairs = 0.5, 100_000
-    L2 = model.L @ model.L
-    from .engine import _sse_increment_batch
 
     def mean_spread_curves(dt, seed):
         n = int(round(T / dt))
+        kernel = _EulerKernel(model, u, dt)
         rng = np.random.default_rng(seed)
-        psi = np.tile(_PSI0, (n_pairs, 1))
-        phi = psi.copy()
+        psi = np.tile(_PSI0[:, None], (1, n_pairs))
+        phi = np.tile(_PSI0, (n_pairs, 1))
         z_ii = np.full(n_pairs, -0.5)
         idx = np.linspace(0, n, 11).astype(int)
         cur_i = np.empty(11)
@@ -390,15 +382,14 @@ def criterion_9() -> CriterionResult:
         j = 1
         for k in range(n):
             dW = rng.standard_normal(n_pairs) * np.sqrt(dt)
-            psi = psi + _sse_increment_batch(psi, model, u, dW, dt, L2)
-            psi /= np.linalg.norm(psi, axis=1)[:, None]
+            psi = kernel.step(psi, dW, k)
             dxi = dW + 2.0 * np.sqrt(sp.lam) * z_ii * dt
             phi = phi * np.exp(np.array([1.0, -1.0])
                                * (np.sqrt(sp.lam) * dxi - 1j * sp.nu * dt)[:, None])
             phi /= np.linalg.norm(phi, axis=1)[:, None]
             z_ii = np.abs(phi[:, 0]) ** 2 - np.abs(phi[:, 1]) ** 2
             if j < 11 and k + 1 == idx[j]:
-                z_i = np.abs(psi[:, 0]) ** 2 - np.abs(psi[:, 1]) ** 2
+                z_i = np.abs(psi[0]) ** 2 - np.abs(psi[1]) ** 2
                 cur_i[j] = np.mean(1.0 - z_i ** 2)
                 cur_ii[j] = np.mean(1.0 - z_ii ** 2)
                 j += 1

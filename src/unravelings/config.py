@@ -96,6 +96,11 @@ def _as_positive(raw, key, errs, allow_zero=False):
     return v
 
 
+def _is_int(v) -> bool:
+    """True for an int that is not a bool (bool subclasses int)."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def validate_config(raw: dict) -> ScenarioConfig:
     """Validate a raw config dict, raising ConfigError with all violations."""
     errs = []
@@ -132,11 +137,15 @@ def validate_config(raw: dict) -> ScenarioConfig:
 
     dt = _as_positive(raw.get("dt"), "dt", errs)
     t_final = _as_positive(raw.get("t_final"), "t_final", errs)
+    if dt is not None and t_final is not None:
+        ratio = t_final / dt
+        if abs(ratio - round(ratio)) > 1e-9 * ratio:
+            errs.append(f"t_final: {t_final} is not a whole number of steps of dt = {dt}")
     n_traj = raw.get("n_trajectories", 1)
-    if not isinstance(n_traj, int) or n_traj < 1:
+    if not _is_int(n_traj) or n_traj < 1:
         errs.append(f"n_trajectories: must be a positive integer, got {n_traj!r}")
     base_seed = raw.get("base_seed", 0)
-    if not isinstance(base_seed, int):
+    if not _is_int(base_seed):
         errs.append(f"base_seed: must be an integer, got {base_seed!r}")
 
     outputs = raw.get("outputs", [])

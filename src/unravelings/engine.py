@@ -19,12 +19,30 @@ Conditional moments of order >= 2 differ between members of the family,
 which is exactly what the higher-level modules quantify.
 
 Integration scheme: Euler-Maruyama plus exact renormalization after every
-step.  The deterministic master-equation oracle uses classical RK4 (for the
+step.  Every stochastic step in the library goes through one kernel,
+:class:`_EulerKernel`, built once per (model, u, dt).  It keeps states as
+the columns of a ``(dim, N)`` array, so one call advances N trajectories in
+lock step, and regroups the increment as
+
+    psi' = A psi + (lam dt xi_r <L> + sqrt(lam) dW) g + (lam dt xi_r^2 / 2) <L>^2 psi,
+    A = I + (-(i/hbar) H - (lam/2) L^2) dt,   g = xi L psi - xi_r <L> psi,
+
+which equals the update above term by term.  The noise enters only through
+its product with ``g``, which vanishes on eigenstates of ``L`` for real
+``xi`` (exactly, wherever ``L psi`` and ``<L>`` round exactly, as for
+sigma_z on its eigenstates).  When ``H`` and ``L`` are both exactly diagonal (every spin
+model) each step is elementwise; otherwise ``L psi`` and ``A psi`` come from
+one product with the stacked operator ``[L; A]``.  Norms are sums of
+``re^2 + im^2`` over rows in a fixed order, and a non-finite or vanishing
+norm raises :class:`FloatingPointError` naming the trajectory and the step.
+
+The deterministic master-equation oracle uses classical RK4 (for the
 linear flow this equals the degree-4 Taylor propagator, which
 :func:`lindblad_evolve` applies step by step for speed).
 """
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -138,42 +156,100 @@ def check_stability(model: ModelSpec, u: UnravelingParams, dt: float) -> None:
             f"lam * max_eig(L)^2 * dt <= {TOL.stability_budget}; use dt <= {cap:.3e}")
 
 
-def _batch_means(psis: np.ndarray, op: np.ndarray) -> np.ndarray:
-    """Conditional means <psi_k|op|psi_k> for a batch of rows, real parts."""
-    return np.einsum("ni,ij,nj->n", psis.conj(), op, psis).real
+def _sum_rows(a: np.ndarray) -> np.ndarray:
+    """Sum a (dim, N) array over its rows in row order.
+
+    Unlike ``a.sum(axis=0)``, the order of the additions does not depend on
+    N, so a column gives the same bits alone as inside a wider batch.
+    """
+    return reduce(np.add, a)
 
 
-def _sse_increment_batch(psis: np.ndarray, model: ModelSpec, u: UnravelingParams,
-                         dW: np.ndarray, dt: float, L2: np.ndarray) -> np.ndarray:
-    """Euler-Maruyama increment for a batch of normalized rows (N, dim)."""
-    xi = u.xi
-    Lpsi = psis @ model.L.T
-    ell = np.einsum("ni,ni->n", psis.conj(), Lpsi).real
-    Hpsi = psis @ model.H.T
-    L2psi = psis @ L2.T
-    drift = (-1j / model.hbar) * Hpsi - 0.5 * u.lam * (
-        L2psi
-        - (2.0 * xi * u.xi_r) * ell[:, None] * Lpsi
-        + (u.xi_r ** 2) * (ell ** 2)[:, None] * psis)
-    stoch = np.sqrt(u.lam) * (xi * Lpsi - u.xi_r * ell[:, None] * psis)
-    return drift * dt + stoch * dW[:, None]
+def _column_means(psis: np.ndarray, op: np.ndarray) -> np.ndarray:
+    """Conditional means <psi_n|op|psi_n> of the columns of psis, real parts."""
+    return _sum_rows((psis.conj() * (op @ psis)).real)
+
+
+def _is_diagonal(op: np.ndarray) -> bool:
+    return not np.any(op - np.diag(np.diag(op)))
+
+
+class _EulerKernel:
+    """Euler-Maruyama step plus renormalization on (dim, N) column states.
+
+    See the module docstring for the regrouped increment.  ``diagonal`` is
+    true when H and L are both exactly diagonal; :meth:`euler` then runs the
+    elementwise path, otherwise the stacked-operator path.
+    """
+
+    def __init__(self, model: ModelSpec, u: UnravelingParams, dt: float):
+        if dt <= 0.0:
+            raise ValueError("dt must be positive")
+        H, L = model.H, model.L
+        A = np.eye(model.dim) + ((-1j / model.hbar) * H - (0.5 * u.lam) * (L @ L)) * dt
+        self.dim = model.dim
+        self.xi, self.xi_r = u.xi, u.xi_r
+        self.sqrt_lam = np.sqrt(u.lam)
+        self.c_ell = u.lam * dt * u.xi_r             # ell coefficient of g
+        self.c_ell2 = 0.5 * u.lam * dt * u.xi_r ** 2  # ell^2 coefficient of psi
+        self.stacked = np.vstack([L, A])
+        self.diagonal = _is_diagonal(H) and _is_diagonal(L)
+        if self.diagonal:
+            self.l = np.diag(L).real[:, None].copy()
+            self.a = np.diag(A)[:, None].copy()
+            self.xi_l = self.xi * self.l
+
+    def euler(self, psis: np.ndarray, dW: np.ndarray) -> np.ndarray:
+        """The Euler-Maruyama update of normalized columns, before renormalization."""
+        if self.diagonal:
+            ell = _sum_rows(self.l * (psis.real ** 2 + psis.imag ** 2))
+            g = self.xi_l - self.xi_r * ell          # L psi = l psi, so g = (xi l - xi_r ell) psi
+            coef = self.a + (self.c_ell * ell + self.sqrt_lam * dW) * g + self.c_ell2 * ell ** 2
+            return coef * psis
+        Y = self.stacked @ psis
+        Lpsi, new = Y[:self.dim], Y[self.dim:]
+        ell = _sum_rows((psis.conj() * Lpsi).real)
+        g = self.xi * Lpsi - (self.xi_r * ell) * psis
+        new += (self.c_ell * ell + self.sqrt_lam * dW) * g
+        new += (self.c_ell2 * ell ** 2) * psis
+        return new
+
+    def step(self, psis: np.ndarray, dW: np.ndarray, step_index: int = 0,
+             first_traj: int = 0) -> np.ndarray:
+        """One renormalized step of every column.
+
+        A non-finite or vanishing norm raises FloatingPointError naming the
+        trajectory ``first_traj + column`` and the step ``step_index``.
+        """
+        new = self.euler(psis, dW)
+        n2 = _sum_rows(new.real ** 2 + new.imag ** 2)
+        ok = np.isfinite(n2) & (n2 > 0.0)
+        if not ok.all():
+            k = first_traj + int(np.flatnonzero(~ok)[0])
+            raise FloatingPointError(
+                f"trajectory {k} became non-finite at step {step_index}; reduce dt")
+        new *= 1.0 / np.sqrt(n2)
+        return new
+
+    def run(self, psis: np.ndarray, dW: np.ndarray, first_step: int = 0,
+            first_traj: int = 0, states: np.ndarray | None = None) -> np.ndarray:
+        """Advance the columns of ``psis`` through ``dW.shape[1]`` steps.
+
+        ``dW`` is (N, n_steps) with one row per trajectory.  When given,
+        ``states`` (n_steps, dim, N) receives the state after every step.
+        """
+        for j in range(dW.shape[1]):
+            psis = self.step(psis, dW[:, j], first_step + j, first_traj)
+            if states is not None:
+                states[j] = psis
+        return psis
 
 
 def sse_step(psi: np.ndarray, model: ModelSpec, u: UnravelingParams,
              dW: float, dt: float) -> np.ndarray:
     """One Euler-Maruyama step followed by exact renormalization."""
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
     psi = np.asarray(psi, dtype=complex)
-    L2 = model.L @ model.L
-    out = psi + _sse_increment_batch(psi[None, :], model, u,
-                                     np.array([dW]), dt, L2)[0]
-    if not np.all(np.isfinite(out.view(float))):
-        raise FloatingPointError("state became non-finite; reduce dt")
-    nrm = np.linalg.norm(out)
-    if not np.isfinite(nrm) or nrm == 0.0:
-        raise FloatingPointError("state norm overflowed or vanished; reduce dt")
-    return out / nrm
+    return _EulerKernel(model, u, dt).step(psi[:, None], np.array([dW]))[:, 0]
 
 
 def simulate_trajectory(model: ModelSpec, u: UnravelingParams, psi0: np.ndarray,
@@ -181,55 +257,43 @@ def simulate_trajectory(model: ModelSpec, u: UnravelingParams, psi0: np.ndarray,
                         tracked_observables: dict | None = None) -> TrajectoryRecord:
     """Integrate one trajectory, storing every state and tracked mean.
 
-    When xi_r > 0 the associated detector record is emitted alongside the
-    states (built from the pre-step conditional means, matching the
-    record-driven reconstruction loop).
+    The trajectory is a lock-step ensemble of one.  When xi_r > 0 the
+    associated detector record is emitted alongside the states, built from
+    the pre-step conditional means of L (matching the record-driven
+    reconstruction loop).
     """
     psi0 = np.asarray(psi0, dtype=complex)
     assert_normalized(psi0, tol=1e-10)
     check_stability(model, u, dt)
     tracked = dict(tracked_observables or {})
-    L2 = model.L @ model.L
 
-    states = np.empty((n_steps + 1, model.dim), dtype=complex)
-    states[0] = psi0
-    ell_series = np.empty(n_steps)
+    states = np.empty((n_steps + 1, model.dim, 1), dtype=complex)   # one column per step
+    states[0, :, 0] = psi0
     if n_steps >= 1:
         path = noise_mod.wiener_path(seed, dt, n_steps)
-        psi = psi0[None, :].copy()
-        for k in range(n_steps):
-            ell_series[k] = _batch_means(psi, model.L)[0]
-            psi = psi + _sse_increment_batch(psi, model, u,
-                                             path.increments[k:k + 1], dt, L2)
-            nrm = np.linalg.norm(psi)
-            if not np.isfinite(nrm) or nrm == 0.0:
-                raise FloatingPointError(f"trajectory diverged at step {k}; reduce dt")
-            psi /= nrm
-            states[k + 1] = psi[0]
+        _EulerKernel(model, u, dt).run(states[0], path.increments[None, :],
+                                       states=states[1:])
     else:
         path = noise_mod.NoisePath(seed=seed, dt=dt, increments=np.empty(0))
+    states = states[:, :, 0]
 
-    means = {name: _batch_means(states, op) for name, op in tracked.items()}
+    means = {name: _column_means(states.T, op) for name, op in tracked.items()}
     record = None
     if u.xi_r > 0.0 and u.lam > 0.0 and n_steps >= 1:
-        record = noise_mod.measurement_record(path, ell_series, u.xi_r, u.lam)
+        ell = _column_means(states[:-1].T, model.L)
+        record = noise_mod.measurement_record(path, ell, u.xi_r, u.lam)
     times = np.arange(n_steps + 1) * dt
     return TrajectoryRecord(times=times, states=states, means=means,
                             record=record, noise=path, seed=seed, dt=dt)
 
 
-def _evolve_block(model, u, psis, rngs, n_steps_block, dt, L2):
-    """Advance a batch in lock step through one block of time steps."""
-    n_traj = psis.shape[0]
-    dWs = np.empty((n_steps_block, n_traj))
-    sq = np.sqrt(dt)
-    for k, rng in enumerate(rngs):
-        dWs[:, k] = rng.standard_normal(n_steps_block)
-    dWs *= sq
-    for j in range(n_steps_block):
-        psis = psis + _sse_increment_batch(psis, model, u, dWs[j], dt, L2)
-        psis /= np.linalg.norm(psis, axis=1)[:, None]
-    return psis
+def _wiener_block(rngs, n_steps: int, sqrt_dt: float) -> np.ndarray:
+    """The next ``n_steps`` increments of every stream, one contiguous row each."""
+    dW = np.empty((len(rngs), n_steps))
+    for row, rng in zip(dW, rngs):
+        rng.standard_normal(out=row)
+    dW *= sqrt_dt
+    return dW
 
 
 _ENSEMBLE_CHUNK = 2500  # trajectories per reduction chunk (fixed, not per-worker)
@@ -256,33 +320,32 @@ def simulate_ensemble(model: ModelSpec, u: UnravelingParams, psi0: np.ndarray,
     if any(s < 0 or s > n_steps for s in snaps):
         raise ValueError("snapshot steps must lie in [0, n_steps]")
     tracked = dict(tracked_observables or {})
-    L2 = model.L @ model.L
+    kernel = _EulerKernel(model, u, dt)
+    sq = np.sqrt(dt)
 
     def run_chunk(k0: int, k1: int):
         m = k1 - k0
         rngs = [np.random.default_rng(noise_mod.derive_seed(base_seed, k))
                 for k in range(k0, k1)]
-        psis = np.tile(psi0, (m, 1))
+        psis = np.repeat(psi0[:, None], m, axis=1)
         rho_snaps = np.empty((len(snaps), model.dim, model.dim), dtype=complex)
         mean_snaps = {name: np.empty((len(snaps), m)) for name in tracked}
         i_snap = 0
         step = 0
-        while i_snap < len(snaps) and snaps[i_snap] == step:
-            rho_snaps[i_snap] = np.einsum("ni,nj->ij", psis, psis.conj())
-            for name, op in tracked.items():
-                mean_snaps[name][i_snap] = _batch_means(psis, op)
-            i_snap += 1
         block_cap = max(1, 4_000_000 // max(1, m))
-        while step < n_steps:
+        while True:
+            while i_snap < len(snaps) and snaps[i_snap] == step:
+                rho_snaps[i_snap] = psis @ psis.conj().T
+                for name, op in tracked.items():
+                    mean_snaps[name][i_snap] = _column_means(psis, op)
+                i_snap += 1
+            if step == n_steps:
+                break
             target = snaps[i_snap] if i_snap < len(snaps) else n_steps
             nb = min(block_cap, target - step)
-            psis = _evolve_block(model, u, psis, rngs, nb, dt, L2)
+            # a temporary block: freed before the next one is drawn (peak memory)
+            psis = kernel.run(psis, _wiener_block(rngs, nb, sq), step, k0)
             step += nb
-            while i_snap < len(snaps) and snaps[i_snap] == step:
-                rho_snaps[i_snap] = np.einsum("ni,nj->ij", psis, psis.conj())
-                for name, op in tracked.items():
-                    mean_snaps[name][i_snap] = _batch_means(psis, op)
-                i_snap += 1
         return rho_snaps, mean_snaps, psis
 
     chunks = [(s, min(s + _ENSEMBLE_CHUNK, n_traj))
@@ -300,7 +363,7 @@ def simulate_ensemble(model: ModelSpec, u: UnravelingParams, psi0: np.ndarray,
     rhos = rho_sum / n_traj
     means = {name: np.concatenate([m[name] for _, m, _ in results], axis=1)
              for name in tracked}
-    finals = np.concatenate([f for _, _, f in results], axis=0)
+    finals = np.concatenate([f.T for _, _, f in results], axis=0)
     snaps_arr = np.asarray(snaps)
     return EnsembleResult(times=snaps_arr * dt, step_indices=snaps_arr, rhos=rhos,
                           means=means, final_states=finals, psi0=psi0.copy(),
@@ -412,8 +475,8 @@ def conditional_moment_flow_residual(trajectory: TrajectoryRecord, observable: n
     dt = trajectory.dt
     O, H, L = observable, model.H, model.L
 
-    m = _batch_means(psis, O)
-    ell = _batch_means(psis, L)
+    m = _column_means(psis.T, O)
+    ell = _column_means(psis.T, L)
     comm_OH = np.einsum("ni,ij,nj->n", psis.conj(), O @ H - H @ O, psis)
     dbl = L @ L @ O + O @ L @ L - 2.0 * (L @ O @ L)
     dbl_mean = np.einsum("ni,ij,nj->n", psis.conj(), dbl, psis).real

@@ -41,7 +41,7 @@ def identity(dim: int) -> np.ndarray:
 def normalize(psi: np.ndarray) -> np.ndarray:
     """Return psi / ||psi||, raising on a vanishing or non-finite vector."""
     psi = np.asarray(psi, dtype=complex)
-    nrm = np.linalg.norm(psi)
+    nrm = np.sqrt(np.sum(psi.real ** 2 + psi.imag ** 2))
     if not np.isfinite(nrm) or nrm == 0.0:
         raise ValueError("cannot normalize a zero or non-finite state vector")
     return psi / nrm

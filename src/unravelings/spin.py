@@ -26,7 +26,7 @@ import numpy as np
 from . import noise as noise_mod
 from .engine import EnsembleResult, ModelSpec, TrajectoryRecord, UnravelingParams, \
     simulate_ensemble, simulate_trajectory
-from .linalg import assert_normalized, pauli
+from .linalg import assert_normalized, normalize, pauli
 
 SIGMA_Z = pauli("z")
 
@@ -107,8 +107,7 @@ def spin_nonlinear_trajectory(psi0: np.ndarray, sp: SpinParams, dt: float, n_ste
         # raw increment from the physical one; scalar exp(-lam dt) dropped
         dxi = path.increments[k] + 2.0 * sqlam * z[k] * dt
         amp = np.exp(np.array([1.0, -1.0]) * (sqlam * dxi - 1j * sp.nu * dt))
-        psi = amp * psi
-        psi /= np.linalg.norm(psi)
+        psi = normalize(amp * psi)
         states[k + 1] = psi
         z[k + 1] = sigma_z_mean(psi)
     record = None

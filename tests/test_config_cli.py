@@ -63,6 +63,13 @@ def test_validation_rejects_specific_constraints():
     bad4["params"]["psi0"] = [[1.0, 0.0], [1.0, 0.0]]
     with pytest.raises(ConfigError, match="psi0"):
         validate_config(bad4)
+    for key in ("n_trajectories", "base_seed"):
+        for flag in (True, False):
+            with pytest.raises(ConfigError, match=key):
+                validate_config({**base, key: flag})
+    for t_final in (4e-4, 10.0005):
+        with pytest.raises(ConfigError, match="whole number of steps"):
+            validate_config({**base, "t_final": t_final, "outputs": ["ensemble_mean"]})
 
 
 def test_stability_violation_reports_usable_cap():

@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
 
-from unravelings.engine import (ModelSpec, UnravelingParams, check_stability,
-                                conditional_moment_flow_residual, ensemble_average,
-                                lindblad_evolve, lindblad_propagator, lindblad_step,
-                                max_stable_dt, simulate_ensemble,
+from unravelings.engine import (ModelSpec, UnravelingParams, _EulerKernel,
+                                check_stability, conditional_moment_flow_residual,
+                                ensemble_average, lindblad_evolve, lindblad_propagator,
+                                lindblad_step, max_stable_dt, simulate_ensemble,
                                 simulate_trajectory, sse_step)
 from unravelings.linalg import identity, pauli, projector
 from unravelings.noise import derive_seed
 
 SZ = pauli("z")
 PSI0 = np.array([0.5, np.sqrt(3.0) / 2.0], dtype=complex)
+XI_INTERIOR = UnravelingParams(np.cos(np.pi / 4.0), -np.sin(np.pi / 4.0), 1.0)
 
 
 def spin_model(nu=1.0):
@@ -95,6 +96,69 @@ def test_sse_step_rejects_divergence():
         sse_step(PSI0, model, u, dW=1e200, dt=1e300)
 
 
+def _random_hermitian(rng, d):
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return 0.5 * (a + a.conj().T)
+
+
+def _docstring_increment(psi, model, u, dW, dt):
+    """d|psi> exactly as the engine module docstring writes it."""
+    H, L, xi, xi_r, lam = model.H, model.L, u.xi, u.xi_r, u.lam
+    ell = np.vdot(psi, L @ psi).real
+    drift = ((-1j / model.hbar) * (H @ psi)
+             - 0.5 * lam * (abs(xi) ** 2 * (L @ L @ psi) - 2.0 * xi * xi_r * ell * (L @ psi)
+                            + xi_r ** 2 * ell ** 2 * psi))
+    return drift * dt + np.sqrt(lam) * (xi * (L @ psi) - xi_r * ell * psi) * dW
+
+
+@pytest.mark.parametrize("dim", [2, 4])
+@pytest.mark.parametrize("xi", [1.0, -1.0j, np.exp(-0.25j * np.pi)])
+def test_kernel_step_equals_docstring_increment(dim, xi):
+    rng = np.random.default_rng(dim)
+    model = ModelSpec(H=_random_hermitian(rng, dim), L=_random_hermitian(rng, dim),
+                      dim=dim, hbar=0.7)
+    u = UnravelingParams(xi.real, xi.imag, 0.8)
+    dt, n = 1e-2, 6
+    psis = rng.standard_normal((dim, n)) + 1j * rng.standard_normal((dim, n))
+    psis /= np.sqrt(np.sum(np.abs(psis) ** 2, axis=0))
+    dW = rng.standard_normal(n) * np.sqrt(dt)
+    kernel = _EulerKernel(model, u, dt)
+    assert not kernel.diagonal
+    raw = kernel.euler(psis, dW)
+    stepped = kernel.step(psis, dW)
+    for k in range(n):
+        expect = psis[:, k] + _docstring_increment(psis[:, k], model, u, dW[k], dt)
+        assert np.max(np.abs(raw[:, k] - expect)) <= 1e-14
+        expect /= np.linalg.norm(expect)
+        assert np.max(np.abs(stepped[:, k] - expect)) <= 1e-14
+
+
+@pytest.mark.parametrize("u", [UnravelingParams.nonlinear(1.3), UnravelingParams.linear(1.3),
+                               XI_INTERIOR])
+def test_kernel_diagonal_path_equals_general_path(u):
+    # 100 steps of a diagonal 3-level model; each step rounds at ~1e-16
+    rng = np.random.default_rng(4)
+    model = ModelSpec(H=np.diag(rng.standard_normal(3)).astype(complex),
+                      L=np.diag(rng.standard_normal(3)).astype(complex), dim=3)
+    dt = 1e-3
+    diagonal = _EulerKernel(model, u, dt)
+    general = _EulerKernel(model, u, dt)
+    general.diagonal = False
+    assert diagonal.diagonal
+    psis = rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8))
+    psis /= np.sqrt(np.sum(np.abs(psis) ** 2, axis=0))
+    dW = rng.standard_normal((8, 100)) * np.sqrt(dt)
+    a, b = diagonal.run(psis, dW), general.run(psis, dW)
+    assert np.max(np.abs(a - b)) <= 1e-13
+
+
+def test_ensemble_raises_on_non_finite_state():
+    model = ModelSpec(H=np.diag([1e308, -1e308]).astype(complex), L=SZ.copy(), dim=2)
+    with pytest.raises(FloatingPointError, match="trajectory 0 .* at step 0"):
+        simulate_ensemble(model, UnravelingParams.nonlinear(1.0), PSI0, 1e-3, 10, 4,
+                          base_seed=1)
+
+
 def test_simulate_trajectory_shapes_and_record():
     model = spin_model()
     u = UnravelingParams.nonlinear(1.0)
@@ -158,7 +222,7 @@ def test_lindblad_evolve_equals_repeated_rk4_steps():
 
 
 @pytest.mark.parametrize("u", [UnravelingParams.nonlinear(1.0),
-                               UnravelingParams.linear(1.0)])
+                               UnravelingParams.linear(1.0), XI_INTERIOR])
 def test_ensemble_density_matrix_tracks_master_equation(u):
     model = spin_model()
     n_traj, n_steps, dt = 800, 1000, 1e-3
@@ -201,15 +265,18 @@ def test_ensemble_average_rejects_mismatched_grids():
 
 
 def test_vectorized_members_equal_serial_trajectories():
+    # the spin model takes the elementwise path, so a column gives the same
+    # bits alone as inside the batch
     model = spin_model()
     u = UnravelingParams.nonlinear(1.0)
+    assert _EulerKernel(model, u, 1e-3).diagonal
     res = simulate_ensemble(model, u, PSI0, 1e-3, 300, 5, base_seed=42,
                             snapshot_steps=[300], tracked_observables={"sz": SZ})
     for k in range(5):
         tr = simulate_trajectory(model, u, PSI0, 1e-3, 300, derive_seed(42, k),
                                  tracked_observables={"sz": SZ})
-        assert np.allclose(res.final_states[k], tr.states[-1], atol=1e-13)
-        assert abs(res.means["sz"][0, k] - tr.means["sz"][300]) <= 1e-13
+        assert np.array_equal(res.final_states[k], tr.states[-1])
+        assert np.array_equal(res.means["sz"][0, k], tr.means["sz"][300])
 
 
 def test_worker_count_does_not_change_results():
@@ -243,20 +310,16 @@ def test_moment_flow_residual_matches_inline_formula():
 
 def _batched_residual_rms(power, dt, n_traj=3000, T=1.0, seed=5):
     """RMS of the engine's residual formula over a large lock-step batch."""
-    model = spin_model()
-    u = UnravelingParams.nonlinear(1.0)
-    L2 = model.L @ model.L
-    from unravelings.engine import _sse_increment_batch
+    kernel = _EulerKernel(spin_model(), UnravelingParams.nonlinear(1.0), dt)
     n = int(round(T / dt))
     rng = np.random.default_rng(seed)
-    psi = np.tile(PSI0, (n_traj, 1))
+    psi = np.tile(PSI0[:, None], (1, n_traj))
     acc, cnt = 0.0, 0
     for _ in range(n):
-        z = np.abs(psi[:, 0]) ** 2 - np.abs(psi[:, 1]) ** 2
+        z = np.abs(psi[0]) ** 2 - np.abs(psi[1]) ** 2
         dW = rng.standard_normal(n_traj) * np.sqrt(dt)
-        nxt = psi + _sse_increment_batch(psi, model, u, dW, dt, L2)
-        nxt /= np.linalg.norm(nxt, axis=1)[:, None]
-        z2 = np.abs(nxt[:, 0]) ** 2 - np.abs(nxt[:, 1]) ** 2
+        nxt = kernel.step(psi, dW)
+        z2 = np.abs(nxt[0]) ** 2 - np.abs(nxt[1]) ** 2
         gain = 2.0 * (1.0 - z ** 2)
         if power == 1:
             res = (z2 - z) - gain * dW
@@ -312,15 +375,10 @@ def test_weak_convergence_is_first_order():
     n4 = int(round(T / (h / 4.0)))
     rng = np.random.default_rng(77)
     dW4 = rng.standard_normal((n4, n_traj)) * np.sqrt(h / 4.0)
-    L2 = model.L @ model.L
-    from unravelings.engine import _sse_increment_batch
 
     def final_mean_z2(dWs, dt):
-        psi = np.tile(PSI0, (n_traj, 1))
-        for k in range(dWs.shape[0]):
-            psi = psi + _sse_increment_batch(psi, model, u, dWs[k], dt, L2)
-            psi /= np.linalg.norm(psi, axis=1)[:, None]
-        z = np.abs(psi[:, 0]) ** 2 - np.abs(psi[:, 1]) ** 2
+        psi = _EulerKernel(model, u, dt).run(np.tile(PSI0[:, None], (1, n_traj)), dWs.T)
+        z = np.abs(psi[0]) ** 2 - np.abs(psi[1]) ** 2
         return np.mean(z ** 2)
 
     a4 = final_mean_z2(dW4, h / 4.0)
@@ -337,16 +395,14 @@ def test_norm_drift_scalings():
     # the signed mean is O(dt^2); both scalings verified by halving
     model = spin_model()
     u = UnravelingParams.nonlinear(1.0)
-    L2 = model.L @ model.L
-    from unravelings.engine import _sse_increment_batch
     n = 400_000
 
     def defects(dt, seed):
         rng = np.random.default_rng(seed)
-        psi = np.tile(PSI0, (n, 1))
+        psi = np.tile(PSI0[:, None], (1, n))
         dW = rng.standard_normal(n) * np.sqrt(dt)
-        raw = psi + _sse_increment_batch(psi, model, u, dW, dt, L2)
-        d = np.einsum("ni,ni->n", raw.conj(), raw).real - 1.0
+        raw = _EulerKernel(model, u, dt).euler(psi, dW)
+        d = np.sum(raw.real ** 2 + raw.imag ** 2, axis=0) - 1.0
         return np.sqrt(np.mean(d ** 2)), np.mean(d)
 
     rms1, mean1 = defects(1e-2, 1)

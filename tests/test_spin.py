@@ -69,27 +69,26 @@ def test_route_difference_contracts_at_strong_order_half():
     # pathwise the pair differs by the Euler chain's strong error, which
     # contracts at the square-root rate per dt halving (a large vectorized
     # replica of the two route updates keeps the statistics tight)
-    from unravelings.engine import UnravelingParams, _sse_increment_batch
+    from unravelings.engine import UnravelingParams, _EulerKernel
     model = spin_model(SP)
     u = UnravelingParams.nonlinear(SP.lam)
-    L2 = model.L @ model.L
 
     def paired_rms(dt, n_pairs=20_000, T=1.0, seed=321):
         n = int(round(T / dt))
+        kernel = _EulerKernel(model, u, dt)
         rng = np.random.default_rng(seed)
-        psi = np.tile(PSI0, (n_pairs, 1))
-        phi = psi.copy()
+        psi = np.tile(PSI0[:, None], (1, n_pairs))
+        phi = np.tile(PSI0, (n_pairs, 1))
         z_ii = np.full(n_pairs, -0.5)
         acc, cnt = 0.0, 0
         for _ in range(n):
             dW = rng.standard_normal(n_pairs) * np.sqrt(dt)
-            psi = psi + _sse_increment_batch(psi, model, u, dW, dt, L2)
-            psi /= np.linalg.norm(psi, axis=1)[:, None]
+            psi = kernel.step(psi, dW)
             dxi = dW + 2.0 * np.sqrt(SP.lam) * z_ii * dt
             phi = phi * np.exp(np.array([1.0, -1.0])
                                * (np.sqrt(SP.lam) * dxi - 1j * SP.nu * dt)[:, None])
             phi /= np.linalg.norm(phi, axis=1)[:, None]
-            z_i = np.abs(psi[:, 0]) ** 2 - np.abs(psi[:, 1]) ** 2
+            z_i = np.abs(psi[0]) ** 2 - np.abs(psi[1]) ** 2
             z_ii = np.abs(phi[:, 0]) ** 2 - np.abs(phi[:, 1]) ** 2
             acc += float(np.sum((z_i - z_ii) ** 2))
             cnt += n_pairs
