@@ -20,7 +20,6 @@ def main():
     ap.add_argument("--dt", type=float, default=2e-3)
     ap.add_argument("--t-final", type=float, default=10.0)
     ap.add_argument("--seed", type=int, default=202)
-    ap.add_argument("--threads", type=int, default=1)
     args = ap.parse_args()
 
     sp = SpinParams(nu=1.0, lam=1.0)
@@ -28,7 +27,7 @@ def main():
     n_steps = int(round(args.t_final / args.dt))
     snaps = np.unique(np.linspace(0, n_steps, 21).astype(int))
     res = nonlinear_ensemble(psi0, sp, args.dt, n_steps, args.n_traj, args.seed,
-                             snapshot_steps=snaps, n_workers=args.threads)
+                             snapshot_steps=snaps)
 
     rep = collapse_statistics(res, threshold=0.999)
     se = np.sqrt(rep.born_p_up * (1 - rep.born_p_up) / rep.n_total)

@@ -86,7 +86,7 @@ class DynamicalGap:
 
 def dynamical_gap(lam: float = 1.0, t_final: float = 1.5, dt: float = 1e-3,
                   n_traj: int = 5000, base_seed: int = 2024,
-                  n_snapshots: int = 6, n_workers: int = 1) -> DynamicalGap:
+                  n_snapshots: int = 6) -> DynamicalGap:
     """Evolve Bob's qubit from |up_x> under both members and compare.
 
     The collapsing member (xi = 1) destroys the sigma_z spread while the
@@ -105,8 +105,7 @@ def dynamical_gap(lam: float = 1.0, t_final: float = 1.5, dt: float = 1e-3,
         results[tag] = simulate_ensemble(model, u, psi0, dt, n_steps, n_traj,
                                          base_seed if tag == "collapse" else base_seed + 1,
                                          snapshot_steps=snaps,
-                                         tracked_observables={"sz": sz},
-                                         n_workers=n_workers)
+                                         tracked_observables={"sz": sz})
     rc, rp = results["collapse"], results["phase"]
     spread_c = sigma_z_spread(rc.means["sz"]).mean(axis=1)
     spread_p = sigma_z_spread(rp.means["sz"]).mean(axis=1)

@@ -140,7 +140,8 @@ def main(argv=None) -> int:
     p_run.add_argument("--preset", help="name of a built-in scenario")
     p_run.add_argument("--out", default="out", help="output directory")
     p_run.add_argument("--seed", type=int, default=None, help="override base seed")
-    p_run.add_argument("--threads", type=int, default=1, help="ensemble workers")
+    p_run.add_argument("--threads", type=int, default=1,
+                       help="accepted for compatibility; ensembles run on one thread")
     p_run.add_argument("--check", action="store_true",
                        help="evaluate scenario-level checks on the written files")
     p_run.set_defaults(func=_cmd_run)

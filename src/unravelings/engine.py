@@ -36,12 +36,20 @@ one product with the stacked operator ``[L; A]``.  Norms are sums of
 ``re^2 + im^2`` over rows in a fixed order, and a non-finite or vanishing
 norm raises :class:`FloatingPointError` naming the trajectory and the step.
 
+:func:`simulate_ensemble` runs fixed chunks of trajectories one after the
+other on one thread.  Each chunk draws its Wiener increments in blocks of at
+most ``_NOISE_BUDGET`` doubles, one contiguous row per trajectory stream,
+and takes its snapshots inside a block between kernel runs on slices of it.
+Block boundaries do not depend on the snapshot steps, and the streams do
+not depend on either, so the snapshots never change a trajectory.
+
 The deterministic master-equation oracle uses classical RK4 (for the
-linear flow this equals the degree-4 Taylor propagator, which
-:func:`lindblad_evolve` applies step by step for speed).
+linear flow this equals the degree-4 Taylor propagator).
+:func:`lindblad_evolve` jumps from one snapshot to the next with a power of
+the one-step propagator, one power per distinct gap.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 
 import numpy as np
@@ -138,6 +146,21 @@ class EnsembleResult:
     def se_of(self, name: str) -> np.ndarray:
         vals = self.means[name]
         return vals.std(axis=1, ddof=1) / np.sqrt(vals.shape[1])
+
+    def at_steps(self, steps) -> "EnsembleResult":
+        """The snapshots at ``steps``, each of which must be a snapshot step.
+
+        A snapshot does not depend on which other steps were snapshotted, so
+        the rows equal those of a run at ``steps`` alone.
+        """
+        row_of = {int(s): i for i, s in enumerate(self.step_indices)}
+        try:
+            rows = np.array([row_of[int(s)] for s in steps], dtype=int)
+        except KeyError as exc:
+            raise ValueError(f"step {exc.args[0]} is not a snapshot step") from None
+        return replace(self, times=self.times[rows], step_indices=self.step_indices[rows],
+                       rhos=self.rhos[rows],
+                       means={name: v[rows] for name, v in self.means.items()})
 
 
 def max_stable_dt(model: ModelSpec, u: UnravelingParams) -> float:
@@ -296,29 +319,36 @@ def _wiener_block(rngs, n_steps: int, sqrt_dt: float) -> np.ndarray:
     return dW
 
 
-_ENSEMBLE_CHUNK = 2500  # trajectories per reduction chunk (fixed, not per-worker)
+_ENSEMBLE_CHUNK = 2500    # trajectories per reduction chunk (fixed)
+_NOISE_BUDGET = 400_000   # doubles per noise block of one chunk (2500 x 160)
+
+
+def _checked_snapshots(snapshot_steps, n_steps: int) -> list:
+    """Sorted distinct snapshot steps, each in [0, n_steps]; default [n_steps]."""
+    if snapshot_steps is None:
+        return [n_steps]
+    snaps = sorted(set(int(s) for s in snapshot_steps))
+    if any(s < 0 or s > n_steps for s in snaps):
+        raise ValueError("snapshot steps must lie in [0, n_steps]")
+    return snaps
 
 
 def simulate_ensemble(model: ModelSpec, u: UnravelingParams, psi0: np.ndarray,
                       dt: float, n_steps: int, n_traj: int, base_seed: int,
-                      snapshot_steps=None, tracked_observables: dict | None = None,
-                      n_workers: int = 1) -> EnsembleResult:
+                      snapshot_steps=None,
+                      tracked_observables: dict | None = None) -> EnsembleResult:
     """Run ``n_traj`` independent trajectories in lock step.
 
     Trajectory ``k`` consumes exactly the Wiener stream of
-    ``wiener_path(derive_seed(base_seed, k), dt, n_steps)``.  Reduction
-    happens over fixed-size trajectory chunks combined in index order, so
-    the result is bit-identical for any worker count; workers only decide
-    who computes which chunk.
+    ``wiener_path(derive_seed(base_seed, k), dt, n_steps)``.  Trajectories
+    run in fixed-size chunks whose density-matrix sums are combined in
+    index order, and noise blocks end independently of the snapshot steps,
+    so neither the snapshot steps nor ``n_traj`` changes any trajectory.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     assert_normalized(psi0, tol=1e-10)
     check_stability(model, u, dt)
-    if snapshot_steps is None:
-        snapshot_steps = [n_steps]
-    snaps = sorted(set(int(s) for s in snapshot_steps))
-    if any(s < 0 or s > n_steps for s in snaps):
-        raise ValueError("snapshot steps must lie in [0, n_steps]")
+    snaps = _checked_snapshots(snapshot_steps, n_steps)
     tracked = dict(tracked_observables or {})
     kernel = _EulerKernel(model, u, dt)
     sq = np.sqrt(dt)
@@ -331,32 +361,32 @@ def simulate_ensemble(model: ModelSpec, u: UnravelingParams, psi0: np.ndarray,
         rho_snaps = np.empty((len(snaps), model.dim, model.dim), dtype=complex)
         mean_snaps = {name: np.empty((len(snaps), m)) for name in tracked}
         i_snap = 0
-        step = 0
-        block_cap = max(1, 4_000_000 // max(1, m))
-        while True:
+
+        def take_snapshots(step):
+            nonlocal i_snap
             while i_snap < len(snaps) and snaps[i_snap] == step:
                 rho_snaps[i_snap] = psis @ psis.conj().T
                 for name, op in tracked.items():
                     mean_snaps[name][i_snap] = _column_means(psis, op)
                 i_snap += 1
-            if step == n_steps:
-                break
-            target = snaps[i_snap] if i_snap < len(snaps) else n_steps
-            nb = min(block_cap, target - step)
-            # a temporary block: freed before the next one is drawn (peak memory)
-            psis = kernel.run(psis, _wiener_block(rngs, nb, sq), step, k0)
-            step += nb
+
+        step = 0
+        take_snapshots(step)
+        block_cap = max(1, _NOISE_BUDGET // m)
+        while step < n_steps:
+            start = step
+            dW = _wiener_block(rngs, min(block_cap, n_steps - start), sq)
+            end = start + dW.shape[1]
+            while step < end:
+                stop = min(end, snaps[i_snap]) if i_snap < len(snaps) else end
+                psis = kernel.run(psis, dW[:, step - start:stop - start], step, k0)
+                step = stop
+                take_snapshots(step)
+            del dW  # freed before the next block is drawn (peak memory)
         return rho_snaps, mean_snaps, psis
 
-    chunks = [(s, min(s + _ENSEMBLE_CHUNK, n_traj))
-              for s in range(0, n_traj, _ENSEMBLE_CHUNK)]
-    if int(n_workers) <= 1 or len(chunks) == 1:
-        results = [run_chunk(*c) for c in chunks]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=min(int(n_workers), len(chunks))) as ex:
-            results = list(ex.map(lambda c: run_chunk(*c), chunks))
-
+    results = [run_chunk(s, min(s + _ENSEMBLE_CHUNK, n_traj))
+               for s in range(0, n_traj, _ENSEMBLE_CHUNK)]
     rho_sum = np.zeros((len(snaps), model.dim, model.dim), dtype=complex)
     for r, _, _ in results:
         rho_sum += r
@@ -435,23 +465,26 @@ def lindblad_propagator(model: ModelSpec, lam: float, dt: float) -> np.ndarray:
 
 def lindblad_evolve(rho0: np.ndarray, model: ModelSpec, lam: float, dt: float,
                     n_steps: int, snapshot_steps=None) -> list:
-    """Apply the RK4-equivalent propagator ``n_steps`` times, snapshotting.
+    """Evolve with the RK4-equivalent propagator over ``n_steps`` steps.
 
-    Returns a list of (step_index, rho) pairs for the requested steps.
+    Returns a list of (step_index, rho) pairs for the requested steps, each
+    in [0, n_steps].  Between snapshots the state jumps by the propagator's
+    power for the gap, computed by repeated squaring once per distinct gap.
     """
-    if snapshot_steps is None:
-        snapshot_steps = [n_steps]
-    snaps = sorted(set(int(s) for s in snapshot_steps))
+    snaps = _checked_snapshots(snapshot_steps, n_steps)
     P = lindblad_propagator(model, lam, dt)
+    powers = {}
     v = np.asarray(rho0, dtype=complex).reshape(-1)
     out = []
-    i = 0
-    for step in range(n_steps + 1):
-        if i < len(snaps) and snaps[i] == step:
-            out.append((step, v.reshape(model.dim, model.dim).copy()))
-            i += 1
-        if step < n_steps:
-            v = P @ v
+    step = 0
+    for s in snaps:
+        gap = s - step
+        if gap:
+            if gap not in powers:
+                powers[gap] = np.linalg.matrix_power(P, gap)
+            v = powers[gap] @ v
+            step = s
+        out.append((s, v.reshape(model.dim, model.dim).copy()))
     return out
 
 

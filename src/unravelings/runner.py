@@ -23,14 +23,15 @@ import numpy as np
 from . import __version__
 from .bell import alice_measures, dynamical_gap, signaling_gap
 from .config import ScenarioConfig
-from .engine import UnravelingParams, lindblad_evolve, simulate_trajectory
+from .engine import (UnravelingParams, lindblad_evolve, simulate_ensemble,
+                     simulate_trajectory)
 from .gaussian import (LINEAR, NONLINEAR, GaussianState, centroid_ensemble,
                        conditional_covariance_series, conditional_spread_x,
                        gaussian_sde_step, mean_square_x, riccati_matrices,
                        riccati_residual, variance_covariance_series, variance_x)
 from .linalg import projector
 from .noise import derive_seed, measurement_record, wiener_path
-from .spin import (SpinParams, collapse_statistics, spin_model,
+from .spin import (SIGMA_Z, SpinParams, collapse_statistics, spin_model,
                    supermartingale_check)
 
 
@@ -138,7 +139,12 @@ def _mech_trajectory(cfg: ScenarioConfig):
 
 def run_scenario(cfg: ScenarioConfig, out_dir, n_workers: int = 1,
                  seed_override: int | None = None) -> list:
-    """Produce every requested output file; returns the written paths."""
+    """Produce every requested output file; returns the written paths.
+
+    ``n_workers`` is accepted for compatibility and has no effect: every
+    ensemble runs on one thread.  A spin scenario integrates its
+    trajectories once, in one lock-step ensemble shared by its outputs.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     seed = cfg.base_seed if seed_override is None else int(seed_override)
@@ -159,29 +165,25 @@ def run_scenario(cfg: ScenarioConfig, out_dir, n_workers: int = 1,
 
     ens_cache = {}
 
-    def spin_ensemble(snapshots):
-        key = tuple(snapshots)
-        if key not in ens_cache:
+    def spin_ensemble():
+        # every step is a snapshot when the trajectory series is requested;
+        # the ensemble_mean and collapse_stats rows are a subset of them
+        if not ens_cache:
             sp, u, psi0 = _spin_setup(cfg)
-            from .engine import simulate_ensemble
-            from .spin import SIGMA_Z
-            ens_cache[key] = (simulate_ensemble(
+            snaps = (np.arange(cfg.n_steps + 1) if "trajectory" in cfg.outputs
+                     else _snapshot_steps(cfg))
+            ens_cache["run"] = simulate_ensemble(
                 spin_model(sp), u, psi0, cfg.dt, cfg.n_steps, cfg.n_trajectories,
-                seed, snapshot_steps=snapshots, tracked_observables={"sz": SIGMA_Z},
-                n_workers=n_workers), sp)
-        return ens_cache[key]
+                seed, snapshot_steps=snaps, tracked_observables={"sz": SIGMA_Z})
+        return ens_cache["run"]
 
     for kind in cfg.outputs:
         if cfg.model == "spin":
             sp, u, psi0 = _spin_setup(cfg)
             if kind == "trajectory":
-                cols = {"t": _grid(cfg)}
-                for k in range(cfg.n_trajectories):
-                    tr = simulate_trajectory(spin_model(sp), u, psi0, cfg.dt,
-                                             cfg.n_steps, derive_seed(seed, k),
-                                             tracked_observables={"sz": spin_model(sp).L})
-                    cols[f"sz_{k:03d}"] = tr.means["sz"]
-                emit_series(kind, cols)
+                sz = spin_ensemble().means["sz"]
+                emit_series(kind, {"t": _grid(cfg),
+                                   **{f"sz_{k:03d}": sz[:, k] for k in range(sz.shape[1])}})
             elif kind == "record":
                 tr = simulate_trajectory(spin_model(sp), u, psi0, cfg.dt, cfg.n_steps,
                                          derive_seed(seed, 0),
@@ -189,11 +191,11 @@ def run_scenario(cfg: ScenarioConfig, out_dir, n_workers: int = 1,
                 emit_series(kind, {"t": _grid(cfg)[:-1], "dy": tr.record.values})
             elif kind == "ensemble_mean":
                 snaps = _snapshot_steps(cfg)
-                result, sp2 = spin_ensemble(snaps)
-                oracle = lindblad_evolve(projector(psi0), spin_model(sp2), sp2.lam,
+                result = spin_ensemble().at_steps(snaps)
+                oracle = lindblad_evolve(projector(psi0), spin_model(sp), sp.lam,
                                          cfg.dt / 10.0, cfg.n_steps * 10,
                                          snapshot_steps=[int(s) * 10 for s in snaps])
-                sz_oracle = np.array([np.trace(r @ spin_model(sp2).L).real
+                sz_oracle = np.array([np.trace(r @ spin_model(sp).L).real
                                       for _, r in oracle])
                 rho_diff = np.array([np.max(np.abs(result.rhos[i] - oracle[i][1]))
                                      for i in range(len(snaps))])
@@ -203,10 +205,9 @@ def run_scenario(cfg: ScenarioConfig, out_dir, n_workers: int = 1,
                                    "lindblad_sz": sz_oracle,
                                    "rho_maxdiff": rho_diff})
             elif kind == "collapse_stats":
-                snaps = _snapshot_steps(cfg)
-                result, sp2 = spin_ensemble(snaps)
+                result = spin_ensemble().at_steps(_snapshot_steps(cfg))
                 rep = collapse_statistics(result)
-                sup = supermartingale_check(result, sp2)
+                sup = supermartingale_check(result, sp)
                 emit_report(kind, {
                     "n_up": rep.n_up, "n_down": rep.n_down,
                     "n_unresolved": rep.n_unresolved, "threshold": rep.threshold,
@@ -221,8 +222,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir, n_workers: int = 1,
                 out_z, out_x = alice_measures("z"), alice_measures("x")
                 rho_d, sig_gap = signaling_gap(out_z, out_x)
                 dyn = dynamical_gap(lam=sp.lam, t_final=cfg.t_final, dt=cfg.dt,
-                                    n_traj=cfg.n_trajectories, base_seed=seed,
-                                    n_workers=n_workers)
+                                    n_traj=cfg.n_trajectories, base_seed=seed)
                 emit_report(kind, {
                     "analytic": {
                         "rho_distance": rho_d, "sigma_gap": sig_gap,

@@ -148,13 +148,12 @@ def exponential_reconstruction(traj: TrajectoryRecord, sp: SpinParams) -> np.nda
 
 
 def nonlinear_ensemble(psi0: np.ndarray, sp: SpinParams, dt: float, n_steps: int,
-                       n_traj: int, base_seed: int, snapshot_steps=None,
-                       n_workers: int = 1) -> EnsembleResult:
+                       n_traj: int, base_seed: int, snapshot_steps=None) -> EnsembleResult:
     """Lock-step ensemble of collapse-member trajectories tracking <sigma_z>."""
     return simulate_ensemble(spin_model(sp), UnravelingParams.nonlinear(sp.lam), psi0,
                              dt, n_steps, n_traj, base_seed,
                              snapshot_steps=snapshot_steps,
-                             tracked_observables={"sz": SIGMA_Z}, n_workers=n_workers)
+                             tracked_observables={"sz": SIGMA_Z})
 
 
 @dataclass(frozen=True)

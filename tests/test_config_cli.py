@@ -6,9 +6,13 @@ import pytest
 from unravelings.cli import main
 from unravelings.config import (PRESETS, ConfigError, load_config, preset,
                                 validate_config)
-from unravelings.runner import (files_equal_ignoring_timestamp, read_report,
+from unravelings.engine import simulate_ensemble, simulate_trajectory
+from unravelings.noise import derive_seed
+from unravelings.runner import (_snapshot_steps, _spin_setup,
+                                files_equal_ignoring_timestamp, read_report,
                                 read_series, run_scenario, scenario_checks,
                                 write_series)
+from unravelings.spin import SIGMA_Z, spin_model
 
 
 def test_all_presets_validate():
@@ -229,3 +233,24 @@ def test_spin_outputs_roundtrip(tmp_path):
     assert rep["n_up"] + rep["n_down"] + rep["n_unresolved"] == 3
     _, cols = read_series(tmp_path / "fig2_ensemble_mean.csv")
     assert np.max(np.abs(cols["mean_sz"] - cols["lindblad_sz"])) <= 5.0 / np.sqrt(3)
+
+
+def test_fig2_outputs_share_one_ensemble(tmp_path):
+    # each trajectory column is the serial trajectory of its stream, and the
+    # ensemble mean is that of a separate run at the 41 snapshot steps
+    cfg = preset("fig2")
+    run_scenario(cfg, tmp_path)
+    sp, u, psi0 = _spin_setup(cfg)
+    model = spin_model(sp)
+    _, traj = read_series(tmp_path / "fig2_trajectory.csv")
+    assert len(traj) == cfg.n_trajectories + 1
+    for k in range(cfg.n_trajectories):
+        tr = simulate_trajectory(model, u, psi0, cfg.dt, cfg.n_steps, derive_seed(7, k),
+                                 tracked_observables={"sz": SIGMA_Z})
+        assert np.array_equal(traj[f"sz_{k:03d}"], tr.means["sz"])
+    res = simulate_ensemble(model, u, psi0, cfg.dt, cfg.n_steps, cfg.n_trajectories, 7,
+                            snapshot_steps=_snapshot_steps(cfg),
+                            tracked_observables={"sz": SIGMA_Z})
+    _, em = read_series(tmp_path / "fig2_ensemble_mean.csv")
+    assert np.array_equal(em["mean_sz"], res.mean_of("sz"))
+    assert np.array_equal(em["stderr_sz"], res.se_of("sz"))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from unravelings import engine
 from unravelings.engine import (ModelSpec, UnravelingParams, _EulerKernel,
                                 check_stability, conditional_moment_flow_residual,
                                 ensemble_average, lindblad_evolve, lindblad_propagator,
@@ -221,6 +222,33 @@ def test_lindblad_evolve_equals_repeated_rk4_steps():
     assert np.max(np.abs(one - lindblad_step(rho, model, 1.0, dt))) <= 1e-15
 
 
+def test_lindblad_evolve_jumps_equal_single_steps():
+    # unequal gaps, a repeated gap, and snapshots at 0 and n_steps
+    rng = np.random.default_rng(4)
+    A, B = (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(2))
+    model = ModelSpec(H=(A + A.conj().T) / 2.0, L=(B + B.conj().T) / 4.0, dim=3)
+    dt, n = 1e-2, 137
+    snaps = [0, 1, 5, 37, 69, 100, 137]
+    psi = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    rho = projector(psi / np.linalg.norm(psi))
+    P = lindblad_propagator(model, 0.9, dt)
+    v, expected = rho.reshape(-1), []
+    for step in range(n + 1):
+        if step in snaps:
+            expected.append(v.reshape(3, 3))
+        v = P @ v
+    got = lindblad_evolve(rho, model, 0.9, dt, n, snapshot_steps=snaps)
+    assert [s for s, _ in got] == snaps
+    for (_, a), b in zip(got, expected):
+        assert np.max(np.abs(a - b)) <= 1e-13
+
+
+@pytest.mark.parametrize("snaps", [[-1, 5, 10], [5, 11]])
+def test_lindblad_evolve_rejects_out_of_range_snapshots(snaps):
+    with pytest.raises(ValueError, match=r"snapshot steps must lie in \[0, n_steps\]"):
+        lindblad_evolve(projector(PSI0), spin_model(), 1.0, 1e-3, 10, snapshot_steps=snaps)
+
+
 @pytest.mark.parametrize("u", [UnravelingParams.nonlinear(1.0),
                                UnravelingParams.linear(1.0), XI_INTERIOR])
 def test_ensemble_density_matrix_tracks_master_equation(u):
@@ -279,17 +307,47 @@ def test_vectorized_members_equal_serial_trajectories():
         assert np.array_equal(res.means["sz"][0, k], tr.means["sz"][300])
 
 
-def test_worker_count_does_not_change_results():
-    # n_traj spans multiple reduction chunks so threading actually splits work
+def test_chunk_count_does_not_change_trajectories():
+    # 5100 trajectories run in three reduction chunks; the first chunk's
+    # trajectories are those of a 2500-trajectory run with the same seed
     model = spin_model()
     u = UnravelingParams.linear(1.0)
-    kw = dict(dt=1e-3, n_steps=60, n_traj=5100, base_seed=9,
-              snapshot_steps=[0, 30, 60], tracked_observables={"sz": SZ})
-    a = simulate_ensemble(model, u, PSI0, **kw, n_workers=1)
-    b = simulate_ensemble(model, u, PSI0, **kw, n_workers=3)
-    assert np.array_equal(a.final_states, b.final_states)
-    assert np.array_equal(a.means["sz"], b.means["sz"])
-    assert np.array_equal(a.rhos, b.rhos)
+    kw = dict(dt=1e-3, n_steps=60, base_seed=9, snapshot_steps=[0, 30, 60],
+              tracked_observables={"sz": SZ})
+    a = simulate_ensemble(model, u, PSI0, n_traj=5100, **kw)
+    b = simulate_ensemble(model, u, PSI0, n_traj=2500, **kw)
+    assert np.array_equal(a.final_states[:2500], b.final_states)
+    assert np.array_equal(a.means["sz"][:, :2500], b.means["sz"])
+
+
+@pytest.mark.parametrize("budget", [None, 35])
+def test_snapshots_do_not_change_trajectories(monkeypatch, budget):
+    # budget 35 with 5 trajectories gives 7-step noise blocks, whose
+    # boundaries fall strictly between the 10-step snapshot grid
+    if budget is not None:
+        monkeypatch.setattr(engine, "_NOISE_BUDGET", budget)
+    model = spin_model()
+    n = 400
+    grid = np.linspace(0, n, 41).astype(int)
+    runs = [simulate_ensemble(model, XI_INTERIOR, PSI0, 1e-3, n, 5, base_seed=12,
+                              snapshot_steps=snaps, tracked_observables={"sz": SZ})
+            for snaps in ([n], grid, np.arange(n + 1))]
+    final, on_grid, every = runs
+    for r in (on_grid, every):
+        assert np.array_equal(r.final_states, final.final_states)
+        assert np.array_equal(r.means["sz"][-1], final.means["sz"][0])
+        assert np.array_equal(r.rhos[-1], final.rhos[0])
+    shared = every.at_steps(grid)
+    assert np.array_equal(shared.means["sz"], on_grid.means["sz"])
+    assert np.array_equal(shared.rhos, on_grid.rhos)
+    assert np.array_equal(shared.times, on_grid.times)
+
+
+def test_at_steps_rejects_a_step_that_is_not_a_snapshot():
+    res = simulate_ensemble(spin_model(), UnravelingParams.linear(1.0), PSI0, 1e-3, 10, 2,
+                            base_seed=3, snapshot_steps=[0, 10])
+    with pytest.raises(ValueError, match="step 5"):
+        res.at_steps([0, 5])
 
 
 def test_moment_flow_residual_matches_inline_formula():
