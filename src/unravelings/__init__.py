@@ -9,8 +9,8 @@ the family member, density-matrix statistics do not.
 __version__ = "0.1.0"
 
 from .engine import (EnsembleResult, ModelSpec, TrajectoryRecord, UnravelingParams,
-                     ensemble_average, lindblad_evolve, lindblad_step, max_stable_dt,
-                     simulate_ensemble, simulate_trajectory, sse_step)
+                     lindblad_evolve, lindblad_step, max_stable_dt, simulate_ensemble,
+                     simulate_trajectory, sse_step)
 from .linalg import (conditional_covariance, density_from_ensemble, expectation,
                      partial_trace, pauli, tensor)
 from .noise import (NoisePath, RecordSeries, derive_seed, girsanov_shift,

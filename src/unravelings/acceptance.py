@@ -170,8 +170,8 @@ def criterion_5() -> CriterionResult:
     n2, n_traj = 1000, 2000
     dt2 = 1e-5
     snaps = [250, 500, 1000]
-    xs = centroid_ensemble(p, a0, LINEAR, 0.0, 0.0, dt2, n2, n_traj, 505,
-                           snapshot_steps=snaps)
+    xs, _ = centroid_ensemble(p, a0, LINEAR, 0.0, 0.0, dt2, n2, n_traj, 505,
+                              snapshot_steps=snaps)
     worst_se = 0.0
     for i, s in enumerate(snaps):
         mc = float(np.mean(xs[i] ** 2))

@@ -86,8 +86,6 @@ def _cmd_run(args) -> int:
     for p in written:
         print(f"wrote {p}")
     if args.check:
-        if args.seed is not None:
-            cfg = type(cfg)(**{**cfg.__dict__, "base_seed": args.seed})
         checks = scenario_checks(cfg, out_dir)
         ok = True
         for c in checks:

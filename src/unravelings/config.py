@@ -16,16 +16,17 @@ import numpy as np
 from .gaussian import HBAR_SI, MechanicalParams, width_rate_scale
 from .tolerances import TOL
 
-MODELS = ("spin", "free_particle", "harmonic")
-OUTPUT_KINDS = ("trajectory", "ensemble_mean", "sigma", "var", "record",
-                "riccati", "collapse_stats", "bell")
-_OUTPUTS_BY_MODEL = {
-    "spin": ("trajectory", "ensemble_mean", "record", "collapse_stats", "bell"),
-    "free_particle": ("trajectory", "ensemble_mean", "sigma", "var", "record", "riccati"),
-    "harmonic": ("trajectory", "ensemble_mean", "sigma", "var", "record", "riccati"),
+# model -> family; the models of one family share their output kinds
+FAMILIES = {"spin": "spin", "free_particle": "mech", "harmonic": "mech"}
+MODELS = tuple(FAMILIES)
+# family -> {output kind: whether it integrates an SDE and so faces the
+# stability budget}
+OUTPUT_KINDS = {
+    "spin": {"trajectory": True, "ensemble_mean": True, "record": True,
+             "collapse_stats": True, "bell": True},
+    "mech": {"trajectory": True, "ensemble_mean": True, "record": True,
+             "sigma": False, "var": False, "riccati": False},
 }
-# outputs that integrate an SDE and therefore face the stability budget
-_SDE_OUTPUTS = ("trajectory", "ensemble_mean", "record", "collapse_stats", "bell")
 
 _TOP_KEYS = {"name", "model", "unraveling", "params", "dt", "t_final",
              "n_trajectories", "base_seed", "outputs"}
@@ -56,6 +57,10 @@ class ScenarioConfig:
     outputs: tuple
 
     @property
+    def family(self) -> str:
+        return FAMILIES[self.model]
+
+    @property
     def n_steps(self) -> int:
         return int(round(self.t_final / self.dt))
 
@@ -84,13 +89,23 @@ class ScenarioConfig:
         }
 
 
-def _as_positive(raw, key, errs, allow_zero=False):
+def _real(raw):
+    """``raw`` as a float if it is a finite real number (not a bool), else None."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        return None
     try:
         v = float(raw)
-    except (TypeError, ValueError):
-        errs.append(f"{key}: expected a number, got {raw!r}")
+    except OverflowError:
         return None
-    if not math.isfinite(v) or v < 0.0 or (v == 0.0 and not allow_zero):
+    return v if math.isfinite(v) else None
+
+
+def _as_positive(raw, key, errs, allow_zero=False):
+    v = _real(raw)
+    if v is None:
+        errs.append(f"{key}: expected a finite number, got {raw!r}")
+        return None
+    if v < 0.0 or (v == 0.0 and not allow_zero):
         errs.append(f"{key}: must be {'>= 0' if allow_zero else '> 0'}, got {v}")
         return None
     return v
@@ -122,13 +137,18 @@ def validate_config(raw: dict) -> ScenarioConfig:
         xi_r, xi_i = 1.0, 0.0
     elif unr == "linear":
         xi_r, xi_i = 0.0, -1.0
-    elif isinstance(unr, dict) and set(unr) == {"xi"} and len(unr.get("xi", ())) == 2:
-        xi_r, xi_i = float(unr["xi"][0]), float(unr["xi"][1])
-        mod2 = xi_r ** 2 + xi_i ** 2
-        if abs(mod2 - 1.0) > TOL.unit_modulus:
-            errs.append(f"unraveling.xi: |xi|^2 = {mod2} must equal 1")
-        if xi_r < 0.0:
-            errs.append(f"unraveling.xi: xi_r must be >= 0, got {xi_r}")
+    elif isinstance(unr, dict) and set(unr) == {"xi"}:
+        xi = unr["xi"]
+        parts = [_real(v) for v in xi] if isinstance(xi, list) and len(xi) == 2 else [None]
+        if None in parts:
+            errs.append(f"unraveling.xi: expected two finite numbers [r, i], got {xi!r}")
+        else:
+            xi_r, xi_i = parts
+            mod2 = xi_r ** 2 + xi_i ** 2
+            if abs(mod2 - 1.0) > TOL.unit_modulus:
+                errs.append(f"unraveling.xi: |xi|^2 = {mod2} must equal 1")
+            if xi_r < 0.0:
+                errs.append(f"unraveling.xi: xi_r must be >= 0, got {xi_r}")
         if model != "spin":
             errs.append("unraveling: mechanical models support only the named "
                         "'nonlinear' / 'linear' members")
@@ -152,9 +172,9 @@ def validate_config(raw: dict) -> ScenarioConfig:
     if not isinstance(outputs, (list, tuple)) or not outputs:
         errs.append("outputs: must be a non-empty list")
         outputs = []
-    allowed = _OUTPUTS_BY_MODEL[model]
+    allowed = OUTPUT_KINDS[FAMILIES[model]]
     for o in outputs:
-        if o not in OUTPUT_KINDS:
+        if not isinstance(o, str) or not any(o in kinds for kinds in OUTPUT_KINDS.values()):
             errs.append(f"outputs: unknown kind {o!r}")
         elif o not in allowed:
             errs.append(f"outputs: {o!r} is not available for model {model!r}")
@@ -165,6 +185,8 @@ def validate_config(raw: dict) -> ScenarioConfig:
     if not isinstance(params, dict):
         errs.append("params: must be an object")
         params = {}
+    if "hbar" in params:
+        _as_positive(params["hbar"], "params.hbar", errs)
     if model == "spin":
         unknown = set(params) - _SPIN_KEYS
         if unknown:
@@ -176,8 +198,10 @@ def validate_config(raw: dict) -> ScenarioConfig:
                 _as_positive(params[key], f"params.{key}", errs, allow_zero=True)
         psi0 = params.get("psi0")
         if (not isinstance(psi0, list) or len(psi0) != 2
-                or any(not isinstance(c, list) or len(c) != 2 for c in psi0)):
-            errs.append("params.psi0: expected [[re_up, im_up], [re_down, im_down]]")
+                or any(not isinstance(c, list) or len(c) != 2 for c in psi0)
+                or any(_real(v) is None for c in psi0 for v in c)):
+            errs.append("params.psi0: expected [[re_up, im_up], [re_down, im_down]] "
+                        "of finite numbers")
         else:
             nrm = sum(r * r + i * i for r, i in psi0)
             if abs(nrm - 1.0) > 1e-6:
@@ -198,10 +222,14 @@ def validate_config(raw: dict) -> ScenarioConfig:
                 _as_positive(params["omega"], "params.omega", errs)
         elif "omega" in params and params["omega"] not in (0, 0.0):
             errs.append("params.omega: must be absent or 0 for free_particle")
+        for key in ("x0", "k0"):
+            if key in params and _real(params[key]) is None:
+                errs.append(f"params.{key}: expected a finite number, got {params[key]!r}")
         a0 = params.get("a0")
-        if not isinstance(a0, list) or len(a0) != 2:
-            errs.append("params.a0: expected [re, im] in 1/m^2")
-        elif float(a0[0]) <= 0.0:
+        if (not isinstance(a0, list) or len(a0) != 2
+                or any(_real(v) is None for v in a0)):
+            errs.append("params.a0: expected [re, im] in 1/m^2, finite numbers")
+        elif a0[0] <= 0.0:
             errs.append(f"params.a0: real part must be > 0, got {a0[0]}")
 
     if errs:
@@ -213,14 +241,11 @@ def validate_config(raw: dict) -> ScenarioConfig:
         base_seed=base_seed, outputs=tuple(outputs))
 
     # stability budget only gates outputs that integrate an SDE
-    if any(o in _SDE_OUTPUTS for o in cfg.outputs):
-        if model == "spin":
-            lam = float(params["lam"])
-            cap = TOL.stability_budget / lam if lam > 0 else math.inf
-        else:
-            rate = width_rate_scale(cfg.mechanical(), cfg.a0(),
-                                    "nonlinear" if cfg.xi_r > 0 else "linear")
-            cap = TOL.stability_budget / rate if rate > 0 else math.inf
+    if any(allowed[o] for o in cfg.outputs):
+        rate = (float(params["lam"]) if model == "spin" else
+                width_rate_scale(cfg.mechanical(), cfg.a0(),
+                                 "nonlinear" if cfg.xi_r > 0 else "linear"))
+        cap = TOL.stability_budget / rate if rate > 0 else math.inf
         if dt > cap:
             raise ConfigError([f"dt: {dt} violates the stability budget for these "
                                f"parameters; use dt <= {cap:.3e}"])

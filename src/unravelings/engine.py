@@ -400,27 +400,6 @@ def simulate_ensemble(model: ModelSpec, u: UnravelingParams, psi0: np.ndarray,
                           base_seed=base_seed, dt=dt)
 
 
-def ensemble_average(trajectories, at_times) -> list:
-    """Equal-weight density matrices of stored trajectories at given times."""
-    if not trajectories:
-        raise ValueError("empty trajectory list")
-    t0 = trajectories[0]
-    for tr in trajectories[1:]:
-        if tr.times.size != t0.times.size or abs(tr.dt - t0.dt) > 1e-15 * t0.dt:
-            raise ValueError("trajectories do not share a time grid")
-    out = []
-    for t in at_times:
-        idx = int(round(t / t0.dt))
-        if idx < 0 or idx >= t0.times.size or abs(t0.times[idx] - t) > 1e-9 * max(t0.dt, abs(t)):
-            raise ValueError(f"time {t} is not on the trajectory grid")
-        dim = t0.states.shape[1]
-        rho = np.zeros((dim, dim), dtype=complex)
-        for tr in trajectories:
-            rho += np.outer(tr.states[idx], tr.states[idx].conj())
-        out.append(rho / len(trajectories))
-    return out
-
-
 # --- deterministic master-equation flow ------------------------------------
 
 def lindblad_rhs(rho: np.ndarray, model: ModelSpec, lam: float) -> np.ndarray:

@@ -32,11 +32,13 @@ covariance series satisfies a given triple.
 """
 
 import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import noise as noise_mod
+from .engine import _checked_snapshots
 from .tolerances import TOL
 
 HBAR_SI = 1.054571817e-34  # J s
@@ -300,25 +302,44 @@ def width_rate_scale(p: MechanicalParams, a0: complex, unraveling: str) -> float
     return abs(spread_constants(p, a0, unraveling).rate)
 
 
+def _width_path(a0: complex, p: MechanicalParams, unraveling: str, dt: float,
+                n_steps: int) -> np.ndarray:
+    """The n_steps + 1 values of the Euler path a -> a + (c - q a^2) dt of the width."""
+    lam_eff = p.lam if unraveling == NONLINEAR else 0.0
+    c, q = complex(lam_eff, 0.5 * p.mass * p.omega ** 2 / p.hbar), 2j * p.hbar / p.mass
+    out = np.empty(n_steps + 1, dtype=complex)
+    a = complex(a0)
+    out[0] = a
+    for k in range(n_steps):
+        a = a + (c - q * a * a) * dt
+        out[k + 1] = a
+    return out
+
+
+def _centroid_step(x, k, a, dW, p: MechanicalParams, unraveling: str, dt: float):
+    """One Euler step of (centroid, wavenumber) at pre-step width ``a``.
+
+    ``x``, ``k`` and ``dW`` are scalars or arrays of one shape; the
+    phase-noise member does not read ``a``.
+    """
+    m, hb = p.mass, p.hbar
+    sq = math.sqrt(p.lam)
+    k_drift = k - m * p.omega ** 2 * x / hb * dt
+    if unraveling == NONLINEAR:
+        return (x + hb * k / m * dt + sq / (2.0 * a.real) * dW,
+                k_drift - sq * (a.imag / a.real) * dW)
+    return x + hb * k / m * dt, k_drift - sq * dW
+
+
 def gaussian_sde_step(g: GaussianState, p: MechanicalParams, unraveling: str,
                       dW: float, dt: float) -> GaussianState:
     """One Euler-Maruyama step of the (width, centroid, wavenumber) system."""
     _require_member(unraveling)
-    m, hb = p.mass, p.hbar
-    lam_eff = p.lam if unraveling == NONLINEAR else 0.0
     a = complex(g.width)
-    da = (lam_eff + 0.5j * m * p.omega ** 2 / hb - 2j * hb * a * a / m) * dt
-    a_new = a + da
+    a_new = complex(_width_path(a, p, unraveling, dt, 1)[1])
     if not (a_new.real > 0.0):
         raise FloatingPointError("width lost positivity; reduce dt")
-    sq = np.sqrt(p.lam)
-    if unraveling == NONLINEAR:
-        x_new = g.centroid + hb * g.wavenumber / m * dt + sq / (2.0 * a.real) * dW
-        k_new = (g.wavenumber - m * p.omega ** 2 * g.centroid / hb * dt
-                 - sq * (a.imag / a.real) * dW)
-    else:
-        x_new = g.centroid + hb * g.wavenumber / m * dt
-        k_new = g.wavenumber - m * p.omega ** 2 * g.centroid / hb * dt - sq * dW
+    x_new, k_new = _centroid_step(g.centroid, g.wavenumber, a, dW, p, unraveling, dt)
     return GaussianState(width=a_new, centroid=float(x_new), wavenumber=float(k_new))
 
 
@@ -335,15 +356,7 @@ def simulate_width(p: MechanicalParams, a0: complex, unraveling: str,
         raise ValueError(f"dt = {dt:.3e} violates the stability budget for the "
                          f"width rate {rate:.3e} s^-1; "
                          f"use dt <= {TOL.stability_budget / rate:.3e}")
-    lam_eff = p.lam if unraveling == NONLINEAR else 0.0
-    drift_const = complex(lam_eff, 0.5 * p.mass * p.omega ** 2 / p.hbar)
-    curv = 2j * p.hbar / p.mass
-    out = np.empty(n_steps + 1, dtype=complex)
-    a = complex(a0)
-    out[0] = a
-    for k in range(n_steps):
-        a = a + (drift_const - curv * a * a) * dt
-        out[k + 1] = a
+    out = _width_path(a0, p, unraveling, dt, n_steps)
     if not (out[-1].real > 0.0) or not np.isfinite(out[-1].real):
         raise FloatingPointError("width path lost positivity or diverged; reduce dt")
     return out
@@ -352,51 +365,33 @@ def simulate_width(p: MechanicalParams, a0: complex, unraveling: str,
 def centroid_ensemble(p: MechanicalParams, a0: complex, unraveling: str,
                       x0: float, k0: float, dt: float, n_steps: int,
                       n_traj: int, base_seed: int,
-                      snapshot_steps=None) -> np.ndarray:
-    """Centroids of n_traj Euler trajectories (width path shared).
+                      snapshot_steps=None):
+    """Centroids and wavenumbers of n_traj Euler trajectories (width path shared).
 
     The width is deterministic and common to every member of the ensemble;
-    only (centroid, wavenumber) are stochastic.  Trajectory k consumes the
-    stream of derive_seed(base_seed, k).  Returns the final centroids as a
-    (n_traj,) array, or a (n_snapshots, n_traj) array when snapshot step
-    indices are given.
+    only (centroid, wavenumber) are stochastic.  Trajectory k is driven by
+    ``wiener_path(derive_seed(base_seed, k), dt, n_steps)``.  Returns
+    ``(centroids, wavenumbers)``: the final values as (n_traj,) arrays, or
+    (n_snapshots, n_traj) arrays when snapshot step indices are given.
     """
     _require_member(unraveling)
-    m, hb = p.mass, p.hbar
-    sq = np.sqrt(p.lam)
     if unraveling == NONLINEAR:
         widths = simulate_width(p, a0, unraveling, dt, n_steps)
-    rngs = [np.random.default_rng(noise_mod.derive_seed(base_seed, k))
-            for k in range(n_traj)]
     dWs = np.empty((n_traj, n_steps))
-    for k, rng in enumerate(rngs):
-        dWs[k] = rng.standard_normal(n_steps)
-    dWs *= np.sqrt(dt)
-    snaps = None if snapshot_steps is None else sorted(set(int(s) for s in snapshot_steps))
-    if snaps is not None and any(s < 0 or s > n_steps for s in snaps):
-        raise ValueError("snapshot steps must lie in [0, n_steps]")
-    out = None if snaps is None else np.empty((len(snaps), n_traj))
+    for k in range(n_traj):
+        dWs[k] = noise_mod.wiener_path(noise_mod.derive_seed(base_seed, k), dt,
+                                       n_steps).increments
+    snaps = {s: i for i, s in enumerate(_checked_snapshots(snapshot_steps, n_steps))}
+    out_x, out_k = np.empty((2, len(snaps), n_traj))
     x = np.full(n_traj, float(x0))
     kk = np.full(n_traj, float(k0))
-    om2 = p.omega ** 2
-    i_snap = 0
-    if snaps is not None and snaps[0] == 0:
-        out[0] = x
-        i_snap = 1
-    for j in range(n_steps):
-        dW = dWs[:, j]
-        if unraveling == NONLINEAR:
-            a = widths[j]
-            x_new = x + hb * kk / m * dt + sq / (2.0 * a.real) * dW
-            kk = kk - m * om2 * x / hb * dt - sq * (a.imag / a.real) * dW
-        else:
-            x_new = x + hb * kk / m * dt
-            kk = kk - m * om2 * x / hb * dt - sq * dW
-        x = x_new
-        if snaps is not None and i_snap < len(snaps) and snaps[i_snap] == j + 1:
-            out[i_snap] = x
-            i_snap += 1
-    return x if snaps is None else out
+    for j in range(n_steps + 1):
+        if j in snaps:
+            out_x[snaps[j]], out_k[snaps[j]] = x, kk
+        if j < n_steps:
+            a = widths[j] if unraveling == NONLINEAR else None
+            x, kk = _centroid_step(x, kk, a, dWs[:, j], p, unraveling, dt)
+    return (out_x[0], out_k[0]) if snapshot_steps is None else (out_x, out_k)
 
 
 # --- covariance matrices and the Riccati flow --------------------------------

@@ -16,6 +16,7 @@ to the created_at metadata field, which comparisons ignore.
 import json
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -25,10 +26,10 @@ from .bell import alice_measures, dynamical_gap, signaling_gap
 from .config import ScenarioConfig
 from .engine import (UnravelingParams, lindblad_evolve, simulate_ensemble,
                      simulate_trajectory)
-from .gaussian import (LINEAR, NONLINEAR, GaussianState, centroid_ensemble,
+from .gaussian import (LINEAR, NONLINEAR, centroid_ensemble,
                        conditional_covariance_series, conditional_spread_x,
-                       gaussian_sde_step, mean_square_x, riccati_matrices,
-                       riccati_residual, variance_covariance_series, variance_x)
+                       mean_square_x, riccati_matrices, riccati_residual,
+                       simulate_width, variance_covariance_series, variance_x)
 from .linalg import projector
 from .noise import derive_seed, measurement_record, wiener_path
 from .spin import (SIGMA_Z, SpinParams, collapse_statistics, spin_model,
@@ -100,14 +101,7 @@ def files_equal_ignoring_timestamp(path_a, path_b) -> bool:
     return ma == mb and la[1] == lb[1]
 
 
-# --- per-kind builders -------------------------------------------------------
-
-def _spin_setup(cfg: ScenarioConfig):
-    p = cfg.params
-    sp = SpinParams(nu=float(p["nu"]), lam=float(p["lam"]), hbar=float(p.get("hbar", 1.0)))
-    u = UnravelingParams(cfg.xi_r, cfg.xi_i, sp.lam)
-    return sp, u, cfg.psi0()
-
+# --- per-scenario set-up and output builders ---------------------------------
 
 def _grid(cfg: ScenarioConfig) -> np.ndarray:
     return np.arange(cfg.n_steps + 1) * cfg.dt
@@ -117,24 +111,166 @@ def _snapshot_steps(cfg: ScenarioConfig, n_snap: int = 41):
     return np.unique(np.linspace(0, cfg.n_steps, n_snap).astype(int))
 
 
-def _mech_member(cfg: ScenarioConfig) -> str:
-    return NONLINEAR if cfg.xi_r > 0 else LINEAR
+def _fields(report) -> dict:
+    """A report dataclass's fields as a JSON payload, arrays as lists."""
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v
+            for k, v in vars(report).items()}
 
 
-def _mech_trajectory(cfg: ScenarioConfig):
-    p = cfg.mechanical()
-    member = _mech_member(cfg)
-    path = wiener_path(derive_seed(cfg.base_seed, 0), cfg.dt, cfg.n_steps)
-    g = GaussianState(width=cfg.a0(), centroid=float(cfg.params.get("x0", 0.0)),
-                      wavenumber=float(cfg.params.get("k0", 0.0)))
-    a = np.empty(cfg.n_steps + 1, dtype=complex)
-    x = np.empty(cfg.n_steps + 1)
-    k = np.empty(cfg.n_steps + 1)
-    a[0], x[0], k[0] = g.width, g.centroid, g.wavenumber
-    for j in range(cfg.n_steps):
-        g = gaussian_sde_step(g, p, member, path.increments[j], cfg.dt)
-        a[j + 1], x[j + 1], k[j + 1] = g.width, g.centroid, g.wavenumber
-    return path, a, x, k
+class _SpinRun:
+    """A spin scenario's set-up, its shared lock-step ensemble and its builders."""
+
+    def __init__(self, cfg: ScenarioConfig):
+        p = cfg.params
+        self.cfg, self.seed = cfg, cfg.base_seed
+        self.sp = SpinParams(nu=float(p["nu"]), lam=float(p["lam"]),
+                             hbar=float(p.get("hbar", 1.0)))
+        self.u = UnravelingParams(cfg.xi_r, cfg.xi_i, self.sp.lam)
+        self.psi0 = cfg.psi0()
+        self.model = spin_model(self.sp)
+
+    @cached_property
+    def ensemble(self):
+        # every step is a snapshot when the trajectory series is requested;
+        # the ensemble_mean and collapse_stats rows are a subset of them
+        cfg = self.cfg
+        snaps = (np.arange(cfg.n_steps + 1) if "trajectory" in cfg.outputs
+                 else _snapshot_steps(cfg))
+        return simulate_ensemble(self.model, self.u, self.psi0, cfg.dt, cfg.n_steps,
+                                 cfg.n_trajectories, self.seed, snapshot_steps=snaps,
+                                 tracked_observables={"sz": SIGMA_Z})
+
+    def trajectory(self) -> dict:
+        sz = self.ensemble.means["sz"]
+        return {"t": _grid(self.cfg),
+                **{f"sz_{k:03d}": sz[:, k] for k in range(sz.shape[1])}}
+
+    def record(self) -> dict:
+        cfg = self.cfg
+        tr = simulate_trajectory(self.model, self.u, self.psi0, cfg.dt, cfg.n_steps,
+                                 derive_seed(self.seed, 0),
+                                 tracked_observables={"sz": self.model.L})
+        return {"t": _grid(cfg)[:-1], "dy": tr.record.values}
+
+    def ensemble_mean(self) -> dict:
+        cfg = self.cfg
+        snaps = _snapshot_steps(cfg)
+        result = self.ensemble.at_steps(snaps)
+        oracle = lindblad_evolve(projector(self.psi0), self.model, self.sp.lam,
+                                 cfg.dt / 10.0, cfg.n_steps * 10,
+                                 snapshot_steps=[int(s) * 10 for s in snaps])
+        sz_oracle = np.array([np.trace(r @ self.model.L).real for _, r in oracle])
+        rho_diff = np.array([np.max(np.abs(result.rhos[i] - oracle[i][1]))
+                             for i in range(len(snaps))])
+        return {"t": result.times, "mean_sz": result.mean_of("sz"),
+                "stderr_sz": result.se_of("sz"), "lindblad_sz": sz_oracle,
+                "rho_maxdiff": rho_diff}
+
+    def collapse_stats(self) -> dict:
+        result = self.ensemble.at_steps(_snapshot_steps(self.cfg))
+        rep = collapse_statistics(result)
+        return {**_fields(rep), "fraction_up": rep.fraction_up,
+                **_fields(supermartingale_check(result, self.sp))}
+
+    def bell(self) -> dict:
+        cfg = self.cfg
+        out_z, out_x = alice_measures("z"), alice_measures("x")
+        rho_d, sig_gap = signaling_gap(out_z, out_x)
+        dyn = dynamical_gap(lam=self.sp.lam, t_final=cfg.t_final, dt=cfg.dt,
+                            n_traj=cfg.n_trajectories, base_seed=self.seed)
+        return {"analytic": {"rho_distance": rho_d, "sigma_gap": sig_gap,
+                             "mean_sigma_z_basis": out_z.mean_sigma,
+                             "mean_sigma_x_basis": out_x.mean_sigma},
+                "dynamical": _fields(dyn)}
+
+
+class _MechRun:
+    """A mechanical scenario's set-up, its trajectory 0 and its builders."""
+
+    def __init__(self, cfg: ScenarioConfig):
+        self.cfg, self.seed = cfg, cfg.base_seed
+        self.p, self.a0 = cfg.mechanical(), cfg.a0()
+        self.member = NONLINEAR if cfg.xi_r > 0 else LINEAR
+        self.x0 = float(cfg.params.get("x0", 0.0))
+        self.k0 = float(cfg.params.get("k0", 0.0))
+        self.ts = _grid(cfg)
+
+    @cached_property
+    def path0(self):
+        """(width, centroid, wavenumber) of trajectory 0 at every step.
+
+        It is an ensemble of one, driven by
+        ``wiener_path(derive_seed(seed, 0), dt, n_steps)``.
+        """
+        cfg = self.cfg
+        a = simulate_width(self.p, self.a0, self.member, cfg.dt, cfg.n_steps)
+        x, k = centroid_ensemble(self.p, self.a0, self.member, self.x0, self.k0,
+                                 cfg.dt, cfg.n_steps, 1, self.seed,
+                                 snapshot_steps=np.arange(cfg.n_steps + 1))
+        return a, x[:, 0], k[:, 0]
+
+    def sigma(self) -> dict:
+        return {"t": self.ts,
+                "sigma_nonlinear": conditional_spread_x(self.ts, self.p, self.a0, NONLINEAR),
+                "sigma_linear": conditional_spread_x(self.ts, self.p, self.a0, LINEAR)}
+
+    def var(self) -> dict:
+        return {"t": self.ts, "var": variance_x(self.ts, self.p, self.a0)}
+
+    def riccati(self) -> dict:
+        series = {member: conditional_covariance_series(self.ts, self.p, self.a0, member)
+                  for member in (NONLINEAR, LINEAR)}
+        series["variance"] = variance_covariance_series(self.ts, self.p, self.a0)
+        dt = self.cfg.dt
+        resids = {f"resid_{which}": riccati_residual(ser, riccati_matrices(self.p, which), dt)
+                  for which, ser in series.items()}
+        return {"t": self.ts[1:-1], **resids}
+
+    def trajectory(self) -> dict:
+        a, x, k = self.path0
+        return {"t": self.ts, "width_re": a.real, "width_im": a.imag,
+                "centroid": x, "wavenumber": k}
+
+    def record(self) -> dict:
+        path = wiener_path(derive_seed(self.seed, 0), self.cfg.dt, self.cfg.n_steps)
+        rec = measurement_record(path, self.path0[1][:-1], 1.0, self.p.lam)
+        return {"t": self.ts[:-1], "dy": rec.values}
+
+    def ensemble_mean(self) -> dict:
+        cfg = self.cfg
+        snaps = _snapshot_steps(cfg, n_snap=21)
+        xs, _ = centroid_ensemble(self.p, self.a0, self.member, self.x0, self.k0,
+                                  cfg.dt, cfg.n_steps, cfg.n_trajectories, self.seed,
+                                  snapshot_steps=snaps)
+        msq_ref = np.array([mean_square_x(float(t), self.p, self.a0, self.x0, self.k0,
+                                          self.member) for t in snaps * cfg.dt])
+        return {"t": snaps * cfg.dt, "mean_x2_mc": (xs ** 2).mean(axis=1),
+                "stderr_x2": (xs ** 2).std(axis=1, ddof=1) / np.sqrt(cfg.n_trajectories),
+                "mean_x2_closed_form": msq_ref}
+
+
+_SETUPS = {"spin": _SpinRun, "mech": _MechRun}
+_SERIES, _REPORT = ".csv", ".json"
+# (family, kind) -> (file suffix, builder).  A builder returns the kind's series
+# (columns) or report payload.  Builders call library functions by their
+# module-global names, so a wrapper installed there sees every call.
+_BUILDERS = {
+    ("spin", "trajectory"): (_SERIES, _SpinRun.trajectory),
+    ("spin", "record"): (_SERIES, _SpinRun.record),
+    ("spin", "ensemble_mean"): (_SERIES, _SpinRun.ensemble_mean),
+    ("spin", "collapse_stats"): (_REPORT, _SpinRun.collapse_stats),
+    ("spin", "bell"): (_REPORT, _SpinRun.bell),
+    ("mech", "sigma"): (_SERIES, _MechRun.sigma),
+    ("mech", "var"): (_SERIES, _MechRun.var),
+    ("mech", "riccati"): (_SERIES, _MechRun.riccati),
+    ("mech", "trajectory"): (_SERIES, _MechRun.trajectory),
+    ("mech", "record"): (_SERIES, _MechRun.record),
+    ("mech", "ensemble_mean"): (_SERIES, _MechRun.ensemble_mean),
+}
+
+
+def _output_path(cfg: ScenarioConfig, out_dir: Path, kind: str) -> Path:
+    return out_dir / f"{cfg.name}_{kind}{_BUILDERS[cfg.family, kind][0]}"
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir, n_workers: int = 1,
@@ -142,8 +278,9 @@ def run_scenario(cfg: ScenarioConfig, out_dir, n_workers: int = 1,
     """Produce every requested output file; returns the written paths.
 
     ``n_workers`` is accepted for compatibility and has no effect: every
-    ensemble runs on one thread.  A spin scenario integrates its
-    trajectories once, in one lock-step ensemble shared by its outputs.
+    ensemble runs on one thread.  The scenario's set-up is built once, and
+    its trajectories are integrated once and shared by its outputs: one
+    lock-step ensemble for a spin scenario, trajectory 0 for a mechanical one.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -151,142 +288,13 @@ def run_scenario(cfg: ScenarioConfig, out_dir, n_workers: int = 1,
     if seed_override is not None:
         cfg = ScenarioConfig(**{**cfg.__dict__, "base_seed": seed})
     meta = _metadata(cfg, seed)
+    run = _SETUPS[cfg.family](cfg)
     written = []
-
-    def emit_series(kind, columns):
-        path = out_dir / f"{cfg.name}_{kind}.csv"
-        write_series(path, columns, meta)
-        written.append(path)
-
-    def emit_report(kind, payload):
-        path = out_dir / f"{cfg.name}_{kind}.json"
-        write_report(path, payload, meta)
-        written.append(path)
-
-    ens_cache = {}
-
-    def spin_ensemble():
-        # every step is a snapshot when the trajectory series is requested;
-        # the ensemble_mean and collapse_stats rows are a subset of them
-        if not ens_cache:
-            sp, u, psi0 = _spin_setup(cfg)
-            snaps = (np.arange(cfg.n_steps + 1) if "trajectory" in cfg.outputs
-                     else _snapshot_steps(cfg))
-            ens_cache["run"] = simulate_ensemble(
-                spin_model(sp), u, psi0, cfg.dt, cfg.n_steps, cfg.n_trajectories,
-                seed, snapshot_steps=snaps, tracked_observables={"sz": SIGMA_Z})
-        return ens_cache["run"]
-
     for kind in cfg.outputs:
-        if cfg.model == "spin":
-            sp, u, psi0 = _spin_setup(cfg)
-            if kind == "trajectory":
-                sz = spin_ensemble().means["sz"]
-                emit_series(kind, {"t": _grid(cfg),
-                                   **{f"sz_{k:03d}": sz[:, k] for k in range(sz.shape[1])}})
-            elif kind == "record":
-                tr = simulate_trajectory(spin_model(sp), u, psi0, cfg.dt, cfg.n_steps,
-                                         derive_seed(seed, 0),
-                                         tracked_observables={"sz": spin_model(sp).L})
-                emit_series(kind, {"t": _grid(cfg)[:-1], "dy": tr.record.values})
-            elif kind == "ensemble_mean":
-                snaps = _snapshot_steps(cfg)
-                result = spin_ensemble().at_steps(snaps)
-                oracle = lindblad_evolve(projector(psi0), spin_model(sp), sp.lam,
-                                         cfg.dt / 10.0, cfg.n_steps * 10,
-                                         snapshot_steps=[int(s) * 10 for s in snaps])
-                sz_oracle = np.array([np.trace(r @ spin_model(sp).L).real
-                                      for _, r in oracle])
-                rho_diff = np.array([np.max(np.abs(result.rhos[i] - oracle[i][1]))
-                                     for i in range(len(snaps))])
-                emit_series(kind, {"t": result.times,
-                                   "mean_sz": result.mean_of("sz"),
-                                   "stderr_sz": result.se_of("sz"),
-                                   "lindblad_sz": sz_oracle,
-                                   "rho_maxdiff": rho_diff})
-            elif kind == "collapse_stats":
-                result = spin_ensemble().at_steps(_snapshot_steps(cfg))
-                rep = collapse_statistics(result)
-                sup = supermartingale_check(result, sp)
-                emit_report(kind, {
-                    "n_up": rep.n_up, "n_down": rep.n_down,
-                    "n_unresolved": rep.n_unresolved, "threshold": rep.threshold,
-                    "born_p_up": rep.born_p_up, "fraction_up": rep.fraction_up,
-                    "bound_ok": sup.bound_ok, "monotone_ok": sup.monotone_ok,
-                    "times": sup.times.tolist(),
-                    "mean_spread": sup.mean_spread.tolist(),
-                    "stderr": sup.stderr.tolist(),
-                    "bound": sup.bound.tolist(),
-                })
-            elif kind == "bell":
-                out_z, out_x = alice_measures("z"), alice_measures("x")
-                rho_d, sig_gap = signaling_gap(out_z, out_x)
-                dyn = dynamical_gap(lam=sp.lam, t_final=cfg.t_final, dt=cfg.dt,
-                                    n_traj=cfg.n_trajectories, base_seed=seed)
-                emit_report(kind, {
-                    "analytic": {
-                        "rho_distance": rho_d, "sigma_gap": sig_gap,
-                        "mean_sigma_z_basis": out_z.mean_sigma,
-                        "mean_sigma_x_basis": out_x.mean_sigma,
-                    },
-                    "dynamical": {
-                        "times": dyn.times.tolist(),
-                        "mean_spread_collapse": dyn.mean_spread_collapse.tolist(),
-                        "mean_spread_phase": dyn.mean_spread_phase.tolist(),
-                        "rho_distance": dyn.rho_distance.tolist(),
-                        "spread_gap_final": dyn.spread_gap_final,
-                        "mc_rho_tolerance": dyn.mc_rho_tolerance,
-                    },
-                })
-            continue
-
-        # mechanical models
-        p = cfg.mechanical()
-        a0 = cfg.a0()
-        ts = _grid(cfg)
-        if kind == "sigma":
-            emit_series(kind, {
-                "t": ts,
-                "sigma_nonlinear": conditional_spread_x(ts, p, a0, NONLINEAR),
-                "sigma_linear": conditional_spread_x(ts, p, a0, LINEAR),
-            })
-        elif kind == "var":
-            emit_series(kind, {"t": ts, "var": variance_x(ts, p, a0)})
-        elif kind == "riccati":
-            dt = cfg.dt
-            resids = {}
-            for label, member, which in (("nonlinear", NONLINEAR, "nonlinear"),
-                                         ("linear", LINEAR, "linear")):
-                ser = conditional_covariance_series(ts, p, a0, member)
-                resids[f"resid_{label}"] = riccati_residual(
-                    ser, riccati_matrices(p, which), dt)
-            ser = variance_covariance_series(ts, p, a0)
-            resids["resid_variance"] = riccati_residual(
-                ser, riccati_matrices(p, "variance"), dt)
-            emit_series(kind, {"t": ts[1:-1], **resids})
-        elif kind == "trajectory":
-            _, a, x, k = _mech_trajectory(cfg)
-            emit_series(kind, {"t": ts, "width_re": a.real, "width_im": a.imag,
-                               "centroid": x, "wavenumber": k})
-        elif kind == "record":
-            path, a, x, k = _mech_trajectory(cfg)
-            rec = measurement_record(path, x[:-1], 1.0, p.lam)
-            emit_series(kind, {"t": ts[:-1], "dy": rec.values})
-        elif kind == "ensemble_mean":
-            member = _mech_member(cfg)
-            snaps = _snapshot_steps(cfg, n_snap=21)
-            xs = centroid_ensemble(p, a0, member, float(cfg.params.get("x0", 0.0)),
-                                   float(cfg.params.get("k0", 0.0)), cfg.dt,
-                                   cfg.n_steps, cfg.n_trajectories, seed,
-                                   snapshot_steps=snaps)
-            msq_mc = (xs ** 2).mean(axis=1)
-            msq_se = (xs ** 2).std(axis=1, ddof=1) / np.sqrt(cfg.n_trajectories)
-            msq_ref = np.array([mean_square_x(float(t), p, a0,
-                                              float(cfg.params.get("x0", 0.0)),
-                                              float(cfg.params.get("k0", 0.0)), member)
-                                for t in snaps * cfg.dt])
-            emit_series(kind, {"t": snaps * cfg.dt, "mean_x2_mc": msq_mc,
-                               "stderr_x2": msq_se, "mean_x2_closed_form": msq_ref})
+        path = _output_path(cfg, out_dir, kind)
+        write = write_series if path.suffix == _SERIES else write_report
+        write(path, _BUILDERS[cfg.family, kind][1](run), meta)
+        written.append(path)
     return written
 
 
@@ -304,102 +312,93 @@ class CheckOutcome:
                f"observed {self.observed}, expected {self.expected}"
 
 
+def _check_spreads(cfg: ScenarioConfig, sig: dict, var: dict) -> list:
+    sigma0 = 1.0 / (4.0 * cfg.a0().real)
+    vals0 = (sig["sigma_nonlinear"][0], sig["sigma_linear"][0], var["var"][0])
+    dev = max(abs(v / sigma0 - 1.0) for v in vals0)
+    mask = sig["t"] > 0
+    ok = (np.all(sig["sigma_nonlinear"][mask] <= sig["sigma_linear"][mask] * (1 + 1e-12))
+          and np.all(sig["sigma_linear"][mask] <= var["var"][mask] * (1 + 1e-12)))
+    return [CheckOutcome("initial spreads coincide", dev <= 1e-12,
+                         f"max rel dev {dev:.2e} of {vals0}", f"all equal {sigma0:.6e}"),
+            CheckOutcome("spread ordering collapse <= phase-noise <= variance", bool(ok),
+                         "pointwise on the written grid", "holds for every t > 0")]
+
+
+def _check_riccati(cfg: ScenarioConfig, ric: dict) -> list:
+    finite = all(np.all(np.isfinite(v)) for v in ric.values())
+    return [CheckOutcome("covariance-flow residuals finite", finite,
+                         "all columns finite" if finite else "non-finite values",
+                         "finite residual series")]
+
+
+def _check_settled(cfg: ScenarioConfig, cols: dict) -> list:
+    # collapse is only complete after many coupling times
+    if float(cfg.params["lam"]) * cfg.t_final < 10.0:
+        return []
+    finals = np.array([cols[k][-1] for k in cols if k != "t"])
+    mn = float(np.min(np.abs(finals)))
+    return [CheckOutcome("every trajectory settles on an eigenstate", mn > 0.999,
+                         f"min |<sz>(T)| = {mn:.6f}", "> 0.999")]
+
+
+def _check_collapse_stats(cfg: ScenarioConfig, rep: dict) -> list:
+    n = rep["n_up"] + rep["n_down"] + rep["n_unresolved"]
+    se = np.sqrt(rep["born_p_up"] * (1 - rep["born_p_up"]) / n)
+    dev = abs(rep["fraction_up"] - rep["born_p_up"])
+    return [CheckOutcome("branch frequencies follow the Born weights",
+                         dev <= 3.0 * se + 1e-12,
+                         f"|{rep['fraction_up']:.4f} - {rep['born_p_up']:.4f}| = {dev:.4f}",
+                         f"<= 3 binomial SE = {3*se:.4f}"),
+            CheckOutcome("mean conditional spread under the collapse bound",
+                         bool(rep["bound_ok"]), str(rep["bound_ok"]), "True")]
+
+
+def _check_bell(cfg: ScenarioConfig, rep: dict) -> list:
+    ana, dyn = rep["analytic"], rep["dynamical"]
+    rho_ok = max(dyn["rho_distance"]) <= dyn["mc_rho_tolerance"]
+    return [CheckOutcome("observer marginals identical across bases",
+                         ana["rho_distance"] <= 1e-15,
+                         f"max-norm {ana['rho_distance']:.2e}", "<= 1e-15"),
+            CheckOutcome("spread-mean gap between bases", ana["sigma_gap"] == 1.0,
+                         f"{ana['sigma_gap']}", "= 1.0"),
+            CheckOutcome("dynamical marginals agree within Monte Carlo error",
+                         bool(rho_ok), f"max {max(dyn['rho_distance']):.4f}",
+                         f"<= {dyn['mc_rho_tolerance']:.4f}"),
+            CheckOutcome("dynamical spread gap", dyn["spread_gap_final"] > 0.5,
+                         f"{dyn['spread_gap_final']:.4f}", "> 0.5")]
+
+
+def _check_master_equation(cfg: ScenarioConfig, cols: dict) -> list:
+    tol = 5.0 / np.sqrt(cfg.n_trajectories)
+    dev = float(np.max(np.abs(cols["mean_sz"] - cols["lindblad_sz"])))
+    return [CheckOutcome("ensemble mean tracks the master equation", dev <= tol,
+                         f"max dev {dev:.4f}", f"<= 5/sqrt(N) = {tol:.4f}")]
+
+
+# family -> (output kinds read, check) in report order; a check runs when
+# every kind it reads was written and returns no outcome when it does not apply
+_CHECKS = {
+    "mech": [(("sigma", "var"), _check_spreads),
+             (("riccati",), _check_riccati)],
+    "spin": [(("trajectory",), _check_settled),
+             (("collapse_stats",), _check_collapse_stats),
+             (("bell",), _check_bell),
+             (("ensemble_mean",), _check_master_equation)],
+}
+
+
 def scenario_checks(cfg: ScenarioConfig, out_dir) -> list:
     """Re-read the written outputs and evaluate scenario-level expectations."""
     out_dir = Path(out_dir)
     checks = []
-    found_any = False
-
-    def path_of(kind, suffix):
-        p = out_dir / f"{cfg.name}_{kind}{suffix}"
-        return p if p.exists() else None
-
-    if cfg.model != "spin":
-        p = cfg.mechanical()
-        sigma0 = 1.0 / (4.0 * cfg.a0().real)
-        sig_path = path_of("sigma", ".csv")
-        var_path = path_of("var", ".csv")
-        if sig_path and var_path:
-            found_any = True
-            _, sig = read_series(sig_path)
-            _, var = read_series(var_path)
-            vals0 = (sig["sigma_nonlinear"][0], sig["sigma_linear"][0], var["var"][0])
-            dev = max(abs(v / sigma0 - 1.0) for v in vals0)
-            checks.append(CheckOutcome(
-                "initial spreads coincide", dev <= 1e-12,
-                f"max rel dev {dev:.2e} of {vals0}", f"all equal {sigma0:.6e}"))
-            mask = sig["t"] > 0
-            ok = (np.all(sig["sigma_nonlinear"][mask]
-                         <= sig["sigma_linear"][mask] * (1 + 1e-12))
-                  and np.all(sig["sigma_linear"][mask] <= var["var"][mask] * (1 + 1e-12)))
-            checks.append(CheckOutcome(
-                "spread ordering collapse <= phase-noise <= variance", bool(ok),
-                "pointwise on the written grid", "holds for every t > 0"))
-        ric_path = path_of("riccati", ".csv")
-        if ric_path:
-            found_any = True
-            _, ric = read_series(ric_path)
-            finite = all(np.all(np.isfinite(v)) for v in ric.values())
-            checks.append(CheckOutcome("covariance-flow residuals finite", finite,
-                                       "all columns finite" if finite else "non-finite values",
-                                       "finite residual series"))
-    else:
-        traj_path = path_of("trajectory", ".csv")
-        lam = float(cfg.params["lam"])
-        if traj_path and lam * cfg.t_final >= 10.0:
-            found_any = True
-            _, cols = read_series(traj_path)
-            finals = np.array([cols[k][-1] for k in cols if k != "t"])
-            mn = float(np.min(np.abs(finals)))
-            checks.append(CheckOutcome(
-                "every trajectory settles on an eigenstate", mn > 0.999,
-                f"min |<sz>(T)| = {mn:.6f}", "> 0.999"))
-        cs_path = path_of("collapse_stats", ".json")
-        if cs_path:
-            found_any = True
-            _, rep = read_report(cs_path)
-            n = rep["n_up"] + rep["n_down"] + rep["n_unresolved"]
-            se = np.sqrt(rep["born_p_up"] * (1 - rep["born_p_up"]) / n)
-            dev = abs(rep["fraction_up"] - rep["born_p_up"])
-            checks.append(CheckOutcome(
-                "branch frequencies follow the Born weights",
-                dev <= 3.0 * se + 1e-12,
-                f"|{rep['fraction_up']:.4f} - {rep['born_p_up']:.4f}| = {dev:.4f}",
-                f"<= 3 binomial SE = {3*se:.4f}"))
-            checks.append(CheckOutcome(
-                "mean conditional spread under the collapse bound",
-                bool(rep["bound_ok"]), str(rep["bound_ok"]), "True"))
-        bell_path = path_of("bell", ".json")
-        if bell_path:
-            found_any = True
-            _, rep = read_report(bell_path)
-            ana, dyn = rep["analytic"], rep["dynamical"]
-            checks.append(CheckOutcome(
-                "observer marginals identical across bases",
-                ana["rho_distance"] <= 1e-15,
-                f"max-norm {ana['rho_distance']:.2e}", "<= 1e-15"))
-            checks.append(CheckOutcome(
-                "spread-mean gap between bases", ana["sigma_gap"] == 1.0,
-                f"{ana['sigma_gap']}", "= 1.0"))
-            rho_ok = max(dyn["rho_distance"]) <= dyn["mc_rho_tolerance"]
-            checks.append(CheckOutcome(
-                "dynamical marginals agree within Monte Carlo error", bool(rho_ok),
-                f"max {max(dyn['rho_distance']):.4f}",
-                f"<= {dyn['mc_rho_tolerance']:.4f}"))
-            checks.append(CheckOutcome(
-                "dynamical spread gap", dyn["spread_gap_final"] > 0.5,
-                f"{dyn['spread_gap_final']:.4f}", "> 0.5"))
-        em_path = path_of("ensemble_mean", ".csv")
-        if em_path:
-            found_any = True
-            _, cols = read_series(em_path)
-            tol = 5.0 / np.sqrt(cfg.n_trajectories)
-            dev = float(np.max(np.abs(cols["mean_sz"] - cols["lindblad_sz"])))
-            checks.append(CheckOutcome(
-                "ensemble mean tracks the master equation", dev <= tol,
-                f"max dev {dev:.4f}", f"<= 5/sqrt(N) = {tol:.4f}"))
-
-    if not found_any:
+    for kinds, check in _CHECKS[cfg.family]:
+        paths = [_output_path(cfg, out_dir, kind) for kind in kinds]
+        if all(p.exists() for p in paths):
+            data = [(read_series(p) if p.suffix == _SERIES else read_report(p))[1]
+                    for p in paths]
+            checks += check(cfg, *data)
+    if not checks:
         checks.append(CheckOutcome("outputs present", False,
                                    "no checkable output files found", "at least one"))
     return checks

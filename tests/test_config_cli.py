@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 from unravelings.cli import main
-from unravelings.config import (PRESETS, ConfigError, load_config, preset,
-                                validate_config)
+from unravelings.config import (FAMILIES, OUTPUT_KINDS, PRESETS, ConfigError,
+                                load_config, preset, validate_config)
 from unravelings.engine import simulate_ensemble, simulate_trajectory
-from unravelings.noise import derive_seed
-from unravelings.runner import (_snapshot_steps, _spin_setup,
+from unravelings.gaussian import GaussianState, gaussian_sde_step
+from unravelings.noise import derive_seed, measurement_record, wiener_path
+from unravelings.runner import (_BUILDERS, _SpinRun, _snapshot_steps,
                                 files_equal_ignoring_timestamp, read_report,
                                 read_series, run_scenario, scenario_checks,
                                 write_series)
-from unravelings.spin import SIGMA_Z, spin_model
+from unravelings.spin import SIGMA_Z
 
 
 def test_all_presets_validate():
@@ -74,6 +75,39 @@ def test_validation_rejects_specific_constraints():
     for t_final in (4e-4, 10.0005):
         with pytest.raises(ConfigError, match="whole number of steps"):
             validate_config({**base, "t_final": t_final, "outputs": ["ensemble_mean"]})
+
+
+def _with(raw, path, value):
+    out = json.loads(json.dumps(raw))
+    *keys, last = path
+    node = out
+    for key in keys:
+        node = node[key]
+    node[last] = value
+    return out
+
+
+@pytest.mark.parametrize("preset_name, path, value, fragment", [
+    ("fig2", ("unraveling",), {"xi": [float("nan"), 0.0]}, "unraveling.xi"),
+    ("fig2", ("unraveling",), {"xi": [True, False]}, "unraveling.xi"),
+    ("fig2", ("unraveling",), {"xi": ["one", 0.0]}, "unraveling.xi"),
+    ("fig2", ("params", "psi0", 0, 0), float("nan"), "params.psi0"),
+    ("fig2", ("params", "psi0", 1, 1), "zero", "params.psi0"),
+    ("fig2", ("params", "nu"), True, "params.nu"),
+    ("fig2", ("params", "hbar"), False, "params.hbar"),
+    ("riccati_free", ("params", "a0", 0), "0.3", "params.a0"),
+    ("riccati_free", ("params", "x0"), "0", "params.x0"),
+], ids=["xi_nan", "xi_bool", "xi_text", "psi0_nan", "psi0_text", "nu_bool",
+        "hbar_bool", "a0_text", "x0_text"])
+def test_validation_rejects_non_numbers(preset_name, path, value, fragment, tmp_path, capsys):
+    raw = _with(PRESETS[preset_name], path, value)
+    with pytest.raises(ConfigError, match=fragment.replace(".", r"\.")):
+        validate_config(raw)
+    # the CLI reports it as a config error, not a traceback
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert fragment in capsys.readouterr().err
 
 
 def test_stability_violation_reports_usable_cap():
@@ -178,6 +212,12 @@ def test_cli_basic_paths(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "wrote" in out and "[PASS]" in out
+    rc = main(["run", "--preset", "riccati_free", "--out", str(tmp_path), "--seed", "3",
+               "--check"])
+    out = capsys.readouterr().out
+    assert rc == 0 and "[PASS]" in out and "[FAIL]" not in out
+    meta, _ = read_series(tmp_path / "riccati_free_sigma.csv")
+    assert meta["effective_seed"] == 3 and meta["config"]["base_seed"] == 3
     assert main(["run", "--out", str(tmp_path)]) == 2          # no scenario given
     assert main(["run", "--preset", "zzz", "--out", str(tmp_path)]) == 2
 
@@ -214,6 +254,43 @@ def test_mechanical_sde_outputs(tmp_path):
     assert np.all(dev[1:] <= 4.0 * em["stderr_x2"][1:] + 1e-15)
 
 
+def test_builders_cover_every_output_kind():
+    assert set(_BUILDERS) == {(fam, kind) for fam, kinds in OUTPUT_KINDS.items()
+                              for kind in kinds}
+    assert set(FAMILIES.values()) == set(OUTPUT_KINDS)
+    for name, raw in PRESETS.items():
+        cfg = validate_config(raw)
+        assert all((cfg.family, kind) in _BUILDERS for kind in cfg.outputs)
+
+
+@pytest.mark.parametrize("model, omega", [("free_particle", 0.0), ("harmonic", 0.5)])
+@pytest.mark.parametrize("member", ["nonlinear", "linear"])
+def test_mechanical_trajectory_is_the_sde_step_loop(tmp_path, model, omega, member):
+    params = {"mass": 1.0, "lam": 1.0, "hbar": 1.0, "a0": [0.3, 0.1], "x0": 0.2, "k0": -0.4}
+    if omega:
+        params["omega"] = omega
+    outputs = ["trajectory", "record"] if member == "nonlinear" else ["trajectory"]
+    cfg = validate_config({"name": "m", "model": model, "unraveling": member,
+                           "params": params, "dt": 5e-3, "t_final": 1.0,
+                           "n_trajectories": 3, "base_seed": 41, "outputs": outputs})
+    run_scenario(cfg, tmp_path)
+    path = wiener_path(derive_seed(41, 0), cfg.dt, cfg.n_steps)
+    g = GaussianState(width=0.3 + 0.1j, centroid=0.2, wavenumber=-0.4)
+    states = [g]
+    for dW in path.increments:
+        g = gaussian_sde_step(g, cfg.mechanical(), member, dW, cfg.dt)
+        states.append(g)
+    _, tr = read_series(tmp_path / "m_trajectory.csv")
+    assert np.array_equal(tr["width_re"], [s.width.real for s in states])
+    assert np.array_equal(tr["width_im"], [s.width.imag for s in states])
+    assert np.array_equal(tr["centroid"], [s.centroid for s in states])
+    assert np.array_equal(tr["wavenumber"], [s.wavenumber for s in states])
+    if member == "nonlinear":
+        _, rec = read_series(tmp_path / "m_record.csv")
+        ref = measurement_record(path, [s.centroid for s in states[:-1]], 1.0, 1.0)
+        assert np.array_equal(rec["dy"], ref.values)
+
+
 def test_spin_record_output(tmp_path):
     cfg = preset("fig2")
     small = type(cfg)(**{**cfg.__dict__, "t_final": 0.2,
@@ -240,8 +317,8 @@ def test_fig2_outputs_share_one_ensemble(tmp_path):
     # ensemble mean is that of a separate run at the 41 snapshot steps
     cfg = preset("fig2")
     run_scenario(cfg, tmp_path)
-    sp, u, psi0 = _spin_setup(cfg)
-    model = spin_model(sp)
+    setup = _SpinRun(cfg)
+    model, u, psi0 = setup.model, setup.u, setup.psi0
     _, traj = read_series(tmp_path / "fig2_trajectory.csv")
     assert len(traj) == cfg.n_trajectories + 1
     for k in range(cfg.n_trajectories):

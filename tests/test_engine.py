@@ -4,7 +4,7 @@ import pytest
 from unravelings import engine
 from unravelings.engine import (ModelSpec, UnravelingParams, _EulerKernel,
                                 check_stability, conditional_moment_flow_residual,
-                                ensemble_average, lindblad_evolve, lindblad_propagator,
+                                lindblad_evolve, lindblad_propagator,
                                 lindblad_step, max_stable_dt, simulate_ensemble,
                                 simulate_trajectory, sse_step)
 from unravelings.linalg import identity, pauli, projector
@@ -269,27 +269,15 @@ def test_ensemble_average_matches_lockstep_result():
     n_traj, n_steps, dt = 6, 40, 1e-3
     trajs = [simulate_trajectory(model, u, PSI0, dt, n_steps, derive_seed(33, k))
              for k in range(n_traj)]
-    rhos = ensemble_average(trajs, [0.0, 0.02, 0.04])
+    rhos = [sum(np.outer(tr.states[i], tr.states[i].conj()) for tr in trajs) / n_traj
+            for i in (0, 20, 40)]
     res = simulate_ensemble(model, u, PSI0, dt, n_steps, n_traj, base_seed=33,
                             snapshot_steps=[0, 20, 40])
     for a, b in zip(rhos, res.rhos):
         assert np.max(np.abs(a - b)) <= 1e-12
-    single = ensemble_average(trajs[:1], [0.04])[0]
+    single = np.outer(trajs[0].states[40], trajs[0].states[40].conj())
     evals = np.linalg.eigvalsh(single)
     assert evals.max() == pytest.approx(1.0, abs=1e-10)  # pure projector
-
-
-def test_ensemble_average_rejects_mismatched_grids():
-    model = spin_model()
-    u = UnravelingParams.nonlinear(1.0)
-    a = simulate_trajectory(model, u, PSI0, 1e-3, 10, 1)
-    b = simulate_trajectory(model, u, PSI0, 1e-3, 11, 2)
-    with pytest.raises(ValueError):
-        ensemble_average([a, b], [0.005])
-    with pytest.raises(ValueError):
-        ensemble_average([], [0.0])
-    with pytest.raises(ValueError):
-        ensemble_average([a], [0.0033])
 
 
 def test_vectorized_members_equal_serial_trajectories():

@@ -180,16 +180,16 @@ def test_simulate_width_tracks_closed_form():
 
 
 def test_centroid_ensemble_matches_quadrature():
-    xs = centroid_ensemble(P_NAT, 0.25 + 0j, LINEAR, 0.0, 0.0, 1e-3, 1000,
-                           2000, base_seed=77)
+    xs, _ = centroid_ensemble(P_NAT, 0.25 + 0j, LINEAR, 0.0, 0.0, 1e-3, 1000,
+                              2000, base_seed=77)
     mc = np.mean(xs ** 2)
     se = np.std(xs ** 2, ddof=1) / np.sqrt(2000)
     ref = mean_square_x(1.0, P_NAT, 0.25 + 0j, 0.0, 0.0, LINEAR)
     assert abs(mc - ref) <= 4.0 * se
     # snapshot mode shape
-    snaps = centroid_ensemble(P_NAT, 0.25 + 0j, NONLINEAR, 0.0, 0.0, 1e-3, 100,
-                              50, base_seed=3, snapshot_steps=[0, 50, 100])
-    assert snaps.shape == (3, 50)
+    snaps, ks = centroid_ensemble(P_NAT, 0.25 + 0j, NONLINEAR, 0.0, 0.0, 1e-3, 100,
+                                  50, base_seed=3, snapshot_steps=[0, 50, 100])
+    assert snaps.shape == ks.shape == (3, 50)
     assert np.array_equal(snaps[0], np.zeros(50))
 
 
