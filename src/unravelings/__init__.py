@@ -13,6 +13,6 @@ from .engine import (EnsembleResult, ModelSpec, TrajectoryRecord, UnravelingPara
                      simulate_trajectory, sse_step)
 from .linalg import (conditional_covariance, density_from_ensemble, expectation,
                      partial_trace, pauli, tensor)
-from .noise import (NoisePath, RecordSeries, derive_seed, girsanov_shift,
-                    measurement_record, reconstruct_noise, wiener_path)
+from .noise import (NoisePath, RecordSeries, derive_seed, measurement_record,
+                    reconstruct_noise, wiener_path)
 from .tolerances import TOL, Tolerances

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bell import alice_measures, dynamical_gap, signaling_gap
-from .engine import (ModelSpec, UnravelingParams, _EulerKernel, lindblad_evolve,
-                     lindblad_rhs, simulate_ensemble)
+from .engine import (ModelSpec, UnravelingParams, _column_means, _EulerKernel,
+                     _ExponentialKernel, lindblad_evolve, lindblad_rhs, simulate_ensemble)
 from .gaussian import (LINEAR, NONLINEAR, MechanicalParams, a_closed_form,
                        centroid_ensemble, conditional_covariance_series,
                        conditional_spread_x, mean_square_x, riccati_matrices,
@@ -21,6 +21,7 @@ from .gaussian import (LINEAR, NONLINEAR, MechanicalParams, a_closed_form,
 from .gcm import POVM, kraus_apply, povm_completeness, solve_gcm_params
 from .gcm import channel_apply
 from .linalg import projector
+from .noise import wiener_path
 from .spin import (SIGMA_Z, SpinParams, collapse_statistics, nonlinear_ensemble,
                    spin_model, supermartingale_check)
 
@@ -261,14 +262,14 @@ def _rand_states(rng, n):
 
 def _kraus_one_step(psis, dWs, dt, gp, nu):
     """Normalized measurement update times the commuting Hamiltonian phase."""
-    out = np.empty_like(psis)
-    for i in range(psis.shape[0]):
-        ell = float(np.abs(psis[i, 0]) ** 2 - np.abs(psis[i, 1]) ** 2)
-        dy = gp.xi.real * ell * dt + dWs[i] / (2.0 * np.sqrt(gp.gamma))
-        post, _ = kraus_apply(psis[i], SIGMA_Z, gp, dy, dt)
-        post = post / np.linalg.norm(post)
-        out[i] = np.exp(-1j * nu * dt * np.array([1.0, -1.0])) * post
-    return out
+    ell = np.abs(psis[:, 0]) ** 2 - np.abs(psis[:, 1]) ** 2
+    dy = gp.xi.real * ell * dt + dWs / (2.0 * np.sqrt(gp.gamma))
+    post, _ = kraus_apply(psis.T, SIGMA_Z, gp, dy, dt)
+    # each column's norm from the dot products np.linalg.norm takes of one
+    # vector, so a column gets the same bits as when it is updated alone
+    re, im = post.real.T[:, None, :], post.imag.T[:, None, :]
+    post = post / np.sqrt(re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1))[:, 0, 0]
+    return (np.exp(-1j * nu * dt * np.array([1.0, -1.0]))[:, None] * post).T
 
 
 def _phase_aligned_rms(a, b):
@@ -370,11 +371,10 @@ def criterion_9() -> CriterionResult:
 
     def mean_spread_curves(dt, seed):
         n = int(round(T / dt))
-        kernel = _EulerKernel(model, u, dt)
+        euler, expo = _EulerKernel(model, u, dt), _ExponentialKernel(model, u, dt)
         rng = np.random.default_rng(seed)
         psi = np.tile(_PSI0[:, None], (1, n_pairs))
-        phi = np.tile(_PSI0, (n_pairs, 1))
-        z_ii = np.full(n_pairs, -0.5)
+        phi = psi.copy()
         idx = np.linspace(0, n, 11).astype(int)
         cur_i = np.empty(11)
         cur_ii = np.empty(11)
@@ -382,14 +382,11 @@ def criterion_9() -> CriterionResult:
         j = 1
         for k in range(n):
             dW = rng.standard_normal(n_pairs) * np.sqrt(dt)
-            psi = kernel.step(psi, dW, k)
-            dxi = dW + 2.0 * np.sqrt(sp.lam) * z_ii * dt
-            phi = phi * np.exp(np.array([1.0, -1.0])
-                               * (np.sqrt(sp.lam) * dxi - 1j * sp.nu * dt)[:, None])
-            phi /= np.linalg.norm(phi, axis=1)[:, None]
-            z_ii = np.abs(phi[:, 0]) ** 2 - np.abs(phi[:, 1]) ** 2
+            psi = euler.step(psi, dW, k)
+            phi = expo.step(phi, dW, k)
             if j < 11 and k + 1 == idx[j]:
                 z_i = np.abs(psi[0]) ** 2 - np.abs(psi[1]) ** 2
+                z_ii = np.abs(phi[0]) ** 2 - np.abs(phi[1]) ** 2
                 cur_i[j] = np.mean(1.0 - z_i ** 2)
                 cur_ii[j] = np.mean(1.0 - z_ii ** 2)
                 j += 1
@@ -402,16 +399,23 @@ def criterion_9() -> CriterionResult:
     weak_ratios = [rms[0] / rms[1], rms[1] / rms[2]]
     ok = all(1.6 <= x <= 2.4 for x in weak_ratios)
 
-    from .spin import spin_nonlinear_trajectory
+    def sz_paths(kernel, dW):
+        """<sigma_z> series of the rows of dW from _PSI0, one row per trajectory."""
+        n_paths, n = dW.shape
+        states = np.empty((n + 1, 2, n_paths), dtype=complex)
+        states[0] = _PSI0[:, None]
+        kernel.run(states[0], dW, states=states[1:])
+        cols = states.transpose(1, 2, 0).reshape(2, -1)
+        return _column_means(cols, SIGMA_Z).reshape(n_paths, n + 1)
+
     strong = []
     for dt in (2e-3, 1e-3):
         n = int(round(T / dt))
-        acc = []
-        for k in range(150):
-            t1 = spin_nonlinear_trajectory(_PSI0, sp, dt, n, 7000 + k, route="sse")
-            t2 = spin_nonlinear_trajectory(_PSI0, sp, dt, n, 7000 + k, route="girsanov")
-            acc.append(np.mean((t1.means["sz"] - t2.means["sz"]) ** 2))
-        strong.append(float(np.sqrt(np.mean(acc))))
+        dW = np.array([wiener_path(7000 + k, dt, n).increments for k in range(150)])
+        diff = (sz_paths(_EulerKernel(model, u, dt), dW)
+                - sz_paths(_ExponentialKernel(model, u, dt), dW))
+        # mean over time per trajectory, then over trajectories: a serial loop's bits
+        strong.append(float(np.sqrt(np.mean(np.mean(diff ** 2, axis=1)))))
     return CriterionResult(
         9, "agreement of the two collapse-member constructions", ok,
         "matched-noise mean-spread curve RMS halves per dt halving (+/- 20%); "

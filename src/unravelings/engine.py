@@ -19,7 +19,7 @@ Conditional moments of order >= 2 differ between members of the family,
 which is exactly what the higher-level modules quantify.
 
 Integration scheme: Euler-Maruyama plus exact renormalization after every
-step.  Every stochastic step in the library goes through one kernel,
+step.  Every Euler-Maruyama step in the library goes through one kernel,
 :class:`_EulerKernel`, built once per (model, u, dt).  It keeps states as
 the columns of a ``(dim, N)`` array, so one call advances N trajectories in
 lock step, and regroups the increment as
@@ -36,12 +36,24 @@ one product with the stacked operator ``[L; A]``.  Norms are sums of
 ``re^2 + im^2`` over rows in a fixed order, and a non-finite or vanishing
 norm raises :class:`FloatingPointError` naming the trajectory and the step.
 
+The one other state update is :class:`_ExponentialKernel`, the exact step
+of the collapse member's linear equation driven by the raw increment
+dxi = dW + 2 sqrt(lam) <L> dt, for xi = 1 and diagonal H and L (diagonals
+h and l):
+
+    psi' = exp(diag(sqrt(lam) l dxi - lam l^2 dt - (i/hbar) h dt)) psi.
+
+The two kernels share the renormalization, the norm check and the column
+layout through :class:`_ColumnKernel`, and nothing of the Euler increment,
+so they stay independent constructions of one member.
+
 :func:`simulate_ensemble` runs fixed chunks of trajectories one after the
 other on one thread.  Each chunk draws its Wiener increments in blocks of at
 most ``_NOISE_BUDGET`` doubles, one contiguous row per trajectory stream,
-and takes its snapshots inside a block between kernel runs on slices of it.
-Block boundaries do not depend on the snapshot steps, and the streams do
-not depend on either, so the snapshots never change a trajectory.
+runs the kernel once per block and takes each snapshot from the kernel's
+after-step callback.  Block boundaries do not depend on the snapshot steps,
+and the streams do not depend on either, so the snapshots never change a
+trajectory.
 
 The deterministic master-equation oracle uses classical RK4 (for the
 linear flow this equals the degree-4 Taylor propagator).
@@ -197,12 +209,52 @@ def _is_diagonal(op: np.ndarray) -> bool:
     return not np.any(op - np.diag(np.diag(op)))
 
 
-class _EulerKernel:
+class _ColumnKernel:
+    """Renormalized steps of (dim, N) column states.
+
+    A subclass supplies ``update(psis, dW)``, the un-normalized map of one step.
+    """
+
+    def step(self, psis: np.ndarray, dW: np.ndarray, step_index: int = 0,
+             first_traj: int = 0) -> np.ndarray:
+        """One renormalized step of every column; ``dW`` has one entry per column."""
+        return self.run(psis, dW[:, None], step_index, first_traj)
+
+    def run(self, psis: np.ndarray, dW: np.ndarray, first_step: int = 0,
+            first_traj: int = 0, states: np.ndarray | None = None,
+            after_step=None) -> np.ndarray:
+        """Advance the columns of ``psis`` through ``dW.shape[1]`` renormalized steps.
+
+        ``dW`` is (N, n_steps) with one row per trajectory.  When given,
+        ``states`` (n_steps, dim, N) receives the state after every step, and
+        ``after_step(first_step + j + 1, psis)`` is called after step j.  A
+        non-finite or vanishing norm raises FloatingPointError naming the
+        trajectory ``first_traj + column`` and the step ``first_step + j``.
+        """
+        # an overflow is reported by the norm check, not as a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(dW.shape[1]):
+                psis = self.update(psis, dW[:, j])
+                n2 = _sum_rows(psis.real ** 2 + psis.imag ** 2)
+                ok = np.isfinite(n2) & (n2 > 0.0)
+                if not ok.all():
+                    k = first_traj + int(np.flatnonzero(~ok)[0])
+                    raise FloatingPointError(f"trajectory {k} became non-finite at step "
+                                             f"{first_step + j}; reduce dt")
+                psis *= 1.0 / np.sqrt(n2)
+                if states is not None:
+                    states[j] = psis
+                if after_step is not None:
+                    after_step(first_step + j + 1, psis)
+        return psis
+
+
+class _EulerKernel(_ColumnKernel):
     """Euler-Maruyama step plus renormalization on (dim, N) column states.
 
     See the module docstring for the regrouped increment.  ``diagonal`` is
-    true when H and L are both exactly diagonal; :meth:`euler` then runs the
-    elementwise path, otherwise the stacked-operator path.
+    true when H and L are both exactly diagonal; :meth:`update` then runs
+    the elementwise path, otherwise the stacked-operator path.
     """
 
     def __init__(self, model: ModelSpec, u: UnravelingParams, dt: float):
@@ -222,7 +274,7 @@ class _EulerKernel:
             self.a = np.diag(A)[:, None].copy()
             self.xi_l = self.xi * self.l
 
-    def euler(self, psis: np.ndarray, dW: np.ndarray) -> np.ndarray:
+    def update(self, psis: np.ndarray, dW: np.ndarray) -> np.ndarray:
         """The Euler-Maruyama update of normalized columns, before renormalization."""
         if self.diagonal:
             ell = _sum_rows(self.l * (psis.real ** 2 + psis.imag ** 2))
@@ -237,35 +289,31 @@ class _EulerKernel:
         new += (self.c_ell2 * ell ** 2) * psis
         return new
 
-    def step(self, psis: np.ndarray, dW: np.ndarray, step_index: int = 0,
-             first_traj: int = 0) -> np.ndarray:
-        """One renormalized step of every column.
 
-        A non-finite or vanishing norm raises FloatingPointError naming the
-        trajectory ``first_traj + column`` and the step ``step_index``.
-        """
-        new = self.euler(psis, dW)
-        n2 = _sum_rows(new.real ** 2 + new.imag ** 2)
-        ok = np.isfinite(n2) & (n2 > 0.0)
-        if not ok.all():
-            k = first_traj + int(np.flatnonzero(~ok)[0])
-            raise FloatingPointError(
-                f"trajectory {k} became non-finite at step {step_index}; reduce dt")
-        new *= 1.0 / np.sqrt(n2)
-        return new
+class _ExponentialKernel(_ColumnKernel):
+    """Exact exponential step plus renormalization on (dim, N) column states.
 
-    def run(self, psis: np.ndarray, dW: np.ndarray, first_step: int = 0,
-            first_traj: int = 0, states: np.ndarray | None = None) -> np.ndarray:
-        """Advance the columns of ``psis`` through ``dW.shape[1]`` steps.
+    See the module docstring for the map.  Any other xi, or an H or L that
+    is not diagonal, raises ValueError.
+    """
 
-        ``dW`` is (N, n_steps) with one row per trajectory.  When given,
-        ``states`` (n_steps, dim, N) receives the state after every step.
-        """
-        for j in range(dW.shape[1]):
-            psis = self.step(psis, dW[:, j], first_step + j, first_traj)
-            if states is not None:
-                states[j] = psis
-        return psis
+    def __init__(self, model: ModelSpec, u: UnravelingParams, dt: float):
+        if dt <= 0.0:
+            raise ValueError("dt must be positive")
+        if u.xi != 1.0:
+            raise ValueError(f"the exponential update needs xi = 1, got {u.xi}")
+        if not (_is_diagonal(model.H) and _is_diagonal(model.L)):
+            raise ValueError("the exponential update needs diagonal H and L")
+        self.l = np.diag(model.L).real[:, None].copy()
+        h = np.diag(model.H).real[:, None]
+        self.sqrt_lam_l = np.sqrt(u.lam) * self.l
+        self.shift = 2.0 * np.sqrt(u.lam) * dt       # dxi - dW per unit <L>
+        self.drift = -u.lam * self.l ** 2 * dt - (1j * dt / model.hbar) * h
+
+    def update(self, psis: np.ndarray, dW: np.ndarray) -> np.ndarray:
+        """The exponential map of normalized columns, before renormalization."""
+        ell = _sum_rows(self.l * (psis.real ** 2 + psis.imag ** 2))
+        return np.exp(self.sqrt_lam_l * (dW + self.shift * ell) + self.drift) * psis
 
 
 def sse_step(psi: np.ndarray, model: ModelSpec, u: UnravelingParams,
@@ -285,17 +333,23 @@ def simulate_trajectory(model: ModelSpec, u: UnravelingParams, psi0: np.ndarray,
     the pre-step conditional means of L (matching the record-driven
     reconstruction loop).
     """
+    check_stability(model, u, dt)
+    return _kernel_trajectory(_EulerKernel(model, u, dt), model, u, psi0, dt, n_steps,
+                              seed, tracked_observables)
+
+
+def _kernel_trajectory(kernel: _ColumnKernel, model: ModelSpec, u: UnravelingParams,
+                       psi0: np.ndarray, dt: float, n_steps: int, seed: int,
+                       tracked_observables: dict | None) -> TrajectoryRecord:
+    """One trajectory of ``kernel`` on ``wiener_path(seed, dt, n_steps)``."""
     psi0 = np.asarray(psi0, dtype=complex)
     assert_normalized(psi0, tol=1e-10)
-    check_stability(model, u, dt)
     tracked = dict(tracked_observables or {})
-
     states = np.empty((n_steps + 1, model.dim, 1), dtype=complex)   # one column per step
     states[0, :, 0] = psi0
     if n_steps >= 1:
         path = noise_mod.wiener_path(seed, dt, n_steps)
-        _EulerKernel(model, u, dt).run(states[0], path.increments[None, :],
-                                       states=states[1:])
+        kernel.run(states[0], path.increments[None, :], states=states[1:])
     else:
         path = noise_mod.NoisePath(seed=seed, dt=dt, increments=np.empty(0))
     states = states[:, :, 0]
@@ -362,7 +416,7 @@ def simulate_ensemble(model: ModelSpec, u: UnravelingParams, psi0: np.ndarray,
         mean_snaps = {name: np.empty((len(snaps), m)) for name in tracked}
         i_snap = 0
 
-        def take_snapshots(step):
+        def take_snapshots(step, psis):
             nonlocal i_snap
             while i_snap < len(snaps) and snaps[i_snap] == step:
                 rho_snaps[i_snap] = psis @ psis.conj().T
@@ -370,18 +424,11 @@ def simulate_ensemble(model: ModelSpec, u: UnravelingParams, psi0: np.ndarray,
                     mean_snaps[name][i_snap] = _column_means(psis, op)
                 i_snap += 1
 
-        step = 0
-        take_snapshots(step)
+        take_snapshots(0, psis)
         block_cap = max(1, _NOISE_BUDGET // m)
-        while step < n_steps:
-            start = step
+        for start in range(0, n_steps, block_cap):
             dW = _wiener_block(rngs, min(block_cap, n_steps - start), sq)
-            end = start + dW.shape[1]
-            while step < end:
-                stop = min(end, snaps[i_snap]) if i_snap < len(snaps) else end
-                psis = kernel.run(psis, dW[:, step - start:stop - start], step, k0)
-                step = stop
-                take_snapshots(step)
+            psis = kernel.run(psis, dW, start, k0, after_step=take_snapshots)
             del dW  # freed before the next block is drawn (peak memory)
         return rho_snaps, mean_snaps, psis
 

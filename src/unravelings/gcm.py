@@ -130,13 +130,21 @@ def kraus_matrix(L: np.ndarray, gp: GcmParams, dy: float, dt: float,
     return (V * amp) @ V.conj().T
 
 
-def kraus_apply(state: np.ndarray, L: np.ndarray, gp: GcmParams, dy: float,
-                dt: float, normalization: str = RECORD_MEAN):
-    """Un-normalized posterior A(dy)|psi> and its outcome weight ||A psi||^2."""
+def kraus_apply(states: np.ndarray, L: np.ndarray, gp: GcmParams, dys, dt: float,
+                normalization: str = RECORD_MEAN):
+    """Un-normalized posteriors A(dy)|psi> and their outcome weights ||A psi||^2.
+
+    ``states`` is one state (dim,) with a scalar outcome ``dys``, or (dim, N)
+    columns with N outcomes, one per column; L is diagonalized once per call.
+    """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    out = kraus_matrix(L, gp, dy, dt, normalization) @ np.asarray(state, dtype=complex)
-    return out, float(np.vdot(out, out).real)
+    states = np.asarray(states, dtype=complex)
+    evals, V = _eigs(L)
+    amps = _amplitudes(evals, gp, np.atleast_1d(dys), dt, normalization)
+    cols = states.reshape(states.shape[0], -1)
+    out = (V @ (amps.T * (V.conj().T @ cols))).reshape(states.shape)
+    return out, np.sum(out.real ** 2 + out.imag ** 2, axis=0)
 
 
 def outcome_grid(L: np.ndarray, gp: GcmParams, dt: float,

@@ -38,15 +38,6 @@ def identity(dim: int) -> np.ndarray:
     return np.eye(dim, dtype=complex)
 
 
-def normalize(psi: np.ndarray) -> np.ndarray:
-    """Return psi / ||psi||, raising on a vanishing or non-finite vector."""
-    psi = np.asarray(psi, dtype=complex)
-    nrm = np.sqrt(np.sum(psi.real ** 2 + psi.imag ** 2))
-    if not np.isfinite(nrm) or nrm == 0.0:
-        raise ValueError("cannot normalize a zero or non-finite state vector")
-    return psi / nrm
-
-
 def assert_normalized(psi: np.ndarray, tol: float = TOL.norm) -> None:
     nrm2 = float(np.vdot(psi, psi).real)
     if abs(nrm2 - 1.0) > tol:

@@ -1,4 +1,4 @@
-"""Seeded Wiener increments, measurement records, and measure changes.
+"""Seeded Wiener increments and measurement records.
 
 All randomness in the library flows through :func:`wiener_path`, so a run is
 fully determined by integer seeds.  Ensembles derive one child seed per
@@ -20,13 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Allowed measure labels for a path: 'physical' increments drive the
-# norm-preserving nonlinear dynamics, 'raw' increments drive the linear
-# (unnormalized) dynamics; a drift shift converts between them.
-RAW = "raw"
-PHYSICAL = "physical"
-_MEASURES = (RAW, PHYSICAL)
-
 
 @dataclass(frozen=True)
 class NoisePath:
@@ -35,11 +28,6 @@ class NoisePath:
     seed: int
     dt: float
     increments: np.ndarray
-    measure: str = PHYSICAL
-
-    def __post_init__(self):
-        if self.measure not in _MEASURES:
-            raise ValueError(f"measure must be one of {_MEASURES}, got {self.measure!r}")
 
     @property
     def n_steps(self) -> int:
@@ -67,7 +55,7 @@ def derive_seed(base_seed: int, k: int) -> int:
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-def wiener_path(seed: int, dt: float, n_steps: int, measure: str = PHYSICAL) -> NoisePath:
+def wiener_path(seed: int, dt: float, n_steps: int) -> NoisePath:
     """Generate ``n_steps`` independent N(0, dt) increments from ``seed``.
 
     Identical (seed, dt, n_steps) triples reproduce the increments exactly;
@@ -79,7 +67,7 @@ def wiener_path(seed: int, dt: float, n_steps: int, measure: str = PHYSICAL) -> 
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     rng = np.random.default_rng(int(seed))
     inc = rng.standard_normal(n_steps) * np.sqrt(dt)
-    return NoisePath(seed=int(seed), dt=float(dt), increments=inc, measure=measure)
+    return NoisePath(seed=int(seed), dt=float(dt), increments=inc)
 
 
 def measurement_record(path: NoisePath, conditional_L, xi_r: float, lam: float) -> RecordSeries:
@@ -107,27 +95,5 @@ def reconstruct_noise(record: RecordSeries, conditional_L, xi_r: float, lam: flo
     if ell.size != record.values.size:
         raise ValueError("conditional mean series length does not match record")
     dW = (record.values - xi_r * ell * record.dt) * (2.0 * np.sqrt(lam))
-    return NoisePath(seed=int(seed), dt=record.dt, increments=dW, measure=PHYSICAL)
+    return NoisePath(seed=int(seed), dt=record.dt, increments=dW)
 
-
-def girsanov_shift(path: NoisePath, drift, direction: str) -> NoisePath:
-    """Shift increments by +/- drift_k * dt, flipping the measure label.
-
-    ``drift`` is the full drift coefficient series; for the spin collapse
-    model the raw and physical noises are related by drift_k = 2*sqrt(lam)*<sz>_k,
-    with ``physical_to_raw`` adding the shift and ``raw_to_physical`` removing it.
-    """
-    drift = np.asarray(drift, dtype=float)
-    if drift.size != path.n_steps:
-        raise ValueError(f"drift series length {drift.size} != path length {path.n_steps}")
-    if direction == "physical_to_raw":
-        if path.measure != PHYSICAL:
-            raise ValueError("physical_to_raw expects a physical-measure path")
-        inc = path.increments + drift * path.dt
-        return NoisePath(seed=path.seed, dt=path.dt, increments=inc, measure=RAW)
-    if direction == "raw_to_physical":
-        if path.measure != RAW:
-            raise ValueError("raw_to_physical expects a raw-measure path")
-        inc = path.increments - drift * path.dt
-        return NoisePath(seed=path.seed, dt=path.dt, increments=inc, measure=PHYSICAL)
-    raise ValueError(f"direction must be 'physical_to_raw' or 'raw_to_physical', got {direction!r}")

@@ -320,7 +320,8 @@ def _check_spreads(cfg: ScenarioConfig, sig: dict, var: dict) -> list:
     ok = (np.all(sig["sigma_nonlinear"][mask] <= sig["sigma_linear"][mask] * (1 + 1e-12))
           and np.all(sig["sigma_linear"][mask] <= var["var"][mask] * (1 + 1e-12)))
     return [CheckOutcome("initial spreads coincide", dev <= 1e-12,
-                         f"max rel dev {dev:.2e} of {vals0}", f"all equal {sigma0:.6e}"),
+                         f"max rel dev {dev:.2e} of ({', '.join(f'{v:.6e}' for v in vals0)})",
+                         f"all equal {sigma0:.6e}"),
             CheckOutcome("spread ordering collapse <= phase-noise <= variance", bool(ok),
                          "pointwise on the written grid", "holds for every t > 0")]
 

@@ -14,6 +14,11 @@ extreme family members admit closed-form solutions:
   exponent accumulates sqrt(lam) W_t + 2 lam int_0^t <sigma_z>_s ds, and the
   trajectory collapses onto an eigenstate with Born-rule branch weights.
 
+:func:`spin_nonlinear_trajectory` builds the collapse member either with
+the Euler-Maruyama kernel or, step by step, with the exact exponential
+kernel of the engine; :func:`exponential_reconstruction` rebuilds every
+stored state at once from the closed form above.
+
 The ensemble-mean conditional spread of the collapse member obeys the bound
 E[s_t] <= s_0 / (1 + 4 lam s_0 t) (the spread is a supermartingale), which
 is what :func:`supermartingale_check` verifies.
@@ -23,10 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import noise as noise_mod
 from .engine import EnsembleResult, ModelSpec, TrajectoryRecord, UnravelingParams, \
-    simulate_ensemble, simulate_trajectory
-from .linalg import assert_normalized, normalize, pauli
+    _ExponentialKernel, _kernel_trajectory, _sum_rows, simulate_ensemble, simulate_trajectory
+from .linalg import assert_normalized, pauli
 
 SIGMA_Z = pauli("z")
 
@@ -79,15 +83,14 @@ def spin_nonlinear_trajectory(psi0: np.ndarray, sp: SpinParams, dt: float, n_ste
     route='sse'       direct Euler-Maruyama integration of the nonlinear
                       state equation (xi = 1) on the physical noise.
     route='girsanov'  exact exponential update of the linear equation driven
-                      by the raw noise xi_t, normalized step by step; the raw
+                      by the raw noise, normalized step by step; the raw
                       increments are built from the same physical path by the
                       drift shift d(xi) = dW + 2 sqrt(lam) <sigma_z> dt.
 
-    Both are driven by wiener_path(seed, dt, n_steps) as the physical noise,
-    so their conditional-mean series can be compared pathwise.
+    Both are ensembles of one driven by wiener_path(seed, dt, n_steps) as
+    the physical noise, so their conditional-mean series can be compared
+    pathwise.
     """
-    psi0 = np.asarray(psi0, dtype=complex)
-    assert_normalized(psi0, tol=1e-10)
     u = UnravelingParams.nonlinear(sp.lam)
     model = spin_model(sp)
     if route == "sse":
@@ -95,33 +98,8 @@ def spin_nonlinear_trajectory(psi0: np.ndarray, sp: SpinParams, dt: float, n_ste
                                    tracked_observables={"sz": SIGMA_Z})
     if route != "girsanov":
         raise ValueError(f"route must be 'sse' or 'girsanov', got {route!r}")
-
-    path = noise_mod.wiener_path(seed, dt, n_steps)
-    sqlam = np.sqrt(sp.lam)
-    states = np.empty((n_steps + 1, 2), dtype=complex)
-    states[0] = psi0
-    z = np.empty(n_steps + 1)
-    z[0] = sigma_z_mean(psi0)
-    psi = psi0.copy()
-    for k in range(n_steps):
-        # raw increment from the physical one; scalar exp(-lam dt) dropped
-        dxi = path.increments[k] + 2.0 * sqlam * z[k] * dt
-        amp = np.exp(np.array([1.0, -1.0]) * (sqlam * dxi - 1j * sp.nu * dt))
-        psi = normalize(amp * psi)
-        states[k + 1] = psi
-        z[k + 1] = sigma_z_mean(psi)
-    record = None
-    if sp.lam > 0.0 and n_steps >= 1:
-        record = noise_mod.measurement_record(path, z[:-1], 1.0, sp.lam)
-    times = np.arange(n_steps + 1) * dt
-    return TrajectoryRecord(times=times, states=states, means={"sz": z},
-                            record=record, noise=path, seed=seed, dt=dt)
-
-
-def raw_noise_of(traj: TrajectoryRecord, sp: SpinParams) -> noise_mod.NoisePath:
-    """Raw-measure path associated with a collapse trajectory's physical path."""
-    drift = 2.0 * np.sqrt(sp.lam) * traj.means["sz"][:-1]
-    return noise_mod.girsanov_shift(traj.noise, drift, "physical_to_raw")
+    return _kernel_trajectory(_ExponentialKernel(model, u, dt), model, u, psi0, dt,
+                              n_steps, seed, {"sz": SIGMA_Z})
 
 
 def exponential_reconstruction(traj: TrajectoryRecord, sp: SpinParams) -> np.ndarray:
@@ -137,14 +115,10 @@ def exponential_reconstruction(traj: TrajectoryRecord, sp: SpinParams) -> np.nda
     dt = traj.dt
     integ = np.concatenate([[0.0], np.cumsum(0.5 * (z[1:] + z[:-1]) * dt)])
     expo = np.sqrt(sp.lam) * W + 2.0 * sp.lam * integ
-    psi0 = traj.states[0]
-    fids = np.empty(z.size)
-    for k in range(z.size):
-        amp = np.exp(np.array([1.0, -1.0]) * (expo[k] - 1j * sp.nu * traj.times[k]))
-        rebuilt = amp * psi0
-        rebuilt /= np.linalg.norm(rebuilt)
-        fids[k] = abs(np.vdot(rebuilt, traj.states[k]))
-    return fids
+    l = np.diag(SIGMA_Z).real[:, None]
+    rebuilt = np.exp(l * (expo - 1j * sp.nu * traj.times)) * traj.states[0][:, None]
+    rebuilt /= np.sqrt(_sum_rows(rebuilt.real ** 2 + rebuilt.imag ** 2))
+    return np.abs(_sum_rows(rebuilt.conj() * traj.states.T))
 
 
 def nonlinear_ensemble(psi0: np.ndarray, sp: SpinParams, dt: float, n_steps: int,

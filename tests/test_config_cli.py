@@ -212,6 +212,7 @@ def test_cli_basic_paths(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "wrote" in out and "[PASS]" in out
+    assert "initial spreads coincide" in out and "np.float64" not in out
     rc = main(["run", "--preset", "riccati_free", "--out", str(tmp_path), "--seed", "3",
                "--check"])
     out = capsys.readouterr().out

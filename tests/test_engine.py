@@ -3,7 +3,8 @@ import pytest
 
 from unravelings import engine
 from unravelings.engine import (ModelSpec, UnravelingParams, _EulerKernel,
-                                check_stability, conditional_moment_flow_residual,
+                                _ExponentialKernel, check_stability,
+                                conditional_moment_flow_residual,
                                 lindblad_evolve, lindblad_propagator,
                                 lindblad_step, max_stable_dt, simulate_ensemble,
                                 simulate_trajectory, sse_step)
@@ -125,7 +126,7 @@ def test_kernel_step_equals_docstring_increment(dim, xi):
     dW = rng.standard_normal(n) * np.sqrt(dt)
     kernel = _EulerKernel(model, u, dt)
     assert not kernel.diagonal
-    raw = kernel.euler(psis, dW)
+    raw = kernel.update(psis, dW)
     stepped = kernel.step(psis, dW)
     for k in range(n):
         expect = psis[:, k] + _docstring_increment(psis[:, k], model, u, dW[k], dt)
@@ -158,6 +159,73 @@ def test_ensemble_raises_on_non_finite_state():
     with pytest.raises(FloatingPointError, match="trajectory 0 .* at step 0"):
         simulate_ensemble(model, UnravelingParams.nonlinear(1.0), PSI0, 1e-3, 10, 4,
                           base_seed=1)
+
+
+def _diagonal_three_level(rng):
+    # L^2 = diag(1, 0.25, 4) is not a multiple of the identity
+    return ModelSpec(H=np.diag(rng.standard_normal(3)).astype(complex),
+                     L=np.diag([1.0, -0.5, 2.0]).astype(complex), dim=3, hbar=0.7)
+
+
+def _random_columns(rng, dim, n):
+    psis = rng.standard_normal((dim, n)) + 1j * rng.standard_normal((dim, n))
+    return psis / np.linalg.norm(psis, axis=0)
+
+
+def test_exponential_kernel_steps_compose_into_the_one_shot_map():
+    # the exact step of the raw-noise linear equation: n steps equal one
+    # exponential of the summed raw increments dxi = dW + 2 sqrt(lam) <L> dt
+    rng = np.random.default_rng(8)
+    model = _diagonal_three_level(rng)
+    lam, dt, n = 0.8, 1e-3, 400
+    psi0 = _random_columns(rng, 3, 1)
+    dW = rng.standard_normal((1, n)) * np.sqrt(dt)
+    states = np.empty((n, 3, 1), dtype=complex)
+    final = _ExponentialKernel(model, UnravelingParams.nonlinear(lam), dt).run(
+        psi0, dW, states=states)
+    l, h = np.diag(model.L).real, np.diag(model.H).real
+    pre = np.concatenate([psi0[None], states[:-1]])[:, :, 0]
+    ell = (np.abs(pre) ** 2) @ l
+    xi = np.sum(dW[0] + 2.0 * np.sqrt(lam) * ell * dt)
+    t = n * dt
+    expect = np.exp(np.sqrt(lam) * l * xi - lam * l ** 2 * t - 1j * h * t / model.hbar)
+    expect *= psi0[:, 0]
+    expect /= np.linalg.norm(expect)
+    assert np.max(np.abs(final[:, 0] - expect)) <= 1e-12
+
+
+def test_exponential_kernel_column_alone_equals_column_in_batch():
+    rng = np.random.default_rng(9)
+    model = _diagonal_three_level(rng)
+    kernel = _ExponentialKernel(model, UnravelingParams.nonlinear(1.3), 1e-3)
+    psis = _random_columns(rng, 3, 6)
+    dW = rng.standard_normal((6, 50)) * np.sqrt(1e-3)
+    batch = kernel.run(psis, dW)
+    alone = kernel.run(psis[:, 2:3], dW[2:3])
+    assert np.array_equal(alone[:, 0], batch[:, 2])
+
+
+def test_exponential_kernel_raises_on_non_finite_state():
+    kernel = _ExponentialKernel(spin_model(), UnravelingParams.nonlinear(1.0), 1e-3)
+    psis = np.tile(PSI0[:, None], (1, 3))
+    dW = np.zeros((3, 2))
+    dW[1, 1] = 1e300
+    with pytest.raises(FloatingPointError, match="trajectory 1 .* at step 1"):
+        kernel.run(psis, dW)
+
+
+def test_exponential_kernel_rejects_other_members_and_dense_models():
+    dense = _random_hermitian(np.random.default_rng(2), 2)
+    with pytest.raises(ValueError, match="xi = 1"):
+        _ExponentialKernel(spin_model(), XI_INTERIOR, 1e-3)
+    with pytest.raises(ValueError, match="xi = 1"):
+        _ExponentialKernel(spin_model(), UnravelingParams.linear(1.0), 1e-3)
+    with pytest.raises(ValueError, match="diagonal"):
+        _ExponentialKernel(ModelSpec(H=dense, L=SZ.copy(), dim=2),
+                           UnravelingParams.nonlinear(1.0), 1e-3)
+    with pytest.raises(ValueError, match="diagonal"):
+        _ExponentialKernel(ModelSpec(H=SZ.copy(), L=dense, dim=2),
+                           UnravelingParams.nonlinear(1.0), 1e-3)
 
 
 def test_simulate_trajectory_shapes_and_record():
@@ -447,7 +515,7 @@ def test_norm_drift_scalings():
         rng = np.random.default_rng(seed)
         psi = np.tile(PSI0[:, None], (1, n))
         dW = rng.standard_normal(n) * np.sqrt(dt)
-        raw = _EulerKernel(model, u, dt).euler(psi, dW)
+        raw = _EulerKernel(model, u, dt).update(psi, dW)
         d = np.sum(raw.real ** 2 + raw.imag ** 2, axis=0) - 1.0
         return np.sqrt(np.mean(d ** 2)), np.mean(d)
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unravelings.engine import ModelSpec, UnravelingParams, lindblad_rhs, sse_step
+from unravelings.engine import ModelSpec, UnravelingParams, _EulerKernel, lindblad_rhs
 from unravelings.gcm import (POVM, RECORD_MEAN, channel_apply, kraus_apply,
                              kraus_matrix, norm_const_sq, outcome_grid,
                              povm_completeness, record_mean_check, solve_gcm_params)
@@ -95,16 +95,33 @@ def test_kraus_update_equals_exponential_update_for_spin():
     gp = solve_gcm_params(1.0 + 0.0j, 1.0)
     rng = np.random.default_rng(5)
     dt = 1e-3
-    for _ in range(20):
-        v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        v /= np.linalg.norm(v)
-        dy = float(rng.normal(0.0, np.sqrt(dt)))
-        post, _ = kraus_apply(v, SZ, gp, dy, dt)
-        post /= np.linalg.norm(post)
-        expo = np.exp(2.0 * 1.0 * dy * np.array([1.0, -1.0]))
-        ref = expo * v
-        ref /= np.linalg.norm(ref)
-        assert np.max(np.abs(post - ref)) <= 1e-12
+    draws = rng.standard_normal((20, 5))      # per sample: Re v, Im v, dy
+    v = (draws[:, 0:2] + 1j * draws[:, 2:4]).T
+    v /= np.linalg.norm(v, axis=0)
+    dy = np.sqrt(dt) * draws[:, 4]
+    post, _ = kraus_apply(v, SZ, gp, dy, dt)
+    post /= np.linalg.norm(post, axis=0)
+    ref = np.exp(2.0 * 1.0 * np.outer([1.0, -1.0], dy)) * v
+    ref /= np.linalg.norm(ref, axis=0)
+    assert np.max(np.abs(post - ref)) <= 1e-12
+
+
+def test_batched_kraus_apply_equals_per_column_operator():
+    # dense 3x3 coupling: one eigendecomposition per call, N outcomes
+    rng = np.random.default_rng(12)
+    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    L = 0.5 * (a + a.conj().T)
+    gp = solve_gcm_params(np.exp(-0.6j), 0.8)
+    dt = 1e-3
+    psis = rng.standard_normal((3, 7)) + 1j * rng.standard_normal((3, 7))
+    psis /= np.linalg.norm(psis, axis=0)
+    dys = rng.standard_normal(7) * np.sqrt(dt)
+    post, weights = kraus_apply(psis, L, gp, dys, dt)
+    assert post.shape == (3, 7) and weights.shape == (7,)
+    for k in range(7):
+        expect = kraus_matrix(L, gp, dys[k], dt) @ psis[:, k]
+        assert np.max(np.abs(post[:, k] - expect)) <= 1e-13 * np.max(np.abs(expect))
+        assert weights[k] == pytest.approx(np.vdot(expect, expect).real, rel=1e-13)
 
 
 def test_one_step_agreement_with_the_state_equation():
@@ -118,21 +135,19 @@ def test_one_step_agreement_with_the_state_equation():
     rng = np.random.default_rng(31)
 
     def rms_single(dt, n=1500):
-        acc = np.empty(n)
-        for i in range(n):
-            v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-            v /= np.linalg.norm(v)
-            dW = rng.standard_normal() * np.sqrt(dt)
-            ell = float(np.vdot(v, SZ @ v).real)
-            dy = ell * dt + dW / 2.0
-            post, _ = kraus_apply(v, SZ, gp, dy, dt)
-            post /= np.linalg.norm(post)
-            post = np.exp(-1j * nu * dt * np.array([1.0, -1.0])) * post
-            ref = sse_step(v, model, u, dW, dt)
-            ph = np.vdot(ref, post)
-            ph /= abs(ph)
-            acc[i] = np.linalg.norm(post - ph * ref) ** 2
-        return np.sqrt(acc.mean())
+        draws = rng.standard_normal((n, 5))   # per sample: Re v, Im v, dW
+        v = (draws[:, 0:2] + 1j * draws[:, 2:4]).T
+        v /= np.linalg.norm(v, axis=0)
+        dW = draws[:, 4] * np.sqrt(dt)
+        ell = np.sum(v.conj() * (SZ @ v), axis=0).real
+        dy = ell * dt + dW / 2.0
+        post, _ = kraus_apply(v, SZ, gp, dy, dt)
+        post /= np.linalg.norm(post, axis=0)
+        post = np.exp(-1j * nu * dt * np.array([1.0, -1.0]))[:, None] * post
+        ref = _EulerKernel(model, u, dt).step(v, dW)
+        ph = np.sum(ref.conj() * post, axis=0)
+        ph /= np.abs(ph)
+        return np.sqrt(np.mean(np.linalg.norm(post - ph * ref, axis=0) ** 2))
 
     r1, r2 = rms_single(2e-3), rms_single(1e-3)
     assert 1.7 <= r1 / r2 <= 2.3

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unravelings.noise import (PHYSICAL, RAW, NoisePath, derive_seed, girsanov_shift,
-                               measurement_record, reconstruct_noise, wiener_path)
+from unravelings.noise import (derive_seed, measurement_record, reconstruct_noise,
+                               wiener_path)
 
 
 def test_wiener_path_is_deterministic_in_seed():
@@ -92,39 +92,3 @@ def test_zero_record_zero_signal_gives_zero_noise():
     zero = reconstruct_noise(type(rec)(values=np.zeros(5), dt=1e-3), np.zeros(5), 1.0, 1.0)
     assert np.array_equal(zero.increments, np.zeros(5))
 
-
-def test_girsanov_zero_drift_is_identity():
-    p = wiener_path(2, 1e-3, 200)
-    q = girsanov_shift(p, np.zeros(200), "physical_to_raw")
-    assert np.array_equal(q.increments, p.increments)
-    assert q.measure == RAW and p.measure == PHYSICAL
-
-
-def test_girsanov_shift_then_unshift():
-    p = wiener_path(2, 1e-3, 200)
-    drift = np.sin(np.arange(200) * 0.1)
-    q = girsanov_shift(p, drift, "physical_to_raw")
-    back = girsanov_shift(q, drift, "raw_to_physical")
-    assert back.measure == PHYSICAL
-    assert np.max(np.abs(back.increments - p.increments)) <= 1e-12 * np.max(
-        np.abs(p.increments))
-
-
-def test_girsanov_constant_drift_offsets_cumulative_sum():
-    n, dt, d = 100, 1e-2, 0.7
-    p = wiener_path(4, dt, n)
-    q = girsanov_shift(p, np.full(n, d), "physical_to_raw")
-    assert q.cumulative()[-1] == pytest.approx(p.cumulative()[-1] + n * d * dt,
-                                               rel=1e-12)
-
-
-def test_girsanov_direction_and_measure_guards():
-    p = wiener_path(2, 1e-3, 10)
-    with pytest.raises(ValueError):
-        girsanov_shift(p, np.zeros(10), "sideways")
-    with pytest.raises(ValueError):
-        girsanov_shift(p, np.zeros(10), "raw_to_physical")  # p is physical
-    with pytest.raises(ValueError):
-        girsanov_shift(p, np.zeros(9), "physical_to_raw")
-    with pytest.raises(ValueError):
-        NoisePath(seed=0, dt=1e-3, increments=np.zeros(3), measure="weird")

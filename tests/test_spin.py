@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from unravelings.noise import girsanov_shift
 from unravelings.spin import (CollapseReport, SpinParams, collapse_bound,
                               collapse_statistics, exponential_reconstruction,
-                              moment_flow_residual, nonlinear_ensemble, raw_noise_of,
+                              moment_flow_residual, nonlinear_ensemble,
                               sigma_z_mean, sigma_z_spread, spin_linear_solution,
                               spin_model, spin_nonlinear_trajectory,
                               supermartingale_check)
@@ -67,29 +66,25 @@ def test_routes_agree_pathwise():
 
 def test_route_difference_contracts_at_strong_order_half():
     # pathwise the pair differs by the Euler chain's strong error, which
-    # contracts at the square-root rate per dt halving (a large vectorized
-    # replica of the two route updates keeps the statistics tight)
-    from unravelings.engine import UnravelingParams, _EulerKernel
+    # contracts at the square-root rate per dt halving (a large lock-step
+    # batch of the two route kernels keeps the statistics tight)
+    from unravelings.engine import UnravelingParams, _EulerKernel, _ExponentialKernel
     model = spin_model(SP)
     u = UnravelingParams.nonlinear(SP.lam)
 
     def paired_rms(dt, n_pairs=20_000, T=1.0, seed=321):
         n = int(round(T / dt))
-        kernel = _EulerKernel(model, u, dt)
+        euler, expo = _EulerKernel(model, u, dt), _ExponentialKernel(model, u, dt)
         rng = np.random.default_rng(seed)
         psi = np.tile(PSI0[:, None], (1, n_pairs))
-        phi = np.tile(PSI0, (n_pairs, 1))
-        z_ii = np.full(n_pairs, -0.5)
+        phi = psi.copy()
         acc, cnt = 0.0, 0
         for _ in range(n):
             dW = rng.standard_normal(n_pairs) * np.sqrt(dt)
-            psi = kernel.step(psi, dW)
-            dxi = dW + 2.0 * np.sqrt(SP.lam) * z_ii * dt
-            phi = phi * np.exp(np.array([1.0, -1.0])
-                               * (np.sqrt(SP.lam) * dxi - 1j * SP.nu * dt)[:, None])
-            phi /= np.linalg.norm(phi, axis=1)[:, None]
+            psi = euler.step(psi, dW)
+            phi = expo.step(phi, dW)
             z_i = np.abs(psi[0]) ** 2 - np.abs(psi[1]) ** 2
-            z_ii = np.abs(phi[:, 0]) ** 2 - np.abs(phi[:, 1]) ** 2
+            z_ii = np.abs(phi[0]) ** 2 - np.abs(phi[1]) ** 2
             acc += float(np.sum((z_i - z_ii) ** 2))
             cnt += n_pairs
         return np.sqrt(acc / cnt)
@@ -97,16 +92,6 @@ def test_route_difference_contracts_at_strong_order_half():
     r = [paired_rms(dt) for dt in (4e-3, 2e-3, 1e-3)]
     assert 1.25 <= r[0] / r[1] <= 1.6
     assert 1.25 <= r[1] / r[2] <= 1.6
-
-
-def test_girsanov_route_noise_relation_is_the_drift_shift():
-    tr = spin_nonlinear_trajectory(PSI0, SP, 1e-3, 300, seed=12, route="girsanov")
-    raw = raw_noise_of(tr, SP)
-    expected = tr.noise.increments + 2.0 * np.sqrt(SP.lam) * tr.means["sz"][:-1] * 1e-3
-    assert np.array_equal(raw.increments, expected)
-    back = girsanov_shift(raw, 2.0 * np.sqrt(SP.lam) * tr.means["sz"][:-1],
-                          "raw_to_physical")
-    assert np.max(np.abs(back.increments - tr.noise.increments)) <= 1e-15
 
 
 def test_exponential_reconstruction_fidelity_deficit_halves():
