@@ -1,8 +1,10 @@
 """Acceptance criteria: one callable per criterion, shared by CLI and tests.
 
 Each criterion pins its own parameters, seeds and tolerances; nothing is
-calibrated at run time.  Heavy ensembles shared between criteria (the
-Born-rule ensemble also feeds the collapse bound) are cached per process.
+calibrated at run time.  A gate that a scenario check applies too lives
+next to the quantity it tests, in ``gaussian``, ``spin``, ``bell`` or
+``engine``.  Heavy ensembles shared between criteria (the Born-rule
+ensemble also feeds the collapse bound) are cached per process.
 """
 
 import time
@@ -10,20 +12,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bell import alice_measures, dynamical_gap, signaling_gap
-from .engine import (ModelSpec, UnravelingParams, _column_means, _EulerKernel,
-                     _ExponentialKernel, lindblad_evolve, lindblad_rhs, simulate_ensemble)
-from .gaussian import (LINEAR, NONLINEAR, MechanicalParams, a_closed_form,
+from .bell import bell_gates, bell_report
+from .engine import (ModelSpec, UnravelingParams, _EulerKernel,
+                     _ExponentialKernel, lindblad_rhs, master_equation_oracle, mc_tolerance,
+                     simulate_ensemble)
+from .gaussian import (LINEAR, NONLINEAR, SPREAD_RTOL, MechanicalParams, a_closed_form,
                        centroid_ensemble, conditional_covariance_series,
-                       conditional_spread_x, mean_square_x, riccati_matrices,
-                       riccati_residual, simulate_width, spread_constants,
-                       variance_covariance_series, variance_x)
+                       conditional_spread_x, initial_spread_deviation, mean_square_x,
+                       riccati_matrices, riccati_residual, simulate_width,
+                       spread_constants, spreads_ordered, variance_covariance_series,
+                       variance_x)
 from .gcm import POVM, kraus_apply, povm_completeness, solve_gcm_params
 from .gcm import channel_apply
 from .linalg import projector
 from .noise import wiener_path
-from .spin import (SIGMA_Z, SpinParams, collapse_statistics, nonlinear_ensemble,
-                   spin_model, supermartingale_check)
+from .spin import (SIGMA_Z, SpinParams, _sigma_z_paths, collapse_statistics,
+                   nonlinear_ensemble, spin_model, supermartingale_check)
 
 _PSI0 = np.array([0.5, np.sqrt(3.0) / 2.0], dtype=complex)
 _FIG1 = MechanicalParams(mass=1e-15, omega=0.0, lam=1e23)
@@ -69,16 +73,13 @@ def criterion_1() -> CriterionResult:
     model = spin_model(sp)
     dt, n_steps, n_traj = 1e-4, 20_000, 5000
     snaps = [5000, 10_000, 20_000]
-    tol = 5.0 / np.sqrt(n_traj)
-    oracle = lindblad_evolve(projector(_PSI0), model, sp.lam, dt / 10.0,
-                             n_steps * 10, snapshot_steps=[s * 10 for s in snaps])
-    devs = {}
-    for tag, u, seed in (("xi=1", UnravelingParams.nonlinear(sp.lam), 101),
-                         ("xi=-i", UnravelingParams.linear(sp.lam), 102)):
-        res = simulate_ensemble(model, u, _PSI0, dt, n_steps, n_traj, seed,
-                                snapshot_steps=snaps)
-        devs[tag] = float(max(np.max(np.abs(res.rhos[i] - oracle[i][1]))
-                              for i in range(len(snaps))))
+    tol = mc_tolerance(n_traj)
+    results = {tag: simulate_ensemble(model, u, _PSI0, dt, n_steps, n_traj, seed,
+                                      snapshot_steps=snaps)
+               for tag, u, seed in (("xi=1", UnravelingParams.nonlinear(sp.lam), 101),
+                                    ("xi=-i", UnravelingParams.linear(sp.lam), 102))}
+    oracle = master_equation_oracle(results["xi=1"], model, sp.lam)
+    devs = {tag: float(np.max(np.abs(res.rhos - oracle))) for tag, res in results.items()}
     seconds = time.perf_counter() - t0
     worst = max(devs.values())
     passed = worst <= tol and seconds <= 60.0
@@ -92,7 +93,7 @@ def criterion_2() -> CriterionResult:
     t0 = time.perf_counter()
     result, _ = _born_ensemble()
     rep = collapse_statistics(result, threshold=0.999)
-    dev = abs(rep.fraction_up - 0.25)
+    dev = rep.born_deviation
     unresolved = rep.n_unresolved / rep.n_total
     passed = dev <= 0.013 and unresolved < 0.01
     return CriterionResult(2, "Born-rule branch statistics", passed,
@@ -119,12 +120,12 @@ def criterion_4() -> CriterionResult:
     t0 = time.perf_counter()
     p, a0 = _FIG1, _FIG1_A0
     obs = {}
-    vals0 = (conditional_spread_x(0.0, p, a0, NONLINEAR),
-             conditional_spread_x(0.0, p, a0, LINEAR),
-             float(variance_x(0.0, p, a0)))
-    dev0 = max(abs(v / 1e-9 - 1.0) for v in vals0)
+    grid = np.concatenate([[0.0], np.logspace(-15.0, 1.0, 1000)])
+    spreads = (conditional_spread_x(grid, p, a0, NONLINEAR),
+               conditional_spread_x(grid, p, a0, LINEAR), variance_x(grid, p, a0))
+    dev0 = initial_spread_deviation(a0, *spreads)
     obs["initial_rel_dev"] = dev0
-    ok_a = dev0 <= 1e-12
+    ok_a = dev0 <= SPREAD_RTOL
 
     cons = spread_constants(p, a0, NONLINEAR)
     plateau = 1.0 / (4.0 * cons.asymptote.real)
@@ -141,11 +142,7 @@ def criterion_4() -> CriterionResult:
     obs["identity_rel_err"] = dev_c
     ok_c = dev_c <= 1e-10
 
-    grid = np.logspace(-15.0, 1.0, 1000)
-    s_a = conditional_spread_x(grid, p, a0, NONLINEAR)
-    s_b = conditional_spread_x(grid, p, a0, LINEAR)
-    v = variance_x(grid, p, a0)
-    ok_d = bool(np.all(s_a <= s_b * (1 + 1e-12)) and np.all(s_b <= v * (1 + 1e-12)))
+    ok_d = spreads_ordered(grid, *spreads)
     obs["ordering_ok"] = ok_d
 
     return CriterionResult(4, "free-particle closed-form spreads",
@@ -399,21 +396,12 @@ def criterion_9() -> CriterionResult:
     weak_ratios = [rms[0] / rms[1], rms[1] / rms[2]]
     ok = all(1.6 <= x <= 2.4 for x in weak_ratios)
 
-    def sz_paths(kernel, dW):
-        """<sigma_z> series of the rows of dW from _PSI0, one row per trajectory."""
-        n_paths, n = dW.shape
-        states = np.empty((n + 1, 2, n_paths), dtype=complex)
-        states[0] = _PSI0[:, None]
-        kernel.run(states[0], dW, states=states[1:])
-        cols = states.transpose(1, 2, 0).reshape(2, -1)
-        return _column_means(cols, SIGMA_Z).reshape(n_paths, n + 1)
-
     strong = []
     for dt in (2e-3, 1e-3):
         n = int(round(T / dt))
         dW = np.array([wiener_path(7000 + k, dt, n).increments for k in range(150)])
-        diff = (sz_paths(_EulerKernel(model, u, dt), dW)
-                - sz_paths(_ExponentialKernel(model, u, dt), dW))
+        diff = (_sigma_z_paths(_EulerKernel(model, u, dt), _PSI0, dW)
+                - _sigma_z_paths(_ExponentialKernel(model, u, dt), _PSI0, dW))
         # mean over time per trajectory, then over trajectories: a serial loop's bits
         strong.append(float(np.sqrt(np.mean(np.mean(diff ** 2, axis=1)))))
     return CriterionResult(
@@ -429,19 +417,16 @@ def criterion_9() -> CriterionResult:
 def criterion_10() -> CriterionResult:
     """Identical marginals, different spread means, statically and dynamically."""
     t0 = time.perf_counter()
-    out_z, out_x = alice_measures("z"), alice_measures("x")
-    rho_d, sigma_gap = signaling_gap(out_z, out_x)
-    ok_static = rho_d <= 1e-15 and sigma_gap == 1.0
-    dyn = dynamical_gap(lam=1.0, t_final=1.5, dt=1e-3, n_traj=5000, base_seed=1010)
-    rho_worst = float(np.max(dyn.rho_distance))
-    ok_dyn = dyn.spread_gap_final > 0.5 and rho_worst <= dyn.mc_rho_tolerance
+    rep = bell_report(lam=1.0, t_final=1.5, dt=1e-3, n_traj=5000, base_seed=1010)
+    ana, dyn = rep["analytic"], rep["dynamical"]
     return CriterionResult(
-        10, "two-observer demo (static and dynamical)", ok_static and ok_dyn,
+        10, "two-observer demo (static and dynamical)",
+        all(passed for _, passed, _, _ in bell_gates(rep)),
         "rho distance <= 1e-15 and gap = 1 exactly; dynamical gap > 0.5 with "
         "rho agreement within 5/sqrt(N)",
-        {"rho_distance": rho_d, "sigma_gap": sigma_gap,
-         "dyn_gap": dyn.spread_gap_final, "dyn_rho_worst": rho_worst,
-         "dyn_rho_tol": dyn.mc_rho_tolerance},
+        {"rho_distance": ana["rho_distance"], "sigma_gap": ana["sigma_gap"],
+         "dyn_gap": dyn["spread_gap_final"], "dyn_rho_worst": max(dyn["rho_distance"]),
+         "dyn_rho_tol": dyn["mc_rho_tolerance"]},
         time.perf_counter() - t0)
 
 
@@ -471,10 +456,11 @@ CRITERIA = {i: fn for i, fn in enumerate(
 
 def run_criteria(only=None, verbose: bool = False) -> list:
     indices = sorted(only) if only else sorted(CRITERIA)
+    missing = [i for i in indices if i not in CRITERIA]
+    if missing:
+        raise ValueError(f"no criterion {missing[0]}; available 1..{len(CRITERIA)}")
     results = []
     for i in indices:
-        if i not in CRITERIA:
-            raise ValueError(f"no criterion {i}; available 1..{len(CRITERIA)}")
         res = CRITERIA[i]()
         results.append(res)
         if verbose:

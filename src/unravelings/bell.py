@@ -12,13 +12,15 @@ spread of sigma_z is 0 in the first case and 1 in the second.  The same
 signature appears dynamically: evolving Bob's qubit with the collapsing
 member drives the spread to zero, while the phase-noise member freezes it,
 with the two ensemble density matrices staying equal throughout.
+Criterion 10 and the ``bell`` scenario check both evaluate
+:func:`bell_gates` on the JSON payload of :func:`bell_report`.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import UnravelingParams, simulate_ensemble
+from .engine import UnravelingParams, mc_tolerance, simulate_ensemble
 from .linalg import KET_DOWN, KET_UP, density_from_ensemble, pauli, tensor
 from .spin import SpinParams, sigma_z_spread, spin_model
 
@@ -36,25 +38,15 @@ class BellOutcome:
     mean_sigma: float                 # ensemble mean of the sigma_z spread
 
 
-def alice_measures(basis: str, n_samples: int = 0, seed: int = 0) -> BellOutcome:
-    """Bob's post-measurement ensemble for Alice's basis choice.
-
-    The default is the exact two-outcome ensemble; with ``n_samples`` > 0 the
-    ensemble is sampled (pedagogical mode) and the weights become empirical
-    frequencies.
-    """
+def alice_measures(basis: str) -> BellOutcome:
+    """Bob's exact two-outcome post-measurement ensemble for Alice's basis choice."""
     if basis == "z":
         states = [KET_UP.copy(), KET_DOWN.copy()]
     elif basis == "x":
         states = [(KET_UP + KET_DOWN) / np.sqrt(2.0), (KET_UP - KET_DOWN) / np.sqrt(2.0)]
     else:
         raise ValueError(f"basis must be 'z' or 'x', got {basis!r}")
-    if n_samples > 0:
-        rng = np.random.default_rng(seed)
-        n_first = int(rng.binomial(n_samples, 0.5))
-        probs = [n_first / n_samples, 1.0 - n_first / n_samples]
-    else:
-        probs = [0.5, 0.5]
+    probs = [0.5, 0.5]
     rho = density_from_ensemble(states, probs)
     sz = pauli("z")
     spread = sum(p * (1.0 - float(np.vdot(s, sz @ s).real) ** 2)
@@ -81,7 +73,7 @@ class DynamicalGap:
     mean_spread_phase: np.ndarray
     rho_distance: np.ndarray          # max-norm ensemble rho difference per time
     spread_gap_final: float
-    mc_rho_tolerance: float           # 5 / sqrt(n_traj)
+    mc_rho_tolerance: float           # mc_tolerance(n_traj)
 
 
 def dynamical_gap(lam: float = 1.0, t_final: float = 1.5, dt: float = 1e-3,
@@ -98,19 +90,40 @@ def dynamical_gap(lam: float = 1.0, t_final: float = 1.5, dt: float = 1e-3,
     psi0 = (KET_UP + KET_DOWN) / np.sqrt(2.0)
     n_steps = int(round(t_final / dt))
     snaps = np.linspace(0, n_steps, n_snapshots).astype(int)
-    sz = pauli("z")
-    results = {}
-    for tag, u in (("collapse", UnravelingParams.nonlinear(lam)),
-                   ("phase", UnravelingParams.linear(lam))):
-        results[tag] = simulate_ensemble(model, u, psi0, dt, n_steps, n_traj,
-                                         base_seed if tag == "collapse" else base_seed + 1,
-                                         snapshot_steps=snaps,
-                                         tracked_observables={"sz": sz})
-    rc, rp = results["collapse"], results["phase"]
+    rc, rp = (simulate_ensemble(model, u, psi0, dt, n_steps, n_traj, seed,
+                                snapshot_steps=snaps, tracked_observables={"sz": pauli("z")})
+              for u, seed in ((UnravelingParams.nonlinear(lam), base_seed),
+                              (UnravelingParams.linear(lam), base_seed + 1)))
     spread_c = sigma_z_spread(rc.means["sz"]).mean(axis=1)
     spread_p = sigma_z_spread(rp.means["sz"]).mean(axis=1)
-    rho_dist = np.array([np.max(np.abs(a - b)) for a, b in zip(rc.rhos, rp.rhos)])
+    rho_dist = np.max(np.abs(rc.rhos - rp.rhos), axis=(1, 2))
     return DynamicalGap(times=rc.times, mean_spread_collapse=spread_c,
                         mean_spread_phase=spread_p, rho_distance=rho_dist,
                         spread_gap_final=float(abs(spread_p[-1] - spread_c[-1])),
-                        mc_rho_tolerance=float(5.0 / np.sqrt(n_traj)))
+                        mc_rho_tolerance=mc_tolerance(n_traj))
+
+
+def bell_report(lam: float, t_final: float, dt: float, n_traj: int, base_seed: int) -> dict:
+    """The exact ensembles and the dynamical analogue as a JSON payload."""
+    out_z, out_x = alice_measures("z"), alice_measures("x")
+    rho_d, sig_gap = signaling_gap(out_z, out_x)
+    dyn = dynamical_gap(lam=lam, t_final=t_final, dt=dt, n_traj=n_traj, base_seed=base_seed)
+    return {"analytic": {"rho_distance": rho_d, "sigma_gap": sig_gap,
+                         "mean_sigma_z_basis": out_z.mean_sigma,
+                         "mean_sigma_x_basis": out_x.mean_sigma},
+            "dynamical": {k: v.tolist() if isinstance(v, np.ndarray) else v
+                          for k, v in vars(dyn).items()}}
+
+
+def bell_gates(report: dict) -> list:
+    """(name, passed, observed, expected) of each gate on a :func:`bell_report` payload."""
+    ana, dyn = report["analytic"], report["dynamical"]
+    rho_worst, rho_tol = max(dyn["rho_distance"]), dyn["mc_rho_tolerance"]
+    gap = dyn["spread_gap_final"]
+    return [("observer marginals identical across bases", ana["rho_distance"] <= 1e-15,
+             f"max-norm {ana['rho_distance']:.2e}", "<= 1e-15"),
+            ("spread-mean gap between bases", ana["sigma_gap"] == 1.0,
+             f"{ana['sigma_gap']}", "= 1.0"),
+            ("dynamical marginals agree within Monte Carlo error", rho_worst <= rho_tol,
+             f"max {rho_worst:.4f}", f"<= {rho_tol:.4f}"),
+            ("dynamical spread gap", gap > 0.5, f"{gap:.4f}", "> 0.5")]

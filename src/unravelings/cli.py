@@ -111,10 +111,15 @@ def _cmd_describe(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    from .acceptance import run_criteria
+    from .acceptance import CRITERIA, run_criteria
     only = None
-    if args.only:
-        only = sorted(int(tok) for tok in args.only.split(","))
+    if args.only is not None:
+        tokens = [tok.strip() for tok in args.only.split(",")]
+        if any(tok not in {str(i) for i in CRITERIA} for tok in tokens):
+            print(f"check: --only takes criterion numbers 1..{len(CRITERIA)} separated "
+                  f"by commas, got {args.only!r}", file=sys.stderr)
+            return 2
+        only = sorted(int(tok) for tok in tokens)
     results = run_criteria(only=only, verbose=True)
     if args.out:
         out = Path(args.out)

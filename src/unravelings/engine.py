@@ -59,6 +59,8 @@ The deterministic master-equation oracle uses classical RK4 (for the
 linear flow this equals the degree-4 Taylor propagator).
 :func:`lindblad_evolve` jumps from one snapshot to the next with a power of
 the one-step propagator, one power per distinct gap.
+:func:`master_equation_oracle` runs it at one tenth of an ensemble's step,
+at that ensemble's snapshots.
 """
 
 from dataclasses import dataclass, replace
@@ -67,7 +69,7 @@ from functools import reduce
 import numpy as np
 
 from . import noise as noise_mod
-from .linalg import assert_normalized, is_hermitian
+from .linalg import assert_normalized, is_hermitian, projector
 from .tolerances import TOL
 
 
@@ -512,6 +514,22 @@ def lindblad_evolve(rho0: np.ndarray, model: ModelSpec, lam: float, dt: float,
             step = s
         out.append((s, v.reshape(model.dim, model.dim).copy()))
     return out
+
+
+def master_equation_oracle(result: EnsembleResult, model: ModelSpec, lam: float) -> np.ndarray:
+    """The master-equation rho from ``result.psi0`` at its snapshots, (n_snap, dim, dim).
+
+    The step is one tenth of the ensemble's, far below the Monte Carlo error.
+    """
+    steps = [int(s) * 10 for s in result.step_indices]
+    rhos = dict(lindblad_evolve(projector(result.psi0), model, lam, result.dt / 10.0,
+                                max(steps), snapshot_steps=steps))
+    return np.array([rhos[s] for s in steps])
+
+
+def mc_tolerance(n_traj: int) -> float:
+    """5 / sqrt(n_traj): five standard errors of a mean of n_traj values in [-1, 1]."""
+    return float(5.0 / np.sqrt(n_traj))
 
 
 # --- moment-flow diagnostics ------------------------------------------------

@@ -216,6 +216,29 @@ def variance_x(t, p: MechanicalParams, a0: complex):
     return float(out) if out.ndim == 0 else out
 
 
+# --- spread gates: series on one time grid that starts at t = 0 --------------
+
+SPREAD_RTOL = 1e-12   # relative slack of both gates
+
+
+def initial_spread(a0: complex) -> float:
+    """1 / (4 Re a0), the position spread of the initial packet."""
+    return 1.0 / (4.0 * complex(a0).real)
+
+
+def initial_spread_deviation(a0: complex, s_collapse, s_phase, var) -> float:
+    """Largest relative deviation of the three t = 0 values from initial_spread(a0)."""
+    sigma0 = initial_spread(a0)
+    return float(max(abs(v[0] / sigma0 - 1.0) for v in (s_collapse, s_phase, var)))
+
+
+def spreads_ordered(t, s_collapse, s_phase, var) -> bool:
+    """collapse <= phase-noise <= variance at every t > 0, within SPREAD_RTOL."""
+    m = np.asarray(t) > 0
+    return bool(np.all(s_collapse[m] <= s_phase[m] * (1 + SPREAD_RTOL))
+                and np.all(s_phase[m] <= var[m] * (1 + SPREAD_RTOL)))
+
+
 # --- noise average of <x>^2 --------------------------------------------------
 
 def _adaptive_simpson(f, a: float, b: float, rel_tol: float, max_depth: int = 48) -> float:

@@ -48,32 +48,6 @@ def is_hermitian(op: np.ndarray, tol: float = TOL.hermiticity) -> bool:
     return bool(np.max(np.abs(op - op.conj().T)) <= tol)
 
 
-def expectation(psi: np.ndarray, op: np.ndarray) -> float:
-    """<psi|op|psi> for a Hermitian op and normalized psi, as a real float.
-
-    The imaginary part must be roundoff-small; anything larger means the
-    operator was not Hermitian and is reported instead of silently dropped.
-    """
-    psi = np.asarray(psi, dtype=complex)
-    op = np.asarray(op, dtype=complex)
-    if op.shape != (psi.size, psi.size):
-        raise ValueError(f"dimension mismatch: state dim {psi.size}, operator {op.shape}")
-    val = complex(np.vdot(psi, op @ psi))
-    if abs(val.imag) > TOL.imag_part * max(1.0, abs(val.real)):
-        raise ValueError(f"expectation has non-negligible imaginary part {val.imag:.3e}")
-    return val.real
-
-
-def conditional_covariance(psi: np.ndarray, op_i: np.ndarray, op_j: np.ndarray) -> float:
-    """Symmetrized covariance (1/2)<{op_i, op_j}> - <op_i><op_j> on one state.
-
-    With op_i == op_j this is the conditional spread of the observable on a
-    single trajectory state; it is never more than roundoff below zero.
-    """
-    anti = op_i @ op_j + op_j @ op_i
-    return 0.5 * expectation(psi, anti) - expectation(psi, op_i) * expectation(psi, op_j)
-
-
 def projector(psi: np.ndarray) -> np.ndarray:
     psi = np.asarray(psi, dtype=complex)
     return np.outer(psi, psi.conj())

@@ -29,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import EnsembleResult, ModelSpec, TrajectoryRecord, UnravelingParams, \
-    _ExponentialKernel, _kernel_trajectory, _sum_rows, simulate_ensemble, simulate_trajectory
+    _column_means, _ColumnKernel, _ExponentialKernel, _kernel_trajectory, _sum_rows, \
+    simulate_ensemble, simulate_trajectory
 from .linalg import assert_normalized, pauli
 
 SIGMA_Z = pauli("z")
@@ -102,6 +103,19 @@ def spin_nonlinear_trajectory(psi0: np.ndarray, sp: SpinParams, dt: float, n_ste
                               n_steps, seed, {"sz": SIGMA_Z})
 
 
+def _sigma_z_paths(kernel: _ColumnKernel, psi0: np.ndarray, dW: np.ndarray) -> np.ndarray:
+    """<sigma_z> series of ``kernel`` from psi0, one row per row of ``dW``.
+
+    The rows run in lock step; each gets the bits it would get alone.
+    """
+    n_paths, n = dW.shape
+    states = np.empty((n + 1, 2, n_paths), dtype=complex)
+    states[0] = np.asarray(psi0, dtype=complex)[:, None]
+    kernel.run(states[0], dW, states=states[1:])
+    cols = states.transpose(1, 2, 0).reshape(2, -1)
+    return _column_means(cols, SIGMA_Z).reshape(n_paths, n + 1)
+
+
 def exponential_reconstruction(traj: TrajectoryRecord, sp: SpinParams) -> np.ndarray:
     """Fidelities between stored states and their summary-statistic rebuild.
 
@@ -146,27 +160,29 @@ class CollapseReport:
     def fraction_up(self) -> float:
         return self.n_up / self.n_total
 
+    @property
+    def born_deviation(self) -> float:
+        """|fraction_up - born_p_up|, the Born gate's observed value."""
+        return abs(self.fraction_up - self.born_p_up)
 
-def collapse_statistics(source, threshold: float = 0.999) -> CollapseReport:
+    @property
+    def binomial_se(self) -> float:
+        """Standard error of fraction_up over n_total draws at the Born weight."""
+        return float(np.sqrt(self.born_p_up * (1.0 - self.born_p_up) / self.n_total))
+
+
+def collapse_statistics(result: EnsembleResult, threshold: float = 0.999) -> CollapseReport:
     """Classify trajectory endpoints by the sign of the final <sigma_z>.
 
-    ``source`` is an EnsembleResult (tracking 'sz') or a list of
-    TrajectoryRecord.  Endpoints with |<sigma_z>| <= threshold are counted
-    as unresolved rather than dropped.
+    ``result`` must track 'sz'.  Endpoints with |<sigma_z>| <= threshold are
+    counted as unresolved rather than dropped.
     """
-    if isinstance(source, EnsembleResult):
-        z_final = source.means["sz"][-1]
-        psi0 = source.psi0
-    else:
-        if not source:
-            raise ValueError("empty trajectory collection")
-        z_final = np.array([tr.means["sz"][-1] for tr in source])
-        psi0 = source[0].states[0]
+    z_final = result.means["sz"][-1]
     up = int(np.sum(z_final > threshold))
     down = int(np.sum(z_final < -threshold))
     unresolved = int(z_final.size - up - down)
     return CollapseReport(n_up=up, n_down=down, n_unresolved=unresolved,
-                          threshold=threshold, born_p_up=float(abs(psi0[0]) ** 2))
+                          threshold=threshold, born_p_up=float(abs(result.psi0[0]) ** 2))
 
 
 @dataclass(frozen=True)
@@ -191,21 +207,3 @@ def supermartingale_check(result: EnsembleResult, sp: SpinParams) -> Supermartin
     return SupermartingaleReport(times=result.times, mean_spread=mean, stderr=se,
                                  bound=bound, bound_ok=bound_ok,
                                  monotone_ok=bool(np.all(steps_ok)))
-
-
-def moment_flow_residual(traj: TrajectoryRecord, sp: SpinParams, n: int) -> np.ndarray:
-    """Residual of d<sigma_z^n> = 2 sqrt(lam) (<sigma_z^{n+1}> - <sigma_z><sigma_z^n>) dW.
-
-    Powers of sigma_z reduce to the identity (even n) or sigma_z (odd n), so
-    even-n residuals vanish identically and every odd n reproduces the n = 1
-    series.  The drift-free form requires H proportional to sigma_z, which
-    is the only spin model built here.
-    """
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    z = traj.means["sz"]
-    dW = traj.noise.increments
-    mn = z if n % 2 else np.ones_like(z)
-    mnp1 = np.ones_like(z) if n % 2 else z
-    gain = 2.0 * (mnp1[:-1] - z[:-1] * mn[:-1])
-    return np.diff(mn) - gain * np.sqrt(sp.lam) * dW

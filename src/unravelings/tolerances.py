@@ -11,12 +11,10 @@ from dataclasses import dataclass
 @dataclass(frozen=True)
 class Tolerances:
     norm: float = 1e-12             # |  ||psi||^2 - 1 |  for normalized states
-    imag_part: float = 1e-12        # residual imaginary part of real expectations
     hermiticity: float = 1e-10      # max |M - M^dagger| elementwise
     trace: float = 1e-10            # | tr(rho) - 1 |
     eigenvalue_floor: float = -1e-10  # smallest admissible density-matrix eigenvalue
     weight_sum: float = 1e-10       # ensemble weights must sum to 1 within this
-    covariance_floor: float = -1e-12  # conditional variance may dip this far below 0
     unit_modulus: float = 1e-12     # | |xi|^2 - 1 | for unraveling parameters
     povm: float = 1e-6              # completeness defect of a measurement-operator family
     quadrature_rel: float = 1e-8    # relative tolerance of adaptive quadrature

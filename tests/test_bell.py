@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
-from unravelings.bell import alice_measures, dynamical_gap, signaling_gap, singlet
+from unravelings.bell import (alice_measures, bell_gates, bell_report, dynamical_gap,
+                              signaling_gap, singlet)
 from unravelings.linalg import identity, partial_trace, pauli, projector, tensor
 
 
@@ -36,15 +39,6 @@ def test_signaling_gap_values():
     assert rho_d2 == 0.0 and gap2 == 0.0
 
 
-def test_sampled_mode_is_seeded_and_consistent():
-    a = alice_measures("x", n_samples=500, seed=9)
-    b = alice_measures("x", n_samples=500, seed=9)
-    assert a.bob_states[0][1] == b.bob_states[0][1]
-    assert abs(np.trace(a.bob_rho).real - 1.0) <= 1e-12
-    # empirical weights wander from 1/2, the spread mean stays 1 in x basis
-    assert a.mean_sigma == pytest.approx(1.0, abs=1e-12)
-
-
 def test_dynamical_gap_reproduces_the_static_signature():
     dyn = dynamical_gap(lam=1.0, t_final=1.0, dt=2e-3, n_traj=800, base_seed=5)
     assert dyn.spread_gap_final > 0.5
@@ -53,3 +47,20 @@ def test_dynamical_gap_reproduces_the_static_signature():
     assert np.max(np.abs(dyn.mean_spread_phase - 1.0)) <= 1e-10
     # collapse member decays monotonically within noise
     assert dyn.mean_spread_collapse[-1] < 0.3
+
+
+def test_bell_gates_read_the_report_and_fail_each_broken_gate():
+    rep = bell_report(lam=1.0, t_final=0.01, dt=1e-3, n_traj=20, base_seed=5)
+    assert json.loads(json.dumps(rep)) == rep          # what the scenario writes
+    assert bell_gates(rep) == bell_gates(json.loads(json.dumps(rep)))
+    good = {"analytic": {"rho_distance": 1e-16, "sigma_gap": 1.0},
+            "dynamical": {"rho_distance": [0.0, 0.02], "mc_rho_tolerance": 0.05,
+                          "spread_gap_final": 0.9}}
+    assert all(passed for _, passed, _, _ in bell_gates(good))
+    for i, (part, key, value) in enumerate([("analytic", "rho_distance", 1e-14),
+                                            ("analytic", "sigma_gap", 0.5),
+                                            ("dynamical", "rho_distance", [0.0, 0.06]),
+                                            ("dynamical", "spread_gap_final", 0.4)]):
+        bad = json.loads(json.dumps(good))
+        bad[part][key] = value
+        assert [passed for _, passed, _, _ in bell_gates(bad)] == [j != i for j in range(4)]

@@ -9,7 +9,8 @@ from unravelings.config import (FAMILIES, OUTPUT_KINDS, PRESETS, ConfigError,
 from unravelings.engine import simulate_ensemble, simulate_trajectory
 from unravelings.gaussian import GaussianState, gaussian_sde_step
 from unravelings.noise import derive_seed, measurement_record, wiener_path
-from unravelings.runner import (_BUILDERS, _SpinRun, _snapshot_steps,
+from unravelings.runner import (_BUILDERS, _SpinRun, _check_bell, _check_collapse_stats,
+                                _check_spreads, _snapshot_steps,
                                 files_equal_ignoring_timestamp, read_report,
                                 read_series, run_scenario, scenario_checks,
                                 write_series)
@@ -176,6 +177,24 @@ def test_scenario_checks_detect_tampering(tmp_path):
     assert "observed" not in failing[0].line() or failing[0].observed
 
 
+def test_scenario_checks_fail_on_hand_built_broken_gates():
+    cfg = preset("fig1")
+    # collapse spread above the phase-noise one at t = 1
+    sig = {"t": np.array([0.0, 1.0, 2.0]), "sigma_nonlinear": np.array([1e-9, 3e-9, 2e-9]),
+           "sigma_linear": np.array([1e-9, 2e-9, 3e-9])}
+    var = {"var": np.array([1e-9, 4e-9, 5e-9])}
+    assert [c.passed for c in _check_spreads(cfg, sig, var)] == [True, False]
+    # every trajectory up at Born weight 1/4
+    born = {"n_up": 100, "n_down": 0, "n_unresolved": 0, "threshold": 0.999,
+            "born_p_up": 0.25, "fraction_up": 1.0, "bound_ok": True}
+    assert [c.passed for c in _check_collapse_stats(cfg, born)] == [False, True]
+    # observer marginals apart by 1e-14
+    bell = {"analytic": {"rho_distance": 1e-14, "sigma_gap": 1.0},
+            "dynamical": {"rho_distance": [0.0, 0.01], "mc_rho_tolerance": 0.05,
+                          "spread_gap_final": 0.9}}
+    assert [c.passed for c in _check_bell(cfg, bell)] == [False, True, True, True]
+
+
 def test_scenario_checks_empty_dir_is_failure(tmp_path):
     cfg = preset("fig1")
     checks = scenario_checks(cfg, tmp_path)
@@ -203,7 +222,7 @@ def test_seed_override_changes_stochastic_outputs(tmp_path):
     assert not np.array_equal(a["centroid"], b["centroid"])
 
 
-def test_cli_basic_paths(tmp_path, capsys):
+def test_cli_basic_paths(tmp_path, capsys, monkeypatch):
     assert main(["presets"]) == 0
     assert main(["describe", "--preset", "fig1"]) == 0
     assert main(["describe", "--preset", "nope"]) == 2
@@ -221,6 +240,17 @@ def test_cli_basic_paths(tmp_path, capsys):
     assert meta["effective_seed"] == 3 and meta["config"]["base_seed"] == 3
     assert main(["run", "--out", str(tmp_path)]) == 2          # no scenario given
     assert main(["run", "--preset", "zzz", "--out", str(tmp_path)]) == 2
+    # a bad --only is a configuration error, reported before any criterion runs
+    from unravelings import acceptance
+    ran = []
+    monkeypatch.setattr(acceptance, "CRITERIA",
+                        {i: (lambda i=i: ran.append(i)) for i in acceptance.CRITERIA})
+    capsys.readouterr()
+    for only in ("12", "0", "x", "1,12", "", "1,,2"):
+        assert main(["check", "--only", only]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--only" in err
+    assert ran == []
 
 
 def test_cli_rejects_invalid_config_file(tmp_path, capsys):

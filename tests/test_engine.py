@@ -135,6 +135,39 @@ def test_kernel_step_equals_docstring_increment(dim, xi):
         assert np.max(np.abs(stepped[:, k] - expect)) <= 1e-14
 
 
+@pytest.mark.parametrize("dim", [2, 4])
+@pytest.mark.parametrize("theta", [0.0, -np.pi / 4.0, -np.pi / 2.0, np.pi / 3.0])
+def test_two_point_step_gives_both_claims_for_every_member(dim, theta):
+    # one kernel step on the two columns dW = +-sqrt(dt) is the two-point weak
+    # Euler scheme: its mean outer product is the master-equation step (claim 1),
+    # and the variance of <O> is lam gain(xi)^2 dt (claim 2), both up to O(dt^2)
+    rng = np.random.default_rng(100 * dim + int(round(12.0 * theta / np.pi)))
+    H, L, O = (_random_hermitian(rng, dim) for _ in range(3))
+    model = ModelSpec(H=H, L=L, dim=dim, hbar=0.9)
+    u = UnravelingParams(np.cos(theta), np.sin(theta), 0.7)
+    psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    psi /= np.linalg.norm(psi)
+    rho = projector(psi)
+
+    def mean(op):
+        return np.vdot(psi, op @ psi)
+
+    gain = (u.xi_r * (mean(O @ L + L @ O) - 2.0 * mean(O) * mean(L))
+            + 1j * u.xi_i * mean(O @ L - L @ O)).real
+
+    def residuals(dt):
+        dW = np.array([1.0, -1.0]) * np.sqrt(dt)
+        out = _EulerKernel(model, u, dt).step(np.repeat(psi[:, None], 2, axis=1), dW)
+        mixed = 0.5 * (out @ out.conj().T)
+        claim_1 = np.max(np.abs(mixed - rho - engine.lindblad_rhs(rho, model, u.lam) * dt))
+        m = np.einsum("in,ij,jn->n", out.conj(), O, out).real
+        claim_2 = abs(0.25 * (m[0] - m[1]) ** 2 - u.lam * gain ** 2 * dt)
+        return np.array([claim_1, claim_2])
+
+    ratios = residuals(1e-3) / residuals(5e-4)
+    assert np.all((3.5 <= ratios) & (ratios <= 4.5)), ratios
+
+
 @pytest.mark.parametrize("u", [UnravelingParams.nonlinear(1.3), UnravelingParams.linear(1.3),
                                XI_INTERIOR])
 def test_kernel_diagonal_path_equals_general_path(u):
@@ -326,6 +359,8 @@ def test_ensemble_density_matrix_tracks_master_equation(u):
                             snapshot_steps=[500, 1000])
     oracle = lindblad_evolve(projector(PSI0), model, 1.0, dt / 10.0, n_steps * 10,
                              snapshot_steps=[5000, 10000])
+    assert np.array_equal(engine.master_equation_oracle(res, model, 1.0),
+                          [rho for _, rho in oracle])
     tol = 5.0 / np.sqrt(n_traj)
     for i in range(2):
         assert np.max(np.abs(res.rhos[i] - oracle[i][1])) <= tol

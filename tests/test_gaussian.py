@@ -3,14 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unravelings.gaussian import (LINEAR, NONLINEAR, GaussianState,
+from unravelings.gaussian import (LINEAR, NONLINEAR, SPREAD_RTOL, GaussianState,
                                   MechanicalParams, QuadratureError, a_closed_form,
                                   centroid_ensemble, conditional_covariance_series,
                                   conditional_spread_x, covariance_from_width,
-                                  gaussian_sde_step, mean_square_x, riccati_matrices,
-                                  riccati_residual, simulate_width, spread_constants,
-                                  SpreadConstants, variance_covariance_series,
-                                  variance_x, width_at, width_linear_free)
+                                  gaussian_sde_step, initial_spread,
+                                  initial_spread_deviation, mean_square_x,
+                                  riccati_matrices, riccati_residual, simulate_width,
+                                  spread_constants, spreads_ordered, SpreadConstants,
+                                  variance_covariance_series, variance_x, width_at,
+                                  width_linear_free)
 
 P_NAT = MechanicalParams(mass=1.0, omega=0.0, lam=1.0, hbar=1.0)
 P_FIG1 = MechanicalParams(mass=1e-15, omega=0.0, lam=1e23)
@@ -99,6 +101,26 @@ def test_initial_spreads_fig1():
         1e-9, rel=1e-12)
     assert conditional_spread_x(0.0, P_FIG1, A0_FIG1, LINEAR) == 1e-9
     assert variance_x(0.0, P_FIG1, A0_FIG1) == 1e-9
+
+
+def test_spread_gates_pass_on_fig1_and_fail_on_broken_series():
+    t = np.linspace(0.0, 1e-3, 11)
+    s_c = conditional_spread_x(t, P_FIG1, A0_FIG1, NONLINEAR)
+    s_p = conditional_spread_x(t, P_FIG1, A0_FIG1, LINEAR)
+    v = variance_x(t, P_FIG1, A0_FIG1)
+    assert initial_spread(A0_FIG1) == 1e-9
+    assert initial_spread_deviation(A0_FIG1, s_c, s_p, v) <= SPREAD_RTOL
+    assert spreads_ordered(t, s_c, s_p, v)
+    # one point out of order at t > 0 breaks the ordering, on either side
+    s_bad, v_bad = s_c.copy(), v.copy()
+    s_bad[5], v_bad[7] = s_p[5] * (1 + 1e-9), s_p[7] * (1 - 1e-9)
+    assert not spreads_ordered(t, s_bad, s_p, v)
+    assert not spreads_ordered(t, s_c, s_p, v_bad)
+    # t = 0 is the initial gate's, not the ordering's
+    s_bad = s_c.copy()
+    s_bad[0] = 2e-9
+    assert spreads_ordered(t, s_bad, s_p, v)
+    assert initial_spread_deviation(A0_FIG1, s_bad, s_p, v) == 1.0
 
 
 def test_phase_noise_spread_grows_quadratically():

@@ -3,19 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unravelings.linalg import (KET_DOWN, KET_UP, conditional_covariance,
-                                density_from_ensemble, check_density_matrix,
-                                expectation, identity, partial_trace,
+from unravelings.linalg import (KET_DOWN, KET_UP, check_density_matrix,
+                                density_from_ensemble, identity, partial_trace,
                                 pauli, projector, tensor)
 
 PSI_TILTED = np.array([0.5, np.sqrt(3.0) / 2.0], dtype=complex)
 PLUS_X = (KET_UP + KET_DOWN) / np.sqrt(2.0)
-
-
-def random_state(dim, seed):
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
 
 
 def test_pauli_matrices():
@@ -24,26 +17,6 @@ def test_pauli_matrices():
     assert np.array_equal(pauli("z") @ pauli("z"), identity(2))
     with pytest.raises(ValueError):
         pauli("w")
-
-
-def test_expectation_values():
-    assert expectation(KET_UP, pauli("z")) == 1.0
-    # |c_up|^2 - |c_down|^2 = 1/4 - 3/4
-    assert expectation(PSI_TILTED, pauli("z")) == pytest.approx(-0.5, abs=1e-15)
-    assert expectation(random_state(2, 3), identity(2)) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_expectation_dimension_mismatch():
-    with pytest.raises(ValueError):
-        expectation(KET_UP, identity(4))
-
-
-def test_conditional_covariance_values():
-    sz = pauli("z")
-    assert conditional_covariance(KET_UP, sz, sz) == 0.0
-    # 1 - <sz>^2 with <sz> = -1/2
-    assert conditional_covariance(PSI_TILTED, sz, sz) == pytest.approx(0.75, abs=1e-15)
-    assert conditional_covariance(PLUS_X, sz, sz) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_density_from_ensemble_mixes_to_identity():
@@ -97,21 +70,6 @@ def qubit_states(draw):
     if np.linalg.norm(v) < 1e-3:
         v = KET_UP.copy()
     return v / np.linalg.norm(v)
-
-
-@st.composite
-def hermitian_2x2(draw):
-    vals = draw(st.lists(st.floats(-5, 5, allow_nan=False), min_size=4, max_size=4))
-    a, b, c, d = vals
-    return np.array([[a, b + 1j * c], [b - 1j * c, d]], dtype=complex)
-
-
-@settings(max_examples=60, deadline=None)
-@given(qubit_states(), hermitian_2x2())
-def test_expectation_is_real_and_spread_nonnegative(psi, op):
-    val = expectation(psi, op)
-    assert isinstance(val, float)
-    assert conditional_covariance(psi, op, op) >= -1e-12
 
 
 @settings(max_examples=40, deadline=None)

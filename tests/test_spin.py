@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
-from unravelings.spin import (CollapseReport, SpinParams, collapse_bound,
-                              collapse_statistics, exponential_reconstruction,
-                              moment_flow_residual, nonlinear_ensemble,
+from unravelings.engine import (UnravelingParams, _EulerKernel, _ExponentialKernel,
+                                conditional_moment_flow_residual)
+from unravelings.noise import wiener_path
+from unravelings.spin import (SIGMA_Z, CollapseReport, SpinParams, _sigma_z_paths,
+                              collapse_bound, collapse_statistics,
+                              exponential_reconstruction, nonlinear_ensemble,
                               sigma_z_mean, sigma_z_spread, spin_linear_solution,
                               spin_model, spin_nonlinear_trajectory,
                               supermartingale_check)
@@ -49,15 +52,16 @@ def test_trajectorywise_spread_vanishes_at_long_times():
 
 
 def test_routes_agree_pathwise():
-    # the two constructions track each other on every matched noise path
+    # the two constructions track each other on every matched noise path: both
+    # route kernels run once, in lock step, on the rows wiener_path(900 + k)
+    model, u = spin_model(SP), UnravelingParams.nonlinear(SP.lam)
+
     def rms(dt, n_paths=60):
         n = int(round(1.0 / dt))
-        acc = []
-        for k in range(n_paths):
-            a = spin_nonlinear_trajectory(PSI0, SP, dt, n, 900 + k, route="sse")
-            b = spin_nonlinear_trajectory(PSI0, SP, dt, n, 900 + k, route="girsanov")
-            acc.append(np.mean((a.means["sz"] - b.means["sz"]) ** 2))
-        return np.sqrt(np.mean(acc))
+        dW = np.array([wiener_path(900 + k, dt, n).increments for k in range(n_paths)])
+        diff = (_sigma_z_paths(_EulerKernel(model, u, dt), PSI0, dW)
+                - _sigma_z_paths(_ExponentialKernel(model, u, dt), PSI0, dW))
+        return np.sqrt(np.mean(np.mean(diff ** 2, axis=1)))
 
     r1, r2 = rms(2e-3), rms(1e-3)
     assert r1 <= 0.1                      # absolute smallness at lam dt = 2e-3
@@ -68,7 +72,6 @@ def test_route_difference_contracts_at_strong_order_half():
     # pathwise the pair differs by the Euler chain's strong error, which
     # contracts at the square-root rate per dt halving (a large lock-step
     # batch of the two route kernels keeps the statistics tight)
-    from unravelings.engine import UnravelingParams, _EulerKernel, _ExponentialKernel
     model = spin_model(SP)
     u = UnravelingParams.nonlinear(SP.lam)
 
@@ -132,14 +135,13 @@ def test_collapse_statistics_born_fractions():
     assert abs(rep2.fraction_up - 0.5) <= 3.0 * np.sqrt(0.25 / 2000)
 
 
-def test_collapse_statistics_from_trajectory_list():
-    trajs = [spin_nonlinear_trajectory(PSI0, SP, 2e-3, 5000, 60 + k) for k in range(8)]
-    rep = collapse_statistics(trajs)
-    assert isinstance(rep, CollapseReport)
-    assert rep.n_total == 8
-    assert rep.born_p_up == pytest.approx(0.25, abs=1e-12)
-    with pytest.raises(ValueError):
-        collapse_statistics([])
+def test_born_gate_values_and_a_tally_that_fails_it():
+    rep = CollapseReport(n_up=25, n_down=74, n_unresolved=1, threshold=0.999, born_p_up=0.25)
+    assert rep.born_deviation == 0.0
+    assert rep.binomial_se == pytest.approx(np.sqrt(0.25 * 0.75 / 100), rel=1e-15)
+    # every trajectory up: 0.75 from the Born weight, 17 binomial SE
+    bad = CollapseReport(n_up=100, n_down=0, n_unresolved=0, threshold=0.999, born_p_up=0.25)
+    assert bad.born_deviation == 0.75 > 3.0 * bad.binomial_se
 
 
 def test_supermartingale_check_bound_and_monotonicity():
@@ -156,25 +158,16 @@ def test_supermartingale_check_bound_and_monotonicity():
     assert sup0.bound_ok and np.max(sup0.mean_spread) <= 1e-12
 
 
-def test_moment_flow_residual_powers():
-    tr = spin_nonlinear_trajectory(PSI0, SP, 1e-3, 400, seed=9, route="sse")
-    r2 = moment_flow_residual(tr, SP, 2)
-    assert np.max(np.abs(r2)) <= 1e-14              # sz^2 = identity
-    r1 = moment_flow_residual(tr, SP, 1)
-    r3 = moment_flow_residual(tr, SP, 3)
-    assert np.array_equal(r1, r3)                   # sz^3 = sz
-    assert np.sqrt(np.mean(r1 ** 2)) <= 0.05
-    with pytest.raises(ValueError):
-        moment_flow_residual(tr, SP, 0)
-
-
 def test_moment_flow_residual_rms_halves():
+    model, u = spin_model(SP), UnravelingParams.nonlinear(SP.lam)
+
     def rms(dt):
         vals = []
         for k in range(25):
             tr = spin_nonlinear_trajectory(PSI0, SP, dt, int(round(1.0 / dt)),
                                            1300 + k, route="sse")
-            vals.append(np.mean(moment_flow_residual(tr, SP, 1) ** 2))
+            r = conditional_moment_flow_residual(tr, SIGMA_Z, model, u, 1)
+            vals.append(np.mean(r ** 2))
         return np.sqrt(np.mean(vals))
 
     assert 1.6 <= rms(2e-3) / rms(1e-3) <= 2.4
@@ -185,8 +178,7 @@ def test_second_moments_distinguish_the_members():
     # the mean conditional spread at 0.75 (exactly, in the closed form;
     # within discretization noise, in the chain), the collapse member drives
     # it strictly under the bound 0.75/(1 + 3t)
-    from unravelings.engine import UnravelingParams, simulate_ensemble
-    from unravelings.spin import SIGMA_Z
+    from unravelings.engine import simulate_ensemble
     model = spin_model(SP)
     snaps = [500, 1000]
     res_lin = simulate_ensemble(model, UnravelingParams.linear(SP.lam), PSI0,
