@@ -28,6 +28,7 @@ from .linalg import projector
 from .noise import wiener_path
 from .spin import (SIGMA_Z, SpinParams, _sigma_z_paths, collapse_statistics,
                    nonlinear_ensemble, spin_model, supermartingale_check)
+from .tolerances import TOL
 
 _PSI0 = np.array([0.5, np.sqrt(3.0) / 2.0], dtype=complex)
 _FIG1 = MechanicalParams(mass=1e-15, omega=0.0, lam=1e23)
@@ -326,7 +327,7 @@ def criterion_8() -> CriterionResult:
         defect = np.max(np.abs(povm_completeness(SIGMA_Z, g, 1e-3, normalization=POVM)
                                - np.eye(2)))
         worst_povm = max(worst_povm, float(defect))
-    ok_povm = worst_povm <= 1e-6
+    ok_povm = worst_povm <= TOL.povm
 
     rho = projector(_PSI0)
     h0 = ModelSpec(H=np.zeros((2, 2), dtype=complex), L=SIGMA_Z, dim=2, hbar=1.0)
@@ -341,8 +342,8 @@ def criterion_8() -> CriterionResult:
     return CriterionResult(
         8, "measurement-operator / state-equation equivalence",
         ok_order and ok_povm and ok_channel,
-        "substepped-reference RMS ratio in 2.83 +/- 0.5; completeness <= 1e-6; "
-        "channel defect O(dt^2)",
+        "substepped-reference RMS ratio in 2.83 +/- 0.5; "
+        f"completeness <= {TOL.povm:g}; channel defect O(dt^2)",
         {"order_ratios": [float(x) for x in ratios],
          "single_euler_step_ratio": float(single_step_ratio),
          "povm_defect": worst_povm,
@@ -455,7 +456,7 @@ CRITERIA = {i: fn for i, fn in enumerate(
 
 
 def run_criteria(only=None, verbose: bool = False) -> list:
-    indices = sorted(only) if only else sorted(CRITERIA)
+    indices = sorted(CRITERIA) if only is None else sorted(only)
     missing = [i for i in indices if i not in CRITERIA]
     if missing:
         raise ValueError(f"no criterion {missing[0]}; available 1..{len(CRITERIA)}")

@@ -47,13 +47,17 @@ The two kernels share the renormalization, the norm check and the column
 layout through :class:`_ColumnKernel`, and nothing of the Euler increment,
 so they stay independent constructions of one member.
 
-:func:`simulate_ensemble` runs fixed chunks of trajectories one after the
-other on one thread.  Each chunk draws its Wiener increments in blocks of at
-most ``_NOISE_BUDGET`` doubles, one contiguous row per trajectory stream,
-runs the kernel once per block and takes each snapshot from the kernel's
-after-step callback.  Block boundaries do not depend on the snapshot steps,
-and the streams do not depend on either, so the snapshots never change a
-trajectory.
+:func:`simulate_ensemble` runs fixed chunks of ``_ENSEMBLE_CHUNK``
+trajectories one after the other on one thread, and so does
+:func:`gaussian.centroid_ensemble`.  Both draw a chunk's Wiener increments
+from one driver, :func:`_noise_blocks`.  It seeds the chunk's streams in
+one vectorised pass (:func:`noise.default_rngs` on the
+``derive_seed(base_seed, k)`` seeds) and yields blocks of at most
+``_NOISE_BUDGET`` doubles, one contiguous row per trajectory stream.
+:func:`simulate_ensemble` runs the kernel once per block and takes each
+snapshot from the kernel's after-step callback.  Block boundaries do not
+depend on the snapshot steps, and the streams do not depend on either, so
+the snapshots never change a trajectory.
 
 The deterministic master-equation oracle uses classical RK4 (for the
 linear flow this equals the degree-4 Taylor propagator).
@@ -379,6 +383,25 @@ _ENSEMBLE_CHUNK = 2500    # trajectories per reduction chunk (fixed)
 _NOISE_BUDGET = 400_000   # doubles per noise block of one chunk (2500 x 160)
 
 
+def _noise_blocks(base_seed: int, k0: int, k1: int, n_steps: int, dt: float):
+    """Yield ``(first_step, dW)``: the Wiener increments of trajectories k0..k1-1.
+
+    Row ``k - k0`` of the blocks, joined, is the stream of
+    ``wiener_path(derive_seed(base_seed, k), dt, n_steps)``.  A block holds
+    at most ``_NOISE_BUDGET`` doubles (one step per row at least) and is
+    not referenced here once yielded, so a caller that drops it before
+    asking for the next keeps one block alive at a time.
+    """
+    if dt <= 0.0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    rngs = noise_mod.default_rngs([noise_mod.derive_seed(base_seed, k)
+                                   for k in range(k0, k1)])
+    cap = max(1, _NOISE_BUDGET // (k1 - k0))
+    sqrt_dt = np.sqrt(dt)
+    for start in range(0, n_steps, cap):
+        yield start, _wiener_block(rngs, min(cap, n_steps - start), sqrt_dt)
+
+
 def _checked_snapshots(snapshot_steps, n_steps: int) -> list:
     """Sorted distinct snapshot steps, each in [0, n_steps]; default [n_steps]."""
     if snapshot_steps is None:
@@ -407,12 +430,9 @@ def simulate_ensemble(model: ModelSpec, u: UnravelingParams, psi0: np.ndarray,
     snaps = _checked_snapshots(snapshot_steps, n_steps)
     tracked = dict(tracked_observables or {})
     kernel = _EulerKernel(model, u, dt)
-    sq = np.sqrt(dt)
 
     def run_chunk(k0: int, k1: int):
         m = k1 - k0
-        rngs = [np.random.default_rng(noise_mod.derive_seed(base_seed, k))
-                for k in range(k0, k1)]
         psis = np.repeat(psi0[:, None], m, axis=1)
         rho_snaps = np.empty((len(snaps), model.dim, model.dim), dtype=complex)
         mean_snaps = {name: np.empty((len(snaps), m)) for name in tracked}
@@ -427,9 +447,7 @@ def simulate_ensemble(model: ModelSpec, u: UnravelingParams, psi0: np.ndarray,
                 i_snap += 1
 
         take_snapshots(0, psis)
-        block_cap = max(1, _NOISE_BUDGET // m)
-        for start in range(0, n_steps, block_cap):
-            dW = _wiener_block(rngs, min(block_cap, n_steps - start), sq)
+        for start, dW in _noise_blocks(base_seed, k0, k1, n_steps, dt):
             psis = kernel.run(psis, dW, start, k0, after_step=take_snapshots)
             del dW  # freed before the next block is drawn (peak memory)
         return rho_snaps, mean_snaps, psis

@@ -37,8 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import noise as noise_mod
-from .engine import _checked_snapshots
+from . import engine as engine_mod
 from .tolerances import TOL
 
 HBAR_SI = 1.054571817e-34  # J s
@@ -393,27 +392,34 @@ def centroid_ensemble(p: MechanicalParams, a0: complex, unraveling: str,
 
     The width is deterministic and common to every member of the ensemble;
     only (centroid, wavenumber) are stochastic.  Trajectory k is driven by
-    ``wiener_path(derive_seed(base_seed, k), dt, n_steps)``.  Returns
-    ``(centroids, wavenumbers)``: the final values as (n_traj,) arrays, or
-    (n_snapshots, n_traj) arrays when snapshot step indices are given.
+    ``wiener_path(derive_seed(base_seed, k), dt, n_steps)``.  Trajectories
+    run in the fixed chunks of the spin ensembles and draw their increments
+    through the same noise blocks, so ``n_traj`` changes no trajectory.
+    Returns ``(centroids, wavenumbers)``: the final values as (n_traj,)
+    arrays, or (n_snapshots, n_traj) arrays when snapshot step indices are
+    given.
     """
     _require_member(unraveling)
+    widths = None
     if unraveling == NONLINEAR:
         widths = simulate_width(p, a0, unraveling, dt, n_steps)
-    dWs = np.empty((n_traj, n_steps))
-    for k in range(n_traj):
-        dWs[k] = noise_mod.wiener_path(noise_mod.derive_seed(base_seed, k), dt,
-                                       n_steps).increments
-    snaps = {s: i for i, s in enumerate(_checked_snapshots(snapshot_steps, n_steps))}
+    steps = engine_mod._checked_snapshots(snapshot_steps, n_steps)
+    snaps = {s: i for i, s in enumerate(steps)}
     out_x, out_k = np.empty((2, len(snaps), n_traj))
-    x = np.full(n_traj, float(x0))
-    kk = np.full(n_traj, float(k0))
-    for j in range(n_steps + 1):
-        if j in snaps:
-            out_x[snaps[j]], out_k[snaps[j]] = x, kk
-        if j < n_steps:
-            a = widths[j] if unraveling == NONLINEAR else None
-            x, kk = _centroid_step(x, kk, a, dWs[:, j], p, unraveling, dt)
+    for c0 in range(0, n_traj, engine_mod._ENSEMBLE_CHUNK):
+        c1 = min(c0 + engine_mod._ENSEMBLE_CHUNK, n_traj)
+        x = np.full(c1 - c0, float(x0))
+        kk = np.full(c1 - c0, float(k0))
+        if 0 in snaps:
+            out_x[snaps[0], c0:c1], out_k[snaps[0], c0:c1] = x, kk
+        for start, dW in engine_mod._noise_blocks(base_seed, c0, c1, n_steps, dt):
+            for j in range(dW.shape[1]):
+                step = start + j
+                a = widths[step] if widths is not None else None
+                x, kk = _centroid_step(x, kk, a, dW[:, j], p, unraveling, dt)
+                if step + 1 in snaps:
+                    out_x[snaps[step + 1], c0:c1], out_k[snaps[step + 1], c0:c1] = x, kk
+            del dW  # freed before the next block is drawn (peak memory)
     return (out_x[0], out_k[0]) if snapshot_steps is None else (out_x, out_k)
 
 

@@ -1,9 +1,14 @@
 """Seeded Wiener increments and measurement records.
 
-All randomness in the library flows through :func:`wiener_path`, so a run is
-fully determined by integer seeds.  Ensembles derive one child seed per
-trajectory with :func:`derive_seed`, which makes the members independent of
-each other and of the order in which they are simulated.
+Every random draw in the library comes from numpy's PCG64 stream of an
+integer seed, so a run is fully determined by integer seeds.  Ensembles
+derive one child seed per trajectory with :func:`derive_seed`, which makes
+the members independent of each other and of the order in which they are
+simulated.  Trajectory ``k`` of an ensemble always draws the stream of
+``wiener_path(derive_seed(base_seed, k), dt, n_steps)``; the lock-step
+ensembles open those streams with :func:`default_rngs`, which seeds many
+generators in one vectorised pass and gives the same generators as
+``np.random.default_rng`` bit for bit.
 
 The detector-record convention couples the increments to a monitored
 observable mean series ``ell``::
@@ -53,6 +58,77 @@ def derive_seed(base_seed: int, k: int) -> int:
     """Deterministic 64-bit child seed for trajectory ``k`` of an ensemble."""
     ss = np.random.SeedSequence([int(base_seed), int(k)])
     return int(ss.generate_state(1, dtype=np.uint64)[0])
+
+
+# numpy's SeedSequence hash (NEP 19 keeps it and the PCG64 stream stable):
+# uint32 arithmetic, pool of 4 words, no spawn key.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
+
+
+def _hash_chain(init: int, mult: int, n: int) -> list:
+    """The (xor, multiply) constants of ``n`` consecutive hash steps, as Python ints.
+
+    They do not depend on the data, and masking Python ints to 32 bits keeps
+    every product exact.
+    """
+    out, c = [], init
+    for _ in range(n):
+        nxt = (c * mult) & 0xFFFFFFFF
+        out.append((c, nxt))
+        c = nxt
+    return out
+
+
+def _hashmix(value: np.ndarray, consts: tuple) -> np.ndarray:
+    xor_c, mul_c = consts
+    value = (value ^ np.uint32(xor_c)) * np.uint32(mul_c)
+    return value ^ (value >> np.uint32(16))
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return r ^ (r >> np.uint32(16))
+
+
+class _FixedState(np.random.bit_generator.ISeedSequence):
+    """A precomputed ``generate_state(4, np.uint64)`` handed to ``np.random.PCG64``."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or np.dtype(dtype) != np.uint64:
+            raise ValueError("a fixed PCG64 state holds exactly 4 uint64 words")
+        return self.words
+
+
+def default_rngs(seeds) -> list:
+    """``[np.random.default_rng(s) for s in seeds]`` for seeds in [0, 2**64), bit for bit.
+
+    The ``SeedSequence`` hash (``mix_entropy``, then ``generate_state(4,
+    np.uint64)``) runs once on uint32 arrays with one lane per seed.  A seed
+    below 2**32 is one entropy word and any other is two; the pool pads a
+    missing word with 0, which is the high word of a small seed, so both
+    kinds take the same lanes.
+    """
+    seeds = np.asarray([int(s) for s in seeds], dtype=np.uint64)
+    lo = (seeds & np.uint64(0xFFFFFFFF)).astype(np.uint32)
+    hi = (seeds >> np.uint64(32)).astype(np.uint32)
+    zero = np.zeros_like(lo)
+    chain = iter(_hash_chain(_INIT_A, _MULT_A, _POOL * _POOL))
+    pool = [_hashmix(word, next(chain)) for word in (lo, hi, zero, zero)]
+    for i_src in range(_POOL):
+        for i_dst in range(_POOL):
+            if i_src != i_dst:
+                pool[i_dst] = _mix(pool[i_dst], _hashmix(pool[i_src], next(chain)))
+    state = np.empty((seeds.size, 2 * _POOL), dtype=np.uint32)
+    for i, consts in enumerate(_hash_chain(_INIT_B, _MULT_B, 2 * _POOL)):
+        state[:, i] = _hashmix(pool[i % _POOL], consts)
+    words = state.astype("<u4").view("<u8").astype(np.uint64)
+    return [np.random.Generator(np.random.PCG64(_FixedState(w))) for w in words]
 
 
 def wiener_path(seed: int, dt: float, n_steps: int) -> NoisePath:

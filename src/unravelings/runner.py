@@ -62,8 +62,8 @@ def write_series(path, columns: dict, metadata: dict) -> None:
     for c in cols:
         if c.size != n:
             raise ValueError("all columns must share one length")
-    for i in range(n):
-        lines.append(",".join(format_float(c[i]) for c in cols))
+    for row in np.column_stack(cols):       # one row of Python floats at a time
+        lines.append(",".join(map(format_float, row.tolist())))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

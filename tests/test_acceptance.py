@@ -7,7 +7,7 @@ failure) and asserts the criterion outcome.  The same registry backs the
 
 import pytest
 
-from unravelings.acceptance import CRITERIA
+from unravelings.acceptance import CRITERIA, run_criteria
 
 
 @pytest.mark.parametrize("index", sorted(CRITERIA))
@@ -19,3 +19,7 @@ def test_criterion(index):
     print(f"    observed:  {result.observed}")
     assert result.passed, (f"criterion {index} failed: tolerance "
                            f"{result.tolerance}; observed {result.observed}")
+
+
+def test_run_criteria_with_an_empty_selection_runs_none():
+    assert run_criteria(only=[]) == []

@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unravelings import engine
 from unravelings.gaussian import (LINEAR, NONLINEAR, SPREAD_RTOL, GaussianState,
-                                  MechanicalParams, QuadratureError, a_closed_form,
-                                  centroid_ensemble, conditional_covariance_series,
+                                  MechanicalParams, QuadratureError, _centroid_step,
+                                  a_closed_form, centroid_ensemble,
+                                  conditional_covariance_series,
                                   conditional_spread_x, covariance_from_width,
                                   gaussian_sde_step, initial_spread,
                                   initial_spread_deviation, mean_square_x,
@@ -13,6 +15,7 @@ from unravelings.gaussian import (LINEAR, NONLINEAR, SPREAD_RTOL, GaussianState,
                                   spread_constants, spreads_ordered, SpreadConstants,
                                   variance_covariance_series, variance_x, width_at,
                                   width_linear_free)
+from unravelings.noise import derive_seed, wiener_path
 
 P_NAT = MechanicalParams(mass=1.0, omega=0.0, lam=1.0, hbar=1.0)
 P_FIG1 = MechanicalParams(mass=1e-15, omega=0.0, lam=1e23)
@@ -213,6 +216,33 @@ def test_centroid_ensemble_matches_quadrature():
                                   50, base_seed=3, snapshot_steps=[0, 50, 100])
     assert snaps.shape == ks.shape == (3, 50)
     assert np.array_equal(snaps[0], np.zeros(50))
+
+
+@pytest.mark.parametrize("member", [NONLINEAR, LINEAR])
+def test_centroid_ensemble_chunks_and_blocks_follow_each_stream(monkeypatch, member):
+    # chunks of 4, 4 and 2 trajectories; noise blocks of 2 steps in the first two and
+    # 5 in the last, so block ends fall on and between the snapshot steps
+    monkeypatch.setattr(engine, "_ENSEMBLE_CHUNK", 4)
+    monkeypatch.setattr(engine, "_NOISE_BUDGET", 10)
+    p = MechanicalParams(mass=1.0, omega=0.5, lam=1.0, hbar=1.0)
+    a0, dt, n, n_traj, base = 0.3 + 0.1j, 5e-3, 23, 10, 61
+    snaps = [0, 1, 2, 7, 12, 23]
+    xs, ks = centroid_ensemble(p, a0, member, 0.2, -0.1, dt, n, n_traj, base,
+                               snapshot_steps=snaps)
+    widths = simulate_width(p, a0, NONLINEAR, dt, n)
+    ref_x, ref_k = np.empty((2, len(snaps), n_traj))
+    for k in range(n_traj):
+        dW = wiener_path(derive_seed(base, k), dt, n).increments
+        x, kk = 0.2, -0.1
+        for j in range(n + 1):
+            if j in snaps:
+                ref_x[snaps.index(j), k], ref_k[snaps.index(j), k] = x, kk
+            if j < n:
+                a = widths[j] if member == NONLINEAR else None
+                x, kk = _centroid_step(x, kk, a, dW[j], p, member, dt)
+    assert np.array_equal(xs, ref_x) and np.array_equal(ks, ref_k)
+    final_x, final_k = centroid_ensemble(p, a0, member, 0.2, -0.1, dt, n, n_traj, base)
+    assert np.array_equal(final_x, ref_x[-1]) and np.array_equal(final_k, ref_k[-1])
 
 
 def test_riccati_matrices_entries():

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unravelings.noise import (derive_seed, measurement_record, reconstruct_noise,
-                               wiener_path)
+from unravelings.noise import (default_rngs, derive_seed, measurement_record,
+                               reconstruct_noise, wiener_path)
 
 
 def test_wiener_path_is_deterministic_in_seed():
@@ -41,6 +41,30 @@ def test_derive_seed_is_stable_and_spread():
     seeds = {derive_seed(42, k) for k in range(100)}
     assert len(seeds) == 100
     assert derive_seed(42, 1) != derive_seed(43, 1)
+
+
+def _assert_numpy_seeding(seeds):
+    rngs = default_rngs(seeds)
+    assert len(rngs) == len(seeds)
+    for s, rng in zip(seeds, rngs):
+        ref = np.random.default_rng(s)
+        assert np.array_equal(rng.bit_generator.seed_seq.generate_state(4, np.uint64),
+                              np.random.SeedSequence(s).generate_state(4, np.uint64))
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert np.array_equal(rng.standard_normal(7), ref.standard_normal(7))
+        assert np.array_equal(rng.integers(0, 2 ** 63, 3), ref.integers(0, 2 ** 63, 3))
+
+
+def test_default_rngs_match_numpy_at_the_word_boundaries():
+    # one entropy word below 2**32, two from 2**32 on
+    _assert_numpy_seeding([0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 63, 2 ** 64 - 1])
+    assert default_rngs([]) == []
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=8))
+def test_default_rngs_match_numpy(seeds):
+    _assert_numpy_seeding(seeds)
 
 
 def test_record_without_signal_is_scaled_noise():
