@@ -26,7 +26,7 @@ def main():
     print(f"  spread means (z / x basis)   : {out_z.mean_sigma} / {out_x.mean_sigma}")
     print(f"  spread-mean gap              : {gap}")
 
-    dyn = dynamical_gap(lam=1.0, t_final=args.t_final, dt=args.dt,
+    dyn = dynamical_gap(t_final=args.t_final, dt=args.dt,
                         n_traj=args.n_traj, base_seed=args.seed)
     print("dynamical analogue")
     for i, t in enumerate(dyn.times):

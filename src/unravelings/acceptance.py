@@ -202,26 +202,20 @@ def criterion_6() -> CriterionResult:
     for tag, omega in (("free", 0.0), ("harmonic", 0.5)):
         p = MechanicalParams(mass=1.0, omega=omega, lam=1.0, hbar=1.0)
         a0 = 0.3 + 0.1j
-        for label, which, member in (("nonlinear", "nonlinear", NONLINEAR),
-                                     ("linear", "linear", LINEAR),
-                                     ("variance", "variance", None)):
+        for which in (NONLINEAR, LINEAR, "variance"):
             maxima = []
-            scale = 0.0
-            h_fine = 0.0
             for n in (400, 800):
                 ts = np.linspace(0.0, 4.0, n + 1)
                 h_fine = ts[1] - ts[0]
-                if member is None:
-                    ser = variance_covariance_series(ts, p, a0)
-                else:
-                    ser = conditional_covariance_series(ts, p, a0, member)
+                ser = (variance_covariance_series(ts, p, a0) if which == "variance"
+                       else conditional_covariance_series(ts, p, a0, which))
                 scale = float(np.max(np.abs(ser)))
                 res = riccati_residual(ser, riccati_matrices(p, which), h_fine)
                 maxima.append(float(np.max(res)))
             ratio = maxima[0] / maxima[1]
             floor = float(100.0 * eps * scale / h_fine)
             at_floor = max(maxima) <= floor
-            obs[f"{tag}_{label}"] = {"ratio": ratio, "max_fine": maxima[1],
+            obs[f"{tag}_{which}"] = {"ratio": ratio, "max_fine": maxima[1],
                                      "rounding_floor": floor}
             ok = ok and (ratio >= 3.5 or at_floor)
     return CriterionResult(6, "matrix covariance-flow residual convergence", ok,
@@ -418,7 +412,7 @@ def criterion_9() -> CriterionResult:
 def criterion_10() -> CriterionResult:
     """Identical marginals, different spread means, statically and dynamically."""
     t0 = time.perf_counter()
-    rep = bell_report(lam=1.0, t_final=1.5, dt=1e-3, n_traj=5000, base_seed=1010)
+    rep = bell_report(t_final=1.5, dt=1e-3, n_traj=5000, base_seed=1010)
     ana, dyn = rep["analytic"], rep["dynamical"]
     return CriterionResult(
         10, "two-observer demo (static and dynamical)",

@@ -76,24 +76,25 @@ class DynamicalGap:
     mc_rho_tolerance: float           # mc_tolerance(n_traj)
 
 
-def dynamical_gap(lam: float = 1.0, t_final: float = 1.5, dt: float = 1e-3,
-                  n_traj: int = 5000, base_seed: int = 2024,
-                  n_snapshots: int = 6) -> DynamicalGap:
-    """Evolve Bob's qubit from |up_x> under both members and compare.
+_PLUS_X = (KET_UP + KET_DOWN) / np.sqrt(2.0)
 
-    The collapsing member (xi = 1) destroys the sigma_z spread while the
-    phase-noise member (xi = -i) keeps it at 1; the two ensemble density
-    matrices agree within Monte Carlo resolution at every snapshot.
+
+def dynamical_gap(sp: SpinParams = SpinParams(), psi0: np.ndarray = _PLUS_X,
+                  t_final: float = 1.5, dt: float = 1e-3, n_traj: int = 5000,
+                  base_seed: int = 2024, n_snapshots: int = 6) -> DynamicalGap:
+    """Evolve Bob's qubit from ``psi0`` (default |up_x>) under both members and compare.
+
+    From |up_x> the collapsing member (xi = 1) destroys the sigma_z spread
+    while the phase-noise member (xi = -i) keeps it at 1; the two ensemble
+    density matrices agree within Monte Carlo resolution at every snapshot.
     """
-    sp = SpinParams(nu=1.0, lam=lam)
     model = spin_model(sp)
-    psi0 = (KET_UP + KET_DOWN) / np.sqrt(2.0)
     n_steps = int(round(t_final / dt))
     snaps = np.linspace(0, n_steps, n_snapshots).astype(int)
     rc, rp = (simulate_ensemble(model, u, psi0, dt, n_steps, n_traj, seed,
                                 snapshot_steps=snaps, tracked_observables={"sz": pauli("z")})
-              for u, seed in ((UnravelingParams.nonlinear(lam), base_seed),
-                              (UnravelingParams.linear(lam), base_seed + 1)))
+              for u, seed in ((UnravelingParams.nonlinear(sp.lam), base_seed),
+                              (UnravelingParams.linear(sp.lam), base_seed + 1)))
     spread_c = sigma_z_spread(rc.means["sz"]).mean(axis=1)
     spread_p = sigma_z_spread(rp.means["sz"]).mean(axis=1)
     rho_dist = np.max(np.abs(rc.rhos - rp.rhos), axis=(1, 2))
@@ -103,11 +104,12 @@ def dynamical_gap(lam: float = 1.0, t_final: float = 1.5, dt: float = 1e-3,
                         mc_rho_tolerance=mc_tolerance(n_traj))
 
 
-def bell_report(lam: float, t_final: float, dt: float, n_traj: int, base_seed: int) -> dict:
+def bell_report(sp: SpinParams = SpinParams(), psi0: np.ndarray = _PLUS_X, *,
+                t_final: float, dt: float, n_traj: int, base_seed: int) -> dict:
     """The exact ensembles and the dynamical analogue as a JSON payload."""
     out_z, out_x = alice_measures("z"), alice_measures("x")
     rho_d, sig_gap = signaling_gap(out_z, out_x)
-    dyn = dynamical_gap(lam=lam, t_final=t_final, dt=dt, n_traj=n_traj, base_seed=base_seed)
+    dyn = dynamical_gap(sp, psi0, t_final=t_final, dt=dt, n_traj=n_traj, base_seed=base_seed)
     return {"analytic": {"rho_distance": rho_d, "sigma_gap": sig_gap,
                          "mean_sigma_z_basis": out_z.mean_sigma,
                          "mean_sigma_x_basis": out_x.mean_sigma},

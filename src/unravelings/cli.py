@@ -77,12 +77,13 @@ def _cmd_run(args) -> int:
         else:
             print("run: provide --preset NAME or --config PATH", file=sys.stderr)
             return 2
+        if args.seed is not None:
+            cfg = cfg.with_seed(args.seed)
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return 2
     out_dir = Path(args.out)
-    written = run_scenario(cfg, out_dir, n_workers=args.threads,
-                           seed_override=args.seed)
+    written = run_scenario(cfg, out_dir)
     for p in written:
         print(f"wrote {p}")
     if args.check:
@@ -143,8 +144,6 @@ def main(argv=None) -> int:
     p_run.add_argument("--preset", help="name of a built-in scenario")
     p_run.add_argument("--out", default="out", help="output directory")
     p_run.add_argument("--seed", type=int, default=None, help="override base seed")
-    p_run.add_argument("--threads", type=int, default=1,
-                       help="accepted for compatibility; ensembles run on one thread")
     p_run.add_argument("--check", action="store_true",
                        help="evaluate scenario-level checks on the written files")
     p_run.set_defaults(func=_cmd_run)

@@ -2,18 +2,20 @@
 
 Configs are JSON files.  Validation is strict (unknown keys are errors, not
 warnings) and exhaustive: every violation found is reported, not just the
-first.  Step sizes are checked against the integrator stability budget
-whenever the requested outputs actually integrate a stochastic equation;
-closed-form series outputs only use dt as a grid spacing.
+first.  Outputs that integrate a stochastic equation put dt through the
+integrator's own stability guard; closed-form series outputs only use dt
+as a grid spacing.
 """
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .gaussian import HBAR_SI, MechanicalParams, width_rate_scale
+from .engine import UnravelingParams, check_stability
+from .gaussian import HBAR_SI, LINEAR, NONLINEAR, MechanicalParams, check_width_stability
+from .spin import SpinParams, spin_model
 from .tolerances import TOL
 
 # model -> family; the models of one family share their output kinds
@@ -27,6 +29,7 @@ OUTPUT_KINDS = {
     "mech": {"trajectory": True, "ensemble_mean": True, "record": True,
              "sigma": False, "var": False, "riccati": False},
 }
+_SE_KINDS = ("ensemble_mean", "collapse_stats")   # report a standard error (ddof = 1)
 
 _TOP_KEYS = {"name", "model", "unraveling", "params", "dt", "t_final",
              "n_trajectories", "base_seed", "outputs"}
@@ -69,6 +72,10 @@ class ScenarioConfig:
         v = np.array([complex(re, im) for re, im in pairs])
         return v / np.linalg.norm(v)
 
+    def spin(self) -> SpinParams:
+        p = self.params
+        return SpinParams(float(p["nu"]), float(p["lam"]), float(p.get("hbar", 1.0)))
+
     def mechanical(self) -> MechanicalParams:
         p = self.params
         omega = p.get("omega", 0.0) if self.model == "harmonic" else 0.0
@@ -78,6 +85,12 @@ class ScenarioConfig:
     def a0(self) -> complex:
         re, im = self.params["a0"]
         return complex(re, im)
+
+    def with_seed(self, seed) -> "ScenarioConfig":
+        """This config with ``base_seed`` replaced; an invalid seed raises ConfigError."""
+        if bad := _seed_violation(seed):
+            raise ConfigError([bad])
+        return replace(self, base_seed=seed)
 
     def echo(self) -> dict:
         return {
@@ -114,6 +127,11 @@ def _as_positive(raw, key, errs, allow_zero=False):
 def _is_int(v) -> bool:
     """True for an int that is not a bool (bool subclasses int)."""
     return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _seed_violation(seed) -> str | None:
+    if not _is_int(seed) or seed < 0:
+        return f"base_seed: must be a non-negative integer, got {seed!r}"
 
 
 def validate_config(raw: dict) -> ScenarioConfig:
@@ -165,8 +183,8 @@ def validate_config(raw: dict) -> ScenarioConfig:
     if not _is_int(n_traj) or n_traj < 1:
         errs.append(f"n_trajectories: must be a positive integer, got {n_traj!r}")
     base_seed = raw.get("base_seed", 0)
-    if not _is_int(base_seed):
-        errs.append(f"base_seed: must be an integer, got {base_seed!r}")
+    if bad := _seed_violation(base_seed):
+        errs.append(bad)
 
     outputs = raw.get("outputs", [])
     if not isinstance(outputs, (list, tuple)) or not outputs:
@@ -178,6 +196,9 @@ def validate_config(raw: dict) -> ScenarioConfig:
             errs.append(f"outputs: unknown kind {o!r}")
         elif o not in allowed:
             errs.append(f"outputs: {o!r} is not available for model {model!r}")
+        elif o in _SE_KINDS and n_traj == 1 and _is_int(n_traj):
+            errs.append(f"n_trajectories: {o!r} reports a standard error, which needs "
+                        "at least 2 trajectories")
     if "record" in outputs and xi_r == 0.0:
         errs.append("outputs: 'record' requires xi_r > 0 (a measurement reading)")
 
@@ -220,7 +241,7 @@ def validate_config(raw: dict) -> ScenarioConfig:
                 errs.append("params.omega: required for harmonic")
             else:
                 _as_positive(params["omega"], "params.omega", errs)
-        elif "omega" in params and params["omega"] not in (0, 0.0):
+        elif "omega" in params and _real(params["omega"]) != 0.0:
             errs.append("params.omega: must be absent or 0 for free_particle")
         for key in ("x0", "k0"):
             if key in params and _real(params[key]) is None:
@@ -240,15 +261,17 @@ def validate_config(raw: dict) -> ScenarioConfig:
         params=params, dt=dt, t_final=t_final, n_trajectories=n_traj,
         base_seed=base_seed, outputs=tuple(outputs))
 
-    # stability budget only gates outputs that integrate an SDE
+    # the stability budget only gates outputs that integrate an SDE
     if any(allowed[o] for o in cfg.outputs):
-        rate = (float(params["lam"]) if model == "spin" else
-                width_rate_scale(cfg.mechanical(), cfg.a0(),
-                                 "nonlinear" if cfg.xi_r > 0 else "linear"))
-        cap = TOL.stability_budget / rate if rate > 0 else math.inf
-        if dt > cap:
-            raise ConfigError([f"dt: {dt} violates the stability budget for these "
-                               f"parameters; use dt <= {cap:.3e}"])
+        try:
+            if model == "spin":
+                sp = cfg.spin()
+                check_stability(spin_model(sp), UnravelingParams(xi_r, xi_i, sp.lam), dt)
+            else:
+                check_width_stability(cfg.mechanical(), cfg.a0(),
+                                      NONLINEAR if xi_r > 0 else LINEAR, dt)
+        except ValueError as exc:
+            raise ConfigError([str(exc)]) from None
     return cfg
 
 

@@ -59,10 +59,10 @@ snapshot from the kernel's after-step callback.  Block boundaries do not
 depend on the snapshot steps, and the streams do not depend on either, so
 the snapshots never change a trajectory.
 
-The deterministic master-equation oracle uses classical RK4 (for the
-linear flow this equals the degree-4 Taylor propagator).
-:func:`lindblad_evolve` jumps from one snapshot to the next with a power of
-the one-step propagator, one power per distinct gap.
+The master equation is written once, in :func:`lindblad_rhs`; the oracle
+takes classical RK4 steps of it.  The flow is linear, so the one-step
+propagator is the RK4 step of the d^2 basis matrices, and
+:func:`lindblad_evolve` jumps between snapshots with one power of it per gap.
 :func:`master_equation_oracle` runs it at one tenth of an ensemble's step,
 at that ensemble's snapshots.
 """
@@ -135,7 +135,6 @@ class TrajectoryRecord:
     times: np.ndarray                 # (n_steps + 1,)
     states: np.ndarray                # (n_steps + 1, dim), each row normalized
     means: dict                       # name -> (n_steps + 1,) conditional means
-    record: "noise_mod.RecordSeries | None"
     noise: noise_mod.NoisePath
     seed: int
     dt: float
@@ -189,12 +188,20 @@ def max_stable_dt(model: ModelSpec, u: UnravelingParams) -> float:
     return TOL.stability_budget / (u.lam * lmax ** 2)
 
 
-def check_stability(model: ModelSpec, u: UnravelingParams, dt: float) -> None:
-    cap = max_stable_dt(model, u)
+def _require_dt_within(dt: float, cap: float, budget: str) -> None:
+    """Raise ValueError if ``dt > cap``, printing the cap rounded down to four digits."""
     if dt > cap:
-        raise ValueError(
-            f"dt = {dt:.3e} violates the stability budget "
-            f"lam * max_eig(L)^2 * dt <= {TOL.stability_budget}; use dt <= {cap:.3e}")
+        text = f"{cap:.3e}"
+        if float(text) > cap:                # rounded up: one unit of the last digit down
+            mantissa, exponent = text.split("e")
+            text = f"{float(mantissa) - 1e-3:.3f}e{exponent}"
+        raise ValueError(f"dt = {dt:.3e} violates the stability budget {budget}; "
+                         f"use dt <= {text}")
+
+
+def check_stability(model: ModelSpec, u: UnravelingParams, dt: float) -> None:
+    _require_dt_within(dt, max_stable_dt(model, u),
+                       f"{TOL.stability_budget} of lam * max_eig(L)^2 * dt")
 
 
 def _sum_rows(a: np.ndarray) -> np.ndarray:
@@ -332,26 +339,19 @@ def sse_step(psi: np.ndarray, model: ModelSpec, u: UnravelingParams,
 def simulate_trajectory(model: ModelSpec, u: UnravelingParams, psi0: np.ndarray,
                         dt: float, n_steps: int, seed: int,
                         tracked_observables: dict | None = None) -> TrajectoryRecord:
-    """Integrate one trajectory, storing every state and tracked mean.
-
-    The trajectory is a lock-step ensemble of one.  When xi_r > 0 the
-    associated detector record is emitted alongside the states, built from
-    the pre-step conditional means of L (matching the record-driven
-    reconstruction loop).
-    """
+    """Integrate one trajectory (an ensemble of one), storing every state and tracked mean."""
     check_stability(model, u, dt)
-    return _kernel_trajectory(_EulerKernel(model, u, dt), model, u, psi0, dt, n_steps,
-                              seed, tracked_observables)
+    return _kernel_trajectory(_EulerKernel(model, u, dt), psi0, dt, n_steps, seed,
+                              tracked_observables)
 
 
-def _kernel_trajectory(kernel: _ColumnKernel, model: ModelSpec, u: UnravelingParams,
-                       psi0: np.ndarray, dt: float, n_steps: int, seed: int,
-                       tracked_observables: dict | None) -> TrajectoryRecord:
+def _kernel_trajectory(kernel: _ColumnKernel, psi0: np.ndarray, dt: float, n_steps: int,
+                       seed: int, tracked_observables: dict | None) -> TrajectoryRecord:
     """One trajectory of ``kernel`` on ``wiener_path(seed, dt, n_steps)``."""
     psi0 = np.asarray(psi0, dtype=complex)
     assert_normalized(psi0, tol=1e-10)
     tracked = dict(tracked_observables or {})
-    states = np.empty((n_steps + 1, model.dim, 1), dtype=complex)   # one column per step
+    states = np.empty((n_steps + 1, psi0.size, 1), dtype=complex)   # one column per step
     states[0, :, 0] = psi0
     if n_steps >= 1:
         path = noise_mod.wiener_path(seed, dt, n_steps)
@@ -361,13 +361,8 @@ def _kernel_trajectory(kernel: _ColumnKernel, model: ModelSpec, u: UnravelingPar
     states = states[:, :, 0]
 
     means = {name: _column_means(states.T, op) for name, op in tracked.items()}
-    record = None
-    if u.xi_r > 0.0 and u.lam > 0.0 and n_steps >= 1:
-        ell = _column_means(states[:-1].T, model.L)
-        record = noise_mod.measurement_record(path, ell, u.xi_r, u.lam)
-    times = np.arange(n_steps + 1) * dt
-    return TrajectoryRecord(times=times, states=states, means=means,
-                            record=record, noise=path, seed=seed, dt=dt)
+    return TrajectoryRecord(times=np.arange(n_steps + 1) * dt, states=states, means=means,
+                            noise=path, seed=seed, dt=dt)
 
 
 def _wiener_block(rngs, n_steps: int, sqrt_dt: float) -> np.ndarray:
@@ -470,6 +465,7 @@ def simulate_ensemble(model: ModelSpec, u: UnravelingParams, psi0: np.ndarray,
 # --- deterministic master-equation flow ------------------------------------
 
 def lindblad_rhs(rho: np.ndarray, model: ModelSpec, lam: float) -> np.ndarray:
+    """drho/dt of the master equation; ``rho`` may be a stack (..., dim, dim)."""
     H, L = model.H, model.L
     comm = H @ rho - rho @ H
     LL = L @ L
@@ -486,32 +482,20 @@ def lindblad_step(rho: np.ndarray, model: ModelSpec, lam: float, dt: float) -> n
     return rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def lindblad_generator(model: ModelSpec, lam: float) -> np.ndarray:
-    """Matrix M with vec(drho/dt) = M vec(rho) (row-major vec)."""
-    d = model.dim
-    I = np.eye(d, dtype=complex)
-    H, L = model.H, model.L
-    LL = L @ L
-    M = (-1j / model.hbar) * (np.kron(H, I) - np.kron(I, H.T))
-    M += -0.5 * lam * (np.kron(LL, I) + np.kron(I, LL.T) - 2.0 * np.kron(L, L.T))
-    return M
-
-
 def lindblad_propagator(model: ModelSpec, lam: float, dt: float) -> np.ndarray:
-    """Degree-4 Taylor propagator; identical to one RK4 step of the linear flow."""
-    M = lindblad_generator(model, lam)
-    d2 = M.shape[0]
-    P = np.eye(d2, dtype=complex)
-    term = np.eye(d2, dtype=complex)
-    for k in range(1, 5):
-        term = term @ (M * (dt / k))
-        P += term
-    return P
+    """Matrix P with vec(lindblad_step(rho)) = P vec(rho) (row-major vec).
+
+    The RK4 step is linear in rho, so column j of P is the step of the j-th
+    basis matrix; one :func:`lindblad_step` advances all d^2 of them at once.
+    """
+    d2 = model.dim ** 2
+    basis = np.eye(d2, dtype=complex).reshape(d2, model.dim, model.dim)
+    return lindblad_step(basis, model, lam, dt).reshape(d2, d2).T
 
 
 def lindblad_evolve(rho0: np.ndarray, model: ModelSpec, lam: float, dt: float,
                     n_steps: int, snapshot_steps=None) -> list:
-    """Evolve with the RK4-equivalent propagator over ``n_steps`` steps.
+    """Evolve with the RK4 step's propagator over ``n_steps`` steps.
 
     Returns a list of (step_index, rho) pairs for the requested steps, each
     in [0, n_steps].  Between snapshots the state jumps by the propagator's
@@ -560,6 +544,7 @@ def conditional_moment_flow_residual(trajectory: TrajectoryRecord, observable: n
     The finite difference of the stored conditional-mean series is compared
     with the Ito right-hand side evaluated on the pre-step state and the
     recorded increment; for an exact-in-law chain the RMS residual is O(dt).
+    The drift of <O> is tr(O drho/dt) of :func:`lindblad_rhs` at each state.
     """
     if power not in (1, 2):
         raise ValueError("power must be 1 or 2")
@@ -568,22 +553,17 @@ def conditional_moment_flow_residual(trajectory: TrajectoryRecord, observable: n
         raise ValueError("trajectory must store at least two states")
     dW = trajectory.noise.increments
     dt = trajectory.dt
-    O, H, L = observable, model.H, model.L
+    O, L = observable, model.L
 
     m = _column_means(psis.T, O)
     ell = _column_means(psis.T, L)
-    comm_OH = np.einsum("ni,ij,nj->n", psis.conj(), O @ H - H @ O, psis)
-    dbl = L @ L @ O + O @ L @ L - 2.0 * (L @ O @ L)
-    dbl_mean = np.einsum("ni,ij,nj->n", psis.conj(), dbl, psis).real
+    flow = lindblad_rhs(np.einsum("ni,nj->nij", psis, psis.conj()), model, u.lam)
+    drift = np.einsum("ij,nji->n", O, flow).real
     anti_OL = np.einsum("ni,ij,nj->n", psis.conj(), O @ L + L @ O, psis).real
     comm_OL = np.einsum("ni,ij,nj->n", psis.conj(), O @ L - L @ O, psis)
-
-    drift = ((-1j / model.hbar) * comm_OH).real - 0.5 * u.lam * dbl_mean
     gain = u.xi_r * (anti_OL - 2.0 * m * ell) + (1j * u.xi_i * comm_OL).real
 
-    drift = drift[:-1]
-    gain = gain[:-1]
-    m0 = m[:-1]
+    drift, gain, m0 = drift[:-1], gain[:-1], m[:-1]
     if power == 1:
         rhs = drift * dt + np.sqrt(u.lam) * gain * dW
         fd = np.diff(m)

@@ -324,6 +324,14 @@ def width_rate_scale(p: MechanicalParams, a0: complex, unraveling: str) -> float
     return abs(spread_constants(p, a0, unraveling).rate)
 
 
+def check_width_stability(p: MechanicalParams, a0: complex, unraveling: str,
+                          dt: float) -> None:
+    """Raise ValueError unless dt * |rate| of the width ODE stays inside the stability budget."""
+    rate = width_rate_scale(p, a0, unraveling)
+    engine_mod._require_dt_within(dt, TOL.stability_budget / rate if rate > 0.0 else math.inf,
+                                  f"{TOL.stability_budget} of dt * |width rate {rate:.3e} s^-1|")
+
+
 def _width_path(a0: complex, p: MechanicalParams, unraveling: str, dt: float,
                 n_steps: int) -> np.ndarray:
     """The n_steps + 1 values of the Euler path a -> a + (c - q a^2) dt of the width."""
@@ -367,17 +375,9 @@ def gaussian_sde_step(g: GaussianState, p: MechanicalParams, unraveling: str,
 
 def simulate_width(p: MechanicalParams, a0: complex, unraveling: str,
                    dt: float, n_steps: int) -> np.ndarray:
-    """Euler path of the deterministic width ODE, all n_steps + 1 values.
-
-    Guards the step against the width relaxation rate (dt * |rate| must stay
-    inside the stability budget).
-    """
+    """Euler path of the width ODE, all n_steps + 1 values; dt must pass check_width_stability."""
     _require_member(unraveling)
-    rate = width_rate_scale(p, a0, unraveling)
-    if rate > 0.0 and dt * rate > TOL.stability_budget:
-        raise ValueError(f"dt = {dt:.3e} violates the stability budget for the "
-                         f"width rate {rate:.3e} s^-1; "
-                         f"use dt <= {TOL.stability_budget / rate:.3e}")
+    check_width_stability(p, a0, unraveling, dt)
     out = _width_path(a0, p, unraveling, dt, n_steps)
     if not (out[-1].real > 0.0) or not np.isfinite(out[-1].real):
         raise FloatingPointError("width path lost positivity or diverged; reduce dt")

@@ -15,10 +15,11 @@ observable mean series ``ell``::
 
     dy_k = xi_r * ell_k * dt + dW_k / (2 * sqrt(lam))
 
-and is algebraically invertible, so a record plus the conditional means
-recovers the driving noise (the reconstruction loop used throughout the
-simulation modules).  The rate entering the record is the same coupling
-``lam`` that scales the stochastic term of the state equation.
+and is algebraically invertible: :func:`reconstruct_noise` recovers the
+driving noise from a record and the conditional means.  The rate entering
+the record is the same coupling ``lam`` that scales the stochastic term of
+the state equation.  The ``record`` output of a scenario is this record of
+its trajectory 0.
 """
 
 from dataclasses import dataclass

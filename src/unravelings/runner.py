@@ -28,22 +28,21 @@ import numpy as np
 from . import __version__
 from .bell import bell_gates, bell_report
 from .config import ScenarioConfig
-from .engine import (UnravelingParams, master_equation_oracle, mc_tolerance,
-                     simulate_ensemble, simulate_trajectory)
+from .engine import UnravelingParams, master_equation_oracle, mc_tolerance, simulate_ensemble
 from .gaussian import (LINEAR, NONLINEAR, SPREAD_RTOL, centroid_ensemble,
                        conditional_covariance_series, conditional_spread_x,
                        initial_spread, initial_spread_deviation, mean_square_x,
                        riccati_matrices, riccati_residual, simulate_width,
                        spreads_ordered, variance_covariance_series, variance_x)
 from .noise import derive_seed, measurement_record, wiener_path
-from .spin import (SIGMA_Z, CollapseReport, SpinParams, collapse_statistics, spin_model,
+from .spin import (SIGMA_Z, CollapseReport, collapse_statistics, spin_model,
                    supermartingale_check)
 
 
-def _metadata(cfg: ScenarioConfig, seed: int) -> dict:
+def _metadata(cfg: ScenarioConfig) -> dict:
     return {
         "config": cfg.echo(),
-        "effective_seed": seed,
+        "effective_seed": cfg.base_seed,
         "version": __version__,
         "created_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
     }
@@ -121,14 +120,20 @@ def _fields(report) -> dict:
             for k, v in vars(report).items()}
 
 
+def _record(run) -> dict:
+    """Detector record of trajectory 0, from its pre-step <L> (``run.signal0``)."""
+    cfg = run.cfg
+    path = wiener_path(derive_seed(run.seed, 0), cfg.dt, cfg.n_steps)
+    rec = measurement_record(path, run.signal0[:-1], cfg.xi_r, float(cfg.params["lam"]))
+    return {"t": _grid(cfg)[:-1], "dy": rec.values}
+
+
 class _SpinRun:
     """A spin scenario's set-up, its shared lock-step ensemble and its builders."""
 
     def __init__(self, cfg: ScenarioConfig):
-        p = cfg.params
         self.cfg, self.seed = cfg, cfg.base_seed
-        self.sp = SpinParams(nu=float(p["nu"]), lam=float(p["lam"]),
-                             hbar=float(p.get("hbar", 1.0)))
+        self.sp = cfg.spin()
         self.u = UnravelingParams(cfg.xi_r, cfg.xi_i, self.sp.lam)
         self.psi0 = cfg.psi0()
         self.model = spin_model(self.sp)
@@ -149,12 +154,13 @@ class _SpinRun:
         return {"t": _grid(self.cfg),
                 **{f"sz_{k:03d}": sz[:, k] for k in range(sz.shape[1])}}
 
-    def record(self) -> dict:
+    @cached_property
+    def signal0(self) -> np.ndarray:
+        """<L> of trajectory 0 at every step, from an ensemble of one."""
         cfg = self.cfg
-        tr = simulate_trajectory(self.model, self.u, self.psi0, cfg.dt, cfg.n_steps,
-                                 derive_seed(self.seed, 0),
-                                 tracked_observables={"sz": self.model.L})
-        return {"t": _grid(cfg)[:-1], "dy": tr.record.values}
+        return simulate_ensemble(self.model, self.u, self.psi0, cfg.dt, cfg.n_steps, 1,
+                                 self.seed, snapshot_steps=np.arange(cfg.n_steps + 1),
+                                 tracked_observables={"L": self.model.L}).means["L"][:, 0]
 
     def ensemble_mean(self) -> dict:
         result = self.ensemble.at_steps(_snapshot_steps(self.cfg))
@@ -173,7 +179,7 @@ class _SpinRun:
 
     def bell(self) -> dict:
         cfg = self.cfg
-        return bell_report(lam=self.sp.lam, t_final=cfg.t_final, dt=cfg.dt,
+        return bell_report(self.sp, self.psi0, t_final=cfg.t_final, dt=cfg.dt,
                            n_traj=cfg.n_trajectories, base_seed=self.seed)
 
 
@@ -202,6 +208,8 @@ class _MechRun:
                                  snapshot_steps=np.arange(cfg.n_steps + 1))
         return a, x[:, 0], k[:, 0]
 
+    signal0 = property(lambda self: self.path0[1])   # <L> = <x>: trajectory 0's centroid
+
     def sigma(self) -> dict:
         return {"t": self.ts,
                 "sigma_nonlinear": conditional_spread_x(self.ts, self.p, self.a0, NONLINEAR),
@@ -224,11 +232,6 @@ class _MechRun:
         return {"t": self.ts, "width_re": a.real, "width_im": a.imag,
                 "centroid": x, "wavenumber": k}
 
-    def record(self) -> dict:
-        path = wiener_path(derive_seed(self.seed, 0), self.cfg.dt, self.cfg.n_steps)
-        rec = measurement_record(path, self.path0[1][:-1], 1.0, self.p.lam)
-        return {"t": self.ts[:-1], "dy": rec.values}
-
     def ensemble_mean(self) -> dict:
         cfg = self.cfg
         snaps = _snapshot_steps(cfg, n_snap=21)
@@ -249,7 +252,7 @@ _SERIES, _REPORT = ".csv", ".json"
 # module-global names, so a wrapper installed there sees every call.
 _BUILDERS = {
     ("spin", "trajectory"): (_SERIES, _SpinRun.trajectory),
-    ("spin", "record"): (_SERIES, _SpinRun.record),
+    ("spin", "record"): (_SERIES, _record),
     ("spin", "ensemble_mean"): (_SERIES, _SpinRun.ensemble_mean),
     ("spin", "collapse_stats"): (_REPORT, _SpinRun.collapse_stats),
     ("spin", "bell"): (_REPORT, _SpinRun.bell),
@@ -257,7 +260,7 @@ _BUILDERS = {
     ("mech", "var"): (_SERIES, _MechRun.var),
     ("mech", "riccati"): (_SERIES, _MechRun.riccati),
     ("mech", "trajectory"): (_SERIES, _MechRun.trajectory),
-    ("mech", "record"): (_SERIES, _MechRun.record),
+    ("mech", "record"): (_SERIES, _record),
     ("mech", "ensemble_mean"): (_SERIES, _MechRun.ensemble_mean),
 }
 
@@ -266,21 +269,18 @@ def _output_path(cfg: ScenarioConfig, out_dir: Path, kind: str) -> Path:
     return out_dir / f"{cfg.name}_{kind}{_BUILDERS[cfg.family, kind][0]}"
 
 
-def run_scenario(cfg: ScenarioConfig, out_dir, n_workers: int = 1,
-                 seed_override: int | None = None) -> list:
+def run_scenario(cfg: ScenarioConfig, out_dir, n_workers: int = 1) -> list:
     """Produce every requested output file; returns the written paths.
 
     ``n_workers`` is accepted for compatibility and has no effect: every
     ensemble runs on one thread.  The scenario's set-up is built once, and
     its trajectories are integrated once and shared by its outputs: one
     lock-step ensemble for a spin scenario, trajectory 0 for a mechanical one.
+    Another seed is run with ``run_scenario(cfg.with_seed(seed), ...)``.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    seed = cfg.base_seed if seed_override is None else int(seed_override)
-    if seed_override is not None:
-        cfg = ScenarioConfig(**{**cfg.__dict__, "base_seed": seed})
-    meta = _metadata(cfg, seed)
+    meta = _metadata(cfg)
     run = _SETUPS[cfg.family](cfg)
     written = []
     for kind in cfg.outputs:

@@ -99,8 +99,8 @@ def spin_nonlinear_trajectory(psi0: np.ndarray, sp: SpinParams, dt: float, n_ste
                                    tracked_observables={"sz": SIGMA_Z})
     if route != "girsanov":
         raise ValueError(f"route must be 'sse' or 'girsanov', got {route!r}")
-    return _kernel_trajectory(_ExponentialKernel(model, u, dt), model, u, psi0, dt,
-                              n_steps, seed, {"sz": SIGMA_Z})
+    return _kernel_trajectory(_ExponentialKernel(model, u, dt), psi0, dt, n_steps, seed,
+                              {"sz": SIGMA_Z})
 
 
 def _sigma_z_paths(kernel: _ColumnKernel, psi0: np.ndarray, dW: np.ndarray) -> np.ndarray:

@@ -40,7 +40,7 @@ def test_signaling_gap_values():
 
 
 def test_dynamical_gap_reproduces_the_static_signature():
-    dyn = dynamical_gap(lam=1.0, t_final=1.0, dt=2e-3, n_traj=800, base_seed=5)
+    dyn = dynamical_gap(t_final=1.0, dt=2e-3, n_traj=800, base_seed=5)
     assert dyn.spread_gap_final > 0.5
     assert np.max(dyn.rho_distance) <= dyn.mc_rho_tolerance
     # phase-noise member never moves the spread off its initial value 1
@@ -50,7 +50,7 @@ def test_dynamical_gap_reproduces_the_static_signature():
 
 
 def test_bell_gates_read_the_report_and_fail_each_broken_gate():
-    rep = bell_report(lam=1.0, t_final=0.01, dt=1e-3, n_traj=20, base_seed=5)
+    rep = bell_report(t_final=0.01, dt=1e-3, n_traj=20, base_seed=5)
     assert json.loads(json.dumps(rep)) == rep          # what the scenario writes
     assert bell_gates(rep) == bell_gates(json.loads(json.dumps(rep)))
     good = {"analytic": {"rho_distance": 1e-16, "sigma_gap": 1.0},

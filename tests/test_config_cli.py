@@ -6,7 +6,7 @@ import pytest
 from unravelings.cli import main
 from unravelings.config import (FAMILIES, OUTPUT_KINDS, PRESETS, ConfigError,
                                 load_config, preset, validate_config)
-from unravelings.engine import simulate_ensemble, simulate_trajectory
+from unravelings.engine import _EulerKernel, simulate_ensemble, simulate_trajectory
 from unravelings.gaussian import GaussianState, gaussian_sde_step
 from unravelings.noise import derive_seed, measurement_record, wiener_path
 from unravelings.runner import (_BUILDERS, _SpinRun, _check_bell, _check_collapse_stats,
@@ -14,7 +14,7 @@ from unravelings.runner import (_BUILDERS, _SpinRun, _check_bell, _check_collaps
                                 files_equal_ignoring_timestamp, read_report,
                                 read_series, run_scenario, scenario_checks,
                                 write_series)
-from unravelings.spin import SIGMA_Z
+from unravelings.spin import SIGMA_Z, _sigma_z_paths
 
 
 def test_all_presets_validate():
@@ -53,7 +53,7 @@ def test_validation_collects_every_violation():
     assert len(err.value.violations) >= 5
 
 
-def test_validation_rejects_specific_constraints():
+def test_validation_rejects_specific_constraints(tmp_path, capsys):
     base = dict(PRESETS["fig2"])
     bad = {**base, "unraveling": "linear", "outputs": ["record"]}
     with pytest.raises(ConfigError, match="xi_r > 0"):
@@ -76,6 +76,29 @@ def test_validation_rejects_specific_constraints():
     for t_final in (4e-4, 10.0005):
         with pytest.raises(ConfigError, match="whole number of steps"):
             validate_config({**base, "t_final": t_final, "outputs": ["ensemble_mean"]})
+    # a seed numpy cannot take, in the file or on the command line
+    with pytest.raises(ConfigError, match="base_seed"):
+        validate_config({**base, "base_seed": -1})
+    with pytest.raises(ConfigError, match="base_seed"):
+        preset("fig2").with_seed(-3)
+    capsys.readouterr()
+    assert main(["run", "--preset", "fig2", "--seed", "-3", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("base_seed") == 1 and "Traceback" not in err
+    assert not any(tmp_path.iterdir())
+    # False is not the number 0
+    free = json.loads(json.dumps(PRESETS["riccati_free"]))
+    free["params"]["omega"] = False
+    with pytest.raises(ConfigError, match="params.omega"):
+        validate_config(free)
+    # a standard error needs two trajectories
+    mech = {**PRESETS["riccati_free"], "dt": 5e-3, "t_final": 1.0, "outputs": ["ensemble_mean"],
+            "n_trajectories": 1}
+    for raw in ({**base, "n_trajectories": 1, "outputs": ["ensemble_mean"]},
+                {**base, "n_trajectories": 1, "outputs": ["collapse_stats"]}, mech):
+        with pytest.raises(ConfigError, match="at least 2 trajectories"):
+            validate_config(raw)
+    validate_config({**base, "n_trajectories": 1, "outputs": ["trajectory", "record"]})
 
 
 def _with(raw, path, value):
@@ -112,13 +135,41 @@ def test_validation_rejects_non_numbers(preset_name, path, value, fragment, tmp_
 
 
 def test_stability_violation_reports_usable_cap():
-    bad = {**dict(PRESETS["fig2"]), "dt": 0.5}
-    with pytest.raises(ConfigError) as err:
-        validate_config(bad)
-    # the message must tell the user a dt that works
-    cap = float(str(err.value).split("dt <= ")[1].strip())
-    fixed = {**bad, "dt": cap * 0.5}
-    validate_config(fixed)
+    fig2 = PRESETS["fig2"]
+    for raw in ({**fig2, "dt": 0.5},
+                {**fig2, "dt": 0.5, "params": {**fig2["params"], "lam": 1.01}},
+                {**fig2, "dt": 0.5, "params": {**fig2["params"], "lam": 3.99}},
+                {**PRESETS["riccati_free"], "dt": 0.5, "outputs": ["trajectory"]},
+                {**PRESETS["riccati_harmonic"], "dt": 0.5, "outputs": ["trajectory"]}):
+        with pytest.raises(ConfigError, match="stability budget") as err:
+            validate_config(raw)
+        # the message must tell the user a dt that works: the printed cap itself
+        cap = float(str(err.value).split("dt <= ")[1].strip())
+        assert cap < raw["dt"]
+        validate_config({**raw, "dt": cap, "t_final": 100 * cap})
+
+
+def test_free_particle_config_at_its_own_cap_validates_and_runs(tmp_path):
+    from unravelings.gaussian import width_rate_scale
+    params = {"mass": 1.601725357683094, "lam": 1.3025019631314454, "hbar": 1.0,
+              "a0": [0.7400285901907748, 0.43205968661337824]}
+    dt = 0.007841331861199846
+    cfg = validate_config({"name": "cap", "model": "free_particle", "params": params,
+                           "dt": dt, "t_final": 10 * dt, "n_trajectories": 2,
+                           "outputs": ["trajectory", "record", "ensemble_mean"]})
+    assert dt == 0.01 / width_rate_scale(cfg.mechanical(), cfg.a0(), "nonlinear")
+    assert len(run_scenario(cfg, tmp_path)) == 3
+
+
+def test_bell_config_spin_setup_reaches_the_dynamical_ensembles(tmp_path):
+    raw = _with(PRESETS["bell"], ("params", "psi0"), [[1.0, 0.0], [0.0, 0.0]])
+    raw = {**raw, "t_final": 0.05, "n_trajectories": 20}
+    run_scenario(validate_config(raw), tmp_path)
+    _, rep = read_report(tmp_path / "bell_bell.json")
+    # |up> is an eigenstate of L: no spread under either member (|up_x> keeps 1)
+    dyn = rep["dynamical"]
+    for key in ("mean_spread_phase", "mean_spread_collapse", "rho_distance"):
+        assert np.max(np.abs(dyn[key])) <= 1e-12
 
 
 def test_load_config_round_trip(tmp_path):
@@ -216,7 +267,7 @@ def test_seed_override_changes_stochastic_outputs(tmp_path):
     cfg = type(cfg)(**{**cfg.__dict__, "outputs": ("trajectory",),
                        "dt": 1e-3, "t_final": 0.1})
     run_scenario(cfg, tmp_path / "a")
-    run_scenario(cfg, tmp_path / "b", seed_override=999)
+    run_scenario(cfg.with_seed(999), tmp_path / "b")
     _, a = read_series(tmp_path / "a" / "riccati_free_trajectory.csv")
     _, b = read_series(tmp_path / "b" / "riccati_free_trajectory.csv")
     assert not np.array_equal(a["centroid"], b["centroid"])
@@ -323,12 +374,20 @@ def test_mechanical_trajectory_is_the_sde_step_loop(tmp_path, model, omega, memb
 
 
 def test_spin_record_output(tmp_path):
+    # trajectory 0's record, for the collapse member and an interior xi
     cfg = preset("fig2")
-    small = type(cfg)(**{**cfg.__dict__, "t_final": 0.2,
-                         "outputs": ("record",)})
-    run_scenario(small, tmp_path)
-    _, rec = read_series(tmp_path / "fig2_record.csv")
-    assert rec["dy"].size == small.n_steps
+    for xi_r, xi_i in ((1.0, 0.0), (0.6, -0.8)):
+        small = type(cfg)(**{**cfg.__dict__, "t_final": 0.2, "xi_r": xi_r, "xi_i": xi_i,
+                             "outputs": ("record",)})
+        run_scenario(small, tmp_path)
+        _, rec = read_series(tmp_path / "fig2_record.csv")
+        assert rec["dy"].size == small.n_steps
+        setup = _SpinRun(small)
+        path = wiener_path(derive_seed(7, 0), small.dt, small.n_steps)
+        tr = simulate_trajectory(setup.model, setup.u, setup.psi0, small.dt, small.n_steps,
+                                 path.seed, tracked_observables={"L": setup.model.L})
+        ref = measurement_record(path, tr.means["L"][:-1], xi_r, setup.sp.lam)
+        assert np.array_equal(rec["dy"], ref.values)
 
 
 def test_spin_outputs_roundtrip(tmp_path):
@@ -344,18 +403,21 @@ def test_spin_outputs_roundtrip(tmp_path):
 
 
 def test_fig2_outputs_share_one_ensemble(tmp_path):
-    # each trajectory column is the serial trajectory of its stream, and the
-    # ensemble mean is that of a separate run at the 41 snapshot steps
+    # each trajectory column is the kernel's path on its own stream (one
+    # lock-step call; test_vectorized_members_equal_serial_trajectories ties
+    # lock-step rows to serial trajectories), and the ensemble mean is that
+    # of a separate run at the 41 snapshot steps
     cfg = preset("fig2")
     run_scenario(cfg, tmp_path)
     setup = _SpinRun(cfg)
     model, u, psi0 = setup.model, setup.u, setup.psi0
     _, traj = read_series(tmp_path / "fig2_trajectory.csv")
     assert len(traj) == cfg.n_trajectories + 1
+    dW = np.array([wiener_path(derive_seed(7, k), cfg.dt, cfg.n_steps).increments
+                   for k in range(cfg.n_trajectories)])
+    sz = _sigma_z_paths(_EulerKernel(model, u, cfg.dt), psi0, dW)
     for k in range(cfg.n_trajectories):
-        tr = simulate_trajectory(model, u, psi0, cfg.dt, cfg.n_steps, derive_seed(7, k),
-                                 tracked_observables={"sz": SIGMA_Z})
-        assert np.array_equal(traj[f"sz_{k:03d}"], tr.means["sz"])
+        assert np.array_equal(traj[f"sz_{k:03d}"], sz[k])
     res = simulate_ensemble(model, u, psi0, cfg.dt, cfg.n_steps, cfg.n_trajectories, 7,
                             snapshot_steps=_snapshot_steps(cfg),
                             tracked_observables={"sz": SIGMA_Z})

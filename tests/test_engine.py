@@ -268,20 +268,18 @@ def test_simulate_trajectory_shapes_and_record():
                              tracked_observables={"sz": SZ})
     assert tr.states.shape == (51, 2)
     assert tr.means["sz"].shape == (51,)
-    assert tr.record is not None and tr.record.values.shape == (50,)
+    assert tr.noise.increments.shape == (50,)
     norms = np.linalg.norm(tr.states, axis=1)
     assert np.max(np.abs(norms - 1.0)) <= 1e-10
-    # record follows dy = <sz> dt + dW / (2 sqrt(lam)) with pre-step means
-    expect = tr.means["sz"][:-1] * 1e-3 + tr.noise.increments / 2.0
-    assert np.array_equal(tr.record.values, expect)
 
 
 def test_simulate_trajectory_zero_steps_and_linear_member_has_no_record():
     model = spin_model()
     tr = simulate_trajectory(model, UnravelingParams.nonlinear(1.0), PSI0, 1e-3, 0, 1)
-    assert tr.states.shape == (1, 2) and tr.record is None
+    assert tr.states.shape == (1, 2) and tr.noise.n_steps == 0
+    assert np.array_equal(tr.states[0], PSI0)
     tr2 = simulate_trajectory(model, UnravelingParams.linear(1.0), PSI0, 1e-3, 5, 1)
-    assert tr2.record is None
+    assert tr2.states.shape == (6, 2)
 
 
 def test_lindblad_step_stationary_cases():
@@ -295,11 +293,12 @@ def test_lindblad_step_stationary_cases():
 
 
 def test_lindblad_dephasing_oracle():
-    # d rho_01/dt = (-2 i nu - 2 lam) rho_01 solved analytically
+    # d rho_01/dt = (-2 i nu - 2 lam) rho_01 solved analytically; the stepped
+    # and the propagator-powered oracle both meet it
     nu, lam, dt, n = 1.3, 0.8, 1e-3, 1000
     model = spin_model(nu=nu)
     plus_x = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
-    rho = projector(plus_x)
+    rho0 = rho = projector(plus_x)
     for _ in range(n):
         rho = lindblad_step(rho, model, lam, dt)
         assert abs(np.trace(rho).real - 1.0) <= 1e-12
@@ -307,6 +306,10 @@ def test_lindblad_dephasing_oracle():
     expected = 0.5 * np.exp((-2j * nu - 2.0 * lam) * t)
     assert abs(rho[0, 1] - expected) <= 1e-10
     assert abs(rho[0, 0] - 0.5) <= 1e-12
+    for step, evolved in lindblad_evolve(rho0, model, lam, dt, n, snapshot_steps=[250, n]):
+        exact = 0.5 * np.exp((-2j * nu - 2.0 * lam) * step * dt)
+        assert abs(evolved[0, 1] - exact) <= 1e-10
+        assert abs(evolved[0, 0] - 0.5) <= 1e-12 and abs(evolved[1, 0] - np.conj(exact)) <= 1e-10
 
 
 def test_lindblad_evolve_equals_repeated_rk4_steps():
