@@ -29,12 +29,11 @@ def main():
     res = nonlinear_ensemble(psi0, sp, args.dt, n_steps, args.n_traj, args.seed,
                              snapshot_steps=snaps)
 
-    rep = collapse_statistics(res, threshold=0.999)
-    se = np.sqrt(rep.born_p_up * (1 - rep.born_p_up) / rep.n_total)
+    rep = collapse_statistics(res)
     print(f"N = {rep.n_total}, threshold |<sz>| > {rep.threshold}")
     print(f"up / down / unresolved  : {rep.n_up} / {rep.n_down} / {rep.n_unresolved}")
     print(f"fraction up             : {rep.fraction_up:.4f} "
-          f"(Born weight {rep.born_p_up:.4f}, binomial SE {se:.4f})")
+          f"(Born weight {rep.born_p_up:.4f}, binomial SE {rep.binomial_se:.4f})")
 
     sup = supermartingale_check(res, sp)
     print(f"spread bound satisfied  : {sup.bound_ok} (monotone: {sup.monotone_ok})")

@@ -22,8 +22,7 @@ from .gaussian import (LINEAR, NONLINEAR, SPREAD_RTOL, MechanicalParams, a_close
                        riccati_matrices, riccati_residual, simulate_width,
                        spread_constants, spreads_ordered, variance_covariance_series,
                        variance_x)
-from .gcm import POVM, kraus_apply, povm_completeness, solve_gcm_params
-from .gcm import channel_apply
+from .gcm import channel_apply, kraus_apply, povm_completeness, solve_gcm_params
 from .linalg import projector
 from .noise import wiener_path
 from .spin import (SIGMA_Z, SpinParams, _sigma_z_paths, collapse_statistics,
@@ -93,7 +92,7 @@ def criterion_2() -> CriterionResult:
     """Collapse branch frequencies follow the Born weights."""
     t0 = time.perf_counter()
     result, _ = _born_ensemble()
-    rep = collapse_statistics(result, threshold=0.999)
+    rep = collapse_statistics(result)
     dev = rep.born_deviation
     unresolved = rep.n_unresolved / rep.n_total
     passed = dev <= 0.013 and unresolved < 0.01
@@ -318,8 +317,7 @@ def criterion_8() -> CriterionResult:
     worst_povm = 0.0
     for th in (0.0, 0.5, -0.9):
         g = solve_gcm_params(np.exp(1j * th), 1.0)
-        defect = np.max(np.abs(povm_completeness(SIGMA_Z, g, 1e-3, normalization=POVM)
-                               - np.eye(2)))
+        defect = np.max(np.abs(povm_completeness(SIGMA_Z, g, 1e-3) - np.eye(2)))
         worst_povm = max(worst_povm, float(defect))
     ok_povm = worst_povm <= TOL.povm
 

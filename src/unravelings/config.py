@@ -9,6 +9,7 @@ as a grid spacing.
 
 import json
 import math
+import re
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -30,6 +31,8 @@ OUTPUT_KINDS = {
              "sigma": False, "var": False, "riccati": False},
 }
 _SE_KINDS = ("ensemble_mean", "collapse_stats")   # report a standard error (ddof = 1)
+# output files are named <name>_<kind>.<ext> inside the output directory
+_NAME = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]*")
 
 _TOP_KEYS = {"name", "model", "unraveling", "params", "dt", "t_final",
              "n_trajectories", "base_seed", "outputs"}
@@ -147,6 +150,9 @@ def validate_config(raw: dict) -> ScenarioConfig:
     if model not in MODELS:
         errs.append(f"model: must be one of {MODELS}, got {model!r}")
         raise ConfigError(errs)
+    name = raw.get("name", model)
+    if not isinstance(name, str) or not _NAME.fullmatch(name):
+        errs.append(f"name: must be a string matching {_NAME.pattern}, got {name!r}")
 
     # unraveling -> (xi_r, xi_i)
     unr = raw.get("unraveling", "nonlinear")
@@ -191,9 +197,11 @@ def validate_config(raw: dict) -> ScenarioConfig:
         errs.append("outputs: must be a non-empty list")
         outputs = []
     allowed = OUTPUT_KINDS[FAMILIES[model]]
-    for o in outputs:
+    for i, o in enumerate(outputs):
         if not isinstance(o, str) or not any(o in kinds for kinds in OUTPUT_KINDS.values()):
             errs.append(f"outputs: unknown kind {o!r}")
+        elif o in outputs[:i]:
+            errs.append(f"outputs: {o!r} is listed more than once")
         elif o not in allowed:
             errs.append(f"outputs: {o!r} is not available for model {model!r}")
         elif o in _SE_KINDS and n_traj == 1 and _is_int(n_traj):
@@ -257,7 +265,7 @@ def validate_config(raw: dict) -> ScenarioConfig:
         raise ConfigError(errs)
 
     cfg = ScenarioConfig(
-        name=str(raw.get("name", model)), model=model, xi_r=xi_r, xi_i=xi_i,
+        name=name, model=model, xi_r=xi_r, xi_i=xi_i,
         params=params, dt=dt, t_final=t_final, n_trajectories=n_traj,
         base_seed=base_seed, outputs=tuple(outputs))
 

@@ -339,15 +339,9 @@ def sse_step(psi: np.ndarray, model: ModelSpec, u: UnravelingParams,
 def simulate_trajectory(model: ModelSpec, u: UnravelingParams, psi0: np.ndarray,
                         dt: float, n_steps: int, seed: int,
                         tracked_observables: dict | None = None) -> TrajectoryRecord:
-    """Integrate one trajectory (an ensemble of one), storing every state and tracked mean."""
+    """One trajectory on ``wiener_path(seed, dt, n_steps)``, every state and tracked mean stored."""
     check_stability(model, u, dt)
-    return _kernel_trajectory(_EulerKernel(model, u, dt), psi0, dt, n_steps, seed,
-                              tracked_observables)
-
-
-def _kernel_trajectory(kernel: _ColumnKernel, psi0: np.ndarray, dt: float, n_steps: int,
-                       seed: int, tracked_observables: dict | None) -> TrajectoryRecord:
-    """One trajectory of ``kernel`` on ``wiener_path(seed, dt, n_steps)``."""
+    kernel = _EulerKernel(model, u, dt)
     psi0 = np.asarray(psi0, dtype=complex)
     assert_normalized(psi0, tol=1e-10)
     tracked = dict(tracked_observables or {})

@@ -395,9 +395,8 @@ def centroid_ensemble(p: MechanicalParams, a0: complex, unraveling: str,
     ``wiener_path(derive_seed(base_seed, k), dt, n_steps)``.  Trajectories
     run in the fixed chunks of the spin ensembles and draw their increments
     through the same noise blocks, so ``n_traj`` changes no trajectory.
-    Returns ``(centroids, wavenumbers)``: the final values as (n_traj,)
-    arrays, or (n_snapshots, n_traj) arrays when snapshot step indices are
-    given.
+    Returns ``(centroids, wavenumbers)`` as (n_snapshots, n_traj) arrays, at
+    the snapshot step indices (default: the final step alone).
     """
     _require_member(unraveling)
     widths = None
@@ -420,7 +419,7 @@ def centroid_ensemble(p: MechanicalParams, a0: complex, unraveling: str,
                 if step + 1 in snaps:
                     out_x[snaps[step + 1], c0:c1], out_k[snaps[step + 1], c0:c1] = x, kk
             del dW  # freed before the next block is drawn (peak memory)
-    return (out_x[0], out_k[0]) if snapshot_steps is None else (out_x, out_k)
+    return out_x, out_k
 
 
 # --- covariance matrices and the Riccati flow --------------------------------

@@ -21,14 +21,11 @@ equation fixes the four real/complex gains.  With the noise gain set to 1:
 which satisfy  c d a = xi xi_r,  c d = xi,  Im(d^2 - xi^2/2) = 0  and
 |xi|^2 = 2 Re(d^2 - xi^2/2).
 
-Two normalizations of N are carried side by side:
-
-* ``record_mean``: the outcome integral of dy against tr[A^dag A rho] equals
-  <L> dt (the convention the gain-solving derivation pins down).  Its total
-  outcome mass is 1/xi_r, not 1, whenever xi_r < 1.
-* ``povm``: mass-1 family, int A^dag A dy = identity; the first moment of the
-  normalized outcome density is then xi_r <L> dt, consistent with the record
-  equation above.  The two coincide at xi = 1.
+N is the POVM normalization: int A^dag A dy = identity, so the outcome
+density tr[A^dag A rho] has mass 1 and first moment xi_r <L> dt, as the
+record equation above requires.  Normalizing the first moment to <L> dt
+instead would give outcome mass 1/xi_r, which is no measurement when
+xi_r < 1.
 
 The xi_r = 0 member admits no measurement reading and is rejected.
 """
@@ -40,9 +37,8 @@ import numpy as np
 from .linalg import is_hermitian
 from .tolerances import TOL
 
-RECORD_MEAN = "record_mean"
-POVM = "povm"
-_NORMS = (RECORD_MEAN, POVM)
+_GRID_POINTS = 10_001    # outcome quadrature nodes
+_GRID_WIDTHS = 8.0       # kernel standard deviations beyond the outer centers
 
 
 @dataclass(frozen=True)
@@ -93,19 +89,15 @@ def solve_gcm_params(xi: complex, gamma: float) -> GcmParams:
     return gp
 
 
-def norm_const_sq(gp: GcmParams, dt: float, normalization: str = RECORD_MEAN) -> float:
-    """|N|^2 for the requested outcome-mass convention."""
-    if normalization not in _NORMS:
-        raise ValueError(f"normalization must be one of {_NORMS}")
+def norm_const_sq(gp: GcmParams, dt: float) -> float:
+    """|N|^2 of the POVM normalization."""
     c, d = gp.record_scale, gp.operator_scale
     c2 = c.real ** 2 - c.imag ** 2
     proj = c.real * d.real - c.imag * d.imag
     if c2 <= 0.0 or proj <= 0.0:
         raise ValueError("gains do not define a normalizable outcome kernel")
     base = np.sqrt(2.0 * gp.gamma / (np.pi * dt)) * c2 ** 1.5 / proj
-    if normalization == POVM:
-        base *= gp.xi.real
-    return float(base)
+    return float(base * gp.xi.real)
 
 
 def _eigs(L: np.ndarray):
@@ -114,79 +106,71 @@ def _eigs(L: np.ndarray):
     return np.linalg.eigh(L)
 
 
-def _amplitudes(evals: np.ndarray, gp: GcmParams, dys: np.ndarray, dt: float,
-                normalization: str) -> np.ndarray:
+def _amplitudes(evals: np.ndarray, gp: GcmParams, dys: np.ndarray, dt: float) -> np.ndarray:
     """A(dy) eigen-amplitudes, shape (n_outcomes, n_eigenvalues)."""
-    n = np.sqrt(norm_const_sq(gp, dt, normalization))
+    n = np.sqrt(norm_const_sq(gp, dt))
     arg = gp.record_scale * dys[:, None] - gp.operator_scale * evals[None, :] * dt
     return n * np.exp(-(gp.gamma / dt) * arg * arg)
 
 
-def kraus_matrix(L: np.ndarray, gp: GcmParams, dy: float, dt: float,
-                 normalization: str = RECORD_MEAN) -> np.ndarray:
+def kraus_matrix(L: np.ndarray, gp: GcmParams, dy: float, dt: float) -> np.ndarray:
     """The measurement operator A(dy) in the original basis."""
     evals, V = _eigs(L)
-    amp = _amplitudes(evals, gp, np.array([float(dy)]), dt, normalization)[0]
+    amp = _amplitudes(evals, gp, np.array([float(dy)]), dt)[0]
     return (V * amp) @ V.conj().T
 
 
-def kraus_apply(states: np.ndarray, L: np.ndarray, gp: GcmParams, dys, dt: float,
-                normalization: str = RECORD_MEAN):
+def kraus_apply(states: np.ndarray, L: np.ndarray, gp: GcmParams, dys, dt: float):
     """Un-normalized posteriors A(dy)|psi> and their outcome weights ||A psi||^2.
 
-    ``states`` is one state (dim,) with a scalar outcome ``dys``, or (dim, N)
-    columns with N outcomes, one per column; L is diagonalized once per call.
+    ``states`` is (dim, N) columns with N outcomes ``dys``, one per column;
+    L is diagonalized once per call.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     states = np.asarray(states, dtype=complex)
+    dys = np.asarray(dys, dtype=float)
+    if states.ndim != 2 or dys.shape != states.shape[1:]:
+        raise ValueError(f"states {states.shape} must be (dim, N) columns, one per outcome")
     evals, V = _eigs(L)
-    amps = _amplitudes(evals, gp, np.atleast_1d(dys), dt, normalization)
-    cols = states.reshape(states.shape[0], -1)
-    out = (V @ (amps.T * (V.conj().T @ cols))).reshape(states.shape)
+    out = V @ (_amplitudes(evals, gp, dys, dt).T * (V.conj().T @ states))
     return out, np.sum(out.real ** 2 + out.imag ** 2, axis=0)
 
 
-def outcome_grid(L: np.ndarray, gp: GcmParams, dt: float,
-                 n_points: int = 10_001, n_std: float = 8.0) -> np.ndarray:
+def outcome_grid(L: np.ndarray, gp: GcmParams, dt: float) -> np.ndarray:
     """Uniform dy grid covering every eigenvalue's outcome kernel.
 
     The kernel around eigenvalue ell is a Gaussian centered at
     xi_r * ell * dt with standard deviation sqrt(dt) / (2 sqrt(gamma));
-    n_std = 8 bounds the truncated mass below 1e-14 of the total.
+    8 of them beyond the outer centers bound the truncated mass below
+    1e-14 of the total.
     """
     evals, _ = _eigs(L)
     centers = gp.xi.real * evals * dt
     sd = np.sqrt(dt) / (2.0 * np.sqrt(gp.gamma))
-    return np.linspace(centers.min() - n_std * sd, centers.max() + n_std * sd, n_points)
+    return np.linspace(centers.min() - _GRID_WIDTHS * sd, centers.max() + _GRID_WIDTHS * sd,
+                       _GRID_POINTS)
 
 
-def povm_completeness(L: np.ndarray, gp: GcmParams, dt: float,
-                      grid: np.ndarray | None = None,
-                      normalization: str = POVM) -> np.ndarray:
-    """Quadrature of int A^dag(y) A(y) dy (identity for the povm convention)."""
+def povm_completeness(L: np.ndarray, gp: GcmParams, dt: float) -> np.ndarray:
+    """Quadrature of int A^dag(y) A(y) dy (the identity, up to quadrature error)."""
     evals, V = _eigs(L)
-    if grid is None:
-        grid = outcome_grid(L, gp, dt)
-    amps = _amplitudes(evals, gp, grid, dt, normalization)
+    grid = outcome_grid(L, gp, dt)
+    amps = _amplitudes(evals, gp, grid, dt)
     dy = grid[1] - grid[0]
     masses = np.sum(np.abs(amps) ** 2, axis=0) * dy
     return (V * masses) @ V.conj().T
 
 
-def channel_apply(rho: np.ndarray, L: np.ndarray, gp: GcmParams, dt: float,
-                  grid: np.ndarray | None = None,
-                  normalization: str = POVM) -> np.ndarray:
+def channel_apply(rho: np.ndarray, L: np.ndarray, gp: GcmParams, dt: float) -> np.ndarray:
     """Outcome-averaged channel int A(y) rho A^dag(y) dy by quadrature.
 
-    With the povm convention this is trace preserving and reproduces one
-    measurement-only master-equation step up to O(dt^2):
-    rho -> rho - (gamma/2) [L, [L, rho]] dt.
+    It is trace preserving and reproduces one measurement-only
+    master-equation step up to O(dt^2): rho -> rho - (gamma/2) [L, [L, rho]] dt.
     """
     evals, V = _eigs(L)
-    if grid is None:
-        grid = outcome_grid(L, gp, dt)
-    amps = _amplitudes(evals, gp, grid, dt, normalization)
+    grid = outcome_grid(L, gp, dt)
+    amps = _amplitudes(evals, gp, grid, dt)
     dy = grid[1] - grid[0]
     kernel = (amps.T @ amps.conj()) * dy        # K_ij = int amp_i conj(amp_j) dy
     rho_eig = V.conj().T @ np.asarray(rho, dtype=complex) @ V
@@ -197,32 +181,20 @@ def channel_apply(rho: np.ndarray, L: np.ndarray, gp: GcmParams, dt: float,
 class RecordMeanStats:
     """First-moment diagnostics of the outcome density for one state."""
 
-    mean: float               # int y <A^dag A> dy with the record_mean norm
-    mass: float               # int <A^dag A> dy with the record_mean norm
-    mean_normalized: float    # first moment of the mass-1 outcome density
-    target_conditional: float  # <L> dt
-    target_scaled: float       # xi_r <L> dt
+    mean: float     # int y tr[A^dag A rho] dy
+    mass: float     # int tr[A^dag A rho] dy, 1 for a measurement
+    target: float   # xi_r <L> dt, the record equation's mean
 
 
-def record_mean_check(state: np.ndarray, L: np.ndarray, gp: GcmParams, dt: float,
-                      n_points: int = 10_001) -> RecordMeanStats:
-    """Quadrature of the outcome first moment against its two analytic targets.
-
-    The record_mean convention integrates to exactly <L> dt (its mass is
-    1/xi_r); the mass-1 density has first moment xi_r <L> dt, matching the
-    record equation.  Both are reported.
-    """
+def record_mean_check(state: np.ndarray, L: np.ndarray, gp: GcmParams,
+                      dt: float) -> RecordMeanStats:
+    """Quadrature of the outcome mass and first moment against the record equation."""
     state = np.asarray(state, dtype=complex)
     evals, V = _eigs(L)
     w = np.abs(V.conj().T @ state) ** 2
-    grid = outcome_grid(L, gp, dt, n_points=n_points)
+    grid = outcome_grid(L, gp, dt)
     dy = grid[1] - grid[0]
-    amps = _amplitudes(evals, gp, grid, dt, RECORD_MEAN)
-    dens = (np.abs(amps) ** 2) @ w
-    mean = float(np.sum(grid * dens) * dy)
-    mass = float(np.sum(dens) * dy)
-    ell = float(w @ evals)
-    return RecordMeanStats(mean=mean, mass=mass,
-                           mean_normalized=mean / mass,
-                           target_conditional=ell * dt,
-                           target_scaled=gp.xi.real * ell * dt)
+    dens = (np.abs(_amplitudes(evals, gp, grid, dt)) ** 2) @ w
+    return RecordMeanStats(mean=float(np.sum(grid * dens) * dy),
+                           mass=float(np.sum(dens) * dy),
+                           target=gp.xi.real * float(w @ evals) * dt)

@@ -35,7 +35,7 @@ from .gaussian import (LINEAR, NONLINEAR, SPREAD_RTOL, centroid_ensemble,
                        riccati_matrices, riccati_residual, simulate_width,
                        spreads_ordered, variance_covariance_series, variance_x)
 from .noise import derive_seed, measurement_record, wiener_path
-from .spin import (SIGMA_Z, CollapseReport, collapse_statistics, spin_model,
+from .spin import (SETTLED, SIGMA_Z, CollapseReport, collapse_statistics, spin_model,
                    supermartingale_check)
 
 
@@ -329,8 +329,8 @@ def _check_settled(cfg: ScenarioConfig, cols: dict) -> list:
         return []
     finals = np.array([cols[k][-1] for k in cols if k != "t"])
     mn = float(np.min(np.abs(finals)))
-    return [CheckOutcome("every trajectory settles on an eigenstate", mn > 0.999,
-                         f"min |<sz>(T)| = {mn:.6f}", "> 0.999")]
+    return [CheckOutcome("every trajectory settles on an eigenstate", mn > SETTLED,
+                         f"min |<sz>(T)| = {mn:.6f}", f"> {SETTLED}")]
 
 
 def _check_collapse_stats(cfg: ScenarioConfig, rep: dict) -> list:
@@ -355,8 +355,9 @@ def _check_master_equation(cfg: ScenarioConfig, cols: dict) -> list:
                          f"max dev {dev:.4f}", f"<= 5/sqrt(N) = {tol:.4f}")]
 
 
-# family -> (output kinds read, check) in report order; a check runs when
-# every kind it reads was written and returns no outcome when it does not apply.
+# family -> (output kinds read, check) in report order; a check runs when the
+# config asks for every kind it reads and each was written, and returns no
+# outcome when it does not apply.
 # The spread, Born and Bell checks format the outcome of a gate owned by the
 # module they test; the master-equation check holds the written oracle column
 # to engine.mc_tolerance, as criterion 1 holds the oracle rho.
@@ -371,12 +372,12 @@ _CHECKS = {
 
 
 def scenario_checks(cfg: ScenarioConfig, out_dir) -> list:
-    """Re-read the written outputs and evaluate scenario-level expectations."""
+    """Re-read the outputs ``cfg`` asks for and evaluate scenario-level expectations."""
     out_dir = Path(out_dir)
     checks = []
     for kinds, check in _CHECKS[cfg.family]:
         paths = [_output_path(cfg, out_dir, kind) for kind in kinds]
-        if all(p.exists() for p in paths):
+        if set(kinds) <= set(cfg.outputs) and all(p.exists() for p in paths):
             data = [(read_series(p) if p.suffix == _SERIES else read_report(p))[1]
                     for p in paths]
             checks += check(cfg, *data)

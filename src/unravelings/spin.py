@@ -1,4 +1,4 @@
-"""Spin-1/2 model: closed forms, collapse statistics and route cross-checks.
+"""Spin-1/2 model: closed forms, collapse statistics and the two constructions' cross-checks.
 
 Model: H = hbar * nu * sigma_z, coupling L = sigma_z with rate lam.  Both
 extreme family members admit closed-form solutions:
@@ -14,9 +14,8 @@ extreme family members admit closed-form solutions:
   exponent accumulates sqrt(lam) W_t + 2 lam int_0^t <sigma_z>_s ds, and the
   trajectory collapses onto an eigenstate with Born-rule branch weights.
 
-:func:`spin_nonlinear_trajectory` builds the collapse member either with
-the Euler-Maruyama kernel or, step by step, with the exact exponential
-kernel of the engine; :func:`exponential_reconstruction` rebuilds every
+:func:`spin_nonlinear_trajectory` integrates the collapse member with the
+Euler-Maruyama kernel; :func:`exponential_reconstruction` rebuilds every
 stored state at once from the closed form above.
 
 The ensemble-mean conditional spread of the collapse member obeys the bound
@@ -29,11 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import EnsembleResult, ModelSpec, TrajectoryRecord, UnravelingParams, \
-    _column_means, _ColumnKernel, _ExponentialKernel, _kernel_trajectory, _sum_rows, \
-    simulate_ensemble, simulate_trajectory
+    _column_means, _ColumnKernel, _sum_rows, simulate_ensemble, simulate_trajectory
 from .linalg import assert_normalized, pauli
 
 SIGMA_Z = pauli("z")
+SETTLED = 0.999   # |<sigma_z>| above which a trajectory has settled on an eigenstate
 
 
 @dataclass(frozen=True)
@@ -78,29 +77,10 @@ def collapse_bound(sigma0: float, lam: float, t) -> np.ndarray | float:
 
 
 def spin_nonlinear_trajectory(psi0: np.ndarray, sp: SpinParams, dt: float, n_steps: int,
-                              seed: int, route: str = "sse") -> TrajectoryRecord:
-    """Collapse-member trajectory via either of two constructions.
-
-    route='sse'       direct Euler-Maruyama integration of the nonlinear
-                      state equation (xi = 1) on the physical noise.
-    route='girsanov'  exact exponential update of the linear equation driven
-                      by the raw noise, normalized step by step; the raw
-                      increments are built from the same physical path by the
-                      drift shift d(xi) = dW + 2 sqrt(lam) <sigma_z> dt.
-
-    Both are ensembles of one driven by wiener_path(seed, dt, n_steps) as
-    the physical noise, so their conditional-mean series can be compared
-    pathwise.
-    """
-    u = UnravelingParams.nonlinear(sp.lam)
-    model = spin_model(sp)
-    if route == "sse":
-        return simulate_trajectory(model, u, psi0, dt, n_steps, seed,
-                                   tracked_observables={"sz": SIGMA_Z})
-    if route != "girsanov":
-        raise ValueError(f"route must be 'sse' or 'girsanov', got {route!r}")
-    return _kernel_trajectory(_ExponentialKernel(model, u, dt), psi0, dt, n_steps, seed,
-                              {"sz": SIGMA_Z})
+                              seed: int) -> TrajectoryRecord:
+    """Collapse-member trajectory on wiener_path(seed, dt, n_steps), tracking 'sz'."""
+    return simulate_trajectory(spin_model(sp), UnravelingParams.nonlinear(sp.lam), psi0, dt,
+                               n_steps, seed, tracked_observables={"sz": SIGMA_Z})
 
 
 def _sigma_z_paths(kernel: _ColumnKernel, psi0: np.ndarray, dW: np.ndarray) -> np.ndarray:
@@ -171,18 +151,18 @@ class CollapseReport:
         return float(np.sqrt(self.born_p_up * (1.0 - self.born_p_up) / self.n_total))
 
 
-def collapse_statistics(result: EnsembleResult, threshold: float = 0.999) -> CollapseReport:
+def collapse_statistics(result: EnsembleResult) -> CollapseReport:
     """Classify trajectory endpoints by the sign of the final <sigma_z>.
 
-    ``result`` must track 'sz'.  Endpoints with |<sigma_z>| <= threshold are
+    ``result`` must track 'sz'.  Endpoints with |<sigma_z>| <= SETTLED are
     counted as unresolved rather than dropped.
     """
     z_final = result.means["sz"][-1]
-    up = int(np.sum(z_final > threshold))
-    down = int(np.sum(z_final < -threshold))
+    up = int(np.sum(z_final > SETTLED))
+    down = int(np.sum(z_final < -SETTLED))
     unresolved = int(z_final.size - up - down)
     return CollapseReport(n_up=up, n_down=down, n_unresolved=unresolved,
-                          threshold=threshold, born_p_up=float(abs(result.psi0[0]) ** 2))
+                          threshold=SETTLED, born_p_up=float(abs(result.psi0[0]) ** 2))
 
 
 @dataclass(frozen=True)

@@ -134,6 +134,26 @@ def test_validation_rejects_non_numbers(preset_name, path, value, fragment, tmp_
     assert fragment in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("change, fragment", [
+    ({"name": "../escaped"}, "name"),
+    ({"name": 5}, "name"),
+    ({"name": ""}, "name"),
+    ({"outputs": ["sigma", "sigma", "var"]}, "more than once"),
+], ids=["name_escapes", "name_not_str", "name_empty", "output_repeated"])
+def test_validation_rejects_unsafe_names_and_repeated_outputs(change, fragment, tmp_path,
+                                                              capsys):
+    # output files are <out>/<name>_<kind>.<ext>: a name must not reach outside <out>,
+    # and a kind listed twice would be written twice
+    raw = {**PRESETS["riccati_free"], "outputs": ["sigma"], **change}
+    with pytest.raises(ConfigError, match=fragment):
+        validate_config(raw)
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert fragment in capsys.readouterr().err
+    assert [p.name for p in tmp_path.rglob("*")] == ["bad.json"]
+
+
 def test_stability_violation_reports_usable_cap():
     fig2 = PRESETS["fig2"]
     for raw in ({**fig2, "dt": 0.5},
@@ -244,6 +264,17 @@ def test_scenario_checks_fail_on_hand_built_broken_gates():
             "dynamical": {"rho_distance": [0.0, 0.01], "mc_rho_tolerance": 0.05,
                           "spread_gap_final": 0.9}}
     assert [c.passed for c in _check_bell(cfg, bell)] == [False, True, True, True]
+
+
+def test_scenario_checks_read_only_the_outputs_the_config_asks_for(tmp_path):
+    # a short fig2 run leaves unsettled trajectories behind; a later collapse_stats
+    # run into the same directory is not checked against them
+    run_scenario(validate_config({**PRESETS["fig2"], "t_final": 1.0}), tmp_path)
+    cfg = validate_config({**PRESETS["fig2"], "outputs": ["collapse_stats"], "base_seed": 8})
+    run_scenario(cfg, tmp_path)
+    assert [c.name for c in scenario_checks(cfg, tmp_path)] == [
+        "branch frequencies follow the Born weights",
+        "mean conditional spread under the collapse bound"]
 
 
 def test_scenario_checks_empty_dir_is_failure(tmp_path):

@@ -207,6 +207,7 @@ def test_simulate_width_tracks_closed_form():
 def test_centroid_ensemble_matches_quadrature():
     xs, _ = centroid_ensemble(P_NAT, 0.25 + 0j, LINEAR, 0.0, 0.0, 1e-3, 1000,
                               2000, base_seed=77)
+    assert xs.shape == (1, 2000)                # the final step alone by default
     mc = np.mean(xs ** 2)
     se = np.std(xs ** 2, ddof=1) / np.sqrt(2000)
     ref = mean_square_x(1.0, P_NAT, 0.25 + 0j, 0.0, 0.0, LINEAR)
@@ -242,7 +243,7 @@ def test_centroid_ensemble_chunks_and_blocks_follow_each_stream(monkeypatch, mem
                 x, kk = _centroid_step(x, kk, a, dW[j], p, member, dt)
     assert np.array_equal(xs, ref_x) and np.array_equal(ks, ref_k)
     final_x, final_k = centroid_ensemble(p, a0, member, 0.2, -0.1, dt, n, n_traj, base)
-    assert np.array_equal(final_x, ref_x[-1]) and np.array_equal(final_k, ref_k[-1])
+    assert np.array_equal(final_x, ref_x[-1:]) and np.array_equal(final_k, ref_k[-1:])
 
 
 def test_riccati_matrices_entries():

@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unravelings.engine import ModelSpec, UnravelingParams, _EulerKernel, lindblad_rhs
-from unravelings.gcm import (POVM, RECORD_MEAN, channel_apply, kraus_apply,
-                             kraus_matrix, norm_const_sq, outcome_grid,
+from unravelings.gcm import (channel_apply, kraus_apply, kraus_matrix, outcome_grid,
                              povm_completeness, record_mean_check, solve_gcm_params)
 from unravelings.linalg import identity, pauli, projector
 
@@ -40,22 +39,20 @@ def test_solver_rejects_degenerate_members():
 
 def test_operator_preserves_coupling_eigenstates():
     gp = solve_gcm_params(np.exp(0.4j), 1.0)
-    up = np.array([1.0, 0.0], dtype=complex)
-    for dy in (-0.01, 0.0, 0.02):
-        post, weight = kraus_apply(up, SZ, gp, dy, 1e-3)
-        assert abs(post[1]) == 0.0
-        assert weight > 0.0
+    ups = np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]], dtype=complex)
+    post, weights = kraus_apply(ups, SZ, gp, np.array([-0.01, 0.0, 0.02]), 1e-3)
+    assert np.all(post[1] == 0.0)
+    assert np.all(weights > 0.0)
+    with pytest.raises(ValueError, match="columns"):
+        kraus_apply(ups[:, 0], SZ, gp, 0.0, 1e-3)
 
 
 def test_povm_completeness_and_outcome_mass():
     dt = 1e-3
     for th in (0.0, 0.5, 1.2, -0.9):
         gp = solve_gcm_params(np.exp(1j * th), 1.0)
-        complete = povm_completeness(SZ, gp, dt, normalization=POVM)
+        complete = povm_completeness(SZ, gp, dt)
         assert np.max(np.abs(complete - identity(2))) <= 1e-6
-        # the record-mean convention integrates to 1/xi_r, not 1
-        mass = povm_completeness(SZ, gp, dt, normalization=RECORD_MEAN)[0, 0].real
-        assert mass == pytest.approx(1.0 / np.cos(th), rel=1e-10)
 
 
 def test_record_first_moment_both_targets():
@@ -70,10 +67,13 @@ def test_record_first_moment_both_targets():
     stats0 = record_mean_check(plus_x, SZ, gp, dt)
     assert abs(stats0.mean) <= 1e-18                            # <L> = 0 state
 
+    # off the pure-measurement member the outcome density keeps mass 1 and its
+    # first moment is the record equation's xi_r <L> dt
     gp2 = solve_gcm_params(np.exp(0.8j), 1.0)
     stats2 = record_mean_check(PSI0, SZ, gp2, dt)
-    assert stats2.mean == pytest.approx(stats2.target_conditional, rel=1e-9)
-    assert stats2.mean_normalized == pytest.approx(stats2.target_scaled, rel=1e-9)
+    assert stats2.target == pytest.approx(np.cos(0.8) * -0.5 * dt, rel=1e-12)
+    assert stats2.mean == pytest.approx(stats2.target, rel=1e-9)
+    assert stats2.mass == pytest.approx(1.0, abs=1e-10)
 
 
 def test_channel_reproduces_measurement_master_step_at_second_order():
@@ -171,19 +171,10 @@ def test_one_step_agreement_with_the_state_equation():
 
 def test_outcome_grid_covers_kernels():
     gp = solve_gcm_params(1.0 + 0.0j, 2.0)
-    grid = outcome_grid(SZ, gp, 1e-3, n_points=101)
+    grid = outcome_grid(SZ, gp, 1e-3)
     sd = np.sqrt(1e-3) / (2.0 * np.sqrt(2.0))
     assert grid[0] <= -1e-3 - 7.9 * sd and grid[-1] >= 1e-3 + 7.9 * sd
-    assert grid.size == 101
-
-
-def test_norm_const_conventions_ratio():
-    gp = solve_gcm_params(np.exp(0.6j), 1.3)
-    dt = 2e-3
-    ratio = norm_const_sq(gp, dt, POVM) / norm_const_sq(gp, dt, RECORD_MEAN)
-    assert ratio == pytest.approx(np.cos(0.6), rel=1e-12)
-    with pytest.raises(ValueError):
-        norm_const_sq(gp, dt, "other")
+    assert grid.size == 10_001
 
 
 @settings(max_examples=30, deadline=None)

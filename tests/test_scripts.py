@@ -19,7 +19,8 @@ def test_script_runs(script, args, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-    cmd = [sys.executable, str(ROOT / "scripts" / script)]
+    # tier-1 turns warnings into errors; the subprocess does not inherit that
+    cmd = [sys.executable, "-W", "error", str(ROOT / "scripts" / script)]
     cmd += [a.format(tmp=tmp_path) for a in args]
     proc = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr

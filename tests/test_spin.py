@@ -38,9 +38,13 @@ def test_collapse_bound_values():
 
 @pytest.mark.parametrize("route", ["sse", "girsanov"])
 def test_down_eigenstate_is_a_fixed_point(route):
+    # both collapse-member kernels: Euler-Maruyama and the exact exponential
+    kernel = {"sse": _EulerKernel, "girsanov": _ExponentialKernel}[route]
     down = np.array([0.0, 1.0], dtype=complex)
-    tr = spin_nonlinear_trajectory(down, SP, 1e-3, 200, seed=4, route=route)
-    assert np.max(np.abs(tr.means["sz"] + 1.0)) <= 1e-12
+    dW = wiener_path(4, 1e-3, 200).increments[None, :]
+    z = _sigma_z_paths(kernel(spin_model(SP), UnravelingParams.nonlinear(SP.lam), 1e-3),
+                       down, dW)
+    assert np.max(np.abs(z + 1.0)) <= 1e-12
 
 
 def test_trajectorywise_spread_vanishes_at_long_times():
@@ -102,7 +106,7 @@ def test_exponential_reconstruction_fidelity_deficit_halves():
         n = int(round(1.0 / dt))
         acc = []
         for k in range(n_paths):
-            tr = spin_nonlinear_trajectory(PSI0, SP, dt, n, 500 + k, route="sse")
+            tr = spin_nonlinear_trajectory(PSI0, SP, dt, n, 500 + k)
             fids = exponential_reconstruction(tr, SP)
             acc.append(np.mean((1.0 - fids) ** 2))
         return np.sqrt(np.mean(acc))
@@ -123,7 +127,7 @@ def test_collapse_statistics_eigenstate_all_up():
 
 def test_collapse_statistics_born_fractions():
     res = nonlinear_ensemble(PSI0, SP, 2e-3, 5000, 2000, base_seed=77)
-    rep = collapse_statistics(res, threshold=0.999)
+    rep = collapse_statistics(res)
     se = np.sqrt(0.25 * 0.75 / rep.n_total)
     assert abs(rep.fraction_up - 0.25) <= 3.0 * se
     assert rep.n_unresolved / rep.n_total < 0.01
@@ -164,8 +168,7 @@ def test_moment_flow_residual_rms_halves():
     def rms(dt):
         vals = []
         for k in range(25):
-            tr = spin_nonlinear_trajectory(PSI0, SP, dt, int(round(1.0 / dt)),
-                                           1300 + k, route="sse")
+            tr = spin_nonlinear_trajectory(PSI0, SP, dt, int(round(1.0 / dt)), 1300 + k)
             r = conditional_moment_flow_residual(tr, SIGMA_Z, model, u, 1)
             vals.append(np.mean(r ** 2))
         return np.sqrt(np.mean(vals))
@@ -202,5 +205,3 @@ def test_spin_model_shapes():
     assert m.hbar == 3.0
     with pytest.raises(ValueError):
         SpinParams(lam=-1.0)
-    with pytest.raises(ValueError):
-        spin_nonlinear_trajectory(PSI0, SP, 1e-3, 10, 1, route="other")
