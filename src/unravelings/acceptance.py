@@ -14,8 +14,8 @@ import numpy as np
 
 from .bell import bell_gates, bell_report
 from .engine import (ModelSpec, UnravelingParams, _EulerKernel,
-                     _ExponentialKernel, lindblad_rhs, master_equation_oracle, mc_tolerance,
-                     simulate_ensemble)
+                     _ExponentialKernel, _matched_blocks, lindblad_rhs,
+                     master_equation_oracle, mc_tolerance, simulate_ensemble)
 from .gaussian import (LINEAR, NONLINEAR, SPREAD_RTOL, MechanicalParams, a_closed_form,
                        centroid_ensemble, conditional_covariance_series,
                        conditional_spread_x, initial_spread_deviation, mean_square_x,
@@ -361,26 +361,23 @@ def criterion_9() -> CriterionResult:
 
     def mean_spread_curves(dt, seed):
         n = int(round(T / dt))
-        euler, expo = _EulerKernel(model, u, dt), _ExponentialKernel(model, u, dt)
-        rng = np.random.default_rng(seed)
-        psi = np.tile(_PSI0[:, None], (1, n_pairs))
-        phi = psi.copy()
+        kernels = (_EulerKernel(model, u, dt), _ExponentialKernel(model, u, dt))
         idx = np.linspace(0, n, 11).astype(int)
-        cur_i = np.empty(11)
-        cur_ii = np.empty(11)
-        cur_i[0] = cur_ii[0] = 0.75
+        curves = np.full((2, 11), 0.75)          # rows: Euler chain, exponential map
+        spread = np.empty((2, n_pairs))
         j = 1
-        for k in range(n):
-            dW = rng.standard_normal(n_pairs) * np.sqrt(dt)
-            psi = euler.step(psi, dW, k)
-            phi = expo.step(phi, dW, k)
-            if j < 11 and k + 1 == idx[j]:
-                z_i = np.abs(psi[0]) ** 2 - np.abs(psi[1]) ** 2
-                z_ii = np.abs(phi[0]) ** 2 - np.abs(phi[1]) ** 2
-                cur_i[j] = np.mean(1.0 - z_i ** 2)
-                cur_ii[j] = np.mean(1.0 - z_ii ** 2)
+        for start, c0, states in _matched_blocks(kernels, _PSI0, np.random.default_rng(seed),
+                                                 dt, n, n_pairs, stops=idx[1:]):
+            if start + len(states[0]) < idx[j]:  # blocks end at every snapshot step
+                continue
+            c1 = c0 + states[0].shape[2]
+            for row, s in zip(spread, states):
+                z = np.abs(s[-1, 0]) ** 2 - np.abs(s[-1, 1]) ** 2
+                row[c0:c1] = 1.0 - z ** 2
+            if c1 == n_pairs:
+                curves[:, j] = [np.mean(row) for row in spread]
                 j += 1
-        return cur_i, cur_ii
+        return curves
 
     rms = []
     for dt in (8e-3, 4e-3, 2e-3):

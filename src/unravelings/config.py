@@ -209,6 +209,8 @@ def validate_config(raw: dict) -> ScenarioConfig:
                         "at least 2 trajectories")
     if "record" in outputs and xi_r == 0.0:
         errs.append("outputs: 'record' requires xi_r > 0 (a measurement reading)")
+    if "collapse_stats" in outputs and xi_r == 0.0:
+        errs.append("outputs: 'collapse_stats' requires xi_r > 0 (a member that collapses)")
 
     params = raw.get("params", {})
     if not isinstance(params, dict):

@@ -43,6 +43,11 @@ h and l):
 
     psi' = exp(diag(sqrt(lam) l dxi - lam l^2 dt - (i/hbar) h dt)) psi.
 
+Only the real part of the exponent changes from step to step, so the map
+is evaluated as a real exponential times the fixed phase exp(-(i/hbar) h dt),
+built once per kernel; this agrees with the complex exponential of the whole
+exponent to a few units in the last place.
+
 The two kernels share the renormalization, the norm check and the column
 layout through :class:`_ColumnKernel`, and nothing of the Euler increment,
 so they stay independent constructions of one member.
@@ -58,6 +63,14 @@ one vectorised pass (:func:`noise.default_rngs` on the
 snapshot from the kernel's after-step callback.  Block boundaries do not
 depend on the snapshot steps, and the streams do not depend on either, so
 the snapshots never change a trajectory.
+
+A shared-stream batch runs several kernels on columns that all read one
+generator, so that each kernel sees the same increments (criterion 9's
+matched pairs).  Only :func:`_matched_blocks` chunks such a batch: it draws
+the stream in blocks of whole steps (the same numbers as one draw per step)
+and advances each kernel through a block on chunks of ``_PAIR_CHUNK``
+columns, which keeps a chunk's states in cache.  On a diagonal model every
+step is elementwise, so a chunked column has the bits of the full-width loop.
 
 The master equation is written once, in :func:`lindblad_rhs`; the oracle
 takes classical RK4 steps of it.  The flow is linear, so the one-step
@@ -228,10 +241,9 @@ class _ColumnKernel:
     A subclass supplies ``update(psis, dW)``, the un-normalized map of one step.
     """
 
-    def step(self, psis: np.ndarray, dW: np.ndarray, step_index: int = 0,
-             first_traj: int = 0) -> np.ndarray:
+    def step(self, psis: np.ndarray, dW: np.ndarray) -> np.ndarray:
         """One renormalized step of every column; ``dW`` has one entry per column."""
-        return self.run(psis, dW[:, None], step_index, first_traj)
+        return self.run(psis, dW[:, None])
 
     def run(self, psis: np.ndarray, dW: np.ndarray, first_step: int = 0,
             first_traj: int = 0, states: np.ndarray | None = None,
@@ -321,12 +333,14 @@ class _ExponentialKernel(_ColumnKernel):
         h = np.diag(model.H).real[:, None]
         self.sqrt_lam_l = np.sqrt(u.lam) * self.l
         self.shift = 2.0 * np.sqrt(u.lam) * dt       # dxi - dW per unit <L>
-        self.drift = -u.lam * self.l ** 2 * dt - (1j * dt / model.hbar) * h
+        self.decay = -u.lam * self.l ** 2 * dt
+        self.phase = np.exp((-1j * dt / model.hbar) * h)   # the same at every step
 
     def update(self, psis: np.ndarray, dW: np.ndarray) -> np.ndarray:
         """The exponential map of normalized columns, before renormalization."""
         ell = _sum_rows(self.l * (psis.real ** 2 + psis.imag ** 2))
-        return np.exp(self.sqrt_lam_l * (dW + self.shift * ell) + self.drift) * psis
+        return (np.exp(self.sqrt_lam_l * (dW + self.shift * ell) + self.decay)
+                * self.phase) * psis
 
 
 def sse_step(psi: np.ndarray, model: ModelSpec, u: UnravelingParams,
@@ -389,6 +403,51 @@ def _noise_blocks(base_seed: int, k0: int, k1: int, n_steps: int, dt: float):
     sqrt_dt = np.sqrt(dt)
     for start in range(0, n_steps, cap):
         yield start, _wiener_block(rngs, min(cap, n_steps - start), sqrt_dt)
+
+
+_PAIR_CHUNK = 10_000        # columns per kernel pass of a shared-stream batch (fixed)
+_PAIR_BUDGET = 1_600_000    # doubles per block of the shared stream (100 000 x 16)
+
+
+def _matched_blocks(kernels, psi0: np.ndarray, rng, dt: float, n_steps: int,
+                    n_cols: int, stops=()):
+    """Run ``kernels`` in lock step on ``n_cols`` columns driven by one shared stream.
+
+    Every column of every kernel starts at ``psi0``.  Step k of column c
+    takes entry c of the k-th successive ``rng.standard_normal(n_cols)``
+    draw times sqrt(dt), for every kernel, so the kernels see matched noise.
+    The stream is drawn in blocks of whole steps that end at every step in
+    ``stops`` and hold at most ``_PAIR_BUDGET`` doubles.  Each kernel
+    advances a block on chunks of ``_PAIR_CHUNK`` columns, so a chunk's
+    states stay in cache through the block.
+
+    Yields ``(first_step, c0, states)`` once per block and chunk, chunks in
+    column order; ``states[i]`` (n_block_steps, dim, width) holds kernel
+    i's states of columns c0..c0+width-1 after each step of the block.  The
+    buffers are reused, so a caller reads them before asking for the next.
+    A non-finite state raises FloatingPointError naming its column and step.
+    """
+    psi0 = np.asarray(psi0, dtype=complex)
+    ends = sorted({int(s) for s in stops if 0 < s < n_steps} | {n_steps})
+    cap = max(1, _PAIR_BUDGET // n_cols)
+    chunks = [(c0, min(c0 + _PAIR_CHUNK, n_cols)) for c0 in range(0, n_cols, _PAIR_CHUNK)]
+    psis = [[np.repeat(psi0[:, None], c1 - c0, axis=1) for _ in kernels] for c0, c1 in chunks]
+    bufs = [np.empty((min(cap, n_steps), psi0.size, min(_PAIR_CHUNK, n_cols)), dtype=complex)
+            for _ in kernels]
+    sqrt_dt = np.sqrt(dt)
+    start = 0
+    for end in ends:
+        while start < end:
+            nb = min(cap, end - start)
+            dW = rng.standard_normal((nb, n_cols))
+            dW *= sqrt_dt
+            for (c0, c1), cols in zip(chunks, psis):
+                states = [buf[:nb, :, :c1 - c0] for buf in bufs]
+                for i, kernel in enumerate(kernels):
+                    cols[i] = kernel.run(cols[i], dW[:, c0:c1].T, start, c0, states=states[i])
+                yield start, c0, states
+            del dW  # freed before the next block is drawn (peak memory)
+            start += nb
 
 
 def _checked_snapshots(snapshot_steps, n_steps: int) -> list:

@@ -55,9 +55,11 @@ def test_validation_collects_every_violation():
 
 def test_validation_rejects_specific_constraints(tmp_path, capsys):
     base = dict(PRESETS["fig2"])
-    bad = {**base, "unraveling": "linear", "outputs": ["record"]}
-    with pytest.raises(ConfigError, match="xi_r > 0"):
-        validate_config(bad)
+    # no measurement reading and no collapse at xi_r = 0
+    for kind in ("record", "collapse_stats"):
+        for member in ("linear", {"xi": [0.0, 1.0]}):
+            with pytest.raises(ConfigError, match=f"'{kind}' requires xi_r > 0"):
+                validate_config({**base, "unraveling": member, "outputs": [kind]})
     bad2 = {**base, "dt": 0.5}
     with pytest.raises(ConfigError, match="stability budget"):
         validate_config(bad2)

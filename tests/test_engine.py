@@ -261,6 +261,84 @@ def test_exponential_kernel_rejects_other_members_and_dense_models():
                            UnravelingParams.nonlinear(1.0), 1e-3)
 
 
+def test_exponential_kernel_update_matches_the_complex_exponent():
+    # the real exponent times the fixed phase is the complex exponential of
+    # the whole map, up to the rounding of one product
+    rng = np.random.default_rng(10)
+    model = _diagonal_three_level(rng)
+    lam, dt = 0.8, 5e-2
+    kernel = _ExponentialKernel(model, UnravelingParams.nonlinear(lam), dt)
+    psis = _random_columns(rng, 3, 2000)
+    dW = rng.standard_normal(2000) * np.sqrt(dt)
+    l, h = np.diag(model.L).real[:, None], np.diag(model.H).real[:, None]
+    ell = np.sum(l * np.abs(psis) ** 2, axis=0)
+    drift = -lam * l ** 2 * dt - (1j * dt / model.hbar) * h
+    ref = np.exp(np.sqrt(lam) * l * (dW + 2.0 * np.sqrt(lam) * dt * ell) + drift) * psis
+    new = kernel.update(psis, dW)
+    assert np.all(np.abs(new - ref) <= 4.0 * np.finfo(float).eps * np.abs(ref))
+
+
+def _both_kernels(dt, lam=0.8):
+    model = _diagonal_three_level(np.random.default_rng(11))
+    u = UnravelingParams.nonlinear(lam)
+    return _EulerKernel(model, u, dt), _ExponentialKernel(model, u, dt)
+
+
+def test_matched_blocks_equal_the_full_width_loop(monkeypatch):
+    # chunks of 700 columns (3001 = 4 x 700 + 301) and blocks of at most 7
+    # steps that also end at the stops 10, 25 and 33: every state of both
+    # kernels has the bits of one full-width step per draw
+    n_cols, n_steps, dt = 3001, 40, 1e-3
+    monkeypatch.setattr(engine, "_PAIR_CHUNK", 700)
+    monkeypatch.setattr(engine, "_PAIR_BUDGET", 7 * n_cols)
+    kernels = _both_kernels(dt)
+    psi0 = _random_columns(np.random.default_rng(12), 3, 1)[:, 0]
+
+    rng = np.random.default_rng(13)
+    ref = np.empty((2, n_steps, 3, n_cols), dtype=complex)
+    cols = [np.repeat(psi0[:, None], n_cols, axis=1) for _ in kernels]
+    for k in range(n_steps):
+        dW = rng.standard_normal(n_cols) * np.sqrt(dt)
+        for i, kernel in enumerate(kernels):
+            cols[i] = ref[i, k] = kernel.step(cols[i], dW)
+
+    got = np.full_like(ref, np.nan)
+    blocks = set()
+    for start, c0, states in engine._matched_blocks(kernels, psi0, np.random.default_rng(13),
+                                                    dt, n_steps, n_cols, stops=(10, 25, 33)):
+        nb, c1 = len(states[0]), c0 + states[0].shape[2]
+        blocks.add((start, start + nb))
+        for i, s in enumerate(states):
+            got[i, start:start + nb, :, c0:c1] = s
+    assert sorted(blocks) == [(0, 7), (7, 10), (10, 17), (17, 24), (24, 25), (25, 32),
+                              (32, 33), (33, 40)]
+    assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["euler", "exponential"])
+def test_matched_blocks_name_the_global_column_and_step_of_a_non_finite_state(
+        monkeypatch, which):
+    class SpikedStream:
+        """Zero increments but one of 1e300 at (step 5, column 6)."""
+        drawn = 0
+
+        def standard_normal(self, shape):
+            out = np.zeros(shape)
+            if self.drawn <= 5 < self.drawn + shape[0]:
+                out[5 - self.drawn, 6] = 1e300
+            self.drawn += shape[0]
+            return out
+
+    monkeypatch.setattr(engine, "_PAIR_CHUNK", 4)       # column 6 is in the second chunk
+    monkeypatch.setattr(engine, "_PAIR_BUDGET", 30)     # blocks of 3 steps
+    kernels = _both_kernels(1e-3)
+    psi0 = _random_columns(np.random.default_rng(14), 3, 1)[:, 0]
+    with pytest.raises(FloatingPointError, match="trajectory 6 became non-finite at step 5"):
+        for _ in engine._matched_blocks(kernels[which:which + 1], psi0, SpikedStream(),
+                                        1e-3, 9, 10):
+            pass
+
+
 def test_simulate_trajectory_shapes_and_record():
     model = spin_model()
     u = UnravelingParams.nonlinear(1.0)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from unravelings.engine import (UnravelingParams, _EulerKernel, _ExponentialKernel,
-                                conditional_moment_flow_residual)
+                                _matched_blocks, conditional_moment_flow_residual)
 from unravelings.noise import wiener_path
 from unravelings.spin import (SIGMA_Z, CollapseReport, SpinParams, _sigma_z_paths,
                               collapse_bound, collapse_statistics,
@@ -81,20 +81,14 @@ def test_route_difference_contracts_at_strong_order_half():
 
     def paired_rms(dt, n_pairs=20_000, T=1.0, seed=321):
         n = int(round(T / dt))
-        euler, expo = _EulerKernel(model, u, dt), _ExponentialKernel(model, u, dt)
-        rng = np.random.default_rng(seed)
-        psi = np.tile(PSI0[:, None], (1, n_pairs))
-        phi = psi.copy()
-        acc, cnt = 0.0, 0
-        for _ in range(n):
-            dW = rng.standard_normal(n_pairs) * np.sqrt(dt)
-            psi = euler.step(psi, dW)
-            phi = expo.step(phi, dW)
-            z_i = np.abs(psi[0]) ** 2 - np.abs(psi[1]) ** 2
-            z_ii = np.abs(phi[0]) ** 2 - np.abs(phi[1]) ** 2
+        kernels = (_EulerKernel(model, u, dt), _ExponentialKernel(model, u, dt))
+        acc = 0.0
+        for _, _, (psi, phi) in _matched_blocks(kernels, PSI0, np.random.default_rng(seed),
+                                                dt, n, n_pairs):
+            z_i = np.abs(psi[:, 0]) ** 2 - np.abs(psi[:, 1]) ** 2
+            z_ii = np.abs(phi[:, 0]) ** 2 - np.abs(phi[:, 1]) ** 2
             acc += float(np.sum((z_i - z_ii) ** 2))
-            cnt += n_pairs
-        return np.sqrt(acc / cnt)
+        return np.sqrt(acc / (n * n_pairs))
 
     r = [paired_rms(dt) for dt in (4e-3, 2e-3, 1e-3)]
     assert 1.25 <= r[0] / r[1] <= 1.6
