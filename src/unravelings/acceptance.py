@@ -16,7 +16,7 @@ from .bell import bell_gates, bell_report
 from .engine import (ModelSpec, UnravelingParams, _EulerKernel,
                      _ExponentialKernel, _matched_blocks, lindblad_rhs,
                      master_equation_oracle, mc_tolerance, simulate_ensemble)
-from .gaussian import (LINEAR, NONLINEAR, SPREAD_RTOL, MechanicalParams, a_closed_form,
+from .gaussian import (SPREAD_RTOL, MechanicalParams, a_closed_form,
                        centroid_ensemble, conditional_covariance_series,
                        conditional_spread_x, initial_spread_deviation, mean_square_x,
                        riccati_matrices, riccati_residual, simulate_width,
@@ -121,22 +121,23 @@ def criterion_4() -> CriterionResult:
     p, a0 = _FIG1, _FIG1_A0
     obs = {}
     grid = np.concatenate([[0.0], np.logspace(-15.0, 1.0, 1000)])
-    spreads = (conditional_spread_x(grid, p, a0, NONLINEAR),
-               conditional_spread_x(grid, p, a0, LINEAR), variance_x(grid, p, a0))
+    # collapse (xi = 1), phase noise (xi = -i) and the density-matrix variance
+    spreads = (conditional_spread_x(grid, p, a0, 1.0),
+               conditional_spread_x(grid, p, a0, -1j), variance_x(grid, p, a0))
     dev0 = initial_spread_deviation(a0, *spreads)
     obs["initial_rel_dev"] = dev0
     ok_a = dev0 <= SPREAD_RTOL
 
-    cons = spread_constants(p, a0, NONLINEAR)
+    cons = spread_constants(p, a0, 1.0)
     plateau = 1.0 / (4.0 * cons.asymptote.real)
     t_late = 100.0 / cons.rate.real
-    dev_b = abs(conditional_spread_x(t_late, p, a0, NONLINEAR) / plateau - 1.0)
+    dev_b = abs(conditional_spread_x(t_late, p, a0, 1.0) / plateau - 1.0)
     obs["plateau_m2"] = plateau
     obs["plateau_rel_dev"] = float(dev_b)
     ok_b = dev_b <= 1e-3
 
     ts = np.linspace(2.0, 10.0, 9)
-    gap = variance_x(ts, p, a0) - conditional_spread_x(ts, p, a0, LINEAR)
+    gap = variance_x(ts, p, a0) - conditional_spread_x(ts, p, a0, -1j)
     ref = p.lam * p.hbar ** 2 * ts ** 3 / (3.0 * p.mass ** 2)
     dev_c = float(np.max(np.abs(gap / ref - 1.0)))
     obs["identity_rel_err"] = dev_c
@@ -156,11 +157,11 @@ def criterion_5() -> CriterionResult:
     """Width SDE matches its closed form; centroid MC matches the quadrature."""
     t0 = time.perf_counter()
     p, a0 = _FIG1, _FIG1_A0
-    cons = spread_constants(p, a0, NONLINEAR)
+    cons = spread_constants(p, a0, 1.0)
     T = 10.0 / cons.rate.real
     n = 1_000_000
     dt = T / n
-    path = simulate_width(p, a0, NONLINEAR, dt, n)
+    path = simulate_width(p, a0, 1.0, dt, n)
     ref = a_closed_form(np.arange(n + 1) * dt, cons)
     rel = float(np.max(np.abs(path - ref) / np.abs(ref)))
     ok_width = rel <= 1e-4
@@ -168,13 +169,13 @@ def criterion_5() -> CriterionResult:
     n2, n_traj = 1000, 2000
     dt2 = 1e-5
     snaps = [250, 500, 1000]
-    xs, _ = centroid_ensemble(p, a0, LINEAR, 0.0, 0.0, dt2, n2, n_traj, 505,
+    xs, _ = centroid_ensemble(p, a0, -1j, 0.0, 0.0, dt2, n2, n_traj, 505,
                               snapshot_steps=snaps)
     worst_se = 0.0
     for i, s in enumerate(snaps):
         mc = float(np.mean(xs[i] ** 2))
         se = float(np.std(xs[i] ** 2, ddof=1) / np.sqrt(n_traj))
-        refv = mean_square_x(s * dt2, p, a0, 0.0, 0.0, LINEAR)
+        refv = mean_square_x(s * dt2, p, a0, 0.0, 0.0, -1j)
         worst_se = max(worst_se, abs(mc - refv) / se)
     ok_mc = worst_se <= 4.0
 
@@ -201,15 +202,15 @@ def criterion_6() -> CriterionResult:
     for tag, omega in (("free", 0.0), ("harmonic", 0.5)):
         p = MechanicalParams(mass=1.0, omega=omega, lam=1.0, hbar=1.0)
         a0 = 0.3 + 0.1j
-        for which in (NONLINEAR, LINEAR, "variance"):
+        for which, xi in (("nonlinear", 1.0), ("linear", -1j), ("variance", None)):
             maxima = []
             for n in (400, 800):
                 ts = np.linspace(0.0, 4.0, n + 1)
                 h_fine = ts[1] - ts[0]
-                ser = (variance_covariance_series(ts, p, a0) if which == "variance"
-                       else conditional_covariance_series(ts, p, a0, which))
+                ser = (variance_covariance_series(ts, p, a0) if xi is None
+                       else conditional_covariance_series(ts, p, a0, xi))
                 scale = float(np.max(np.abs(ser)))
-                res = riccati_residual(ser, riccati_matrices(p, which), h_fine)
+                res = riccati_residual(ser, riccati_matrices(p, xi), h_fine)
                 maxima.append(float(np.max(res)))
             ratio = maxima[0] / maxima[1]
             floor = float(100.0 * eps * scale / h_fine)
@@ -228,16 +229,16 @@ def criterion_7() -> CriterionResult:
     """Trapped-particle formulas reach their free limits as omega -> 0."""
     t0 = time.perf_counter()
     p_free, a0 = _FIG1, _FIG1_A0
-    cons_f = spread_constants(p_free, a0, NONLINEAR)
+    cons_f = spread_constants(p_free, a0, 1.0)
     omega = 1e-6 * np.sqrt(p_free.hbar * p_free.lam / p_free.mass)
     p_h = MechanicalParams(mass=p_free.mass, omega=omega, lam=p_free.lam,
                            hbar=p_free.hbar)
-    cons_h = spread_constants(p_h, a0, NONLINEAR)
+    cons_h = spread_constants(p_h, a0, 1.0)
     dev_b = abs(cons_h.rate / cons_f.rate - 1.0)
     dev_c = abs(cons_h.asymptote / cons_f.asymptote - 1.0)
     ts = np.linspace(1e-4, 10.0 / cons_f.rate.real, 200)
-    dev_s = float(np.max(np.abs(conditional_spread_x(ts, p_h, a0, NONLINEAR)
-                                / conditional_spread_x(ts, p_free, a0, NONLINEAR) - 1.0)))
+    dev_s = float(np.max(np.abs(conditional_spread_x(ts, p_h, a0, 1.0)
+                                / conditional_spread_x(ts, p_free, a0, 1.0) - 1.0)))
     worst = max(dev_b, dev_c, dev_s)
     return CriterionResult(7, "trap-to-free continuity", worst <= 1e-5,
                            "rate, asymptote and spread agree to rel 1e-5 at "
@@ -366,13 +367,11 @@ def criterion_9() -> CriterionResult:
         curves = np.full((2, 11), 0.75)          # rows: Euler chain, exponential map
         spread = np.empty((2, n_pairs))
         j = 1
-        for start, c0, states in _matched_blocks(kernels, _PSI0, np.random.default_rng(seed),
-                                                 dt, n, n_pairs, stops=idx[1:]):
-            if start + len(states[0]) < idx[j]:  # blocks end at every snapshot step
-                continue
-            c1 = c0 + states[0].shape[2]
+        for _, c0, states in _matched_blocks(kernels, _PSI0, np.random.default_rng(seed),
+                                             dt, n, n_pairs, stops=idx[1:]):
+            c1 = c0 + states[0].shape[1]
             for row, s in zip(spread, states):
-                z = np.abs(s[-1, 0]) ** 2 - np.abs(s[-1, 1]) ** 2
+                z = np.abs(s[0]) ** 2 - np.abs(s[1]) ** 2
                 row[c0:c1] = 1.0 - z ** 2
             if c1 == n_pairs:
                 curves[:, j] = [np.mean(row) for row in spread]

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .engine import UnravelingParams, check_stability
-from .gaussian import HBAR_SI, LINEAR, NONLINEAR, MechanicalParams, check_width_stability
+from .gaussian import HBAR_SI, MechanicalParams, check_width_stability
 from .spin import SpinParams, spin_model
 from .tolerances import TOL
 
@@ -65,6 +65,10 @@ class ScenarioConfig:
     @property
     def family(self) -> str:
         return FAMILIES[self.model]
+
+    @property
+    def xi(self) -> complex:
+        return complex(self.xi_r, self.xi_i)
 
     @property
     def n_steps(self) -> int:
@@ -173,9 +177,6 @@ def validate_config(raw: dict) -> ScenarioConfig:
                 errs.append(f"unraveling.xi: |xi|^2 = {mod2} must equal 1")
             if xi_r < 0.0:
                 errs.append(f"unraveling.xi: xi_r must be >= 0, got {xi_r}")
-        if model != "spin":
-            errs.append("unraveling: mechanical models support only the named "
-                        "'nonlinear' / 'linear' members")
     else:
         errs.append(f"unraveling: must be 'nonlinear', 'linear' or {{'xi': [r, i]}}, got {unr!r}")
 
@@ -278,8 +279,7 @@ def validate_config(raw: dict) -> ScenarioConfig:
                 sp = cfg.spin()
                 check_stability(spin_model(sp), UnravelingParams(xi_r, xi_i, sp.lam), dt)
             else:
-                check_width_stability(cfg.mechanical(), cfg.a0(),
-                                      NONLINEAR if xi_r > 0 else LINEAR, dt)
+                check_width_stability(cfg.mechanical(), cfg.a0(), cfg.xi, dt)
         except ValueError as exc:
             raise ConfigError([str(exc)]) from None
     return cfg

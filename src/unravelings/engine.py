@@ -69,7 +69,8 @@ generator, so that each kernel sees the same increments (criterion 9's
 matched pairs).  Only :func:`_matched_blocks` chunks such a batch: it draws
 the stream in blocks of whole steps (the same numbers as one draw per step)
 and advances each kernel through a block on chunks of ``_PAIR_CHUNK``
-columns, which keeps a chunk's states in cache.  On a diagonal model every
+columns, which keeps a chunk's states in cache.  It hands back the states
+only at the caller's stop steps, where the blocks end.  On a diagonal model every
 step is elementwise, so a chunked column has the bits of the full-width loop.
 
 The master equation is written once, in :func:`lindblad_rhs`; the oracle
@@ -102,7 +103,7 @@ class UnravelingParams:
         if self.xi_r < 0.0:
             raise ValueError(f"xi_r must be >= 0, got {self.xi_r}")
         mod2 = self.xi_r ** 2 + self.xi_i ** 2
-        if abs(mod2 - 1.0) > TOL.unit_modulus:
+        if not abs(mod2 - 1.0) <= TOL.unit_modulus:     # also a nan
             raise ValueError(f"|xi|^2 = {mod2:.15f} must equal 1")
         if self.lam < 0.0:
             raise ValueError(f"lam must be >= 0, got {self.lam}")
@@ -417,23 +418,21 @@ def _matched_blocks(kernels, psi0: np.ndarray, rng, dt: float, n_steps: int,
     takes entry c of the k-th successive ``rng.standard_normal(n_cols)``
     draw times sqrt(dt), for every kernel, so the kernels see matched noise.
     The stream is drawn in blocks of whole steps that end at every step in
-    ``stops`` and hold at most ``_PAIR_BUDGET`` doubles.  Each kernel
-    advances a block on chunks of ``_PAIR_CHUNK`` columns, so a chunk's
-    states stay in cache through the block.
+    ``stops`` (and at ``n_steps``) and hold at most ``_PAIR_BUDGET`` doubles.
+    Each kernel advances a block on chunks of ``_PAIR_CHUNK`` columns, so a
+    chunk's states stay in cache through the block.
 
-    Yields ``(first_step, c0, states)`` once per block and chunk, chunks in
-    column order; ``states[i]`` (n_block_steps, dim, width) holds kernel
-    i's states of columns c0..c0+width-1 after each step of the block.  The
-    buffers are reused, so a caller reads them before asking for the next.
-    A non-finite state raises FloatingPointError naming its column and step.
+    Yields ``(step, c0, states)`` at each such stop step, once per chunk,
+    chunks in column order; ``states[i]`` (dim, width) is kernel i's state
+    of columns c0..c0+width-1 after that step.  The caller must not modify
+    it.  A non-finite state raises FloatingPointError naming its column and
+    step.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     ends = sorted({int(s) for s in stops if 0 < s < n_steps} | {n_steps})
     cap = max(1, _PAIR_BUDGET // n_cols)
     chunks = [(c0, min(c0 + _PAIR_CHUNK, n_cols)) for c0 in range(0, n_cols, _PAIR_CHUNK)]
     psis = [[np.repeat(psi0[:, None], c1 - c0, axis=1) for _ in kernels] for c0, c1 in chunks]
-    bufs = [np.empty((min(cap, n_steps), psi0.size, min(_PAIR_CHUNK, n_cols)), dtype=complex)
-            for _ in kernels]
     sqrt_dt = np.sqrt(dt)
     start = 0
     for end in ends:
@@ -442,10 +441,10 @@ def _matched_blocks(kernels, psi0: np.ndarray, rng, dt: float, n_steps: int,
             dW = rng.standard_normal((nb, n_cols))
             dW *= sqrt_dt
             for (c0, c1), cols in zip(chunks, psis):
-                states = [buf[:nb, :, :c1 - c0] for buf in bufs]
                 for i, kernel in enumerate(kernels):
-                    cols[i] = kernel.run(cols[i], dW[:, c0:c1].T, start, c0, states=states[i])
-                yield start, c0, states
+                    cols[i] = kernel.run(cols[i], dW[:, c0:c1].T, start, c0)
+                if start + nb == end:
+                    yield end, c0, list(cols)
             del dW  # freed before the next block is drawn (peak memory)
             start += nb
 

@@ -2,21 +2,21 @@
 
 A particle of mass ``m`` (free, or trapped with angular frequency ``omega``)
 is coupled in position with rate ``lam``.  Gaussian states stay Gaussian
-under both extreme family members, so the full dynamics reduces to three
+under every family member ``xi``, so the full dynamics reduces to three
 parameters: a complex width ``a`` (the coefficient of ``-(x - centroid)^2``
 in the log-amplitude), the real centroid and the real mean wavenumber::
 
     <x> = centroid,   <p> = hbar * wavenumber,   spread(x) = 1 / (4 Re a).
 
-The width obeys a deterministic complex Riccati ODE
+The width obeys a deterministic complex Riccati ODE, where ``c`` is the Ito
+term of ``sqrt(lam) xi x dW`` (lam at xi = 1, 0 at xi = -i)::
 
-    da/dt = lam' + i m omega^2 / (2 hbar) - (2 i hbar / m) a^2,
+    da/dt = c + i m omega^2 / (2 hbar) - (2 i hbar / m) a^2,   c = lam xi xi_r.
 
-with lam' = lam for the collapsing member and lam' = 0 for the
-phase-noise member, solved by ``a(t) = asymptote * tanh(rate * t + offset)``
-(for the free phase-noise case the solution degenerates to a rational
-function of t).  The centroid pair (centroid, wavenumber) is an
-Ornstein-Uhlenbeck-type linear SDE driven by the same Wiener process.
+It is solved by ``a(t) = asymptote * tanh(rate * t + offset)``, or by a
+rational function of t at c = omega = 0.  The centroid pair (centroid,
+wavenumber) is an Ornstein-Uhlenbeck-type linear SDE driven by the same
+Wiener process.
 
 Three second moments are compared throughout:
 
@@ -85,34 +85,35 @@ class SpreadConstants:
     offset: complex          # dimensionless
 
 
-NONLINEAR = "nonlinear"
-LINEAR = "linear"
-_MEMBERS = (NONLINEAR, LINEAR)
+def _checked_xi(xi) -> complex:
+    """``xi`` as a complex number, once the family's rule (|xi| = 1, Re xi >= 0) holds."""
+    xi = complex(xi)
+    return engine_mod.UnravelingParams(xi.real, xi.imag, 0.0).xi
 
 
-def _require_member(unraveling: str) -> None:
-    if unraveling not in _MEMBERS:
-        raise ValueError(f"unraveling must be one of {_MEMBERS}, got {unraveling!r}")
+def _rational_width(p: MechanicalParams, xi: complex) -> bool:
+    """True when the width ODE has no constant term (c = omega = 0)."""
+    return p.omega == 0.0 and p.lam * xi.real == 0.0
 
 
-def spread_constants(p: MechanicalParams, a0: complex, unraveling: str) -> SpreadConstants:
-    """Constants of the tanh-form width solution for the given member.
+def spread_constants(p: MechanicalParams, a0: complex, xi: complex) -> SpreadConstants:
+    """Constants of the tanh-form width solution of member ``xi``.
 
-    The pair (x_a, y_a) = (m^2 omega^2 / 4 hbar^2, m lam' / 2 hbar) fixes
-    ``asymptote = sqrt(x_a - i y_a)`` (root with Re >= 0 >= Im) and
+    (x_a, y_a) = (m^2 omega^2 / 4 hbar^2 + m lam xi_r xi_i / 2 hbar, m lam xi_r^2 / 2 hbar)
+    fixes ``asymptote = sqrt(x_a - i y_a)`` (root with Re >= 0 >= Im) and
     ``rate = 2 i hbar asymptote / m``; the offset matches the initial width.
-    The free phase-noise case (omega = lam' = 0) has no tanh form and is
-    rejected; use :func:`width_linear_free` instead.
+    At c = omega = 0 there is no tanh form: use :func:`width_linear_free`.
     """
-    _require_member(unraveling)
+    xi = _checked_xi(xi)
     a0 = complex(a0)
     if not (a0.real > 0.0):
         raise ValueError("initial width must have positive real part")
-    x_a = (p.mass * p.omega) ** 2 / (4.0 * p.hbar ** 2)
-    y_a = p.mass * p.lam / (2.0 * p.hbar) if unraveling == NONLINEAR else 0.0
-    if x_a == 0.0 and y_a == 0.0:
-        raise ValueError("free-particle phase-noise width is rational in t; "
+    if _rational_width(p, xi):
+        raise ValueError("a free width at c = 0 is rational in t; "
                          "no tanh-form constants exist (see width_linear_free)")
+    x_a = ((p.mass * p.omega) ** 2 / (4.0 * p.hbar ** 2)
+           + p.mass * p.lam * xi.real * xi.imag / (2.0 * p.hbar))
+    y_a = p.mass * p.lam * xi.real ** 2 / (2.0 * p.hbar)
     r = np.hypot(x_a, y_a)
     c = complex(np.sqrt(0.5 * (r + x_a)), -np.sqrt(0.5 * (r - x_a)))
     b = 2j * p.hbar * c / p.mass
@@ -143,31 +144,32 @@ def a_closed_form(t, constants: SpreadConstants):
     """Width a(t) = asymptote * tanh(rate * t + offset); scalar or array t."""
     t = np.asarray(t, dtype=float)
     out = constants.asymptote * _tanh_stable(constants.rate * t + constants.offset)
-    if out.ndim == 0:
-        return complex(out)
-    return out
+    return complex(out) if out.ndim == 0 else out
 
 
 def width_linear_free(t, p: MechanicalParams, a0: complex):
-    """Free-particle phase-noise width a(t) = a0 m / (m + 2 i hbar t a0)."""
+    """Free width a(t) = a0 m / (m + 2 i hbar t a0) at c = 0 (phase noise, or lam = 0)."""
     t = np.asarray(t, dtype=float)
     out = a0 * p.mass / (p.mass + 2j * p.hbar * t * a0)
-    if out.ndim == 0:
-        return complex(out)
-    return out
+    return complex(out) if out.ndim == 0 else out
 
 
-def width_at(t, p: MechanicalParams, a0: complex, unraveling: str):
-    """Closed-form width for either member, free or trapped."""
-    _require_member(unraveling)
-    if unraveling == LINEAR and p.omega == 0.0:
-        return width_linear_free(t, p, a0)
-    return a_closed_form(t, spread_constants(p, a0, unraveling))
+def _width_fn(p: MechanicalParams, a0: complex, xi: complex):
+    """The closed-form width t -> a(t) of member ``xi`` (already checked)."""
+    if _rational_width(p, xi):
+        return lambda t: width_linear_free(t, p, a0)
+    cons = spread_constants(p, a0, xi)
+    return lambda t: a_closed_form(t, cons)
 
 
-def conditional_spread_x(t, p: MechanicalParams, a0: complex, unraveling: str):
+def width_at(t, p: MechanicalParams, a0: complex, xi: complex):
+    """Closed-form width of member ``xi``, free or trapped."""
+    return _width_fn(p, a0, _checked_xi(xi))(t)
+
+
+def conditional_spread_x(t, p: MechanicalParams, a0: complex, xi: complex):
     """Trajectory-level position spread 1 / (4 Re a(t)); member-dependent."""
-    w = np.asarray(width_at(t, p, a0, unraveling))
+    w = np.asarray(width_at(t, p, a0, xi))
     re = w.real
     if np.any(re <= 0.0):
         raise ValueError("closed-form width lost positivity; inputs are unphysical")
@@ -206,7 +208,7 @@ def variance_x(t, p: MechanicalParams, a0: complex):
                    / (4.0 * p.mass ** 2 * a0.real))
         out = unitary + _noise_spread_free(t, p)
     else:
-        cons = spread_constants(p, a0, LINEAR)
+        cons = spread_constants(p, a0, -1j)     # the unitary width: xi = -i
         k = cons.offset
         breathing = (p.hbar / (2.0 * p.mass * p.omega)
                      * (np.cosh(2.0 * k.real) + np.cos(2.0 * (p.omega * t + k.imag)))
@@ -269,45 +271,44 @@ def _ballistic_mean(t: float, p: MechanicalParams, x0: float, k0: float) -> floa
 
 
 def mean_square_x(t: float, p: MechanicalParams, a0: complex, x0: float, k0: float,
-                  unraveling: str) -> float:
+                  xi: complex) -> float:
     """Noise average of <x>_t^2: ballistic term plus an Ito-isometry integral.
 
-    The integral runs the closed-form width history through the member's
-    response kernel and is evaluated with adaptive Simpson quadrature at
-    relative tolerance TOL.quadrature_rel.  For the collapsing member the
-    width relaxes on the scale Re(a0)/lam, which can be many orders shorter
-    than t; the integral is therefore split at that scale and the outer part
-    taken in log-time, so the early boundary layer is always resolved.
+    The integral ``lam int_0^t g^2 ds`` runs the closed-form width history through the
+    response ``g = xi_r / (2 Re a) Phi_xx + (xi_i - xi_r Im a / Re a) Phi_xk`` (Phi_xx =
+    cos w(t - s), Phi_xk = hbar sin w(t - s) / m w; free: 1, hbar (t - s) / m), by adaptive
+    Simpson quadrature at relative tolerance TOL.quadrature_rel.  The width relaxes on
+    the scale Re(a0) / (lam xi_r^2), which can be many orders shorter than t; the
+    integral is then split there and the outer part taken in log-time, so the early
+    boundary layer is always resolved.
     """
-    _require_member(unraveling)
+    xi = _checked_xi(xi)
     if t < 0.0:
         raise ValueError("t must be >= 0")
     ball = _ballistic_mean(t, p, x0, k0) ** 2
     if t == 0.0 or p.lam == 0.0:
         return float(ball)
     m, hb, om = p.mass, p.hbar, p.omega
-
-    if unraveling == LINEAR:
-        if om == 0.0:
-            integrand = lambda s: (hb * (t - s) / m) ** 2
-        else:
-            integrand = lambda s: (hb * np.sin(om * (s - t)) / (m * om)) ** 2
-        total = _adaptive_simpson(integrand, 0.0, t, TOL.quadrature_rel)
-        return float(ball + p.lam * total)
-
-    cons = spread_constants(p, a0, NONLINEAR)
+    width = _width_fn(p, a0, xi)
 
     def integrand(s):
-        a = a_closed_form(s, cons)
+        # g = xi_r * collapse + xi_i * Phi_xk, with collapse = Phi_xx / (2 Re a) - Im a Phi_xk / Re a
+        a = width(s)
         if om == 0.0:
-            g = ((hb / m) * (t - s) * a.imag - 0.5) / a.real
+            collapse = (0.5 - (hb / m) * (t - s) * a.imag) / a.real
+            phi_xk = hb * (t - s) / m
         else:
-            g = ((2.0 * a.imag * hb * np.sin(om * (s - t))
-                  + m * om * np.cos(om * (s - t)))
-                 / (2.0 * a.real * m * om))
+            u = om * (s - t)
+            collapse = ((2.0 * a.imag * hb * np.sin(u) + m * om * np.cos(u))
+                        / (2.0 * a.real * m * om))
+            phi_xk = -hb * np.sin(u) / (m * om)
+        g = xi.real * collapse + xi.imag * phi_xk
         return g * g
 
-    layer = complex(a0).real / p.lam  # width-relaxation time scale
+    rate = p.lam * xi.real ** 2
+    if rate == 0.0:                   # the width does not relax: no boundary layer
+        return float(ball + p.lam * _adaptive_simpson(integrand, 0.0, t, TOL.quadrature_rel))
+    layer = complex(a0).real / rate   # width-relaxation time scale
     split = min(0.5 * t, 1e-3 * layer)
     total = _adaptive_simpson(integrand, 0.0, split, TOL.quadrature_rel)
     total += _adaptive_simpson(lambda u: integrand(np.exp(u)) * np.exp(u),
@@ -317,78 +318,77 @@ def mean_square_x(t: float, p: MechanicalParams, a0: complex, x0: float, k0: flo
 
 # --- parameter SDE integration ----------------------------------------------
 
-def width_rate_scale(p: MechanicalParams, a0: complex, unraveling: str) -> float:
-    """Characteristic relaxation rate |rate| of the width ODE (s^-1)."""
-    if unraveling == LINEAR and p.omega == 0.0:
+def width_rate_scale(p: MechanicalParams, a0: complex, xi: complex) -> float:
+    """Characteristic relaxation rate |rate| of member ``xi``'s width ODE (s^-1)."""
+    xi = _checked_xi(xi)
+    if _rational_width(p, xi):
         return 2.0 * p.hbar * abs(a0) / p.mass
-    return abs(spread_constants(p, a0, unraveling).rate)
+    return abs(spread_constants(p, a0, xi).rate)
 
 
-def check_width_stability(p: MechanicalParams, a0: complex, unraveling: str,
-                          dt: float) -> None:
+def check_width_stability(p: MechanicalParams, a0: complex, xi: complex, dt: float) -> None:
     """Raise ValueError unless dt * |rate| of the width ODE stays inside the stability budget."""
-    rate = width_rate_scale(p, a0, unraveling)
+    rate = width_rate_scale(p, a0, xi)
     engine_mod._require_dt_within(dt, TOL.stability_budget / rate if rate > 0.0 else math.inf,
                                   f"{TOL.stability_budget} of dt * |width rate {rate:.3e} s^-1|")
 
 
-def _width_path(a0: complex, p: MechanicalParams, unraveling: str, dt: float,
+def _width_path(a0: complex, p: MechanicalParams, xi: complex, dt: float,
                 n_steps: int) -> np.ndarray:
-    """The n_steps + 1 values of the Euler path a -> a + (c - q a^2) dt of the width."""
-    lam_eff = p.lam if unraveling == NONLINEAR else 0.0
-    c, q = complex(lam_eff, 0.5 * p.mass * p.omega ** 2 / p.hbar), 2j * p.hbar / p.mass
+    """The n_steps + 1 values of the Euler path a -> a + (c + i m w^2 / 2 hbar - q a^2) dt."""
+    const = complex(p.lam * xi.real ** 2,
+                    p.lam * xi.real * xi.imag + 0.5 * p.mass * p.omega ** 2 / p.hbar)
+    q = 2j * p.hbar / p.mass
     out = np.empty(n_steps + 1, dtype=complex)
     a = complex(a0)
     out[0] = a
     for k in range(n_steps):
-        a = a + (c - q * a * a) * dt
+        a = a + (const - q * a * a) * dt
         out[k + 1] = a
     return out
 
 
-def _centroid_step(x, k, a, dW, p: MechanicalParams, unraveling: str, dt: float):
-    """One Euler step of (centroid, wavenumber) at pre-step width ``a``.
+def _centroid_step(x, k, a, dW, p: MechanicalParams, xi: complex, dt: float):
+    """One Euler step of (centroid, wavenumber) of member ``xi`` at pre-step width ``a``.
 
-    ``x``, ``k`` and ``dW`` are scalars or arrays of one shape; the
-    phase-noise member does not read ``a``.
+    ``x``, ``k`` and ``dW`` are scalars or arrays of one shape.  The noise
+    gains are sqrt(lam) xi_r / (2 Re a) and sqrt(lam) (xi_i - xi_r Im a / Re a).
     """
     m, hb = p.mass, p.hbar
     sq = math.sqrt(p.lam)
     k_drift = k - m * p.omega ** 2 * x / hb * dt
-    if unraveling == NONLINEAR:
-        return (x + hb * k / m * dt + sq / (2.0 * a.real) * dW,
-                k_drift - sq * (a.imag / a.real) * dW)
-    return x + hb * k / m * dt, k_drift - sq * dW
+    return (x + hb * k / m * dt + sq * xi.real / (2.0 * a.real) * dW,
+            k_drift - sq * (xi.real * (a.imag / a.real) - xi.imag) * dW)
 
 
-def gaussian_sde_step(g: GaussianState, p: MechanicalParams, unraveling: str,
+def gaussian_sde_step(g: GaussianState, p: MechanicalParams, xi: complex,
                       dW: float, dt: float) -> GaussianState:
-    """One Euler-Maruyama step of the (width, centroid, wavenumber) system."""
-    _require_member(unraveling)
+    """One Euler-Maruyama step of the (width, centroid, wavenumber) system of member ``xi``."""
+    xi = _checked_xi(xi)
     a = complex(g.width)
-    a_new = complex(_width_path(a, p, unraveling, dt, 1)[1])
+    a_new = complex(_width_path(a, p, xi, dt, 1)[1])
     if not (a_new.real > 0.0):
         raise FloatingPointError("width lost positivity; reduce dt")
-    x_new, k_new = _centroid_step(g.centroid, g.wavenumber, a, dW, p, unraveling, dt)
+    x_new, k_new = _centroid_step(g.centroid, g.wavenumber, a, dW, p, xi, dt)
     return GaussianState(width=a_new, centroid=float(x_new), wavenumber=float(k_new))
 
 
-def simulate_width(p: MechanicalParams, a0: complex, unraveling: str,
+def simulate_width(p: MechanicalParams, a0: complex, xi: complex,
                    dt: float, n_steps: int) -> np.ndarray:
     """Euler path of the width ODE, all n_steps + 1 values; dt must pass check_width_stability."""
-    _require_member(unraveling)
-    check_width_stability(p, a0, unraveling, dt)
-    out = _width_path(a0, p, unraveling, dt, n_steps)
+    xi = _checked_xi(xi)
+    check_width_stability(p, a0, xi, dt)
+    out = _width_path(a0, p, xi, dt, n_steps)
     if not (out[-1].real > 0.0) or not np.isfinite(out[-1].real):
         raise FloatingPointError("width path lost positivity or diverged; reduce dt")
     return out
 
 
-def centroid_ensemble(p: MechanicalParams, a0: complex, unraveling: str,
+def centroid_ensemble(p: MechanicalParams, a0: complex, xi: complex,
                       x0: float, k0: float, dt: float, n_steps: int,
                       n_traj: int, base_seed: int,
                       snapshot_steps=None):
-    """Centroids and wavenumbers of n_traj Euler trajectories (width path shared).
+    """Centroids and wavenumbers of n_traj Euler trajectories of member ``xi``.
 
     The width is deterministic and common to every member of the ensemble;
     only (centroid, wavenumber) are stochastic.  Trajectory k is driven by
@@ -398,10 +398,8 @@ def centroid_ensemble(p: MechanicalParams, a0: complex, unraveling: str,
     Returns ``(centroids, wavenumbers)`` as (n_snapshots, n_traj) arrays, at
     the snapshot step indices (default: the final step alone).
     """
-    _require_member(unraveling)
-    widths = None
-    if unraveling == NONLINEAR:
-        widths = simulate_width(p, a0, unraveling, dt, n_steps)
+    xi = _checked_xi(xi)
+    widths = simulate_width(p, a0, xi, dt, n_steps)
     steps = engine_mod._checked_snapshots(snapshot_steps, n_steps)
     snaps = {s: i for i, s in enumerate(steps)}
     out_x, out_k = np.empty((2, len(snaps), n_traj))
@@ -414,8 +412,7 @@ def centroid_ensemble(p: MechanicalParams, a0: complex, unraveling: str,
         for start, dW in engine_mod._noise_blocks(base_seed, c0, c1, n_steps, dt):
             for j in range(dW.shape[1]):
                 step = start + j
-                a = widths[step] if widths is not None else None
-                x, kk = _centroid_step(x, kk, a, dW[:, j], p, unraveling, dt)
+                x, kk = _centroid_step(x, kk, widths[step], dW[:, j], p, xi, dt)
                 if step + 1 in snaps:
                     out_x[snaps[step + 1], c0:c1], out_k[snaps[step + 1], c0:c1] = x, kk
             del dW  # freed before the next block is drawn (peak memory)
@@ -435,23 +432,26 @@ class RiccatiMatrices:
         return a @ sigma + sigma @ a.T + d - sigma @ b @ b.T @ sigma
 
 
-def riccati_matrices(p: MechanicalParams, which: str) -> RiccatiMatrices:
+def riccati_matrices(p: MechanicalParams, xi: complex | None = None) -> RiccatiMatrices:
     """(drift, diffusion, backaction) triple for a covariance flow.
 
-    which = 'nonlinear' : conditional covariance of the collapsing member;
-            'linear'    : conditional covariance of the phase-noise member;
-            'variance'  : density-matrix covariance (member-independent).
+    With ``xi``: the conditional covariance flow of member ``xi``.  The Ito
+    term adds 2 hbar lam xi_r xi_i to the spring constant, and the state
+    collapses at rate lam xi_r^2 (diffusion 2 sqrt(lam) xi_r, backaction
+    lam hbar^2 xi_r^2).  With ``xi=None``: the density-matrix covariance flow,
+    the same for every member (no collapse, backaction lam hbar^2).
     """
-    a = np.array([[0.0, 1.0 / p.mass], [-p.mass * p.omega ** 2, 0.0]])
+    spring = p.mass * p.omega ** 2
     b = np.zeros((2, 2))
     d = np.zeros((2, 2))
-    if which == "nonlinear":
-        b[0, 1] = 2.0 * np.sqrt(p.lam)
+    if xi is None:
         d[1, 1] = p.lam * p.hbar ** 2
-    elif which == "variance":
-        d[1, 1] = p.lam * p.hbar ** 2
-    elif which != "linear":
-        raise ValueError(f"which must be 'nonlinear', 'linear' or 'variance', got {which!r}")
+    else:
+        xi = _checked_xi(xi)
+        spring += 2.0 * p.hbar * p.lam * xi.real * xi.imag
+        b[0, 1] = 2.0 * np.sqrt(p.lam) * xi.real
+        d[1, 1] = p.lam * p.hbar ** 2 * xi.real ** 2
+    a = np.array([[0.0, 1.0 / p.mass], [-spring, 0.0]])
     return RiccatiMatrices(drift=a, diffusion=b, backaction=d)
 
 
@@ -475,16 +475,15 @@ def covariance_from_width(width, hbar: float) -> np.ndarray:
 
 
 def conditional_covariance_series(ts, p: MechanicalParams, a0: complex,
-                                  unraveling: str) -> np.ndarray:
-    """Closed-form conditional covariance matrices on a time grid."""
-    return covariance_from_width(width_at(np.asarray(ts, dtype=float), p, a0, unraveling),
-                                 p.hbar)
+                                  xi: complex) -> np.ndarray:
+    """Closed-form conditional covariance matrices of member ``xi`` on a time grid."""
+    return covariance_from_width(width_at(np.asarray(ts, dtype=float), p, a0, xi), p.hbar)
 
 
 def variance_covariance_series(ts, p: MechanicalParams, a0: complex) -> np.ndarray:
     """Density-matrix covariance matrices: unitary part plus noise integrals."""
     ts = np.asarray(ts, dtype=float)
-    base = conditional_covariance_series(ts, p, a0, LINEAR)
+    base = conditional_covariance_series(ts, p, a0, -1j)   # the unitary part: xi = -i
     lam, hb, m, om = p.lam, p.hbar, p.mass, p.omega
     add = np.zeros(ts.shape + (2, 2))
     if om == 0.0:

@@ -28,8 +28,9 @@ import numpy as np
 from . import __version__
 from .bell import bell_gates, bell_report
 from .config import ScenarioConfig
-from .engine import UnravelingParams, master_equation_oracle, mc_tolerance, simulate_ensemble
-from .gaussian import (LINEAR, NONLINEAR, SPREAD_RTOL, centroid_ensemble,
+from .engine import (UnravelingParams, master_equation_oracle, mc_tolerance,
+                     simulate_ensemble, simulate_trajectory)
+from .gaussian import (SPREAD_RTOL, centroid_ensemble,
                        conditional_covariance_series, conditional_spread_x,
                        initial_spread, initial_spread_deviation, mean_square_x,
                        riccati_matrices, riccati_residual, simulate_width,
@@ -156,11 +157,10 @@ class _SpinRun:
 
     @cached_property
     def signal0(self) -> np.ndarray:
-        """<L> of trajectory 0 at every step, from an ensemble of one."""
+        """<L> of trajectory 0 at every step, from its own stream ``derive_seed(seed, 0)``."""
         cfg = self.cfg
-        return simulate_ensemble(self.model, self.u, self.psi0, cfg.dt, cfg.n_steps, 1,
-                                 self.seed, snapshot_steps=np.arange(cfg.n_steps + 1),
-                                 tracked_observables={"L": self.model.L}).means["L"][:, 0]
+        return simulate_trajectory(self.model, self.u, self.psi0, cfg.dt, cfg.n_steps,
+                                   derive_seed(self.seed, 0), {"L": self.model.L}).means["L"]
 
     def ensemble_mean(self) -> dict:
         result = self.ensemble.at_steps(_snapshot_steps(self.cfg))
@@ -186,10 +186,11 @@ class _SpinRun:
 class _MechRun:
     """A mechanical scenario's set-up, its trajectory 0 and its builders."""
 
+    columns_xi = {"nonlinear": 1.0, "linear": -1j}   # the members of the sigma_*, resid_* columns
+
     def __init__(self, cfg: ScenarioConfig):
         self.cfg, self.seed = cfg, cfg.base_seed
         self.p, self.a0 = cfg.mechanical(), cfg.a0()
-        self.member = NONLINEAR if cfg.xi_r > 0 else LINEAR
         self.x0 = float(cfg.params.get("x0", 0.0))
         self.k0 = float(cfg.params.get("k0", 0.0))
         self.ts = _grid(cfg)
@@ -202,8 +203,8 @@ class _MechRun:
         ``wiener_path(derive_seed(seed, 0), dt, n_steps)``.
         """
         cfg = self.cfg
-        a = simulate_width(self.p, self.a0, self.member, cfg.dt, cfg.n_steps)
-        x, k = centroid_ensemble(self.p, self.a0, self.member, self.x0, self.k0,
+        a = simulate_width(self.p, self.a0, cfg.xi, cfg.dt, cfg.n_steps)
+        x, k = centroid_ensemble(self.p, self.a0, cfg.xi, self.x0, self.k0,
                                  cfg.dt, cfg.n_steps, 1, self.seed,
                                  snapshot_steps=np.arange(cfg.n_steps + 1))
         return a, x[:, 0], k[:, 0]
@@ -211,21 +212,19 @@ class _MechRun:
     signal0 = property(lambda self: self.path0[1])   # <L> = <x>: trajectory 0's centroid
 
     def sigma(self) -> dict:
-        return {"t": self.ts,
-                "sigma_nonlinear": conditional_spread_x(self.ts, self.p, self.a0, NONLINEAR),
-                "sigma_linear": conditional_spread_x(self.ts, self.p, self.a0, LINEAR)}
+        return {"t": self.ts, **{f"sigma_{name}": conditional_spread_x(self.ts, self.p, self.a0, xi)
+                                 for name, xi in self.columns_xi.items()}}
 
     def var(self) -> dict:
         return {"t": self.ts, "var": variance_x(self.ts, self.p, self.a0)}
 
     def riccati(self) -> dict:
-        series = {member: conditional_covariance_series(self.ts, self.p, self.a0, member)
-                  for member in (NONLINEAR, LINEAR)}
-        series["variance"] = variance_covariance_series(self.ts, self.p, self.a0)
-        dt = self.cfg.dt
-        resids = {f"resid_{which}": riccati_residual(ser, riccati_matrices(self.p, which), dt)
-                  for which, ser in series.items()}
-        return {"t": self.ts[1:-1], **resids}
+        flows = [(name, conditional_covariance_series(self.ts, self.p, self.a0, xi), xi)
+                 for name, xi in self.columns_xi.items()]
+        flows.append(("variance", variance_covariance_series(self.ts, self.p, self.a0), None))
+        return {"t": self.ts[1:-1],
+                **{f"resid_{name}": riccati_residual(ser, riccati_matrices(self.p, xi), self.cfg.dt)
+                   for name, ser, xi in flows}}
 
     def trajectory(self) -> dict:
         a, x, k = self.path0
@@ -235,11 +234,11 @@ class _MechRun:
     def ensemble_mean(self) -> dict:
         cfg = self.cfg
         snaps = _snapshot_steps(cfg, n_snap=21)
-        xs, _ = centroid_ensemble(self.p, self.a0, self.member, self.x0, self.k0,
+        xs, _ = centroid_ensemble(self.p, self.a0, cfg.xi, self.x0, self.k0,
                                   cfg.dt, cfg.n_steps, cfg.n_trajectories, self.seed,
                                   snapshot_steps=snaps)
         msq_ref = np.array([mean_square_x(float(t), self.p, self.a0, self.x0, self.k0,
-                                          self.member) for t in snaps * cfg.dt])
+                                          cfg.xi) for t in snaps * cfg.dt])
         return {"t": snaps * cfg.dt, "mean_x2_mc": (xs ** 2).mean(axis=1),
                 "stderr_x2": (xs ** 2).std(axis=1, ddof=1) / np.sqrt(cfg.n_trajectories),
                 "mean_x2_closed_form": msq_ref}

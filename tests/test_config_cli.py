@@ -63,10 +63,6 @@ def test_validation_rejects_specific_constraints(tmp_path, capsys):
     bad2 = {**base, "dt": 0.5}
     with pytest.raises(ConfigError, match="stability budget"):
         validate_config(bad2)
-    bad3 = json.loads(json.dumps(PRESETS["fig1"]))
-    bad3["unraveling"] = {"xi": [0.6, 0.8]}
-    with pytest.raises(ConfigError, match="named"):
-        validate_config(bad3)
     bad4 = json.loads(json.dumps(PRESETS["fig2"]))
     bad4["params"]["psi0"] = [[1.0, 0.0], [1.0, 0.0]]
     with pytest.raises(ConfigError, match="psi0"):
@@ -179,7 +175,7 @@ def test_free_particle_config_at_its_own_cap_validates_and_runs(tmp_path):
     cfg = validate_config({"name": "cap", "model": "free_particle", "params": params,
                            "dt": dt, "t_final": 10 * dt, "n_trajectories": 2,
                            "outputs": ["trajectory", "record", "ensemble_mean"]})
-    assert dt == 0.01 / width_rate_scale(cfg.mechanical(), cfg.a0(), "nonlinear")
+    assert dt == 0.01 / width_rate_scale(cfg.mechanical(), cfg.a0(), cfg.xi)
     assert len(run_scenario(cfg, tmp_path)) == 3
 
 
@@ -369,6 +365,26 @@ def test_mechanical_sde_outputs(tmp_path):
     assert np.all(dev[1:] <= 4.0 * em["stderr_x2"][1:] + 1e-15)
 
 
+def test_harmonic_config_at_an_interior_member_runs_and_passes_its_checks(tmp_path):
+    # xi = exp(-i pi/4): every mechanical output, and the Monte Carlo mean of
+    # <x>^2 against the member's quadrature
+    xi = [np.cos(np.pi / 4), -np.sin(np.pi / 4)]
+    cfg = validate_config({
+        "name": "mid", "model": "harmonic", "unraveling": {"xi": xi},
+        "params": {"mass": 1.0, "omega": 0.5, "lam": 1.0, "hbar": 1.0,
+                   "a0": [0.3, 0.1], "x0": 0.0, "k0": 0.0},
+        "dt": 5e-3, "t_final": 5.0, "n_trajectories": 4000, "base_seed": 19,
+        "outputs": ["trajectory", "record", "ensemble_mean", "sigma", "var", "riccati"]})
+    assert cfg.xi == complex(*xi)
+    assert len(run_scenario(cfg, tmp_path)) == 6
+    outcomes = scenario_checks(cfg, tmp_path)
+    assert outcomes and all(c.passed for c in outcomes), [c.line() for c in outcomes]
+    _, em = read_series(tmp_path / "mid_ensemble_mean.csv")
+    dev = np.abs(em["mean_x2_mc"] - em["mean_x2_closed_form"])
+    # first snapshot is t = 0 where both sides vanish identically
+    assert np.all(dev[1:] <= 4.0 * em["stderr_x2"][1:])
+
+
 def test_builders_cover_every_output_kind():
     assert set(_BUILDERS) == {(fam, kind) for fam, kinds in OUTPUT_KINDS.items()
                               for kind in kinds}
@@ -393,7 +409,7 @@ def test_mechanical_trajectory_is_the_sde_step_loop(tmp_path, model, omega, memb
     g = GaussianState(width=0.3 + 0.1j, centroid=0.2, wavenumber=-0.4)
     states = [g]
     for dW in path.increments:
-        g = gaussian_sde_step(g, cfg.mechanical(), member, dW, cfg.dt)
+        g = gaussian_sde_step(g, cfg.mechanical(), cfg.xi, dW, cfg.dt)
         states.append(g)
     _, tr = read_series(tmp_path / "m_trajectory.csv")
     assert np.array_equal(tr["width_re"], [s.width.real for s in states])

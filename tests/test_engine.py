@@ -26,6 +26,8 @@ def test_unraveling_params_validation():
     with pytest.raises(ValueError):
         UnravelingParams(-1.0, 0.0, 1.0)
     with pytest.raises(ValueError):
+        UnravelingParams(float("nan"), 0.0, 1.0)
+    with pytest.raises(ValueError):
         UnravelingParams(1.0, 0.0, -2.0)
     assert UnravelingParams.nonlinear(2.0).xi == 1.0 + 0.0j
     assert UnravelingParams.linear(2.0).xi == -1.0j
@@ -286,32 +288,43 @@ def _both_kernels(dt, lam=0.8):
 
 def test_matched_blocks_equal_the_full_width_loop(monkeypatch):
     # chunks of 700 columns (3001 = 4 x 700 + 301) and blocks of at most 7
-    # steps that also end at the stops 10, 25 and 33: every state of both
-    # kernels has the bits of one full-width step per draw
+    # steps that also end at the stops 10, 25 and 33: the states handed back
+    # at the stops (and the last step) have the bits of one full-width step per draw
     n_cols, n_steps, dt = 3001, 40, 1e-3
+    stops = (10, 25, 33, n_steps)
     monkeypatch.setattr(engine, "_PAIR_CHUNK", 700)
     monkeypatch.setattr(engine, "_PAIR_BUDGET", 7 * n_cols)
     kernels = _both_kernels(dt)
     psi0 = _random_columns(np.random.default_rng(12), 3, 1)[:, 0]
 
     rng = np.random.default_rng(13)
-    ref = np.empty((2, n_steps, 3, n_cols), dtype=complex)
+    ref = np.empty((2, len(stops), 3, n_cols), dtype=complex)
     cols = [np.repeat(psi0[:, None], n_cols, axis=1) for _ in kernels]
-    for k in range(n_steps):
+    for k in range(1, n_steps + 1):
         dW = rng.standard_normal(n_cols) * np.sqrt(dt)
         for i, kernel in enumerate(kernels):
-            cols[i] = ref[i, k] = kernel.step(cols[i], dW)
+            cols[i] = kernel.step(cols[i], dW)
+            if k in stops:
+                ref[i, stops.index(k)] = cols[i]
 
+    class CountingStream:
+        """The generator of the reference loop, recording the steps of each draw."""
+        rng, blocks = np.random.default_rng(13), []
+
+        def standard_normal(self, shape):
+            self.blocks.append(shape[0])
+            return self.rng.standard_normal(shape)
+
+    stream = CountingStream()
     got = np.full_like(ref, np.nan)
-    blocks = set()
-    for start, c0, states in engine._matched_blocks(kernels, psi0, np.random.default_rng(13),
-                                                    dt, n_steps, n_cols, stops=(10, 25, 33)):
-        nb, c1 = len(states[0]), c0 + states[0].shape[2]
-        blocks.add((start, start + nb))
+    seen = []
+    for step, c0, states in engine._matched_blocks(kernels, psi0, stream, dt, n_steps, n_cols,
+                                                   stops=stops[:-1]):
+        seen.append((step, c0))
         for i, s in enumerate(states):
-            got[i, start:start + nb, :, c0:c1] = s
-    assert sorted(blocks) == [(0, 7), (7, 10), (10, 17), (17, 24), (24, 25), (25, 32),
-                              (32, 33), (33, 40)]
+            got[i, stops.index(step), :, c0:c0 + s.shape[1]] = s
+    assert stream.blocks == [7, 3, 7, 7, 1, 7, 1, 7]
+    assert seen == [(s, c0) for s in stops for c0 in range(0, n_cols, 700)]
     assert np.array_equal(got, ref)
 
 

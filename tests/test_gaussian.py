@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unravelings import engine
-from unravelings.gaussian import (LINEAR, NONLINEAR, SPREAD_RTOL, GaussianState,
+from unravelings.gaussian import (SPREAD_RTOL, GaussianState,
                                   MechanicalParams, QuadratureError, _centroid_step,
                                   a_closed_form, centroid_ensemble,
                                   conditional_covariance_series,
@@ -16,6 +16,7 @@ from unravelings.gaussian import (LINEAR, NONLINEAR, SPREAD_RTOL, GaussianState,
                                   variance_covariance_series, variance_x, width_at,
                                   width_linear_free)
 from unravelings.noise import derive_seed, wiener_path
+from unravelings.tolerances import TOL
 
 P_NAT = MechanicalParams(mass=1.0, omega=0.0, lam=1.0, hbar=1.0)
 P_FIG1 = MechanicalParams(mass=1e-15, omega=0.0, lam=1e23)
@@ -23,7 +24,7 @@ A0_FIG1 = 0.25e9 + 0.0j
 
 
 def test_constants_free_natural_units():
-    cons = spread_constants(P_NAT, 0.25 + 0j, NONLINEAR)
+    cons = spread_constants(P_NAT, 0.25 + 0j, 1.0)
     assert cons.rate == pytest.approx(1.0 + 1.0j, abs=1e-15)
     assert cons.asymptote == pytest.approx(0.5 - 0.5j, abs=1e-15)
     # offset reproduces the initial width by construction
@@ -32,36 +33,36 @@ def test_constants_free_natural_units():
 
 def test_constants_harmonic_linear_member():
     p = MechanicalParams(mass=2.0, omega=3.0, lam=1.5, hbar=0.7)
-    cons = spread_constants(p, 1.0 + 0.2j, LINEAR)
+    cons = spread_constants(p, 1.0 + 0.2j, -1j)
     assert cons.rate == pytest.approx(3.0j, abs=1e-14)
     assert cons.asymptote == pytest.approx(2.0 * 3.0 / (2.0 * 0.7), abs=1e-13)
 
 
 def test_constants_trap_to_free_limit():
-    cons_f = spread_constants(P_FIG1, A0_FIG1, NONLINEAR)
+    cons_f = spread_constants(P_FIG1, A0_FIG1, 1.0)
     omega = 1e-6 * np.sqrt(P_FIG1.hbar * P_FIG1.lam / P_FIG1.mass)
     p_h = MechanicalParams(mass=P_FIG1.mass, omega=omega, lam=P_FIG1.lam)
-    cons_h = spread_constants(p_h, A0_FIG1, NONLINEAR)
+    cons_h = spread_constants(p_h, A0_FIG1, 1.0)
     assert abs(cons_h.rate / cons_f.rate - 1.0) <= 1e-5
     assert abs(cons_h.asymptote / cons_f.asymptote - 1.0) <= 1e-5
 
 
 def test_constants_singular_inputs():
     with pytest.raises(ValueError):
-        spread_constants(P_NAT, -0.1 + 0j, NONLINEAR)
+        spread_constants(P_NAT, -0.1 + 0j, 1.0)
     with pytest.raises(ValueError, match="rational"):
-        spread_constants(P_NAT, 0.25 + 0j, LINEAR)          # free phase-noise
-    c = spread_constants(P_NAT, 0.25 + 0j, NONLINEAR).asymptote
+        spread_constants(P_NAT, 0.25 + 0j, -1j)          # free phase-noise
+    c = spread_constants(P_NAT, 0.25 + 0j, 1.0).asymptote
     with pytest.raises(ValueError, match="singular"):
-        spread_constants(P_NAT, c, NONLINEAR)               # a0 equals asymptote
+        spread_constants(P_NAT, c, 1.0)               # a0 equals asymptote
     p = MechanicalParams(mass=1.0, omega=2.0, lam=0.0, hbar=1.0)
-    c_lin = spread_constants(p, 0.5 + 0j, LINEAR).asymptote.real
+    c_lin = spread_constants(p, 0.5 + 0j, -1j).asymptote.real
     with pytest.raises(ValueError, match="branch cut"):
-        spread_constants(p, 2.0 * c_lin + 0j, LINEAR)
+        spread_constants(p, 2.0 * c_lin + 0j, -1j)
 
 
 def test_width_ode_residual_is_second_order():
-    cons = spread_constants(P_NAT, 0.25 + 0j, NONLINEAR)
+    cons = spread_constants(P_NAT, 0.25 + 0j, 1.0)
 
     def max_resid(h):
         ts = 0.3 + np.arange(300) * h
@@ -74,7 +75,7 @@ def test_width_ode_residual_is_second_order():
 
 
 def test_width_closed_form_asymptote():
-    cons = spread_constants(P_NAT, 0.25 + 0j, NONLINEAR)
+    cons = spread_constants(P_NAT, 0.25 + 0j, 1.0)
     a_inf = a_closed_form(50.0, cons)
     assert abs(a_inf - cons.asymptote) <= 1e-12
 
@@ -100,16 +101,16 @@ def test_width_linear_free_rational_form():
 
 
 def test_initial_spreads_fig1():
-    assert conditional_spread_x(0.0, P_FIG1, A0_FIG1, NONLINEAR) == pytest.approx(
+    assert conditional_spread_x(0.0, P_FIG1, A0_FIG1, 1.0) == pytest.approx(
         1e-9, rel=1e-12)
-    assert conditional_spread_x(0.0, P_FIG1, A0_FIG1, LINEAR) == 1e-9
+    assert conditional_spread_x(0.0, P_FIG1, A0_FIG1, -1j) == 1e-9
     assert variance_x(0.0, P_FIG1, A0_FIG1) == 1e-9
 
 
 def test_spread_gates_pass_on_fig1_and_fail_on_broken_series():
     t = np.linspace(0.0, 1e-3, 11)
-    s_c = conditional_spread_x(t, P_FIG1, A0_FIG1, NONLINEAR)
-    s_p = conditional_spread_x(t, P_FIG1, A0_FIG1, LINEAR)
+    s_c = conditional_spread_x(t, P_FIG1, A0_FIG1, 1.0)
+    s_p = conditional_spread_x(t, P_FIG1, A0_FIG1, -1j)
     v = variance_x(t, P_FIG1, A0_FIG1)
     assert initial_spread(A0_FIG1) == 1e-9
     assert initial_spread_deviation(A0_FIG1, s_c, s_p, v) <= SPREAD_RTOL
@@ -129,8 +130,8 @@ def test_spread_gates_pass_on_fig1_and_fail_on_broken_series():
 def test_phase_noise_spread_grows_quadratically():
     # a0 imag = 0: spread(t)/t^2 approaches hbar^2 a0 / m^2
     t1, t2 = 1e13, 2e13
-    s1 = conditional_spread_x(t1, P_FIG1, A0_FIG1, LINEAR)
-    s2 = conditional_spread_x(t2, P_FIG1, A0_FIG1, LINEAR)
+    s1 = conditional_spread_x(t1, P_FIG1, A0_FIG1, -1j)
+    s2 = conditional_spread_x(t2, P_FIG1, A0_FIG1, -1j)
     assert s2 / s1 == pytest.approx(4.0, rel=1e-3)
 
 
@@ -140,37 +141,56 @@ def test_variance_large_time_is_cubic():
     assert variance_x(t, P_FIG1, A0_FIG1) == pytest.approx(lead, rel=1e-6)
 
 
-@pytest.mark.parametrize("member", [NONLINEAR, LINEAR])
+@pytest.mark.parametrize("xi", [1.0, -1j], ids=["nonlinear", "linear"])
 @pytest.mark.parametrize("omega", [0.0, 0.7])
-def test_mean_square_consistency_identity(member, omega):
+def test_mean_square_consistency_identity(xi, omega):
     # E[<x>^2] + spread - ballistic^2 equals the member-independent variance
     p = MechanicalParams(mass=1.0, omega=omega, lam=0.8, hbar=1.0)
     a0, x0, k0 = 0.3 + 0.1j, 0.2, -0.4
     for t in (0.4, 2.0):
-        msq = mean_square_x(t, p, a0, x0, k0, member)
+        msq = mean_square_x(t, p, a0, x0, k0, xi)
         if omega == 0.0:
             ball = (x0 + p.hbar * k0 * t / p.mass) ** 2
         else:
             ball = (p.hbar * k0 * np.sin(omega * t) / (p.mass * omega)
                     + x0 * np.cos(omega * t)) ** 2
-        total = msq + conditional_spread_x(t, p, a0, member) - ball
+        total = msq + conditional_spread_x(t, p, a0, xi) - ball
         assert total == pytest.approx(variance_x(t, p, a0), rel=1e-6)
+
+
+@pytest.mark.parametrize("theta", [-np.pi / 4, 0.9, -1.3])
+@pytest.mark.parametrize("omega", [0.0, 0.5])
+def test_law_of_total_variance_for_interior_members(theta, omega):
+    # Var(<x>) = var - spread for every member: the quadrature of the centroid's
+    # response (mean_square_x) against the closed-form width (conditional_spread_x),
+    # with no Monte Carlo; both read the width constant c = lam xi xi_r
+    xi = np.exp(1j * theta)
+    p = MechanicalParams(mass=1.0, omega=omega, lam=0.8, hbar=1.0)
+    a0, x0, k0 = 0.3 + 0.1j, 0.2, -0.4
+    for t in (0.4, 2.0, 5.0):
+        if omega == 0.0:
+            ball = x0 + p.hbar * k0 * t / p.mass
+        else:
+            ball = p.hbar * k0 * np.sin(omega * t) / (p.mass * omega) + x0 * np.cos(omega * t)
+        centroid_var = mean_square_x(t, p, a0, x0, k0, xi) - ball ** 2
+        expected = variance_x(t, p, a0) - conditional_spread_x(t, p, a0, xi)
+        assert centroid_var == pytest.approx(expected, rel=10 * TOL.quadrature_rel)
 
 
 def test_mean_square_linear_free_closed_form():
     t = 0.01
-    val = mean_square_x(t, P_FIG1, A0_FIG1, 0.0, 0.0, LINEAR)
+    val = mean_square_x(t, P_FIG1, A0_FIG1, 0.0, 0.0, -1j)
     ref = P_FIG1.lam * P_FIG1.hbar ** 2 * t ** 3 / (3.0 * P_FIG1.mass ** 2)
     assert val == pytest.approx(ref, rel=1e-8)
-    assert mean_square_x(0.0, P_FIG1, A0_FIG1, 0.0, 0.0, LINEAR) == 0.0
+    assert mean_square_x(0.0, P_FIG1, A0_FIG1, 0.0, 0.0, -1j) == 0.0
 
 
 def test_mean_square_resolves_the_width_boundary_layer():
     # SI parameters: the collapse-member width relaxes within ~2.5e-15 s,
     # twelve orders below t, yet the quadrature still recovers the variance
     t = 0.005
-    msq = mean_square_x(t, P_FIG1, A0_FIG1, 0.0, 0.0, NONLINEAR)
-    total = msq + conditional_spread_x(t, P_FIG1, A0_FIG1, NONLINEAR)
+    msq = mean_square_x(t, P_FIG1, A0_FIG1, 0.0, 0.0, 1.0)
+    total = msq + conditional_spread_x(t, P_FIG1, A0_FIG1, 1.0)
     assert total == pytest.approx(variance_x(t, P_FIG1, A0_FIG1), rel=1e-6)
 
 
@@ -179,7 +199,7 @@ def test_gaussian_sde_step_free_unitary_matches_rational_width():
     g = GaussianState(width=0.25 + 0j, centroid=0.0, wavenumber=0.3)
     dt, n = 1e-4, 200
     for _ in range(n):
-        g = gaussian_sde_step(g, p, LINEAR, 0.0, dt)
+        g = gaussian_sde_step(g, p, -1j, 0.0, dt)
     ref = width_linear_free(n * dt, p, 0.25 + 0j)
     assert abs(g.width - ref) <= 1e-5 * abs(ref)
     assert g.centroid == pytest.approx(0.3 * n * dt, rel=1e-12)
@@ -188,39 +208,39 @@ def test_gaussian_sde_step_free_unitary_matches_rational_width():
 def test_gaussian_sde_step_rejects_width_loss():
     g = GaussianState(width=0.25 - 1e3j, centroid=0.0, wavenumber=0.0)
     with pytest.raises(FloatingPointError):
-        gaussian_sde_step(g, P_NAT, LINEAR, 0.0, 10.0)
+        gaussian_sde_step(g, P_NAT, -1j, 0.0, 10.0)
     with pytest.raises(ValueError):
         GaussianState(width=-1.0 + 0j, centroid=0.0, wavenumber=0.0)
 
 
 def test_simulate_width_tracks_closed_form():
-    cons = spread_constants(P_NAT, 0.25 + 0j, NONLINEAR)
+    cons = spread_constants(P_NAT, 0.25 + 0j, 1.0)
     n = 100_000
     dt = 10.0 / n
-    path = simulate_width(P_NAT, 0.25 + 0j, NONLINEAR, dt, n)
+    path = simulate_width(P_NAT, 0.25 + 0j, 1.0, dt, n)
     ref = a_closed_form(np.arange(n + 1) * dt, cons)
     assert np.max(np.abs(path - ref) / np.abs(ref)) <= 1e-3
     with pytest.raises(ValueError, match="stability"):
-        simulate_width(P_NAT, 0.25 + 0j, NONLINEAR, 1.0, 10)
+        simulate_width(P_NAT, 0.25 + 0j, 1.0, 1.0, 10)
 
 
 def test_centroid_ensemble_matches_quadrature():
-    xs, _ = centroid_ensemble(P_NAT, 0.25 + 0j, LINEAR, 0.0, 0.0, 1e-3, 1000,
+    xs, _ = centroid_ensemble(P_NAT, 0.25 + 0j, -1j, 0.0, 0.0, 1e-3, 1000,
                               2000, base_seed=77)
     assert xs.shape == (1, 2000)                # the final step alone by default
     mc = np.mean(xs ** 2)
     se = np.std(xs ** 2, ddof=1) / np.sqrt(2000)
-    ref = mean_square_x(1.0, P_NAT, 0.25 + 0j, 0.0, 0.0, LINEAR)
+    ref = mean_square_x(1.0, P_NAT, 0.25 + 0j, 0.0, 0.0, -1j)
     assert abs(mc - ref) <= 4.0 * se
     # snapshot mode shape
-    snaps, ks = centroid_ensemble(P_NAT, 0.25 + 0j, NONLINEAR, 0.0, 0.0, 1e-3, 100,
+    snaps, ks = centroid_ensemble(P_NAT, 0.25 + 0j, 1.0, 0.0, 0.0, 1e-3, 100,
                                   50, base_seed=3, snapshot_steps=[0, 50, 100])
     assert snaps.shape == ks.shape == (3, 50)
     assert np.array_equal(snaps[0], np.zeros(50))
 
 
-@pytest.mark.parametrize("member", [NONLINEAR, LINEAR])
-def test_centroid_ensemble_chunks_and_blocks_follow_each_stream(monkeypatch, member):
+@pytest.mark.parametrize("xi", [1.0, -1j], ids=["nonlinear", "linear"])
+def test_centroid_ensemble_chunks_and_blocks_follow_each_stream(monkeypatch, xi):
     # chunks of 4, 4 and 2 trajectories; noise blocks of 2 steps in the first two and
     # 5 in the last, so block ends fall on and between the snapshot steps
     monkeypatch.setattr(engine, "_ENSEMBLE_CHUNK", 4)
@@ -228,9 +248,9 @@ def test_centroid_ensemble_chunks_and_blocks_follow_each_stream(monkeypatch, mem
     p = MechanicalParams(mass=1.0, omega=0.5, lam=1.0, hbar=1.0)
     a0, dt, n, n_traj, base = 0.3 + 0.1j, 5e-3, 23, 10, 61
     snaps = [0, 1, 2, 7, 12, 23]
-    xs, ks = centroid_ensemble(p, a0, member, 0.2, -0.1, dt, n, n_traj, base,
+    xs, ks = centroid_ensemble(p, a0, xi, 0.2, -0.1, dt, n, n_traj, base,
                                snapshot_steps=snaps)
-    widths = simulate_width(p, a0, NONLINEAR, dt, n)
+    widths = simulate_width(p, a0, xi, dt, n)
     ref_x, ref_k = np.empty((2, len(snaps), n_traj))
     for k in range(n_traj):
         dW = wiener_path(derive_seed(base, k), dt, n).increments
@@ -239,25 +259,32 @@ def test_centroid_ensemble_chunks_and_blocks_follow_each_stream(monkeypatch, mem
             if j in snaps:
                 ref_x[snaps.index(j), k], ref_k[snaps.index(j), k] = x, kk
             if j < n:
-                a = widths[j] if member == NONLINEAR else None
-                x, kk = _centroid_step(x, kk, a, dW[j], p, member, dt)
+                x, kk = _centroid_step(x, kk, widths[j], dW[j], p, complex(xi), dt)
     assert np.array_equal(xs, ref_x) and np.array_equal(ks, ref_k)
-    final_x, final_k = centroid_ensemble(p, a0, member, 0.2, -0.1, dt, n, n_traj, base)
+    final_x, final_k = centroid_ensemble(p, a0, xi, 0.2, -0.1, dt, n, n_traj, base)
     assert np.array_equal(final_x, ref_x[-1:]) and np.array_equal(final_k, ref_k[-1:])
 
 
 def test_riccati_matrices_entries():
     p = MechanicalParams(mass=2.0, omega=3.0, lam=4.0, hbar=0.5)
-    m = riccati_matrices(p, "nonlinear")
+    m = riccati_matrices(p, 1.0)
     assert np.array_equal(m.drift, [[0.0, 0.5], [-18.0, 0.0]])
     assert m.diffusion[0, 1] == 4.0 and np.count_nonzero(m.diffusion) == 1
     assert m.backaction[1, 1] == 1.0 and np.count_nonzero(m.backaction) == 1
-    lin = riccati_matrices(p, "linear")
+    lin = riccati_matrices(p, -1j)
+    assert np.array_equal(lin.drift, m.drift)
     assert not lin.diffusion.any() and not lin.backaction.any()
-    var = riccati_matrices(p, "variance")
+    var = riccati_matrices(p)
+    assert np.array_equal(var.drift, m.drift)
     assert not var.diffusion.any() and var.backaction[1, 1] == 1.0
-    with pytest.raises(ValueError):
-        riccati_matrices(p, "other")
+    # xi = 0.6 - 0.8i: spring 18 + 2 hbar lam xi_r xi_i, collapse at lam xi_r^2
+    mid = riccati_matrices(p, 0.6 - 0.8j)
+    assert mid.drift[1, 0] == pytest.approx(-18.0 + 1.92, rel=1e-15)
+    assert mid.diffusion[0, 1] == pytest.approx(2.4, rel=1e-15)
+    assert mid.backaction[1, 1] == pytest.approx(0.36, rel=1e-15)
+    for bad in (0.6 + 0.6j, -1.0, complex("nan")):
+        with pytest.raises(ValueError, match="xi"):
+            riccati_matrices(p, bad)
 
 
 def test_pure_state_covariance_has_minimal_determinant():
@@ -267,20 +294,22 @@ def test_pure_state_covariance_has_minimal_determinant():
     assert np.max(np.abs(dets - 0.25)) <= 1e-12
 
 
-@pytest.mark.parametrize("which,member", [("nonlinear", NONLINEAR),
-                                          ("linear", LINEAR),
-                                          ("variance", None)])
-def test_riccati_residual_quarters_harmonic(which, member):
+@pytest.mark.parametrize("xi", [
+    pytest.param(1.0, id="nonlinear-nonlinear"),
+    pytest.param(-1j, id="linear-linear"),
+    pytest.param(None, id="variance-None"),        # the density-matrix flow
+    *[pytest.param(np.exp(1j * theta), id=f"interior-{theta}") for theta in (-0.785, 0.9, -1.3)]])
+def test_riccati_residual_quarters_harmonic(xi):
     p = MechanicalParams(mass=1.0, omega=0.5, lam=1.0, hbar=1.0)
     a0 = 0.3 + 0.1j
     maxima = []
     for n in (200, 400):
         ts = np.linspace(0.0, 4.0, n + 1)
-        if member is None:
+        if xi is None:
             ser = variance_covariance_series(ts, p, a0)
         else:
-            ser = conditional_covariance_series(ts, p, a0, member)
-        res = riccati_residual(ser, riccati_matrices(p, which), ts[1] - ts[0])
+            ser = conditional_covariance_series(ts, p, a0, xi)
+        res = riccati_residual(ser, riccati_matrices(p, xi), ts[1] - ts[0])
         maxima.append(np.max(res))
     assert 3.3 <= maxima[0] / maxima[1] <= 4.5
 
@@ -288,9 +317,9 @@ def test_riccati_residual_quarters_harmonic(which, member):
 def test_riccati_residual_guards():
     p = P_NAT
     with pytest.raises(ValueError):
-        riccati_residual(np.zeros((2, 2, 2)), riccati_matrices(p, "variance"), 0.1)
+        riccati_residual(np.zeros((2, 2, 2)), riccati_matrices(p), 0.1)
     with pytest.raises(ValueError):
-        riccati_residual(np.zeros((5, 3, 3)), riccati_matrices(p, "variance"), 0.1)
+        riccati_residual(np.zeros((5, 3, 3)), riccati_matrices(p), 0.1)
 
 
 def test_variance_covariance_free_entries():
@@ -298,7 +327,7 @@ def test_variance_covariance_free_entries():
     p = MechanicalParams(mass=2.0, omega=0.0, lam=0.5, hbar=1.0)
     a0 = 0.3 + 0.0j
     ser = variance_covariance_series(ts, p, a0)
-    base = conditional_covariance_series(ts, p, a0, LINEAR)
+    base = conditional_covariance_series(ts, p, a0, -1j)
     extra = ser - base
     for i, t in enumerate(ts):
         assert extra[i, 0, 0] == pytest.approx(0.5 * t ** 3 / (3 * 4), rel=1e-12, abs=1e-15)
@@ -318,7 +347,7 @@ def test_quadrature_error_is_raised_on_hopeless_integrand():
 @given(st.floats(0.05, 5.0), st.floats(-2.0, 2.0), st.floats(0.05, 3.0))
 def test_width_stays_normalizable_under_closed_form(a_re, a_im, t):
     a0 = complex(a_re, a_im)
-    w = width_at(t, P_NAT, a0, NONLINEAR)
+    w = width_at(t, P_NAT, a0, 1.0)
     assert w.real > 0.0
-    wl = width_at(t, P_NAT, a0, LINEAR)
+    wl = width_at(t, P_NAT, a0, -1j)
     assert wl.real > 0.0

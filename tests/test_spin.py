@@ -84,9 +84,9 @@ def test_route_difference_contracts_at_strong_order_half():
         kernels = (_EulerKernel(model, u, dt), _ExponentialKernel(model, u, dt))
         acc = 0.0
         for _, _, (psi, phi) in _matched_blocks(kernels, PSI0, np.random.default_rng(seed),
-                                                dt, n, n_pairs):
-            z_i = np.abs(psi[:, 0]) ** 2 - np.abs(psi[:, 1]) ** 2
-            z_ii = np.abs(phi[:, 0]) ** 2 - np.abs(phi[:, 1]) ** 2
+                                                dt, n, n_pairs, stops=range(1, n + 1)):
+            z_i = np.abs(psi[0]) ** 2 - np.abs(psi[1]) ** 2
+            z_ii = np.abs(phi[0]) ** 2 - np.abs(phi[1]) ** 2
             acc += float(np.sum((z_i - z_ii) ** 2))
         return np.sqrt(acc / (n * n_pairs))
 
