@@ -30,11 +30,12 @@ from .bell import bell_gates, bell_report
 from .config import ScenarioConfig
 from .engine import (UnravelingParams, master_equation_oracle, mc_tolerance,
                      simulate_ensemble, simulate_trajectory)
-from .gaussian import (SPREAD_RTOL, centroid_ensemble,
+from .gaussian import (SPREAD_RTOL, TOTAL_VARIANCE_RTOL, centroid_ensemble,
                        conditional_covariance_series, conditional_spread_x,
                        initial_spread, initial_spread_deviation, mean_square_x,
                        riccati_matrices, riccati_residual, simulate_width,
-                       spreads_ordered, variance_covariance_series, variance_x)
+                       spreads_ordered, total_variance_deviation,
+                       variance_covariance_series, variance_x)
 from .noise import derive_seed, measurement_record, wiener_path
 from .spin import (SETTLED, SIGMA_Z, CollapseReport, collapse_statistics, spin_model,
                    supermartingale_check)
@@ -237,11 +238,11 @@ class _MechRun:
         xs, _ = centroid_ensemble(self.p, self.a0, cfg.xi, self.x0, self.k0,
                                   cfg.dt, cfg.n_steps, cfg.n_trajectories, self.seed,
                                   snapshot_steps=snaps)
-        msq_ref = np.array([mean_square_x(float(t), self.p, self.a0, self.x0, self.k0,
-                                          cfg.xi) for t in snaps * cfg.dt])
-        return {"t": snaps * cfg.dt, "mean_x2_mc": (xs ** 2).mean(axis=1),
+        ts = snaps * cfg.dt
+        return {"t": ts, "mean_x2_mc": (xs ** 2).mean(axis=1),
                 "stderr_x2": (xs ** 2).std(axis=1, ddof=1) / np.sqrt(cfg.n_trajectories),
-                "mean_x2_closed_form": msq_ref}
+                "mean_x2_closed_form": mean_square_x(ts, self.p, self.a0, self.x0, self.k0,
+                                                     cfg.xi)}
 
 
 _SETUPS = {"spin": _SpinRun, "mech": _MechRun}
@@ -322,6 +323,16 @@ def _check_riccati(cfg: ScenarioConfig, ric: dict) -> list:
                          "finite residual series")]
 
 
+def _check_total_variance(cfg: ScenarioConfig, em: dict) -> list:
+    run = _MechRun(cfg)
+    dev = total_variance_deviation(em["t"], em["mean_x2_closed_form"], run.p, run.a0,
+                                   run.x0, run.k0, cfg.xi)
+    return [CheckOutcome("law of total variance: mean_x2_closed_form - ballistic^2 "
+                         "= var - spread", dev <= TOTAL_VARIANCE_RTOL,
+                         f"max rel dev {dev:.2e} of var",
+                         f"<= 10 x quadrature tolerance = {TOTAL_VARIANCE_RTOL:.0e}")]
+
+
 def _check_settled(cfg: ScenarioConfig, cols: dict) -> list:
     # collapse is only complete after many coupling times
     if float(cfg.params["lam"]) * cfg.t_final < 10.0:
@@ -357,12 +368,13 @@ def _check_master_equation(cfg: ScenarioConfig, cols: dict) -> list:
 # family -> (output kinds read, check) in report order; a check runs when the
 # config asks for every kind it reads and each was written, and returns no
 # outcome when it does not apply.
-# The spread, Born and Bell checks format the outcome of a gate owned by the
-# module they test; the master-equation check holds the written oracle column
+# The spread, total-variance, Born and Bell checks format the outcome of a gate
+# owned by the module they test; the master-equation check holds the written oracle column
 # to engine.mc_tolerance, as criterion 1 holds the oracle rho.
 _CHECKS = {
     "mech": [(("sigma", "var"), _check_spreads),
-             (("riccati",), _check_riccati)],
+             (("riccati",), _check_riccati),
+             (("ensemble_mean",), _check_total_variance)],
     "spin": [(("trajectory",), _check_settled),
              (("collapse_stats",), _check_collapse_stats),
              (("bell",), _check_bell),

@@ -379,10 +379,19 @@ def test_harmonic_config_at_an_interior_member_runs_and_passes_its_checks(tmp_pa
     assert len(run_scenario(cfg, tmp_path)) == 6
     outcomes = scenario_checks(cfg, tmp_path)
     assert outcomes and all(c.passed for c in outcomes), [c.line() for c in outcomes]
-    _, em = read_series(tmp_path / "mid_ensemble_mean.csv")
+    meta, em = read_series(tmp_path / "mid_ensemble_mean.csv")
     dev = np.abs(em["mean_x2_mc"] - em["mean_x2_closed_form"])
     # first snapshot is t = 0 where both sides vanish identically
     assert np.all(dev[1:] <= 4.0 * em["stderr_x2"][1:])
+    # the member's quadrature keeps the law of total variance, and the check sees a
+    # closed-form column that is off by one part in a million
+    total_variance = [c for c in outcomes if c.name.startswith("law of total variance")]
+    assert len(total_variance) == 1 and total_variance[0].passed
+    write_series(tmp_path / "mid_ensemble_mean.csv",
+                 {**em, "mean_x2_closed_form": em["mean_x2_closed_form"] * (1 + 1e-6)}, meta)
+    broken = [c for c in scenario_checks(cfg, tmp_path)
+              if c.name.startswith("law of total variance")]
+    assert len(broken) == 1 and not broken[0].passed, broken
 
 
 def test_builders_cover_every_output_kind():

@@ -1,9 +1,12 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unravelings import engine
+from unravelings.config import preset
 from unravelings.gaussian import (SPREAD_RTOL, GaussianState,
                                   MechanicalParams, QuadratureError, _centroid_step,
                                   a_closed_form, centroid_ensemble,
@@ -339,8 +342,75 @@ def test_quadrature_error_is_raised_on_hopeless_integrand():
     from unravelings.gaussian import _adaptive_simpson
     rng = np.random.default_rng(0)
     with pytest.raises(QuadratureError):
-        _adaptive_simpson(lambda s: rng.standard_normal(), 0.0, 1.0, 1e-12,
+        _adaptive_simpson(lambda s, rows: rng.standard_normal(np.shape(s)), 0.0, 1.0, 1e-12,
                           max_depth=6)
+
+
+def test_hopeless_integrand_hits_the_interval_cap_at_the_default_depth():
+    # the cap on pending intervals, not the depth of 48 levels, stops the refinement
+    from unravelings.gaussian import _MAX_PENDING, _adaptive_simpson
+    rng = np.random.default_rng(0)
+    t0 = time.perf_counter()
+    with pytest.raises(QuadratureError, match=f"more than {_MAX_PENDING} intervals"):
+        _adaptive_simpson(lambda s, rows: rng.standard_normal(np.shape(s)),
+                          [0.0, 0.0], [1.0, 2.0], 1e-12)
+    assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize("xi", [1.0, -1j, np.exp(-1j * np.pi / 4)],
+                         ids=["nonlinear", "linear", "interior"])
+@pytest.mark.parametrize("omega", [0.0, 0.5])
+def test_mean_square_on_a_time_array_equals_one_call_per_time(xi, omega):
+    p = MechanicalParams(mass=1.0, omega=omega, lam=0.8, hbar=1.0)
+    a0, x0, k0 = 0.3 + 0.1j, 0.2, -0.4
+    ts = np.concatenate([[0.0], np.linspace(0.25, 5.0, 20)])
+    together = mean_square_x(ts, p, a0, x0, k0, xi)
+    one_by_one = [mean_square_x(float(t), p, a0, x0, k0, xi) for t in ts]
+    assert together.shape == ts.shape
+    assert all(type(v) is float for v in one_by_one)
+    assert np.array_equal(together, one_by_one)
+    if omega == 0.0:
+        ball = x0 + p.hbar * k0 * ts / p.mass
+    else:
+        ball = p.hbar * k0 * np.sin(omega * ts) / (p.mass * omega) + x0 * np.cos(omega * ts)
+    assert together[0] == ball[0] ** 2 == x0 ** 2
+
+
+@pytest.mark.parametrize("t", [-1e-3, np.nan, np.inf, [0.5, -0.5]])
+def test_mean_square_rejects_negative_or_non_finite_times(t):
+    with pytest.raises(ValueError, match="finite and >= 0"):
+        mean_square_x(t, P_NAT, 0.3 + 0.1j, 0.0, 0.0, 1.0)
+
+
+def _residual_point_by_point(ser, mats, dt):
+    fd = (ser[2:] - ser[:-2]) / (2.0 * dt)
+    return np.array([np.max(np.abs(fd[k] - mats.rhs(ser[k + 1]))) for k in range(len(fd))])
+
+
+@pytest.mark.parametrize("omega", [0.0, 0.5])
+@pytest.mark.parametrize("xi", [1.0, -1j, None, np.exp(-1j * np.pi / 4)],
+                         ids=["nonlinear", "linear", "variance", "interior"])
+def test_stacked_riccati_residual_equals_the_point_loop(omega, xi):
+    p = MechanicalParams(mass=1.0, omega=omega, lam=1.0, hbar=1.0)
+    ts = np.linspace(0.0, 4.0, 401)
+    ser = (variance_covariance_series(ts, p, 0.3 + 0.1j) if xi is None
+           else conditional_covariance_series(ts, p, 0.3 + 0.1j, xi))
+    mats = riccati_matrices(p, xi)
+    assert np.array_equal(riccati_residual(ser, mats, ts[1] - ts[0]),
+                          _residual_point_by_point(ser, mats, ts[1] - ts[0]))
+
+
+@pytest.mark.parametrize("xi", [1.0, -1j, None], ids=["nonlinear", "linear", "variance"])
+def test_stacked_riccati_residual_equals_the_point_loop_on_the_si_grid(xi):
+    # the fig1 preset: SI units, 1001 points of dt = 5e-5 s
+    cfg = preset("fig1")
+    p, a0 = cfg.mechanical(), cfg.a0()
+    ts = np.arange(cfg.n_steps + 1) * cfg.dt
+    ser = (variance_covariance_series(ts, p, a0) if xi is None
+           else conditional_covariance_series(ts, p, a0, xi))
+    mats = riccati_matrices(p, xi)
+    assert np.array_equal(riccati_residual(ser, mats, cfg.dt),
+                          _residual_point_by_point(ser, mats, cfg.dt))
 
 
 @settings(max_examples=40, deadline=None)
