@@ -411,8 +411,9 @@ def criterion_10() -> CriterionResult:
     return CriterionResult(
         10, "two-observer demo (static and dynamical)",
         all(passed for _, passed, _, _ in bell_gates(rep)),
-        "rho distance <= 1e-15 and gap = 1 exactly; dynamical gap > 0.5 with "
-        "rho agreement within 5/sqrt(N)",
+        "rho distance <= 1e-15 and gap = 1 exactly; dynamical gap > s0 - "
+        "collapse_bound(s0, lam, T) - 5/sqrt(N) (0.786 at |+x>) with rho agreement "
+        "within 5/sqrt(N)",
         {"rho_distance": ana["rho_distance"], "sigma_gap": ana["sigma_gap"],
          "dyn_gap": dyn["spread_gap_final"], "dyn_rho_worst": max(dyn["rho_distance"]),
          "dyn_rho_tol": dyn["mc_rho_tolerance"]},

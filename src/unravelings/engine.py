@@ -36,6 +36,19 @@ one product with the stacked operator ``[L; A]``.  Norms are sums of
 ``re^2 + im^2`` over rows in a fixed order, and a non-finite or vanishing
 norm raises :class:`FloatingPointError` naming the trajectory and the step.
 
+Operand layout of the elementwise step: the states are C-contiguous
+``(dim, N)`` complex arrays, and every elementwise operation runs on
+operands of one dtype whose inner axis is contiguous and N wide.  The
+per-row constant (the diagonal of ``A``, or the exponential step's phase)
+is repeated to ``(dim, N)`` once per width; each real per-column factor is
+cast to complex once, before it broadcasts over the rows; ``re^2 + im^2``
+comes from one squaring pass over the float view of the states; and the
+temporaries of a step are updated in place.  None of this changes an
+operation, or the operand order of a complex product (numpy's complex
+product fuses a multiply-add, so ``a * b`` and ``b * a`` may differ in the
+last bit): the step keeps the bits of the regrouped increment as written
+above.
+
 The one other state update is :class:`_ExponentialKernel`, the exact step
 of the collapse member's linear equation driven by the raw increment
 dxi = dW + 2 sqrt(lam) <L> dt, for xi = 1 and diagonal H and L (diagonals
@@ -232,6 +245,12 @@ def _column_means(psis: np.ndarray, op: np.ndarray) -> np.ndarray:
     return _sum_rows((psis.conj() * (op @ psis)).real)
 
 
+def _abs2(psis: np.ndarray) -> np.ndarray:
+    """``psis.real ** 2 + psis.imag ** 2`` of C-contiguous complex ``psis``, squared in one pass."""
+    sq = psis.view(float) ** 2
+    return sq[..., 0::2] + sq[..., 1::2]
+
+
 def _is_diagonal(op: np.ndarray) -> bool:
     return not np.any(op - np.diag(np.diag(op)))
 
@@ -239,8 +258,20 @@ def _is_diagonal(op: np.ndarray) -> bool:
 class _ColumnKernel:
     """Renormalized steps of (dim, N) column states.
 
-    A subclass supplies ``update(psis, dW)``, the un-normalized map of one step.
+    A subclass supplies ``update(psis, dW)``, the un-normalized map of one
+    step of C-contiguous complex columns.  An elementwise update reads its (dim, 1)
+    complex constant ``row`` through :meth:`_across`, repeated over the columns.
     """
+
+    row: np.ndarray
+    _wide = None
+
+    def _across(self, n: int) -> np.ndarray:
+        """``row`` repeated over ``n`` columns, rebuilt only when the width changes."""
+        wide = self._wide
+        if wide is None or wide.shape[1] != n:
+            wide = self._wide = np.repeat(self.row, n, axis=1)
+        return wide
 
     def step(self, psis: np.ndarray, dW: np.ndarray) -> np.ndarray:
         """One renormalized step of every column; ``dW`` has one entry per column."""
@@ -257,17 +288,19 @@ class _ColumnKernel:
         non-finite or vanishing norm raises FloatingPointError naming the
         trajectory ``first_traj + column`` and the step ``first_step + j``.
         """
+        psis = np.ascontiguousarray(psis, dtype=complex)
         # an overflow is reported by the norm check, not as a warning
         with np.errstate(over="ignore", invalid="ignore"):
             for j in range(dW.shape[1]):
                 psis = self.update(psis, dW[:, j])
-                n2 = _sum_rows(psis.real ** 2 + psis.imag ** 2)
-                ok = np.isfinite(n2) & (n2 > 0.0)
-                if not ok.all():
-                    k = first_traj + int(np.flatnonzero(~ok)[0])
+                n2 = _sum_rows(_abs2(psis))
+                if not (n2.min() > 0.0 and n2.max() < np.inf):     # also a nan
+                    bad = ~(np.isfinite(n2) & (n2 > 0.0))
+                    k = first_traj + int(np.flatnonzero(bad)[0])
                     raise FloatingPointError(f"trajectory {k} became non-finite at step "
                                              f"{first_step + j}; reduce dt")
-                psis *= 1.0 / np.sqrt(n2)
+                inv = np.divide(1.0, np.sqrt(n2, out=n2), out=n2)     # 1 / sqrt(n2)
+                psis *= inv.astype(complex)
                 if states is not None:
                     states[j] = psis
                 if after_step is not None:
@@ -297,16 +330,21 @@ class _EulerKernel(_ColumnKernel):
         self.diagonal = _is_diagonal(H) and _is_diagonal(L)
         if self.diagonal:
             self.l = np.diag(L).real[:, None].copy()
-            self.a = np.diag(A)[:, None].copy()
+            self.row = np.diag(A)[:, None].copy()    # A psi = a psi
             self.xi_l = self.xi * self.l
 
     def update(self, psis: np.ndarray, dW: np.ndarray) -> np.ndarray:
         """The Euler-Maruyama update of normalized columns, before renormalization."""
         if self.diagonal:
-            ell = _sum_rows(self.l * (psis.real ** 2 + psis.imag ** 2))
-            g = self.xi_l - self.xi_r * ell          # L psi = l psi, so g = (xi l - xi_r ell) psi
-            coef = self.a + (self.c_ell * ell + self.sqrt_lam * dW) * g + self.c_ell2 * ell ** 2
-            return coef * psis
+            p = _abs2(psis)
+            p *= self.l
+            ell = _sum_rows(p)
+            g = self.xi_l - (self.xi_r * ell).astype(complex)   # L psi = l psi, so g psi
+            coef = np.multiply((self.c_ell * ell + self.sqrt_lam * dW).astype(complex), g, out=g)
+            np.add(self._across(psis.shape[1]), coef, out=coef)
+            coef += (self.c_ell2 * ell ** 2).astype(complex)
+            coef *= psis
+            return coef
         Y = self.stacked @ psis
         Lpsi, new = Y[:self.dim], Y[self.dim:]
         ell = _sum_rows((psis.conj() * Lpsi).real)
@@ -335,13 +373,19 @@ class _ExponentialKernel(_ColumnKernel):
         self.sqrt_lam_l = np.sqrt(u.lam) * self.l
         self.shift = 2.0 * np.sqrt(u.lam) * dt       # dxi - dW per unit <L>
         self.decay = -u.lam * self.l ** 2 * dt
-        self.phase = np.exp((-1j * dt / model.hbar) * h)   # the same at every step
+        self.row = np.exp((-1j * dt / model.hbar) * h)     # the phase, the same at every step
 
     def update(self, psis: np.ndarray, dW: np.ndarray) -> np.ndarray:
         """The exponential map of normalized columns, before renormalization."""
-        ell = _sum_rows(self.l * (psis.real ** 2 + psis.imag ** 2))
-        return (np.exp(self.sqrt_lam_l * (dW + self.shift * ell) + self.decay)
-                * self.phase) * psis
+        p = _abs2(psis)
+        p *= self.l
+        ell = _sum_rows(p)
+        exponent = self.sqrt_lam_l * (dW + self.shift * ell)
+        exponent += self.decay
+        growth = np.exp(exponent, out=exponent).astype(complex)
+        growth *= self._across(psis.shape[1])
+        growth *= psis
+        return growth
 
 
 def sse_step(psi: np.ndarray, model: ModelSpec, u: UnravelingParams,

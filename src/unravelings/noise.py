@@ -55,12 +55,6 @@ class RecordSeries:
     dt: float
 
 
-def derive_seed(base_seed: int, k: int) -> int:
-    """Deterministic 64-bit child seed for trajectory ``k`` of an ensemble."""
-    ss = np.random.SeedSequence([int(base_seed), int(k)])
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
-
-
 # numpy's SeedSequence hash (NEP 19 keeps it and the PCG64 stream stable):
 # uint32 arithmetic, pool of 4 words, no spawn key.
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -83,10 +77,26 @@ def _hash_chain(init: int, mult: int, n: int) -> list:
     return out
 
 
-def _hashmix(value: np.ndarray, consts: tuple) -> np.ndarray:
+_SEED_WORDS = _hash_chain(_INIT_B, _MULT_B, 2)   # generate_state(1, np.uint64)
+
+
+def derive_seed(base_seed: int, k: int) -> int:
+    """Deterministic 64-bit child seed for trajectory ``k`` of an ensemble.
+
+    ``np.random.SeedSequence([base_seed, k]).generate_state(1, np.uint64)[0]``:
+    the sequence's entropy pool, hashed into the low and the high 32-bit word
+    on Python ints.
+    """
+    pool = np.random.SeedSequence([int(base_seed), int(k)]).pool.tolist()
+    lo, hi = (_hashmix(word, consts) for word, consts in zip(pool, _SEED_WORDS))
+    return lo | hi << 32
+
+
+def _hashmix(value, consts: tuple):
+    """One hash step of a uint32 array, or of a Python int below 2**32."""
     xor_c, mul_c = consts
-    value = (value ^ np.uint32(xor_c)) * np.uint32(mul_c)
-    return value ^ (value >> np.uint32(16))
+    value = ((value ^ xor_c) * mul_c) & 0xFFFFFFFF
+    return value ^ (value >> 16)
 
 
 def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:

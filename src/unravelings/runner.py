@@ -334,8 +334,9 @@ def _check_total_variance(cfg: ScenarioConfig, em: dict) -> list:
 
 
 def _check_settled(cfg: ScenarioConfig, cols: dict) -> list:
-    # collapse is only complete after many coupling times
-    if float(cfg.params["lam"]) * cfg.t_final < 10.0:
+    # with [H, L] = 0, <sz> follows the xi = 1 equation at the rate lam xi_r^2,
+    # and collapse is only complete after many such times
+    if float(cfg.params["lam"]) * cfg.xi_r ** 2 * cfg.t_final < 10.0:
         return []
     finals = np.array([cols[k][-1] for k in cols if k != "t"])
     mn = float(np.min(np.abs(finals)))
@@ -383,16 +384,21 @@ _CHECKS = {
 
 
 def scenario_checks(cfg: ScenarioConfig, out_dir) -> list:
-    """Re-read the outputs ``cfg`` asks for and evaluate scenario-level expectations."""
+    """Re-read the outputs ``cfg`` asks for and evaluate scenario-level expectations.
+
+    Fails only when no checkable output file is found; files whose checks
+    do not apply to ``cfg`` (an unsettled horizon, say) give no outcome.
+    """
     out_dir = Path(out_dir)
-    checks = []
+    checks, found = [], False
     for kinds, check in _CHECKS[cfg.family]:
         paths = [_output_path(cfg, out_dir, kind) for kind in kinds]
         if set(kinds) <= set(cfg.outputs) and all(p.exists() for p in paths):
             data = [(read_series(p) if p.suffix == _SERIES else read_report(p))[1]
                     for p in paths]
             checks += check(cfg, *data)
-    if not checks:
+            found = True
+    if not found:
         checks.append(CheckOutcome("outputs present", False,
                                    "no checkable output files found", "at least one"))
     return checks

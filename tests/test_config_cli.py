@@ -10,7 +10,7 @@ from unravelings.engine import _EulerKernel, simulate_ensemble, simulate_traject
 from unravelings.gaussian import GaussianState, gaussian_sde_step
 from unravelings.noise import derive_seed, measurement_record, wiener_path
 from unravelings.runner import (_BUILDERS, _SpinRun, _check_bell, _check_collapse_stats,
-                                _check_spreads, _snapshot_steps,
+                                _check_settled, _check_spreads, _snapshot_steps,
                                 files_equal_ignoring_timestamp, read_report,
                                 read_series, run_scenario, scenario_checks,
                                 write_series)
@@ -179,10 +179,15 @@ def test_free_particle_config_at_its_own_cap_validates_and_runs(tmp_path):
     assert len(run_scenario(cfg, tmp_path)) == 3
 
 
-def test_bell_config_spin_setup_reaches_the_dynamical_ensembles(tmp_path):
+def test_bell_config_spin_setup_reaches_the_dynamical_ensembles(tmp_path, capsys):
     raw = _with(PRESETS["bell"], ("params", "psi0"), [[1.0, 0.0], [0.0, 0.0]])
     raw = {**raw, "t_final": 0.05, "n_trajectories": 20}
-    run_scenario(validate_config(raw), tmp_path)
+    path = tmp_path / "bell_up.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    # the spread-gap gate reads the state it checks: a zero gap passes at |up>
+    assert main(["run", "--config", str(path), "--out", str(tmp_path), "--check"]) == 0
+    out = capsys.readouterr().out
+    assert "[PASS] dynamical spread gap" in out and "[FAIL]" not in out
     _, rep = read_report(tmp_path / "bell_bell.json")
     # |up> is an eigenstate of L: no spread under either member (|up_x> keeps 1)
     dyn = rep["dynamical"]
@@ -260,7 +265,7 @@ def test_scenario_checks_fail_on_hand_built_broken_gates():
     # observer marginals apart by 1e-14
     bell = {"analytic": {"rho_distance": 1e-14, "sigma_gap": 1.0},
             "dynamical": {"rho_distance": [0.0, 0.01], "mc_rho_tolerance": 0.05,
-                          "spread_gap_final": 0.9}}
+                          "spread_gap_final": 0.9, "gap_floor": 0.786}}
     assert [c.passed for c in _check_bell(cfg, bell)] == [False, True, True, True]
 
 
@@ -273,6 +278,26 @@ def test_scenario_checks_read_only_the_outputs_the_config_asks_for(tmp_path):
     assert [c.name for c in scenario_checks(cfg, tmp_path)] == [
         "branch frequencies follow the Born weights",
         "mean conditional spread under the collapse bound"]
+
+
+def test_settling_check_reads_the_member_collapse_rate(tmp_path):
+    # <sz> collapses at lam xi_r^2: fig2 (xi = 1, lam T = 10) keeps its line,
+    # xi = 0.6 - 0.8i at lam T = 10 (lam xi_r^2 T = 3.6) has none, so an
+    # unsettled trajectory there is no failure
+    fig2 = preset("fig2")
+    unsettled = {"t": np.array([0.0, 10.0]), "sz_000": np.array([0.5, 0.5])}
+    assert [(c.name, c.passed) for c in _check_settled(fig2, unsettled)] == [
+        ("every trajectory settles on an eigenstate", False)]
+    interior = type(fig2)(**{**fig2.__dict__, "xi_r": 0.6, "xi_i": -0.8,
+                             "outputs": ("trajectory", "ensemble_mean")})
+    assert _check_settled(interior, unsettled) == []
+    run_scenario(interior, tmp_path)
+    checks = scenario_checks(interior, tmp_path)
+    assert [c.name for c in checks] == ["ensemble mean tracks the master equation"]
+    assert all(c.passed for c in checks)
+    # a trajectory alone is checked by nothing at this horizon, which is no failure
+    only = type(interior)(**{**interior.__dict__, "outputs": ("trajectory",)})
+    assert scenario_checks(only, tmp_path) == []
 
 
 def test_scenario_checks_empty_dir_is_failure(tmp_path):

@@ -3,7 +3,7 @@ import pytest
 
 from unravelings import engine
 from unravelings.engine import (ModelSpec, UnravelingParams, _EulerKernel,
-                                _ExponentialKernel, check_stability,
+                                _ExponentialKernel, _sum_rows, check_stability,
                                 conditional_moment_flow_residual,
                                 lindblad_evolve, lindblad_propagator,
                                 lindblad_step, max_stable_dt, simulate_ensemble,
@@ -278,6 +278,88 @@ def test_exponential_kernel_update_matches_the_complex_exponent():
     ref = np.exp(np.sqrt(lam) * l * (dW + 2.0 * np.sqrt(lam) * dt * ell) + drift) * psis
     new = kernel.update(psis, dW)
     assert np.all(np.abs(new - ref) <= 4.0 * np.finfo(float).eps * np.abs(ref))
+
+
+def _reference_update(kernel, psis, dW):
+    """One un-normalized step, each branch written as the kernels first wrote it."""
+    p = psis.real ** 2 + psis.imag ** 2
+    if isinstance(kernel, _ExponentialKernel):
+        ell = _sum_rows(kernel.l * p)
+        return (np.exp(kernel.sqrt_lam_l * (dW + kernel.shift * ell) + kernel.decay)
+                * kernel.row) * psis
+    if kernel.diagonal:
+        ell = _sum_rows(kernel.l * p)
+        g = kernel.xi_l - kernel.xi_r * ell
+        coef = (kernel.row + (kernel.c_ell * ell + kernel.sqrt_lam * dW) * g
+                + kernel.c_ell2 * ell ** 2)
+        return coef * psis
+    Y = kernel.stacked @ psis
+    Lpsi, new = Y[:kernel.dim], Y[kernel.dim:]
+    ell = _sum_rows((psis.conj() * Lpsi).real)
+    g = kernel.xi * Lpsi - (kernel.xi_r * ell) * psis
+    new += (kernel.c_ell * ell + kernel.sqrt_lam * dW) * g
+    new += (kernel.c_ell2 * ell ** 2) * psis
+    return new
+
+
+def _reference_run(kernel, psis, dW):
+    for j in range(dW.shape[1]):
+        psis = _reference_update(kernel, psis, dW[:, j])
+        psis *= 1.0 / np.sqrt(_sum_rows(psis.real ** 2 + psis.imag ** 2))
+    return psis
+
+
+def _dense_four_level():
+    rng = np.random.default_rng(14)
+    H, L = _random_hermitian(rng, 4), _random_hermitian(rng, 4)
+    return ModelSpec(H=H, L=L / np.max(np.abs(np.linalg.eigvalsh(L))), dim=4, hbar=0.9)
+
+
+# xi = 1, -i and e^{-i pi/4} on the diagonal spin model and a dense 4 x 4 model
+_KERNEL_CASES = ([(_EulerKernel, model, u) for model in ("spin", "dense")
+                  for u in (UnravelingParams.nonlinear(0.8), UnravelingParams.linear(0.8),
+                            XI_INTERIOR)]
+                 + [(_ExponentialKernel, "spin", UnravelingParams.nonlinear(0.8))])
+
+
+def _kernel_case(kind, model, u, dt=1e-3):
+    """The kernel and its dimension."""
+    model = spin_model(nu=1.3) if model == "spin" else _dense_four_level()
+    return kind(model, u, dt), model.dim
+
+
+@pytest.mark.parametrize("kind, model, u", _KERNEL_CASES)
+@pytest.mark.parametrize("width", [1, 7, 2501])
+def test_kernel_run_has_the_bits_of_the_reference_expressions(kind, model, u, width):
+    # same-dtype, full-width operands and in-place steps leave every bit as it was
+    kernel, dim = _kernel_case(kind, model, u)
+    rng = np.random.default_rng(width)
+    psis = _random_columns(rng, dim, width)
+    dW = rng.standard_normal((width, 25)) * np.sqrt(1e-3)
+    ref = _reference_run(kernel, psis, dW)
+    assert np.array_equal(kernel.run(psis, dW).view(float), ref.view(float))
+    # a (dim, N) view of (N, dim) rows, as criterion 8 passes its states
+    rows = np.ascontiguousarray(psis.T)
+    assert np.array_equal(kernel.run(rows.T, dW).view(float), ref.view(float))
+    assert np.array_equal(rows.T, psis)                       # the input is not written
+
+
+@pytest.mark.parametrize("kind, model, u", _KERNEL_CASES)
+@pytest.mark.parametrize("fault", ["nan", "inf", "zero"])
+def test_kernel_guard_names_the_global_column_and_step(kind, model, u, fault):
+    # column 3 of the chunk starting at trajectory 40 fails at its step 12:
+    # a nan state, a finite state whose norm overflows to inf, or a zero state
+    kernel, dim = _kernel_case(kind, model, u)
+    psis = _random_columns(np.random.default_rng(15), dim, 7)
+    dW = np.zeros((7, 4))
+    if fault == "inf":
+        dW[3, 2] = 500.0 if kind is _ExponentialKernel else 1e200
+        first_step = 10
+    else:
+        psis[:, 3] = np.nan if fault == "nan" else 0.0
+        first_step = 12
+    with pytest.raises(FloatingPointError, match="trajectory 43 became non-finite at step 12"):
+        kernel.run(psis, dW, first_step=first_step, first_traj=40)
 
 
 def _both_kernels(dt, lam=0.8):

@@ -116,3 +116,19 @@ def test_zero_record_zero_signal_gives_zero_noise():
     zero = reconstruct_noise(type(rec)(values=np.zeros(5), dt=1e-3), np.zeros(5), 1.0, 1.0)
     assert np.array_equal(zero.increments, np.zeros(5))
 
+
+def _generate_state_seed(b, k):
+    return int(np.random.SeedSequence([b, k]).generate_state(1, np.uint64)[0])
+
+
+def test_derive_seed_is_the_seed_sequence_state():
+    # the pool read from SeedSequence and hashed on Python ints is the same
+    # 64-bit word as generate_state(1, np.uint64): one and two entropy words
+    # per argument, three for 2**70, and random pairs
+    edges = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1]
+    pairs = [(b, k) for b in edges for k in edges] + [(2 ** 70, 0), (2 ** 70, 2 ** 64 - 1)]
+    rng = np.random.default_rng(16)
+    pairs += [(int(b), int(k)) for b, k in rng.integers(0, 2 ** 64, size=(10_000, 2),
+                                                        dtype=np.uint64)]
+    for b, k in pairs:
+        assert derive_seed(b, k) == _generate_state_seed(b, k), (b, k)
