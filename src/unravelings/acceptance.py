@@ -14,7 +14,7 @@ import numpy as np
 
 from .bell import bell_gates, bell_report
 from .engine import (ModelSpec, UnravelingParams, _EulerKernel,
-                     _ExponentialKernel, _matched_blocks, lindblad_rhs,
+                     _ExponentialKernel, _matched_blocks, _state_stack, lindblad_rhs,
                      master_equation_oracle, mc_tolerance, simulate_ensemble)
 from .gaussian import (SPREAD_RTOL, MechanicalParams, a_closed_form,
                        centroid_ensemble, conditional_covariance_series,
@@ -388,9 +388,9 @@ def criterion_9() -> CriterionResult:
     strong = []
     for dt in (2e-3, 1e-3):
         n = int(round(T / dt))
-        dW = np.array([wiener_path(7000 + k, dt, n).increments for k in range(150)])
-        diff = (_sigma_z_paths(_EulerKernel(model, u, dt), _PSI0, dW)
-                - _sigma_z_paths(_ExponentialKernel(model, u, dt), _PSI0, dW))
+        dW = np.array([wiener_path(7000 + k, dt, n) for k in range(150)])
+        diff = (_sigma_z_paths(_state_stack(_EulerKernel(model, u, dt), _PSI0, dW))
+                - _sigma_z_paths(_state_stack(_ExponentialKernel(model, u, dt), _PSI0, dW)))
         # mean over time per trajectory, then over trajectories: a serial loop's bits
         strong.append(float(np.sqrt(np.mean(np.mean(diff ** 2, axis=1)))))
     return CriterionResult(

@@ -86,6 +86,10 @@ columns, which keeps a chunk's states in cache.  It hands back the states
 only at the caller's stop steps, where the blocks end.  On a diagonal model every
 step is elementwise, so a chunked column has the bits of the full-width loop.
 
+A batch whose every state is kept is an (n + 1, dim, N) stack from
+:func:`_state_stack`; :func:`simulate_trajectory` is its one-column case,
+and :func:`conditional_moment_flow_residual` reads whole stacks.
+
 The master equation is written once, in :func:`lindblad_rhs`; the oracle
 takes classical RK4 steps of it.  The flow is linear, so the one-step
 propagator is the RK4 step of the d^2 basis matrices, and
@@ -153,18 +157,6 @@ class ModelSpec:
                 raise ValueError(f"{name} is not Hermitian")
         if self.hbar <= 0.0:
             raise ValueError("hbar must be positive")
-
-
-@dataclass(frozen=True)
-class TrajectoryRecord:
-    """One realized trajectory with dense state storage."""
-
-    times: np.ndarray                 # (n_steps + 1,)
-    states: np.ndarray                # (n_steps + 1, dim), each row normalized
-    means: dict                       # name -> (n_steps + 1,) conditional means
-    noise: noise_mod.NoisePath
-    seed: int
-    dt: float
 
 
 @dataclass(frozen=True)
@@ -395,27 +387,33 @@ def sse_step(psi: np.ndarray, model: ModelSpec, u: UnravelingParams,
     return _EulerKernel(model, u, dt).step(psi[:, None], np.array([dW]))[:, 0]
 
 
+def _state_stack(kernel: _ColumnKernel, psi0: np.ndarray, dW: np.ndarray) -> np.ndarray:
+    """Every state, (n + 1, dim, N), of columns from ``psi0`` driven by the rows of (N, n) ``dW``.
+
+    On a diagonal model each column gets the bits it would get alone.
+    """
+    n_paths, n = dW.shape
+    psi0 = np.asarray(psi0, dtype=complex)
+    states = np.empty((n + 1, psi0.size, n_paths), dtype=complex)
+    states[0] = psi0[:, None]
+    kernel.run(states[0], dW, states=states[1:])
+    return states
+
+
 def simulate_trajectory(model: ModelSpec, u: UnravelingParams, psi0: np.ndarray,
                         dt: float, n_steps: int, seed: int,
-                        tracked_observables: dict | None = None) -> TrajectoryRecord:
-    """One trajectory on ``wiener_path(seed, dt, n_steps)``, every state and tracked mean stored."""
-    check_stability(model, u, dt)
-    kernel = _EulerKernel(model, u, dt)
-    psi0 = np.asarray(psi0, dtype=complex)
-    assert_normalized(psi0, tol=1e-10)
-    tracked = dict(tracked_observables or {})
-    states = np.empty((n_steps + 1, psi0.size, 1), dtype=complex)   # one column per step
-    states[0, :, 0] = psi0
-    if n_steps >= 1:
-        path = noise_mod.wiener_path(seed, dt, n_steps)
-        kernel.run(states[0], path.increments[None, :], states=states[1:])
-    else:
-        path = noise_mod.NoisePath(seed=seed, dt=dt, increments=np.empty(0))
-    states = states[:, :, 0]
+                        tracked_observables: dict | None = None) -> tuple:
+    """One trajectory on ``wiener_path(seed, dt, n_steps)``: ``(states, means)``.
 
-    means = {name: _column_means(states.T, op) for name, op in tracked.items()}
-    return TrajectoryRecord(times=np.arange(n_steps + 1) * dt, states=states, means=means,
-                            noise=path, seed=seed, dt=dt)
+    ``states`` is (n_steps + 1, dim); ``means`` maps each tracked name to its
+    (n_steps + 1,) conditional means.
+    """
+    check_stability(model, u, dt)
+    assert_normalized(psi0)
+    dW = noise_mod.wiener_path(seed, dt, n_steps) if n_steps else np.empty(0)
+    states = _state_stack(_EulerKernel(model, u, dt), psi0, dW[None, :])[:, :, 0]
+    tracked = tracked_observables or {}
+    return states, {name: _column_means(states.T, op) for name, op in tracked.items()}
 
 
 def _wiener_block(rngs, n_steps: int, sqrt_dt: float) -> np.ndarray:
@@ -516,7 +514,7 @@ def simulate_ensemble(model: ModelSpec, u: UnravelingParams, psi0: np.ndarray,
     so neither the snapshot steps nor ``n_traj`` changes any trajectory.
     """
     psi0 = np.asarray(psi0, dtype=complex)
-    assert_normalized(psi0, tol=1e-10)
+    assert_normalized(psi0)
     check_stability(model, u, dt)
     snaps = _checked_snapshots(snapshot_steps, n_steps)
     tracked = dict(tracked_observables or {})
@@ -632,39 +630,39 @@ def mc_tolerance(n_traj: int) -> float:
 
 # --- moment-flow diagnostics ------------------------------------------------
 
-def conditional_moment_flow_residual(trajectory: TrajectoryRecord, observable: np.ndarray,
-                                     model: ModelSpec, u: UnravelingParams,
-                                     power: int) -> np.ndarray:
+def conditional_moment_flow_residual(states: np.ndarray, dW: np.ndarray,
+                                     observable: np.ndarray, model: ModelSpec,
+                                     u: UnravelingParams, dt: float, power: int) -> np.ndarray:
     """Per-step residual of the Ito flow of <O> (power 1) or <O>^2 (power 2).
 
-    The finite difference of the stored conditional-mean series is compared
-    with the Ito right-hand side evaluated on the pre-step state and the
-    recorded increment; for an exact-in-law chain the RMS residual is O(dt).
-    The drift of <O> is tr(O drho/dt) of :func:`lindblad_rhs` at each state.
+    For the (n + 1, dim, N) ``states`` of :func:`_state_stack` and their (N, n)
+    ``dW``, the finite difference of each conditional-mean series is compared
+    with the Ito right-hand side on the pre-step state and increment: (N, n).
+    For an exact-in-law chain the RMS residual is O(dt).  The drift of <O>
+    is tr(O drho/dt) of :func:`lindblad_rhs` at each state.
     """
     if power not in (1, 2):
         raise ValueError("power must be 1 or 2")
-    psis = trajectory.states
-    if psis.shape[0] < 2:
+    if states.shape[0] < 2:
         raise ValueError("trajectory must store at least two states")
-    dW = trajectory.noise.increments
-    dt = trajectory.dt
     O, L = observable, model.L
+    conj = states.conj()
 
-    m = _column_means(psis.T, O)
-    ell = _column_means(psis.T, L)
-    flow = lindblad_rhs(np.einsum("ni,nj->nij", psis, psis.conj()), model, u.lam)
-    drift = np.einsum("ij,nji->n", O, flow).real
-    anti_OL = np.einsum("ni,ij,nj->n", psis.conj(), O @ L + L @ O, psis).real
-    comm_OL = np.einsum("ni,ij,nj->n", psis.conj(), O @ L - L @ O, psis)
-    gain = u.xi_r * (anti_OL - 2.0 * m * ell) + (1j * u.xi_i * comm_OL).real
+    def expect(op):                       # <psi|op|psi> of every stored state, (n + 1, N)
+        return np.einsum("kin,ij,kjn->kn", conj, op, states)
 
-    drift, gain, m0 = drift[:-1], gain[:-1], m[:-1]
+    m, ell = expect(O).real, expect(L).real
+    flow = lindblad_rhs(np.einsum("kin,kjn->knij", states, conj), model, u.lam)
+    drift = np.einsum("ij,knji->kn", O, flow).real
+    gain = (u.xi_r * (expect(O @ L + L @ O).real - 2.0 * m * ell)
+            + (1j * u.xi_i * expect(O @ L - L @ O)).real)
+
+    drift, gain, m0, dW = drift[:-1], gain[:-1], m[:-1], dW.T
     if power == 1:
         rhs = drift * dt + np.sqrt(u.lam) * gain * dW
-        fd = np.diff(m)
+        fd = np.diff(m, axis=0)
     else:
         rhs = (2.0 * m0 * drift * dt + u.lam * gain ** 2 * dt
                + 2.0 * m0 * np.sqrt(u.lam) * gain * dW)
-        fd = np.diff(m ** 2)
-    return fd - rhs
+        fd = np.diff(m ** 2, axis=0)
+    return (fd - rhs).T

@@ -175,26 +175,3 @@ def channel_apply(rho: np.ndarray, L: np.ndarray, gp: GcmParams, dt: float) -> n
     kernel = (amps.T @ amps.conj()) * dy        # K_ij = int amp_i conj(amp_j) dy
     rho_eig = V.conj().T @ np.asarray(rho, dtype=complex) @ V
     return V @ (kernel * rho_eig) @ V.conj().T
-
-
-@dataclass(frozen=True)
-class RecordMeanStats:
-    """First-moment diagnostics of the outcome density for one state."""
-
-    mean: float     # int y tr[A^dag A rho] dy
-    mass: float     # int tr[A^dag A rho] dy, 1 for a measurement
-    target: float   # xi_r <L> dt, the record equation's mean
-
-
-def record_mean_check(state: np.ndarray, L: np.ndarray, gp: GcmParams,
-                      dt: float) -> RecordMeanStats:
-    """Quadrature of the outcome mass and first moment against the record equation."""
-    state = np.asarray(state, dtype=complex)
-    evals, V = _eigs(L)
-    w = np.abs(V.conj().T @ state) ** 2
-    grid = outcome_grid(L, gp, dt)
-    dy = grid[1] - grid[0]
-    dens = (np.abs(_amplitudes(evals, gp, grid, dt)) ** 2) @ w
-    return RecordMeanStats(mean=float(np.sum(grid * dens) * dy),
-                           mass=float(np.sum(dens) * dy),
-                           target=gp.xi.real * float(w @ evals) * dt)

@@ -38,9 +38,9 @@ def identity(dim: int) -> np.ndarray:
     return np.eye(dim, dtype=complex)
 
 
-def assert_normalized(psi: np.ndarray, tol: float = TOL.norm) -> None:
+def assert_normalized(psi: np.ndarray) -> None:
     nrm2 = float(np.vdot(psi, psi).real)
-    if abs(nrm2 - 1.0) > tol:
+    if abs(nrm2 - 1.0) > TOL.norm:
         raise ValueError(f"state is not normalized: ||psi||^2 - 1 = {nrm2 - 1.0:.3e}")
 
 
@@ -66,24 +66,12 @@ def density_from_ensemble(states, weights) -> np.ndarray:
     if abs(weights.sum() - 1.0) > TOL.weight_sum:
         raise ValueError(f"ensemble weights sum to {weights.sum():.12f}, not 1")
     for s in states:
-        assert_normalized(s, tol=1e-10)
+        assert_normalized(s)
     dim = states[0].size
     rho = np.zeros((dim, dim), dtype=complex)
     for w, s in zip(weights, states):
         rho += w * np.outer(s, s.conj())
     return rho
-
-
-def check_density_matrix(rho: np.ndarray) -> None:
-    """Raise unless rho is Hermitian, unit trace and positive within tolerance."""
-    if not is_hermitian(rho):
-        raise ValueError("density matrix is not Hermitian within tolerance")
-    tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > TOL.trace:
-        raise ValueError(f"density matrix trace {tr} differs from 1")
-    evals = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
-    if evals.min() < TOL.eigenvalue_floor:
-        raise ValueError(f"density matrix has negative eigenvalue {evals.min():.3e}")
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -20,39 +20,13 @@ driving noise from a record and the conditional means.  The rate entering
 the record is the same coupling ``lam`` that scales the stochastic term of
 the state equation.  The ``record`` output of a scenario is this record of
 its trajectory 0.
+
+A noise path, a record and a mean series are plain ``(n_steps,)`` float
+arrays on the caller's grid of step ``dt``; the seed and ``dt`` stay with
+the caller, which passes them where they are needed.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class NoisePath:
-    """A realized sequence of Wiener increments on a uniform grid."""
-
-    seed: int
-    dt: float
-    increments: np.ndarray
-
-    @property
-    def n_steps(self) -> int:
-        return int(self.increments.size)
-
-    def cumulative(self) -> np.ndarray:
-        """W at the grid points, starting from W_0 = 0 (length n_steps + 1)."""
-        out = np.empty(self.n_steps + 1)
-        out[0] = 0.0
-        np.cumsum(self.increments, out=out[1:])
-        return out
-
-
-@dataclass(frozen=True)
-class RecordSeries:
-    """Measurement-record increments dy_k sharing the grid of its NoisePath."""
-
-    values: np.ndarray
-    dt: float
 
 
 # numpy's SeedSequence hash (NEP 19 keeps it and the PCG64 stream stable):
@@ -142,8 +116,8 @@ def default_rngs(seeds) -> list:
     return [np.random.Generator(np.random.PCG64(_FixedState(w))) for w in words]
 
 
-def wiener_path(seed: int, dt: float, n_steps: int) -> NoisePath:
-    """Generate ``n_steps`` independent N(0, dt) increments from ``seed``.
+def wiener_path(seed: int, dt: float, n_steps: int) -> np.ndarray:
+    """``n_steps`` independent N(0, dt) increments from ``seed``, shape (n_steps,).
 
     Identical (seed, dt, n_steps) triples reproduce the increments exactly;
     the generator is numpy's default PCG64 stream.
@@ -153,34 +127,29 @@ def wiener_path(seed: int, dt: float, n_steps: int) -> NoisePath:
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     rng = np.random.default_rng(int(seed))
-    inc = rng.standard_normal(n_steps) * np.sqrt(dt)
-    return NoisePath(seed=int(seed), dt=float(dt), increments=inc)
+    return rng.standard_normal(n_steps) * np.sqrt(dt)
 
 
-def measurement_record(path: NoisePath, conditional_L, xi_r: float, lam: float) -> RecordSeries:
-    """Detector record dy_k = xi_r <L>_k dt + dW_k / (2 sqrt(lam))."""
-    ell = np.asarray(conditional_L, dtype=float)
-    if ell.size != path.n_steps:
-        raise ValueError(f"conditional mean series length {ell.size} != path length {path.n_steps}")
+def measurement_record(dW: np.ndarray, ell, dt: float, xi_r: float, lam: float) -> np.ndarray:
+    """Detector record dy_k = xi_r <L>_k dt + dW_k / (2 sqrt(lam)) of the increments ``dW``."""
+    dW, ell = np.asarray(dW, dtype=float), np.asarray(ell, dtype=float)
+    if ell.size != dW.size:
+        raise ValueError(f"conditional mean series length {ell.size} != path length {dW.size}")
     if xi_r < 0.0:
         raise ValueError("xi_r must be non-negative")
     if lam <= 0.0:
         raise ValueError("lam must be positive for a measurement record")
-    dy = xi_r * ell * path.dt + path.increments / (2.0 * np.sqrt(lam))
-    return RecordSeries(values=dy, dt=path.dt)
+    return xi_r * ell * dt + dW / (2.0 * np.sqrt(lam))
 
 
-def reconstruct_noise(record: RecordSeries, conditional_L, xi_r: float, lam: float,
-                      seed: int = -1) -> NoisePath:
-    """Invert :func:`measurement_record`: recover dW_k from the record.
+def reconstruct_noise(dy: np.ndarray, ell, dt: float, xi_r: float, lam: float) -> np.ndarray:
+    """Invert :func:`measurement_record`: recover the increments dW_k from the record ``dy``.
 
     The inversion is algebraically exact; in floating point the round trip
     reproduces the original increments to ~1e-14 relative (bit-exact when
     the signal term vanishes and 2*sqrt(lam) is a power of two).
     """
-    ell = np.asarray(conditional_L, dtype=float)
-    if ell.size != record.values.size:
+    dy, ell = np.asarray(dy, dtype=float), np.asarray(ell, dtype=float)
+    if ell.size != dy.size:
         raise ValueError("conditional mean series length does not match record")
-    dW = (record.values - xi_r * ell * record.dt) * (2.0 * np.sqrt(lam))
-    return NoisePath(seed=int(seed), dt=record.dt, increments=dW)
-
+    return (dy - xi_r * ell * dt) * (2.0 * np.sqrt(lam))

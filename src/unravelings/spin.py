@@ -16,20 +16,21 @@ extreme family members admit closed-form solutions:
 
 :func:`spin_nonlinear_trajectory` integrates the collapse member with the
 Euler-Maruyama kernel; :func:`exponential_reconstruction` rebuilds every
-stored state at once from the closed form above.
+state of a stack of such trajectories at once from the closed form above.
 
 The ensemble-mean conditional spread of the collapse member obeys the bound
 E[s_t] <= s_0 / (1 + 4 lam s_0 t) (the spread is a supermartingale), which
-is what :func:`supermartingale_check` verifies.
+is what :func:`supermartingale_check` verifies; as [H, L] = 0, a member
+xi obeys it at the rate lam xi_r^2.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import EnsembleResult, ModelSpec, TrajectoryRecord, UnravelingParams, \
-    _column_means, _ColumnKernel, _sum_rows, simulate_ensemble, simulate_trajectory
-from .linalg import assert_normalized, pauli
+from .engine import EnsembleResult, ModelSpec, UnravelingParams, _column_means, _sum_rows, \
+    simulate_ensemble, simulate_trajectory
+from .linalg import pauli
 
 SIGMA_Z = pauli("z")
 SETTLED = 0.999   # |<sigma_z>| above which a trajectory has settled on an eigenstate
@@ -63,56 +64,44 @@ def sigma_z_spread(z):
     return 1.0 - np.asarray(z, dtype=float) ** 2
 
 
-def spin_linear_solution(t: float, W_t: float, psi0: np.ndarray, sp: SpinParams) -> np.ndarray:
-    """Exact phase-noise-member state at time t given the noise value W_t."""
-    psi0 = np.asarray(psi0, dtype=complex)
-    assert_normalized(psi0, tol=1e-10)
-    phase = sp.nu * t + np.sqrt(sp.lam) * W_t
-    return np.array([np.exp(-1j * phase) * psi0[0], np.exp(1j * phase) * psi0[1]])
-
-
 def collapse_bound(sigma0: float, lam: float, t) -> np.ndarray | float:
     """Upper bound s_0 / (1 + 4 lam s_0 t) for the mean conditional spread."""
     return sigma0 / (1.0 + 4.0 * lam * sigma0 * np.asarray(t, dtype=float))
 
 
 def spin_nonlinear_trajectory(psi0: np.ndarray, sp: SpinParams, dt: float, n_steps: int,
-                              seed: int) -> TrajectoryRecord:
-    """Collapse-member trajectory on wiener_path(seed, dt, n_steps), tracking 'sz'."""
+                              seed: int) -> tuple:
+    """Collapse-member ``(states, means)`` on wiener_path(seed, dt, n_steps), tracking 'sz'."""
     return simulate_trajectory(spin_model(sp), UnravelingParams.nonlinear(sp.lam), psi0, dt,
                                n_steps, seed, tracked_observables={"sz": SIGMA_Z})
 
 
-def _sigma_z_paths(kernel: _ColumnKernel, psi0: np.ndarray, dW: np.ndarray) -> np.ndarray:
-    """<sigma_z> series of ``kernel`` from psi0, one row per row of ``dW``.
-
-    The rows run in lock step; each gets the bits it would get alone.
-    """
-    n_paths, n = dW.shape
-    states = np.empty((n + 1, 2, n_paths), dtype=complex)
-    states[0] = np.asarray(psi0, dtype=complex)[:, None]
-    kernel.run(states[0], dW, states=states[1:])
-    cols = states.transpose(1, 2, 0).reshape(2, -1)
-    return _column_means(cols, SIGMA_Z).reshape(n_paths, n + 1)
+def _sigma_z_paths(states: np.ndarray) -> np.ndarray:
+    """<sigma_z> series of an (n + 1, 2, N) state stack, (N, n + 1): one row per trajectory."""
+    n1, _, n_paths = states.shape
+    return _column_means(states.transpose(1, 2, 0).reshape(2, -1), SIGMA_Z).reshape(n_paths, n1)
 
 
-def exponential_reconstruction(traj: TrajectoryRecord, sp: SpinParams) -> np.ndarray:
+def exponential_reconstruction(states: np.ndarray, dW: np.ndarray, dt: float,
+                               sp: SpinParams) -> np.ndarray:
     """Fidelities between stored states and their summary-statistic rebuild.
 
-    The collapse-member state is an exponential of sigma_z in the running
-    noise W_t and the accumulated conditional mean int_0^t <sigma_z>_s ds
-    (trapezoidal rule on the simulation grid).  Returns |<rebuilt|stored>|
-    at every grid time; deviations measure the integrator's pathwise error.
+    The collapse-member states, an (n + 1, 2, N) stack driven by the rows of
+    (N, n) ``dW``, are exponentials of sigma_z in the running noise W_t and
+    the accumulated conditional mean int_0^t <sigma_z>_s ds (trapezoidal rule
+    on the grid).  Returns |<rebuilt|stored>|, (N, n + 1); deviations
+    measure the integrator's pathwise error.
     """
-    z = traj.means["sz"]
-    W = traj.noise.cumulative()
-    dt = traj.dt
-    integ = np.concatenate([[0.0], np.cumsum(0.5 * (z[1:] + z[:-1]) * dt)])
+    z = _sigma_z_paths(states)
+    pad = ((0, 0), (1, 0))                # each row's running sum starts at 0
+    W = np.cumsum(np.pad(dW, pad), axis=1)
+    integ = np.cumsum(np.pad(0.5 * (z[:, 1:] + z[:, :-1]) * dt, pad), axis=1)
     expo = np.sqrt(sp.lam) * W + 2.0 * sp.lam * integ
-    l = np.diag(SIGMA_Z).real[:, None]
-    rebuilt = np.exp(l * (expo - 1j * sp.nu * traj.times)) * traj.states[0][:, None]
+    l = np.diag(SIGMA_Z).real[:, None, None]
+    times = np.arange(z.shape[1]) * dt
+    rebuilt = np.exp(l * (expo - 1j * sp.nu * times)) * states[0][:, :, None]
     rebuilt /= np.sqrt(_sum_rows(rebuilt.real ** 2 + rebuilt.imag ** 2))
-    return np.abs(_sum_rows(rebuilt.conj() * traj.states.T))
+    return np.abs(_sum_rows(rebuilt.conj() * states.transpose(1, 2, 0)))
 
 
 def nonlinear_ensemble(psi0: np.ndarray, sp: SpinParams, dt: float, n_steps: int,

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Tolerances:
-    norm: float = 1e-12             # |  ||psi||^2 - 1 |  for normalized states
+    norm: float = 1e-10             # |  ||psi||^2 - 1 |  for normalized states
     hermiticity: float = 1e-10      # max |M - M^dagger| elementwise
     trace: float = 1e-10            # | tr(rho) - 1 |
     eigenvalue_floor: float = -1e-10  # smallest admissible density-matrix eigenvalue

@@ -6,7 +6,7 @@ import pytest
 from unravelings.cli import main
 from unravelings.config import (FAMILIES, OUTPUT_KINDS, PRESETS, ConfigError,
                                 load_config, preset, validate_config)
-from unravelings.engine import _EulerKernel, simulate_ensemble, simulate_trajectory
+from unravelings.engine import _EulerKernel, _state_stack, simulate_ensemble, simulate_trajectory
 from unravelings.gaussian import GaussianState, gaussian_sde_step
 from unravelings.noise import derive_seed, measurement_record, wiener_path
 from unravelings.runner import (_BUILDERS, _SpinRun, _check_bell, _check_collapse_stats,
@@ -14,7 +14,8 @@ from unravelings.runner import (_BUILDERS, _SpinRun, _check_bell, _check_collaps
                                 files_equal_ignoring_timestamp, read_report,
                                 read_series, run_scenario, scenario_checks,
                                 write_series)
-from unravelings.spin import SIGMA_Z, _sigma_z_paths
+from unravelings.spin import (SIGMA_Z, _sigma_z_paths, collapse_bound, collapse_statistics,
+                              supermartingale_check)
 
 
 def test_all_presets_validate():
@@ -280,6 +281,36 @@ def test_scenario_checks_read_only_the_outputs_the_config_asks_for(tmp_path):
         "mean conditional spread under the collapse bound"]
 
 
+def test_collapse_stats_checks_read_the_member_rate(tmp_path):
+    # <sz> collapses at lam xi_r^2: at xi = 0.6 - 0.8i and lam T = 2 the
+    # spread bound is s0 / (1 + 4 lam xi_r^2 s0 t), which holds, and no
+    # Born line runs (lam xi_r^2 T < 10); the bound at lam alone fails here
+    cfg = validate_config({"name": "cs", "model": "spin", "unraveling": {"xi": [0.6, -0.8]},
+                           "params": {"nu": 1.0, "lam": 1.0, "hbar": 1.0,
+                                      "psi0": [[0.6, 0.0], [0.0, 0.8]]},
+                           "dt": 1e-3, "t_final": 2.0, "n_trajectories": 30,
+                           "base_seed": 17, "outputs": ["collapse_stats"]})
+    run_scenario(cfg, tmp_path)
+    _, rep = read_report(tmp_path / "cs_collapse_stats.json")
+    s0 = 1.0 - (0.36 - 0.64) ** 2
+    np.testing.assert_allclose(rep["bound"], collapse_bound(s0, 0.36, rep["times"]), rtol=1e-14)
+    assert [c.line() for c in scenario_checks(cfg, tmp_path)] == [
+        "[PASS] mean conditional spread under the collapse bound: observed True, expected True"]
+    # at xi = 1 (xi_r^2 = 1) the report is that of the bound at lam, and
+    # fig2 (lam T = 10) keeps both lines
+    fig2 = validate_config({**PRESETS["fig2"], "outputs": ["collapse_stats"]})
+    run = _SpinRun(fig2)
+    result = run.ensemble.at_steps(_snapshot_steps(fig2))
+    rep = run.collapse_stats()
+    for name, value in vars(supermartingale_check(result, run.sp)).items():
+        assert np.array_equal(rep[name], value)
+    assert rep["n_up"] == collapse_statistics(result).n_up
+    run_scenario(fig2, tmp_path)
+    assert [(c.name, c.passed) for c in scenario_checks(fig2, tmp_path)] == [
+        ("branch frequencies follow the Born weights", True),
+        ("mean conditional spread under the collapse bound", True)]
+
+
 def test_settling_check_reads_the_member_collapse_rate(tmp_path):
     # <sz> collapses at lam xi_r^2: fig2 (xi = 1, lam T = 10) keeps its line,
     # xi = 0.6 - 0.8i at lam T = 10 (lam xi_r^2 T = 3.6) has none, so an
@@ -442,7 +473,7 @@ def test_mechanical_trajectory_is_the_sde_step_loop(tmp_path, model, omega, memb
     path = wiener_path(derive_seed(41, 0), cfg.dt, cfg.n_steps)
     g = GaussianState(width=0.3 + 0.1j, centroid=0.2, wavenumber=-0.4)
     states = [g]
-    for dW in path.increments:
+    for dW in path:
         g = gaussian_sde_step(g, cfg.mechanical(), cfg.xi, dW, cfg.dt)
         states.append(g)
     _, tr = read_series(tmp_path / "m_trajectory.csv")
@@ -452,8 +483,8 @@ def test_mechanical_trajectory_is_the_sde_step_loop(tmp_path, model, omega, memb
     assert np.array_equal(tr["wavenumber"], [s.wavenumber for s in states])
     if member == "nonlinear":
         _, rec = read_series(tmp_path / "m_record.csv")
-        ref = measurement_record(path, [s.centroid for s in states[:-1]], 1.0, 1.0)
-        assert np.array_equal(rec["dy"], ref.values)
+        ref = measurement_record(path, [s.centroid for s in states[:-1]], cfg.dt, 1.0, 1.0)
+        assert np.array_equal(rec["dy"], ref)
 
 
 def test_spin_record_output(tmp_path):
@@ -466,11 +497,12 @@ def test_spin_record_output(tmp_path):
         _, rec = read_series(tmp_path / "fig2_record.csv")
         assert rec["dy"].size == small.n_steps
         setup = _SpinRun(small)
-        path = wiener_path(derive_seed(7, 0), small.dt, small.n_steps)
-        tr = simulate_trajectory(setup.model, setup.u, setup.psi0, small.dt, small.n_steps,
-                                 path.seed, tracked_observables={"L": setup.model.L})
-        ref = measurement_record(path, tr.means["L"][:-1], xi_r, setup.sp.lam)
-        assert np.array_equal(rec["dy"], ref.values)
+        seed = derive_seed(7, 0)
+        _, means = simulate_trajectory(setup.model, setup.u, setup.psi0, small.dt,
+                                       small.n_steps, seed, {"L": setup.model.L})
+        ref = measurement_record(wiener_path(seed, small.dt, small.n_steps), means["L"][:-1],
+                                 small.dt, xi_r, setup.sp.lam)
+        assert np.array_equal(rec["dy"], ref)
 
 
 def test_spin_outputs_roundtrip(tmp_path):
@@ -496,9 +528,9 @@ def test_fig2_outputs_share_one_ensemble(tmp_path):
     model, u, psi0 = setup.model, setup.u, setup.psi0
     _, traj = read_series(tmp_path / "fig2_trajectory.csv")
     assert len(traj) == cfg.n_trajectories + 1
-    dW = np.array([wiener_path(derive_seed(7, k), cfg.dt, cfg.n_steps).increments
+    dW = np.array([wiener_path(derive_seed(7, k), cfg.dt, cfg.n_steps)
                    for k in range(cfg.n_trajectories)])
-    sz = _sigma_z_paths(_EulerKernel(model, u, cfg.dt), psi0, dW)
+    sz = _sigma_z_paths(_state_stack(_EulerKernel(model, u, cfg.dt), psi0, dW))
     for k in range(cfg.n_trajectories):
         assert np.array_equal(traj[f"sz_{k:03d}"], sz[k])
     res = simulate_ensemble(model, u, psi0, cfg.dt, cfg.n_steps, cfg.n_trajectories, 7,

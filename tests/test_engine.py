@@ -9,7 +9,7 @@ from unravelings.engine import (ModelSpec, UnravelingParams, _EulerKernel,
                                 lindblad_step, max_stable_dt, simulate_ensemble,
                                 simulate_trajectory, sse_step)
 from unravelings.linalg import identity, pauli, projector
-from unravelings.noise import derive_seed
+from unravelings.noise import derive_seed, wiener_path
 
 SZ = pauli("z")
 PSI0 = np.array([0.5, np.sqrt(3.0) / 2.0], dtype=complex)
@@ -437,22 +437,22 @@ def test_matched_blocks_name_the_global_column_and_step_of_a_non_finite_state(
 def test_simulate_trajectory_shapes_and_record():
     model = spin_model()
     u = UnravelingParams.nonlinear(1.0)
-    tr = simulate_trajectory(model, u, PSI0, 1e-3, 50, seed=3,
-                             tracked_observables={"sz": SZ})
-    assert tr.states.shape == (51, 2)
-    assert tr.means["sz"].shape == (51,)
-    assert tr.noise.increments.shape == (50,)
-    norms = np.linalg.norm(tr.states, axis=1)
+    states, means = simulate_trajectory(model, u, PSI0, 1e-3, 50, seed=3,
+                                        tracked_observables={"sz": SZ})
+    assert states.shape == (51, 2)
+    assert means["sz"].shape == (51,)
+    norms = np.linalg.norm(states, axis=1)
     assert np.max(np.abs(norms - 1.0)) <= 1e-10
 
 
 def test_simulate_trajectory_zero_steps_and_linear_member_has_no_record():
     model = spin_model()
-    tr = simulate_trajectory(model, UnravelingParams.nonlinear(1.0), PSI0, 1e-3, 0, 1)
-    assert tr.states.shape == (1, 2) and tr.noise.n_steps == 0
-    assert np.array_equal(tr.states[0], PSI0)
-    tr2 = simulate_trajectory(model, UnravelingParams.linear(1.0), PSI0, 1e-3, 5, 1)
-    assert tr2.states.shape == (6, 2)
+    states, means = simulate_trajectory(model, UnravelingParams.nonlinear(1.0), PSI0,
+                                        1e-3, 0, 1)
+    assert states.shape == (1, 2) and means == {}
+    assert np.array_equal(states[0], PSI0)
+    states2, _ = simulate_trajectory(model, UnravelingParams.linear(1.0), PSI0, 1e-3, 5, 1)
+    assert states2.shape == (6, 2)
 
 
 def test_lindblad_step_stationary_cases():
@@ -546,15 +546,15 @@ def test_ensemble_average_matches_lockstep_result():
     model = spin_model()
     u = UnravelingParams.nonlinear(1.0)
     n_traj, n_steps, dt = 6, 40, 1e-3
-    trajs = [simulate_trajectory(model, u, PSI0, dt, n_steps, derive_seed(33, k))
+    trajs = [simulate_trajectory(model, u, PSI0, dt, n_steps, derive_seed(33, k))[0]
              for k in range(n_traj)]
-    rhos = [sum(np.outer(tr.states[i], tr.states[i].conj()) for tr in trajs) / n_traj
+    rhos = [sum(np.outer(tr[i], tr[i].conj()) for tr in trajs) / n_traj
             for i in (0, 20, 40)]
     res = simulate_ensemble(model, u, PSI0, dt, n_steps, n_traj, base_seed=33,
                             snapshot_steps=[0, 20, 40])
     for a, b in zip(rhos, res.rhos):
         assert np.max(np.abs(a - b)) <= 1e-12
-    single = np.outer(trajs[0].states[40], trajs[0].states[40].conj())
+    single = np.outer(trajs[0][40], trajs[0][40].conj())
     evals = np.linalg.eigvalsh(single)
     assert evals.max() == pytest.approx(1.0, abs=1e-10)  # pure projector
 
@@ -568,10 +568,10 @@ def test_vectorized_members_equal_serial_trajectories():
     res = simulate_ensemble(model, u, PSI0, 1e-3, 300, 5, base_seed=42,
                             snapshot_steps=[300], tracked_observables={"sz": SZ})
     for k in range(5):
-        tr = simulate_trajectory(model, u, PSI0, 1e-3, 300, derive_seed(42, k),
-                                 tracked_observables={"sz": SZ})
-        assert np.array_equal(res.final_states[k], tr.states[-1])
-        assert np.array_equal(res.means["sz"][0, k], tr.means["sz"][300])
+        states, means = simulate_trajectory(model, u, PSI0, 1e-3, 300, derive_seed(42, k),
+                                            tracked_observables={"sz": SZ})
+        assert np.array_equal(res.final_states[k], states[-1])
+        assert np.array_equal(res.means["sz"][0, k], means["sz"][300])
 
 
 def test_chunk_count_does_not_change_trajectories():
@@ -622,15 +622,17 @@ def test_moment_flow_residual_matches_inline_formula():
     # the collapse member: gain = 2(1 - z^2), drift-free (H commutes with L)
     model = spin_model()
     u = UnravelingParams.nonlinear(1.0)
-    tr = simulate_trajectory(model, u, PSI0, 1e-3, 300, 17,
-                             tracked_observables={"sz": SZ})
-    z = tr.means["sz"]
+    states, means = simulate_trajectory(model, u, PSI0, 1e-3, 300, 17,
+                                        tracked_observables={"sz": SZ})
+    dW = wiener_path(17, 1e-3, 300)
+    z = means["sz"]
     gain = 2.0 * (1.0 - z[:-1] ** 2)
-    r1 = conditional_moment_flow_residual(tr, SZ, model, u, 1)
-    assert np.max(np.abs(r1 - (np.diff(z) - gain * tr.noise.increments))) <= 1e-14
-    r2 = conditional_moment_flow_residual(tr, SZ, model, u, 2)
-    rhs2 = gain ** 2 * 1e-3 + 2.0 * z[:-1] * gain * tr.noise.increments
-    assert np.max(np.abs(r2 - (np.diff(z ** 2) - rhs2))) <= 1e-14
+    r1 = conditional_moment_flow_residual(states[:, :, None], dW[None], SZ, model, u, 1e-3, 1)
+    assert r1.shape == (1, 300)
+    assert np.max(np.abs(r1[0] - (np.diff(z) - gain * dW))) <= 1e-14
+    r2 = conditional_moment_flow_residual(states[:, :, None], dW[None], SZ, model, u, 1e-3, 2)
+    rhs2 = gain ** 2 * 1e-3 + 2.0 * z[:-1] * gain * dW
+    assert np.max(np.abs(r2[0] - (np.diff(z ** 2) - rhs2))) <= 1e-14
 
 
 def _batched_residual_rms(power, dt, n_traj=3000, T=1.0, seed=5):
@@ -668,9 +670,9 @@ def test_moment_flow_residual_commuting_case_is_exact():
     # and [L, O] = 0 kills every term of the <O>^2 flow
     model = spin_model(nu=0.0)
     u = UnravelingParams.linear(1.0)
-    tr = simulate_trajectory(model, u, PSI0, 1e-3, 500, 5,
-                             tracked_observables={"sz": SZ})
-    r = conditional_moment_flow_residual(tr, SZ, model, u, 2)
+    states, _ = simulate_trajectory(model, u, PSI0, 1e-3, 500, 5)
+    r = conditional_moment_flow_residual(states[:, :, None], wiener_path(5, 1e-3, 500)[None],
+                                         SZ, model, u, 1e-3, 2)
     assert np.max(np.abs(r)) <= 1e-13
 
 
@@ -681,14 +683,16 @@ def test_variance_flow_against_third_moment_form():
     # same linear contraction applies
     model = spin_model()
     u = UnravelingParams.nonlinear(1.0)
-    tr = simulate_trajectory(model, u, PSI0, 1e-3, 400, 23,
-                             tracked_observables={"sz": SZ})
-    z = tr.means["sz"]
+    states, means = simulate_trajectory(model, u, PSI0, 1e-3, 400, 23,
+                                        tracked_observables={"sz": SZ})
+    dW = wiener_path(23, 1e-3, 400)
+    z = means["sz"]
     s = 1.0 - z ** 2
     m3 = -2.0 * z * s
-    rhs = -4.0 * s[:-1] ** 2 * 1e-3 + 2.0 * m3[:-1] * tr.noise.increments
+    rhs = -4.0 * s[:-1] ** 2 * 1e-3 + 2.0 * m3[:-1] * dW
     res_spread = np.diff(s) - rhs
-    res_engine = conditional_moment_flow_residual(tr, SZ, model, u, 2)
+    res_engine = conditional_moment_flow_residual(states[:, :, None], dW[None], SZ, model, u,
+                                                  1e-3, 2)[0]
     assert np.max(np.abs(res_spread + res_engine)) <= 1e-14
 
 

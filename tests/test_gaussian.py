@@ -256,7 +256,7 @@ def test_centroid_ensemble_chunks_and_blocks_follow_each_stream(monkeypatch, xi)
     widths = simulate_width(p, a0, xi, dt, n)
     ref_x, ref_k = np.empty((2, len(snaps), n_traj))
     for k in range(n_traj):
-        dW = wiener_path(derive_seed(base, k), dt, n).increments
+        dW = wiener_path(derive_seed(base, k), dt, n)
         x, kk = 0.2, -0.1
         for j in range(n + 1):
             if j in snaps:

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unravelings.engine import ModelSpec, UnravelingParams, _EulerKernel, lindblad_rhs
-from unravelings.gcm import (channel_apply, kraus_apply, kraus_matrix, outcome_grid,
-                             povm_completeness, record_mean_check, solve_gcm_params)
+from unravelings.gcm import (_amplitudes, _eigs, channel_apply, kraus_apply, kraus_matrix,
+                             outcome_grid, povm_completeness, solve_gcm_params)
 from unravelings.linalg import identity, pauli, projector
 
 SZ = pauli("z")
@@ -55,25 +55,35 @@ def test_povm_completeness_and_outcome_mass():
         assert np.max(np.abs(complete - identity(2))) <= 1e-6
 
 
+def _outcome_moments(state, L, gp, dt):
+    """(mean, mass, target): the outcome density's int y p dy and int p dy, and xi_r <L> dt."""
+    evals, V = _eigs(L)
+    w = np.abs(V.conj().T @ state) ** 2
+    grid = outcome_grid(L, gp, dt)
+    dy = grid[1] - grid[0]
+    dens = (np.abs(_amplitudes(evals, gp, grid, dt)) ** 2) @ w
+    return (float(np.sum(grid * dens) * dy), float(np.sum(dens) * dy),
+            gp.xi.real * float(w @ evals) * dt)
+
+
 def test_record_first_moment_both_targets():
     dt = 1e-3
     gp = solve_gcm_params(1.0 + 0.0j, 1.0)
     up = np.array([1.0, 0.0], dtype=complex)
-    stats = record_mean_check(up, SZ, gp, dt)
-    assert stats.mean == pytest.approx(dt, rel=1e-10)          # <L> dt at xi = 1
-    assert stats.mass == pytest.approx(1.0, rel=1e-10)
+    mean, mass, _ = _outcome_moments(up, SZ, gp, dt)
+    assert mean == pytest.approx(dt, rel=1e-10)                # <L> dt at xi = 1
+    assert mass == pytest.approx(1.0, rel=1e-10)
 
     plus_x = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
-    stats0 = record_mean_check(plus_x, SZ, gp, dt)
-    assert abs(stats0.mean) <= 1e-18                            # <L> = 0 state
+    assert abs(_outcome_moments(plus_x, SZ, gp, dt)[0]) <= 1e-18     # <L> = 0 state
 
     # off the pure-measurement member the outcome density keeps mass 1 and its
     # first moment is the record equation's xi_r <L> dt
     gp2 = solve_gcm_params(np.exp(0.8j), 1.0)
-    stats2 = record_mean_check(PSI0, SZ, gp2, dt)
-    assert stats2.target == pytest.approx(np.cos(0.8) * -0.5 * dt, rel=1e-12)
-    assert stats2.mean == pytest.approx(stats2.target, rel=1e-9)
-    assert stats2.mass == pytest.approx(1.0, abs=1e-10)
+    mean, mass, target = _outcome_moments(PSI0, SZ, gp2, dt)
+    assert target == pytest.approx(np.cos(0.8) * -0.5 * dt, rel=1e-12)
+    assert mean == pytest.approx(target, rel=1e-9)
+    assert mass == pytest.approx(1.0, abs=1e-10)
 
 
 def test_channel_reproduces_measurement_master_step_at_second_order():

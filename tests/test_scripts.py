@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from unravelings.config import preset
-from unravelings.runner import run_scenario
+from unravelings.runner import files_equal_ignoring_timestamp, run_scenario
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -67,3 +67,20 @@ def test_compare_outputs_names_a_changed_value_and_a_missing_file(two_fig1_runs,
     proc = _run_script("compare_outputs.py", [str(a), str(changed)])
     assert proc.returncode == 1, proc.stderr
     assert f"only in {a}: fig1_var.csv" in proc.stdout
+
+
+def test_compare_outputs_reports_a_series_without_metadata(tmp_path):
+    # a hand-written two-line series has no "# {json}" line: it differs, with
+    # no traceback; so do a one-line file and one whose metadata is no object
+    for side in ("a", "b"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "s.csv").write_text("t,x\n0,1\n", encoding="utf-8")
+    proc = _run_script("compare_outputs.py", [str(tmp_path / "a"), str(tmp_path / "b")])
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout.splitlines()[0] == "differs: s.csv"
+    one = tmp_path / "one.csv"
+    one.write_text('# {"config": {}}', encoding="utf-8")
+    assert not files_equal_ignoring_timestamp(one, one)
+    number = tmp_path / "number.csv"
+    number.write_text("# 5\nt,x\n", encoding="utf-8")
+    assert not files_equal_ignoring_timestamp(number, number)

@@ -2,17 +2,23 @@ import numpy as np
 import pytest
 
 from unravelings.engine import (UnravelingParams, _EulerKernel, _ExponentialKernel,
-                                _matched_blocks, conditional_moment_flow_residual)
+                                _matched_blocks, _state_stack,
+                                conditional_moment_flow_residual)
 from unravelings.noise import wiener_path
 from unravelings.spin import (SIGMA_Z, CollapseReport, SpinParams, _sigma_z_paths,
                               collapse_bound, collapse_statistics,
                               exponential_reconstruction, nonlinear_ensemble,
-                              sigma_z_mean, sigma_z_spread, spin_linear_solution,
-                              spin_model, spin_nonlinear_trajectory,
+                              sigma_z_mean, sigma_z_spread, spin_model,
                               supermartingale_check)
 
 PSI0 = np.array([0.5, np.sqrt(3.0) / 2.0], dtype=complex)
 SP = SpinParams(nu=1.0, lam=1.0)
+
+
+def spin_linear_solution(t, W_t, psi0, sp):
+    """Closed-form phase-noise-member state at time t given the noise value W_t."""
+    phase = sp.nu * t + np.sqrt(sp.lam) * W_t
+    return np.array([np.exp(-1j * phase) * psi0[0], np.exp(1j * phase) * psi0[1]])
 
 
 def test_linear_solution_is_unitary_and_preserves_spread():
@@ -41,9 +47,9 @@ def test_down_eigenstate_is_a_fixed_point(route):
     # both collapse-member kernels: Euler-Maruyama and the exact exponential
     kernel = {"sse": _EulerKernel, "girsanov": _ExponentialKernel}[route]
     down = np.array([0.0, 1.0], dtype=complex)
-    dW = wiener_path(4, 1e-3, 200).increments[None, :]
-    z = _sigma_z_paths(kernel(spin_model(SP), UnravelingParams.nonlinear(SP.lam), 1e-3),
-                       down, dW)
+    dW = wiener_path(4, 1e-3, 200)[None, :]
+    model, u = spin_model(SP), UnravelingParams.nonlinear(SP.lam)
+    z = _sigma_z_paths(_state_stack(kernel(model, u, 1e-3), down, dW))
     assert np.max(np.abs(z + 1.0)) <= 1e-12
 
 
@@ -62,9 +68,9 @@ def test_routes_agree_pathwise():
 
     def rms(dt, n_paths=60):
         n = int(round(1.0 / dt))
-        dW = np.array([wiener_path(900 + k, dt, n).increments for k in range(n_paths)])
-        diff = (_sigma_z_paths(_EulerKernel(model, u, dt), PSI0, dW)
-                - _sigma_z_paths(_ExponentialKernel(model, u, dt), PSI0, dW))
+        dW = np.array([wiener_path(900 + k, dt, n) for k in range(n_paths)])
+        diff = (_sigma_z_paths(_state_stack(_EulerKernel(model, u, dt), PSI0, dW))
+                - _sigma_z_paths(_state_stack(_ExponentialKernel(model, u, dt), PSI0, dW)))
         return np.sqrt(np.mean(np.mean(diff ** 2, axis=1)))
 
     r1, r2 = rms(2e-3), rms(1e-3)
@@ -95,15 +101,18 @@ def test_route_difference_contracts_at_strong_order_half():
     assert 1.25 <= r[1] / r[2] <= 1.6
 
 
+def _collapse_stack(dt, n, seeds):
+    """Collapse-member Euler states on the rows wiener_path(seed), in lock step."""
+    dW = np.array([wiener_path(seed, dt, n) for seed in seeds])
+    kernel = _EulerKernel(spin_model(SP), UnravelingParams.nonlinear(SP.lam), dt)
+    return _state_stack(kernel, PSI0, dW), dW
+
+
 def test_exponential_reconstruction_fidelity_deficit_halves():
     def worst_deficit(dt, n_paths=40):
-        n = int(round(1.0 / dt))
-        acc = []
-        for k in range(n_paths):
-            tr = spin_nonlinear_trajectory(PSI0, SP, dt, n, 500 + k)
-            fids = exponential_reconstruction(tr, SP)
-            acc.append(np.mean((1.0 - fids) ** 2))
-        return np.sqrt(np.mean(acc))
+        states, dW = _collapse_stack(dt, int(round(1.0 / dt)), range(500, 500 + n_paths))
+        fids = exponential_reconstruction(states, dW, dt, SP)
+        return np.sqrt(np.mean(np.mean((1.0 - fids) ** 2, axis=1)))
 
     d1, d2 = worst_deficit(2e-3), worst_deficit(1e-3)
     assert d1 <= 5e-3
@@ -160,12 +169,9 @@ def test_moment_flow_residual_rms_halves():
     model, u = spin_model(SP), UnravelingParams.nonlinear(SP.lam)
 
     def rms(dt):
-        vals = []
-        for k in range(25):
-            tr = spin_nonlinear_trajectory(PSI0, SP, dt, int(round(1.0 / dt)), 1300 + k)
-            r = conditional_moment_flow_residual(tr, SIGMA_Z, model, u, 1)
-            vals.append(np.mean(r ** 2))
-        return np.sqrt(np.mean(vals))
+        states, dW = _collapse_stack(dt, int(round(1.0 / dt)), range(1300, 1325))
+        r = conditional_moment_flow_residual(states, dW, SIGMA_Z, model, u, dt, 1)
+        return np.sqrt(np.mean(np.mean(r ** 2, axis=1)))
 
     assert 1.6 <= rms(2e-3) / rms(1e-3) <= 2.4
 
