@@ -22,24 +22,31 @@ Integration scheme: Euler-Maruyama plus exact renormalization after every
 step.  Every Euler-Maruyama step in the library goes through one kernel,
 :class:`_EulerKernel`, built once per (model, u, dt).  It keeps states as
 the columns of a ``(dim, N)`` array, so one call advances N trajectories in
-lock step, and regroups the increment as
+lock step, and it steps them in the eigenbasis of L: ``phi = V^dag psi``
+with ``V^dag L V = diag(l)`` (``eigh`` of L's Hermitian part, once per
+kernel; no rotation when L is diagonal), so ``L phi = l phi``.  It regroups
+the increment as
 
-    psi' = A psi + (lam dt xi_r <L> + sqrt(lam) dW) g + (lam dt xi_r^2 / 2) <L>^2 psi,
-    A = I + (-(i/hbar) H - (lam/2) L^2) dt,   g = xi L psi - xi_r <L> psi,
+    phi' = A_e phi + (lam dt xi_r <L> + sqrt(lam) dW) g + (lam dt xi_r^2 / 2) <L>^2 phi,
+    A_e = I + (-(i/hbar) V^dag H V - (lam/2) diag(l^2)) dt,   g = (xi l - xi_r <L>) phi,
 
-which equals the update above term by term.  The noise enters only through
-its product with ``g``, which vanishes on eigenstates of ``L`` for real
-``xi`` (exactly, wherever ``L psi`` and ``<L>`` round exactly, as for
-sigma_z on its eigenstates).  When ``H`` and ``L`` are both exactly diagonal (every spin
-model) each step is elementwise; otherwise ``L psi`` and ``A psi`` come from
-one product with the stacked operator ``[L; A]``.  Norms are sums of
-``re^2 + im^2`` over rows in a fixed order, and a non-finite or vanishing
-norm raises :class:`FloatingPointError` naming the trajectory and the step.
+which equals the update above term by term.  All of it is elementwise but
+``A_e phi``, one ``d x d`` product, which is elementwise too when ``A_e`` is
+diagonal (every spin model).  The noise enters only through ``g``, which
+vanishes on eigenstates of ``L`` for real ``xi`` (exactly, wherever ``l phi``
+and ``<L>`` round exactly, as for sigma_z on its eigenstates).  Norms are
+sums of ``re^2 + im^2`` over rows in a fixed order, and a non-finite or
+vanishing norm raises :class:`FloatingPointError` naming the trajectory and
+the step.  The drivers rotate once per batch, never per noise block, so a
+trajectory does not depend on where the blocks end: :func:`simulate_ensemble`
+starts at ``V^dag psi0`` and snapshots ``V^dag O V`` means and
+``V (Phi Phi^dag) V^dag``; :func:`_state_stack`, :func:`sse_step` and
+:func:`_matched_blocks` hand back ``V phi``.
 
 Operand layout of the elementwise step: the states are C-contiguous
 ``(dim, N)`` complex arrays, and every elementwise operation runs on
 operands of one dtype whose inner axis is contiguous and N wide.  The
-per-row constant (the diagonal of ``A``, or the exponential step's phase)
+per-row constant (the diagonal of ``A_e``, or the exponential step's phase)
 is repeated to ``(dim, N)`` once per width; each real per-column factor is
 cast to complex once, before it broadcasts over the rows; ``re^2 + im^2``
 comes from one squaring pass over the float view of the states; and the
@@ -61,9 +68,9 @@ is evaluated as a real exponential times the fixed phase exp(-(i/hbar) h dt),
 built once per kernel; this agrees with the complex exponential of the whole
 exponent to a few units in the last place.
 
-The two kernels share the renormalization, the norm check and the column
-layout through :class:`_ColumnKernel`, and nothing of the Euler increment,
-so they stay independent constructions of one member.
+The two kernels share the renormalization, the norm check, the column
+layout and the basis change through :class:`_ColumnKernel`, and nothing of
+the Euler increment, so they stay independent constructions of one member.
 
 :func:`simulate_ensemble` runs fixed chunks of ``_ENSEMBLE_CHUNK``
 trajectories one after the other on one thread, and so does
@@ -253,10 +260,21 @@ class _ColumnKernel:
     A subclass supplies ``update(psis, dW)``, the un-normalized map of one
     step of C-contiguous complex columns.  An elementwise update reads its (dim, 1)
     complex constant ``row`` through :meth:`_across`, repeated over the columns.
+    :meth:`update`, :meth:`step` and :meth:`run` act on columns in the
+    kernel's basis, ``V^dag psi``, and ``V`` is None for the standard basis.
     """
 
     row: np.ndarray
+    V = None
     _wide = None
+
+    def into_basis(self, psis: np.ndarray) -> np.ndarray:
+        """``V^dag psis``: standard-basis columns, or a stack of them, in the kernel's basis."""
+        return psis if self.V is None else self.V.conj().T @ psis
+
+    def out_of_basis(self, phis: np.ndarray) -> np.ndarray:
+        """``V phis``: columns in the kernel's basis, or a stack of them, in the standard basis."""
+        return phis if self.V is None else self.V @ phis
 
     def _across(self, n: int) -> np.ndarray:
         """``row`` repeated over ``n`` columns, rebuilt only when the width changes."""
@@ -303,47 +321,41 @@ class _ColumnKernel:
 class _EulerKernel(_ColumnKernel):
     """Euler-Maruyama step plus renormalization on (dim, N) column states.
 
-    See the module docstring for the regrouped increment.  ``diagonal`` is
-    true when H and L are both exactly diagonal; :meth:`update` then runs
-    the elementwise path, otherwise the stacked-operator path.
+    See the module docstring for the step in the eigenbasis of L.  ``A`` is
+    ``A_e`` when it is not diagonal, and None when ``row`` holds its diagonal.
     """
 
     def __init__(self, model: ModelSpec, u: UnravelingParams, dt: float):
         if dt <= 0.0:
             raise ValueError("dt must be positive")
         H, L = model.H, model.L
+        if not _is_diagonal(L):
+            l, self.V = np.linalg.eigh(0.5 * (L + L.conj().T))
+            H, L = self.V.conj().T @ H @ self.V, np.diag(l).astype(complex)
         A = np.eye(model.dim) + ((-1j / model.hbar) * H - (0.5 * u.lam) * (L @ L)) * dt
-        self.dim = model.dim
-        self.xi, self.xi_r = u.xi, u.xi_r
+        self.xi_r = u.xi_r
         self.sqrt_lam = np.sqrt(u.lam)
         self.c_ell = u.lam * dt * u.xi_r             # ell coefficient of g
         self.c_ell2 = 0.5 * u.lam * dt * u.xi_r ** 2  # ell^2 coefficient of psi
-        self.stacked = np.vstack([L, A])
-        self.diagonal = _is_diagonal(H) and _is_diagonal(L)
-        if self.diagonal:
-            self.l = np.diag(L).real[:, None].copy()
-            self.row = np.diag(A)[:, None].copy()    # A psi = a psi
-            self.xi_l = self.xi * self.l
+        self.l = np.diag(L).real[:, None].copy()
+        self.xi_l = u.xi * self.l
+        self.A = None if _is_diagonal(A) else A
+        self.row = np.diag(A)[:, None].copy()        # A psi = a psi when A is None
 
     def update(self, psis: np.ndarray, dW: np.ndarray) -> np.ndarray:
         """The Euler-Maruyama update of normalized columns, before renormalization."""
-        if self.diagonal:
-            p = _abs2(psis)
-            p *= self.l
-            ell = _sum_rows(p)
-            g = self.xi_l - (self.xi_r * ell).astype(complex)   # L psi = l psi, so g psi
-            coef = np.multiply((self.c_ell * ell + self.sqrt_lam * dW).astype(complex), g, out=g)
+        p = _abs2(psis)
+        p *= self.l
+        ell = _sum_rows(p)
+        g = self.xi_l - (self.xi_r * ell).astype(complex)   # L psi = l psi, so g psi
+        coef = np.multiply((self.c_ell * ell + self.sqrt_lam * dW).astype(complex), g, out=g)
+        if self.A is None:
             np.add(self._across(psis.shape[1]), coef, out=coef)
-            coef += (self.c_ell2 * ell ** 2).astype(complex)
-            coef *= psis
-            return coef
-        Y = self.stacked @ psis
-        Lpsi, new = Y[:self.dim], Y[self.dim:]
-        ell = _sum_rows((psis.conj() * Lpsi).real)
-        g = self.xi * Lpsi - (self.xi_r * ell) * psis
-        new += (self.c_ell * ell + self.sqrt_lam * dW) * g
-        new += (self.c_ell2 * ell ** 2) * psis
-        return new
+        coef += (self.c_ell2 * ell ** 2).astype(complex)
+        coef *= psis
+        if self.A is not None:
+            coef += self.A @ psis
+        return coef
 
 
 class _ExponentialKernel(_ColumnKernel):
@@ -383,8 +395,9 @@ class _ExponentialKernel(_ColumnKernel):
 def sse_step(psi: np.ndarray, model: ModelSpec, u: UnravelingParams,
              dW: float, dt: float) -> np.ndarray:
     """One Euler-Maruyama step followed by exact renormalization."""
-    psi = np.asarray(psi, dtype=complex)
-    return _EulerKernel(model, u, dt).step(psi[:, None], np.array([dW]))[:, 0]
+    kernel = _EulerKernel(model, u, dt)
+    phi = kernel.into_basis(np.asarray(psi, dtype=complex)[:, None])
+    return kernel.out_of_basis(kernel.step(phi, np.array([dW])))[:, 0]
 
 
 def _state_stack(kernel: _ColumnKernel, psi0: np.ndarray, dW: np.ndarray) -> np.ndarray:
@@ -395,9 +408,9 @@ def _state_stack(kernel: _ColumnKernel, psi0: np.ndarray, dW: np.ndarray) -> np.
     n_paths, n = dW.shape
     psi0 = np.asarray(psi0, dtype=complex)
     states = np.empty((n + 1, psi0.size, n_paths), dtype=complex)
-    states[0] = psi0[:, None]
+    states[0] = kernel.into_basis(psi0[:, None])
     kernel.run(states[0], dW, states=states[1:])
-    return states
+    return kernel.out_of_basis(states)
 
 
 def simulate_trajectory(model: ModelSpec, u: UnravelingParams, psi0: np.ndarray,
@@ -474,7 +487,8 @@ def _matched_blocks(kernels, psi0: np.ndarray, rng, dt: float, n_steps: int,
     ends = sorted({int(s) for s in stops if 0 < s < n_steps} | {n_steps})
     cap = max(1, _PAIR_BUDGET // n_cols)
     chunks = [(c0, min(c0 + _PAIR_CHUNK, n_cols)) for c0 in range(0, n_cols, _PAIR_CHUNK)]
-    psis = [[np.repeat(psi0[:, None], c1 - c0, axis=1) for _ in kernels] for c0, c1 in chunks]
+    psis = [[np.repeat(k.into_basis(psi0[:, None]), c1 - c0, axis=1) for k in kernels]
+            for c0, c1 in chunks]
     sqrt_dt = np.sqrt(dt)
     start = 0
     for end in ends:
@@ -486,7 +500,7 @@ def _matched_blocks(kernels, psi0: np.ndarray, rng, dt: float, n_steps: int,
                 for i, kernel in enumerate(kernels):
                     cols[i] = kernel.run(cols[i], dW[:, c0:c1].T, start, c0)
                 if start + nb == end:
-                    yield end, c0, list(cols)
+                    yield end, c0, [k.out_of_basis(c) for k, c in zip(kernels, cols)]
             del dW  # freed before the next block is drawn (peak memory)
             start += nb
 
@@ -517,12 +531,14 @@ def simulate_ensemble(model: ModelSpec, u: UnravelingParams, psi0: np.ndarray,
     assert_normalized(psi0)
     check_stability(model, u, dt)
     snaps = _checked_snapshots(snapshot_steps, n_steps)
-    tracked = dict(tracked_observables or {})
     kernel = _EulerKernel(model, u, dt)
+    V = kernel.V
+    tracked = {name: op if V is None else V.conj().T @ op @ V     # in the kernel's basis
+               for name, op in (tracked_observables or {}).items()}
 
     def run_chunk(k0: int, k1: int):
         m = k1 - k0
-        psis = np.repeat(psi0[:, None], m, axis=1)
+        psis = np.repeat(kernel.into_basis(psi0[:, None]), m, axis=1)
         rho_snaps = np.empty((len(snaps), model.dim, model.dim), dtype=complex)
         mean_snaps = {name: np.empty((len(snaps), m)) for name in tracked}
         i_snap = 0
@@ -539,7 +555,9 @@ def simulate_ensemble(model: ModelSpec, u: UnravelingParams, psi0: np.ndarray,
         for start, dW in _noise_blocks(base_seed, k0, k1, n_steps, dt):
             psis = kernel.run(psis, dW, start, k0, after_step=take_snapshots)
             del dW  # freed before the next block is drawn (peak memory)
-        return rho_snaps, mean_snaps, psis
+        if V is not None:
+            rho_snaps = V @ rho_snaps @ V.conj().T
+        return rho_snaps, mean_snaps, kernel.out_of_basis(psis)
 
     results = [run_chunk(s, min(s + _ENSEMBLE_CHUNK, n_traj))
                for s in range(0, n_traj, _ENSEMBLE_CHUNK)]

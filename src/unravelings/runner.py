@@ -90,25 +90,26 @@ def read_report(path):
     return doc["metadata"], doc["report"]
 
 
-def files_equal_ignoring_timestamp(path_a, path_b) -> bool:
-    """Byte equality of two output files, metadata created_at excluded."""
-    a = Path(path_a).read_text(encoding="utf-8")
-    b = Path(path_b).read_text(encoding="utf-8")
-    if Path(path_a).suffix == ".json":
-        da, db = json.loads(a), json.loads(b)
-        da["metadata"].pop("created_at", None)
-        db["metadata"].pop("created_at", None)
-        return json.dumps(da, sort_keys=True) == json.dumps(db, sort_keys=True)
-    la, lb = a.split("\n", 1), b.split("\n", 1)
-    if len(la) < 2 or len(lb) < 2:                      # nothing after the metadata line
-        return False
+def _without_timestamp(path):
+    """An output file's content without its metadata's created_at; None if malformed."""
+    text = Path(path).read_text(encoding="utf-8")
     try:
-        ma, mb = json.loads(la[0][2:]), json.loads(lb[0][2:])
-        ma.pop("created_at", None)
-        mb.pop("created_at", None)
-    except (json.JSONDecodeError, AttributeError):      # no "# {json object}" first line
-        return False
-    return ma == mb and la[1] == lb[1]
+        if Path(path).suffix == ".json":          # a JSON object with a "metadata" object
+            doc = json.loads(text)
+            doc["metadata"].pop("created_at", None)
+            return json.dumps(doc, sort_keys=True)
+        head, body = text.split("\n", 1)           # a "# {json object}" line, then the rows
+        meta = json.loads(head[2:])
+        meta.pop("created_at", None)
+        return meta, body
+    except (ValueError, LookupError, TypeError, AttributeError):
+        return None
+
+
+def files_equal_ignoring_timestamp(path_a, path_b) -> bool:
+    """Byte equality of two output files, created_at excluded; a malformed file equals none."""
+    a = _without_timestamp(path_a)
+    return a is not None and a == _without_timestamp(path_b)
 
 
 # --- per-scenario set-up and output builders ---------------------------------

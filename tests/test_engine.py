@@ -115,21 +115,38 @@ def _docstring_increment(psi, model, u, dW, dt):
     return drift * dt + np.sqrt(lam) * (xi * (L @ psi) - xi_r * ell * psi) * dW
 
 
-@pytest.mark.parametrize("dim", [2, 4])
+def _increment_model(case):
+    """A random dense model of dimension ``case``, dense H on sigma_z, or a degenerate dense L."""
+    if case == "diagonal L":
+        return np.random.default_rng(5), ModelSpec(H=pauli("x"), L=SZ.copy(), dim=2, hbar=0.7)
+    if case == "degenerate L":
+        rng = np.random.default_rng(6)
+        U, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        L = U @ np.diag([1.0, 1.0, -1.0]) @ U.conj().T
+        return rng, ModelSpec(H=_random_hermitian(rng, 3), L=0.5 * (L + L.conj().T), dim=3,
+                              hbar=0.7)
+    rng = np.random.default_rng(case)
+    return rng, ModelSpec(H=_random_hermitian(rng, case), L=_random_hermitian(rng, case),
+                          dim=case, hbar=0.7)
+
+
+@pytest.mark.parametrize("case", [2, 4, "diagonal L", "degenerate L"])
 @pytest.mark.parametrize("xi", [1.0, -1.0j, np.exp(-0.25j * np.pi)])
-def test_kernel_step_equals_docstring_increment(dim, xi):
-    rng = np.random.default_rng(dim)
-    model = ModelSpec(H=_random_hermitian(rng, dim), L=_random_hermitian(rng, dim),
-                      dim=dim, hbar=0.7)
+def test_kernel_step_equals_docstring_increment(case, xi):
+    # the kernel steps in the eigenbasis of L; rotated back, its update and
+    # step are the docstring's increment in the standard basis
+    rng, model = _increment_model(case)
+    dim = model.dim
     u = UnravelingParams(xi.real, xi.imag, 0.8)
     dt, n = 1e-2, 6
     psis = rng.standard_normal((dim, n)) + 1j * rng.standard_normal((dim, n))
     psis /= np.sqrt(np.sum(np.abs(psis) ** 2, axis=0))
     dW = rng.standard_normal(n) * np.sqrt(dt)
     kernel = _EulerKernel(model, u, dt)
-    assert not kernel.diagonal
-    raw = kernel.update(psis, dW)
-    stepped = kernel.step(psis, dW)
+    assert kernel.A is not None and (kernel.V is None) == (case == "diagonal L")
+    phis = kernel.into_basis(psis)
+    raw = kernel.out_of_basis(kernel.update(phis, dW))
+    stepped = kernel.out_of_basis(kernel.step(phis, dW))
     for k in range(n):
         expect = psis[:, k] + _docstring_increment(psis[:, k], model, u, dW[k], dt)
         assert np.max(np.abs(raw[:, k] - expect)) <= 1e-14
@@ -159,7 +176,9 @@ def test_two_point_step_gives_both_claims_for_every_member(dim, theta):
 
     def residuals(dt):
         dW = np.array([1.0, -1.0]) * np.sqrt(dt)
-        out = _EulerKernel(model, u, dt).step(np.repeat(psi[:, None], 2, axis=1), dW)
+        kernel = _EulerKernel(model, u, dt)
+        phis = np.repeat(kernel.into_basis(psi)[:, None], 2, axis=1)
+        out = kernel.out_of_basis(kernel.step(phis, dW))
         mixed = 0.5 * (out @ out.conj().T)
         claim_1 = np.max(np.abs(mixed - rho - engine.lindblad_rhs(rho, model, u.lam) * dt))
         m = np.einsum("in,ij,jn->n", out.conj(), O, out).real
@@ -180,8 +199,8 @@ def test_kernel_diagonal_path_equals_general_path(u):
     dt = 1e-3
     diagonal = _EulerKernel(model, u, dt)
     general = _EulerKernel(model, u, dt)
-    general.diagonal = False
-    assert diagonal.diagonal
+    general.A = np.diag(general.row[:, 0])        # the product path, with A diagonal
+    assert diagonal.A is None and diagonal.V is None
     psis = rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8))
     psis /= np.sqrt(np.sum(np.abs(psis) ** 2, axis=0))
     dW = rng.standard_normal((8, 100)) * np.sqrt(dt)
@@ -281,25 +300,18 @@ def test_exponential_kernel_update_matches_the_complex_exponent():
 
 
 def _reference_update(kernel, psis, dW):
-    """One un-normalized step, each branch written as the kernels first wrote it."""
-    p = psis.real ** 2 + psis.imag ** 2
+    """One un-normalized step of each kernel's update, written as plain expressions."""
+    ell = _sum_rows(kernel.l * (psis.real ** 2 + psis.imag ** 2))
     if isinstance(kernel, _ExponentialKernel):
-        ell = _sum_rows(kernel.l * p)
         return (np.exp(kernel.sqrt_lam_l * (dW + kernel.shift * ell) + kernel.decay)
                 * kernel.row) * psis
-    if kernel.diagonal:
-        ell = _sum_rows(kernel.l * p)
-        g = kernel.xi_l - kernel.xi_r * ell
+    g = kernel.xi_l - kernel.xi_r * ell
+    if kernel.A is None:
         coef = (kernel.row + (kernel.c_ell * ell + kernel.sqrt_lam * dW) * g
                 + kernel.c_ell2 * ell ** 2)
         return coef * psis
-    Y = kernel.stacked @ psis
-    Lpsi, new = Y[:kernel.dim], Y[kernel.dim:]
-    ell = _sum_rows((psis.conj() * Lpsi).real)
-    g = kernel.xi * Lpsi - (kernel.xi_r * ell) * psis
-    new += (kernel.c_ell * ell + kernel.sqrt_lam * dW) * g
-    new += (kernel.c_ell2 * ell ** 2) * psis
-    return new
+    coef = (kernel.c_ell * ell + kernel.sqrt_lam * dW) * g + kernel.c_ell2 * ell ** 2
+    return coef * psis + kernel.A @ psis
 
 
 def _reference_run(kernel, psis, dW):
@@ -313,6 +325,9 @@ def _dense_four_level():
     rng = np.random.default_rng(14)
     H, L = _random_hermitian(rng, 4), _random_hermitian(rng, 4)
     return ModelSpec(H=H, L=L / np.max(np.abs(np.linalg.eigvalsh(L))), dim=4, hbar=0.9)
+
+
+_DENSE_PSI0 = _random_columns(np.random.default_rng(3), 4, 1)[:, 0]
 
 
 # xi = 1, -i and e^{-i pi/4} on the diagonal spin model and a dense 4 x 4 model
@@ -540,6 +555,12 @@ def test_ensemble_density_matrix_tracks_master_equation(u):
     tol = 5.0 / np.sqrt(n_traj)
     for i in range(2):
         assert np.max(np.abs(res.rhos[i] - oracle[i][1])) <= tol
+    # the dense 4-level model steps in the eigenbasis of its L
+    dense = _dense_four_level()
+    res = simulate_ensemble(dense, u, _DENSE_PSI0, dt, n_steps, n_traj, base_seed=21,
+                            snapshot_steps=[250, 500, 1000])
+    oracle = engine.master_equation_oracle(res, dense, u.lam)
+    assert np.max(np.abs(res.rhos - oracle)) <= engine.mc_tolerance(n_traj)
 
 
 def test_ensemble_average_matches_lockstep_result():
@@ -564,7 +585,8 @@ def test_vectorized_members_equal_serial_trajectories():
     # bits alone as inside the batch
     model = spin_model()
     u = UnravelingParams.nonlinear(1.0)
-    assert _EulerKernel(model, u, 1e-3).diagonal
+    kernel = _EulerKernel(model, u, 1e-3)
+    assert kernel.A is None and kernel.V is None
     res = simulate_ensemble(model, u, PSI0, 1e-3, 300, 5, base_seed=42,
                             snapshot_steps=[300], tracked_observables={"sz": SZ})
     for k in range(5):
@@ -590,24 +612,31 @@ def test_chunk_count_does_not_change_trajectories():
 @pytest.mark.parametrize("budget", [None, 35])
 def test_snapshots_do_not_change_trajectories(monkeypatch, budget):
     # budget 35 with 5 trajectories gives 7-step noise blocks, whose
-    # boundaries fall strictly between the 10-step snapshot grid
-    if budget is not None:
-        monkeypatch.setattr(engine, "_NOISE_BUDGET", budget)
-    model = spin_model()
+    # boundaries fall strictly between the 10-step snapshot grid.  The dense
+    # model's columns enter the eigenbasis of L once per batch, so they do
+    # not see where the blocks end either
     n = 400
     grid = np.linspace(0, n, 41).astype(int)
-    runs = [simulate_ensemble(model, XI_INTERIOR, PSI0, 1e-3, n, 5, base_seed=12,
-                              snapshot_steps=snaps, tracked_observables={"sz": SZ})
-            for snaps in ([n], grid, np.arange(n + 1))]
-    final, on_grid, every = runs
-    for r in (on_grid, every):
-        assert np.array_equal(r.final_states, final.final_states)
-        assert np.array_equal(r.means["sz"][-1], final.means["sz"][0])
-        assert np.array_equal(r.rhos[-1], final.rhos[0])
-    shared = every.at_steps(grid)
-    assert np.array_equal(shared.means["sz"], on_grid.means["sz"])
-    assert np.array_equal(shared.rhos, on_grid.rhos)
-    assert np.array_equal(shared.times, on_grid.times)
+    dense = _dense_four_level()
+    for model, psi0, obs in ((spin_model(), PSI0, SZ), (dense, _DENSE_PSI0, dense.H)):
+        def ensemble(snaps):
+            return simulate_ensemble(model, XI_INTERIOR, psi0, 1e-3, n, 5, base_seed=12,
+                                     snapshot_steps=snaps, tracked_observables={"o": obs})
+
+        default = ensemble([n])
+        if budget is not None:
+            monkeypatch.setattr(engine, "_NOISE_BUDGET", budget)
+        runs = [ensemble(snaps) for snaps in ([n], grid, np.arange(n + 1))]
+        monkeypatch.undo()
+        final, on_grid, every = runs
+        for r in runs:
+            assert np.array_equal(r.final_states, default.final_states)
+            assert np.array_equal(r.means["o"][-1], default.means["o"][0])
+            assert np.array_equal(r.rhos[-1], default.rhos[0])
+        shared = every.at_steps(grid)
+        assert np.array_equal(shared.means["o"], on_grid.means["o"])
+        assert np.array_equal(shared.rhos, on_grid.rhos)
+        assert np.array_equal(shared.times, on_grid.times)
 
 
 def test_at_steps_rejects_a_step_that_is_not_a_snapshot():

@@ -154,7 +154,8 @@ def _one_step_rms_ratio(model, xi, rng, n=1500):
         post, _ = kraus_apply(v, L, gp, dy, dt)
         post /= np.linalg.norm(post, axis=0)
         post = np.exp(-1j * dt * h)[:, None] * post
-        ref = _EulerKernel(model, u, dt).step(v, dW)
+        kernel = _EulerKernel(model, u, dt)
+        ref = kernel.out_of_basis(kernel.step(kernel.into_basis(v), dW))
         ph = np.sum(ref.conj() * post, axis=0)
         ph /= np.abs(ph)
         return np.sqrt(np.mean(np.linalg.norm(post - ph * ref, axis=0) ** 2))

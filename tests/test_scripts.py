@@ -84,3 +84,19 @@ def test_compare_outputs_reports_a_series_without_metadata(tmp_path):
     number = tmp_path / "number.csv"
     number.write_text("# 5\nt,x\n", encoding="utf-8")
     assert not files_equal_ignoring_timestamp(number, number)
+
+
+def test_compare_outputs_reports_a_malformed_report(tmp_path):
+    # a report holding {} has no metadata, and one that is not JSON does not
+    # parse: each differs, with no traceback; so does a JSON value that is no object
+    for side in ("a", "b"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "empty.json").write_text("{}", encoding="utf-8")
+        (tmp_path / side / "text.json").write_text("not json\n", encoding="utf-8")
+    proc = _run_script("compare_outputs.py", [str(tmp_path / "a"), str(tmp_path / "b")])
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout.splitlines()[:2] == ["differs: empty.json", "differs: text.json"]
+    for text in ("[1, 2]", "5", '"metadata"', '{"metadata": 5}'):
+        value = tmp_path / "value.json"
+        value.write_text(text, encoding="utf-8")
+        assert not files_equal_ignoring_timestamp(value, value), text
