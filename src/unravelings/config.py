@@ -208,10 +208,6 @@ def validate_config(raw: dict) -> ScenarioConfig:
         elif o in _SE_KINDS and n_traj == 1 and _is_int(n_traj):
             errs.append(f"n_trajectories: {o!r} reports a standard error, which needs "
                         "at least 2 trajectories")
-    if "record" in outputs and xi_r == 0.0:
-        errs.append("outputs: 'record' requires xi_r > 0 (a measurement reading)")
-    if "collapse_stats" in outputs and xi_r == 0.0:
-        errs.append("outputs: 'collapse_stats' requires xi_r > 0 (a member that collapses)")
 
     params = raw.get("params", {})
     if not isinstance(params, dict):
@@ -263,6 +259,13 @@ def validate_config(raw: dict) -> ScenarioConfig:
             errs.append("params.a0: expected [re, im] in 1/m^2, finite numbers")
         elif a0[0] <= 0.0:
             errs.append(f"params.a0: real part must be > 0, got {a0[0]}")
+
+    # a reading and a collapse both need the collapse rate lam xi_r^2 > 0
+    zero = "xi_r" if xi_r == 0.0 else "lam" if _real(params.get("lam")) == 0.0 else None
+    for kind, why in (("record", "a measurement reading"),
+                      ("collapse_stats", "a member that collapses")):
+        if zero and kind in outputs:
+            errs.append(f"outputs: {kind!r} requires {zero} > 0 ({why})")
 
     if errs:
         raise ConfigError(errs)

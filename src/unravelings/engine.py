@@ -66,7 +66,8 @@ h and l):
 Only the real part of the exponent changes from step to step, so the map
 is evaluated as a real exponential times the fixed phase exp(-(i/hbar) h dt),
 built once per kernel; this agrees with the complex exponential of the whole
-exponent to a few units in the last place.
+exponent to a few units in the last place.  This kernel is the library's
+one statement of the xi = 1 closed form.
 
 The two kernels share the renormalization, the norm check, the column
 layout and the basis change through :class:`_ColumnKernel`, and nothing of
@@ -79,10 +80,9 @@ from one driver, :func:`_noise_blocks`.  It seeds the chunk's streams in
 one vectorised pass (:func:`noise.default_rngs` on the
 ``derive_seed(base_seed, k)`` seeds) and yields blocks of at most
 ``_NOISE_BUDGET`` doubles, one contiguous row per trajectory stream.
-:func:`simulate_ensemble` runs the kernel once per block and takes each
-snapshot from the kernel's after-step callback.  Block boundaries do not
-depend on the snapshot steps, and the streams do not depend on either, so
-the snapshots never change a trajectory.
+:func:`simulate_ensemble` runs the kernel once per block.  Block boundaries
+do not depend on the snapshot steps, and the streams do not depend on
+either, so the snapshots never change a trajectory.
 
 A shared-stream batch runs several kernels on columns that all read one
 generator, so that each kernel sees the same increments (criterion 9's
@@ -93,9 +93,11 @@ columns, which keeps a chunk's states in cache.  It hands back the states
 only at the caller's stop steps, where the blocks end.  On a diagonal model every
 step is elementwise, so a chunked column has the bits of the full-width loop.
 
-A batch whose every state is kept is an (n + 1, dim, N) stack from
-:func:`_state_stack`; :func:`simulate_trajectory` is its one-column case,
-and :func:`conditional_moment_flow_residual` reads whole stacks.
+A batch sees its states only through ``after_step``, the one per-step output
+of :meth:`_ColumnKernel.run`, and holds one copy of its result:
+:func:`simulate_ensemble` fills its preallocated result chunk by chunk, and
+:func:`_state_stack` writes ``V phi`` of each step into the one (n + 1, dim,
+N) stack it returns (:func:`simulate_trajectory` is its one-column case).
 
 The master equation is written once, in :func:`lindblad_rhs`; the oracle
 takes classical RK4 steps of it.  The flow is linear, so the one-step
@@ -176,7 +178,6 @@ class EnsembleResult:
     means: dict                       # name -> (n_snap, n_traj) conditional means
     final_states: np.ndarray          # (n_traj, dim)
     psi0: np.ndarray
-    base_seed: int
     dt: float
 
     @property
@@ -288,12 +289,10 @@ class _ColumnKernel:
         return self.run(psis, dW[:, None])
 
     def run(self, psis: np.ndarray, dW: np.ndarray, first_step: int = 0,
-            first_traj: int = 0, states: np.ndarray | None = None,
-            after_step=None) -> np.ndarray:
+            first_traj: int = 0, after_step=None) -> np.ndarray:
         """Advance the columns of ``psis`` through ``dW.shape[1]`` renormalized steps.
 
         ``dW`` is (N, n_steps) with one row per trajectory.  When given,
-        ``states`` (n_steps, dim, N) receives the state after every step, and
         ``after_step(first_step + j + 1, psis)`` is called after step j.  A
         non-finite or vanishing norm raises FloatingPointError naming the
         trajectory ``first_traj + column`` and the step ``first_step + j``.
@@ -311,8 +310,6 @@ class _ColumnKernel:
                                              f"{first_step + j}; reduce dt")
                 inv = np.divide(1.0, np.sqrt(n2, out=n2), out=n2)     # 1 / sqrt(n2)
                 psis *= inv.astype(complex)
-                if states is not None:
-                    states[j] = psis
                 if after_step is not None:
                     after_step(first_step + j + 1, psis)
         return psis
@@ -403,14 +400,20 @@ def sse_step(psi: np.ndarray, model: ModelSpec, u: UnravelingParams,
 def _state_stack(kernel: _ColumnKernel, psi0: np.ndarray, dW: np.ndarray) -> np.ndarray:
     """Every state, (n + 1, dim, N), of columns from ``psi0`` driven by the rows of (N, n) ``dW``.
 
-    On a diagonal model each column gets the bits it would get alone.
+    On a diagonal model each column gets the bits it would get alone.  Step
+    0 is ``psi0`` itself; each later step is rotated out of the kernel's
+    basis as it is kept, so the stack is the only one held.
     """
     n_paths, n = dW.shape
     psi0 = np.asarray(psi0, dtype=complex)
     states = np.empty((n + 1, psi0.size, n_paths), dtype=complex)
-    states[0] = kernel.into_basis(psi0[:, None])
-    kernel.run(states[0], dW, states=states[1:])
-    return kernel.out_of_basis(states)
+    states[0] = psi0[:, None]
+
+    def keep(step, phis):
+        states[step] = kernel.out_of_basis(phis)
+
+    kernel.run(np.repeat(kernel.into_basis(psi0[:, None]), n_paths, axis=1), dW, after_step=keep)
+    return states
 
 
 def simulate_trajectory(model: ModelSpec, u: UnravelingParams, psi0: np.ndarray,
@@ -536,42 +539,33 @@ def simulate_ensemble(model: ModelSpec, u: UnravelingParams, psi0: np.ndarray,
     tracked = {name: op if V is None else V.conj().T @ op @ V     # in the kernel's basis
                for name, op in (tracked_observables or {}).items()}
 
-    def run_chunk(k0: int, k1: int):
-        m = k1 - k0
-        psis = np.repeat(kernel.into_basis(psi0[:, None]), m, axis=1)
-        rho_snaps = np.empty((len(snaps), model.dim, model.dim), dtype=complex)
-        mean_snaps = {name: np.empty((len(snaps), m)) for name in tracked}
-        i_snap = 0
+    row_of = {s: i for i, s in enumerate(snaps)}
+    rho = np.empty((len(snaps), model.dim, model.dim), dtype=complex)   # one chunk's sums
+    rho_sum = np.zeros_like(rho)
+    means = {name: np.empty((len(snaps), n_traj)) for name in tracked}
+    final_states = np.empty((n_traj, model.dim), dtype=complex)
+    for k0 in range(0, n_traj, _ENSEMBLE_CHUNK):
+        cols = slice(k0, min(k0 + _ENSEMBLE_CHUNK, n_traj))
+        chunk_means = {name: v[:, cols] for name, v in means.items()}   # views into means
 
-        def take_snapshots(step, psis):
-            nonlocal i_snap
-            while i_snap < len(snaps) and snaps[i_snap] == step:
-                rho_snaps[i_snap] = psis @ psis.conj().T
+        def take_snapshot(step, psis):
+            i = row_of.get(step)
+            if i is not None:
+                rho[i] = psis @ psis.conj().T
                 for name, op in tracked.items():
-                    mean_snaps[name][i_snap] = _column_means(psis, op)
-                i_snap += 1
+                    chunk_means[name][i] = _column_means(psis, op)
 
-        take_snapshots(0, psis)
-        for start, dW in _noise_blocks(base_seed, k0, k1, n_steps, dt):
-            psis = kernel.run(psis, dW, start, k0, after_step=take_snapshots)
+        psis = np.repeat(kernel.into_basis(psi0[:, None]), cols.stop - k0, axis=1)
+        take_snapshot(0, psis)
+        for start, dW in _noise_blocks(base_seed, k0, cols.stop, n_steps, dt):
+            psis = kernel.run(psis, dW, start, k0, after_step=take_snapshot)
             del dW  # freed before the next block is drawn (peak memory)
-        if V is not None:
-            rho_snaps = V @ rho_snaps @ V.conj().T
-        return rho_snaps, mean_snaps, kernel.out_of_basis(psis)
-
-    results = [run_chunk(s, min(s + _ENSEMBLE_CHUNK, n_traj))
-               for s in range(0, n_traj, _ENSEMBLE_CHUNK)]
-    rho_sum = np.zeros((len(snaps), model.dim, model.dim), dtype=complex)
-    for r, _, _ in results:
-        rho_sum += r
-    rhos = rho_sum / n_traj
-    means = {name: np.concatenate([m[name] for _, m, _ in results], axis=1)
-             for name in tracked}
-    finals = np.concatenate([f.T for _, _, f in results], axis=0)
+        rho_sum += rho if V is None else V @ rho @ V.conj().T
+        final_states[cols] = kernel.out_of_basis(psis).T
     snaps_arr = np.asarray(snaps)
-    return EnsembleResult(times=snaps_arr * dt, step_indices=snaps_arr, rhos=rhos,
-                          means=means, final_states=finals, psi0=psi0.copy(),
-                          base_seed=base_seed, dt=dt)
+    return EnsembleResult(times=snaps_arr * dt, step_indices=snaps_arr,
+                          rhos=rho_sum / n_traj, means=means, final_states=final_states,
+                          psi0=psi0.copy(), dt=dt)
 
 
 # --- deterministic master-equation flow ------------------------------------
@@ -644,43 +638,3 @@ def master_equation_oracle(result: EnsembleResult, model: ModelSpec, lam: float)
 def mc_tolerance(n_traj: int) -> float:
     """5 / sqrt(n_traj): five standard errors of a mean of n_traj values in [-1, 1]."""
     return float(5.0 / np.sqrt(n_traj))
-
-
-# --- moment-flow diagnostics ------------------------------------------------
-
-def conditional_moment_flow_residual(states: np.ndarray, dW: np.ndarray,
-                                     observable: np.ndarray, model: ModelSpec,
-                                     u: UnravelingParams, dt: float, power: int) -> np.ndarray:
-    """Per-step residual of the Ito flow of <O> (power 1) or <O>^2 (power 2).
-
-    For the (n + 1, dim, N) ``states`` of :func:`_state_stack` and their (N, n)
-    ``dW``, the finite difference of each conditional-mean series is compared
-    with the Ito right-hand side on the pre-step state and increment: (N, n).
-    For an exact-in-law chain the RMS residual is O(dt).  The drift of <O>
-    is tr(O drho/dt) of :func:`lindblad_rhs` at each state.
-    """
-    if power not in (1, 2):
-        raise ValueError("power must be 1 or 2")
-    if states.shape[0] < 2:
-        raise ValueError("trajectory must store at least two states")
-    O, L = observable, model.L
-    conj = states.conj()
-
-    def expect(op):                       # <psi|op|psi> of every stored state, (n + 1, N)
-        return np.einsum("kin,ij,kjn->kn", conj, op, states)
-
-    m, ell = expect(O).real, expect(L).real
-    flow = lindblad_rhs(np.einsum("kin,kjn->knij", states, conj), model, u.lam)
-    drift = np.einsum("ij,knji->kn", O, flow).real
-    gain = (u.xi_r * (expect(O @ L + L @ O).real - 2.0 * m * ell)
-            + (1j * u.xi_i * expect(O @ L - L @ O)).real)
-
-    drift, gain, m0, dW = drift[:-1], gain[:-1], m[:-1], dW.T
-    if power == 1:
-        rhs = drift * dt + np.sqrt(u.lam) * gain * dW
-        fd = np.diff(m, axis=0)
-    else:
-        rhs = (2.0 * m0 * drift * dt + u.lam * gain ** 2 * dt
-               + 2.0 * m0 * np.sqrt(u.lam) * gain * dW)
-        fd = np.diff(m ** 2, axis=0)
-    return (fd - rhs).T

@@ -15,8 +15,8 @@ extreme family members admit closed-form solutions:
   trajectory collapses onto an eigenstate with Born-rule branch weights.
 
 :func:`spin_nonlinear_trajectory` integrates the collapse member with the
-Euler-Maruyama kernel; :func:`exponential_reconstruction` rebuilds every
-state of a stack of such trajectories at once from the closed form above.
+Euler-Maruyama kernel.  The closed form above is written once, as the exact
+step :class:`engine._ExponentialKernel`; this module rebuilds no state from it.
 
 The ensemble-mean conditional spread of the collapse member obeys the bound
 E[s_t] <= s_0 / (1 + 4 lam s_0 t) (the spread is a supermartingale), which
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import EnsembleResult, ModelSpec, UnravelingParams, _column_means, _sum_rows, \
+from .engine import EnsembleResult, ModelSpec, UnravelingParams, _column_means, \
     simulate_ensemble, simulate_trajectory
 from .linalg import pauli
 
@@ -80,28 +80,6 @@ def _sigma_z_paths(states: np.ndarray) -> np.ndarray:
     """<sigma_z> series of an (n + 1, 2, N) state stack, (N, n + 1): one row per trajectory."""
     n1, _, n_paths = states.shape
     return _column_means(states.transpose(1, 2, 0).reshape(2, -1), SIGMA_Z).reshape(n_paths, n1)
-
-
-def exponential_reconstruction(states: np.ndarray, dW: np.ndarray, dt: float,
-                               sp: SpinParams) -> np.ndarray:
-    """Fidelities between stored states and their summary-statistic rebuild.
-
-    The collapse-member states, an (n + 1, 2, N) stack driven by the rows of
-    (N, n) ``dW``, are exponentials of sigma_z in the running noise W_t and
-    the accumulated conditional mean int_0^t <sigma_z>_s ds (trapezoidal rule
-    on the grid).  Returns |<rebuilt|stored>|, (N, n + 1); deviations
-    measure the integrator's pathwise error.
-    """
-    z = _sigma_z_paths(states)
-    pad = ((0, 0), (1, 0))                # each row's running sum starts at 0
-    W = np.cumsum(np.pad(dW, pad), axis=1)
-    integ = np.cumsum(np.pad(0.5 * (z[:, 1:] + z[:, :-1]) * dt, pad), axis=1)
-    expo = np.sqrt(sp.lam) * W + 2.0 * sp.lam * integ
-    l = np.diag(SIGMA_Z).real[:, None, None]
-    times = np.arange(z.shape[1]) * dt
-    rebuilt = np.exp(l * (expo - 1j * sp.nu * times)) * states[0][:, :, None]
-    rebuilt /= np.sqrt(_sum_rows(rebuilt.real ** 2 + rebuilt.imag ** 2))
-    return np.abs(_sum_rows(rebuilt.conj() * states.transpose(1, 2, 0)))
 
 
 def nonlinear_ensemble(psi0: np.ndarray, sp: SpinParams, dt: float, n_steps: int,

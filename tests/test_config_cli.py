@@ -110,6 +110,24 @@ def _with(raw, path, value):
     return out
 
 
+@pytest.mark.parametrize("preset_name, kind", [("fig2", "record"), ("fig2", "collapse_stats"),
+                                               ("riccati_free", "record")])
+def test_zero_collapse_rate_rejects_record_and_collapse_stats(preset_name, kind, tmp_path,
+                                                              capsys):
+    # at lam = 0 nothing is read and nothing collapses, whatever xi_r: a config
+    # error (exit 2), not a traceback from the record or a vacuous Born line
+    raw = {**_with(PRESETS[preset_name], ("params", "lam"), 0.0), "outputs": [kind]}
+    with pytest.raises(ConfigError, match=f"'{kind}' requires lam > 0"):
+        validate_config(raw)
+    cfg_path = tmp_path / "lam0.json"
+    cfg_path.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out"),
+                 "--check"]) == 2
+    err = capsys.readouterr().err
+    assert f"'{kind}' requires lam > 0" in err and "Traceback" not in err
+    assert [p.name for p in tmp_path.rglob("*")] == ["lam0.json"]
+
+
 @pytest.mark.parametrize("preset_name, path, value, fragment", [
     ("fig2", ("unraveling",), {"xi": [float("nan"), 0.0]}, "unraveling.xi"),
     ("fig2", ("unraveling",), {"xi": [True, False]}, "unraveling.xi"),

@@ -1,15 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from unravelings import engine
 from unravelings.engine import (ModelSpec, UnravelingParams, _EulerKernel,
                                 _ExponentialKernel, _sum_rows, check_stability,
-                                conditional_moment_flow_residual,
                                 lindblad_evolve, lindblad_propagator,
                                 lindblad_step, max_stable_dt, simulate_ensemble,
                                 simulate_trajectory, sse_step)
 from unravelings.linalg import identity, pauli, projector
 from unravelings.noise import derive_seed, wiener_path
+
+from moment_flow import conditional_moment_flow_residual
 
 SZ = pauli("z")
 PSI0 = np.array([0.5, np.sqrt(3.0) / 2.0], dtype=complex)
@@ -235,8 +238,12 @@ def test_exponential_kernel_steps_compose_into_the_one_shot_map():
     psi0 = _random_columns(rng, 3, 1)
     dW = rng.standard_normal((1, n)) * np.sqrt(dt)
     states = np.empty((n, 3, 1), dtype=complex)
+
+    def keep(step, psis):                 # the state after every step
+        states[step - 1] = psis
+
     final = _ExponentialKernel(model, UnravelingParams.nonlinear(lam), dt).run(
-        psi0, dW, states=states)
+        psi0, dW, after_step=keep)
     l, h = np.diag(model.L).real, np.diag(model.H).real
     pre = np.concatenate([psi0[None], states[:-1]])[:, :, 0]
     ell = (np.abs(pre) ** 2) @ l
@@ -596,7 +603,7 @@ def test_vectorized_members_equal_serial_trajectories():
         assert np.array_equal(res.means["sz"][0, k], means["sz"][300])
 
 
-def test_chunk_count_does_not_change_trajectories():
+def test_chunk_count_does_not_change_trajectories(monkeypatch):
     # 5100 trajectories run in three reduction chunks; the first chunk's
     # trajectories are those of a 2500-trajectory run with the same seed
     model = spin_model()
@@ -607,6 +614,14 @@ def test_chunk_count_does_not_change_trajectories():
     b = simulate_ensemble(model, u, PSI0, n_traj=2500, **kw)
     assert np.array_equal(a.final_states[:2500], b.final_states)
     assert np.array_equal(a.means["sz"][:, :2500], b.means["sz"])
+    # 17 trajectories in chunks of 5, 5, 5 and 2: each chunk, the short last
+    # one too, fills its own columns of the one result
+    one = simulate_ensemble(model, u, PSI0, n_traj=17, **kw)
+    monkeypatch.setattr(engine, "_ENSEMBLE_CHUNK", 5)
+    four = simulate_ensemble(model, u, PSI0, n_traj=17, **kw)
+    assert np.array_equal(four.final_states, one.final_states)
+    assert np.array_equal(four.means["sz"], one.means["sz"])
+    assert np.max(np.abs(four.rhos - one.rhos)) <= 1e-15
 
 
 @pytest.mark.parametrize("budget", [None, 35])
@@ -637,6 +652,23 @@ def test_snapshots_do_not_change_trajectories(monkeypatch, budget):
         assert np.array_equal(shared.means["o"], on_grid.means["o"])
         assert np.array_equal(shared.rhos, on_grid.rhos)
         assert np.array_equal(shared.times, on_grid.times)
+
+
+def test_state_stack_holds_one_stack():
+    # the dense model steps in the eigenbasis of L; each kept state is
+    # rotated back as it is written, so no second stack is ever held
+    kernel = _EulerKernel(_dense_four_level(), XI_INTERIOR, 1e-3)
+    assert kernel.V is not None
+    dW = np.random.default_rng(6).standard_normal((100, 1000)) * np.sqrt(1e-3)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        states = engine._state_stack(kernel, _DENSE_PSI0, dW)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert states.shape == (1001, 4, 100)
+    assert peak <= 1.25 * states.nbytes
 
 
 def test_at_steps_rejects_a_step_that_is_not_a_snapshot():

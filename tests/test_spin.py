@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from unravelings.engine import (UnravelingParams, _EulerKernel, _ExponentialKernel,
-                                _matched_blocks, _state_stack,
-                                conditional_moment_flow_residual)
+                                _matched_blocks, _state_stack)
 from unravelings.noise import wiener_path
 from unravelings.spin import (SIGMA_Z, CollapseReport, SpinParams, _sigma_z_paths,
-                              collapse_bound, collapse_statistics,
-                              exponential_reconstruction, nonlinear_ensemble,
+                              collapse_bound, collapse_statistics, nonlinear_ensemble,
                               sigma_z_mean, sigma_z_spread, spin_model,
                               supermartingale_check)
+
+from moment_flow import conditional_moment_flow_residual
 
 PSI0 = np.array([0.5, np.sqrt(3.0) / 2.0], dtype=complex)
 SP = SpinParams(nu=1.0, lam=1.0)
@@ -108,11 +108,16 @@ def _collapse_stack(dt, n, seeds):
     return _state_stack(kernel, PSI0, dW), dW
 
 
-def test_exponential_reconstruction_fidelity_deficit_halves():
+def test_exponential_step_fidelity_deficit_halves():
+    # the Euler chain against the exact exponential step on the same rows:
+    # 1 - |<exact|euler>| measures the chain's pathwise error
+    model, u = spin_model(SP), UnravelingParams.nonlinear(SP.lam)
+
     def worst_deficit(dt, n_paths=40):
         states, dW = _collapse_stack(dt, int(round(1.0 / dt)), range(500, 500 + n_paths))
-        fids = exponential_reconstruction(states, dW, dt, SP)
-        return np.sqrt(np.mean(np.mean((1.0 - fids) ** 2, axis=1)))
+        exact = _state_stack(_ExponentialKernel(model, u, dt), PSI0, dW)
+        fids = np.abs(np.sum(exact.conj() * states, axis=1))     # (n + 1, N)
+        return np.sqrt(np.mean(np.mean((1.0 - fids) ** 2, axis=0)))
 
     d1, d2 = worst_deficit(2e-3), worst_deficit(1e-3)
     assert d1 <= 5e-3
