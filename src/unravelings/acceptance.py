@@ -7,6 +7,7 @@ next to the quantity it tests, in ``gaussian``, ``spin``, ``bell`` or
 ensemble also feeds the collapse bound) are cached per process.
 """
 
+import functools
 import time
 from dataclasses import dataclass
 
@@ -32,7 +33,6 @@ from .tolerances import TOL
 _PSI0 = np.array([0.5, np.sqrt(3.0) / 2.0], dtype=complex)
 _FIG1 = MechanicalParams(mass=1e-15, omega=0.0, lam=1e23)
 _FIG1_A0 = 0.25e9 + 0.0j
-_CACHE: dict = {}
 
 
 @dataclass(frozen=True)
@@ -54,16 +54,14 @@ class CriterionResult:
                 "seconds": self.seconds}
 
 
+@functools.cache
 def _born_ensemble():
     """N = 1e4 collapse-member spin trajectories, lam T = 10 (criteria 2 and 3)."""
-    if "born" not in _CACHE:
-        sp = SpinParams(nu=1.0, lam=1.0)
-        n_steps = 5000                       # dt = 2e-3, T = 10
-        snaps = np.arange(0, n_steps + 1, 250)
-        _CACHE["born"] = (nonlinear_ensemble(_PSI0, sp, 2e-3, n_steps, 10_000,
-                                             base_seed=202, snapshot_steps=snaps),
-                          sp)
-    return _CACHE["born"]
+    sp = SpinParams(nu=1.0, lam=1.0)
+    n_steps = 5000                       # dt = 2e-3, T = 10
+    snaps = np.arange(0, n_steps + 1, 250)
+    return (nonlinear_ensemble(_PSI0, sp, 2e-3, n_steps, 10_000, base_seed=202,
+                               snapshot_steps=snaps), sp)
 
 
 def criterion_1() -> CriterionResult:
@@ -449,6 +447,9 @@ def run_criteria(only=None, verbose: bool = False) -> list:
     missing = [i for i in indices if i not in CRITERIA]
     if missing:
         raise ValueError(f"no criterion {missing[0]}; available 1..{len(CRITERIA)}")
+    repeated = [i for i, j in zip(indices, indices[1:]) if i == j]
+    if repeated:
+        raise ValueError(f"criterion {repeated[0]} is listed twice")
     results = []
     for i in indices:
         res = CRITERIA[i]()

@@ -80,9 +80,9 @@ class DynamicalGap:
 _PLUS_X = (KET_UP + KET_DOWN) / np.sqrt(2.0)
 
 
-def dynamical_gap(sp: SpinParams = SpinParams(), psi0: np.ndarray = _PLUS_X,
-                  t_final: float = 1.5, dt: float = 1e-3, n_traj: int = 5000,
-                  base_seed: int = 2024, n_snapshots: int = 6) -> DynamicalGap:
+def dynamical_gap(sp: SpinParams = SpinParams(), psi0: np.ndarray = _PLUS_X, *,
+                  t_final: float, dt: float, n_traj: int, base_seed: int,
+                  n_snapshots: int = 6) -> DynamicalGap:
     """Evolve Bob's qubit from ``psi0`` (default |up_x>) under both members and compare.
 
     From |up_x> the collapsing member (xi = 1) destroys the sigma_z spread

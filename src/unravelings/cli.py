@@ -7,19 +7,6 @@ from pathlib import Path
 
 from .config import PRESETS, ConfigError, load_config, preset
 
-_PRESET_BLURBS = {
-    "fig1": "free particle, SI units: conditional spreads of both members and "
-            "the member-independent variance on one time grid",
-    "fig2": "spin-1/2 collapse, natural units: ten trajectory series, ensemble "
-            "mean vs the master-equation flow, collapse statistics",
-    "fig3": "trapped particle, SI units: closed-form spread and variance series "
-            "(extreme trap/collapse scale separation; series only)",
-    "bell": "two-observer demo: identical marginals, different spread means, "
-            "plus the dynamical analogue on one qubit",
-    "riccati_free": "natural-unit free particle for covariance-flow residuals",
-    "riccati_harmonic": "natural-unit trapped particle for covariance-flow residuals",
-}
-
 _DESCRIBE = {
     "fig1": """\
 fig1 (free particle, mass 1e-15 kg, coupling 1e23 /m^2/s, width 0.25e9 /m^2)
@@ -70,13 +57,7 @@ riccati_harmonic (natural units, omega = 0.5)
 def _cmd_run(args) -> int:
     from .runner import run_scenario, scenario_checks
     try:
-        if args.preset:
-            cfg = preset(args.preset)
-        elif args.config:
-            cfg = load_config(args.config)
-        else:
-            print("run: provide --preset NAME or --config PATH", file=sys.stderr)
-            return 2
+        cfg = preset(args.preset) if args.preset is not None else load_config(args.config)
         if args.seed is not None:
             cfg = cfg.with_seed(args.seed)
     except ConfigError as exc:
@@ -98,7 +79,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_presets(_args) -> int:
     for name in PRESETS:
-        print(f"{name:18s} {_PRESET_BLURBS.get(name, '')}")
+        print(_DESCRIBE[name].splitlines()[0])
     return 0
 
 
@@ -121,6 +102,9 @@ def _cmd_check(args) -> int:
                   f"by commas, got {args.only!r}", file=sys.stderr)
             return 2
         only = sorted(int(tok) for tok in tokens)
+        if len(set(only)) < len(only):
+            print(f"check: --only lists a criterion twice, got {args.only!r}", file=sys.stderr)
+            return 2
     results = run_criteria(only=only, verbose=True)
     if args.out:
         out = Path(args.out)
@@ -140,8 +124,9 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run a scenario and write its series/reports")
-    p_run.add_argument("--config", help="path to a JSON scenario config")
-    p_run.add_argument("--preset", help="name of a built-in scenario")
+    scenario = p_run.add_mutually_exclusive_group(required=True)
+    scenario.add_argument("--config", help="path to a JSON scenario config")
+    scenario.add_argument("--preset", help="name of a built-in scenario")
     p_run.add_argument("--out", default="out", help="output directory")
     p_run.add_argument("--seed", type=int, default=None, help="override base seed")
     p_run.add_argument("--check", action="store_true",

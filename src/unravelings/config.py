@@ -289,11 +289,15 @@ def validate_config(raw: dict) -> ScenarioConfig:
 
 
 def load_config(path: str) -> ScenarioConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError([f"not valid JSON: {exc}"]) from None
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError([f"cannot read {path}: {exc}"]) from None
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError([f"not valid JSON: {exc}"]) from None
     return validate_config(raw)
 
 

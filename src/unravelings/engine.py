@@ -172,13 +172,16 @@ class ModelSpec:
 class EnsembleResult:
     """Snapshots of a lock-step trajectory ensemble."""
 
-    times: np.ndarray                 # (n_snap,)
     step_indices: np.ndarray          # (n_snap,)
     rhos: np.ndarray                  # (n_snap, dim, dim) equal-weight averages
     means: dict                       # name -> (n_snap, n_traj) conditional means
     final_states: np.ndarray          # (n_traj, dim)
     psi0: np.ndarray
     dt: float
+
+    @property
+    def times(self) -> np.ndarray:
+        return self.step_indices * self.dt
 
     @property
     def n_traj(self) -> int:
@@ -202,8 +205,7 @@ class EnsembleResult:
             rows = np.array([row_of[int(s)] for s in steps], dtype=int)
         except KeyError as exc:
             raise ValueError(f"step {exc.args[0]} is not a snapshot step") from None
-        return replace(self, times=self.times[rows], step_indices=self.step_indices[rows],
-                       rhos=self.rhos[rows],
+        return replace(self, step_indices=self.step_indices[rows], rhos=self.rhos[rows],
                        means={name: v[rows] for name, v in self.means.items()})
 
 
@@ -562,10 +564,8 @@ def simulate_ensemble(model: ModelSpec, u: UnravelingParams, psi0: np.ndarray,
             del dW  # freed before the next block is drawn (peak memory)
         rho_sum += rho if V is None else V @ rho @ V.conj().T
         final_states[cols] = kernel.out_of_basis(psis).T
-    snaps_arr = np.asarray(snaps)
-    return EnsembleResult(times=snaps_arr * dt, step_indices=snaps_arr,
-                          rhos=rho_sum / n_traj, means=means, final_states=final_states,
-                          psi0=psi0.copy(), dt=dt)
+    return EnsembleResult(step_indices=np.asarray(snaps), rhos=rho_sum / n_traj, means=means,
+                          final_states=final_states, psi0=psi0.copy(), dt=dt)
 
 
 # --- deterministic master-equation flow ------------------------------------

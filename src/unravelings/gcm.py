@@ -11,14 +11,14 @@ and the state is updated (up to normalization) with the operator
     A(dy) = N * exp( -(gamma/dt) * (record_scale * dy - operator_scale * L * dt)^2 ).
 
 Matching the expansion of the normalized A(dy)|psi> to the family's state
-equation fixes the four real/complex gains.  With the noise gain set to 1:
+equation fixes the two complex gains, given the record's signal gain xi_r
+and noise gain 1:
 
     operator_scale : Re d = sqrt(xi_r^2/2 + sqrt((xi_i xi_r)^2 + xi_r^4)/2),
                      Im d = xi_r xi_i / (2 Re d)
-    signal_gain    : a = xi_r
     record_scale   : c = xi / d
 
-which satisfy  c d a = xi xi_r,  c d = xi,  Im(d^2 - xi^2/2) = 0  and
+which satisfy  c d xi_r = xi xi_r,  c d = xi,  Im(d^2 - xi^2/2) = 0  and
 |xi|^2 = 2 Re(d^2 - xi^2/2).
 
 N is the POVM normalization: int A^dag A dy = identity, so the outcome
@@ -43,8 +43,6 @@ _GRID_WIDTHS = 8.0       # kernel standard deviations beyond the outer centers
 
 @dataclass(frozen=True)
 class GcmParams:
-    signal_gain: float        # a, multiplies <L> dt in the record
-    noise_gain: float         # b, fixed to 1
     record_scale: complex     # c, multiplies dy in the exponent
     operator_scale: complex   # d, multiplies L dt in the exponent
     xi: complex
@@ -52,11 +50,11 @@ class GcmParams:
 
     def identity_defects(self) -> dict:
         """Residuals of the defining gain identities (all ~0 for valid params)."""
-        c, d, a, b = self.record_scale, self.operator_scale, self.signal_gain, self.noise_gain
-        beta = d * d * (1.0 - 0.5 * c * c * b * b)
+        c, d, xr = self.record_scale, self.operator_scale, self.xi.real
+        beta = d * d * (1.0 - 0.5 * c * c)
         return {
-            "alpha": abs(c * d * a - self.xi * self.xi.real),
-            "epsilon": abs(c * d * b - self.xi),
+            "alpha": abs(c * d * xr - self.xi * xr),
+            "epsilon": abs(c * d - self.xi),
             "beta_imag": abs(beta.imag),
             "beta_real": abs(abs(self.xi) ** 2 - 2.0 * beta.real),
         }
@@ -81,8 +79,7 @@ def solve_gcm_params(xi: complex, gamma: float) -> GcmParams:
     d = complex(d_re, d_im)
     mod2 = d_re ** 2 + d_im ** 2
     c = complex((xr * d_re + xi_i * d_im) / mod2, (xi_i * d_re - xr * d_im) / mod2)
-    gp = GcmParams(signal_gain=xr, noise_gain=1.0, record_scale=c,
-                   operator_scale=d, xi=xi, gamma=float(gamma))
+    gp = GcmParams(record_scale=c, operator_scale=d, xi=xi, gamma=float(gamma))
     worst = max(gp.identity_defects().values())
     if worst > 1e-10:
         raise AssertionError(f"gain identities violated by {worst:.3e}")

@@ -44,8 +44,8 @@ def assert_normalized(psi: np.ndarray) -> None:
         raise ValueError(f"state is not normalized: ||psi||^2 - 1 = {nrm2 - 1.0:.3e}")
 
 
-def is_hermitian(op: np.ndarray, tol: float = TOL.hermiticity) -> bool:
-    return bool(np.max(np.abs(op - op.conj().T)) <= tol)
+def is_hermitian(op: np.ndarray) -> bool:
+    return bool(np.max(np.abs(op - op.conj().T)) <= TOL.hermiticity)
 
 
 def projector(psi: np.ndarray) -> np.ndarray:

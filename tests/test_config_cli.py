@@ -1,9 +1,10 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
-from unravelings.cli import main
+from unravelings.cli import _DESCRIBE, main
 from unravelings.config import (FAMILIES, OUTPUT_KINDS, PRESETS, ConfigError,
                                 load_config, preset, validate_config)
 from unravelings.engine import _EulerKernel, _state_stack, simulate_ensemble, simulate_trajectory
@@ -392,7 +393,9 @@ def test_cli_basic_paths(tmp_path, capsys, monkeypatch):
     assert rc == 0 and "[PASS]" in out and "[FAIL]" not in out
     meta, _ = read_series(tmp_path / "riccati_free_sigma.csv")
     assert meta["effective_seed"] == 3 and meta["config"]["base_seed"] == 3
-    assert main(["run", "--out", str(tmp_path)]) == 2          # no scenario given
+    with pytest.raises(SystemExit) as exc:                    # no scenario given
+        main(["run", "--out", str(tmp_path)])
+    assert exc.value.code == 2
     assert main(["run", "--preset", "zzz", "--out", str(tmp_path)]) == 2
     # a bad --only is a configuration error, reported before any criterion runs
     from unravelings import acceptance
@@ -404,6 +407,53 @@ def test_cli_basic_paths(tmp_path, capsys, monkeypatch):
         assert main(["check", "--only", only]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "--only" in err
+    assert ran == []
+
+
+def test_run_takes_one_of_preset_and_config(tmp_path, capsys):
+    path = tmp_path / "fig2.json"
+    path.write_text(json.dumps(PRESETS["fig2"]), encoding="utf-8")
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--preset", "fig1", "--config", str(path), "--out", str(out)])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unreadable_config_file_is_a_configuration_error(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"name": "caf\xe9"}')               # Latin-1, not UTF-8
+    for path in (missing, latin1, tmp_path):
+        with pytest.raises(ConfigError, match=f"cannot read {re.escape(str(path))}"):
+            load_config(str(path))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err and str(path) in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_every_preset_has_a_description(capsys):
+    assert set(_DESCRIBE) == set(PRESETS)
+    for name in PRESETS:
+        assert main(["describe", "--preset", name]) == 0
+        assert capsys.readouterr().out == _DESCRIBE[name]
+    assert main(["presets"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        _DESCRIBE[name].splitlines()[0] for name in PRESETS]
+
+
+def test_repeated_criterion_is_rejected_before_any_runs(monkeypatch, capsys):
+    from unravelings import acceptance
+    ran = []
+    monkeypatch.setattr(acceptance, "CRITERIA",
+                        {i: (lambda i=i: ran.append(i)) for i in acceptance.CRITERIA})
+    assert main(["check", "--only", "11,11"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--only" in err and "twice" in err
+    with pytest.raises(ValueError, match="criterion 11 is listed twice"):
+        acceptance.run_criteria(only=[11, 11])
     assert ran == []
 
 

@@ -16,7 +16,6 @@ def test_pure_measurement_member_gains():
     gp = solve_gcm_params(1.0 + 0.0j, 1.0)
     assert gp.operator_scale == 1.0 + 0.0j
     assert gp.record_scale == 1.0 + 0.0j
-    assert gp.signal_gain == 1.0 and gp.noise_gain == 1.0
     assert max(gp.identity_defects().values()) == 0.0
 
 

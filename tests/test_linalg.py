@@ -5,17 +5,16 @@ from hypothesis import strategies as st
 
 from unravelings.linalg import (KET_DOWN, KET_UP, density_from_ensemble, identity,
                                 is_hermitian, partial_trace, pauli, projector, tensor)
-from unravelings.tolerances import TOL
 
 PSI_TILTED = np.array([0.5, np.sqrt(3.0) / 2.0], dtype=complex)
 PLUS_X = (KET_UP + KET_DOWN) / np.sqrt(2.0)
 
 
 def check_density_matrix(rho):
-    """Assert rho is Hermitian, unit trace and positive within TOL."""
+    """Assert rho is Hermitian, unit trace and positive, each within 1e-10."""
     assert is_hermitian(rho)
-    assert abs(np.trace(rho) - 1.0) <= TOL.trace
-    assert np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min() >= TOL.eigenvalue_floor
+    assert abs(np.trace(rho) - 1.0) <= 1e-10
+    assert np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min() >= -1e-10
 
 
 def test_pauli_matrices():
