@@ -54,6 +54,19 @@ riccati_harmonic (natural units, omega = 0.5)
 }
 
 
+def _out_dir(command: str, path) -> Path | None:
+    """``path`` as an existing directory, made if need be; None, after one line
+    on stderr naming it, when it cannot be (a file is there, say)."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"{command}: cannot use {out} as the output directory: {exc.strerror}",
+              file=sys.stderr)
+        return None
+    return out
+
+
 def _cmd_run(args) -> int:
     from .runner import run_scenario, scenario_checks
     try:
@@ -63,7 +76,9 @@ def _cmd_run(args) -> int:
     except ConfigError as exc:
         print(exc, file=sys.stderr)
         return 2
-    out_dir = Path(args.out)
+    out_dir = _out_dir("run", args.out)
+    if out_dir is None:
+        return 2
     written = run_scenario(cfg, out_dir)
     for p in written:
         print(f"wrote {p}")
@@ -105,10 +120,13 @@ def _cmd_check(args) -> int:
         if len(set(only)) < len(only):
             print(f"check: --only lists a criterion twice, got {args.only!r}", file=sys.stderr)
             return 2
+    out = None
+    if args.out:                    # made before any criterion runs
+        out = _out_dir("check", args.out)
+        if out is None:
+            return 2
     results = run_criteria(only=only, verbose=True)
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         payload = [r.as_dict() for r in results]
         (out / "acceptance_report.json").write_text(
             json.dumps(payload, indent=1, sort_keys=True) + "\n", encoding="utf-8")

@@ -439,14 +439,35 @@ def gaussian_sde_step(g: GaussianState, p: MechanicalParams, xi: complex,
     return GaussianState(width=a_new, centroid=float(x_new), wavenumber=float(k_new))
 
 
+def _width_blocks(p: MechanicalParams, a0: complex, xi: complex, dt: float,
+                  n_steps: int, block: int):
+    """Yield ``(first_step, values)``: the n_steps + 1 values of the width's Euler path, in blocks.
+
+    Each block holds at most ``block`` consecutive values, and the blocks, joined,
+    are the :func:`simulate_width` path bit for bit: a block continues the loop
+    from the last value of the one before, and a complex128 holds the loop's
+    Python complex exactly.  ``dt`` is checked once, at ``a0`` (the width rate,
+    and so the budget, changes along a rational path), and the path's last
+    value once, after the last block.
+    """
+    xi = _checked_xi(xi)
+    check_width_stability(p, a0, xi, dt)
+    for first in range(0, n_steps + 1, block):
+        size = min(block, n_steps + 1 - first)
+        if first == 0:
+            values = _width_path(a0, p, xi, dt, size - 1)
+        else:       # from the last value of the block before, which it does not repeat
+            values = _width_path(values[-1], p, xi, dt, size)[1:]
+        yield first, values
+    if not (values[-1].real > 0.0) or not np.isfinite(values[-1].real):
+        raise FloatingPointError("width path lost positivity or diverged; reduce dt")
+
+
 def simulate_width(p: MechanicalParams, a0: complex, xi: complex,
                    dt: float, n_steps: int) -> np.ndarray:
     """Euler path of the width ODE, all n_steps + 1 values; dt must pass check_width_stability."""
-    xi = _checked_xi(xi)
-    check_width_stability(p, a0, xi, dt)
-    out = _width_path(a0, p, xi, dt, n_steps)
-    if not (out[-1].real > 0.0) or not np.isfinite(out[-1].real):
-        raise FloatingPointError("width path lost positivity or diverged; reduce dt")
+    # one block; unpacking it runs the generator to its end, and so to its last check
+    ((_, out),) = _width_blocks(p, a0, xi, dt, n_steps, n_steps + 1)
     return out
 
 

@@ -7,7 +7,10 @@ Series files are CSV with one commented JSON metadata line::
     0,1e-09,...
 
 Every float is written with 17 significant digits, so a read-back
-reproduces the array bit-exactly.  Reports (collapse statistics, the
+reproduces the array bit-exactly.  Rows are written and parsed as a
+stream, _SERIES_BLOCK at a time, so neither direction holds the file's
+text or a string per value; the bytes are those of formatting each value
+with ``f"{x:.17g}"``.  Reports (collapse statistics, the
 two-observer demo) are JSON files carrying the same metadata block.
 Re-running a scenario with the same seed produces byte-identical files up
 to the created_at metadata field, which comparisons ignore.
@@ -17,6 +20,7 @@ that the acceptance criteria apply too, each taken from the module of the
 quantity it tests (``gaussian``, ``spin``, ``bell``, ``engine``).
 """
 
+import itertools
 import json
 import time
 from dataclasses import dataclass, fields, replace
@@ -50,33 +54,38 @@ def _metadata(cfg: ScenarioConfig) -> dict:
     }
 
 
-def format_float(x: float) -> str:
-    return f"{x:.17g}"
+_SERIES_BLOCK = 4096     # rows of a series file formatted at once
 
 
 def write_series(path, columns: dict, metadata: dict) -> None:
     keys = list(columns)
     n = len(columns[keys[0]])
-    lines = ["# " + json.dumps(metadata, sort_keys=True)]
-    lines.append(",".join(keys))
     cols = [np.asarray(columns[k], dtype=float) for k in keys]
     for c in cols:
         if c.size != n:
             raise ValueError("all columns must share one length")
-    for row in np.column_stack(cols):       # one row of Python floats at a time
-        lines.append(",".join(map(format_float, row.tolist())))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    row_format = ",".join(["%.17g"] * len(keys))      # "%.17g" % x == f"{x:.17g}"
+    with open(path, "w", encoding="utf-8") as f:
+        f.write("# " + json.dumps(metadata, sort_keys=True) + "\n" + ",".join(keys) + "\n")
+        for r0 in range(0, n, _SERIES_BLOCK):
+            rows = np.column_stack([c[r0:r0 + _SERIES_BLOCK] for c in cols]).tolist()
+            f.write("\n".join(row_format % tuple(row) for row in rows) + "\n")
 
 
 def read_series(path):
-    text = Path(path).read_text(encoding="utf-8").rstrip("\n").split("\n")
-    if not text or not text[0].startswith("# "):
-        raise ValueError(f"{path}: missing metadata header line")
-    metadata = json.loads(text[0][2:])
-    keys = text[1].split(",")
-    rows = [line.split(",") for line in text[2:]]
-    cols = {k: np.array([float(r[j]) for r in rows]) for j, k in enumerate(keys)}
-    return metadata, cols
+    with open(path, encoding="utf-8") as f:
+        head = f.readline()
+        if not head.startswith("# "):
+            raise ValueError(f"{path}: missing metadata header line")
+        metadata = json.loads(head[2:])
+        keys = f.readline().rstrip("\n").split(",")
+        first = f.readline()
+        # loadtxt warns on an empty body, so a file with no rows never reaches it
+        body = (np.loadtxt(itertools.chain([first], f), delimiter=",", ndmin=2) if first
+                else np.empty((0, len(keys))))
+    if body.shape[1] != len(keys):
+        raise ValueError(f"{path}: {body.shape[1]} values per row under {len(keys)} column names")
+    return metadata, dict(zip(keys, np.ascontiguousarray(body.T)))
 
 
 def write_report(path, payload: dict, metadata: dict) -> None:

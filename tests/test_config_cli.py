@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -237,6 +238,80 @@ def test_series_io_round_trips_bit_exactly(tmp_path):
     assert meta["config"] == {"k": 1}
     for key in cols:
         assert np.array_equal(back[key], cols[key])
+
+
+def _per_value_series_bytes(columns: dict, metadata: dict) -> bytes:
+    """A series file as written one Python float at a time with f"{x:.17g}"."""
+    lines = ["# " + json.dumps(metadata, sort_keys=True), ",".join(columns)]
+    for row in np.column_stack([np.asarray(c, dtype=float) for c in columns.values()]):
+        lines.append(",".join(f"{x:.17g}" for x in row.tolist()))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+_SPECIAL = [np.inf, -np.inf, np.nan, -0.0, 0.0, 5e-324, -5e-324, np.finfo(float).max,
+            -np.finfo(float).max, np.finfo(float).tiny, 0.1, 1.0 / 3.0, -1e-300, 2.0 ** 53 + 1]
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 4097])        # 4097 rows cross a write block
+def test_streamed_series_keeps_the_per_value_bytes(tmp_path, n_rows):
+    rng = np.random.default_rng(n_rows)
+    body = np.resize(np.concatenate([_SPECIAL, rng.standard_normal(64) * 1e-22,
+                                     rng.standard_normal(64) * 1e23]), (n_rows, 3))
+    cols = {"t": np.arange(n_rows) * 1e-3, "a": body[:, 0], "b": body[:, 1], "c": body[:, 2]}
+    meta = {"config": {"k": 1}, "created_at": "now"}
+    path = tmp_path / "x.csv"
+    write_series(path, cols, meta)
+    assert path.read_bytes() == _per_value_series_bytes(cols, meta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")          # an empty body must not warn
+        meta_back, back = read_series(path)
+    assert meta_back == meta and list(back) == list(cols)
+    # each value parses to the bits float() gives its text
+    rows = path.read_text(encoding="utf-8").splitlines()[2:]
+    for j, key in enumerate(cols):
+        ref = np.array([float(r.split(",")[j]) for r in rows])
+        assert back[key].shape == (n_rows,) and back[key].tobytes() == ref.tobytes()
+
+
+def test_read_series_rejects_malformed_files(tmp_path):
+    path = tmp_path / "x.csv"
+    for text in ("t,a\n0,1\n", ""):
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match="metadata header"):
+            read_series(path)
+    path.write_text("# {}\nt,a,b\n0,1\n", encoding="utf-8")     # a column short
+    with pytest.raises(ValueError, match="2 values per row under 3 column names"):
+        read_series(path)
+
+
+def test_run_out_naming_a_file_is_a_usage_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n", encoding="utf-8")
+    assert main(["run", "--preset", "fig1", "--out", str(taken)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(taken) in err
+    assert taken.read_text(encoding="utf-8") == "kept\n"
+    assert list(tmp_path.iterdir()) == [taken]
+
+
+def test_check_out_naming_a_file_is_a_usage_error_before_any_criterion(
+        tmp_path, monkeypatch, capsys):
+    from unravelings import acceptance
+    ran = []
+
+    def stub(i):
+        ran.append(i)
+        return acceptance.CriterionResult(i, "stub", True, "", {}, 0.0)
+
+    monkeypatch.setattr(acceptance, "CRITERIA",
+                        {i: (lambda i=i: stub(i)) for i in acceptance.CRITERIA})
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n", encoding="utf-8")
+    assert main(["check", "--only", "4", "--out", str(taken)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(taken) in err
+    assert ran == [] and taken.read_text(encoding="utf-8") == "kept\n"
+    assert list(tmp_path.iterdir()) == [taken]
 
 
 def test_run_scenario_fig1_outputs(tmp_path):
