@@ -76,13 +76,24 @@ the Euler increment, so they stay independent constructions of one member.
 :func:`simulate_ensemble` runs fixed chunks of ``_ENSEMBLE_CHUNK``
 trajectories one after the other on one thread, and so does
 :func:`gaussian.centroid_ensemble`.  Both draw a chunk's Wiener increments
-from one driver, :func:`_noise_blocks`.  It seeds the chunk's streams in
-one vectorised pass (:func:`noise.default_rngs` on the
-``derive_seed(base_seed, k)`` seeds) and yields blocks of at most
-``_NOISE_BUDGET`` doubles, one contiguous row per trajectory stream.
-:func:`simulate_ensemble` runs the kernel once per block.  Block boundaries
-do not depend on the snapshot steps, and the streams do not depend on
-either, so the snapshots never change a trajectory.
+from one driver, :func:`_noise_blocks`.  It derives the chunk's
+``derive_seed(base_seed, k)`` seeds and yields blocks of at most
+``_NOISE_BUDGET`` doubles, one contiguous row per trajectory stream; a
+block is valid until the next one is requested.  When the chunk's stream
+takes two blocks or more, a helper process forked at the start of the
+chunk draws them: it opens the streams in one vectorised pass
+(:func:`noise.default_rngs` on the seeds it inherits) and fills two shared
+anonymous ``mmap`` buffers in turn, so it draws block b + 1 while the
+caller's kernel runs on block b, and two pipes carry "ready" and "free"
+tokens between them.  The helper leaves by ``os._exit`` and is reaped
+before the driver finishes, raises or is closed; both callers close it
+with ``contextlib.closing``.  The stream stays inline, drawn in the caller
+with the same numbers, when it fits in one block (nothing to overlap),
+where ``os.fork`` is missing, and on CPython 3.12 and later, which warns
+when a process with threads forks (numpy's BLAS threads make nearly every
+process one).  :func:`simulate_ensemble` runs the kernel once per block.
+Block boundaries do not depend on the snapshot steps, and the streams do
+not depend on either, so the snapshots never change a trajectory.
 
 A shared-stream batch runs several kernels on columns that all read one
 generator, so that each kernel sees the same increments (criterion 9's
@@ -107,6 +118,12 @@ propagator is the RK4 step of the d^2 basis matrices, and
 at that ensemble's snapshots.
 """
 
+import contextlib
+import gc
+import mmap
+import os
+import sys
+import traceback
 from dataclasses import dataclass, replace
 from functools import reduce
 
@@ -447,23 +464,105 @@ _ENSEMBLE_CHUNK = 2500    # trajectories per reduction chunk (fixed)
 _NOISE_BUDGET = 400_000   # doubles per noise block of one chunk (2500 x 160)
 
 
+# CPython 3.12 and later warn when a process with more than one thread forks,
+# and numpy's BLAS threads make nearly every process one: there the stream stays inline
+_FORK_HELPER = hasattr(os, "fork") and sys.version_info < (3, 12)
+
+
 def _noise_blocks(base_seed: int, k0: int, k1: int, n_steps: int, dt: float):
     """Yield ``(first_step, dW)``: the Wiener increments of trajectories k0..k1-1.
 
     Row ``k - k0`` of the blocks, joined, is the stream of
     ``wiener_path(derive_seed(base_seed, k), dt, n_steps)``.  A block holds
     at most ``_NOISE_BUDGET`` doubles (one step per row at least) and is
-    not referenced here once yielded, so a caller that drops it before
-    asking for the next keeps one block alive at a time.
+    valid until the next one is requested.  A stream of two blocks or more
+    is drawn one block ahead by a forked helper (:func:`_forked_blocks`);
+    a one-block stream, or any stream where ``_FORK_HELPER`` is false, is
+    drawn here, and a caller that drops each block before asking for the
+    next keeps one block alive at a time.  A caller that may stop early
+    wraps the generator in ``contextlib.closing``, so the helper is reaped
+    when it stops.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    rngs = noise_mod.default_rngs([noise_mod.derive_seed(base_seed, k)
-                                   for k in range(k0, k1)])
+    seeds = [noise_mod.derive_seed(base_seed, k) for k in range(k0, k1)]
     cap = max(1, _NOISE_BUDGET // (k1 - k0))
+    blocks = [(start, min(cap, n_steps - start)) for start in range(0, n_steps, cap)]
     sqrt_dt = np.sqrt(dt)
-    for start in range(0, n_steps, cap):
-        yield start, _wiener_block(rngs, min(cap, n_steps - start), sqrt_dt)
+    if len(blocks) > 1 and _FORK_HELPER:
+        yield from _forked_blocks(seeds, blocks, sqrt_dt)
+        return
+    rngs = noise_mod.default_rngs(seeds)
+    for start, size in blocks:
+        yield start, _wiener_block(rngs, size, sqrt_dt)
+
+
+def _forked_blocks(seeds: list, blocks: list, sqrt_dt: float):
+    """Yield ``(start, dW)`` of each ``(start, size)`` in ``blocks``, drawn by a forked helper.
+
+    The helper opens the streams of ``seeds`` and fills two shared
+    anonymous buffers in turn, block b into buffer b % 2, with
+    :func:`_wiener_block`; it draws block b + 1 while the caller works on
+    block b.  A "ready" token on one pipe hands a filled buffer over, and
+    a "free" token on the other hands it back once the caller asks for the
+    next block.  A helper that exits before its last block raises
+    RuntimeError here; the helper is reaped before the generator finishes,
+    raises or is closed.
+    """
+    rows = len(seeds)
+    buffers = [mmap.mmap(-1, 8 * rows * blocks[0][1]) for _ in range(2)]
+    ready_r, ready_w = os.pipe()
+    free_r, free_w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        for fd in (ready_r, ready_w, free_r, free_w):
+            os.close(fd)
+        raise
+    if pid == 0:
+        _draw_blocks(buffers, seeds, blocks, sqrt_dt, free_r, ready_w, (ready_r, free_w))
+    os.close(ready_w)
+    os.close(free_r)
+    try:
+        for b, (start, size) in enumerate(blocks):
+            if not os.read(ready_r, 1):
+                raise RuntimeError(f"the noise helper exited before block {b} of {len(blocks)}")
+            yield start, np.frombuffer(buffers[b % 2], count=rows * size).reshape(rows, size)
+            if b + 2 < len(blocks):
+                with contextlib.suppress(BrokenPipeError):   # a helper that left shows as EOF
+                    os.write(free_w, b"f")
+    finally:
+        os.close(free_w)
+        os.close(ready_r)
+        os.waitpid(pid, 0)
+
+
+def _draw_blocks(buffers, seeds, blocks, sqrt_dt, free_r, ready_w, caller_ends):
+    """The helper side of :func:`_forked_blocks`; it leaves by ``os._exit`` on every path.
+
+    It first closes its copies of the caller's pipe ends, so that it sees
+    EOF on ``free_r``, or a broken ``ready_w``, once the caller closes
+    them: that is how a caller that stops early ends it.
+    """
+    code = 1
+    try:
+        for fd in caller_ends:
+            os.close(fd)
+        gc.disable()    # a collection here could run finalizers of the caller's objects
+        rngs = noise_mod.default_rngs(seeds)
+        for b, (_, size) in enumerate(blocks):
+            if b >= 2 and not os.read(free_r, 1):
+                break
+            out = np.frombuffer(buffers[b % 2], count=len(seeds) * size)
+            out.reshape(len(seeds), size)[...] = _wiener_block(rngs, size, sqrt_dt)
+            os.write(ready_w, b"r")
+        code = 0
+    except BrokenPipeError:
+        code = 0
+    except Exception:
+        traceback.print_exc()
+    finally:
+        os._exit(code)
 
 
 _PAIR_CHUNK = 10_000        # columns per kernel pass of a shared-stream batch (fixed)
@@ -512,6 +611,8 @@ def _matched_blocks(kernels, psi0: np.ndarray, rng, dt: float, n_steps: int,
 
 def _checked_snapshots(snapshot_steps, n_steps: int) -> list:
     """Sorted distinct snapshot steps, each in [0, n_steps]; default [n_steps]."""
+    if n_steps < 0:
+        raise ValueError(f"n_steps must be >= 0, got {n_steps}")
     if snapshot_steps is None:
         return [n_steps]
     snaps = sorted(set(int(s) for s in snapshot_steps))
@@ -532,6 +633,8 @@ def simulate_ensemble(model: ModelSpec, u: UnravelingParams, psi0: np.ndarray,
     index order, and noise blocks end independently of the snapshot steps,
     so neither the snapshot steps nor ``n_traj`` changes any trajectory.
     """
+    if n_traj < 1:
+        raise ValueError(f"n_traj must be >= 1, got {n_traj}")
     psi0 = np.asarray(psi0, dtype=complex)
     assert_normalized(psi0)
     check_stability(model, u, dt)
@@ -559,9 +662,10 @@ def simulate_ensemble(model: ModelSpec, u: UnravelingParams, psi0: np.ndarray,
 
         psis = np.repeat(kernel.into_basis(psi0[:, None]), cols.stop - k0, axis=1)
         take_snapshot(0, psis)
-        for start, dW in _noise_blocks(base_seed, k0, cols.stop, n_steps, dt):
-            psis = kernel.run(psis, dW, start, k0, after_step=take_snapshot)
-            del dW  # freed before the next block is drawn (peak memory)
+        with contextlib.closing(_noise_blocks(base_seed, k0, cols.stop, n_steps, dt)) as blocks:
+            for start, dW in blocks:
+                psis = kernel.run(psis, dW, start, k0, after_step=take_snapshot)
+                del dW  # freed before the next block is drawn (peak memory)
         rho_sum += rho if V is None else V @ rho @ V.conj().T
         final_states[cols] = kernel.out_of_basis(psis).T
     return EnsembleResult(step_indices=np.asarray(snaps), rhos=rho_sum / n_traj, means=means,

@@ -36,6 +36,7 @@ covariance series satisfies a given triple, on the whole stacked series at once.
 """
 
 import cmath
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -485,9 +486,11 @@ def centroid_ensemble(p: MechanicalParams, a0: complex, xi: complex,
     Returns ``(centroids, wavenumbers)`` as (n_snapshots, n_traj) arrays, at
     the snapshot step indices (default: the final step alone).
     """
+    if n_traj < 1:
+        raise ValueError(f"n_traj must be >= 1, got {n_traj}")
+    steps = engine_mod._checked_snapshots(snapshot_steps, n_steps)
     xi = _checked_xi(xi)
     widths = simulate_width(p, a0, xi, dt, n_steps)
-    steps = engine_mod._checked_snapshots(snapshot_steps, n_steps)
     snaps = {s: i for i, s in enumerate(steps)}
     out_x, out_k = np.empty((2, len(snaps), n_traj))
     for c0 in range(0, n_traj, engine_mod._ENSEMBLE_CHUNK):
@@ -496,13 +499,14 @@ def centroid_ensemble(p: MechanicalParams, a0: complex, xi: complex,
         kk = np.full(c1 - c0, float(k0))
         if 0 in snaps:
             out_x[snaps[0], c0:c1], out_k[snaps[0], c0:c1] = x, kk
-        for start, dW in engine_mod._noise_blocks(base_seed, c0, c1, n_steps, dt):
-            for j in range(dW.shape[1]):
-                step = start + j
-                x, kk = _centroid_step(x, kk, widths[step], dW[:, j], p, xi, dt)
-                if step + 1 in snaps:
-                    out_x[snaps[step + 1], c0:c1], out_k[snaps[step + 1], c0:c1] = x, kk
-            del dW  # freed before the next block is drawn (peak memory)
+        with contextlib.closing(engine_mod._noise_blocks(base_seed, c0, c1, n_steps, dt)) as blocks:
+            for start, dW in blocks:
+                for j in range(dW.shape[1]):
+                    step = start + j
+                    x, kk = _centroid_step(x, kk, widths[step], dW[:, j], p, xi, dt)
+                    if step + 1 in snaps:
+                        out_x[snaps[step + 1], c0:c1], out_k[snaps[step + 1], c0:c1] = x, kk
+                del dW  # freed before the next block is drawn (peak memory)
     return out_x, out_k
 
 

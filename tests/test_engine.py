@@ -1,9 +1,11 @@
+import os
+import signal
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from unravelings import engine
+from unravelings import engine, noise
 from unravelings.engine import (ModelSpec, UnravelingParams, _EulerKernel,
                                 _ExponentialKernel, _sum_rows, check_stability,
                                 lindblad_evolve, lindblad_propagator,
@@ -652,6 +654,125 @@ def test_snapshots_do_not_change_trajectories(monkeypatch, budget):
         assert np.array_equal(shared.means["o"], on_grid.means["o"])
         assert np.array_equal(shared.rhos, on_grid.rhos)
         assert np.array_equal(shared.times, on_grid.times)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def helper_blocks(monkeypatch):
+    """Chunks of 4, 4 and 2 trajectories; blocks of 3 steps (6 in the short chunk)."""
+    monkeypatch.setattr(engine, "_ENSEMBLE_CHUNK", 4)
+    monkeypatch.setattr(engine, "_NOISE_BUDGET", 12)
+    if not engine._FORK_HELPER:
+        pytest.skip("this interpreter draws every stream inline")
+    return monkeypatch
+
+
+@pytest.fixture
+def deadline():
+    """Fail a test that runs for more than 30 s instead of letting it hang."""
+    def expire(signum, frame):
+        raise TimeoutError("the test hung")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(30)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("case", ["1", "-i", "e^{-i pi/4}", "0.6-0.8i", "dense"])
+def test_forked_helper_gives_the_inline_bits(helper_blocks, case):
+    # 10 trajectories x 40 steps: 14, 14 and 7 blocks per chunk, drawn by a
+    # helper and then inline, with snapshots on and between block ends
+    u = {"1": UnravelingParams.nonlinear(0.9), "-i": UnravelingParams.linear(0.9),
+         "e^{-i pi/4}": XI_INTERIOR, "0.6-0.8i": UnravelingParams(0.6, -0.8, 0.9),
+         "dense": XI_INTERIOR}[case]
+    model, psi0 = (_dense_four_level(), _DENSE_PSI0) if case == "dense" else (spin_model(), PSI0)
+    obs = {"h": model.H, "l": model.L}
+
+    def run():
+        return simulate_ensemble(model, u, psi0, 1e-3, 40, 10, base_seed=31,
+                                 snapshot_steps=[0, 3, 7, 20, 40], tracked_observables=obs)
+
+    forked = run()
+    helper_blocks.setattr(engine, "_FORK_HELPER", False)
+    inline = run()
+    assert np.array_equal(forked.final_states, inline.final_states)
+    assert np.array_equal(forked.rhos, inline.rhos)
+    for name in obs:
+        assert np.array_equal(forked.means[name], inline.means[name])
+    _no_child_left()
+
+
+def test_one_block_stream_stays_inline(monkeypatch):
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    res = simulate_ensemble(spin_model(), XI_INTERIOR, PSI0, 1e-3, 160, 2500, base_seed=4)
+    assert res.final_states.shape == (2500, 2)
+
+
+def test_helper_is_reaped_when_the_kernel_raises_mid_stream(helper_blocks, deadline):
+    update = _EulerKernel.update
+    calls = []
+
+    def failing_update(self, psis, dW):      # a non-finite state at step 20 of chunk 0
+        calls.append(1)
+        out = update(self, psis, dW)
+        return out * np.nan if len(calls) > 20 else out
+
+    helper_blocks.setattr(_EulerKernel, "update", failing_update)
+    with pytest.raises(FloatingPointError, match="at step 20") as info:
+        simulate_ensemble(spin_model(), XI_INTERIOR, PSI0, 1e-3, 40, 10, base_seed=5)
+    _no_child_left()                         # while the exception is still referenced
+    assert info.value is not None
+
+
+def test_helper_is_reaped_when_the_caller_closes_early(helper_blocks, deadline):
+    for taken in (1, 2, 5):
+        blocks = engine._noise_blocks(8, 0, 4, 40, 1e-3)
+        for _ in range(taken):
+            next(blocks)
+        blocks.close()
+        _no_child_left()
+
+
+@pytest.mark.parametrize("failing_call", [1, 4])
+def test_a_helper_that_dies_raises_instead_of_hanging(helper_blocks, deadline, failing_call):
+    draw = engine._wiener_block
+    calls = []
+
+    def failing_draw(rngs, n_steps, sqrt_dt):     # runs in the helper
+        calls.append(1)
+        if len(calls) == failing_call:
+            raise MemoryError("no room for the block")
+        return draw(rngs, n_steps, sqrt_dt)
+
+    helper_blocks.setattr(engine, "_wiener_block", failing_draw)
+    with pytest.raises(RuntimeError, match=f"noise helper exited before block {failing_call - 1}"):
+        simulate_ensemble(spin_model(), XI_INTERIOR, PSI0, 1e-3, 40, 10, base_seed=5)
+    _no_child_left()
+
+
+@pytest.mark.parametrize("n_steps, n_traj", [(-3, 4), (10, 0), (10, -1)])
+def test_ensemble_rejects_negative_and_empty_sizes(monkeypatch, n_steps, n_traj):
+    def never(*args):
+        raise AssertionError("reached")
+
+    monkeypatch.setattr(noise, "derive_seed", never)
+    monkeypatch.setattr(os, "fork", never)
+    with pytest.raises(ValueError, match="n_steps must be >= 0|n_traj must be >= 1"):
+        simulate_ensemble(spin_model(), XI_INTERIOR, PSI0, 1e-3, n_steps, n_traj, base_seed=1)
+
+
+def test_lindblad_evolve_rejects_negative_steps():
+    with pytest.raises(ValueError, match="n_steps must be >= 0"):
+        lindblad_evolve(projector(PSI0), spin_model(), 1.0, 1e-3, -3)
 
 
 def test_state_stack_holds_one_stack():

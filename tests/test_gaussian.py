@@ -337,6 +337,35 @@ def test_centroid_ensemble_chunks_and_blocks_follow_each_stream(monkeypatch, xi)
     assert np.array_equal(final_x, ref_x[-1:]) and np.array_equal(final_k, ref_k[-1:])
 
 
+def test_centroid_ensemble_forked_helper_gives_the_inline_bits(monkeypatch):
+    # chunks of 4, 4 and 2 trajectories with 14, 14 and 7 noise blocks each,
+    # drawn by a helper and then inline
+    monkeypatch.setattr(engine, "_ENSEMBLE_CHUNK", 4)
+    monkeypatch.setattr(engine, "_NOISE_BUDGET", 12)
+    if not engine._FORK_HELPER:
+        pytest.skip("this interpreter draws every stream inline")
+    p = MechanicalParams(mass=1.0, omega=0.5, lam=1.0, hbar=1.0)
+
+    def run():
+        return centroid_ensemble(p, 0.3 + 0.1j, np.exp(-0.25j * np.pi), 0.2, -0.1, 5e-3, 40,
+                                 10, 62, snapshot_steps=[0, 3, 7, 20, 40])
+
+    xs, ks = run()
+    monkeypatch.setattr(engine, "_FORK_HELPER", False)
+    ref_x, ref_k = run()
+    assert np.array_equal(xs, ref_x) and np.array_equal(ks, ref_k)
+
+
+@pytest.mark.parametrize("n_steps, n_traj", [(-3, 4), (10, 0)])
+def test_centroid_ensemble_rejects_negative_and_empty_sizes(monkeypatch, n_steps, n_traj):
+    def never(*args):
+        raise AssertionError("reached")
+
+    monkeypatch.setattr(engine, "_noise_blocks", never)
+    with pytest.raises(ValueError, match="n_steps must be >= 0|n_traj must be >= 1"):
+        centroid_ensemble(P_NAT, 0.25 + 0j, -1j, 0.0, 0.0, 1e-3, n_steps, n_traj, base_seed=3)
+
+
 def test_riccati_matrices_entries():
     p = MechanicalParams(mass=2.0, omega=3.0, lam=4.0, hbar=0.5)
     m = riccati_matrices(p, 1.0)
