@@ -466,7 +466,8 @@ CRITERIA = {i: fn for i, fn in enumerate(
      criterion_7, criterion_8, criterion_9, criterion_10, criterion_11), start=1)}
 
 
-def run_criteria(only=None, verbose: bool = False) -> list:
+def selected_criteria(only=None) -> list:
+    """The sorted indices in ``only`` (all for None); ValueError on an unknown or repeated one."""
     indices = sorted(CRITERIA) if only is None else sorted(only)
     missing = [i for i in indices if i not in CRITERIA]
     if missing:
@@ -474,8 +475,12 @@ def run_criteria(only=None, verbose: bool = False) -> list:
     repeated = [i for i, j in zip(indices, indices[1:]) if i == j]
     if repeated:
         raise ValueError(f"criterion {repeated[0]} is listed twice")
+    return indices
+
+
+def run_criteria(only=None, verbose: bool = False) -> list:
     results = []
-    for i in indices:
+    for i in selected_criteria(only):
         res = CRITERIA[i]()
         results.append(res)
         if verbose:

@@ -21,13 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import UnravelingParams, mc_tolerance, simulate_ensemble
-from .linalg import KET_DOWN, KET_UP, density_from_ensemble, pauli, tensor
+from .linalg import KET_DOWN, KET_UP, density_from_ensemble, pauli
 from .spin import SpinParams, collapse_bound, sigma_z_mean, sigma_z_spread, spin_model
-
-
-def singlet() -> np.ndarray:
-    """(|up down> - |down up>) / sqrt(2) on the 2x2 product basis."""
-    return (tensor(KET_UP, KET_DOWN) - tensor(KET_DOWN, KET_UP)) / np.sqrt(2.0)
 
 
 @dataclass(frozen=True)

@@ -108,17 +108,16 @@ def _cmd_describe(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    from .acceptance import CRITERIA, run_criteria
+    from .acceptance import run_criteria, selected_criteria
     only = None
     if args.only is not None:
-        tokens = [tok.strip() for tok in args.only.split(",")]
-        if any(tok not in {str(i) for i in CRITERIA} for tok in tokens):
-            print(f"check: --only takes criterion numbers 1..{len(CRITERIA)} separated "
-                  f"by commas, got {args.only!r}", file=sys.stderr)
-            return 2
-        only = sorted(int(tok) for tok in tokens)
-        if len(set(only)) < len(only):
-            print(f"check: --only lists a criterion twice, got {args.only!r}", file=sys.stderr)
+        tokens = args.only.split(",")
+        try:
+            if not all(tok.strip().isdecimal() for tok in tokens):
+                raise ValueError(f"takes criterion numbers separated by commas, got {args.only!r}")
+            only = selected_criteria([int(tok) for tok in tokens])
+        except ValueError as exc:
+            print(f"check: --only {exc}", file=sys.stderr)
             return 2
     out = None
     if args.out:                    # made before any criterion runs

@@ -21,7 +21,6 @@ from .tolerances import TOL
 
 # model -> family; the models of one family share their output kinds
 FAMILIES = {"spin": "spin", "free_particle": "mech", "harmonic": "mech"}
-MODELS = tuple(FAMILIES)
 # family -> {output kind: whether it integrates an SDE and so faces the
 # stability budget}
 OUTPUT_KINDS = {
@@ -151,8 +150,8 @@ def validate_config(raw: dict) -> ScenarioConfig:
         errs.append(f"unknown top-level keys: {sorted(unknown)}")
 
     model = raw.get("model")
-    if model not in MODELS:
-        errs.append(f"model: must be one of {MODELS}, got {model!r}")
+    if model not in FAMILIES:
+        errs.append(f"model: must be one of {tuple(FAMILIES)}, got {model!r}")
         raise ConfigError(errs)
     name = raw.get("name", model)
     if not isinstance(name, str) or not _NAME.fullmatch(name):

@@ -120,6 +120,7 @@ at that ensemble's snapshots.
 
 import contextlib
 import gc
+import math
 import mmap
 import os
 import sys
@@ -143,13 +144,13 @@ class UnravelingParams:
     lam: float
 
     def __post_init__(self):
-        if self.xi_r < 0.0:
-            raise ValueError(f"xi_r must be >= 0, got {self.xi_r}")
+        if not (0.0 <= self.xi_r < math.inf):
+            raise ValueError(f"xi_r must be finite and >= 0, got {self.xi_r}")
         mod2 = self.xi_r ** 2 + self.xi_i ** 2
         if not abs(mod2 - 1.0) <= TOL.unit_modulus:     # also a nan
             raise ValueError(f"|xi|^2 = {mod2:.15f} must equal 1")
-        if self.lam < 0.0:
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
+        if not (0.0 <= self.lam < math.inf):
+            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
 
     @property
     def xi(self) -> complex:
@@ -181,8 +182,8 @@ class ModelSpec:
                 raise ValueError(f"{name} must be {self.dim}x{self.dim}, got {op.shape}")
             if not is_hermitian(op):
                 raise ValueError(f"{name} is not Hermitian")
-        if self.hbar <= 0.0:
-            raise ValueError("hbar must be positive")
+        if not (0.0 < self.hbar < math.inf):         # also a nan
+            raise ValueError(f"hbar must be finite and positive, got {self.hbar}")
 
 
 @dataclass(frozen=True)
@@ -200,10 +201,6 @@ class EnsembleResult:
     def times(self) -> np.ndarray:
         return self.step_indices * self.dt
 
-    @property
-    def n_traj(self) -> int:
-        return self.final_states.shape[0]
-
     def mean_of(self, name: str) -> np.ndarray:
         return self.means[name].mean(axis=1)
 
@@ -219,7 +216,7 @@ class EnsembleResult:
         """
         row_of = {int(s): i for i, s in enumerate(self.step_indices)}
         try:
-            rows = np.array([row_of[int(s)] for s in steps], dtype=int)
+            rows = np.array([row_of[_step_index(s)] for s in steps], dtype=int)
         except KeyError as exc:
             raise ValueError(f"step {exc.args[0]} is not a snapshot step") from None
         return replace(self, step_indices=self.step_indices[rows], rhos=self.rhos[rows],
@@ -609,13 +606,20 @@ def _matched_blocks(kernels, psi0: np.ndarray, rng, dt: float, n_steps: int,
             start += nb
 
 
+def _step_index(s) -> int:
+    """``s`` as an int; ValueError unless it is a whole number."""
+    if not float(s).is_integer():
+        raise ValueError(f"step {s} is not a whole number")
+    return int(s)
+
+
 def _checked_snapshots(snapshot_steps, n_steps: int) -> list:
-    """Sorted distinct snapshot steps, each in [0, n_steps]; default [n_steps]."""
+    """Sorted distinct snapshot steps, each a whole number in [0, n_steps]; default [n_steps]."""
     if n_steps < 0:
         raise ValueError(f"n_steps must be >= 0, got {n_steps}")
     if snapshot_steps is None:
         return [n_steps]
-    snaps = sorted(set(int(s) for s in snapshot_steps))
+    snaps = sorted(set(_step_index(s) for s in snapshot_steps))
     if any(s < 0 or s > n_steps for s in snaps):
         raise ValueError("snapshot steps must lie in [0, n_steps]")
     return snaps
@@ -698,6 +702,10 @@ def lindblad_propagator(model: ModelSpec, lam: float, dt: float) -> np.ndarray:
     The RK4 step is linear in rho, so column j of P is the step of the j-th
     basis matrix; one :func:`lindblad_step` advances all d^2 of them at once.
     """
+    if not (0.0 < dt < math.inf):
+        raise ValueError(f"dt must be finite and positive, got {dt}")
+    if not (0.0 <= lam < math.inf):
+        raise ValueError(f"lam must be finite and >= 0, got {lam}")
     d2 = model.dim ** 2
     basis = np.eye(d2, dtype=complex).reshape(d2, model.dim, model.dim)
     return lindblad_step(basis, model, lam, dt).reshape(d2, d2).T

@@ -60,25 +60,14 @@ class MechanicalParams:
     hbar: float = HBAR_SI
 
     def __post_init__(self):
-        if self.mass <= 0.0:
-            raise ValueError("mass must be positive")
-        if self.omega < 0.0:
-            raise ValueError("omega must be >= 0")
-        if self.lam < 0.0:
-            raise ValueError("lam must be >= 0")
-        if self.hbar <= 0.0:
-            raise ValueError("hbar must be positive")
-
-
-@dataclass(frozen=True)
-class GaussianState:
-    width: complex           # m^-2, real part > 0
-    centroid: float          # m
-    wavenumber: float        # m^-1
-
-    def __post_init__(self):
-        if not (self.width.real > 0.0):
-            raise ValueError(f"width must have positive real part, got {self.width}")
+        if not (0.0 < self.mass < math.inf):         # also a nan
+            raise ValueError(f"mass must be finite and positive, got {self.mass}")
+        if not (0.0 <= self.omega < math.inf):
+            raise ValueError(f"omega must be finite and >= 0, got {self.omega}")
+        if not (0.0 <= self.lam < math.inf):
+            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
+        if not (0.0 < self.hbar < math.inf):
+            raise ValueError(f"hbar must be finite and positive, got {self.hbar}")
 
 
 @dataclass(frozen=True)
@@ -428,16 +417,22 @@ def _centroid_step(x, k, a, dW, p: MechanicalParams, xi: complex, dt: float):
             k_drift - sq * (xi.real * (a.imag / a.real) - xi.imag) * dW)
 
 
-def gaussian_sde_step(g: GaussianState, p: MechanicalParams, xi: complex,
-                      dW: float, dt: float) -> GaussianState:
-    """One Euler-Maruyama step of the (width, centroid, wavenumber) system of member ``xi``."""
+def gaussian_sde_step(state: tuple, p: MechanicalParams, xi: complex,
+                      dW: float, dt: float) -> tuple:
+    """One Euler-Maruyama step of ``state = (width, centroid, wavenumber)`` of member ``xi``.
+
+    Returns the next triple.  A width with real part <= 0 raises ValueError,
+    and a step that loses that positivity raises FloatingPointError.
+    """
     xi = _checked_xi(xi)
-    a = complex(g.width)
+    a, x, k = state
+    if not (a.real > 0.0):
+        raise ValueError(f"width must have positive real part, got {a}")
     a_new = complex(_width_path(a, p, xi, dt, 1)[1])
     if not (a_new.real > 0.0):
         raise FloatingPointError("width lost positivity; reduce dt")
-    x_new, k_new = _centroid_step(g.centroid, g.wavenumber, a, dW, p, xi, dt)
-    return GaussianState(width=a_new, centroid=float(x_new), wavenumber=float(k_new))
+    x_new, k_new = _centroid_step(x, k, a, dW, p, xi, dt)
+    return a_new, float(x_new), float(k_new)
 
 
 def _width_blocks(p: MechanicalParams, a0: complex, xi: complex, dt: float,

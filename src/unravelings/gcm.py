@@ -86,17 +86,6 @@ def solve_gcm_params(xi: complex, gamma: float) -> GcmParams:
     return gp
 
 
-def norm_const_sq(gp: GcmParams, dt: float) -> float:
-    """|N|^2 of the POVM normalization."""
-    c, d = gp.record_scale, gp.operator_scale
-    c2 = c.real ** 2 - c.imag ** 2
-    proj = c.real * d.real - c.imag * d.imag
-    if c2 <= 0.0 or proj <= 0.0:
-        raise ValueError("gains do not define a normalizable outcome kernel")
-    base = np.sqrt(2.0 * gp.gamma / (np.pi * dt)) * c2 ** 1.5 / proj
-    return float(base * gp.xi.real)
-
-
 def _eigs(L: np.ndarray):
     if not is_hermitian(L):
         raise ValueError("coupling operator must be Hermitian")
@@ -104,17 +93,15 @@ def _eigs(L: np.ndarray):
 
 
 def _amplitudes(evals: np.ndarray, gp: GcmParams, dys: np.ndarray, dt: float) -> np.ndarray:
-    """A(dy) eigen-amplitudes, shape (n_outcomes, n_eigenvalues)."""
-    n = np.sqrt(norm_const_sq(gp, dt))
+    """A(dy) eigen-amplitudes, shape (n_outcomes, n_eigenvalues), normalized by N."""
+    c, d = gp.record_scale, gp.operator_scale
+    c2 = c.real ** 2 - c.imag ** 2
+    proj = c.real * d.real - c.imag * d.imag
+    if c2 <= 0.0 or proj <= 0.0:
+        raise ValueError("gains do not define a normalizable outcome kernel")
+    n = np.sqrt(float(np.sqrt(2.0 * gp.gamma / (np.pi * dt)) * c2 ** 1.5 / proj * gp.xi.real))
     arg = gp.record_scale * dys[:, None] - gp.operator_scale * evals[None, :] * dt
     return n * np.exp(-(gp.gamma / dt) * arg * arg)
-
-
-def kraus_matrix(L: np.ndarray, gp: GcmParams, dy: float, dt: float) -> np.ndarray:
-    """The measurement operator A(dy) in the original basis."""
-    evals, V = _eigs(L)
-    amp = _amplitudes(evals, gp, np.array([float(dy)]), dt)[0]
-    return (V * amp) @ V.conj().T
 
 
 def kraus_apply(states: np.ndarray, L: np.ndarray, gp: GcmParams, dys, dt: float):

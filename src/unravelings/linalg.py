@@ -1,14 +1,13 @@
 """Dense complex linear algebra for small Hilbert spaces.
 
-Everything in the library lives in dimension 2 (a qubit / spin-1/2) or
-dimension 4 (two qubits), so states are plain complex ndarrays of shape
-(dim,) and operators are (dim, dim) ndarrays.  No sparse machinery, no
-GPU, just numpy double precision.
+The models of the library have a few levels at most (a spin-1/2 has two),
+so states are plain complex ndarrays of shape (dim,) and operators are
+(dim, dim) ndarrays.  No sparse machinery, no GPU, just numpy double
+precision.
 
 Conventions
 -----------
-* kets: ``ket_up = [1, 0]``, ``ket_down = [0, 1]``; two-qubit basis is the
-  Kronecker order (first subsystem slowest).
+* kets: ``KET_UP = [1, 0]``, ``KET_DOWN = [0, 1]``.
 * every validator tolerance comes from :data:`unravelings.tolerances.TOL`.
 """
 
@@ -32,10 +31,6 @@ def pauli(axis: str) -> np.ndarray:
         return _PAULI[axis].copy()
     except KeyError:
         raise ValueError(f"unknown Pauli axis {axis!r}; expected 'x', 'y' or 'z'") from None
-
-
-def identity(dim: int) -> np.ndarray:
-    return np.eye(dim, dtype=complex)
 
 
 def assert_normalized(psi: np.ndarray) -> None:
@@ -72,24 +67,3 @@ def density_from_ensemble(states, weights) -> np.ndarray:
     for w, s in zip(weights, states):
         rho += w * np.outer(s, s.conj())
     return rho
-
-
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product, used for both states and operators."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
-def partial_trace(rho: np.ndarray, keep: str) -> np.ndarray:
-    """Reduce a two-qubit density matrix to one qubit.
-
-    ``keep`` selects which subsystem survives: 'first' or 'second'.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ValueError(f"partial_trace expects a 4x4 matrix, got {rho.shape}")
-    r = rho.reshape(2, 2, 2, 2)
-    if keep == "first":
-        return np.einsum("ikjk->ij", r)
-    if keep == "second":
-        return np.einsum("kikj->ij", r)
-    raise ValueError(f"keep must be 'first' or 'second', got {keep!r}")

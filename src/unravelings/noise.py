@@ -130,26 +130,30 @@ def wiener_path(seed: int, dt: float, n_steps: int) -> np.ndarray:
     return rng.standard_normal(n_steps) * np.sqrt(dt)
 
 
+def _checked_record_inputs(series, ell, xi_r: float, lam: float):
+    """Both series as float arrays, once they match in length, xi_r >= 0 and lam > 0."""
+    series, ell = np.asarray(series, dtype=float), np.asarray(ell, dtype=float)
+    if ell.size != series.size:
+        raise ValueError(f"conditional mean series length {ell.size} != path length {series.size}")
+    if not (0.0 <= xi_r < np.inf):      # also a nan
+        raise ValueError(f"xi_r must be finite and >= 0, got {xi_r}")
+    if not (0.0 < lam < np.inf):
+        raise ValueError(f"lam must be finite and positive for a measurement record, got {lam}")
+    return series, ell
+
+
 def measurement_record(dW: np.ndarray, ell, dt: float, xi_r: float, lam: float) -> np.ndarray:
     """Detector record dy_k = xi_r <L>_k dt + dW_k / (2 sqrt(lam)) of the increments ``dW``."""
-    dW, ell = np.asarray(dW, dtype=float), np.asarray(ell, dtype=float)
-    if ell.size != dW.size:
-        raise ValueError(f"conditional mean series length {ell.size} != path length {dW.size}")
-    if xi_r < 0.0:
-        raise ValueError("xi_r must be non-negative")
-    if lam <= 0.0:
-        raise ValueError("lam must be positive for a measurement record")
+    dW, ell = _checked_record_inputs(dW, ell, xi_r, lam)
     return xi_r * ell * dt + dW / (2.0 * np.sqrt(lam))
 
 
 def reconstruct_noise(dy: np.ndarray, ell, dt: float, xi_r: float, lam: float) -> np.ndarray:
-    """Invert :func:`measurement_record`: recover the increments dW_k from the record ``dy``.
+    """Invert :func:`measurement_record`, with its checks: the increments dW_k of record ``dy``.
 
     The inversion is algebraically exact; in floating point the round trip
     reproduces the original increments to ~1e-14 relative (bit-exact when
     the signal term vanishes and 2*sqrt(lam) is a power of two).
     """
-    dy, ell = np.asarray(dy, dtype=float), np.asarray(ell, dtype=float)
-    if ell.size != dy.size:
-        raise ValueError("conditional mean series length does not match record")
+    dy, ell = _checked_record_inputs(dy, ell, xi_r, lam)
     return (dy - xi_r * ell * dt) * (2.0 * np.sqrt(lam))

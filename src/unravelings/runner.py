@@ -138,7 +138,7 @@ def _fields(report) -> dict:
 
 
 def _record(run) -> dict:
-    """Detector record of trajectory 0, from its pre-step <L> (``run.signal0``)."""
+    """``record`` of both set-ups: trajectory 0's detector record from its pre-step ``signal0``."""
     cfg = run.cfg
     dW = wiener_path(derive_seed(run.seed, 0), cfg.dt, cfg.n_steps)
     dy = measurement_record(dW, run.signal0[:-1], cfg.dt, cfg.xi_r, float(cfg.params["lam"]))
@@ -177,6 +177,8 @@ class _SpinRun:
         cfg = self.cfg
         return simulate_trajectory(self.model, self.u, self.psi0, cfg.dt, cfg.n_steps,
                                    derive_seed(self.seed, 0), {"L": self.model.L})[1]["L"]
+
+    record = _record
 
     def ensemble_mean(self) -> dict:
         result = self.ensemble.at_steps(_snapshot_steps(self.cfg))
@@ -227,6 +229,7 @@ class _MechRun:
         return a, x[:, 0], k[:, 0]
 
     signal0 = property(lambda self: self.path0[1])   # <L> = <x>: trajectory 0's centroid
+    record = _record
 
     def sigma(self) -> dict:
         return {"t": self.ts, **{f"sigma_{name}": conditional_spread_x(self.ts, self.p, self.a0, xi)
@@ -261,28 +264,17 @@ class _MechRun:
                                                      cfg.xi)}
 
 
+# family -> set-up.  The builder of each kind in config.OUTPUT_KINDS is the
+# set-up's method of that name.  It returns the kind's report payload if the
+# kind is in _REPORTS (a .json file), else its series columns (a .csv file).
+# Builders call library functions by their module-global names, so a wrapper
+# installed there sees every call.
 _SETUPS = {"spin": _SpinRun, "mech": _MechRun}
-_SERIES, _REPORT = ".csv", ".json"
-# (family, kind) -> (file suffix, builder).  A builder returns the kind's series
-# (columns) or report payload.  Builders call library functions by their
-# module-global names, so a wrapper installed there sees every call.
-_BUILDERS = {
-    ("spin", "trajectory"): (_SERIES, _SpinRun.trajectory),
-    ("spin", "record"): (_SERIES, _record),
-    ("spin", "ensemble_mean"): (_SERIES, _SpinRun.ensemble_mean),
-    ("spin", "collapse_stats"): (_REPORT, _SpinRun.collapse_stats),
-    ("spin", "bell"): (_REPORT, _SpinRun.bell),
-    ("mech", "sigma"): (_SERIES, _MechRun.sigma),
-    ("mech", "var"): (_SERIES, _MechRun.var),
-    ("mech", "riccati"): (_SERIES, _MechRun.riccati),
-    ("mech", "trajectory"): (_SERIES, _MechRun.trajectory),
-    ("mech", "record"): (_SERIES, _record),
-    ("mech", "ensemble_mean"): (_SERIES, _MechRun.ensemble_mean),
-}
+_REPORTS = {"collapse_stats", "bell"}
 
 
 def _output_path(cfg: ScenarioConfig, out_dir: Path, kind: str) -> Path:
-    return out_dir / f"{cfg.name}_{kind}{_BUILDERS[cfg.family, kind][0]}"
+    return out_dir / f"{cfg.name}_{kind}{'.json' if kind in _REPORTS else '.csv'}"
 
 
 def run_scenario(cfg: ScenarioConfig, out_dir, n_workers: int = 1) -> list:
@@ -301,8 +293,8 @@ def run_scenario(cfg: ScenarioConfig, out_dir, n_workers: int = 1) -> list:
     written = []
     for kind in cfg.outputs:
         path = _output_path(cfg, out_dir, kind)
-        write = write_series if path.suffix == _SERIES else write_report
-        write(path, _BUILDERS[cfg.family, kind][1](run), meta)
+        write = write_report if kind in _REPORTS else write_series
+        write(path, getattr(run, kind)(), meta)
         written.append(path)
     return written
 
@@ -415,8 +407,8 @@ def scenario_checks(cfg: ScenarioConfig, out_dir) -> list:
     for kinds, check in _CHECKS[cfg.family]:
         paths = [_output_path(cfg, out_dir, kind) for kind in kinds]
         if set(kinds) <= set(cfg.outputs) and all(p.exists() for p in paths):
-            data = [(read_series(p) if p.suffix == _SERIES else read_report(p))[1]
-                    for p in paths]
+            data = [(read_report if kind in _REPORTS else read_series)(p)[1]
+                    for kind, p in zip(kinds, paths)]
             checks += check(cfg, *data)
             found = True
     if not found:

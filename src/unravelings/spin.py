@@ -24,6 +24,7 @@ is what :func:`supermartingale_check` verifies; as [H, L] = 0, a member
 xi obeys it at the rate lam xi_r^2.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,8 +44,8 @@ class SpinParams:
     hbar: float = 1.0
 
     def __post_init__(self):
-        if self.lam < 0.0:
-            raise ValueError("lam must be >= 0")
+        if not (0.0 <= self.lam < math.inf):         # also a nan
+            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
 
 
 def spin_model(sp: SpinParams) -> ModelSpec:
@@ -146,7 +147,7 @@ def supermartingale_check(result: EnsembleResult, sp: SpinParams) -> Supermartin
     """Check E[s_t] <= s_0/(1 + 4 lam s_0 t) + 4 SE and monotone decrease."""
     spreads = sigma_z_spread(result.means["sz"])
     mean = spreads.mean(axis=1)
-    se = spreads.std(axis=1, ddof=1) / np.sqrt(result.n_traj)
+    se = spreads.std(axis=1, ddof=1) / np.sqrt(spreads.shape[1])
     sigma0 = float(sigma_z_spread(sigma_z_mean(result.psi0)))
     bound = collapse_bound(sigma0, sp.lam, result.times)
     bound_ok = bool(np.all(mean <= bound + 4.0 * se + 1e-15))

@@ -4,20 +4,10 @@ import numpy as np
 import pytest
 
 from unravelings.bell import (alice_measures, bell_gates, bell_report, dynamical_gap,
-                              signaling_gap, singlet)
+                              signaling_gap)
 from unravelings.engine import mc_tolerance
-from unravelings.linalg import KET_UP, identity, partial_trace, pauli, projector, tensor
+from unravelings.linalg import KET_UP
 from unravelings.spin import collapse_bound
-
-
-def test_singlet_properties():
-    s = singlet()
-    assert np.vdot(s, s).real == pytest.approx(1.0, abs=1e-15)
-    zz = tensor(pauli("z"), pauli("z"))
-    assert np.vdot(s, zz @ s).real == pytest.approx(-1.0, abs=1e-15)
-    rho = projector(s)
-    for keep in ("first", "second"):
-        assert np.allclose(partial_trace(rho, keep), identity(2) / 2.0, atol=1e-15)
 
 
 def test_alice_basis_choices():
@@ -26,7 +16,7 @@ def test_alice_basis_choices():
     assert out_z.mean_sigma == 0.0
     assert out_x.mean_sigma == 1.0
     for out in (out_z, out_x):
-        assert np.max(np.abs(out.bob_rho - identity(2) / 2.0)) <= 1e-15
+        assert np.max(np.abs(out.bob_rho - np.eye(2) / 2.0)) <= 1e-15
         assert sum(p for _, p in out.bob_states) == pytest.approx(1.0, abs=1e-15)
     with pytest.raises(ValueError):
         alice_measures("y")

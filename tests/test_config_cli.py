@@ -9,9 +9,9 @@ from unravelings.cli import _DESCRIBE, main
 from unravelings.config import (FAMILIES, OUTPUT_KINDS, PRESETS, ConfigError,
                                 load_config, preset, validate_config)
 from unravelings.engine import _EulerKernel, _state_stack, simulate_ensemble, simulate_trajectory
-from unravelings.gaussian import GaussianState, gaussian_sde_step
+from unravelings.gaussian import gaussian_sde_step
 from unravelings.noise import derive_seed, measurement_record, wiener_path
-from unravelings.runner import (_BUILDERS, _SpinRun, _check_bell, _check_collapse_stats,
+from unravelings.runner import (_REPORTS, _SETUPS, _SpinRun, _check_bell, _check_collapse_stats,
                                 _check_settled, _check_spreads, _snapshot_steps,
                                 files_equal_ignoring_timestamp, read_report,
                                 read_series, run_scenario, scenario_checks,
@@ -594,12 +594,13 @@ def test_harmonic_config_at_an_interior_member_runs_and_passes_its_checks(tmp_pa
 
 
 def test_builders_cover_every_output_kind():
-    assert set(_BUILDERS) == {(fam, kind) for fam, kinds in OUTPUT_KINDS.items()
-                              for kind in kinds}
-    assert set(FAMILIES.values()) == set(OUTPUT_KINDS)
+    assert set(_SETUPS) == set(OUTPUT_KINDS) == set(FAMILIES.values())
+    for fam, kinds in OUTPUT_KINDS.items():
+        assert all(callable(getattr(_SETUPS[fam], kind, None)) for kind in kinds), fam
+    assert _REPORTS <= {kind for kinds in OUTPUT_KINDS.values() for kind in kinds}
     for name, raw in PRESETS.items():
         cfg = validate_config(raw)
-        assert all((cfg.family, kind) in _BUILDERS for kind in cfg.outputs)
+        assert all(callable(getattr(_SETUPS[cfg.family], kind, None)) for kind in cfg.outputs)
 
 
 @pytest.mark.parametrize("model, omega", [("free_particle", 0.0), ("harmonic", 0.5)])
@@ -614,19 +615,20 @@ def test_mechanical_trajectory_is_the_sde_step_loop(tmp_path, model, omega, memb
                            "n_trajectories": 3, "base_seed": 41, "outputs": outputs})
     run_scenario(cfg, tmp_path)
     path = wiener_path(derive_seed(41, 0), cfg.dt, cfg.n_steps)
-    g = GaussianState(width=0.3 + 0.1j, centroid=0.2, wavenumber=-0.4)
+    g = (0.3 + 0.1j, 0.2, -0.4)           # (width, centroid, wavenumber)
     states = [g]
     for dW in path:
         g = gaussian_sde_step(g, cfg.mechanical(), cfg.xi, dW, cfg.dt)
         states.append(g)
+    widths, centroids, wavenumbers = (np.array(col) for col in zip(*states))
     _, tr = read_series(tmp_path / "m_trajectory.csv")
-    assert np.array_equal(tr["width_re"], [s.width.real for s in states])
-    assert np.array_equal(tr["width_im"], [s.width.imag for s in states])
-    assert np.array_equal(tr["centroid"], [s.centroid for s in states])
-    assert np.array_equal(tr["wavenumber"], [s.wavenumber for s in states])
+    assert np.array_equal(tr["width_re"], widths.real)
+    assert np.array_equal(tr["width_im"], widths.imag)
+    assert np.array_equal(tr["centroid"], centroids)
+    assert np.array_equal(tr["wavenumber"], wavenumbers)
     if member == "nonlinear":
         _, rec = read_series(tmp_path / "m_record.csv")
-        ref = measurement_record(path, [s.centroid for s in states[:-1]], cfg.dt, 1.0, 1.0)
+        ref = measurement_record(path, centroids[:-1], cfg.dt, 1.0, 1.0)
         assert np.array_equal(rec["dy"], ref)
 
 

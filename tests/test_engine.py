@@ -1,3 +1,4 @@
+import math
 import os
 import signal
 import tracemalloc
@@ -11,8 +12,10 @@ from unravelings.engine import (ModelSpec, UnravelingParams, _EulerKernel,
                                 lindblad_evolve, lindblad_propagator,
                                 lindblad_step, max_stable_dt, simulate_ensemble,
                                 simulate_trajectory, sse_step)
-from unravelings.linalg import identity, pauli, projector
+from unravelings.gaussian import MechanicalParams, centroid_ensemble
+from unravelings.linalg import pauli, projector
 from unravelings.noise import derive_seed, wiener_path
+from unravelings.spin import SpinParams
 
 from moment_flow import conditional_moment_flow_residual
 
@@ -42,6 +45,22 @@ def test_model_spec_requires_hermitian():
     bad = np.array([[0, 1], [0, 0]], dtype=complex)
     with pytest.raises(ValueError):
         ModelSpec(H=bad, L=SZ, dim=2)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("make", [
+    lambda v: SpinParams(lam=v),
+    lambda v: MechanicalParams(mass=v, omega=0.0, lam=1.0),
+    lambda v: MechanicalParams(mass=1.0, omega=v, lam=1.0),
+    lambda v: MechanicalParams(mass=1.0, omega=0.0, lam=v),
+    lambda v: MechanicalParams(mass=1.0, omega=0.0, lam=1.0, hbar=v),
+    lambda v: UnravelingParams(1.0, 0.0, v),
+    lambda v: ModelSpec(H=SZ, L=SZ, dim=2, hbar=v),
+], ids=["spin.lam", "mass", "omega", "mech.lam", "mech.hbar", "unraveling.lam", "model.hbar"])
+def test_parameter_guards_reject_non_finite_values(make, value):
+    # a nan passes "x < 0" and "x <= 0" and would flow on as a nan result
+    with pytest.raises(ValueError, match="must be finite"):
+        make(value)
 
 
 def test_stability_budget():
@@ -484,7 +503,7 @@ def test_lindblad_step_stationary_cases():
     rho = projector(np.array([1.0, 0.0], dtype=complex))
     out = lindblad_step(rho, model, 0.0, 1e-2)          # [H, rho] = 0, lam = 0
     assert np.allclose(out, rho, atol=1e-15)
-    mixed = identity(2) / 2.0
+    mixed = np.eye(2) / 2.0
     out2 = lindblad_step(mixed, model, 1.0, 1e-2)
     assert np.allclose(out2, mixed, atol=1e-15)
 
@@ -797,6 +816,49 @@ def test_at_steps_rejects_a_step_that_is_not_a_snapshot():
                             base_seed=3, snapshot_steps=[0, 10])
     with pytest.raises(ValueError, match="step 5"):
         res.at_steps([0, 5])
+
+
+@pytest.mark.parametrize("dt", [-1e-3, 0.0, math.nan, math.inf])
+def test_oracle_rejects_a_step_that_is_not_finite_and_positive(dt):
+    # a negative dt would run the flow backwards into a non-positive rho; dt = 0 returns rho0
+    with pytest.raises(ValueError, match="dt must be finite and positive"):
+        lindblad_evolve(projector(PSI0), spin_model(), 1.0, dt, 100)
+    with pytest.raises(ValueError, match="dt must be finite and positive"):
+        lindblad_propagator(spin_model(), 1.0, dt)
+
+
+@pytest.mark.parametrize("lam", [-1.0, math.nan, math.inf])
+def test_oracle_rejects_a_rate_that_is_not_finite_and_non_negative(lam):
+    with pytest.raises(ValueError, match="lam must be finite and >= 0"):
+        lindblad_evolve(projector(PSI0), spin_model(), lam, 1e-3, 100)
+    with pytest.raises(ValueError, match="lam must be finite and >= 0"):
+        lindblad_propagator(spin_model(), lam, 1e-3)
+
+
+def test_snapshot_steps_must_be_whole_numbers():
+    u, p = UnravelingParams.nonlinear(1.0), MechanicalParams(mass=1.0, omega=0.0, lam=1.0)
+    runs = [lambda s: simulate_ensemble(spin_model(), u, PSI0, 1e-3, 10, 2, 3, snapshot_steps=s),
+            lambda s: lindblad_evolve(projector(PSI0), spin_model(), 1.0, 1e-3, 10,
+                                      snapshot_steps=s),
+            lambda s: centroid_ensemble(p, 0.3 + 0.1j, 1.0, 0.0, 0.0, 1e-3, 10, 2, 3,
+                                        snapshot_steps=s)]
+    for run in runs:
+        for bad in ([2.5, 7.9], [2, math.nan]):
+            with pytest.raises(ValueError, match="not a whole number"):
+                run(bad)
+    # a whole number held as a float is that step
+    whole = simulate_ensemble(spin_model(), u, PSI0, 1e-3, 10, 2, 3, snapshot_steps=[2.0, 7.0])
+    ints = simulate_ensemble(spin_model(), u, PSI0, 1e-3, 10, 2, 3, snapshot_steps=[2, 7])
+    assert np.array_equal(whole.step_indices, [2, 7])
+    assert np.array_equal(whole.rhos, ints.rhos)
+
+
+def test_at_steps_rejects_a_step_that_is_not_a_whole_number():
+    res = simulate_ensemble(spin_model(), UnravelingParams.linear(1.0), PSI0, 1e-3, 10, 2,
+                            base_seed=3, snapshot_steps=[0, 2, 10])
+    with pytest.raises(ValueError, match="step 2.5 is not a whole number"):
+        res.at_steps([0, 2.5])
+    assert np.array_equal(res.at_steps([2.0]).step_indices, [2])
 
 
 def test_moment_flow_residual_matches_inline_formula():

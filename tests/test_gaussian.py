@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from unravelings import engine
 from unravelings.config import preset
-from unravelings.gaussian import (SPREAD_RTOL, GaussianState,
-                                  MechanicalParams, QuadratureError, _centroid_step,
+from unravelings.gaussian import (SPREAD_RTOL, MechanicalParams, QuadratureError, _centroid_step,
                                   _width_blocks, a_closed_form, centroid_ensemble,
                                   check_width_stability,
                                   conditional_covariance_series,
@@ -240,21 +239,21 @@ def test_mean_square_resolves_the_width_boundary_layer():
 
 def test_gaussian_sde_step_free_unitary_matches_rational_width():
     p = MechanicalParams(mass=1.0, omega=0.0, lam=0.0, hbar=1.0)
-    g = GaussianState(width=0.25 + 0j, centroid=0.0, wavenumber=0.3)
+    g = (0.25 + 0j, 0.0, 0.3)           # (width, centroid, wavenumber)
     dt, n = 1e-4, 200
     for _ in range(n):
         g = gaussian_sde_step(g, p, -1j, 0.0, dt)
+    width, centroid, _ = g
     ref = width_linear_free(n * dt, p, 0.25 + 0j)
-    assert abs(g.width - ref) <= 1e-5 * abs(ref)
-    assert g.centroid == pytest.approx(0.3 * n * dt, rel=1e-12)
+    assert abs(width - ref) <= 1e-5 * abs(ref)
+    assert centroid == pytest.approx(0.3 * n * dt, rel=1e-12)
 
 
 def test_gaussian_sde_step_rejects_width_loss():
-    g = GaussianState(width=0.25 - 1e3j, centroid=0.0, wavenumber=0.0)
     with pytest.raises(FloatingPointError):
-        gaussian_sde_step(g, P_NAT, -1j, 0.0, 10.0)
+        gaussian_sde_step((0.25 - 1e3j, 0.0, 0.0), P_NAT, -1j, 0.0, 10.0)
     with pytest.raises(ValueError):
-        GaussianState(width=-1.0 + 0j, centroid=0.0, wavenumber=0.0)
+        gaussian_sde_step((-1.0 + 0j, 0.0, 0.0), P_NAT, -1j, 0.0, 1e-3)
 
 
 def test_simulate_width_tracks_closed_form():

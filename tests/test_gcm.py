@@ -4,12 +4,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unravelings.engine import ModelSpec, UnravelingParams, _EulerKernel, lindblad_rhs
-from unravelings.gcm import (_amplitudes, _eigs, channel_apply, kraus_apply, kraus_matrix,
-                             outcome_grid, povm_completeness, solve_gcm_params)
-from unravelings.linalg import identity, pauli, projector
+from unravelings.gcm import (_amplitudes, _eigs, channel_apply, kraus_apply, outcome_grid,
+                             povm_completeness, solve_gcm_params)
+from unravelings.linalg import pauli, projector
 
 SZ = pauli("z")
 PSI0 = np.array([0.5, np.sqrt(3.0) / 2.0], dtype=complex)
+
+
+def kraus_matrix(L, gp, dy, dt):
+    """The measurement operator A(dy) in the original basis: the reference for kraus_apply."""
+    evals, V = _eigs(L)
+    amp = _amplitudes(evals, gp, np.array([float(dy)]), dt)[0]
+    return (V * amp) @ V.conj().T
 
 
 def test_pure_measurement_member_gains():
@@ -51,7 +58,7 @@ def test_povm_completeness_and_outcome_mass():
     for th in (0.0, 0.5, 1.2, -0.9):
         gp = solve_gcm_params(np.exp(1j * th), 1.0)
         complete = povm_completeness(SZ, gp, dt)
-        assert np.max(np.abs(complete - identity(2))) <= 1e-6
+        assert np.max(np.abs(complete - np.eye(2))) <= 1e-6
 
 
 def _outcome_moments(state, L, gp, dt):

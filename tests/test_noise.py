@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -84,6 +86,15 @@ def test_record_length_mismatch():
         measurement_record(dW, np.zeros(9), 1e-3, 1.0, 1.0)
     with pytest.raises(ValueError):
         reconstruct_noise(dW, np.zeros(9), 1e-3, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("xi_r, lam", [(1.0, 0.0), (1.0, -1.0), (1.0, math.nan),
+                                       (-1.0, 1.0), (math.nan, 1.0)])
+def test_reconstruct_noise_rejects_what_measurement_record_rejects(xi_r, lam):
+    dW, ell = wiener_path(1, 1e-3, 10), np.zeros(10)
+    for fn in (measurement_record, reconstruct_noise):
+        with pytest.raises(ValueError, match="xi_r must|lam must"):
+            fn(dW, ell, 1e-3, xi_r, lam)
 
 
 def test_reconstruct_noise_round_trip_bit_exact_cases():

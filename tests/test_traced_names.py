@@ -12,7 +12,7 @@ import numpy as np
 
 from unravelings import engine, gaussian, spin
 from unravelings.engine import UnravelingParams
-from unravelings.gaussian import GaussianState, MechanicalParams
+from unravelings.gaussian import MechanicalParams
 from unravelings.spin import SpinParams
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -36,7 +36,7 @@ def test_traced_single_trajectory_names_record_one_span_per_call():
         engine.simulate_trajectory(model, u, PSI0, 1e-3, 7, 3)
         engine.sse_step(PSI0, model, u, 0.01, 1e-3)
         spin.spin_nonlinear_trajectory(PSI0, sp, 1e-3, 5, 4)
-        gaussian.gaussian_sde_step(GaussianState(0.3 + 0.1j, 0.2, -0.4),
+        gaussian.gaussian_sde_step((0.3 + 0.1j, 0.2, -0.4),
                                    MechanicalParams(mass=1.0, omega=0.0, lam=1.0, hbar=1.0),
                                    1.0, 0.01, 1e-3)
     finally:
