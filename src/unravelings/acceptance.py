@@ -7,6 +7,7 @@ next to the quantity it tests, in ``gaussian``, ``spin``, ``bell`` or
 ensemble also feeds the collapse bound) are cached per process.
 """
 
+import contextlib
 import functools
 import time
 from dataclasses import dataclass
@@ -389,15 +390,16 @@ def criterion_9() -> CriterionResult:
         curves = np.full((2, 11), 0.75)          # rows: Euler chain, exponential map
         spread = np.empty((2, n_pairs))
         j = 1
-        for _, c0, states in _matched_blocks(kernels, _PSI0, np.random.default_rng(seed),
-                                             dt, n, n_pairs, stops=idx[1:]):
-            c1 = c0 + states[0].shape[1]
-            for row, s in zip(spread, states):
-                z = np.abs(s[0]) ** 2 - np.abs(s[1]) ** 2
-                row[c0:c1] = 1.0 - z ** 2
-            if c1 == n_pairs:
-                curves[:, j] = [np.mean(row) for row in spread]
-                j += 1
+        with contextlib.closing(_matched_blocks(kernels, _PSI0, np.random.default_rng(seed),
+                                                dt, n, n_pairs, stops=idx[1:])) as pairs:
+            for _, c0, states in pairs:
+                c1 = c0 + states[0].shape[1]
+                for row, s in zip(spread, states):
+                    z = np.abs(s[0]) ** 2 - np.abs(s[1]) ** 2
+                    row[c0:c1] = 1.0 - z ** 2
+                if c1 == n_pairs:
+                    curves[:, j] = [np.mean(row) for row in spread]
+                    j += 1
         return curves
 
     rms = []

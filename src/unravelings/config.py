@@ -17,7 +17,6 @@ import numpy as np
 from .engine import UnravelingParams, check_stability
 from .gaussian import HBAR_SI, MechanicalParams, check_width_stability
 from .spin import SpinParams, spin_model
-from .tolerances import TOL
 
 # model -> family; the models of one family share their output kinds
 FAMILIES = {"spin": "spin", "free_particle": "mech", "harmonic": "mech"}
@@ -171,11 +170,10 @@ def validate_config(raw: dict) -> ScenarioConfig:
             errs.append(f"unraveling.xi: expected two finite numbers [r, i], got {xi!r}")
         else:
             xi_r, xi_i = parts
-            mod2 = xi_r ** 2 + xi_i ** 2
-            if abs(mod2 - 1.0) > TOL.unit_modulus:
-                errs.append(f"unraveling.xi: |xi|^2 = {mod2} must equal 1")
-            if xi_r < 0.0:
-                errs.append(f"unraveling.xi: xi_r must be >= 0, got {xi_r}")
+            try:
+                UnravelingParams(xi_r, xi_i, 0.0)     # the one owner of the xi rule
+            except ValueError as exc:
+                errs.append(f"unraveling.xi: {exc}")
     else:
         errs.append(f"unraveling: must be 'nonlinear', 'linear' or {{'xi': [r, i]}}, got {unr!r}")
 

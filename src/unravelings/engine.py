@@ -79,30 +79,30 @@ trajectories one after the other on one thread, and so does
 from one driver, :func:`_noise_blocks`.  It derives the chunk's
 ``derive_seed(base_seed, k)`` seeds and yields blocks of at most
 ``_NOISE_BUDGET`` doubles, one contiguous row per trajectory stream; a
-block is valid until the next one is requested.  When the chunk's stream
-takes two blocks or more, a helper process forked at the start of the
-chunk draws them: it opens the streams in one vectorised pass
-(:func:`noise.default_rngs` on the seeds it inherits) and fills two shared
-anonymous ``mmap`` buffers in turn, so it draws block b + 1 while the
-caller's kernel runs on block b, and two pipes carry "ready" and "free"
-tokens between them.  The helper leaves by ``os._exit`` and is reaped
-before the driver finishes, raises or is closed; both callers close it
-with ``contextlib.closing``.  The stream stays inline, drawn in the caller
-with the same numbers, when it fits in one block (nothing to overlap),
-where ``os.fork`` is missing, and on CPython 3.12 and later, which warns
-when a process with threads forks (numpy's BLAS threads make nearly every
-process one).  :func:`simulate_ensemble` runs the kernel once per block.
-Block boundaries do not depend on the snapshot steps, and the streams do
-not depend on either, so the snapshots never change a trajectory.
+block is valid until the next one is requested.  Block boundaries do not
+depend on the snapshot steps, and the streams do not depend on either, so
+the snapshots never change a trajectory.
 
 A shared-stream batch runs several kernels on columns that all read one
 generator, so that each kernel sees the same increments (criterion 9's
-matched pairs).  Only :func:`_matched_blocks` chunks such a batch: it draws
+matched pairs).  Only :func:`_matched_blocks` chunks such a batch: it plans
 the stream in blocks of whole steps (the same numbers as one draw per step)
 and advances each kernel through a block on chunks of ``_PAIR_CHUNK``
 columns, which keeps a chunk's states in cache.  It hands back the states
-only at the caller's stop steps, where the blocks end.  On a diagonal model every
-step is elementwise, so a chunked column has the bits of the full-width loop.
+only at the caller's stop steps, where the blocks end.  On a diagonal model
+every step is elementwise, so a chunked column has the bits of the
+full-width loop.
+
+Both layouts come from one source, :func:`_drawn_blocks`: a plan of
+``(start, shape)`` blocks and a fill of the next block.  A plan of two
+blocks or more is filled by a helper process forked at its start
+(:func:`_forked_blocks`).  It opens the streams itself and writes straight
+into two shared ``mmap`` buffers in turn, so it draws block b + 1 while the
+caller's kernels run on block b; it is reaped before the source finishes,
+raises or is closed, and every caller closes the source with
+``contextlib.closing``.  A plan is drawn inline, with the same numbers,
+when it is one block, where ``os.fork`` is missing, and on CPython 3.12 and
+later, which warns when a process with threads (numpy's BLAS) forks.
 
 A batch sees its states only through ``after_step``, the one per-step output
 of :meth:`_ColumnKernel.run`, and holds one copy of its result:
@@ -448,13 +448,11 @@ def simulate_trajectory(model: ModelSpec, u: UnravelingParams, psi0: np.ndarray,
     return states, {name: _column_means(states.T, op) for name, op in tracked.items()}
 
 
-def _wiener_block(rngs, n_steps: int, sqrt_dt: float) -> np.ndarray:
-    """The next ``n_steps`` increments of every stream, one contiguous row each."""
-    dW = np.empty((len(rngs), n_steps))
-    for row, rng in zip(dW, rngs):
+def _wiener_block(rngs, out: np.ndarray, sqrt_dt: float) -> None:
+    """Write the next ``out.shape[1]`` increments of every stream into its row of ``out``."""
+    for row, rng in zip(out, rngs):
         rng.standard_normal(out=row)
-    dW *= sqrt_dt
-    return dW
+    out *= sqrt_dt
 
 
 _ENSEMBLE_CHUNK = 2500    # trajectories per reduction chunk (fixed)
@@ -472,42 +470,56 @@ def _noise_blocks(base_seed: int, k0: int, k1: int, n_steps: int, dt: float):
     Row ``k - k0`` of the blocks, joined, is the stream of
     ``wiener_path(derive_seed(base_seed, k), dt, n_steps)``.  A block holds
     at most ``_NOISE_BUDGET`` doubles (one step per row at least) and is
-    valid until the next one is requested.  A stream of two blocks or more
-    is drawn one block ahead by a forked helper (:func:`_forked_blocks`);
-    a one-block stream, or any stream where ``_FORK_HELPER`` is false, is
-    drawn here, and a caller that drops each block before asking for the
-    next keeps one block alive at a time.  A caller that may stop early
-    wraps the generator in ``contextlib.closing``, so the helper is reaped
-    when it stops.
+    valid until the next one is requested (see :func:`_drawn_blocks`).  A
+    caller that may stop early wraps the generator in ``contextlib.closing``,
+    so a helper is reaped when it stops.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
     seeds = [noise_mod.derive_seed(base_seed, k) for k in range(k0, k1)]
     cap = max(1, _NOISE_BUDGET // (k1 - k0))
-    blocks = [(start, min(cap, n_steps - start)) for start in range(0, n_steps, cap)]
+    plan = [(start, (k1 - k0, min(cap, n_steps - start))) for start in range(0, n_steps, cap)]
     sqrt_dt = np.sqrt(dt)
-    if len(blocks) > 1 and _FORK_HELPER:
-        yield from _forked_blocks(seeds, blocks, sqrt_dt)
-        return
-    rngs = noise_mod.default_rngs(seeds)
-    for start, size in blocks:
-        yield start, _wiener_block(rngs, size, sqrt_dt)
+
+    def open_fill():
+        rngs = noise_mod.default_rngs(seeds)
+        return lambda out: _wiener_block(rngs, out, sqrt_dt)
+
+    yield from _drawn_blocks(plan, open_fill)
 
 
-def _forked_blocks(seeds: list, blocks: list, sqrt_dt: float):
-    """Yield ``(start, dW)`` of each ``(start, size)`` in ``blocks``, drawn by a forked helper.
+def _drawn_blocks(plan: list, open_fill):
+    """Yield ``(start, block)`` of each ``(start, shape)`` in ``plan``, valid until the next.
 
-    The helper opens the streams of ``seeds`` and fills two shared
-    anonymous buffers in turn, block b into buffer b % 2, with
-    :func:`_wiener_block`; it draws block b + 1 while the caller works on
-    block b.  A "ready" token on one pipe hands a filled buffer over, and
-    a "free" token on the other hands it back once the caller asks for the
-    next block.  A helper that exits before its last block raises
-    RuntimeError here; the helper is reaped before the generator finishes,
-    raises or is closed.
+    ``open_fill()`` returns ``fill(out)``, which writes the next block into
+    ``out``.  Two blocks or more are drawn by :func:`_forked_blocks` when
+    ``_FORK_HELPER`` holds, else here with the same numbers (one block alive
+    at a time if the caller drops each before asking for the next).
     """
-    rows = len(seeds)
-    buffers = [mmap.mmap(-1, 8 * rows * blocks[0][1]) for _ in range(2)]
+    if len(plan) > 1 and _FORK_HELPER:
+        yield from _forked_blocks(plan, open_fill)
+        return
+    fill = open_fill()
+    for start, shape in plan:
+        block = np.empty(shape)
+        fill(block)
+        yield start, block
+        del block   # freed before the next block is drawn (peak memory)
+
+
+def _forked_blocks(plan: list, open_fill):
+    """:func:`_drawn_blocks`, drawn one block ahead by a forked helper.
+
+    The helper calls ``open_fill()`` and fills two shared anonymous buffers,
+    each the size of the largest block, in turn (block b into buffer b % 2),
+    so whatever ``fill`` advances is advanced in its copy only.  A "ready"
+    token on one pipe hands a filled buffer over, and a "free" token on the
+    other hands it back once the caller asks for the next block.  A helper
+    that exits before its last block raises RuntimeError here; it is reaped
+    before the generator finishes, raises or is closed.
+    """
+    size = max(math.prod(shape) for _, shape in plan)
+    buffers = [mmap.mmap(-1, 8 * size) for _ in range(2)]
     ready_r, ready_w = os.pipe()
     free_r, free_w = os.pipe()
     try:
@@ -517,15 +529,15 @@ def _forked_blocks(seeds: list, blocks: list, sqrt_dt: float):
             os.close(fd)
         raise
     if pid == 0:
-        _draw_blocks(buffers, seeds, blocks, sqrt_dt, free_r, ready_w, (ready_r, free_w))
+        _draw_blocks(buffers, plan, open_fill, free_r, ready_w, (ready_r, free_w))
     os.close(ready_w)
     os.close(free_r)
     try:
-        for b, (start, size) in enumerate(blocks):
+        for b, (start, shape) in enumerate(plan):
             if not os.read(ready_r, 1):
-                raise RuntimeError(f"the noise helper exited before block {b} of {len(blocks)}")
-            yield start, np.frombuffer(buffers[b % 2], count=rows * size).reshape(rows, size)
-            if b + 2 < len(blocks):
+                raise RuntimeError(f"the noise helper exited before block {b} of {len(plan)}")
+            yield start, np.frombuffer(buffers[b % 2], count=math.prod(shape)).reshape(shape)
+            if b + 2 < len(plan):
                 with contextlib.suppress(BrokenPipeError):   # a helper that left shows as EOF
                     os.write(free_w, b"f")
     finally:
@@ -534,7 +546,7 @@ def _forked_blocks(seeds: list, blocks: list, sqrt_dt: float):
         os.waitpid(pid, 0)
 
 
-def _draw_blocks(buffers, seeds, blocks, sqrt_dt, free_r, ready_w, caller_ends):
+def _draw_blocks(buffers, plan, open_fill, free_r, ready_w, caller_ends):
     """The helper side of :func:`_forked_blocks`; it leaves by ``os._exit`` on every path.
 
     It first closes its copies of the caller's pipe ends, so that it sees
@@ -546,12 +558,11 @@ def _draw_blocks(buffers, seeds, blocks, sqrt_dt, free_r, ready_w, caller_ends):
         for fd in caller_ends:
             os.close(fd)
         gc.disable()    # a collection here could run finalizers of the caller's objects
-        rngs = noise_mod.default_rngs(seeds)
-        for b, (_, size) in enumerate(blocks):
+        fill = open_fill()
+        for b, (_, shape) in enumerate(plan):
             if b >= 2 and not os.read(free_r, 1):
                 break
-            out = np.frombuffer(buffers[b % 2], count=len(seeds) * size)
-            out.reshape(len(seeds), size)[...] = _wiener_block(rngs, size, sqrt_dt)
+            fill(np.frombuffer(buffers[b % 2], count=math.prod(shape)).reshape(shape))
             os.write(ready_w, b"r")
         code = 0
     except BrokenPipeError:
@@ -573,37 +584,44 @@ def _matched_blocks(kernels, psi0: np.ndarray, rng, dt: float, n_steps: int,
     Every column of every kernel starts at ``psi0``.  Step k of column c
     takes entry c of the k-th successive ``rng.standard_normal(n_cols)``
     draw times sqrt(dt), for every kernel, so the kernels see matched noise.
-    The stream is drawn in blocks of whole steps that end at every step in
-    ``stops`` (and at ``n_steps``) and hold at most ``_PAIR_BUDGET`` doubles.
-    Each kernel advances a block on chunks of ``_PAIR_CHUNK`` columns, so a
-    chunk's states stay in cache through the block.
+    The stream is planned in blocks of whole steps that end at every step in
+    ``stops`` (and at ``n_steps``) and hold at most ``_PAIR_BUDGET`` doubles,
+    each one ``rng.standard_normal`` call into an (nb, n_cols) array, drawn
+    by :func:`_drawn_blocks`.  A forked helper advances its copy of ``rng``,
+    not ``rng``, so callers pass a fresh generator.  Each kernel advances a
+    block on chunks of ``_PAIR_CHUNK`` columns, so a chunk's states stay in
+    cache through the block.
 
     Yields ``(step, c0, states)`` at each such stop step, once per chunk,
     chunks in column order; ``states[i]`` (dim, width) is kernel i's state
     of columns c0..c0+width-1 after that step.  The caller must not modify
     it.  A non-finite state raises FloatingPointError naming its column and
-    step.
+    step.  A caller that may stop early wraps the generator in
+    ``contextlib.closing``, so a helper is reaped when it stops.
     """
     psi0 = np.asarray(psi0, dtype=complex)
     ends = sorted({int(s) for s in stops if 0 < s < n_steps} | {n_steps})
     cap = max(1, _PAIR_BUDGET // n_cols)
+    plan = [(s, (min(cap, end - s), n_cols))
+            for start, end in zip([0] + ends, ends) for s in range(start, end, cap)]
     chunks = [(c0, min(c0 + _PAIR_CHUNK, n_cols)) for c0 in range(0, n_cols, _PAIR_CHUNK)]
     psis = [[np.repeat(k.into_basis(psi0[:, None]), c1 - c0, axis=1) for k in kernels]
             for c0, c1 in chunks]
     sqrt_dt = np.sqrt(dt)
-    start = 0
-    for end in ends:
-        while start < end:
-            nb = min(cap, end - start)
-            dW = rng.standard_normal((nb, n_cols))
-            dW *= sqrt_dt
+
+    def fill(out):
+        rng.standard_normal(out=out)
+        out *= sqrt_dt
+
+    with contextlib.closing(_drawn_blocks(plan, lambda: fill)) as blocks:
+        for start, dW in blocks:
+            end = start + dW.shape[0]
             for (c0, c1), cols in zip(chunks, psis):
                 for i, kernel in enumerate(kernels):
                     cols[i] = kernel.run(cols[i], dW[:, c0:c1].T, start, c0)
-                if start + nb == end:
+                if end in ends:
                     yield end, c0, [k.out_of_basis(c) for k, c in zip(kernels, cols)]
             del dW  # freed before the next block is drawn (peak memory)
-            start += nb
 
 
 def _step_index(s) -> int:

@@ -8,7 +8,8 @@ import pytest
 from unravelings.cli import _DESCRIBE, main
 from unravelings.config import (FAMILIES, OUTPUT_KINDS, PRESETS, ConfigError,
                                 load_config, preset, validate_config)
-from unravelings.engine import _EulerKernel, _state_stack, simulate_ensemble, simulate_trajectory
+from unravelings.engine import (UnravelingParams, _EulerKernel, _state_stack, simulate_ensemble,
+                                simulate_trajectory)
 from unravelings.gaussian import gaussian_sde_step
 from unravelings.noise import derive_seed, measurement_record, wiener_path
 from unravelings.runner import (_REPORTS, _SETUPS, _SpinRun, _check_bell, _check_collapse_stats,
@@ -151,6 +152,20 @@ def test_validation_rejects_non_numbers(preset_name, path, value, fragment, tmp_
     cfg_path.write_text(json.dumps(raw), encoding="utf-8")
     assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
     assert fragment in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("xi, fragment", [
+    ([0.6, 0.6], "|xi|^2 = 0.720000000000000 must equal 1"),
+    ([-0.6, -0.8], "xi_r must be finite and >= 0, got -0.6"),
+], ids=["modulus", "negative_real_part"])
+def test_validation_reports_the_xi_rule_of_unraveling_params(xi, fragment):
+    # the rule has one owner: the config reports UnravelingParams' own message
+    with pytest.raises(ValueError) as owner:
+        UnravelingParams(*xi, 0.0)
+    assert str(owner.value) == fragment
+    with pytest.raises(ConfigError) as info:
+        validate_config(_with(PRESETS["fig2"], ("unraveling",), {"xi": xi}))
+    assert info.value.violations == [f"unraveling.xi: {fragment}"]
 
 
 @pytest.mark.parametrize("change, fragment", [

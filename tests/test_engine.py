@@ -1,3 +1,4 @@
+import contextlib
 import math
 import os
 import signal
@@ -419,6 +420,7 @@ def test_matched_blocks_equal_the_full_width_loop(monkeypatch):
     stops = (10, 25, 33, n_steps)
     monkeypatch.setattr(engine, "_PAIR_CHUNK", 700)
     monkeypatch.setattr(engine, "_PAIR_BUDGET", 7 * n_cols)
+    monkeypatch.setattr(engine, "_FORK_HELPER", False)   # the draws are counted in this process
     kernels = _both_kernels(dt)
     psi0 = _random_columns(np.random.default_rng(12), 3, 1)[:, 0]
 
@@ -436,9 +438,9 @@ def test_matched_blocks_equal_the_full_width_loop(monkeypatch):
         """The generator of the reference loop, recording the steps of each draw."""
         rng, blocks = np.random.default_rng(13), []
 
-        def standard_normal(self, shape):
-            self.blocks.append(shape[0])
-            return self.rng.standard_normal(shape)
+        def standard_normal(self, out):
+            self.blocks.append(out.shape[0])
+            self.rng.standard_normal(out=out)
 
     stream = CountingStream()
     got = np.full_like(ref, np.nan)
@@ -453,28 +455,42 @@ def test_matched_blocks_equal_the_full_width_loop(monkeypatch):
     assert np.array_equal(got, ref)
 
 
-@pytest.mark.parametrize("which", [0, 1], ids=["euler", "exponential"])
-def test_matched_blocks_name_the_global_column_and_step_of_a_non_finite_state(
-        monkeypatch, which):
-    class SpikedStream:
-        """Zero increments but one of 1e300 at (step 5, column 6)."""
-        drawn = 0
+class SpikedStream:
+    """Zero increments but one of 1e300 at (step 5, column 6)."""
+    drawn = 0
 
-        def standard_normal(self, shape):
-            out = np.zeros(shape)
-            if self.drawn <= 5 < self.drawn + shape[0]:
-                out[5 - self.drawn, 6] = 1e300
-            self.drawn += shape[0]
-            return out
+    def standard_normal(self, out):
+        out[...] = 0.0
+        if self.drawn <= 5 < self.drawn + out.shape[0]:
+            out[5 - self.drawn, 6] = 1e300
+        self.drawn += out.shape[0]
 
-    monkeypatch.setattr(engine, "_PAIR_CHUNK", 4)       # column 6 is in the second chunk
-    monkeypatch.setattr(engine, "_PAIR_BUDGET", 30)     # blocks of 3 steps
+
+def _spiked_pairs(which):
+    """Raise the non-finite state of :class:`SpikedStream` from a 3-block shared stream."""
     kernels = _both_kernels(1e-3)
     psi0 = _random_columns(np.random.default_rng(14), 3, 1)[:, 0]
-    with pytest.raises(FloatingPointError, match="trajectory 6 became non-finite at step 5"):
+    message = "trajectory 6 became non-finite at step 5"
+    with pytest.raises(FloatingPointError, match=message) as info:
         for _ in engine._matched_blocks(kernels[which:which + 1], psi0, SpikedStream(),
                                         1e-3, 9, 10):
             pass
+    return info
+
+
+@pytest.fixture
+def pair_blocks(monkeypatch):
+    """Shared-stream chunks of 4 columns (column 6 is in the second); 3-step blocks of 10."""
+    monkeypatch.setattr(engine, "_PAIR_CHUNK", 4)
+    monkeypatch.setattr(engine, "_PAIR_BUDGET", 30)
+    return monkeypatch
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["euler", "exponential"])
+def test_matched_blocks_name_the_global_column_and_step_of_a_non_finite_state(
+        pair_blocks, which):
+    pair_blocks.setattr(engine, "_FORK_HELPER", False)
+    _spiked_pairs(which)
 
 
 def test_simulate_trajectory_shapes_and_record():
@@ -766,15 +782,91 @@ def test_a_helper_that_dies_raises_instead_of_hanging(helper_blocks, deadline, f
     draw = engine._wiener_block
     calls = []
 
-    def failing_draw(rngs, n_steps, sqrt_dt):     # runs in the helper
+    def failing_draw(rngs, out, sqrt_dt):     # runs in the helper
         calls.append(1)
         if len(calls) == failing_call:
             raise MemoryError("no room for the block")
-        return draw(rngs, n_steps, sqrt_dt)
+        draw(rngs, out, sqrt_dt)
 
     helper_blocks.setattr(engine, "_wiener_block", failing_draw)
     with pytest.raises(RuntimeError, match=f"noise helper exited before block {failing_call - 1}"):
         simulate_ensemble(spin_model(), XI_INTERIOR, PSI0, 1e-3, 40, 10, base_seed=5)
+    _no_child_left()
+
+
+@pytest.fixture
+def pair_helper(pair_blocks):
+    """:func:`pair_blocks`, on an interpreter that draws a shared stream in a helper."""
+    if not engine._FORK_HELPER:
+        pytest.skip("this interpreter draws every stream inline")
+    return pair_blocks
+
+
+@pytest.mark.parametrize("n_steps, stops", [(40, (10, 25, 33)), (7, (1,))],
+                         ids=["stops", "short_first_block"])
+def test_matched_blocks_forked_helper_gives_the_inline_bits(pair_helper, deadline,
+                                                            n_steps, stops):
+    # 10 columns in blocks of at most 3 steps.  With a stop at step 1 the
+    # first block is the shortest (1, 3, 3 steps): the shared buffers are
+    # sized by the largest block, not the first
+    kernels = _both_kernels(1e-3)
+    psi0 = _random_columns(np.random.default_rng(16), 3, 1)[:, 0]
+
+    def run():
+        rng = np.random.default_rng(15)
+        with contextlib.closing(engine._matched_blocks(kernels, psi0, rng, 1e-3, n_steps, 10,
+                                                       stops=stops)) as pairs:
+            got = [(step, c0, np.array(states)) for step, c0, states in pairs]
+        return got, rng.standard_normal()
+
+    forked, next_draw = run()
+    _no_child_left()
+    assert next_draw == np.random.default_rng(15).standard_normal()   # rng not advanced
+    pair_helper.setattr(engine, "_FORK_HELPER", False)
+    inline, _ = run()
+    assert [(step, c0) for step, c0, _ in forked] == [(step, c0) for step, c0, _ in inline]
+    assert all(np.array_equal(a, b) for (_, _, a), (_, _, b) in zip(forked, inline))
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["euler", "exponential"])
+def test_matched_blocks_helper_is_reaped_when_a_state_turns_non_finite(pair_helper, deadline,
+                                                                       which):
+    info = _spiked_pairs(which)
+    _no_child_left()                         # while the exception is still referenced
+    assert info.value is not None
+
+
+def test_matched_blocks_helper_is_reaped_when_the_caller_closes_early(pair_helper, deadline):
+    # a stop at every step: 9 one-step blocks, each handed back on 3 chunks
+    kernels = _both_kernels(1e-3)
+    psi0 = _random_columns(np.random.default_rng(14), 3, 1)[:, 0]
+    for taken in (1, 2, 5):
+        pairs = engine._matched_blocks(kernels, psi0, np.random.default_rng(17), 1e-3, 9, 10,
+                                       stops=range(1, 9))
+        for _ in range(taken):
+            next(pairs)
+        pairs.close()
+        _no_child_left()
+
+
+@pytest.mark.parametrize("failing_call", [1, 3])
+def test_matched_blocks_helper_that_dies_raises_instead_of_hanging(pair_helper, deadline,
+                                                                   failing_call):
+    class DyingStream:
+        """A stream whose draw of block ``failing_call - 1`` fails (in the helper)."""
+        calls = 0
+
+        def standard_normal(self, out):
+            self.calls += 1
+            if self.calls == failing_call:
+                raise MemoryError("no room for the block")
+            out[...] = 0.0
+
+    kernels = _both_kernels(1e-3)
+    psi0 = _random_columns(np.random.default_rng(14), 3, 1)[:, 0]
+    with pytest.raises(RuntimeError, match=f"noise helper exited before block {failing_call - 1}"):
+        for _ in engine._matched_blocks(kernels, psi0, DyingStream(), 1e-3, 9, 10):
+            pass
     _no_child_left()
 
 

@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -89,11 +91,13 @@ def test_route_difference_contracts_at_strong_order_half():
         n = int(round(T / dt))
         kernels = (_EulerKernel(model, u, dt), _ExponentialKernel(model, u, dt))
         acc = 0.0
-        for _, _, (psi, phi) in _matched_blocks(kernels, PSI0, np.random.default_rng(seed),
-                                                dt, n, n_pairs, stops=range(1, n + 1)):
-            z_i = np.abs(psi[0]) ** 2 - np.abs(psi[1]) ** 2
-            z_ii = np.abs(phi[0]) ** 2 - np.abs(phi[1]) ** 2
-            acc += float(np.sum((z_i - z_ii) ** 2))
+        pairs = _matched_blocks(kernels, PSI0, np.random.default_rng(seed), dt, n, n_pairs,
+                                stops=range(1, n + 1))
+        with contextlib.closing(pairs):
+            for _, _, (psi, phi) in pairs:
+                z_i = np.abs(psi[0]) ** 2 - np.abs(psi[1]) ** 2
+                z_ii = np.abs(phi[0]) ** 2 - np.abs(phi[1]) ** 2
+                acc += float(np.sum((z_i - z_ii) ** 2))
         return np.sqrt(acc / (n * n_pairs))
 
     r = [paired_rms(dt) for dt in (4e-3, 2e-3, 1e-3)]
