@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bell import bell_gates, bell_report
-from .engine import (ModelSpec, UnravelingParams, _EulerKernel,
-                     _ExponentialKernel, _matched_blocks, _state_stack, lindblad_rhs,
+from .engine import (ModelSpec, UnravelingParams, _EulerKernel, _ExponentialKernel,
+                     _forked_map, _matched_blocks, _state_stack, lindblad_rhs,
                      master_equation_oracle, mc_tolerance, simulate_ensemble)
 from .gaussian import (SPREAD_RTOL, MechanicalParams, _width_blocks, a_closed_form,
                        centroid_ensemble, conditional_covariance_series,
@@ -74,10 +74,11 @@ def criterion_1() -> CriterionResult:
     dt, n_steps, n_traj = 1e-4, 20_000, 5000
     snaps = [5000, 10_000, 20_000]
     tol = mc_tolerance(n_traj)
-    results = {tag: simulate_ensemble(model, u, _PSI0, dt, n_steps, n_traj, seed,
-                                      snapshot_steps=snaps)
-               for tag, u, seed in (("xi=1", UnravelingParams.nonlinear(sp.lam), 101),
-                                    ("xi=-i", UnravelingParams.linear(sp.lam), 102))}
+    members = (("xi=1", UnravelingParams.nonlinear(sp.lam), 101),
+               ("xi=-i", UnravelingParams.linear(sp.lam), 102))
+    results = dict(zip([tag for tag, _, _ in members], _forked_map(
+        [functools.partial(simulate_ensemble, model, u, _PSI0, dt, n_steps, n_traj, seed,
+                           snapshot_steps=snaps) for _, u, seed in members])))
     oracle = master_equation_oracle(results["xi=1"], model, sp.lam)
     devs = {tag: float(np.max(np.abs(res.rhos - oracle))) for tag, res in results.items()}
     seconds = time.perf_counter() - t0
@@ -170,21 +171,22 @@ def _width_max_rel_err(p: MechanicalParams, a0: complex, dt: float, n: int) -> f
 def criterion_5() -> CriterionResult:
     """Width SDE matches its closed form; centroid MC matches the quadrature.
 
-    The million-step width path is checked block by block
-    (:func:`_width_max_rel_err`), never held whole.
+    The million-step width path is checked here, block by block
+    (:func:`_width_max_rel_err`), never held whole, while a forked child runs
+    the centroid ensemble.
     """
     t0 = time.perf_counter()
     p, a0 = _FIG1, _FIG1_A0
     n = 1_000_000
     dt = 10.0 / spread_constants(p, a0, 1.0).rate.real / n      # T = 10 / Re rate
-    rel = _width_max_rel_err(p, a0, dt, n)
-    ok_width = rel <= 1e-4
-
     n2, n_traj = 1000, 2000
     dt2 = 1e-5
     snaps = [250, 500, 1000]
-    xs, _ = centroid_ensemble(p, a0, -1j, 0.0, 0.0, dt2, n2, n_traj, 505,
-                              snapshot_steps=snaps)
+    rel, xs = _forked_map([lambda: _width_max_rel_err(p, a0, dt, n),
+                           lambda: centroid_ensemble(p, a0, -1j, 0.0, 0.0, dt2, n2, n_traj, 505,
+                                                     snapshot_steps=snaps)[0]])
+    ok_width = rel <= 1e-4
+
     refs = mean_square_x(np.array(snaps) * dt2, p, a0, 0.0, 0.0, -1j)
     worst_se = 0.0
     for i, refv in enumerate(refs.tolist()):
@@ -402,10 +404,9 @@ def criterion_9() -> CriterionResult:
                     j += 1
         return curves
 
-    rms = []
-    for dt in (8e-3, 4e-3, 2e-3):
-        a, b = mean_spread_curves(dt, 999)
-        rms.append(float(np.sqrt(np.mean((a - b) ** 2))))
+    # each step size on its own stream, the three at once
+    rms = [float(np.sqrt(np.mean((a - b) ** 2))) for a, b in _forked_map(
+        [functools.partial(mean_spread_curves, dt, 999) for dt in (8e-3, 4e-3, 2e-3)])]
     weak_ratios = [rms[0] / rms[1], rms[1] / rms[2]]
     ok = all(1.6 <= x <= 2.4 for x in weak_ratios)
 

@@ -2,6 +2,8 @@
 
 import argparse
 import json
+import os
+import platform
 import sys
 from pathlib import Path
 
@@ -124,6 +126,10 @@ def _cmd_check(args) -> int:
         out = _out_dir("check", args.out)
         if out is None:
             return 2
+    import numpy as np
+    from . import engine
+    print(f"environment: Python {platform.python_version()}, numpy {np.__version__}, "
+          f"{os.cpu_count()} CPUs, forked helpers {'on' if engine._FORK_HELPER else 'off'}")
     results = run_criteria(only=only, verbose=True)
     if out is not None:
         payload = [r.as_dict() for r in results]

@@ -292,10 +292,30 @@ def load_config(path: str) -> ScenarioConfig:
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError([f"cannot read {path}: {exc}"]) from None
     try:
-        raw = json.loads(text)
+        raw = _decoded(text)
     except json.JSONDecodeError as exc:
         raise ConfigError([f"not valid JSON: {exc}"]) from None
     return validate_config(raw)
+
+
+def _decoded(text: str):
+    """``json.loads(text)``, but a key repeated in one object, at any depth, raises ConfigError."""
+    repeats = {}        # id of an object -> (the object, kept alive; its first repeated key)
+
+    def pairs_hook(pairs):
+        obj, keys = dict(pairs), [k for k, _ in pairs]
+        if len(obj) < len(keys):
+            repeats[id(obj)] = obj, next(k for i, k in enumerate(keys) if k in keys[:i])
+        return obj
+
+    raw = json.loads(text, object_pairs_hook=pairs_hook)
+    nodes = [("", raw)] if isinstance(raw, (dict, list)) else []
+    for path, node in nodes:            # breadth first: the walk appends what it visits next
+        if id(node) in repeats:
+            raise ConfigError([f"{path}{repeats[id(node)][1]}: key given more than once"])
+        inner = node.items() if isinstance(node, dict) else enumerate(node)
+        nodes.extend((f"{path}{k}.", v) for k, v in inner if isinstance(v, (dict, list)))
+    return raw
 
 
 _SQRT3_2 = math.sqrt(3.0) / 2.0

@@ -74,7 +74,7 @@ layout and the basis change through :class:`_ColumnKernel`, and nothing of
 the Euler increment, so they stay independent constructions of one member.
 
 :func:`simulate_ensemble` runs fixed chunks of ``_ENSEMBLE_CHUNK``
-trajectories one after the other on one thread, and so does
+trajectories one after the other in one process, and so does
 :func:`gaussian.centroid_ensemble`.  Both draw a chunk's Wiener increments
 from one driver, :func:`_noise_blocks`.  It derives the chunk's
 ``derive_seed(base_seed, k)`` seeds and yields blocks of at most
@@ -94,15 +94,18 @@ every step is elementwise, so a chunked column has the bits of the
 full-width loop.
 
 Both layouts come from one source, :func:`_drawn_blocks`: a plan of
-``(start, shape)`` blocks and a fill of the next block.  A plan of two
-blocks or more is filled by a helper process forked at its start
-(:func:`_forked_blocks`).  It opens the streams itself and writes straight
-into two shared ``mmap`` buffers in turn, so it draws block b + 1 while the
-caller's kernels run on block b; it is reaped before the source finishes,
-raises or is closed, and every caller closes the source with
-``contextlib.closing``.  A plan is drawn inline, with the same numbers,
-when it is one block, where ``os.fork`` is missing, and on CPython 3.12 and
-later, which warns when a process with threads (numpy's BLAS) forks.
+``(start, shape)`` blocks and a fill of the next block.  One fork primitive,
+:func:`_fork`, starts every child process, and :func:`_reap` waits for it.
+A noise helper (:func:`_forked_blocks`) fills a plan of two blocks or more
+straight into two shared ``mmap`` buffers in turn, drawing block b + 1 while
+the caller's kernels run on block b; every caller closes the source with
+``contextlib.closing``, which reaps it.  :func:`_forked_map` runs
+independent pieces at once (the members of criterion 1, the step sizes of
+criterion 9), each but the first in a child that sends its result back
+pickled, bits intact.  Nothing forks where ``os.fork`` is missing or on
+CPython 3.12 and later, which warns when a process with threads (numpy's
+BLAS) forks: there, as for a plan of one block, the noise is drawn inline
+with the same numbers, and the pieces run one after the other.
 
 A batch sees its states only through ``after_step``, the one per-step output
 of :meth:`_ColumnKernel.run`, and holds one copy of its result:
@@ -123,10 +126,12 @@ import gc
 import math
 import mmap
 import os
+import pickle
+import signal
 import sys
 import traceback
 from dataclasses import dataclass, replace
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 
@@ -460,7 +465,7 @@ _NOISE_BUDGET = 400_000   # doubles per noise block of one chunk (2500 x 160)
 
 
 # CPython 3.12 and later warn when a process with more than one thread forks,
-# and numpy's BLAS threads make nearly every process one: there the stream stays inline
+# and numpy's BLAS threads make nearly every process one: there nothing forks
 _FORK_HELPER = hasattr(os, "fork") and sys.version_info < (3, 12)
 
 
@@ -514,63 +519,121 @@ def _forked_blocks(plan: list, open_fill):
     each the size of the largest block, in turn (block b into buffer b % 2),
     so whatever ``fill`` advances is advanced in its copy only.  A "ready"
     token on one pipe hands a filled buffer over, and a "free" token on the
-    other hands it back once the caller asks for the next block.  A helper
-    that exits before its last block raises RuntimeError here; it is reaped
-    before the generator finishes, raises or is closed.
+    other hands it back once the caller asks for the next block; EOF on the
+    free pipe, or a broken ready pipe, tells the helper that the caller has
+    stopped.  A helper that exits before its last block raises RuntimeError
+    here; it is reaped before the generator finishes, raises or is closed.
     """
     size = max(math.prod(shape) for _, shape in plan)
     buffers = [mmap.mmap(-1, 8 * size) for _ in range(2)]
     ready_r, ready_w = os.pipe()
     free_r, free_w = os.pipe()
+
+    def block(b):
+        shape = plan[b][1]
+        return np.frombuffer(buffers[b % 2], count=math.prod(shape)).reshape(shape)
+
+    def draw():
+        fill = open_fill()
+        for b in range(len(plan)):
+            if b >= 2 and not os.read(free_r, 1):
+                return
+            fill(block(b))
+            os.write(ready_w, b"r")
+
+    pid = _fork(draw, (ready_r, free_w), (ready_w, free_r))
     try:
-        pid = os.fork()
-    except OSError:
-        for fd in (ready_r, ready_w, free_r, free_w):
-            os.close(fd)
-        raise
-    if pid == 0:
-        _draw_blocks(buffers, plan, open_fill, free_r, ready_w, (ready_r, free_w))
-    os.close(ready_w)
-    os.close(free_r)
-    try:
-        for b, (start, shape) in enumerate(plan):
+        for b, (start, _) in enumerate(plan):
             if not os.read(ready_r, 1):
                 raise RuntimeError(f"the noise helper exited before block {b} of {len(plan)}")
-            yield start, np.frombuffer(buffers[b % 2], count=math.prod(shape)).reshape(shape)
+            yield start, block(b)
             if b + 2 < len(plan):
                 with contextlib.suppress(BrokenPipeError):   # a helper that left shows as EOF
                     os.write(free_w, b"f")
     finally:
         os.close(free_w)
         os.close(ready_r)
-        os.waitpid(pid, 0)
+        _reap(pid)
 
 
-def _draw_blocks(buffers, plan, open_fill, free_r, ready_w, caller_ends):
-    """The helper side of :func:`_forked_blocks`; it leaves by ``os._exit`` on every path.
+def _fork(run, caller_ends, child_ends) -> int:
+    """Fork a child that calls ``run()`` and leaves by ``os._exit``; return its pid.
 
-    It first closes its copies of the caller's pipe ends, so that it sees
-    EOF on ``free_r``, or a broken ``ready_w``, once the caller closes
-    them: that is how a caller that stops early ends it.
+    Each process closes the other's pipe ends (both, if the fork fails).  The
+    child freezes what it inherits, so it runs no finalizer of the caller's
+    objects; it prints any error but a BrokenPipeError (the caller has left).
     """
-    code = 1
     try:
-        for fd in caller_ends:
+        pid = os.fork()
+    except OSError:
+        for fd in caller_ends + child_ends:
             os.close(fd)
-        gc.disable()    # a collection here could run finalizers of the caller's objects
-        fill = open_fill()
-        for b, (_, shape) in enumerate(plan):
-            if b >= 2 and not os.read(free_r, 1):
-                break
-            fill(np.frombuffer(buffers[b % 2], count=math.prod(shape)).reshape(shape))
-            os.write(ready_w, b"r")
-        code = 0
+        raise
+    for fd in caller_ends if pid == 0 else child_ends:
+        os.close(fd)
+    if pid:
+        return pid
+    code = 0
+    try:
+        gc.freeze()
+        run()
     except BrokenPipeError:
-        code = 0
-    except Exception:
+        pass
+    except BaseException:
         traceback.print_exc()
+        code = 1
     finally:
         os._exit(code)
+
+
+def _reap(pid: int) -> None:
+    os.waitpid(pid, 0)
+
+
+def _forked_map(fns) -> list:
+    """``[f() for f in fns]``: ``fns[0]`` runs here, each other one in a forked child.
+
+    A child sends back its result, or the exception it raised, pickled, so a
+    value keeps its bits and an exception its type and message; one that
+    exits without sending raises RuntimeError.  If anything raises here, the
+    children not yet reaped are killed and reaped.
+    """
+    if not _FORK_HELPER:
+        return [f() for f in fns]
+
+    def send(f, w):
+        try:
+            outcome = True, f()
+        except Exception as exc:
+            outcome = False, exc
+        with open(w, "wb") as pipe:
+            pipe.write(pickle.dumps(outcome))
+
+    pending = []        # (pid, read end) of each child not yet reaped
+    try:
+        for f in fns[1:]:
+            r, w = os.pipe()
+            pending.append((_fork(partial(send, f, w), (r,), (w,)), r))
+        results = [fns[0]()]
+        while pending:
+            pid, r = pending[0]
+            data = b"".join(iter(partial(os.read, r, 1 << 16), b""))
+            del pending[0]
+            os.close(r)
+            _reap(pid)
+            if not data:
+                raise RuntimeError(f"forked piece {len(results)} of {len(fns)} exited "
+                                   "without a result")
+            sent, value = pickle.loads(data)
+            if not sent:
+                raise value
+            results.append(value)
+        return results
+    finally:
+        for pid, r in pending:
+            os.kill(pid, signal.SIGKILL)
+            os.close(r)
+            _reap(pid)
 
 
 _PAIR_CHUNK = 10_000        # columns per kernel pass of a shared-stream batch (fixed)

@@ -242,6 +242,22 @@ def test_load_config_round_trip(tmp_path):
         load_config(str(bad))
 
 
+@pytest.mark.parametrize("where, repeated", [("{", '"dt": 0.002, '),
+                                              ('"params": {', '"lam": 5.0, ')],
+                         ids=["dt", "params.lam"])
+def test_a_repeated_key_is_a_configuration_error(tmp_path, capsys, where, repeated):
+    # json.loads keeps the last value of a repeated key; a config must not
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps(PRESETS["fig2"]).replace(where, where + repeated, 1),
+                    encoding="utf-8")
+    name = "dt" if where == "{" else "params.lam"
+    with pytest.raises(ConfigError, match=rf"  - {re.escape(name)}: key given more than once$"):
+        load_config(str(path))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"{name}: key given more than once" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_series_io_round_trips_bit_exactly(tmp_path):
     rng = np.random.default_rng(3)
     cols = {"t": np.arange(5) * 1e-3,
@@ -327,6 +343,28 @@ def test_check_out_naming_a_file_is_a_usage_error_before_any_criterion(
     assert err.count("\n") == 1 and str(taken) in err
     assert ran == [] and taken.read_text(encoding="utf-8") == "kept\n"
     assert list(tmp_path.iterdir()) == [taken]
+
+
+@pytest.mark.parametrize("helpers", [True, False], ids=["on", "off"])
+def test_check_prints_its_environment_before_the_first_criterion(tmp_path, monkeypatch, capsys,
+                                                                 helpers):
+    import os
+    import platform
+    from unravelings import acceptance, engine
+    monkeypatch.setattr(engine, "_FORK_HELPER", helpers)
+    monkeypatch.setattr(acceptance, "CRITERIA", {
+        i: (lambda i=i: acceptance.CriterionResult(i, "stub", True, "", {}, 0.0))
+        for i in acceptance.CRITERIA})
+    assert main(["check", "--only", "4,7", "--out", str(tmp_path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == (f"environment: Python {platform.python_version()}, numpy "
+                        f"{np.__version__}, {os.cpu_count()} CPUs, forked helpers "
+                        f"{'on' if helpers else 'off'}")
+    assert lines[1].startswith("[PASS] criterion  4")
+    assert sum(line.startswith("environment:") for line in lines) == 1
+    report = (tmp_path / "acceptance_report.json").read_text(encoding="utf-8")
+    assert [r["index"] for r in json.loads(report)] == [4, 7]
+    assert "environment" not in report and "numpy" not in report
 
 
 def test_run_scenario_fig1_outputs(tmp_path):

@@ -2,6 +2,7 @@ import contextlib
 import math
 import os
 import signal
+import time
 import tracemalloc
 
 import numpy as np
@@ -868,6 +869,85 @@ def test_matched_blocks_helper_that_dies_raises_instead_of_hanging(pair_helper, 
         for _ in engine._matched_blocks(kernels, psi0, DyingStream(), 1e-3, 9, 10):
             pass
     _no_child_left()
+
+
+@pytest.fixture
+def forked_map(monkeypatch):
+    """The monkeypatch of a test that needs :func:`engine._forked_map` to fork."""
+    if not engine._FORK_HELPER:
+        pytest.skip("this interpreter runs every piece inline")
+    return monkeypatch
+
+
+def _matched_states(kernels, psi0, seed):
+    """Every state ``_matched_blocks`` hands back for 10 columns over 3-step blocks of 40 steps."""
+    with contextlib.closing(engine._matched_blocks(kernels, psi0, np.random.default_rng(seed),
+                                                   1e-3, 40, 10, stops=(10, 25))) as pairs:
+        return [(step, c0, np.array(states)) for step, c0, states in pairs]
+
+
+def test_forked_map_gives_the_inline_bits(forked_map, pair_blocks, deadline):
+    # the pieces run their own noise helpers inside the children
+    kernels = _both_kernels(1e-3)
+    psi0 = _random_columns(np.random.default_rng(18), 3, 1)[:, 0]
+    pieces = [lambda: (os.getpid(), _matched_states(kernels, psi0, 21)),
+              lambda: (os.getpid(), _matched_states(kernels, psi0, 22)),
+              lambda: (os.getpid(), simulate_ensemble(spin_model(), XI_INTERIOR, PSI0, 1e-3, 40,
+                                                      10, base_seed=5).final_states)]
+    forked = engine._forked_map(pieces)
+    _no_child_left()
+    forked_map.setattr(engine, "_FORK_HELPER", False)
+    inline = engine._forked_map(pieces)
+    assert [pid for pid, _ in inline] == [os.getpid()] * 3
+    assert forked[0][0] == os.getpid() and os.getpid() not in {forked[1][0], forked[2][0]}
+    for (_, a), (_, b) in zip(forked[:2], inline[:2]):
+        assert [(step, c0) for step, c0, _ in a] == [(step, c0) for step, c0, _ in b]
+        assert all(np.array_equal(x, y) for (_, _, x), (_, _, y) in zip(a, b))
+    assert np.array_equal(forked[2][1], inline[2][1])
+
+
+def test_forked_map_raises_a_childs_error_with_its_message(forked_map, pair_blocks, deadline):
+    kernels = _both_kernels(1e-3)
+    psi0 = _random_columns(np.random.default_rng(14), 3, 1)[:, 0]
+
+    def spiked():
+        for _ in engine._matched_blocks(kernels[:1], psi0, SpikedStream(), 1e-3, 9, 10):
+            pass
+
+    with pytest.raises(FloatingPointError, match="trajectory 6 became non-finite at step 5"):
+        engine._forked_map([lambda: 1, spiked, lambda: 3])
+    _no_child_left()
+
+
+def test_forked_map_stops_its_children_when_the_callers_share_raises(forked_map, deadline):
+    def callers_share():
+        raise ValueError("the caller's share failed")
+
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="the caller's share failed"):
+        engine._forked_map([callers_share, lambda: time.sleep(60), lambda: time.sleep(60)])
+    _no_child_left()
+    assert time.perf_counter() - t0 < 20.0
+
+
+def test_forked_map_child_that_dies_raises_instead_of_hanging(forked_map, deadline):
+    with pytest.raises(RuntimeError, match="forked piece 1 of 3 exited without a result"):
+        engine._forked_map([lambda: 0, lambda: os._exit(3), lambda: 2])
+    _no_child_left()
+
+
+def test_forked_map_runs_inline_without_the_fork_helper(monkeypatch):
+    def no_fork():
+        raise AssertionError("forked")
+
+    def fails():
+        raise FloatingPointError("trajectory 0 became non-finite at step 3; reduce dt")
+
+    monkeypatch.setattr(engine, "_FORK_HELPER", False)
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert engine._forked_map([os.getpid, lambda: 2, os.getpid]) == [os.getpid(), 2, os.getpid()]
+    with pytest.raises(FloatingPointError, match="at step 3"):
+        engine._forked_map([lambda: 0, fails])
 
 
 @pytest.mark.parametrize("n_steps, n_traj", [(-3, 4), (10, 0), (10, -1)])
