@@ -1,4 +1,6 @@
 import json
+import os
+import platform
 import re
 import warnings
 
@@ -348,8 +350,6 @@ def test_check_out_naming_a_file_is_a_usage_error_before_any_criterion(
 @pytest.mark.parametrize("helpers", [True, False], ids=["on", "off"])
 def test_check_prints_its_environment_before_the_first_criterion(tmp_path, monkeypatch, capsys,
                                                                  helpers):
-    import os
-    import platform
     from unravelings import acceptance, engine
     monkeypatch.setattr(engine, "_FORK_HELPER", helpers)
     monkeypatch.setattr(acceptance, "CRITERIA", {

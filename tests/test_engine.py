@@ -880,7 +880,7 @@ def forked_map(monkeypatch):
 
 
 def _matched_states(kernels, psi0, seed):
-    """Every state ``_matched_blocks`` hands back for 10 columns over 3-step blocks of 40 steps."""
+    """Every state ``_matched_blocks`` hands back for 10 columns over 40 steps, stops 10 and 25."""
     with contextlib.closing(engine._matched_blocks(kernels, psi0, np.random.default_rng(seed),
                                                    1e-3, 40, 10, stops=(10, 25))) as pairs:
         return [(step, c0, np.array(states)) for step, c0, states in pairs]
