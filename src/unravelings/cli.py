@@ -169,7 +169,13 @@ def main(argv=None) -> int:
     p_check.set_defaults(func=_cmd_check)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()          # a reader that left shows here at the latest
+    except BrokenPipeError:         # stop quietly; the exit flush writes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

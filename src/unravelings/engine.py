@@ -94,18 +94,18 @@ every step is elementwise, so a chunked column has the bits of the
 full-width loop.
 
 Both layouts come from one source, :func:`_drawn_blocks`: a plan of
-``(start, shape)`` blocks and a fill of the next block.  One fork primitive,
-:func:`_fork`, starts every child process, and :func:`_reap` waits for it.
-A noise helper (:func:`_forked_blocks`) fills a plan of two blocks or more
-straight into two shared ``mmap`` buffers in turn, drawing block b + 1 while
-the caller's kernels run on block b; every caller closes the source with
-``contextlib.closing``, which reaps it.  :func:`_forked_map` runs
-independent pieces at once (the members of criterion 1, the step sizes of
-criterion 9), each but the first in a child that sends its result back
-pickled, bits intact.  Nothing forks where ``os.fork`` is missing or on
-CPython 3.12 and later, which warns when a process with threads (numpy's
-BLAS) forks: there, as for a plan of one block, the noise is drawn inline
-with the same numbers, and the pieces run one after the other.
+``(start, shape)`` blocks and a fill of the next block.  One context manager,
+:func:`_forked`, runs every child process; however the caller's block ends,
+it kills the child (if still running) and reaps it.  A noise helper
+(:func:`_forked_blocks`) fills a plan of two blocks or more straight into two
+shared ``mmap`` buffers in turn, drawing block b + 1 while the caller's kernels
+run on block b; callers close the source with ``contextlib.closing``.
+:func:`_forked_map` runs independent pieces at once (the members of criterion
+1, the step sizes of criterion 9), each but the first in a child that sends
+its result back pickled, bits intact.  Nothing forks where ``os.fork`` is
+missing or on CPython 3.12 and later, which warns when a process with threads
+(numpy's BLAS) forks: there, as for a plan of one block, the noise is drawn
+inline with the same numbers, and the pieces run one after the other.
 
 A batch sees its states only through ``after_step``, the one per-step output
 of :meth:`_ColumnKernel.run`, and holds one copy of its result:
@@ -237,7 +237,9 @@ def max_stable_dt(model: ModelSpec, u: UnravelingParams) -> float:
 
 
 def _require_dt_within(dt: float, cap: float, budget: str) -> None:
-    """Raise ValueError if ``dt > cap``, printing the cap rounded down to four digits."""
+    """Raise ValueError unless ``0 < dt <= cap``, printing the cap rounded down to four digits."""
+    if not (0.0 < dt < math.inf):                # also a nan
+        raise ValueError(f"dt must be finite and positive, got {dt}")
     if dt > cap:
         text = f"{cap:.3e}"
         if float(text) > cap:                # rounded up: one unit of the last digit down
@@ -344,8 +346,8 @@ class _EulerKernel(_ColumnKernel):
     """
 
     def __init__(self, model: ModelSpec, u: UnravelingParams, dt: float):
-        if dt <= 0.0:
-            raise ValueError("dt must be positive")
+        if not (0.0 < dt < math.inf):
+            raise ValueError(f"dt must be finite and positive, got {dt}")
         H, L = model.H, model.L
         if not _is_diagonal(L):
             l, self.V = np.linalg.eigh(0.5 * (L + L.conj().T))
@@ -384,8 +386,8 @@ class _ExponentialKernel(_ColumnKernel):
     """
 
     def __init__(self, model: ModelSpec, u: UnravelingParams, dt: float):
-        if dt <= 0.0:
-            raise ValueError("dt must be positive")
+        if not (0.0 < dt < math.inf):
+            raise ValueError(f"dt must be finite and positive, got {dt}")
         if u.xi != 1.0:
             raise ValueError(f"the exponential update needs xi = 1, got {u.xi}")
         if not (_is_diagonal(model.H) and _is_diagonal(model.L)):
@@ -479,8 +481,6 @@ def _noise_blocks(base_seed: int, k0: int, k1: int, n_steps: int, dt: float):
     caller that may stop early wraps the generator in ``contextlib.closing``,
     so a helper is reaped when it stops.
     """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
     seeds = [noise_mod.derive_seed(base_seed, k) for k in range(k0, k1)]
     cap = max(1, _NOISE_BUDGET // (k1 - k0))
     plan = [(start, (k1 - k0, min(cap, n_steps - start))) for start in range(0, n_steps, cap)]
@@ -522,7 +522,7 @@ def _forked_blocks(plan: list, open_fill):
     other hands it back once the caller asks for the next block; EOF on the
     free pipe, or a broken ready pipe, tells the helper that the caller has
     stopped.  A helper that exits before its last block raises RuntimeError
-    here; it is reaped before the generator finishes, raises or is closed.
+    here; :func:`_forked` stops it, mid-fill or not, as the generator ends.
     """
     size = max(math.prod(shape) for _, shape in plan)
     buffers = [mmap.mmap(-1, 8 * size) for _ in range(2)]
@@ -541,8 +541,7 @@ def _forked_blocks(plan: list, open_fill):
             fill(block(b))
             os.write(ready_w, b"r")
 
-    pid = _fork(draw, (ready_r, free_w), (ready_w, free_r))
-    try:
+    with _forked(draw, (ready_r, free_w), (ready_w, free_r)):
         for b, (start, _) in enumerate(plan):
             if not os.read(ready_r, 1):
                 raise RuntimeError(f"the noise helper exited before block {b} of {len(plan)}")
@@ -550,18 +549,17 @@ def _forked_blocks(plan: list, open_fill):
             if b + 2 < len(plan):
                 with contextlib.suppress(BrokenPipeError):   # a helper that left shows as EOF
                     os.write(free_w, b"f")
-    finally:
-        os.close(free_w)
-        os.close(ready_r)
-        _reap(pid)
 
 
-def _fork(run, caller_ends, child_ends) -> int:
-    """Fork a child that calls ``run()`` and leaves by ``os._exit``; return its pid.
+@contextlib.contextmanager
+def _forked(run, caller_ends, child_ends):
+    """Fork a child that calls ``run()`` and leaves by ``os._exit``; stop it as the block ends.
 
     Each process closes the other's pipe ends (both, if the fork fails).  The
     child freezes what it inherits, so it runs no finalizer of the caller's
     objects; it prints any error but a BrokenPipeError (the caller has left).
+    However the block ends, the caller closes its ends, kills the child (a
+    child that has exited ignores it) and reaps it.
     """
     try:
         pid = os.fork()
@@ -571,23 +569,25 @@ def _fork(run, caller_ends, child_ends) -> int:
         raise
     for fd in caller_ends if pid == 0 else child_ends:
         os.close(fd)
-    if pid:
-        return pid
-    code = 0
+    if pid == 0:
+        code = 0
+        try:
+            gc.freeze()
+            run()
+        except BrokenPipeError:
+            pass
+        except BaseException:
+            traceback.print_exc()
+            code = 1
+        finally:
+            os._exit(code)
     try:
-        gc.freeze()
-        run()
-    except BrokenPipeError:
-        pass
-    except BaseException:
-        traceback.print_exc()
-        code = 1
+        yield
     finally:
-        os._exit(code)
-
-
-def _reap(pid: int) -> None:
-    os.waitpid(pid, 0)
+        for fd in caller_ends:
+            os.close(fd)
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
 
 
 def _forked_map(fns) -> list:
@@ -595,8 +595,8 @@ def _forked_map(fns) -> list:
 
     A child sends back its result, or the exception it raised, pickled, so a
     value keeps its bits and an exception its type and message; one that
-    exits without sending raises RuntimeError.  If anything raises here, the
-    children not yet reaped are killed and reaped.
+    exits without sending raises RuntimeError.  If anything raises here,
+    every child is stopped by :func:`_forked`.
     """
     if not _FORK_HELPER:
         return [f() for f in fns]
@@ -609,18 +609,15 @@ def _forked_map(fns) -> list:
         with open(w, "wb") as pipe:
             pipe.write(pickle.dumps(outcome))
 
-    pending = []        # (pid, read end) of each child not yet reaped
-    try:
+    with contextlib.ExitStack() as children:
+        reads = []
         for f in fns[1:]:
             r, w = os.pipe()
-            pending.append((_fork(partial(send, f, w), (r,), (w,)), r))
+            children.enter_context(_forked(partial(send, f, w), (r,), (w,)))
+            reads.append(r)
         results = [fns[0]()]
-        while pending:
-            pid, r = pending[0]
+        for r in reads:
             data = b"".join(iter(partial(os.read, r, 1 << 16), b""))
-            del pending[0]
-            os.close(r)
-            _reap(pid)
             if not data:
                 raise RuntimeError(f"forked piece {len(results)} of {len(fns)} exited "
                                    "without a result")
@@ -629,11 +626,6 @@ def _forked_map(fns) -> list:
                 raise value
             results.append(value)
         return results
-    finally:
-        for pid, r in pending:
-            os.kill(pid, signal.SIGKILL)
-            os.close(r)
-            _reap(pid)
 
 
 _PAIR_CHUNK = 10_000        # columns per kernel pass of a shared-stream batch (fixed)

@@ -122,8 +122,8 @@ def wiener_path(seed: int, dt: float, n_steps: int) -> np.ndarray:
     Identical (seed, dt, n_steps) triples reproduce the increments exactly;
     the generator is numpy's default PCG64 stream.
     """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    if not (0.0 < dt < np.inf):
+        raise ValueError(f"dt must be finite and positive, got {dt}")
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     rng = np.random.default_rng(int(seed))

@@ -2,7 +2,10 @@ import json
 import os
 import platform
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -737,3 +740,24 @@ def test_fig2_outputs_share_one_ensemble(tmp_path):
     _, em = read_series(tmp_path / "fig2_ensemble_mean.csv")
     assert np.array_equal(em["mean_sz"], res.mean_of("sz"))
     assert np.array_equal(em["stderr_sz"], res.se_of("sz"))
+
+
+@pytest.mark.parametrize("args", [["check", "--only", "7"], ["run", "--preset", "fig1"]],
+                         ids=["check", "run"])
+def test_a_closed_stdout_ends_the_command_quietly(tmp_path, args):
+    # the reader of stdout has left before the command starts
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src")]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    if args[0] == "run":
+        args = args + ["--out", str(tmp_path)]
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        done = subprocess.run([sys.executable, "-W", "error", "-m", "unravelings.cli"] + args,
+                              stdout=w, stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    finally:
+        os.close(w)
+    assert done.returncode == 1
+    assert "Traceback" not in done.stderr and "BrokenPipeError" not in done.stderr, done.stderr

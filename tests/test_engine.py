@@ -778,6 +778,26 @@ def test_helper_is_reaped_when_the_caller_closes_early(helper_blocks, deadline):
         _no_child_left()
 
 
+def test_a_helper_stuck_in_a_fill_is_stopped_at_once(helper_blocks, deadline):
+    # the helper's second fill (block 1) sleeps; the caller stops after block 0
+    draw = engine._wiener_block
+    calls = []
+
+    def stuck_draw(rngs, out, sqrt_dt):       # runs in the helper
+        calls.append(1)
+        if len(calls) == 2:
+            time.sleep(10.0)
+        draw(rngs, out, sqrt_dt)
+
+    helper_blocks.setattr(engine, "_wiener_block", stuck_draw)
+    blocks = engine._noise_blocks(8, 0, 4, 40, 1e-3)
+    next(blocks)
+    t0 = time.perf_counter()
+    blocks.close()
+    assert time.perf_counter() - t0 < 1.0
+    _no_child_left()
+
+
 @pytest.mark.parametrize("failing_call", [1, 4])
 def test_a_helper_that_dies_raises_instead_of_hanging(helper_blocks, deadline, failing_call):
     draw = engine._wiener_block
@@ -997,6 +1017,19 @@ def test_oracle_rejects_a_step_that_is_not_finite_and_positive(dt):
         lindblad_evolve(projector(PSI0), spin_model(), 1.0, dt, 100)
     with pytest.raises(ValueError, match="dt must be finite and positive"):
         lindblad_propagator(spin_model(), 1.0, dt)
+
+
+@pytest.mark.parametrize("dt", [math.nan, math.inf, 0.0, -1e-3])
+def test_a_step_that_is_not_finite_and_positive_is_rejected(dt):
+    p = MechanicalParams(mass=1.0, omega=0.0, lam=1.0)
+    runs = [lambda: wiener_path(3, dt, 10),
+            lambda: simulate_ensemble(spin_model(), XI_INTERIOR, PSI0, dt, 10, 2, 3),
+            lambda: centroid_ensemble(p, 0.3 + 0.1j, 1.0, 0.0, 0.0, dt, 10, 2, 3),
+            lambda: _EulerKernel(spin_model(), XI_INTERIOR, dt),
+            lambda: _ExponentialKernel(spin_model(), UnravelingParams.nonlinear(1.0), dt)]
+    for run in runs:
+        with pytest.raises(ValueError, match="dt must be finite and positive"):
+            run()
 
 
 @pytest.mark.parametrize("lam", [-1.0, math.nan, math.inf])
