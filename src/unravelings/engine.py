@@ -73,13 +73,15 @@ The two kernels share the renormalization, the norm check, the column
 layout and the basis change through :class:`_ColumnKernel`, and nothing of
 the Euler increment, so they stay independent constructions of one member.
 
-:func:`simulate_ensemble` runs fixed chunks of ``_ENSEMBLE_CHUNK``
-trajectories one after the other in one process, and so does
-:func:`gaussian.centroid_ensemble`.  Both draw a chunk's Wiener increments
-from one driver, :func:`_noise_blocks`.  It derives the chunk's
-``derive_seed(base_seed, k)`` seeds and yields blocks of at most
-``_NOISE_BUDGET`` doubles, one contiguous row per trajectory stream; a
-block is valid until the next one is requested.  Block boundaries do not
+:func:`simulate_ensemble` and :func:`gaussian.centroid_ensemble` run fixed
+chunks of ``_ENSEMBLE_CHUNK`` trajectories through one chunk driver,
+:func:`_chunked`, which runs contiguous groups of chunks at once and hands
+back each chunk's result in chunk order; the caller combines them in that
+order, so the bits do not depend on which process ran a chunk.  Both draw
+a chunk's Wiener increments from one driver, :func:`_noise_blocks`.  It
+derives the chunk's ``derive_seed(base_seed, k)`` seeds and yields blocks
+of at most ``_NOISE_BUDGET`` doubles, one contiguous row per trajectory
+stream; a block is valid until the next one is requested.  Block boundaries do not
 depend on the snapshot steps, and the streams do not depend on either, so
 the snapshots never change a trajectory.
 
@@ -100,18 +102,23 @@ it kills the child (if still running) and reaps it.  A noise helper
 (:func:`_forked_blocks`) fills a plan of two blocks or more straight into two
 shared ``mmap`` buffers in turn, drawing block b + 1 while the caller's kernels
 run on block b; callers close the source with ``contextlib.closing``.
-:func:`_forked_map` runs independent pieces at once (the members of criterion
-1, the step sizes of criterion 9), each but the first in a child that sends
-its result back pickled, bits intact.  Nothing forks where ``os.fork`` is
-missing or on CPython 3.12 and later, which warns when a process with threads
-(numpy's BLAS) forks: there, as for a plan of one block, the noise is drawn
-inline with the same numbers, and the pieces run one after the other.
+:func:`_forked_map` runs independent pieces at once (the chunk groups of an
+ensemble, the width check and centroid ensemble of criterion 5, the step
+sizes of criterion 9), each but the first in a child that sends its result
+back pickled, bits intact.  Inside a forked child it runs every piece inline,
+so only the top-level process forks pieces; a piece may still start its own
+noise helper.  A child of the top-level process leads its own process group,
+and stopping it kills the group, so a piece's helper goes with it.  Nothing
+forks where ``os.fork`` is missing or on CPython 3.12 and later, which warns
+when a process with threads (numpy's BLAS) forks: there, as for a plan of one
+block, the noise is drawn inline with the same numbers, and the pieces run
+one after the other.
 
 A batch sees its states only through ``after_step``, the one per-step output
-of :meth:`_ColumnKernel.run`, and holds one copy of its result:
-:func:`simulate_ensemble` fills its preallocated result chunk by chunk, and
-:func:`_state_stack` writes ``V phi`` of each step into the one (n + 1, dim,
-N) stack it returns (:func:`simulate_trajectory` is its one-column case).
+of :meth:`_ColumnKernel.run`: :func:`simulate_ensemble` copies each chunk's
+result into its preallocated result, and :func:`_state_stack` writes ``V phi``
+of each step into the one (n + 1, dim, N) stack it returns
+(:func:`simulate_trajectory` is its one-column case).
 
 The master equation is written once, in :func:`lindblad_rhs`; the oracle
 takes classical RK4 steps of it.  The flow is linear, so the one-step
@@ -469,6 +476,28 @@ _NOISE_BUDGET = 400_000   # doubles per noise block of one chunk (2500 x 160)
 # CPython 3.12 and later warn when a process with more than one thread forks,
 # and numpy's BLAS threads make nearly every process one: there nothing forks
 _FORK_HELPER = hasattr(os, "fork") and sys.version_info < (3, 12)
+_IN_CHILD = False   # set in every forked child, where _forked_map runs its pieces inline
+
+
+def _chunked(n_traj: int, run_chunk) -> list:
+    """``[((k0, k1), run_chunk(k0, k1))]`` over the fixed chunks of trajectories 0..n_traj-1.
+
+    The chunks of ``_ENSEMBLE_CHUNK`` trajectories are split into at most
+    ``os.cpu_count()`` contiguous groups whose chunk counts differ by one at
+    most, and :func:`_forked_map` runs the groups at once: the first here,
+    each other one in a child.  Each chunk is independent of the others, so
+    the results, in chunk order, are those of one loop over the chunks.
+    """
+    bounds = [(k0, min(k0 + _ENSEMBLE_CHUNK, n_traj)) for k0 in range(0, n_traj, _ENSEMBLE_CHUNK)]
+    n_groups = min(len(bounds), os.cpu_count() or 1)
+    cuts = [len(bounds) * g // n_groups for g in range(n_groups + 1)]
+
+    def run_group(group):
+        return [(b, run_chunk(*b)) for b in group]
+
+    return [done for group in _forked_map([partial(run_group, bounds[a:b])
+                                           for a, b in zip(cuts, cuts[1:])])
+            for done in group]
 
 
 def _noise_blocks(base_seed: int, k0: int, k1: int, n_steps: int, dt: float):
@@ -558,9 +587,13 @@ def _forked(run, caller_ends, child_ends):
     Each process closes the other's pipe ends (both, if the fork fails).  The
     child freezes what it inherits, so it runs no finalizer of the caller's
     objects; it prints any error but a BrokenPipeError (the caller has left).
-    However the block ends, the caller closes its ends, kills the child (a
-    child that has exited ignores it) and reaps it.
+    A child of the top-level process leads its own process group, which the
+    children it forks in turn (a piece's noise helper) join.  However the
+    block ends, the caller closes its ends, kills the child (its whole group,
+    if it leads one; a child that has exited ignores it) and reaps it.
     """
+    global _IN_CHILD
+    leader = not _IN_CHILD
     try:
         pid = os.fork()
     except OSError:
@@ -570,8 +603,11 @@ def _forked(run, caller_ends, child_ends):
     for fd in caller_ends if pid == 0 else child_ends:
         os.close(fd)
     if pid == 0:
+        _IN_CHILD = True
         code = 0
         try:
+            if leader:
+                os.setpgid(0, 0)
             gc.freeze()
             run()
         except BrokenPipeError:
@@ -582,11 +618,13 @@ def _forked(run, caller_ends, child_ends):
         finally:
             os._exit(code)
     try:
+        if leader:      # here too, so the group exists before the kill, whichever side runs first
+            os.setpgid(pid, 0)
         yield
     finally:
         for fd in caller_ends:
             os.close(fd)
-        os.kill(pid, signal.SIGKILL)
+        os.kill(-pid if leader else pid, signal.SIGKILL)
         os.waitpid(pid, 0)
 
 
@@ -596,9 +634,11 @@ def _forked_map(fns) -> list:
     A child sends back its result, or the exception it raised, pickled, so a
     value keeps its bits and an exception its type and message; one that
     exits without sending raises RuntimeError.  If anything raises here,
-    every child is stopped by :func:`_forked`.
+    every child is stopped by :func:`_forked`.  Inside a forked child every
+    ``f`` runs here, so a piece never forks pieces of its own and the
+    processes stay bounded.
     """
-    if not _FORK_HELPER:
+    if not _FORK_HELPER or _IN_CHILD:
         return [f() for f in fns]
 
     def send(f, w):
@@ -722,13 +762,11 @@ def simulate_ensemble(model: ModelSpec, u: UnravelingParams, psi0: np.ndarray,
                for name, op in (tracked_observables or {}).items()}
 
     row_of = {s: i for i, s in enumerate(snaps)}
-    rho = np.empty((len(snaps), model.dim, model.dim), dtype=complex)   # one chunk's sums
-    rho_sum = np.zeros_like(rho)
-    means = {name: np.empty((len(snaps), n_traj)) for name in tracked}
-    final_states = np.empty((n_traj, model.dim), dtype=complex)
-    for k0 in range(0, n_traj, _ENSEMBLE_CHUNK):
-        cols = slice(k0, min(k0 + _ENSEMBLE_CHUNK, n_traj))
-        chunk_means = {name: v[:, cols] for name, v in means.items()}   # views into means
+
+    def run_chunk(k0, k1):
+        """Trajectories k0..k1-1: their rho sums (rotated back), tracked means and final states."""
+        rho = np.empty((len(snaps), model.dim, model.dim), dtype=complex)
+        chunk_means = {name: np.empty((len(snaps), k1 - k0)) for name in tracked}
 
         def take_snapshot(step, psis):
             i = row_of.get(step)
@@ -737,14 +775,23 @@ def simulate_ensemble(model: ModelSpec, u: UnravelingParams, psi0: np.ndarray,
                 for name, op in tracked.items():
                     chunk_means[name][i] = _column_means(psis, op)
 
-        psis = np.repeat(kernel.into_basis(psi0[:, None]), cols.stop - k0, axis=1)
+        psis = np.repeat(kernel.into_basis(psi0[:, None]), k1 - k0, axis=1)
         take_snapshot(0, psis)
-        with contextlib.closing(_noise_blocks(base_seed, k0, cols.stop, n_steps, dt)) as blocks:
+        with contextlib.closing(_noise_blocks(base_seed, k0, k1, n_steps, dt)) as blocks:
             for start, dW in blocks:
                 psis = kernel.run(psis, dW, start, k0, after_step=take_snapshot)
                 del dW  # freed before the next block is drawn (peak memory)
-        rho_sum += rho if V is None else V @ rho @ V.conj().T
-        final_states[cols] = kernel.out_of_basis(psis).T
+        rho = rho if V is None else V @ rho @ V.conj().T
+        return rho, chunk_means, kernel.out_of_basis(psis).T
+
+    rho_sum = np.zeros((len(snaps), model.dim, model.dim), dtype=complex)
+    means = {name: np.empty((len(snaps), n_traj)) for name in tracked}
+    final_states = np.empty((n_traj, model.dim), dtype=complex)
+    for (k0, k1), (rho, chunk_means, finals) in _chunked(n_traj, run_chunk):
+        rho_sum += rho      # in chunk order, whichever process ran the chunk
+        for name, v in chunk_means.items():
+            means[name][:, k0:k1] = v
+        final_states[k0:k1] = finals
     return EnsembleResult(step_indices=np.asarray(snaps), rhos=rho_sum / n_traj, means=means,
                           final_states=final_states, psi0=psi0.copy(), dt=dt)
 

@@ -476,8 +476,9 @@ def centroid_ensemble(p: MechanicalParams, a0: complex, xi: complex,
     The width is deterministic and common to every member of the ensemble;
     only (centroid, wavenumber) are stochastic.  Trajectory k is driven by
     ``wiener_path(derive_seed(base_seed, k), dt, n_steps)``.  Trajectories
-    run in the fixed chunks of the spin ensembles and draw their increments
-    through the same noise blocks, so ``n_traj`` changes no trajectory.
+    run in the fixed chunks of the spin ensembles, at once through the same
+    chunk driver (:func:`engine._chunked`), and draw their increments through
+    the same noise blocks, so ``n_traj`` changes no trajectory.
     Returns ``(centroids, wavenumbers)`` as (n_snapshots, n_traj) arrays, at
     the snapshot step indices (default: the final step alone).
     """
@@ -487,22 +488,28 @@ def centroid_ensemble(p: MechanicalParams, a0: complex, xi: complex,
     xi = _checked_xi(xi)
     widths = simulate_width(p, a0, xi, dt, n_steps)
     snaps = {s: i for i, s in enumerate(steps)}
-    out_x, out_k = np.empty((2, len(snaps), n_traj))
-    for c0 in range(0, n_traj, engine_mod._ENSEMBLE_CHUNK):
-        c1 = min(c0 + engine_mod._ENSEMBLE_CHUNK, n_traj)
+
+    def run_chunk(c0, c1):
+        """(centroids, wavenumbers) of trajectories c0..c1-1 at the snapshots, one array."""
+        out = np.empty((2, len(snaps), c1 - c0))
         x = np.full(c1 - c0, float(x0))
         kk = np.full(c1 - c0, float(k0))
         if 0 in snaps:
-            out_x[snaps[0], c0:c1], out_k[snaps[0], c0:c1] = x, kk
+            out[:, snaps[0]] = x, kk
         with contextlib.closing(engine_mod._noise_blocks(base_seed, c0, c1, n_steps, dt)) as blocks:
             for start, dW in blocks:
                 for j in range(dW.shape[1]):
                     step = start + j
                     x, kk = _centroid_step(x, kk, widths[step], dW[:, j], p, xi, dt)
                     if step + 1 in snaps:
-                        out_x[snaps[step + 1], c0:c1], out_k[snaps[step + 1], c0:c1] = x, kk
+                        out[:, snaps[step + 1]] = x, kk
                 del dW  # freed before the next block is drawn (peak memory)
-    return out_x, out_k
+        return out
+
+    out = np.empty((2, len(snaps), n_traj))
+    for (c0, c1), chunk in engine_mod._chunked(n_traj, run_chunk):
+        out[:, :, c0:c1] = chunk
+    return out[0], out[1]
 
 
 # --- covariance matrices and the Riccati flow --------------------------------

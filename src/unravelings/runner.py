@@ -280,8 +280,9 @@ def _output_path(cfg: ScenarioConfig, out_dir: Path, kind: str) -> Path:
 def run_scenario(cfg: ScenarioConfig, out_dir, n_workers: int = 1) -> list:
     """Produce every requested output file; returns the written paths.
 
-    ``n_workers`` is accepted for compatibility and has no effect: every
-    ensemble runs on one thread.  The scenario's set-up is built once, and
+    ``n_workers`` is accepted for compatibility and has no effect: the
+    engine picks how many processes an ensemble's chunks run on (see
+    :func:`engine._chunked`).  The scenario's set-up is built once, and
     its trajectories are integrated once and shared by its outputs: one
     lock-step ensemble for a spin scenario, trajectory 0 for a mechanical one.
     Another seed is run with ``run_scenario(cfg.with_seed(seed), ...)``.

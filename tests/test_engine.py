@@ -1,9 +1,11 @@
 import contextlib
+import itertools
 import math
 import os
 import signal
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -699,9 +701,14 @@ def _no_child_left():
 
 @pytest.fixture
 def helper_blocks(monkeypatch):
-    """Chunks of 4, 4 and 2 trajectories; blocks of 3 steps (6 in the short chunk)."""
+    """Chunks of 4, 4 and 2 trajectories; blocks of 3 steps (6 in the short chunk).
+
+    With two CPUs the first chunk of an ensemble runs here and the other two
+    in one forked piece, each chunk on its own noise helper.
+    """
     monkeypatch.setattr(engine, "_ENSEMBLE_CHUNK", 4)
     monkeypatch.setattr(engine, "_NOISE_BUDGET", 12)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     if not engine._FORK_HELPER:
         pytest.skip("this interpreter draws every stream inline")
     return monkeypatch
@@ -723,7 +730,8 @@ def deadline():
 @pytest.mark.parametrize("case", ["1", "-i", "e^{-i pi/4}", "0.6-0.8i", "dense"])
 def test_forked_helper_gives_the_inline_bits(helper_blocks, case):
     # 10 trajectories x 40 steps: 14, 14 and 7 blocks per chunk, drawn by a
-    # helper and then inline, with snapshots on and between block ends
+    # helper and then inline, with snapshots on and between block ends; the
+    # forked run integrates chunks 1 and 2 in a forked piece
     u = {"1": UnravelingParams.nonlinear(0.9), "-i": UnravelingParams.linear(0.9),
          "e^{-i pi/4}": XI_INTERIOR, "0.6-0.8i": UnravelingParams(0.6, -0.8, 0.9),
          "dense": XI_INTERIOR}[case]
@@ -742,6 +750,105 @@ def test_forked_helper_gives_the_inline_bits(helper_blocks, case):
     for name in obs:
         assert np.array_equal(forked.means[name], inline.means[name])
     _no_child_left()
+
+
+@pytest.mark.parametrize("cpus, sizes", [(None, [10]), (1, [10]), (2, [5, 5]), (3, [3, 3, 4]),
+                                         (16, [1] * 10)])
+def test_chunk_driver_runs_contiguous_groups_of_chunks_at_once(forked_map, deadline, cpus,
+                                                               sizes):
+    # 10 one-trajectory chunks in at most os.cpu_count() groups, the first
+    # here and each other one in one forked piece; results in chunk order
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    forked_map.setattr(engine, "_ENSEMBLE_CHUNK", 1)
+    forked_map.setattr(os, "cpu_count", lambda: cpus)
+    forked_map.setattr(os, "fork", counted_fork)
+    done = engine._chunked(10, lambda k0, k1: (os.getpid(), k0, k1))
+    _no_child_left()
+    assert [bounds for bounds, _ in done] == [(k, k + 1) for k in range(10)]
+    assert all((k0, k1) == (a, b) for (k0, k1), (_, a, b) in done)
+    pids = [pid for _, (pid, _, _) in done]
+    assert [len(list(group)) for _, group in itertools.groupby(pids)] == sizes
+    assert len(set(pids)) == len(sizes) and pids[0] == os.getpid()
+    assert len(forks) == len(sizes) - 1
+
+
+def test_a_forked_piece_runs_its_own_pieces_inline(forked_map, deadline):
+    forked_map.setattr(engine, "_ENSEMBLE_CHUNK", 4)
+    forked_map.setattr(os, "cpu_count", lambda: 2)
+    done = engine._chunked(10, lambda k0, k1: (os.getpid(),
+                                               engine._forked_map([os.getpid] * 3)))
+    _no_child_left()
+    piece = done[-1][1][0]
+    assert piece != os.getpid()
+    for _, (pid, inner) in done:
+        if pid == piece:
+            assert inner == [piece] * 3
+
+
+@pytest.mark.parametrize("traj", [2, 6, 9])
+@pytest.mark.parametrize("forks", [True, False], ids=["forked", "inline"])
+def test_a_non_finite_state_in_any_chunk_names_its_global_trajectory(helper_blocks, deadline,
+                                                                     traj, forks):
+    # an infinite increment at step 5 of one trajectory: in the chunk run here
+    # (2) or in the forked piece's first or second chunk (6, 9)
+    blocks = engine._noise_blocks
+
+    def spiked_blocks(base_seed, k0, k1, n_steps, dt):
+        for start, dW in blocks(base_seed, k0, k1, n_steps, dt):
+            if k0 <= traj < k1 and start <= 5 < start + dW.shape[1]:
+                dW[traj - k0, 5 - start] = np.inf
+            yield start, dW
+
+    helper_blocks.setattr(engine, "_noise_blocks", spiked_blocks)
+    helper_blocks.setattr(engine, "_FORK_HELPER", forks)
+    with pytest.raises(FloatingPointError,
+                       match=f"trajectory {traj} became non-finite at step 5"):
+        simulate_ensemble(spin_model(), XI_INTERIOR, PSI0, 1e-3, 40, 10, base_seed=5)
+    _no_child_left()
+
+
+def _running(pid: int) -> bool:
+    """Whether process ``pid`` exists and is not a zombie."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_a_pieces_noise_helper_is_stopped_with_the_piece(helper_blocks, deadline, tmp_path):
+    # two chunks of 4 trajectories, the second in a forked piece, each drawn
+    # by its own helper.  The piece's helper records its pid and hangs in its
+    # first fill; the caller's helper waits for that record and then fails,
+    # so the caller's share raises and the piece is stopped
+    top = os.getpid()
+    record = tmp_path / "helper.pid"
+
+    def stuck_or_failing(rngs, out, sqrt_dt):       # runs in a helper
+        if os.getppid() != top:                      # the piece's helper
+            (tmp_path / "pid.tmp").write_text(str(os.getpid()))
+            os.replace(tmp_path / "pid.tmp", record)
+            time.sleep(60.0)
+        while not record.exists():
+            time.sleep(0.01)
+        raise MemoryError("no room for the block")
+
+    helper_blocks.setattr(engine, "_wiener_block", stuck_or_failing)
+    with pytest.raises(RuntimeError, match="noise helper exited before block 0"):
+        simulate_ensemble(spin_model(), XI_INTERIOR, PSI0, 1e-3, 40, 8, base_seed=5)
+    _no_child_left()
+    helper = int(record.read_text())
+    t0 = time.perf_counter()
+    while _running(helper) and time.perf_counter() - t0 < 1.0:
+        time.sleep(0.01)
+    assert not _running(helper)
 
 
 def test_one_block_stream_stays_inline(monkeypatch):

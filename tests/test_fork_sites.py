@@ -1,9 +1,10 @@
 """One fork site and one stop path in ``src/unravelings``.
 
 Every helper process the library starts comes from one ``os.fork`` call, is
-stopped by one ``os.kill`` call and reaped by one ``os.waitpid`` call, all
-in ``engine._forked``, so a change to how a helper is started or ended is
-made in one place.
+put in its process group by the two ``os.setpgid`` calls (one on each side of
+the fork), stopped by one ``os.kill`` call and reaped by one ``os.waitpid``
+call, all in ``engine._forked``, so a change to how a helper is started or
+ended is made in one place.
 """
 
 import ast
@@ -33,7 +34,9 @@ def _os_calls(name: str) -> list:
 
 
 def test_one_fork_site_and_one_reaping_path():
-    sites = [_os_calls(name) for name in ("fork", "kill", "waitpid")]
-    for calls in sites:
-        assert len(calls) == 1, calls
-    assert {calls[0].split(":")[0] for calls in sites} == {"engine._forked"}, sites
+    counts = {"fork": 1, "setpgid": 2, "kill": 1, "waitpid": 1}
+    sites = {name: _os_calls(name) for name in counts}
+    for name, calls in sites.items():
+        assert len(calls) == counts[name], calls
+    functions = {call.split(":")[0] for calls in sites.values() for call in calls}
+    assert functions == {"engine._forked"}, sites

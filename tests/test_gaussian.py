@@ -1,3 +1,4 @@
+import os
 import time
 
 import numpy as np
@@ -338,9 +339,11 @@ def test_centroid_ensemble_chunks_and_blocks_follow_each_stream(monkeypatch, xi)
 
 def test_centroid_ensemble_forked_helper_gives_the_inline_bits(monkeypatch):
     # chunks of 4, 4 and 2 trajectories with 14, 14 and 7 noise blocks each,
-    # drawn by a helper and then inline
+    # drawn by a helper and then inline; with two CPUs the forked run
+    # integrates chunks 1 and 2 in a forked piece
     monkeypatch.setattr(engine, "_ENSEMBLE_CHUNK", 4)
     monkeypatch.setattr(engine, "_NOISE_BUDGET", 12)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     if not engine._FORK_HELPER:
         pytest.skip("this interpreter draws every stream inline")
     p = MechanicalParams(mass=1.0, omega=0.5, lam=1.0, hbar=1.0)
