@@ -16,8 +16,8 @@ import numpy as np
 
 from .bell import bell_gates, bell_report
 from .engine import (ModelSpec, UnravelingParams, _EulerKernel, _ExponentialKernel,
-                     _forked_map, _matched_blocks, _state_stack, lindblad_rhs,
-                     master_equation_oracle, mc_tolerance, simulate_ensemble)
+                     _matched_blocks, _state_stack, lindblad_rhs, master_equation_oracle,
+                     mc_tolerance, simulate_ensemble)
 from .gaussian import (SPREAD_RTOL, MechanicalParams, _width_blocks, a_closed_form,
                        centroid_ensemble, conditional_covariance_series,
                        conditional_spread_x, initial_spread_deviation, mean_square_x,
@@ -26,6 +26,7 @@ from .gaussian import (SPREAD_RTOL, MechanicalParams, _width_blocks, a_closed_fo
 from .gcm import channel_apply, kraus_apply, povm_completeness, solve_gcm_params
 from .linalg import projector
 from .noise import wiener_path
+from .procs import _forked_map
 from .spin import (SIGMA_Z, SpinParams, _sigma_z_paths, collapse_statistics,
                    nonlinear_ensemble, spin_model, supermartingale_check)
 from .tolerances import TOL

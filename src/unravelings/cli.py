@@ -127,9 +127,10 @@ def _cmd_check(args) -> int:
         if out is None:
             return 2
     import numpy as np
-    from . import engine
+    from . import procs
     print(f"environment: Python {platform.python_version()}, numpy {np.__version__}, "
-          f"{os.cpu_count()} CPUs, forked helpers {'on' if engine._FORK_HELPER else 'off'}")
+          f"{os.cpu_count()} CPUs ({procs.usable_cores()} usable), "
+          f"forked helpers {'on' if procs._FORK_HELPER else 'off'}")
     results = run_criteria(only=only, verbose=True)
     if out is not None:
         payload = [r.as_dict() for r in results]

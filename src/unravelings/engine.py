@@ -74,16 +74,15 @@ layout and the basis change through :class:`_ColumnKernel`, and nothing of
 the Euler increment, so they stay independent constructions of one member.
 
 :func:`simulate_ensemble` and :func:`gaussian.centroid_ensemble` run fixed
-chunks of ``_ENSEMBLE_CHUNK`` trajectories through one chunk driver,
-:func:`_chunked`, which runs contiguous groups of chunks at once and hands
-back each chunk's result in chunk order; the caller combines them in that
-order, so the bits do not depend on which process ran a chunk.  Both draw
-a chunk's Wiener increments from one driver, :func:`_noise_blocks`.  It
-derives the chunk's ``derive_seed(base_seed, k)`` seeds and yields blocks
-of at most ``_NOISE_BUDGET`` doubles, one contiguous row per trajectory
-stream; a block is valid until the next one is requested.  Block boundaries do not
-depend on the snapshot steps, and the streams do not depend on either, so
-the snapshots never change a trajectory.
+chunks of trajectories through :func:`procs._chunked`, which hands back each
+chunk's result in chunk order; the caller combines them in that order, so
+the bits do not depend on which process ran a chunk.  Both draw a chunk's
+Wiener increments from one driver, :func:`_noise_blocks`.  It derives the
+chunk's ``derive_seed(base_seed, k)`` seeds and yields blocks of at most
+``_NOISE_BUDGET`` doubles, one contiguous row per trajectory stream; a block
+is valid until the next one is requested.  Block boundaries do not depend on
+the snapshot steps, and the streams do not depend on either, so the
+snapshots never change a trajectory.
 
 A shared-stream batch runs several kernels on columns that all read one
 generator, so that each kernel sees the same increments (criterion 9's
@@ -93,26 +92,8 @@ and advances each kernel through a block on chunks of ``_PAIR_CHUNK``
 columns, which keeps a chunk's states in cache.  It hands back the states
 only at the caller's stop steps, where the blocks end.  On a diagonal model
 every step is elementwise, so a chunked column has the bits of the
-full-width loop.
-
-Both layouts come from one source, :func:`_drawn_blocks`: a plan of
-``(start, shape)`` blocks and a fill of the next block.  One context manager,
-:func:`_forked`, runs every child process; however the caller's block ends,
-it kills the child (if still running) and reaps it.  A noise helper
-(:func:`_forked_blocks`) fills a plan of two blocks or more straight into two
-shared ``mmap`` buffers in turn, drawing block b + 1 while the caller's kernels
-run on block b; callers close the source with ``contextlib.closing``.
-:func:`_forked_map` runs independent pieces at once (the chunk groups of an
-ensemble, the width check and centroid ensemble of criterion 5, the step
-sizes of criterion 9), each but the first in a child that sends its result
-back pickled, bits intact.  Inside a forked child it runs every piece inline,
-so only the top-level process forks pieces; a piece may still start its own
-noise helper.  A child of the top-level process leads its own process group,
-and stopping it kills the group, so a piece's helper goes with it.  Nothing
-forks where ``os.fork`` is missing or on CPython 3.12 and later, which warns
-when a process with threads (numpy's BLAS) forks: there, as for a plan of one
-block, the noise is drawn inline with the same numbers, and the pieces run
-one after the other.
+full-width loop.  Both layouts draw their blocks through
+:func:`procs._drawn_blocks`; every child process starts and ends in :mod:`procs`.
 
 A batch sees its states only through ``after_step``, the one per-step output
 of :meth:`_ColumnKernel.run`: :func:`simulate_ensemble` copies each chunk's
@@ -129,21 +110,14 @@ at that ensemble's snapshots.
 """
 
 import contextlib
-import gc
-import math
-import mmap
-import os
-import pickle
-import signal
-import sys
-import traceback
 from dataclasses import dataclass, replace
-from functools import partial, reduce
+from functools import reduce
 
 import numpy as np
 
 from . import noise as noise_mod
-from .linalg import assert_normalized, is_hermitian, projector
+from . import procs
+from .linalg import assert_normalized, is_hermitian, projector, require_finite
 from .tolerances import TOL
 
 
@@ -156,13 +130,11 @@ class UnravelingParams:
     lam: float
 
     def __post_init__(self):
-        if not (0.0 <= self.xi_r < math.inf):
-            raise ValueError(f"xi_r must be finite and >= 0, got {self.xi_r}")
+        require_finite("xi_r", self.xi_r, positive=False)
         mod2 = self.xi_r ** 2 + self.xi_i ** 2
         if not abs(mod2 - 1.0) <= TOL.unit_modulus:     # also a nan
             raise ValueError(f"|xi|^2 = {mod2:.15f} must equal 1")
-        if not (0.0 <= self.lam < math.inf):
-            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
+        require_finite("lam", self.lam, positive=False)
 
     @property
     def xi(self) -> complex:
@@ -194,8 +166,7 @@ class ModelSpec:
                 raise ValueError(f"{name} must be {self.dim}x{self.dim}, got {op.shape}")
             if not is_hermitian(op):
                 raise ValueError(f"{name} is not Hermitian")
-        if not (0.0 < self.hbar < math.inf):         # also a nan
-            raise ValueError(f"hbar must be finite and positive, got {self.hbar}")
+        require_finite("hbar", self.hbar)
 
 
 @dataclass(frozen=True)
@@ -245,8 +216,7 @@ def max_stable_dt(model: ModelSpec, u: UnravelingParams) -> float:
 
 def _require_dt_within(dt: float, cap: float, budget: str) -> None:
     """Raise ValueError unless ``0 < dt <= cap``, printing the cap rounded down to four digits."""
-    if not (0.0 < dt < math.inf):                # also a nan
-        raise ValueError(f"dt must be finite and positive, got {dt}")
+    require_finite("dt", dt)
     if dt > cap:
         text = f"{cap:.3e}"
         if float(text) > cap:                # rounded up: one unit of the last digit down
@@ -353,8 +323,7 @@ class _EulerKernel(_ColumnKernel):
     """
 
     def __init__(self, model: ModelSpec, u: UnravelingParams, dt: float):
-        if not (0.0 < dt < math.inf):
-            raise ValueError(f"dt must be finite and positive, got {dt}")
+        require_finite("dt", dt)
         H, L = model.H, model.L
         if not _is_diagonal(L):
             l, self.V = np.linalg.eigh(0.5 * (L + L.conj().T))
@@ -393,8 +362,7 @@ class _ExponentialKernel(_ColumnKernel):
     """
 
     def __init__(self, model: ModelSpec, u: UnravelingParams, dt: float):
-        if not (0.0 < dt < math.inf):
-            raise ValueError(f"dt must be finite and positive, got {dt}")
+        require_finite("dt", dt)
         if u.xi != 1.0:
             raise ValueError(f"the exponential update needs xi = 1, got {u.xi}")
         if not (_is_diagonal(model.H) and _is_diagonal(model.L)):
@@ -469,35 +437,7 @@ def _wiener_block(rngs, out: np.ndarray, sqrt_dt: float) -> None:
     out *= sqrt_dt
 
 
-_ENSEMBLE_CHUNK = 2500    # trajectories per reduction chunk (fixed)
 _NOISE_BUDGET = 400_000   # doubles per noise block of one chunk (2500 x 160)
-
-
-# CPython 3.12 and later warn when a process with more than one thread forks,
-# and numpy's BLAS threads make nearly every process one: there nothing forks
-_FORK_HELPER = hasattr(os, "fork") and sys.version_info < (3, 12)
-_IN_CHILD = False   # set in every forked child, where _forked_map runs its pieces inline
-
-
-def _chunked(n_traj: int, run_chunk) -> list:
-    """``[((k0, k1), run_chunk(k0, k1))]`` over the fixed chunks of trajectories 0..n_traj-1.
-
-    The chunks of ``_ENSEMBLE_CHUNK`` trajectories are split into at most
-    ``os.cpu_count()`` contiguous groups whose chunk counts differ by one at
-    most, and :func:`_forked_map` runs the groups at once: the first here,
-    each other one in a child.  Each chunk is independent of the others, so
-    the results, in chunk order, are those of one loop over the chunks.
-    """
-    bounds = [(k0, min(k0 + _ENSEMBLE_CHUNK, n_traj)) for k0 in range(0, n_traj, _ENSEMBLE_CHUNK)]
-    n_groups = min(len(bounds), os.cpu_count() or 1)
-    cuts = [len(bounds) * g // n_groups for g in range(n_groups + 1)]
-
-    def run_group(group):
-        return [(b, run_chunk(*b)) for b in group]
-
-    return [done for group in _forked_map([partial(run_group, bounds[a:b])
-                                           for a, b in zip(cuts, cuts[1:])])
-            for done in group]
 
 
 def _noise_blocks(base_seed: int, k0: int, k1: int, n_steps: int, dt: float):
@@ -506,7 +446,7 @@ def _noise_blocks(base_seed: int, k0: int, k1: int, n_steps: int, dt: float):
     Row ``k - k0`` of the blocks, joined, is the stream of
     ``wiener_path(derive_seed(base_seed, k), dt, n_steps)``.  A block holds
     at most ``_NOISE_BUDGET`` doubles (one step per row at least) and is
-    valid until the next one is requested (see :func:`_drawn_blocks`).  A
+    valid until the next one is requested (see :func:`procs._drawn_blocks`).  A
     caller that may stop early wraps the generator in ``contextlib.closing``,
     so a helper is reaped when it stops.
     """
@@ -519,153 +459,7 @@ def _noise_blocks(base_seed: int, k0: int, k1: int, n_steps: int, dt: float):
         rngs = noise_mod.default_rngs(seeds)
         return lambda out: _wiener_block(rngs, out, sqrt_dt)
 
-    yield from _drawn_blocks(plan, open_fill)
-
-
-def _drawn_blocks(plan: list, open_fill):
-    """Yield ``(start, block)`` of each ``(start, shape)`` in ``plan``, valid until the next.
-
-    ``open_fill()`` returns ``fill(out)``, which writes the next block into
-    ``out``.  Two blocks or more are drawn by :func:`_forked_blocks` when
-    ``_FORK_HELPER`` holds, else here with the same numbers (one block alive
-    at a time if the caller drops each before asking for the next).
-    """
-    if len(plan) > 1 and _FORK_HELPER:
-        yield from _forked_blocks(plan, open_fill)
-        return
-    fill = open_fill()
-    for start, shape in plan:
-        block = np.empty(shape)
-        fill(block)
-        yield start, block
-        del block   # freed before the next block is drawn (peak memory)
-
-
-def _forked_blocks(plan: list, open_fill):
-    """:func:`_drawn_blocks`, drawn one block ahead by a forked helper.
-
-    The helper calls ``open_fill()`` and fills two shared anonymous buffers,
-    each the size of the largest block, in turn (block b into buffer b % 2),
-    so whatever ``fill`` advances is advanced in its copy only.  A "ready"
-    token on one pipe hands a filled buffer over, and a "free" token on the
-    other hands it back once the caller asks for the next block; EOF on the
-    free pipe, or a broken ready pipe, tells the helper that the caller has
-    stopped.  A helper that exits before its last block raises RuntimeError
-    here; :func:`_forked` stops it, mid-fill or not, as the generator ends.
-    """
-    size = max(math.prod(shape) for _, shape in plan)
-    buffers = [mmap.mmap(-1, 8 * size) for _ in range(2)]
-    ready_r, ready_w = os.pipe()
-    free_r, free_w = os.pipe()
-
-    def block(b):
-        shape = plan[b][1]
-        return np.frombuffer(buffers[b % 2], count=math.prod(shape)).reshape(shape)
-
-    def draw():
-        fill = open_fill()
-        for b in range(len(plan)):
-            if b >= 2 and not os.read(free_r, 1):
-                return
-            fill(block(b))
-            os.write(ready_w, b"r")
-
-    with _forked(draw, (ready_r, free_w), (ready_w, free_r)):
-        for b, (start, _) in enumerate(plan):
-            if not os.read(ready_r, 1):
-                raise RuntimeError(f"the noise helper exited before block {b} of {len(plan)}")
-            yield start, block(b)
-            if b + 2 < len(plan):
-                with contextlib.suppress(BrokenPipeError):   # a helper that left shows as EOF
-                    os.write(free_w, b"f")
-
-
-@contextlib.contextmanager
-def _forked(run, caller_ends, child_ends):
-    """Fork a child that calls ``run()`` and leaves by ``os._exit``; stop it as the block ends.
-
-    Each process closes the other's pipe ends (both, if the fork fails).  The
-    child freezes what it inherits, so it runs no finalizer of the caller's
-    objects; it prints any error but a BrokenPipeError (the caller has left).
-    A child of the top-level process leads its own process group, which the
-    children it forks in turn (a piece's noise helper) join.  However the
-    block ends, the caller closes its ends, kills the child (its whole group,
-    if it leads one; a child that has exited ignores it) and reaps it.
-    """
-    global _IN_CHILD
-    leader = not _IN_CHILD
-    try:
-        pid = os.fork()
-    except OSError:
-        for fd in caller_ends + child_ends:
-            os.close(fd)
-        raise
-    for fd in caller_ends if pid == 0 else child_ends:
-        os.close(fd)
-    if pid == 0:
-        _IN_CHILD = True
-        code = 0
-        try:
-            if leader:
-                os.setpgid(0, 0)
-            gc.freeze()
-            run()
-        except BrokenPipeError:
-            pass
-        except BaseException:
-            traceback.print_exc()
-            code = 1
-        finally:
-            os._exit(code)
-    try:
-        if leader:      # here too, so the group exists before the kill, whichever side runs first
-            os.setpgid(pid, 0)
-        yield
-    finally:
-        for fd in caller_ends:
-            os.close(fd)
-        os.kill(-pid if leader else pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-
-
-def _forked_map(fns) -> list:
-    """``[f() for f in fns]``: ``fns[0]`` runs here, each other one in a forked child.
-
-    A child sends back its result, or the exception it raised, pickled, so a
-    value keeps its bits and an exception its type and message; one that
-    exits without sending raises RuntimeError.  If anything raises here,
-    every child is stopped by :func:`_forked`.  Inside a forked child every
-    ``f`` runs here, so a piece never forks pieces of its own and the
-    processes stay bounded.
-    """
-    if not _FORK_HELPER or _IN_CHILD:
-        return [f() for f in fns]
-
-    def send(f, w):
-        try:
-            outcome = True, f()
-        except Exception as exc:
-            outcome = False, exc
-        with open(w, "wb") as pipe:
-            pipe.write(pickle.dumps(outcome))
-
-    with contextlib.ExitStack() as children:
-        reads = []
-        for f in fns[1:]:
-            r, w = os.pipe()
-            children.enter_context(_forked(partial(send, f, w), (r,), (w,)))
-            reads.append(r)
-        results = [fns[0]()]
-        for r in reads:
-            data = b"".join(iter(partial(os.read, r, 1 << 16), b""))
-            if not data:
-                raise RuntimeError(f"forked piece {len(results)} of {len(fns)} exited "
-                                   "without a result")
-            sent, value = pickle.loads(data)
-            if not sent:
-                raise value
-            results.append(value)
-        return results
+    yield from procs._drawn_blocks(plan, open_fill)
 
 
 _PAIR_CHUNK = 10_000        # columns per kernel pass of a shared-stream batch (fixed)
@@ -682,7 +476,7 @@ def _matched_blocks(kernels, psi0: np.ndarray, rng, dt: float, n_steps: int,
     The stream is planned in blocks of whole steps that end at every step in
     ``stops`` (and at ``n_steps``) and hold at most ``_PAIR_BUDGET`` doubles,
     each one ``rng.standard_normal`` call into an (nb, n_cols) array, drawn
-    by :func:`_drawn_blocks`.  A forked helper advances its copy of ``rng``,
+    by :func:`procs._drawn_blocks`.  A forked helper advances its copy of ``rng``,
     not ``rng``, so callers pass a fresh generator.  Each kernel advances a
     block on chunks of ``_PAIR_CHUNK`` columns, so a chunk's states stay in
     cache through the block.
@@ -708,7 +502,7 @@ def _matched_blocks(kernels, psi0: np.ndarray, rng, dt: float, n_steps: int,
         rng.standard_normal(out=out)
         out *= sqrt_dt
 
-    with contextlib.closing(_drawn_blocks(plan, lambda: fill)) as blocks:
+    with contextlib.closing(procs._drawn_blocks(plan, lambda: fill)) as blocks:
         for start, dW in blocks:
             end = start + dW.shape[0]
             for (c0, c1), cols in zip(chunks, psis):
@@ -787,7 +581,7 @@ def simulate_ensemble(model: ModelSpec, u: UnravelingParams, psi0: np.ndarray,
     rho_sum = np.zeros((len(snaps), model.dim, model.dim), dtype=complex)
     means = {name: np.empty((len(snaps), n_traj)) for name in tracked}
     final_states = np.empty((n_traj, model.dim), dtype=complex)
-    for (k0, k1), (rho, chunk_means, finals) in _chunked(n_traj, run_chunk):
+    for (k0, k1), (rho, chunk_means, finals) in procs._chunked(n_traj, run_chunk):
         rho_sum += rho      # in chunk order, whichever process ran the chunk
         for name, v in chunk_means.items():
             means[name][:, k0:k1] = v
@@ -822,10 +616,8 @@ def lindblad_propagator(model: ModelSpec, lam: float, dt: float) -> np.ndarray:
     The RK4 step is linear in rho, so column j of P is the step of the j-th
     basis matrix; one :func:`lindblad_step` advances all d^2 of them at once.
     """
-    if not (0.0 < dt < math.inf):
-        raise ValueError(f"dt must be finite and positive, got {dt}")
-    if not (0.0 <= lam < math.inf):
-        raise ValueError(f"lam must be finite and >= 0, got {lam}")
+    require_finite("dt", dt)
+    require_finite("lam", lam, positive=False)
     d2 = model.dim ** 2
     basis = np.eye(d2, dtype=complex).reshape(d2, model.dim, model.dim)
     return lindblad_step(basis, model, lam, dt).reshape(d2, d2).T

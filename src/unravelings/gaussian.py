@@ -43,6 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine as engine_mod
+from . import procs
+from .linalg import require_finite
 from .tolerances import TOL
 
 HBAR_SI = 1.054571817e-34  # J s
@@ -60,14 +62,10 @@ class MechanicalParams:
     hbar: float = HBAR_SI
 
     def __post_init__(self):
-        if not (0.0 < self.mass < math.inf):         # also a nan
-            raise ValueError(f"mass must be finite and positive, got {self.mass}")
-        if not (0.0 <= self.omega < math.inf):
-            raise ValueError(f"omega must be finite and >= 0, got {self.omega}")
-        if not (0.0 <= self.lam < math.inf):
-            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
-        if not (0.0 < self.hbar < math.inf):
-            raise ValueError(f"hbar must be finite and positive, got {self.hbar}")
+        require_finite("mass", self.mass)
+        require_finite("omega", self.omega, positive=False)
+        require_finite("lam", self.lam, positive=False)
+        require_finite("hbar", self.hbar)
 
 
 @dataclass(frozen=True)
@@ -81,7 +79,6 @@ class SpreadConstants:
 
 def _checked_xi(xi) -> complex:
     """``xi`` as a complex number, once the family's rule (|xi| = 1, Re xi >= 0) holds."""
-    xi = complex(xi)
     return engine_mod.UnravelingParams(xi.real, xi.imag, 0.0).xi
 
 
@@ -477,7 +474,7 @@ def centroid_ensemble(p: MechanicalParams, a0: complex, xi: complex,
     only (centroid, wavenumber) are stochastic.  Trajectory k is driven by
     ``wiener_path(derive_seed(base_seed, k), dt, n_steps)``.  Trajectories
     run in the fixed chunks of the spin ensembles, at once through the same
-    chunk driver (:func:`engine._chunked`), and draw their increments through
+    chunk driver (:func:`procs._chunked`), and draw their increments through
     the same noise blocks, so ``n_traj`` changes no trajectory.
     Returns ``(centroids, wavenumbers)`` as (n_snapshots, n_traj) arrays, at
     the snapshot step indices (default: the final step alone).
@@ -507,7 +504,7 @@ def centroid_ensemble(p: MechanicalParams, a0: complex, xi: complex,
         return out
 
     out = np.empty((2, len(snaps), n_traj))
-    for (c0, c1), chunk in engine_mod._chunked(n_traj, run_chunk):
+    for (c0, c1), chunk in procs._chunked(n_traj, run_chunk):
         out[:, :, c0:c1] = chunk
     return out[0], out[1]
 

@@ -34,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import is_hermitian
-from .tolerances import TOL
+from .engine import UnravelingParams
+from .linalg import is_hermitian, require_finite
 
 _GRID_POINTS = 10_001    # outcome quadrature nodes
 _GRID_WIDTHS = 8.0       # kernel standard deviations beyond the outer centers
@@ -66,13 +66,10 @@ def solve_gcm_params(xi: complex, gamma: float) -> GcmParams:
     Requires xi_r > 0 (with |xi| = 1); the purely imaginary member is a
     stochastic potential, not a measurement, and has no such operator.
     """
-    xi = complex(xi)
-    if abs(abs(xi) ** 2 - 1.0) > TOL.unit_modulus:
-        raise ValueError(f"|xi|^2 = {abs(xi)**2:.15f} must equal 1")
+    xi = UnravelingParams(xi.real, xi.imag, 0.0).xi      # the family's |xi| = 1 rule, as complex
     if xi.real <= 0.0:
         raise ValueError("xi_r must be strictly positive for a measurement reading")
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
+    require_finite("gamma", gamma)
     xr, xi_i = xi.real, xi.imag
     d_re = np.sqrt(0.5 * xr ** 2 + 0.5 * np.sqrt((xi_i * xr) ** 2 + xr ** 4))
     d_im = xr * xi_i / (2.0 * d_re)
@@ -110,8 +107,7 @@ def kraus_apply(states: np.ndarray, L: np.ndarray, gp: GcmParams, dys, dt: float
     ``states`` is (dim, N) columns with N outcomes ``dys``, one per column;
     L is diagonalized once per call.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    require_finite("dt", dt)
     states = np.asarray(states, dtype=complex)
     dys = np.asarray(dys, dtype=float)
     if states.ndim != 2 or dys.shape != states.shape[1:]:
@@ -127,8 +123,10 @@ def outcome_grid(L: np.ndarray, gp: GcmParams, dt: float) -> np.ndarray:
     The kernel around eigenvalue ell is a Gaussian centered at
     xi_r * ell * dt with standard deviation sqrt(dt) / (2 sqrt(gamma));
     8 of them beyond the outer centers bound the truncated mass below
-    1e-14 of the total.
+    1e-14 of the total.  :func:`povm_completeness` and :func:`channel_apply`
+    check their ``dt`` here.
     """
+    require_finite("dt", dt)
     evals, _ = _eigs(L)
     centers = gp.xi.real * evals * dt
     sd = np.sqrt(dt) / (2.0 * np.sqrt(gp.gamma))

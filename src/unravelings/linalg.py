@@ -11,6 +11,8 @@ Conventions
 * every validator tolerance comes from :data:`unravelings.tolerances.TOL`.
 """
 
+import math
+
 import numpy as np
 
 from .tolerances import TOL
@@ -31,6 +33,13 @@ def pauli(axis: str) -> np.ndarray:
         return _PAULI[axis].copy()
     except KeyError:
         raise ValueError(f"unknown Pauli axis {axis!r}; expected 'x', 'y' or 'z'") from None
+
+
+def require_finite(name: str, value: float, positive: bool = True) -> None:
+    """ValueError unless ``value`` is finite and positive (``>= 0`` if not ``positive``)."""
+    if not (0.0 < value < math.inf or (not positive and value == 0.0)):
+        raise ValueError(f"{name} must be finite and {'positive' if positive else '>= 0'}, "
+                         f"got {value}")
 
 
 def assert_normalized(psi: np.ndarray) -> None:

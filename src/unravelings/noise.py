@@ -28,6 +28,8 @@ the caller, which passes them where they are needed.
 
 import numpy as np
 
+from .linalg import require_finite
+
 
 # numpy's SeedSequence hash (NEP 19 keeps it and the PCG64 stream stable):
 # uint32 arithmetic, pool of 4 words, no spawn key.
@@ -122,8 +124,7 @@ def wiener_path(seed: int, dt: float, n_steps: int) -> np.ndarray:
     Identical (seed, dt, n_steps) triples reproduce the increments exactly;
     the generator is numpy's default PCG64 stream.
     """
-    if not (0.0 < dt < np.inf):
-        raise ValueError(f"dt must be finite and positive, got {dt}")
+    require_finite("dt", dt)
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
     rng = np.random.default_rng(int(seed))
@@ -135,8 +136,7 @@ def _checked_record_inputs(series, ell, xi_r: float, lam: float):
     series, ell = np.asarray(series, dtype=float), np.asarray(ell, dtype=float)
     if ell.size != series.size:
         raise ValueError(f"conditional mean series length {ell.size} != path length {series.size}")
-    if not (0.0 <= xi_r < np.inf):      # also a nan
-        raise ValueError(f"xi_r must be finite and >= 0, got {xi_r}")
+    require_finite("xi_r", xi_r, positive=False)
     if not (0.0 < lam < np.inf):
         raise ValueError(f"lam must be finite and positive for a measurement record, got {lam}")
     return series, ell

@@ -24,14 +24,13 @@ is what :func:`supermartingale_check` verifies; as [H, L] = 0, a member
 xi obeys it at the rate lam xi_r^2.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .engine import EnsembleResult, ModelSpec, UnravelingParams, _column_means, \
     simulate_ensemble, simulate_trajectory
-from .linalg import pauli
+from .linalg import pauli, require_finite
 
 SIGMA_Z = pauli("z")
 SETTLED = 0.999   # |<sigma_z>| above which a trajectory has settled on an eigenstate
@@ -44,8 +43,7 @@ class SpinParams:
     hbar: float = 1.0
 
     def __post_init__(self):
-        if not (0.0 <= self.lam < math.inf):         # also a nan
-            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
+        require_finite("lam", self.lam, positive=False)
 
 
 def spin_model(sp: SpinParams) -> ModelSpec:

@@ -1,15 +1,19 @@
 """Acceptance gate: every criterion runs at its pinned tolerance.
 
 Each test prints one PASS/FAIL line (visible with ``pytest -s`` or on
-failure) and asserts the criterion outcome.  The same registry backs the
+failure), asserts the criterion outcome, and compares every observed value
+with ``golden.json`` by ``repr``.  The same registry backs the
 ``unravelings check`` subcommand.
 """
 
 import numpy as np
 import pytest
 
+import golden
 from unravelings import acceptance
 from unravelings.acceptance import CRITERIA, run_criteria
+
+GOLDEN = golden.load()
 
 
 @pytest.mark.parametrize("index", sorted(CRITERIA))
@@ -21,6 +25,8 @@ def test_criterion(index):
     print(f"    observed:  {result.observed}")
     assert result.passed, (f"criterion {index} failed: tolerance "
                            f"{result.tolerance}; observed {result.observed}")
+    assert golden.observed(result) == GOLDEN["criteria"][str(index)], golden.mismatch(
+        f"criterion {index}'s observed value", GOLDEN)
 
 
 def test_run_criteria_with_an_empty_selection_runs_none():

@@ -353,15 +353,16 @@ def test_check_out_naming_a_file_is_a_usage_error_before_any_criterion(
 @pytest.mark.parametrize("helpers", [True, False], ids=["on", "off"])
 def test_check_prints_its_environment_before_the_first_criterion(tmp_path, monkeypatch, capsys,
                                                                  helpers):
-    from unravelings import acceptance, engine
-    monkeypatch.setattr(engine, "_FORK_HELPER", helpers)
+    from unravelings import acceptance, procs
+    monkeypatch.setattr(procs, "_FORK_HELPER", helpers)
+    monkeypatch.setattr(procs, "usable_cores", lambda: 1)
     monkeypatch.setattr(acceptance, "CRITERIA", {
         i: (lambda i=i: acceptance.CriterionResult(i, "stub", True, "", {}, 0.0))
         for i in acceptance.CRITERIA})
     assert main(["check", "--only", "4,7", "--out", str(tmp_path)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == (f"environment: Python {platform.python_version()}, numpy "
-                        f"{np.__version__}, {os.cpu_count()} CPUs, forked helpers "
+                        f"{np.__version__}, {os.cpu_count()} CPUs (1 usable), forked helpers "
                         f"{'on' if helpers else 'off'}")
     assert lines[1].startswith("[PASS] criterion  4")
     assert sum(line.startswith("environment:") for line in lines) == 1

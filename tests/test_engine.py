@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from unravelings import engine, noise
+from unravelings import engine, noise, procs
 from unravelings.engine import (ModelSpec, UnravelingParams, _EulerKernel,
                                 _ExponentialKernel, _sum_rows, check_stability,
                                 lindblad_evolve, lindblad_propagator,
@@ -423,7 +423,7 @@ def test_matched_blocks_equal_the_full_width_loop(monkeypatch):
     stops = (10, 25, 33, n_steps)
     monkeypatch.setattr(engine, "_PAIR_CHUNK", 700)
     monkeypatch.setattr(engine, "_PAIR_BUDGET", 7 * n_cols)
-    monkeypatch.setattr(engine, "_FORK_HELPER", False)   # the draws are counted in this process
+    monkeypatch.setattr(procs, "_FORK_HELPER", False)   # the draws are counted in this process
     kernels = _both_kernels(dt)
     psi0 = _random_columns(np.random.default_rng(12), 3, 1)[:, 0]
 
@@ -492,7 +492,7 @@ def pair_blocks(monkeypatch):
 @pytest.mark.parametrize("which", [0, 1], ids=["euler", "exponential"])
 def test_matched_blocks_name_the_global_column_and_step_of_a_non_finite_state(
         pair_blocks, which):
-    pair_blocks.setattr(engine, "_FORK_HELPER", False)
+    pair_blocks.setattr(procs, "_FORK_HELPER", False)
     _spiked_pairs(which)
 
 
@@ -657,7 +657,7 @@ def test_chunk_count_does_not_change_trajectories(monkeypatch):
     # 17 trajectories in chunks of 5, 5, 5 and 2: each chunk, the short last
     # one too, fills its own columns of the one result
     one = simulate_ensemble(model, u, PSI0, n_traj=17, **kw)
-    monkeypatch.setattr(engine, "_ENSEMBLE_CHUNK", 5)
+    monkeypatch.setattr(procs, "_ENSEMBLE_CHUNK", 5)
     four = simulate_ensemble(model, u, PSI0, n_traj=17, **kw)
     assert np.array_equal(four.final_states, one.final_states)
     assert np.array_equal(four.means["sz"], one.means["sz"])
@@ -703,13 +703,14 @@ def _no_child_left():
 def helper_blocks(monkeypatch):
     """Chunks of 4, 4 and 2 trajectories; blocks of 3 steps (6 in the short chunk).
 
-    With two CPUs the first chunk of an ensemble runs here and the other two
-    in one forked piece, each chunk on its own noise helper.
+    With two usable cores a 10-trajectory ensemble runs its first chunk here
+    and the other two in one forked piece, each chunk drawing its noise from
+    its own helper.
     """
-    monkeypatch.setattr(engine, "_ENSEMBLE_CHUNK", 4)
+    monkeypatch.setattr(procs, "_ENSEMBLE_CHUNK", 4)
     monkeypatch.setattr(engine, "_NOISE_BUDGET", 12)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    if not engine._FORK_HELPER:
+    monkeypatch.setattr(procs, "usable_cores", lambda: 2)
+    if not procs._FORK_HELPER:
         pytest.skip("this interpreter draws every stream inline")
     return monkeypatch
 
@@ -743,7 +744,7 @@ def test_forked_helper_gives_the_inline_bits(helper_blocks, case):
                                  snapshot_steps=[0, 3, 7, 20, 40], tracked_observables=obs)
 
     forked = run()
-    helper_blocks.setattr(engine, "_FORK_HELPER", False)
+    helper_blocks.setattr(procs, "_FORK_HELPER", False)
     inline = run()
     assert np.array_equal(forked.final_states, inline.final_states)
     assert np.array_equal(forked.rhos, inline.rhos)
@@ -756,8 +757,8 @@ def test_forked_helper_gives_the_inline_bits(helper_blocks, case):
                                          (16, [1] * 10)])
 def test_chunk_driver_runs_contiguous_groups_of_chunks_at_once(forked_map, deadline, cpus,
                                                                sizes):
-    # 10 one-trajectory chunks in at most os.cpu_count() groups, the first
-    # here and each other one in one forked piece; results in chunk order
+    # 10 one-trajectory chunks in at most as many groups as usable cores, the
+    # first here and each other one in one forked piece; results in chunk order
     forks = []
     fork = os.fork
 
@@ -765,10 +766,15 @@ def test_chunk_driver_runs_contiguous_groups_of_chunks_at_once(forked_map, deadl
         forks.append(1)
         return fork()
 
-    forked_map.setattr(engine, "_ENSEMBLE_CHUNK", 1)
-    forked_map.setattr(os, "cpu_count", lambda: cpus)
+    forked_map.setattr(procs, "_ENSEMBLE_CHUNK", 1)
+    if cpus is None:    # no affinity call and no CPU count: one group
+        forked_map.delattr(os, "sched_getaffinity", raising=False)
+        forked_map.setattr(os, "cpu_count", lambda: None)
+    else:               # the affinity set caps the groups, not the host's 64 CPUs
+        forked_map.setattr(os, "cpu_count", lambda: 64)
+        forked_map.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     forked_map.setattr(os, "fork", counted_fork)
-    done = engine._chunked(10, lambda k0, k1: (os.getpid(), k0, k1))
+    done = procs._chunked(10, lambda k0, k1: (os.getpid(), k0, k1))
     _no_child_left()
     assert [bounds for bounds, _ in done] == [(k, k + 1) for k in range(10)]
     assert all((k0, k1) == (a, b) for (k0, k1), (_, a, b) in done)
@@ -779,10 +785,10 @@ def test_chunk_driver_runs_contiguous_groups_of_chunks_at_once(forked_map, deadl
 
 
 def test_a_forked_piece_runs_its_own_pieces_inline(forked_map, deadline):
-    forked_map.setattr(engine, "_ENSEMBLE_CHUNK", 4)
-    forked_map.setattr(os, "cpu_count", lambda: 2)
-    done = engine._chunked(10, lambda k0, k1: (os.getpid(),
-                                               engine._forked_map([os.getpid] * 3)))
+    forked_map.setattr(procs, "_ENSEMBLE_CHUNK", 4)
+    forked_map.setattr(procs, "usable_cores", lambda: 2)
+    done = procs._chunked(10, lambda k0, k1: (os.getpid(),
+                                               procs._forked_map([os.getpid] * 3)))
     _no_child_left()
     piece = done[-1][1][0]
     assert piece != os.getpid()
@@ -806,7 +812,7 @@ def test_a_non_finite_state_in_any_chunk_names_its_global_trajectory(helper_bloc
             yield start, dW
 
     helper_blocks.setattr(engine, "_noise_blocks", spiked_blocks)
-    helper_blocks.setattr(engine, "_FORK_HELPER", forks)
+    helper_blocks.setattr(procs, "_FORK_HELPER", forks)
     with pytest.raises(FloatingPointError,
                        match=f"trajectory {traj} became non-finite at step 5"):
         simulate_ensemble(spin_model(), XI_INTERIOR, PSI0, 1e-3, 40, 10, base_seed=5)
@@ -925,7 +931,7 @@ def test_a_helper_that_dies_raises_instead_of_hanging(helper_blocks, deadline, f
 @pytest.fixture
 def pair_helper(pair_blocks):
     """:func:`pair_blocks`, on an interpreter that draws a shared stream in a helper."""
-    if not engine._FORK_HELPER:
+    if not procs._FORK_HELPER:
         pytest.skip("this interpreter draws every stream inline")
     return pair_blocks
 
@@ -950,7 +956,7 @@ def test_matched_blocks_forked_helper_gives_the_inline_bits(pair_helper, deadlin
     forked, next_draw = run()
     _no_child_left()
     assert next_draw == np.random.default_rng(15).standard_normal()   # rng not advanced
-    pair_helper.setattr(engine, "_FORK_HELPER", False)
+    pair_helper.setattr(procs, "_FORK_HELPER", False)
     inline, _ = run()
     assert [(step, c0) for step, c0, _ in forked] == [(step, c0) for step, c0, _ in inline]
     assert all(np.array_equal(a, b) for (_, _, a), (_, _, b) in zip(forked, inline))
@@ -1000,8 +1006,8 @@ def test_matched_blocks_helper_that_dies_raises_instead_of_hanging(pair_helper, 
 
 @pytest.fixture
 def forked_map(monkeypatch):
-    """The monkeypatch of a test that needs :func:`engine._forked_map` to fork."""
-    if not engine._FORK_HELPER:
+    """The monkeypatch of a test that needs :func:`procs._forked_map` to fork."""
+    if not procs._FORK_HELPER:
         pytest.skip("this interpreter runs every piece inline")
     return monkeypatch
 
@@ -1021,10 +1027,10 @@ def test_forked_map_gives_the_inline_bits(forked_map, pair_blocks, deadline):
               lambda: (os.getpid(), _matched_states(kernels, psi0, 22)),
               lambda: (os.getpid(), simulate_ensemble(spin_model(), XI_INTERIOR, PSI0, 1e-3, 40,
                                                       10, base_seed=5).final_states)]
-    forked = engine._forked_map(pieces)
+    forked = procs._forked_map(pieces)
     _no_child_left()
-    forked_map.setattr(engine, "_FORK_HELPER", False)
-    inline = engine._forked_map(pieces)
+    forked_map.setattr(procs, "_FORK_HELPER", False)
+    inline = procs._forked_map(pieces)
     assert [pid for pid, _ in inline] == [os.getpid()] * 3
     assert forked[0][0] == os.getpid() and os.getpid() not in {forked[1][0], forked[2][0]}
     for (_, a), (_, b) in zip(forked[:2], inline[:2]):
@@ -1042,7 +1048,7 @@ def test_forked_map_raises_a_childs_error_with_its_message(forked_map, pair_bloc
             pass
 
     with pytest.raises(FloatingPointError, match="trajectory 6 became non-finite at step 5"):
-        engine._forked_map([lambda: 1, spiked, lambda: 3])
+        procs._forked_map([lambda: 1, spiked, lambda: 3])
     _no_child_left()
 
 
@@ -1052,14 +1058,14 @@ def test_forked_map_stops_its_children_when_the_callers_share_raises(forked_map,
 
     t0 = time.perf_counter()
     with pytest.raises(ValueError, match="the caller's share failed"):
-        engine._forked_map([callers_share, lambda: time.sleep(60), lambda: time.sleep(60)])
+        procs._forked_map([callers_share, lambda: time.sleep(60), lambda: time.sleep(60)])
     _no_child_left()
     assert time.perf_counter() - t0 < 20.0
 
 
 def test_forked_map_child_that_dies_raises_instead_of_hanging(forked_map, deadline):
     with pytest.raises(RuntimeError, match="forked piece 1 of 3 exited without a result"):
-        engine._forked_map([lambda: 0, lambda: os._exit(3), lambda: 2])
+        procs._forked_map([lambda: 0, lambda: os._exit(3), lambda: 2])
     _no_child_left()
 
 
@@ -1070,11 +1076,11 @@ def test_forked_map_runs_inline_without_the_fork_helper(monkeypatch):
     def fails():
         raise FloatingPointError("trajectory 0 became non-finite at step 3; reduce dt")
 
-    monkeypatch.setattr(engine, "_FORK_HELPER", False)
+    monkeypatch.setattr(procs, "_FORK_HELPER", False)
     monkeypatch.setattr(os, "fork", no_fork)
-    assert engine._forked_map([os.getpid, lambda: 2, os.getpid]) == [os.getpid(), 2, os.getpid()]
+    assert procs._forked_map([os.getpid, lambda: 2, os.getpid]) == [os.getpid(), 2, os.getpid()]
     with pytest.raises(FloatingPointError, match="at step 3"):
-        engine._forked_map([lambda: 0, fails])
+        procs._forked_map([lambda: 0, fails])
 
 
 @pytest.mark.parametrize("n_steps, n_traj", [(-3, 4), (10, 0), (10, -1)])

@@ -1,42 +1,60 @@
-"""One fork site and one stop path in ``src/unravelings``.
+"""One process module in ``src/unravelings``: ``procs``.
 
-Every helper process the library starts comes from one ``os.fork`` call, is
+Every child process the library starts comes from one ``os.fork`` call, is
 put in its process group by the two ``os.setpgid`` calls (one on each side of
 the fork), stopped by one ``os.kill`` call and reaped by one ``os.waitpid``
-call, all in ``engine._forked``, so a change to how a helper is started or
-ended is made in one place.
+call, all in ``procs._forked``, so a change to how a child is started or
+ended is made in one place.  Every pipe, and every import of ``mmap``,
+``pickle`` and ``signal``, is in ``procs`` too, so the numerical modules hold
+no process code.
 """
 
 import ast
+import functools
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "unravelings"
 
 
-def _os_calls(name: str) -> list:
-    """``module.function:line`` of every ``os.<name>(...)`` call in the package.
+@functools.cache
+def _sites() -> tuple:
+    """``({name: [call]}, {module: [import]})`` over the package, one walk per file.
 
-    ``function`` is the innermost function around the call, or ``<module>``.
+    A call ``os.<name>(...)`` is named ``module.function:line``, where
+    ``function`` is the innermost function around it, or ``<module>``; an
+    import of a module (or of a name from it) is named ``module:line``.
     """
-    sites = {}
+    calls, imports = {}, {}
+
+    def visit(node, stem, where):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and isinstance(child.func.value, ast.Name) and child.func.value.id == "os"):
+                calls.setdefault(child.func.attr, []).append(f"{stem}.{where}:{child.lineno}")
+            names = ([a.name for a in child.names] if isinstance(child, ast.Import)
+                     else [child.module or ""] if isinstance(child, ast.ImportFrom) else [])
+            for name in names:
+                imports.setdefault(name.split(".")[0], []).append(f"{stem}:{child.lineno}")
+            visit(child, stem, child.name if isinstance(child, ast.FunctionDef) else where)
+
     for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        # ast.walk goes outside in, so an inner function overwrites its outer one
-        scopes = [tree] + [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
-        for scope in scopes:
-            for node in ast.walk(scope):
-                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                        and node.func.attr == name and isinstance(node.func.value, ast.Name)
-                        and node.func.value.id == "os"):
-                    where = getattr(scope, "name", "<module>")
-                    sites[path.stem, node.lineno] = f"{path.stem}.{where}:{node.lineno}"
-    return list(sites.values())
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, "<module>")
+    return calls, imports
 
 
 def test_one_fork_site_and_one_reaping_path():
     counts = {"fork": 1, "setpgid": 2, "kill": 1, "waitpid": 1}
-    sites = {name: _os_calls(name) for name in counts}
+    sites = {name: _sites()[0].get(name, []) for name in counts}
     for name, calls in sites.items():
         assert len(calls) == counts[name], calls
     functions = {call.split(":")[0] for calls in sites.values() for call in calls}
-    assert functions == {"engine._forked"}, sites
+    assert functions == {"procs._forked"}, sites
+
+
+def test_every_process_call_and_import_is_in_procs():
+    calls, imports = _sites()
+    sites = [site for name in ("fork", "pipe", "setpgid", "kill", "waitpid")
+             for site in calls.get(name, [])]
+    sites += [site for module in ("mmap", "pickle", "signal") for site in imports.get(module, [])]
+    assert len(sites) == 11, sites      # 1 + 3 + 2 + 1 + 1 calls, 3 imports
+    assert {site.split(".")[0].split(":")[0] for site in sites} == {"procs"}, sites

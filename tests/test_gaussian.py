@@ -1,4 +1,3 @@
-import os
 import time
 
 import numpy as np
@@ -6,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unravelings import engine
+from unravelings import engine, procs
 from unravelings.config import preset
 from unravelings.gaussian import (SPREAD_RTOL, MechanicalParams, QuadratureError, _centroid_step,
                                   _width_blocks, a_closed_form, centroid_ensemble,
@@ -315,7 +314,7 @@ def test_centroid_ensemble_matches_quadrature():
 def test_centroid_ensemble_chunks_and_blocks_follow_each_stream(monkeypatch, xi):
     # chunks of 4, 4 and 2 trajectories; noise blocks of 2 steps in the first two and
     # 5 in the last, so block ends fall on and between the snapshot steps
-    monkeypatch.setattr(engine, "_ENSEMBLE_CHUNK", 4)
+    monkeypatch.setattr(procs, "_ENSEMBLE_CHUNK", 4)
     monkeypatch.setattr(engine, "_NOISE_BUDGET", 10)
     p = MechanicalParams(mass=1.0, omega=0.5, lam=1.0, hbar=1.0)
     a0, dt, n, n_traj, base = 0.3 + 0.1j, 5e-3, 23, 10, 61
@@ -341,10 +340,10 @@ def test_centroid_ensemble_forked_helper_gives_the_inline_bits(monkeypatch):
     # chunks of 4, 4 and 2 trajectories with 14, 14 and 7 noise blocks each,
     # drawn by a helper and then inline; with two CPUs the forked run
     # integrates chunks 1 and 2 in a forked piece
-    monkeypatch.setattr(engine, "_ENSEMBLE_CHUNK", 4)
+    monkeypatch.setattr(procs, "_ENSEMBLE_CHUNK", 4)
     monkeypatch.setattr(engine, "_NOISE_BUDGET", 12)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    if not engine._FORK_HELPER:
+    monkeypatch.setattr(procs, "usable_cores", lambda: 2)
+    if not procs._FORK_HELPER:
         pytest.skip("this interpreter draws every stream inline")
     p = MechanicalParams(mass=1.0, omega=0.5, lam=1.0, hbar=1.0)
 
@@ -353,7 +352,7 @@ def test_centroid_ensemble_forked_helper_gives_the_inline_bits(monkeypatch):
                                  10, 62, snapshot_steps=[0, 3, 7, 20, 40])
 
     xs, ks = run()
-    monkeypatch.setattr(engine, "_FORK_HELPER", False)
+    monkeypatch.setattr(procs, "_FORK_HELPER", False)
     ref_x, ref_k = run()
     assert np.array_equal(xs, ref_x) and np.array_equal(ks, ref_k)
 

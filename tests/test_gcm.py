@@ -43,6 +43,35 @@ def test_solver_rejects_degenerate_members():
         solve_gcm_params(1.0 + 0j, -1.0)
 
 
+@pytest.mark.parametrize("xi, match", [(0.5 + 0.5j, "must equal 1"), (2.0, "must equal 1"),
+                                       (complex(1.0, np.nan), "must equal 1"),
+                                       (np.nan, "xi_r must be finite"),
+                                       (-1.0, "xi_r must be finite and >= 0"),
+                                       (1.0j, "strictly positive")],
+                         ids=["off_circle", "real_2", "nan_imag", "nan", "negative_real",
+                              "imaginary"])
+def test_solver_rejects_a_member_outside_the_family_or_without_a_reading(xi, match):
+    with pytest.raises(ValueError, match=match):
+        solve_gcm_params(xi, 1.0)
+
+
+@pytest.mark.parametrize("gamma", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+def test_solver_rejects_a_gamma_that_is_not_finite_and_positive(gamma):
+    with pytest.raises(ValueError, match="gamma must be finite and positive"):
+        solve_gcm_params(1.0, gamma)
+
+
+@pytest.mark.parametrize("dt", [np.nan, np.inf, 0.0, -1e-3])
+@pytest.mark.parametrize("apply", [
+    lambda gp, dt: kraus_apply(PSI0[:, None], SZ, gp, [0.0], dt),
+    lambda gp, dt: povm_completeness(SZ, gp, dt),
+    lambda gp, dt: channel_apply(projector(PSI0), SZ, gp, dt),
+], ids=["kraus_apply", "povm_completeness", "channel_apply"])
+def test_measurement_maps_reject_a_dt_that_is_not_finite_and_positive(apply, dt):
+    with pytest.raises(ValueError, match="dt must be finite and positive"):
+        apply(solve_gcm_params(1.0, 1.0), dt)
+
+
 def test_operator_preserves_coupling_eigenstates():
     gp = solve_gcm_params(np.exp(0.4j), 1.0)
     ups = np.array([[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]], dtype=complex)
