@@ -445,8 +445,8 @@ def _noise_blocks(base_seed: int, k0: int, k1: int, n_steps: int, dt: float):
 
     Row ``k - k0`` of the blocks, joined, is the stream of
     ``wiener_path(derive_seed(base_seed, k), dt, n_steps)``.  A block holds
-    at most ``_NOISE_BUDGET`` doubles (one step per row at least) and is
-    valid until the next one is requested (see :func:`procs._drawn_blocks`).  A
+    at most ``_NOISE_BUDGET`` doubles (one step per row at least) and is a
+    view that the next block refills (see :func:`procs._drawn_blocks`).  A
     caller that may stop early wraps the generator in ``contextlib.closing``,
     so a helper is reaped when it stops.
     """
@@ -475,11 +475,11 @@ def _matched_blocks(kernels, psi0: np.ndarray, rng, dt: float, n_steps: int,
     draw times sqrt(dt), for every kernel, so the kernels see matched noise.
     The stream is planned in blocks of whole steps that end at every step in
     ``stops`` (and at ``n_steps``) and hold at most ``_PAIR_BUDGET`` doubles,
-    each one ``rng.standard_normal`` call into an (nb, n_cols) array, drawn
-    by :func:`procs._drawn_blocks`.  A forked helper advances its copy of ``rng``,
-    not ``rng``, so callers pass a fresh generator.  Each kernel advances a
-    block on chunks of ``_PAIR_CHUNK`` columns, so a chunk's states stay in
-    cache through the block.
+    each one ``rng.standard_normal`` call into an (nb, n_cols) view that the
+    next block refills, drawn by :func:`procs._drawn_blocks`.  A forked helper
+    advances its copy of ``rng``, not ``rng``, so callers pass a fresh
+    generator.  Each kernel advances a block on chunks of ``_PAIR_CHUNK``
+    columns, so a chunk's states stay in cache through the block.
 
     Yields ``(step, c0, states)`` at each such stop step, once per chunk,
     chunks in column order; ``states[i]`` (dim, width) is kernel i's state
@@ -510,7 +510,6 @@ def _matched_blocks(kernels, psi0: np.ndarray, rng, dt: float, n_steps: int,
                     cols[i] = kernel.run(cols[i], dW[:, c0:c1].T, start, c0)
                 if end in ends:
                     yield end, c0, [k.out_of_basis(c) for k, c in zip(kernels, cols)]
-            del dW  # freed before the next block is drawn (peak memory)
 
 
 def _step_index(s) -> int:
@@ -574,7 +573,6 @@ def simulate_ensemble(model: ModelSpec, u: UnravelingParams, psi0: np.ndarray,
         with contextlib.closing(_noise_blocks(base_seed, k0, k1, n_steps, dt)) as blocks:
             for start, dW in blocks:
                 psis = kernel.run(psis, dW, start, k0, after_step=take_snapshot)
-                del dW  # freed before the next block is drawn (peak memory)
         rho = rho if V is None else V @ rho @ V.conj().T
         return rho, chunk_means, kernel.out_of_basis(psis).T
 

@@ -500,7 +500,6 @@ def centroid_ensemble(p: MechanicalParams, a0: complex, xi: complex,
                     x, kk = _centroid_step(x, kk, widths[step], dW[:, j], p, xi, dt)
                     if step + 1 in snaps:
                         out[:, snaps[step + 1]] = x, kk
-                del dW  # freed before the next block is drawn (peak memory)
         return out
 
     out = np.empty((2, len(snaps), n_traj))
@@ -578,7 +577,7 @@ def variance_covariance_series(ts, p: MechanicalParams, a0: complex) -> np.ndarr
     lam, hb, m, om = p.lam, p.hbar, p.mass, p.omega
     add = np.zeros(ts.shape + (2, 2))
     if om == 0.0:
-        add[..., 0, 0] = lam * hb ** 2 * ts ** 3 / (3.0 * m ** 2)
+        add[..., 0, 0] = _noise_spread_free(ts, p)
         add[..., 0, 1] = add[..., 1, 0] = lam * hb ** 2 * ts ** 2 / (2.0 * m)
         add[..., 1, 1] = lam * hb ** 2 * ts
     else:

@@ -9,7 +9,8 @@ criterion 5, the step sizes of criterion 9).  Only the top-level process
 forks pieces.  Nothing forks where ``os.fork`` is missing or on CPython 3.12
 and later, which warns when a process with threads (numpy's BLAS) forks:
 there the noise is drawn inline with the same numbers, and the pieces run
-one after the other.
+one after the other.  Forked or inline, a noise block is a view into a
+buffer the size of its plan's largest block, valid until the next block.
 """
 
 import contextlib
@@ -63,41 +64,34 @@ def _drawn_blocks(plan: list, open_fill):
     """Yield ``(start, block)`` of each ``(start, shape)`` in ``plan``, valid until the next.
 
     ``open_fill()`` returns ``fill(out)``, which writes the next block into
-    ``out``.  Two blocks or more are drawn by :func:`_forked_blocks` when
-    ``_FORK_HELPER`` holds, else here with the same numbers (one block alive
-    at a time if the caller drops each before asking for the next).
+    ``out``.  When the plan has two blocks or more and ``_FORK_HELPER``
+    holds, block b is a view into buffer b % 2 of two shared anonymous
+    buffers, each the size of the largest block, that a forked helper fills
+    one block ahead; else it is a view into one such buffer, filled here with
+    the same numbers.  The helper calls ``open_fill()``, so whatever ``fill``
+    advances is advanced in its copy only.  A "ready" token on one pipe hands a filled buffer over,
+    and a "free" token on the other hands it back once the caller asks for
+    the next block; EOF on the free pipe, or a broken ready pipe, tells the
+    helper that the caller has stopped.  A helper that exits before its last
+    block raises RuntimeError here; :func:`_forked` stops it, mid-fill or
+    not, as the generator ends.
     """
-    if len(plan) > 1 and _FORK_HELPER:
-        yield from _forked_blocks(plan, open_fill)
-        return
-    fill = open_fill()
-    for start, shape in plan:
-        block = np.empty(shape)
-        fill(block)
-        yield start, block
-        del block   # freed before the next block is drawn (peak memory)
-
-
-def _forked_blocks(plan: list, open_fill):
-    """:func:`_drawn_blocks`, drawn one block ahead by a forked helper.
-
-    The helper calls ``open_fill()`` and fills two shared anonymous buffers,
-    each the size of the largest block, in turn (block b into buffer b % 2),
-    so whatever ``fill`` advances is advanced in its copy only.  A "ready"
-    token on one pipe hands a filled buffer over, and a "free" token on the
-    other hands it back once the caller asks for the next block; EOF on the
-    free pipe, or a broken ready pipe, tells the helper that the caller has
-    stopped.  A helper that exits before its last block raises RuntimeError
-    here; :func:`_forked` stops it, mid-fill or not, as the generator ends.
-    """
-    size = max(math.prod(shape) for _, shape in plan)
-    buffers = [mmap.mmap(-1, 8 * size) for _ in range(2)]
-    ready_r, ready_w = os.pipe()
-    free_r, free_w = os.pipe()
+    size = max((math.prod(shape) for _, shape in plan), default=0)
+    forked = len(plan) > 1 and _FORK_HELPER
+    buffers = [mmap.mmap(-1, 8 * size) for _ in range(2)] if forked else [np.empty(size)]
 
     def block(b):
         shape = plan[b][1]
-        return np.frombuffer(buffers[b % 2], count=math.prod(shape)).reshape(shape)
+        return np.frombuffer(buffers[b % len(buffers)], count=math.prod(shape)).reshape(shape)
+
+    if not forked:
+        fill = open_fill()
+        for b, (start, _) in enumerate(plan):
+            fill(block(b))
+            yield start, block(b)
+        return
+    ready_r, ready_w = os.pipe()
+    free_r, free_w = os.pipe()
 
     def draw():
         fill = open_fill()

@@ -3,14 +3,12 @@ import itertools
 import math
 import os
 import signal
-import time
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from unravelings import engine, noise, procs
+from unravelings import engine, gaussian, noise, procs
 from unravelings.engine import (ModelSpec, UnravelingParams, _EulerKernel,
                                 _ExponentialKernel, _sum_rows, check_stability,
                                 lindblad_evolve, lindblad_propagator,
@@ -469,18 +467,6 @@ class SpikedStream:
         self.drawn += out.shape[0]
 
 
-def _spiked_pairs(which):
-    """Raise the non-finite state of :class:`SpikedStream` from a 3-block shared stream."""
-    kernels = _both_kernels(1e-3)
-    psi0 = _random_columns(np.random.default_rng(14), 3, 1)[:, 0]
-    message = "trajectory 6 became non-finite at step 5"
-    with pytest.raises(FloatingPointError, match=message) as info:
-        for _ in engine._matched_blocks(kernels[which:which + 1], psi0, SpikedStream(),
-                                        1e-3, 9, 10):
-            pass
-    return info
-
-
 @pytest.fixture
 def pair_blocks(monkeypatch):
     """Shared-stream chunks of 4 columns (column 6 is in the second); 3-step blocks of 10."""
@@ -492,8 +478,13 @@ def pair_blocks(monkeypatch):
 @pytest.mark.parametrize("which", [0, 1], ids=["euler", "exponential"])
 def test_matched_blocks_name_the_global_column_and_step_of_a_non_finite_state(
         pair_blocks, which):
+    # the non-finite state of :class:`SpikedStream`, from a 3-block shared stream
     pair_blocks.setattr(procs, "_FORK_HELPER", False)
-    _spiked_pairs(which)
+    psi0 = _random_columns(np.random.default_rng(14), 3, 1)[:, 0]
+    with pytest.raises(FloatingPointError, match="trajectory 6 became non-finite at step 5"):
+        for _ in engine._matched_blocks(_both_kernels(1e-3)[which:which + 1], psi0,
+                                        SpikedStream(), 1e-3, 9, 10):
+            pass
 
 
 def test_simulate_trajectory_shapes_and_record():
@@ -753,50 +744,6 @@ def test_forked_helper_gives_the_inline_bits(helper_blocks, case):
     _no_child_left()
 
 
-@pytest.mark.parametrize("cpus, sizes", [(None, [10]), (1, [10]), (2, [5, 5]), (3, [3, 3, 4]),
-                                         (16, [1] * 10)])
-def test_chunk_driver_runs_contiguous_groups_of_chunks_at_once(forked_map, deadline, cpus,
-                                                               sizes):
-    # 10 one-trajectory chunks in at most as many groups as usable cores, the
-    # first here and each other one in one forked piece; results in chunk order
-    forks = []
-    fork = os.fork
-
-    def counted_fork():
-        forks.append(1)
-        return fork()
-
-    forked_map.setattr(procs, "_ENSEMBLE_CHUNK", 1)
-    if cpus is None:    # no affinity call and no CPU count: one group
-        forked_map.delattr(os, "sched_getaffinity", raising=False)
-        forked_map.setattr(os, "cpu_count", lambda: None)
-    else:               # the affinity set caps the groups, not the host's 64 CPUs
-        forked_map.setattr(os, "cpu_count", lambda: 64)
-        forked_map.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    forked_map.setattr(os, "fork", counted_fork)
-    done = procs._chunked(10, lambda k0, k1: (os.getpid(), k0, k1))
-    _no_child_left()
-    assert [bounds for bounds, _ in done] == [(k, k + 1) for k in range(10)]
-    assert all((k0, k1) == (a, b) for (k0, k1), (_, a, b) in done)
-    pids = [pid for _, (pid, _, _) in done]
-    assert [len(list(group)) for _, group in itertools.groupby(pids)] == sizes
-    assert len(set(pids)) == len(sizes) and pids[0] == os.getpid()
-    assert len(forks) == len(sizes) - 1
-
-
-def test_a_forked_piece_runs_its_own_pieces_inline(forked_map, deadline):
-    forked_map.setattr(procs, "_ENSEMBLE_CHUNK", 4)
-    forked_map.setattr(procs, "usable_cores", lambda: 2)
-    done = procs._chunked(10, lambda k0, k1: (os.getpid(),
-                                               procs._forked_map([os.getpid] * 3)))
-    _no_child_left()
-    piece = done[-1][1][0]
-    assert piece != os.getpid()
-    for _, (pid, inner) in done:
-        if pid == piece:
-            assert inner == [piece] * 3
-
-
 @pytest.mark.parametrize("traj", [2, 6, 9])
 @pytest.mark.parametrize("forks", [True, False], ids=["forked", "inline"])
 def test_a_non_finite_state_in_any_chunk_names_its_global_trajectory(helper_blocks, deadline,
@@ -819,130 +766,15 @@ def test_a_non_finite_state_in_any_chunk_names_its_global_trajectory(helper_bloc
     _no_child_left()
 
 
-def _running(pid: int) -> bool:
-    """Whether process ``pid`` exists and is not a zombie."""
-    try:
-        stat = Path(f"/proc/{pid}/stat").read_text()
-    except FileNotFoundError:
-        return False
-    return stat.rsplit(")", 1)[1].split()[0] != "Z"
-
-
-@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
-def test_a_pieces_noise_helper_is_stopped_with_the_piece(helper_blocks, deadline, tmp_path):
-    # two chunks of 4 trajectories, the second in a forked piece, each drawn
-    # by its own helper.  The piece's helper records its pid and hangs in its
-    # first fill; the caller's helper waits for that record and then fails,
-    # so the caller's share raises and the piece is stopped
-    top = os.getpid()
-    record = tmp_path / "helper.pid"
-
-    def stuck_or_failing(rngs, out, sqrt_dt):       # runs in a helper
-        if os.getppid() != top:                      # the piece's helper
-            (tmp_path / "pid.tmp").write_text(str(os.getpid()))
-            os.replace(tmp_path / "pid.tmp", record)
-            time.sleep(60.0)
-        while not record.exists():
-            time.sleep(0.01)
-        raise MemoryError("no room for the block")
-
-    helper_blocks.setattr(engine, "_wiener_block", stuck_or_failing)
-    with pytest.raises(RuntimeError, match="noise helper exited before block 0"):
-        simulate_ensemble(spin_model(), XI_INTERIOR, PSI0, 1e-3, 40, 8, base_seed=5)
-    _no_child_left()
-    helper = int(record.read_text())
-    t0 = time.perf_counter()
-    while _running(helper) and time.perf_counter() - t0 < 1.0:
-        time.sleep(0.01)
-    assert not _running(helper)
-
-
-def test_one_block_stream_stays_inline(monkeypatch):
-    def no_fork():
-        raise AssertionError("forked")
-
-    monkeypatch.setattr(os, "fork", no_fork)
-    res = simulate_ensemble(spin_model(), XI_INTERIOR, PSI0, 1e-3, 160, 2500, base_seed=4)
-    assert res.final_states.shape == (2500, 2)
-
-
-def test_helper_is_reaped_when_the_kernel_raises_mid_stream(helper_blocks, deadline):
-    update = _EulerKernel.update
-    calls = []
-
-    def failing_update(self, psis, dW):      # a non-finite state at step 20 of chunk 0
-        calls.append(1)
-        out = update(self, psis, dW)
-        return out * np.nan if len(calls) > 20 else out
-
-    helper_blocks.setattr(_EulerKernel, "update", failing_update)
-    with pytest.raises(FloatingPointError, match="at step 20") as info:
-        simulate_ensemble(spin_model(), XI_INTERIOR, PSI0, 1e-3, 40, 10, base_seed=5)
-    _no_child_left()                         # while the exception is still referenced
-    assert info.value is not None
-
-
-def test_helper_is_reaped_when_the_caller_closes_early(helper_blocks, deadline):
-    for taken in (1, 2, 5):
-        blocks = engine._noise_blocks(8, 0, 4, 40, 1e-3)
-        for _ in range(taken):
-            next(blocks)
-        blocks.close()
-        _no_child_left()
-
-
-def test_a_helper_stuck_in_a_fill_is_stopped_at_once(helper_blocks, deadline):
-    # the helper's second fill (block 1) sleeps; the caller stops after block 0
-    draw = engine._wiener_block
-    calls = []
-
-    def stuck_draw(rngs, out, sqrt_dt):       # runs in the helper
-        calls.append(1)
-        if len(calls) == 2:
-            time.sleep(10.0)
-        draw(rngs, out, sqrt_dt)
-
-    helper_blocks.setattr(engine, "_wiener_block", stuck_draw)
-    blocks = engine._noise_blocks(8, 0, 4, 40, 1e-3)
-    next(blocks)
-    t0 = time.perf_counter()
-    blocks.close()
-    assert time.perf_counter() - t0 < 1.0
-    _no_child_left()
-
-
-@pytest.mark.parametrize("failing_call", [1, 4])
-def test_a_helper_that_dies_raises_instead_of_hanging(helper_blocks, deadline, failing_call):
-    draw = engine._wiener_block
-    calls = []
-
-    def failing_draw(rngs, out, sqrt_dt):     # runs in the helper
-        calls.append(1)
-        if len(calls) == failing_call:
-            raise MemoryError("no room for the block")
-        draw(rngs, out, sqrt_dt)
-
-    helper_blocks.setattr(engine, "_wiener_block", failing_draw)
-    with pytest.raises(RuntimeError, match=f"noise helper exited before block {failing_call - 1}"):
-        simulate_ensemble(spin_model(), XI_INTERIOR, PSI0, 1e-3, 40, 10, base_seed=5)
-    _no_child_left()
-
-
-@pytest.fixture
-def pair_helper(pair_blocks):
-    """:func:`pair_blocks`, on an interpreter that draws a shared stream in a helper."""
-    if not procs._FORK_HELPER:
-        pytest.skip("this interpreter draws every stream inline")
-    return pair_blocks
-
-
 @pytest.mark.parametrize("n_steps, stops", [(40, (10, 25, 33)), (7, (1,))],
                          ids=["stops", "short_first_block"])
-def test_matched_blocks_forked_helper_gives_the_inline_bits(pair_helper, deadline,
+def test_matched_blocks_forked_helper_gives_the_inline_bits(pair_blocks, deadline,
                                                             n_steps, stops):
     # 10 columns in blocks of at most 3 steps.  With a stop at step 1 the
     # first block is the shortest (1, 3, 3 steps): the shared buffers are
     # sized by the largest block, not the first
+    if not procs._FORK_HELPER:
+        pytest.skip("this interpreter draws every stream inline")
     kernels = _both_kernels(1e-3)
     psi0 = _random_columns(np.random.default_rng(16), 3, 1)[:, 0]
 
@@ -956,131 +788,65 @@ def test_matched_blocks_forked_helper_gives_the_inline_bits(pair_helper, deadlin
     forked, next_draw = run()
     _no_child_left()
     assert next_draw == np.random.default_rng(15).standard_normal()   # rng not advanced
-    pair_helper.setattr(procs, "_FORK_HELPER", False)
+    pair_blocks.setattr(procs, "_FORK_HELPER", False)
     inline, _ = run()
     assert [(step, c0) for step, c0, _ in forked] == [(step, c0) for step, c0, _ in inline]
     assert all(np.array_equal(a, b) for (_, _, a), (_, _, b) in zip(forked, inline))
 
 
-@pytest.mark.parametrize("which", [0, 1], ids=["euler", "exponential"])
-def test_matched_blocks_helper_is_reaped_when_a_state_turns_non_finite(pair_helper, deadline,
-                                                                       which):
-    info = _spiked_pairs(which)
-    _no_child_left()                         # while the exception is still referenced
-    assert info.value is not None
+def _pairs(n_steps):
+    """The shared-stream states of 4 spin-model columns over ``n_steps``, stopping at 10 and 25."""
+    return engine._matched_blocks([_EulerKernel(spin_model(), XI_INTERIOR, 1e-3)], PSI0,
+                                  np.random.default_rng(5), 1e-3, n_steps, 4, stops=(10, 25))
 
 
-def test_matched_blocks_helper_is_reaped_when_the_caller_closes_early(pair_helper, deadline):
-    # a stop at every step: 9 one-step blocks, each handed back on 3 chunks
-    kernels = _both_kernels(1e-3)
-    psi0 = _random_columns(np.random.default_rng(14), 3, 1)[:, 0]
-    for taken in (1, 2, 5):
-        pairs = engine._matched_blocks(kernels, psi0, np.random.default_rng(17), 1e-3, 9, 10,
-                                       stops=range(1, 9))
-        for _ in range(taken):
-            next(pairs)
-        pairs.close()
-        _no_child_left()
+_CONSUMERS = {   # each runs 4 trajectories (columns) over n steps to the end
+    "simulate_ensemble": lambda n: simulate_ensemble(spin_model(), XI_INTERIOR, PSI0, 1e-3, n, 4,
+                                                     base_seed=5, tracked_observables={"sz": SZ}),
+    "centroid_ensemble": lambda n: centroid_ensemble(MechanicalParams(mass=1.0, omega=0.5, lam=1.0),
+                                                     0.3 + 0.1j, -1j, 0.2, -0.1, 1e-3, n, 4, 5),
+    "_matched_blocks": lambda n: list(_pairs(n)),
+}
 
 
-@pytest.mark.parametrize("failing_call", [1, 3])
-def test_matched_blocks_helper_that_dies_raises_instead_of_hanging(pair_helper, deadline,
-                                                                   failing_call):
-    class DyingStream:
-        """A stream whose draw of block ``failing_call - 1`` fails (in the helper)."""
-        calls = 0
+@pytest.mark.parametrize("consumer, ending",
+                         [(c, "raises") for c in _CONSUMERS] + [("_matched_blocks", "stops")])
+def test_a_consumer_closes_its_stream_when_it_raises_or_stops_early(helper_blocks, deadline,
+                                                                     consumer, ending):
+    # blocks of 3 steps, drawn by a helper; the 20th step fails, or the caller
+    # stops at step 10.  The helper is reaped before the exception is dropped
+    def failing(step):       # ``step``, raising on its 20th call
+        calls = itertools.count(1)
 
-        def standard_normal(self, out):
-            self.calls += 1
-            if self.calls == failing_call:
-                raise MemoryError("no room for the block")
-            out[...] = 0.0
+        def call(*args):
+            if next(calls) == 20:
+                raise ArithmeticError("step 20 failed")
+            return step(*args)
+        return call
 
-    kernels = _both_kernels(1e-3)
-    psi0 = _random_columns(np.random.default_rng(14), 3, 1)[:, 0]
-    with pytest.raises(RuntimeError, match=f"noise helper exited before block {failing_call - 1}"):
-        for _ in engine._matched_blocks(kernels, psi0, DyingStream(), 1e-3, 9, 10):
-            pass
-    _no_child_left()
-
-
-@pytest.fixture
-def forked_map(monkeypatch):
-    """The monkeypatch of a test that needs :func:`procs._forked_map` to fork."""
-    if not procs._FORK_HELPER:
-        pytest.skip("this interpreter runs every piece inline")
-    return monkeypatch
+    helper_blocks.setattr(engine, "_PAIR_BUDGET", 12)
+    helper_blocks.setattr(_EulerKernel, "update", failing(_EulerKernel.update))
+    helper_blocks.setattr(gaussian, "_centroid_step", failing(gaussian._centroid_step))
+    if ending == "stops":
+        with contextlib.closing(_pairs(40)) as pairs:
+            assert next(pairs)[0] == 10
+    else:
+        with pytest.raises(ArithmeticError, match="step 20 failed") as info:
+            _CONSUMERS[consumer](40)
+    _no_child_left()                         # while ``info`` still holds the exception
 
 
-def _matched_states(kernels, psi0, seed):
-    """Every state ``_matched_blocks`` hands back for 10 columns over 40 steps, stops 10 and 25."""
-    with contextlib.closing(engine._matched_blocks(kernels, psi0, np.random.default_rng(seed),
-                                                   1e-3, 40, 10, stops=(10, 25))) as pairs:
-        return [(step, c0, np.array(states)) for step, c0, states in pairs]
-
-
-def test_forked_map_gives_the_inline_bits(forked_map, pair_blocks, deadline):
-    # the pieces run their own noise helpers inside the children
-    kernels = _both_kernels(1e-3)
-    psi0 = _random_columns(np.random.default_rng(18), 3, 1)[:, 0]
-    pieces = [lambda: (os.getpid(), _matched_states(kernels, psi0, 21)),
-              lambda: (os.getpid(), _matched_states(kernels, psi0, 22)),
-              lambda: (os.getpid(), simulate_ensemble(spin_model(), XI_INTERIOR, PSI0, 1e-3, 40,
-                                                      10, base_seed=5).final_states)]
-    forked = procs._forked_map(pieces)
-    _no_child_left()
-    forked_map.setattr(procs, "_FORK_HELPER", False)
-    inline = procs._forked_map(pieces)
-    assert [pid for pid, _ in inline] == [os.getpid()] * 3
-    assert forked[0][0] == os.getpid() and os.getpid() not in {forked[1][0], forked[2][0]}
-    for (_, a), (_, b) in zip(forked[:2], inline[:2]):
-        assert [(step, c0) for step, c0, _ in a] == [(step, c0) for step, c0, _ in b]
-        assert all(np.array_equal(x, y) for (_, _, x), (_, _, y) in zip(a, b))
-    assert np.array_equal(forked[2][1], inline[2][1])
-
-
-def test_forked_map_raises_a_childs_error_with_its_message(forked_map, pair_blocks, deadline):
-    kernels = _both_kernels(1e-3)
-    psi0 = _random_columns(np.random.default_rng(14), 3, 1)[:, 0]
-
-    def spiked():
-        for _ in engine._matched_blocks(kernels[:1], psi0, SpikedStream(), 1e-3, 9, 10):
-            pass
-
-    with pytest.raises(FloatingPointError, match="trajectory 6 became non-finite at step 5"):
-        procs._forked_map([lambda: 1, spiked, lambda: 3])
-    _no_child_left()
-
-
-def test_forked_map_stops_its_children_when_the_callers_share_raises(forked_map, deadline):
-    def callers_share():
-        raise ValueError("the caller's share failed")
-
-    t0 = time.perf_counter()
-    with pytest.raises(ValueError, match="the caller's share failed"):
-        procs._forked_map([callers_share, lambda: time.sleep(60), lambda: time.sleep(60)])
-    _no_child_left()
-    assert time.perf_counter() - t0 < 20.0
-
-
-def test_forked_map_child_that_dies_raises_instead_of_hanging(forked_map, deadline):
-    with pytest.raises(RuntimeError, match="forked piece 1 of 3 exited without a result"):
-        procs._forked_map([lambda: 0, lambda: os._exit(3), lambda: 2])
-    _no_child_left()
-
-
-def test_forked_map_runs_inline_without_the_fork_helper(monkeypatch):
-    def no_fork():
-        raise AssertionError("forked")
-
-    def fails():
-        raise FloatingPointError("trajectory 0 became non-finite at step 3; reduce dt")
-
-    monkeypatch.setattr(procs, "_FORK_HELPER", False)
-    monkeypatch.setattr(os, "fork", no_fork)
-    assert procs._forked_map([os.getpid, lambda: 2, os.getpid]) == [os.getpid(), 2, os.getpid()]
-    with pytest.raises(FloatingPointError, match="at step 3"):
-        procs._forked_map([lambda: 0, fails])
+@pytest.mark.parametrize("consumer", sorted(_CONSUMERS))
+def test_a_zero_step_ensemble_yields_only_its_initial_snapshot(consumer):
+    got = _CONSUMERS[consumer](0)           # an empty noise plan
+    if consumer == "simulate_ensemble":
+        assert got.step_indices.tolist() == [0]
+        assert np.array_equal(got.final_states, np.tile(PSI0, (4, 1)))
+        assert np.allclose(got.means["sz"], -0.5, rtol=0.0, atol=1e-15)
+    elif consumer == "centroid_ensemble":
+        assert np.array_equal(got, [[[0.2] * 4], [[-0.1] * 4]])
+    else:
+        assert got == []        # states come back only after a step
 
 
 @pytest.mark.parametrize("n_steps, n_traj", [(-3, 4), (10, 0), (10, -1)])

@@ -21,6 +21,8 @@ from unravelings.gaussian import (SPREAD_RTOL, MechanicalParams, QuadratureError
 from unravelings.noise import derive_seed, wiener_path
 from unravelings.tolerances import TOL
 
+from test_engine import helper_blocks
+
 P_NAT = MechanicalParams(mass=1.0, omega=0.0, lam=1.0, hbar=1.0)
 P_FIG1 = MechanicalParams(mass=1e-15, omega=0.0, lam=1e23)
 A0_FIG1 = 0.25e9 + 0.0j
@@ -336,15 +338,10 @@ def test_centroid_ensemble_chunks_and_blocks_follow_each_stream(monkeypatch, xi)
     assert np.array_equal(final_x, ref_x[-1:]) and np.array_equal(final_k, ref_k[-1:])
 
 
-def test_centroid_ensemble_forked_helper_gives_the_inline_bits(monkeypatch):
+def test_centroid_ensemble_forked_helper_gives_the_inline_bits(helper_blocks):
     # chunks of 4, 4 and 2 trajectories with 14, 14 and 7 noise blocks each,
-    # drawn by a helper and then inline; with two CPUs the forked run
-    # integrates chunks 1 and 2 in a forked piece
-    monkeypatch.setattr(procs, "_ENSEMBLE_CHUNK", 4)
-    monkeypatch.setattr(engine, "_NOISE_BUDGET", 12)
-    monkeypatch.setattr(procs, "usable_cores", lambda: 2)
-    if not procs._FORK_HELPER:
-        pytest.skip("this interpreter draws every stream inline")
+    # drawn by a helper and then inline; the forked run integrates chunks 1
+    # and 2 in a forked piece
     p = MechanicalParams(mass=1.0, omega=0.5, lam=1.0, hbar=1.0)
 
     def run():
@@ -352,7 +349,7 @@ def test_centroid_ensemble_forked_helper_gives_the_inline_bits(monkeypatch):
                                  10, 62, snapshot_steps=[0, 3, 7, 20, 40])
 
     xs, ks = run()
-    monkeypatch.setattr(procs, "_FORK_HELPER", False)
+    helper_blocks.setattr(procs, "_FORK_HELPER", False)
     ref_x, ref_k = run()
     assert np.array_equal(xs, ref_x) and np.array_equal(ks, ref_k)
 
