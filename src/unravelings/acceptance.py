@@ -10,7 +10,7 @@ ensemble also feeds the collapse bound) are cached per process.
 import contextlib
 import functools
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -40,21 +40,16 @@ _SUBSTEP_ROWS = 200         # substeps of noise criterion 8 draws at once
 
 @dataclass(frozen=True)
 class CriterionResult:
-    index: int
     title: str
     passed: bool
     tolerance: str
     observed: dict
-    seconds: float
+    index: int = 0          # the registry key and the run time, set by run_criteria
+    seconds: float = 0.0
 
     def line(self) -> str:
         return (f"[{'PASS' if self.passed else 'FAIL'}] criterion {self.index:2d} "
                 f"({self.seconds:6.1f}s) {self.title}")
-
-    def as_dict(self) -> dict:
-        return {"index": self.index, "title": self.title, "passed": self.passed,
-                "tolerance": self.tolerance, "observed": self.observed,
-                "seconds": self.seconds}
 
 
 @functools.cache
@@ -85,41 +80,36 @@ def criterion_1() -> CriterionResult:
     seconds = time.perf_counter() - t0
     worst = max(devs.values())
     passed = worst <= tol and seconds <= 60.0
-    return CriterionResult(1, "master-equation consistency of both members",
+    return CriterionResult("master-equation consistency of both members",
                            passed, f"elementwise <= 5/sqrt(N) = {tol:.4f}; runtime <= 60 s",
-                           {"max_dev": devs, "runtime_s": seconds}, seconds)
+                           {"max_dev": devs, "runtime_s": seconds})
 
 
 def criterion_2() -> CriterionResult:
     """Collapse branch frequencies follow the Born weights."""
-    t0 = time.perf_counter()
     result, _ = _born_ensemble()
     rep = collapse_statistics(result)
     dev = rep.born_deviation
     unresolved = rep.n_unresolved / rep.n_total
     passed = dev <= 0.013 and unresolved < 0.01
-    return CriterionResult(2, "Born-rule branch statistics", passed,
+    return CriterionResult("Born-rule branch statistics", passed,
                            "fraction up within 0.25 +/- 0.013; unresolved < 1%",
                            {"fraction_up": rep.fraction_up, "dev": dev,
-                            "unresolved": unresolved, "n": rep.n_total},
-                           time.perf_counter() - t0)
+                            "unresolved": unresolved, "n": rep.n_total})
 
 
 def criterion_3() -> CriterionResult:
     """Mean conditional spread satisfies the collapse bound at every time."""
-    t0 = time.perf_counter()
     result, sp = _born_ensemble()
     sup = supermartingale_check(result, sp)
     margin = float(np.min(sup.bound + 4.0 * sup.stderr - sup.mean_spread))
-    return CriterionResult(3, "supermartingale collapse bound", sup.bound_ok,
+    return CriterionResult("supermartingale collapse bound", sup.bound_ok,
                            "mean spread <= 0.75/(1+3t) + 4 SE at every output time",
-                           {"min_margin": margin, "monotone_ok": sup.monotone_ok},
-                           time.perf_counter() - t0)
+                           {"min_margin": margin, "monotone_ok": sup.monotone_ok})
 
 
 def criterion_4() -> CriterionResult:
     """Free-particle closed forms: anchors, plateau, identity, ordering."""
-    t0 = time.perf_counter()
     p, a0 = _FIG1, _FIG1_A0
     obs = {}
     grid = np.concatenate([[0.0], np.logspace(-15.0, 1.0, 1000)])
@@ -148,11 +138,10 @@ def criterion_4() -> CriterionResult:
     ok_d = spreads_ordered(grid, *spreads)
     obs["ordering_ok"] = ok_d
 
-    return CriterionResult(4, "free-particle closed-form spreads",
+    return CriterionResult("free-particle closed-form spreads",
                            ok_a and ok_b and ok_c and ok_d,
                            "(a) 1e-12 anchors (b) plateau 1e-3 (c) identity 1e-10 "
-                           "(d) ordering on a 1000-point grid",
-                           obs, time.perf_counter() - t0)
+                           "(d) ordering on a 1000-point grid", obs)
 
 
 def _width_max_rel_err(p: MechanicalParams, a0: complex, dt: float, n: int) -> float:
@@ -176,7 +165,6 @@ def criterion_5() -> CriterionResult:
     (:func:`_width_max_rel_err`), never held whole, while a forked child runs
     the centroid ensemble.
     """
-    t0 = time.perf_counter()
     p, a0 = _FIG1, _FIG1_A0
     n = 1_000_000
     dt = 10.0 / spread_constants(p, a0, 1.0).rate.real / n      # T = 10 / Re rate
@@ -196,11 +184,10 @@ def criterion_5() -> CriterionResult:
         worst_se = max(worst_se, abs(mc - refv) / se)
     ok_mc = worst_se <= 4.0
 
-    return CriterionResult(5, "parameter SDE vs closed forms", ok_width and ok_mc,
+    return CriterionResult("parameter SDE vs closed forms", ok_width and ok_mc,
                            "width path rel err <= 1e-4 at dt = T/1e6; "
                            "centroid MC within 4 SE of the quadrature",
-                           {"width_max_rel_err": rel, "mc_worst_se": worst_se},
-                           time.perf_counter() - t0)
+                           {"width_max_rel_err": rel, "mc_worst_se": worst_se})
 
 
 def criterion_6() -> CriterionResult:
@@ -212,7 +199,6 @@ def criterion_6() -> CriterionResult:
     rounding floor with nothing left to decrease.  That flow instead must
     sit below the floor 100 eps max|S| / h.
     """
-    t0 = time.perf_counter()
     obs = {}
     ok = True
     eps = np.finfo(float).eps
@@ -235,16 +221,14 @@ def criterion_6() -> CriterionResult:
             obs[f"{tag}_{which}"] = {"ratio": ratio, "max_fine": maxima[1],
                                      "rounding_floor": floor}
             ok = ok and (ratio >= 3.5 or at_floor)
-    return CriterionResult(6, "matrix covariance-flow residual convergence", ok,
+    return CriterionResult("matrix covariance-flow residual convergence", ok,
                            "max residual decreases >= 3.5x per 2x refinement "
                            "(or already sits at the rounding floor), three "
-                           "flows, free and harmonic",
-                           obs, time.perf_counter() - t0)
+                           "flows, free and harmonic", obs)
 
 
 def criterion_7() -> CriterionResult:
     """Trapped-particle formulas reach their free limits as omega -> 0."""
-    t0 = time.perf_counter()
     p_free, a0 = _FIG1, _FIG1_A0
     cons_f = spread_constants(p_free, a0, 1.0)
     omega = 1e-6 * np.sqrt(p_free.hbar * p_free.lam / p_free.mass)
@@ -257,11 +241,11 @@ def criterion_7() -> CriterionResult:
     dev_s = float(np.max(np.abs(conditional_spread_x(ts, p_h, a0, 1.0)
                                 / conditional_spread_x(ts, p_free, a0, 1.0) - 1.0)))
     worst = max(dev_b, dev_c, dev_s)
-    return CriterionResult(7, "trap-to-free continuity", worst <= 1e-5,
+    return CriterionResult("trap-to-free continuity", worst <= 1e-5,
                            "rate, asymptote and spread agree to rel 1e-5 at "
                            "omega = 1e-6 sqrt(hbar lam / m)",
                            {"rate_rel": float(dev_b), "asymptote_rel": float(dev_c),
-                            "spread_rel": dev_s}, time.perf_counter() - t0)
+                            "spread_rel": dev_s})
 
 
 def _rand_states(rng, n):
@@ -302,7 +286,6 @@ def criterion_8() -> CriterionResult:
     The substep noise of (i) is drawn, stepped and summed _SUBSTEP_ROWS
     substeps at a time, with the bits of one whole draw.
     """
-    t0 = time.perf_counter()
     nu = 1.0
     sp = SpinParams(nu=nu, lam=1.0)
     model = spin_model(sp)
@@ -359,15 +342,14 @@ def criterion_8() -> CriterionResult:
     ok_channel = 3.0 <= channel_ratio <= 5.0
 
     return CriterionResult(
-        8, "measurement-operator / state-equation equivalence",
+        "measurement-operator / state-equation equivalence",
         ok_order and ok_povm and ok_channel,
         "substepped-reference RMS ratio in 2.83 +/- 0.5; "
         f"completeness <= {TOL.povm:g}; channel defect O(dt^2)",
         {"order_ratios": [float(x) for x in ratios],
          "single_euler_step_ratio": float(single_step_ratio),
          "povm_defect": worst_povm,
-         "channel_defect_ratio": float(channel_ratio)},
-        time.perf_counter() - t0)
+         "channel_defect_ratio": float(channel_ratio)})
 
 
 def criterion_9() -> CriterionResult:
@@ -380,7 +362,6 @@ def criterion_9() -> CriterionResult:
     root rate, as expected when an Euler chain is compared against the
     exponential construction on one noise path.
     """
-    t0 = time.perf_counter()
     sp = SpinParams(nu=1.0, lam=1.0)
     model = spin_model(sp)
     u = UnravelingParams.nonlinear(sp.lam)
@@ -420,30 +401,27 @@ def criterion_9() -> CriterionResult:
         # mean over time per trajectory, then over trajectories: a serial loop's bits
         strong.append(float(np.sqrt(np.mean(np.mean(diff ** 2, axis=1)))))
     return CriterionResult(
-        9, "agreement of the two collapse-member constructions", ok,
+        "agreement of the two collapse-member constructions", ok,
         "matched-noise mean-spread curve RMS halves per dt halving (+/- 20%); "
         "pathwise RMS reported (contracts at the square-root rate)",
         {"weak_ratios": [float(x) for x in weak_ratios],
          "weak_rms": rms,
-         "pathwise_ratio": float(strong[0] / strong[1])},
-        time.perf_counter() - t0)
+         "pathwise_ratio": float(strong[0] / strong[1])})
 
 
 def criterion_10() -> CriterionResult:
     """Identical marginals, different spread means, statically and dynamically."""
-    t0 = time.perf_counter()
     rep = bell_report(t_final=1.5, dt=1e-3, n_traj=5000, base_seed=1010)
     ana, dyn = rep["analytic"], rep["dynamical"]
     return CriterionResult(
-        10, "two-observer demo (static and dynamical)",
+        "two-observer demo (static and dynamical)",
         all(passed for _, passed, _, _ in bell_gates(rep)),
         "rho distance <= 1e-15 and gap = 1 exactly; dynamical gap > s0 - "
         "collapse_bound(s0, lam, T) - 5/sqrt(N) (0.786 at |+x>) with rho agreement "
         "within 5/sqrt(N)",
         {"rho_distance": ana["rho_distance"], "sigma_gap": ana["sigma_gap"],
          "dyn_gap": dyn["spread_gap_final"], "dyn_rho_worst": max(dyn["rho_distance"]),
-         "dyn_rho_tol": dyn["mc_rho_tolerance"]},
-        time.perf_counter() - t0)
+         "dyn_rho_tol": dyn["mc_rho_tolerance"]})
 
 
 def criterion_11() -> CriterionResult:
@@ -451,18 +429,17 @@ def criterion_11() -> CriterionResult:
     import tempfile
     from .config import preset
     from .runner import files_equal_ignoring_timestamp, run_scenario
-    t0 = time.perf_counter()
     cfg = preset("fig2")
     with tempfile.TemporaryDirectory() as d1, tempfile.TemporaryDirectory() as d2:
         w1 = run_scenario(cfg, d1)
         w2 = run_scenario(cfg, d2)
         pairs = list(zip(sorted(w1), sorted(w2)))
         same = {a.name: files_equal_ignoring_timestamp(a, b) for a, b in pairs}
-    return CriterionResult(11, "byte-level determinism of preset outputs",
+    return CriterionResult("byte-level determinism of preset outputs",
                            all(same.values()),
                            "every series/report file identical up to the "
                            "created_at metadata field",
-                           {"files": same}, time.perf_counter() - t0)
+                           {"files": same})
 
 
 CRITERIA = {i: fn for i, fn in enumerate(
@@ -483,9 +460,11 @@ def selected_criteria(only=None) -> list:
 
 
 def run_criteria(only=None, verbose: bool = False) -> list:
+    """Run the selected criteria in order, each result numbered and timed here."""
     results = []
     for i in selected_criteria(only):
-        res = CRITERIA[i]()
+        t0 = time.perf_counter()
+        res = replace(CRITERIA[i](), index=i, seconds=time.perf_counter() - t0)
         results.append(res)
         if verbose:
             print(res.line())

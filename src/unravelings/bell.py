@@ -12,64 +12,30 @@ spread of sigma_z is 0 in the first case and 1 in the second.  The same
 signature appears dynamically: evolving Bob's qubit with the collapsing
 member drives the spread to zero, while the phase-noise member freezes it,
 with the two ensemble density matrices staying equal throughout.
-Criterion 10 and the ``bell`` scenario check both evaluate
-:func:`bell_gates` on the JSON payload of :func:`bell_report`.
+:func:`alice_measures` gives Bob's exact density matrix and mean spread for
+each basis, and :func:`dynamical_gap` the dynamical analogue as a JSON-ready
+dict; :func:`bell_report` joins them into one payload, which criterion 10
+and the ``bell`` scenario check both read through :func:`bell_gates`.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .engine import UnravelingParams, mc_tolerance, simulate_ensemble
-from .linalg import KET_DOWN, KET_UP, density_from_ensemble, pauli
+from .linalg import KET_DOWN, KET_UP, pauli, projector
 from .spin import SpinParams, collapse_bound, sigma_z_mean, sigma_z_spread, spin_model
 
 
-@dataclass(frozen=True)
-class BellOutcome:
-    basis: str
-    bob_states: list                  # [(state, probability), ...]
-    bob_rho: np.ndarray
-    mean_sigma: float                 # ensemble mean of the sigma_z spread
-
-
-def alice_measures(basis: str) -> BellOutcome:
-    """Bob's exact two-outcome post-measurement ensemble for Alice's basis choice."""
+def alice_measures(basis: str) -> tuple:
+    """Bob's density matrix and mean sigma_z spread ``(rho, mean_spread)`` for Alice's basis."""
     if basis == "z":
-        states = [KET_UP.copy(), KET_DOWN.copy()]
+        s1, s2 = KET_UP, KET_DOWN
     elif basis == "x":
-        states = [(KET_UP + KET_DOWN) / np.sqrt(2.0), (KET_UP - KET_DOWN) / np.sqrt(2.0)]
+        s1, s2 = (KET_UP + KET_DOWN) / np.sqrt(2.0), (KET_UP - KET_DOWN) / np.sqrt(2.0)
     else:
         raise ValueError(f"basis must be 'z' or 'x', got {basis!r}")
-    probs = [0.5, 0.5]
-    rho = density_from_ensemble(states, probs)
-    sz = pauli("z")
-    spread = sum(p * (1.0 - float(np.vdot(s, sz @ s).real) ** 2)
-                 for s, p in zip(states, probs))
-    return BellOutcome(basis=basis, bob_states=list(zip(states, probs)),
-                       bob_rho=rho, mean_sigma=float(spread))
-
-
-def signaling_gap(outcome_a: BellOutcome, outcome_b: BellOutcome):
-    """(max-norm distance of Bob's density matrices, spread-mean gap).
-
-    The first number is what Bob could actually detect (zero); the second is
-    the unraveling-dependent quantity that is not operationally his.
-    """
-    rho_distance = float(np.max(np.abs(outcome_a.bob_rho - outcome_b.bob_rho)))
-    sigma_gap = float(abs(outcome_a.mean_sigma - outcome_b.mean_sigma))
-    return rho_distance, sigma_gap
-
-
-@dataclass(frozen=True)
-class DynamicalGap:
-    times: np.ndarray
-    mean_spread_collapse: np.ndarray
-    mean_spread_phase: np.ndarray
-    rho_distance: np.ndarray          # max-norm ensemble rho difference per time
-    spread_gap_final: float
-    gap_floor: float                  # least final gap the two members must show
-    mc_rho_tolerance: float           # mc_tolerance(n_traj)
+    rho = 0.5 * projector(s1) + 0.5 * projector(s2)
+    return rho, float(0.5 * sigma_z_spread(sigma_z_mean(s1))
+                      + 0.5 * sigma_z_spread(sigma_z_mean(s2)))
 
 
 _PLUS_X = (KET_UP + KET_DOWN) / np.sqrt(2.0)
@@ -77,12 +43,17 @@ _PLUS_X = (KET_UP + KET_DOWN) / np.sqrt(2.0)
 
 def dynamical_gap(sp: SpinParams = SpinParams(), psi0: np.ndarray = _PLUS_X, *,
                   t_final: float, dt: float, n_traj: int, base_seed: int,
-                  n_snapshots: int = 6) -> DynamicalGap:
+                  n_snapshots: int = 6) -> dict:
     """Evolve Bob's qubit from ``psi0`` (default |up_x>) under both members and compare.
 
     From |up_x> the collapsing member (xi = 1) destroys the sigma_z spread
     while the phase-noise member (xi = -i) keeps it at 1; the two ensemble
     density matrices agree within Monte Carlo resolution at every snapshot.
+
+    Returns the JSON-ready dict :func:`bell_report` embeds: the snapshot
+    ``times``, both members' mean spreads, the max-norm ``rho_distance`` of
+    their ensemble density matrices per snapshot, ``spread_gap_final``,
+    ``gap_floor`` and ``mc_rho_tolerance`` (``mc_tolerance(n_traj)``).
 
     ``gap_floor`` is the final gap any ``psi0`` must show.  With
     s0 = 1 - <sigma_z>_0^2, the phase-noise spread stays at s0 (sigma_z
@@ -101,26 +72,31 @@ def dynamical_gap(sp: SpinParams = SpinParams(), psi0: np.ndarray = _PLUS_X, *,
                               (UnravelingParams.linear(sp.lam), base_seed + 1)))
     spread_c = sigma_z_spread(rc.means["sz"]).mean(axis=1)
     spread_p = sigma_z_spread(rp.means["sz"]).mean(axis=1)
-    rho_dist = np.max(np.abs(rc.rhos - rp.rhos), axis=(1, 2))
     s0 = float(sigma_z_spread(sigma_z_mean(psi0)))
-    floor = s0 - float(collapse_bound(s0, sp.lam, rc.times[-1])) - mc_tolerance(n_traj)
-    return DynamicalGap(times=rc.times, mean_spread_collapse=spread_c,
-                        mean_spread_phase=spread_p, rho_distance=rho_dist,
-                        spread_gap_final=float(abs(spread_p[-1] - spread_c[-1])),
-                        gap_floor=floor, mc_rho_tolerance=mc_tolerance(n_traj))
+    return {"times": rc.times.tolist(), "mean_spread_collapse": spread_c.tolist(),
+            "mean_spread_phase": spread_p.tolist(),
+            "rho_distance": np.max(np.abs(rc.rhos - rp.rhos), axis=(1, 2)).tolist(),
+            "spread_gap_final": float(abs(spread_p[-1] - spread_c[-1])),
+            "gap_floor": (s0 - float(collapse_bound(s0, sp.lam, rc.times[-1]))
+                          - mc_tolerance(n_traj)),
+            "mc_rho_tolerance": mc_tolerance(n_traj)}
 
 
 def bell_report(sp: SpinParams = SpinParams(), psi0: np.ndarray = _PLUS_X, *,
                 t_final: float, dt: float, n_traj: int, base_seed: int) -> dict:
-    """The exact ensembles and the dynamical analogue as a JSON payload."""
-    out_z, out_x = alice_measures("z"), alice_measures("x")
-    rho_d, sig_gap = signaling_gap(out_z, out_x)
-    dyn = dynamical_gap(sp, psi0, t_final=t_final, dt=dt, n_traj=n_traj, base_seed=base_seed)
-    return {"analytic": {"rho_distance": rho_d, "sigma_gap": sig_gap,
-                         "mean_sigma_z_basis": out_z.mean_sigma,
-                         "mean_sigma_x_basis": out_x.mean_sigma},
-            "dynamical": {k: v.tolist() if isinstance(v, np.ndarray) else v
-                          for k, v in vars(dyn).items()}}
+    """The exact ensembles and the dynamical analogue as a JSON payload.
+
+    Of the two analytic numbers, ``rho_distance`` (the max-norm distance of
+    Bob's density matrices for the two bases) is what Bob could actually
+    detect, and it is zero; ``sigma_gap`` (the gap of the spread means) is
+    the unraveling-dependent quantity that is not operationally his.
+    """
+    (rho_z, spread_z), (rho_x, spread_x) = alice_measures("z"), alice_measures("x")
+    return {"analytic": {"rho_distance": float(np.max(np.abs(rho_z - rho_x))),
+                         "sigma_gap": abs(spread_z - spread_x),
+                         "mean_sigma_z_basis": spread_z, "mean_sigma_x_basis": spread_x},
+            "dynamical": dynamical_gap(sp, psi0, t_final=t_final, dt=dt, n_traj=n_traj,
+                                       base_seed=base_seed)}
 
 
 def bell_gates(report: dict) -> list:

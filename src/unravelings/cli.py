@@ -1,6 +1,7 @@
 """Command-line front end: run scenarios, list presets, run acceptance checks."""
 
 import argparse
+import dataclasses
 import json
 import os
 import platform
@@ -133,7 +134,7 @@ def _cmd_check(args) -> int:
           f"forked helpers {'on' if procs._FORK_HELPER else 'off'}")
     results = run_criteria(only=only, verbose=True)
     if out is not None:
-        payload = [r.as_dict() for r in results]
+        payload = [dataclasses.asdict(r) for r in results]
         (out / "acceptance_report.json").write_text(
             json.dumps(payload, indent=1, sort_keys=True) + "\n", encoding="utf-8")
         print(f"wrote {out / 'acceptance_report.json'}")

@@ -149,7 +149,7 @@ def validate_config(raw: dict) -> ScenarioConfig:
         errs.append(f"unknown top-level keys: {sorted(unknown)}")
 
     model = raw.get("model")
-    if model not in FAMILIES:
+    if not isinstance(model, str) or model not in FAMILIES:
         errs.append(f"model: must be one of {tuple(FAMILIES)}, got {model!r}")
         raise ConfigError(errs)
     name = raw.get("name", model)

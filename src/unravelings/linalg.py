@@ -56,23 +56,3 @@ def projector(psi: np.ndarray) -> np.ndarray:
     psi = np.asarray(psi, dtype=complex)
     return np.outer(psi, psi.conj())
 
-
-def density_from_ensemble(states, weights) -> np.ndarray:
-    """Weighted mixture sum_k w_k |psi_k><psi_k| as a density matrix."""
-    states = [np.asarray(s, dtype=complex) for s in states]
-    weights = np.asarray(weights, dtype=float)
-    if len(states) == 0:
-        raise ValueError("empty ensemble")
-    if len(states) != weights.size:
-        raise ValueError("states and weights have different lengths")
-    if np.any(weights < 0.0):
-        raise ValueError("ensemble weights must be non-negative")
-    if abs(weights.sum() - 1.0) > TOL.weight_sum:
-        raise ValueError(f"ensemble weights sum to {weights.sum():.12f}, not 1")
-    for s in states:
-        assert_normalized(s)
-    dim = states[0].size
-    rho = np.zeros((dim, dim), dtype=complex)
-    for w, s in zip(weights, states):
-        rho += w * np.outer(s, s.conj())
-    return rho

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 class Tolerances:
     norm: float = 1e-10             # |  ||psi||^2 - 1 |  for normalized states
     hermiticity: float = 1e-10      # max |M - M^dagger| elementwise
-    weight_sum: float = 1e-10       # ensemble weights must sum to 1 within this
     unit_modulus: float = 1e-12     # | |xi|^2 - 1 | for unraveling parameters
     povm: float = 1e-6              # completeness defect of a measurement-operator family
     quadrature_rel: float = 1e-8    # relative tolerance of adaptive quadrature

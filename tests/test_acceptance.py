@@ -18,11 +18,8 @@ GOLDEN = golden.load()
 
 @pytest.mark.parametrize("index", sorted(CRITERIA))
 def test_criterion(index):
-    result = CRITERIA[index]()
     print()
-    print(result.line())
-    print(f"    tolerance: {result.tolerance}")
-    print(f"    observed:  {result.observed}")
+    (result,) = run_criteria(only=[index], verbose=True)
     assert result.passed, (f"criterion {index} failed: tolerance "
                            f"{result.tolerance}; observed {result.observed}")
     assert golden.observed(result) == GOLDEN["criteria"][str(index)], golden.mismatch(

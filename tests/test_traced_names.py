@@ -1,16 +1,19 @@
-"""The single-trajectory functions that perfbench traces by name stay traceable.
+"""The functions that perfbench traces by name stay traceable.
 
 ``perfbench/spans.py`` looks each name in ``FUNCTIONS`` up in its module when
-``Tracer.install`` runs, so renaming or removing one of these breaks
-``perfbench/run.py --trace 1``; this test breaks first.
+``Tracer.install`` runs, reads the counted ones' arguments by name, and swaps
+the acceptance registry's entries by identity.  So renaming one of these
+functions or a parameter its counter reads, or wrapping a registry entry,
+breaks ``perfbench/run.py --trace 1``; these tests break first.
 """
 
 import importlib.util
+import inspect
 from pathlib import Path
 
 import numpy as np
 
-from unravelings import engine, gaussian, spin
+from unravelings import acceptance, engine, gaussian, spin
 from unravelings.engine import UnravelingParams
 from unravelings.gaussian import MechanicalParams
 from unravelings.spin import SpinParams
@@ -52,3 +55,18 @@ def test_traced_single_trajectory_names_record_one_span_per_call():
     direct, nested = by_name["engine.simulate_trajectory"]
     assert (direct["parent"], direct["count"]) == (None, 7)
     assert (nested["parent"], nested["count"]) == (outer["id"], 5)
+
+
+def test_every_traced_entry_binds_to_the_program():
+    # each counter reads only parameters of the function it counts, and the
+    # registry holds the criterion functions themselves, whichever a round calls
+    spans = _load_spans()
+    for mod, fn, _, count in spans.FUNCTIONS:
+        params = inspect.signature(getattr(importlib.import_module(f"unravelings.{mod}"),
+                                           fn)).parameters
+        if count is not None:
+            count({name: 1 for name in params})
+        if f"{mod}.{fn}" in spans._AFTER:
+            assert "path" in params, f"{mod}.{fn}"
+    for i, criterion in acceptance.CRITERIA.items():
+        assert criterion is getattr(acceptance, f"criterion_{i}")
