@@ -34,8 +34,12 @@ which equals the update above term by term.  All of it is elementwise but
 ``A_e phi``, one ``d x d`` product, which is elementwise too when ``A_e`` is
 diagonal (every spin model).  The noise enters only through ``g``, which
 vanishes on eigenstates of ``L`` for real ``xi`` (exactly, wherever ``l phi``
-and ``<L>`` round exactly, as for sigma_z on its eigenstates).  Norms are
-sums of ``re^2 + im^2`` over rows in a fixed order, and a non-finite or
+and ``<L>`` round exactly, as for sigma_z on its eigenstates).  When
+``xi_r = 0`` (the phase-noise member ``xi = -i``) every ``<L>`` term carries a
+factor ``xi_r``, so ``g = xi l phi`` with ``xi l`` fixed per kernel, and the
+step forms ``A_e phi + sqrt(lam) dW g`` without the ``|phi|^2`` pass of
+``<L>``; dropping the ``0 <L>`` and ``+0`` terms keeps every bit of the
+general expressions, the sign of each zero included.  Norms are sums of ``re^2 + im^2`` over rows in a fixed order, and a non-finite or
 vanishing norm raises :class:`FloatingPointError` naming the trajectory and
 the step.  The drivers rotate once per batch, never per noise block, so a
 trajectory does not depend on where the blocks end: :func:`simulate_ensemble`
@@ -80,9 +84,12 @@ the bits do not depend on which process ran a chunk.  Both draw a chunk's
 Wiener increments from one driver, :func:`_noise_blocks`.  It derives the
 chunk's ``derive_seed(base_seed, k)`` seeds and yields blocks of at most
 ``_NOISE_BUDGET`` doubles, one contiguous row per trajectory stream; a block
-is valid until the next one is requested.  Block boundaries do not depend on
-the snapshot steps, and the streams do not depend on either, so the
-snapshots never change a trajectory.
+is valid until the next one is requested.  A stream that fits in one block is
+drawn in one; a longer one starts on a short block of ``_FIRST_BLOCK`` steps
+and doubles the block up to the budget, so the kernel starts while a forked
+helper draws the rest.  Block boundaries do not depend on the snapshot
+steps, and the streams do not depend on either, so the snapshots never
+change a trajectory.
 
 A shared-stream batch runs several kernels on columns that all read one
 generator, so that each kernel sees the same increments (criterion 9's
@@ -320,6 +327,8 @@ class _EulerKernel(_ColumnKernel):
 
     See the module docstring for the step in the eigenbasis of L.  ``A`` is
     ``A_e`` when it is not diagonal, and None when ``row`` holds its diagonal.
+    At ``xi_r = 0`` (phase noise) the step reads no ``<L>``: ``g = xi l phi``,
+    and the one ``_abs2`` pass of a step is the norm's.
     """
 
     def __init__(self, model: ModelSpec, u: UnravelingParams, dt: float):
@@ -340,14 +349,19 @@ class _EulerKernel(_ColumnKernel):
 
     def update(self, psis: np.ndarray, dW: np.ndarray) -> np.ndarray:
         """The Euler-Maruyama update of normalized columns, before renormalization."""
-        p = _abs2(psis)
-        p *= self.l
-        ell = _sum_rows(p)
-        g = self.xi_l - (self.xi_r * ell).astype(complex)   # L psi = l psi, so g psi
-        coef = np.multiply((self.c_ell * ell + self.sqrt_lam * dW).astype(complex), g, out=g)
+        ell = None
+        if self.xi_r == 0.0:        # phase noise: g = xi l psi, and no term reads <L>
+            coef = (self.sqrt_lam * dW).astype(complex) * self.xi_l
+        else:
+            p = _abs2(psis)
+            p *= self.l
+            ell = _sum_rows(p)
+            g = self.xi_l - (self.xi_r * ell).astype(complex)   # L psi = l psi, so g psi
+            coef = np.multiply((self.c_ell * ell + self.sqrt_lam * dW).astype(complex), g, out=g)
         if self.A is None:
             np.add(self._across(psis.shape[1]), coef, out=coef)
-        coef += (self.c_ell2 * ell ** 2).astype(complex)
+        if ell is not None:
+            coef += (self.c_ell2 * ell ** 2).astype(complex)
         coef *= psis
         if self.A is not None:
             coef += self.A @ psis
@@ -438,6 +452,7 @@ def _wiener_block(rngs, out: np.ndarray, sqrt_dt: float) -> None:
 
 
 _NOISE_BUDGET = 400_000   # doubles per noise block of one chunk (2500 x 160)
+_FIRST_BLOCK = 8          # steps in the first block of a plan that takes more than one
 
 
 def _noise_blocks(base_seed: int, k0: int, k1: int, n_steps: int, dt: float):
@@ -445,14 +460,23 @@ def _noise_blocks(base_seed: int, k0: int, k1: int, n_steps: int, dt: float):
 
     Row ``k - k0`` of the blocks, joined, is the stream of
     ``wiener_path(derive_seed(base_seed, k), dt, n_steps)``.  A block holds
-    at most ``_NOISE_BUDGET`` doubles (one step per row at least) and is a
-    view that the next block refills (see :func:`procs._drawn_blocks`).  A
-    caller that may stop early wraps the generator in ``contextlib.closing``,
-    so a helper is reaped when it stops.
+    at most ``cap = _NOISE_BUDGET // (k1 - k0)`` steps (one at least) and is a
+    view that the next block refills (see :func:`procs._drawn_blocks`).  When
+    ``n_steps <= cap`` there is one block, so no helper is forked; else the
+    blocks hold ``_FIRST_BLOCK``, then twice as many steps each time, up to
+    ``cap``, so the first block is ready at once and the helper fills the
+    next while the caller steps through it.  The buffers are sized by the
+    largest block.  A caller that may stop early wraps the generator in
+    ``contextlib.closing``, so a helper is reaped when it stops.
     """
     seeds = [noise_mod.derive_seed(base_seed, k) for k in range(k0, k1)]
     cap = max(1, _NOISE_BUDGET // (k1 - k0))
-    plan = [(start, (k1 - k0, min(cap, n_steps - start))) for start in range(0, n_steps, cap)]
+    plan, start = [], 0
+    size = n_steps if n_steps <= cap else min(_FIRST_BLOCK, cap)
+    while start < n_steps:
+        plan.append((start, (k1 - k0, min(size, n_steps - start))))
+        start += size
+        size = min(2 * size, cap)
     sqrt_dt = np.sqrt(dt)
 
     def open_fill():

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from unravelings import engine, gaussian, noise, procs
+from unravelings import config, engine, gaussian, noise, procs
 from unravelings.engine import (ModelSpec, UnravelingParams, _EulerKernel,
                                 _ExponentialKernel, _sum_rows, check_stability,
                                 lindblad_evolve, lindblad_propagator,
@@ -373,20 +373,50 @@ def _kernel_case(kind, model, u, dt=1e-3):
     return kind(model, u, dt), model.dim
 
 
+def _same_bits(a, b):
+    """Equal float for float, and in the sign of every zero, which ``np.array_equal`` ignores."""
+    a, b = a.view(float), b.view(float)
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
 @pytest.mark.parametrize("kind, model, u", _KERNEL_CASES)
 @pytest.mark.parametrize("width", [1, 7, 2501])
 def test_kernel_run_has_the_bits_of_the_reference_expressions(kind, model, u, width):
-    # same-dtype, full-width operands and in-place steps leave every bit as it was
+    # same-dtype, full-width operands and in-place steps leave every bit as it
+    # was, and the phase-noise step (xi_r = 0) without its 0 <L> and +0j terms
+    # too.  The last column is an eigenstate of L (in the kernel's basis), whose
+    # zero entries keep the sign the reference gives them
     kernel, dim = _kernel_case(kind, model, u)
     rng = np.random.default_rng(width)
     psis = _random_columns(rng, dim, width)
+    psis[:, -1] = -1j * np.eye(dim)[width % dim]        # zero entries of both signs
     dW = rng.standard_normal((width, 25)) * np.sqrt(1e-3)
     ref = _reference_run(kernel, psis, dW)
-    assert np.array_equal(kernel.run(psis, dW).view(float), ref.view(float))
+    assert _same_bits(kernel.run(psis, dW), ref)
     # a (dim, N) view of (N, dim) rows, as criterion 8 passes its states
     rows = np.ascontiguousarray(psis.T)
-    assert np.array_equal(kernel.run(rows.T, dW).view(float), ref.view(float))
+    assert _same_bits(kernel.run(rows.T, dW), ref)
     assert np.array_equal(rows.T, psis)                       # the input is not written
+
+
+@pytest.mark.parametrize("model", ["spin", "dense"])
+def test_the_phase_noise_step_squares_the_states_once(monkeypatch, model):
+    # every <L> term of the step carries a factor xi_r, so at xi_r = 0 the one
+    # _abs2 pass of a step is the norm's; at xi_r > 0 the step reads <L> first
+    calls = []
+    abs2 = engine._abs2
+
+    def counting(psis):
+        calls.append(psis.shape)
+        return abs2(psis)
+
+    monkeypatch.setattr(engine, "_abs2", counting)
+    for u, passes in ((UnravelingParams.linear(0.8), 1), (UnravelingParams(0.0, 1.0, 0.8), 1),
+                      (XI_INTERIOR, 2), (UnravelingParams.nonlinear(0.8), 2)):
+        kernel, dim = _kernel_case(_EulerKernel, model, u)
+        calls.clear()
+        kernel.run(_random_columns(np.random.default_rng(17), dim, 5), np.full((5, 6), 0.01))
+        assert len(calls) == 6 * passes, u
 
 
 @pytest.mark.parametrize("kind, model, u", _KERNEL_CASES)
@@ -683,6 +713,37 @@ def test_snapshots_do_not_change_trajectories(monkeypatch, budget):
         assert np.array_equal(shared.means["o"], on_grid.means["o"])
         assert np.array_equal(shared.rhos, on_grid.rhos)
         assert np.array_equal(shared.times, on_grid.times)
+
+
+@pytest.mark.parametrize("budget, n_steps, sizes", [
+    (300, 500, [8, 16, 32, 64, 100, 100, 100, 80]),     # doubling up to 300 // 3 = 100 steps
+    (300, 100, [100]),                                  # fits in one block: unchanged
+    (15, 17, [5, 5, 5, 2]),                             # 15 // 3 = 5 steps, under the first 8
+])
+def test_noise_blocks_start_short_and_double_up_to_the_budget(monkeypatch, budget, n_steps,
+                                                              sizes):
+    # block ends do not change a stream: row k of the joined blocks is
+    # wiener_path(derive_seed(base, k0 + k), dt, n_steps)
+    monkeypatch.setattr(engine, "_NOISE_BUDGET", budget)
+    monkeypatch.setattr(procs, "_FORK_HELPER", False)
+    starts, rows = [], [[] for _ in range(3)]
+    for start, dW in engine._noise_blocks(41, 4, 7, n_steps, 2e-3):
+        starts.append((start, dW.shape[1]))
+        for row, block_row in zip(rows, dW):
+            row.append(block_row.copy())
+    assert [n for _, n in starts] == sizes
+    assert [s for s, _ in starts] == list(itertools.accumulate([0] + sizes[:-1]))
+    for k, row in zip(range(4, 7), rows):
+        assert np.array_equal(np.concatenate(row), wiener_path(derive_seed(41, k), 2e-3, n_steps))
+
+
+def test_a_fig2_sized_chunk_draws_one_block_and_forks_no_helper(monkeypatch):
+    cfg = config.preset("fig2")
+    monkeypatch.setattr(procs, "_FORK_HELPER", True)
+    monkeypatch.delattr(os, "fork")          # a fork would raise AttributeError
+    blocks = [dW.shape for _, dW in engine._noise_blocks(cfg.base_seed, 0, cfg.n_trajectories,
+                                                         cfg.n_steps, cfg.dt)]
+    assert blocks == [(cfg.n_trajectories, cfg.n_steps)]
 
 
 def _no_child_left():
