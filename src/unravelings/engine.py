@@ -39,13 +39,14 @@ and ``<L>`` round exactly, as for sigma_z on its eigenstates).  When
 factor ``xi_r``, so ``g = xi l phi`` with ``xi l`` fixed per kernel, and the
 step forms ``A_e phi + sqrt(lam) dW g`` without the ``|phi|^2`` pass of
 ``<L>``; dropping the ``0 <L>`` and ``+0`` terms keeps every bit of the
-general expressions, the sign of each zero included.  Norms are sums of ``re^2 + im^2`` over rows in a fixed order, and a non-finite or
-vanishing norm raises :class:`FloatingPointError` naming the trajectory and
-the step.  The drivers rotate once per batch, never per noise block, so a
-trajectory does not depend on where the blocks end: :func:`simulate_ensemble`
-starts at ``V^dag psi0`` and snapshots ``V^dag O V`` means and
-``V (Phi Phi^dag) V^dag``; :func:`_state_stack`, :func:`sse_step` and
-:func:`_matched_blocks` hand back ``V phi``.
+general expressions, the sign of each zero included.  Norms are sums of
+``re^2 + im^2`` over rows in a fixed order, and a non-finite or vanishing
+norm raises :class:`FloatingPointError` naming the trajectory and the step.
+The drivers rotate once per batch, never per noise block, so a trajectory
+does not depend on where the blocks end: :func:`simulate_ensemble` starts at
+``V^dag psi0`` and snapshots ``V^dag O V`` means and ``V (Phi Phi^dag) V^dag``;
+:func:`_state_stack`, :func:`sse_step` and :func:`_matched_blocks` hand back
+``V phi``.
 
 Operand layout of the elementwise step: the states are C-contiguous
 ``(dim, N)`` complex arrays, and every elementwise operation runs on

@@ -407,7 +407,7 @@ def test_the_phase_noise_step_squares_the_states_once(monkeypatch, model):
     abs2 = engine._abs2
 
     def counting(psis):
-        calls.append(psis.shape)
+        calls.append(None)
         return abs2(psis)
 
     monkeypatch.setattr(engine, "_abs2", counting)
@@ -726,15 +726,12 @@ def test_noise_blocks_start_short_and_double_up_to_the_budget(monkeypatch, budge
     # wiener_path(derive_seed(base, k0 + k), dt, n_steps)
     monkeypatch.setattr(engine, "_NOISE_BUDGET", budget)
     monkeypatch.setattr(procs, "_FORK_HELPER", False)
-    starts, rows = [], [[] for _ in range(3)]
-    for start, dW in engine._noise_blocks(41, 4, 7, n_steps, 2e-3):
-        starts.append((start, dW.shape[1]))
-        for row, block_row in zip(rows, dW):
-            row.append(block_row.copy())
-    assert [n for _, n in starts] == sizes
-    assert [s for s, _ in starts] == list(itertools.accumulate([0] + sizes[:-1]))
-    for k, row in zip(range(4, 7), rows):
-        assert np.array_equal(np.concatenate(row), wiener_path(derive_seed(41, k), 2e-3, n_steps))
+    blocks = [(start, dW.copy()) for start, dW in engine._noise_blocks(41, 4, 7, n_steps, 2e-3)]
+    assert [(start, dW.shape[1]) for start, dW in blocks] == list(
+        zip(itertools.accumulate([0] + sizes[:-1]), sizes))
+    joined = np.concatenate([dW for _, dW in blocks], axis=1)
+    for k, row in zip(range(4, 7), joined):
+        assert np.array_equal(row, wiener_path(derive_seed(41, k), 2e-3, n_steps))
 
 
 def test_a_fig2_sized_chunk_draws_one_block_and_forks_no_helper(monkeypatch):
