@@ -18,14 +18,14 @@ from .bell import bell_gates, bell_report
 from .engine import (ModelSpec, UnravelingParams, _EulerKernel, _ExponentialKernel,
                      _matched_blocks, _state_stack, lindblad_rhs, master_equation_oracle,
                      mc_tolerance, simulate_ensemble)
-from .gaussian import (SPREAD_RTOL, MechanicalParams, _width_blocks, a_closed_form,
-                       centroid_ensemble, conditional_covariance_series,
-                       conditional_spread_x, initial_spread_deviation, mean_square_x,
-                       riccati_matrices, riccati_residual, spread_constants,
-                       spreads_ordered, variance_covariance_series, variance_x)
+from .gaussian import (SPREAD_RTOL, MechanicalParams, _width_blocks, centroid_ensemble,
+                       conditional_covariance_series, conditional_spread_x,
+                       initial_spread_deviation, mean_square_x, riccati_matrices,
+                       riccati_residual, spread_constants, spreads_ordered,
+                       variance_covariance_series, variance_x, width_at)
 from .gcm import channel_apply, kraus_apply, povm_completeness, solve_gcm_params
 from .linalg import projector
-from .noise import wiener_path
+from .noise import measurement_record, wiener_path
 from .procs import _forked_map
 from .spin import (SIGMA_Z, SpinParams, _sigma_z_paths, collapse_statistics,
                    nonlinear_ensemble, spin_model, supermartingale_check)
@@ -150,10 +150,9 @@ def _width_max_rel_err(p: MechanicalParams, a0: complex, dt: float, n: int) -> f
     The n + 1 points are stepped and compared _WIDTH_BLOCK at a time, so only
     one block of the path is ever held; the running maximum keeps a NaN.
     """
-    cons = spread_constants(p, a0, 1.0)
     worst = 0.0
     for k0, path in _width_blocks(p, a0, 1.0, dt, n, _WIDTH_BLOCK):
-        ref = a_closed_form(np.arange(k0, k0 + path.size) * dt, cons)
+        ref = width_at(np.arange(k0, k0 + path.size) * dt, p, a0, 1.0)
         worst = np.maximum(worst, np.max(np.abs(path - ref) / np.abs(ref)))
     return float(worst)
 
@@ -256,7 +255,7 @@ def _rand_states(rng, n):
 def _kraus_one_step(psis, dWs, dt, gp, nu):
     """Normalized measurement update times the commuting Hamiltonian phase."""
     ell = np.abs(psis[:, 0]) ** 2 - np.abs(psis[:, 1]) ** 2
-    dy = gp.xi.real * ell * dt + dWs / (2.0 * np.sqrt(gp.gamma))
+    dy = measurement_record(dWs, ell, dt, gp.xi.real, gp.gamma)
     post, _ = kraus_apply(psis.T, SIGMA_Z, gp, dy, dt)
     # each column's norm from the dot products np.linalg.norm takes of one
     # vector, so a column gets the same bits as when it is updated alone

@@ -14,9 +14,10 @@ term of ``sqrt(lam) xi x dW`` (lam at xi = 1, 0 at xi = -i)::
     da/dt = c + i m omega^2 / (2 hbar) - (2 i hbar / m) a^2,   c = lam xi xi_r.
 
 It is solved by ``a(t) = asymptote * tanh(rate * t + offset)``, or by a
-rational function of t at c = omega = 0.  The centroid pair (centroid,
-wavenumber) is an Ornstein-Uhlenbeck-type linear SDE driven by the same
-Wiener process.
+rational function of t at c = omega = 0; :func:`width_at` is the one function
+that evaluates either form, and every spread and covariance reads the width
+through it.  The centroid pair (centroid, wavenumber) is an
+Ornstein-Uhlenbeck-type linear SDE driven by the same Wiener process.
 
 Three second moments are compared throughout:
 
@@ -82,6 +83,15 @@ def _checked_xi(xi) -> complex:
     return engine_mod.UnravelingParams(xi.real, xi.imag, 0.0).xi
 
 
+def _checked_width(a0) -> complex:
+    """``a0`` as a complex number, once Re a0 is finite and > 0 and Im a0 finite."""
+    a0 = complex(a0)
+    if not (0.0 < a0.real < math.inf and math.isfinite(a0.imag)):
+        raise ValueError(f"width must have a finite, positive real part and a finite "
+                         f"imaginary part, got {a0}")
+    return a0
+
+
 def _rational_width(p: MechanicalParams, xi: complex) -> bool:
     """True when the width ODE has no constant term (c = omega = 0)."""
     return p.omega == 0.0 and p.lam * xi.real == 0.0
@@ -93,15 +103,13 @@ def spread_constants(p: MechanicalParams, a0: complex, xi: complex) -> SpreadCon
     (x_a, y_a) = (m^2 omega^2 / 4 hbar^2 + m lam xi_r xi_i / 2 hbar, m lam xi_r^2 / 2 hbar)
     fixes ``asymptote = sqrt(x_a - i y_a)`` (root with Re >= 0 >= Im) and
     ``rate = 2 i hbar asymptote / m``; the offset matches the initial width.
-    At c = omega = 0 there is no tanh form: use :func:`width_linear_free`.
+    At c = omega = 0 there is no tanh form; :func:`width_at` takes the rational one.
     """
     xi = _checked_xi(xi)
-    a0 = complex(a0)
-    if not (a0.real > 0.0):
-        raise ValueError("initial width must have positive real part")
+    a0 = _checked_width(a0)
     if _rational_width(p, xi):
         raise ValueError("a free width at c = 0 is rational in t; "
-                         "no tanh-form constants exist (see width_linear_free)")
+                         "no tanh-form constants exist (see width_at)")
     x_a = ((p.mass * p.omega) ** 2 / (4.0 * p.hbar ** 2)
            + p.mass * p.lam * xi.real * xi.imag / (2.0 * p.hbar))
     y_a = p.mass * p.lam * xi.real ** 2 / (2.0 * p.hbar)
@@ -131,31 +139,22 @@ def _tanh_stable(z: np.ndarray) -> np.ndarray:
     return np.tanh(z)
 
 
-def a_closed_form(t, constants: SpreadConstants):
-    """Width a(t) = asymptote * tanh(rate * t + offset); scalar or array t."""
-    t = np.asarray(t, dtype=float)
-    out = constants.asymptote * _tanh_stable(constants.rate * t + constants.offset)
-    return complex(out) if out.ndim == 0 else out
-
-
-def width_linear_free(t, p: MechanicalParams, a0: complex):
-    """Free width a(t) = a0 m / (m + 2 i hbar t a0) at c = 0 (phase noise, or lam = 0)."""
-    t = np.asarray(t, dtype=float)
-    out = a0 * p.mass / (p.mass + 2j * p.hbar * t * a0)
-    return complex(out) if out.ndim == 0 else out
-
-
-def _width_fn(p: MechanicalParams, a0: complex, xi: complex):
-    """The closed-form width t -> a(t) of member ``xi`` (already checked)."""
-    if _rational_width(p, xi):
-        return lambda t: width_linear_free(t, p, a0)
-    cons = spread_constants(p, a0, xi)
-    return lambda t: a_closed_form(t, cons)
-
-
 def width_at(t, p: MechanicalParams, a0: complex, xi: complex):
-    """Closed-form width of member ``xi``, free or trapped."""
-    return _width_fn(p, a0, _checked_xi(xi))(t)
+    """Closed-form width a(t) of member ``xi``, free or trapped; scalar or array t.
+
+    At c = omega = 0 (phase noise, or lam = 0, on a free particle) it is the
+    rational a0 m / (m + 2 i hbar t a0); otherwise asymptote * tanh(rate * t +
+    offset) with the :func:`spread_constants` of ``xi``.  A scalar t gives a complex.
+    """
+    xi = _checked_xi(xi)
+    a0 = _checked_width(a0)
+    t = np.asarray(t, dtype=float)
+    if _rational_width(p, xi):
+        out = a0 * p.mass / (p.mass + 2j * p.hbar * t * a0)
+    else:
+        cons = spread_constants(p, a0, xi)
+        out = cons.asymptote * _tanh_stable(cons.rate * t + cons.offset)
+    return complex(out) if out.ndim == 0 else out
 
 
 def conditional_spread_x(t, p: MechanicalParams, a0: complex, xi: complex):
@@ -192,7 +191,7 @@ def variance_x(t, p: MechanicalParams, a0: complex):
     the windowed-noise term lam hbar^2/(2 m^2 omega^2) (t - sin(2wt)/2w).
     """
     t = np.asarray(t, dtype=float)
-    a0 = complex(a0)
+    a0 = _checked_width(a0)
     if p.omega == 0.0:
         unitary = (((p.mass - 2.0 * p.hbar * t * a0.imag) ** 2
                     + (2.0 * p.hbar * t * a0.real) ** 2)
@@ -215,7 +214,7 @@ SPREAD_RTOL = 1e-12   # relative slack of both gates
 
 def initial_spread(a0: complex) -> float:
     """1 / (4 Re a0), the position spread of the initial packet."""
-    return 1.0 / (4.0 * complex(a0).real)
+    return 1.0 / (4.0 * _checked_width(a0).real)
 
 
 def initial_spread_deviation(a0: complex, s_collapse, s_phase, var) -> float:
@@ -294,13 +293,12 @@ def _response_integrals(ts: np.ndarray, p: MechanicalParams, a0: complex,
                         xi: complex) -> np.ndarray:
     """``int_0^t g^2 ds`` of :func:`mean_square_x` at each time t > 0 of ``ts``, in one quadrature."""
     m, hb, om = p.mass, p.hbar, p.omega
-    width = _width_fn(p, a0, xi)
     n = ts.size
     rate = p.lam * xi.real ** 2
     if rate == 0.0:                   # the width does not relax: no boundary layer
         lo, hi = np.zeros(n), ts
     else:
-        layer = complex(a0).real / rate   # width-relaxation time scale
+        layer = a0.real / rate            # width-relaxation time scale
         split = np.minimum(0.5 * ts, 1e-3 * layer)
         lo = np.concatenate([np.zeros(n), np.log(split)])
         hi = np.concatenate([split, np.log(ts)])
@@ -312,7 +310,7 @@ def _response_integrals(ts: np.ndarray, p: MechanicalParams, a0: complex,
         s = s.copy()
         s[log_time] = np.exp(s[log_time])
         tr = ts[rows % n]
-        a = width(s)
+        a = width_at(s, p, a0, xi)
         if om == 0.0:
             collapse = (0.5 - (hb / m) * (tr - s) * a.imag) / a.real
             phi_xk = hb * (tr - s) / m
@@ -341,6 +339,7 @@ def mean_square_x(t, p: MechanicalParams, a0: complex, x0: float, k0: float, xi:
     A scalar t gives a float.
     """
     xi = _checked_xi(xi)
+    a0 = _checked_width(a0)
     t = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(t) & (t >= 0.0)):
         raise ValueError("t must be finite and >= 0")
@@ -371,17 +370,15 @@ def total_variance_deviation(t, mean_x2, p: MechanicalParams, a0: complex, x0: f
 
 # --- parameter SDE integration ----------------------------------------------
 
-def width_rate_scale(p: MechanicalParams, a0: complex, xi: complex) -> float:
-    """Characteristic relaxation rate |rate| of member ``xi``'s width ODE (s^-1)."""
-    xi = _checked_xi(xi)
-    if _rational_width(p, xi):
-        return 2.0 * p.hbar * abs(a0) / p.mass
-    return abs(spread_constants(p, a0, xi).rate)
-
-
 def check_width_stability(p: MechanicalParams, a0: complex, xi: complex, dt: float) -> None:
-    """Raise ValueError unless dt * |rate| of the width ODE stays inside the stability budget."""
-    rate = width_rate_scale(p, a0, xi)
+    """Raise ValueError unless dt * |rate| of the width ODE stays inside the stability budget.
+
+    |rate| (s^-1) is 2 hbar |a0| / m for a rational width, else that of :func:`spread_constants`.
+    """
+    xi = _checked_xi(xi)
+    a0 = _checked_width(a0)
+    rate = (2.0 * p.hbar * abs(a0) / p.mass if _rational_width(p, xi)
+            else abs(spread_constants(p, a0, xi).rate))
     engine_mod._require_dt_within(dt, TOL.stability_budget / rate if rate > 0.0 else math.inf,
                                   f"{TOL.stability_budget} of dt * |width rate {rate:.3e} s^-1|")
 
@@ -423,8 +420,7 @@ def gaussian_sde_step(state: tuple, p: MechanicalParams, xi: complex,
     """
     xi = _checked_xi(xi)
     a, x, k = state
-    if not (a.real > 0.0):
-        raise ValueError(f"width must have positive real part, got {a}")
+    a = _checked_width(a)
     a_new = complex(_width_path(a, p, xi, dt, 1)[1])
     if not (a_new.real > 0.0):
         raise FloatingPointError("width lost positivity; reduce dt")
@@ -545,29 +541,20 @@ def riccati_matrices(p: MechanicalParams, xi: complex | None = None) -> RiccatiM
     return RiccatiMatrices(drift=a, diffusion=b, backaction=d)
 
 
-def covariance_from_width(width, hbar: float) -> np.ndarray:
-    """(x, p) covariance matrix of a pure Gaussian state with given width.
-
-    S_xx = 1/(4 Re a), S_xp = -hbar Im a / (2 Re a), S_pp = hbar^2 |a|^2 / Re a;
-    det S = hbar^2 / 4 identically (pure state).
-    """
-    w = np.asarray(width, dtype=complex)
-    re, im = w.real, w.imag
-    sxx = 1.0 / (4.0 * re)
-    sxp = -hbar * im / (2.0 * re)
-    spp = hbar ** 2 * (re ** 2 + im ** 2) / re
-    out = np.empty(w.shape + (2, 2))
-    out[..., 0, 0] = sxx
-    out[..., 0, 1] = sxp
-    out[..., 1, 0] = sxp
-    out[..., 1, 1] = spp
-    return out
-
-
 def conditional_covariance_series(ts, p: MechanicalParams, a0: complex,
                                   xi: complex) -> np.ndarray:
-    """Closed-form conditional covariance matrices of member ``xi`` on a time grid."""
-    return covariance_from_width(width_at(np.asarray(ts, dtype=float), p, a0, xi), p.hbar)
+    """Closed-form conditional covariance matrices of member ``xi`` on a time grid.
+
+    The pure Gaussian state of width a = :func:`width_at` has S_xx = 1/(4 Re a),
+    S_xp = -hbar Im a / (2 Re a) and S_pp = hbar^2 |a|^2 / Re a, so det S = hbar^2 / 4.
+    """
+    w = np.asarray(width_at(ts, p, a0, xi))
+    re, im = w.real, w.imag
+    out = np.empty(w.shape + (2, 2))
+    out[..., 0, 0] = 1.0 / (4.0 * re)
+    out[..., 0, 1] = out[..., 1, 0] = -p.hbar * im / (2.0 * re)
+    out[..., 1, 1] = p.hbar ** 2 * (re ** 2 + im ** 2) / re
+    return out
 
 
 def variance_covariance_series(ts, p: MechanicalParams, a0: complex) -> np.ndarray:

@@ -44,7 +44,7 @@ def require_finite(name: str, value: float, positive: bool = True) -> None:
 
 def assert_normalized(psi: np.ndarray) -> None:
     nrm2 = float(np.vdot(psi, psi).real)
-    if abs(nrm2 - 1.0) > TOL.norm:
+    if not abs(nrm2 - 1.0) <= TOL.norm:     # also a nan
         raise ValueError(f"state is not normalized: ||psi||^2 - 1 = {nrm2 - 1.0:.3e}")
 
 

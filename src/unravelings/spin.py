@@ -43,7 +43,10 @@ class SpinParams:
     hbar: float = 1.0
 
     def __post_init__(self):
+        if not np.isfinite(self.nu):
+            raise ValueError(f"nu must be finite, got {self.nu}")
         require_finite("lam", self.lam, positive=False)
+        require_finite("hbar", self.hbar)
 
 
 def spin_model(sp: SpinParams) -> ModelSpec:

@@ -4,6 +4,7 @@ import platform
 import re
 import subprocess
 import sys
+import traceback
 import warnings
 from pathlib import Path
 
@@ -211,15 +212,33 @@ def test_stability_violation_reports_usable_cap():
         validate_config({**raw, "dt": cap, "t_final": 100 * cap})
 
 
+def test_fig3_raises_in_the_tanh_pole_check(tmp_path):
+    """The trapped preset fails in ``gaussian._tanh_stable``, and only there.
+
+    ``perfbench/workloads.py`` ``Presets.known_failure`` exempts ``fig3`` only
+    when the innermost frame of its ``ZeroDivisionError`` is ``_tanh_stable``
+    (a false pole at omega t = pi/2).  A change that moves the raise makes the
+    benchmark's ``presets`` workload incorrect.  ROADMAP item 1 replaces this
+    contract: a cancellation-free tanh lets ``fig3`` run.
+    """
+    with pytest.raises(ZeroDivisionError) as err:
+        run_scenario(preset("fig3"), tmp_path)
+    frame = traceback.extract_tb(err.value.__traceback__)[-1]
+    assert (frame.name, Path(frame.filename).name) == ("_tanh_stable", "gaussian.py")
+
+
 def test_free_particle_config_at_its_own_cap_validates_and_runs(tmp_path):
-    from unravelings.gaussian import width_rate_scale
+    from unravelings.gaussian import check_width_stability
     params = {"mass": 1.601725357683094, "lam": 1.3025019631314454, "hbar": 1.0,
               "a0": [0.7400285901907748, 0.43205968661337824]}
     dt = 0.007841331861199846
     cfg = validate_config({"name": "cap", "model": "free_particle", "params": params,
                            "dt": dt, "t_final": 10 * dt, "n_trajectories": 2,
                            "outputs": ["trajectory", "record", "ensemble_mean"]})
-    assert dt == 0.01 / width_rate_scale(cfg.mechanical(), cfg.a0(), cfg.xi)
+    # dt is the cap itself: the next float above it breaks the budget
+    check_width_stability(cfg.mechanical(), cfg.a0(), cfg.xi, dt)
+    with pytest.raises(ValueError, match="stability budget"):
+        check_width_stability(cfg.mechanical(), cfg.a0(), cfg.xi, np.nextafter(dt, np.inf))
     assert len(run_scenario(cfg, tmp_path)) == 3
 
 

@@ -52,13 +52,16 @@ def test_model_spec_requires_hermitian():
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("make", [
     lambda v: SpinParams(lam=v),
+    lambda v: SpinParams(nu=v),
+    lambda v: SpinParams(hbar=v),
     lambda v: MechanicalParams(mass=v, omega=0.0, lam=1.0),
     lambda v: MechanicalParams(mass=1.0, omega=v, lam=1.0),
     lambda v: MechanicalParams(mass=1.0, omega=0.0, lam=v),
     lambda v: MechanicalParams(mass=1.0, omega=0.0, lam=1.0, hbar=v),
     lambda v: UnravelingParams(1.0, 0.0, v),
     lambda v: ModelSpec(H=SZ, L=SZ, dim=2, hbar=v),
-], ids=["spin.lam", "mass", "omega", "mech.lam", "mech.hbar", "unraveling.lam", "model.hbar"])
+], ids=["spin.lam", "spin.nu", "spin.hbar", "mass", "omega", "mech.lam", "mech.hbar",
+        "unraveling.lam", "model.hbar"])
 def test_parameter_guards_reject_non_finite_values(make, value):
     # a nan passes "x < 0" and "x <= 0" and would flow on as a nan result
     with pytest.raises(ValueError, match="must be finite"):
@@ -238,6 +241,16 @@ def test_ensemble_raises_on_non_finite_state():
     model = ModelSpec(H=np.diag([1e308, -1e308]).astype(complex), L=SZ.copy(), dim=2)
     with pytest.raises(FloatingPointError, match="trajectory 0 .* at step 0"):
         simulate_ensemble(model, UnravelingParams.nonlinear(1.0), PSI0, 1e-3, 10, 4,
+                          base_seed=1)
+
+
+@pytest.mark.parametrize("n_steps", [0, 10])
+def test_ensemble_rejects_a_nan_initial_state(n_steps):
+    # abs(nan - 1) > tol is False: the norm test must read not (... <= tol), or a nan
+    # state comes back as nan rhos (no steps) or as a step failure that blames dt
+    psi0 = np.array([np.nan, 0.0], dtype=complex)
+    with pytest.raises(ValueError, match="not normalized"):
+        simulate_ensemble(spin_model(), UnravelingParams.nonlinear(1.0), psi0, 1e-3, n_steps, 4,
                           base_seed=1)
 
 

@@ -1,3 +1,4 @@
+import math
 import time
 
 import numpy as np
@@ -8,16 +9,15 @@ from hypothesis import strategies as st
 from unravelings import engine, procs
 from unravelings.config import preset
 from unravelings.gaussian import (SPREAD_RTOL, MechanicalParams, QuadratureError, _centroid_step,
-                                  _width_blocks, a_closed_form, centroid_ensemble,
+                                  _tanh_stable, _width_blocks, centroid_ensemble,
                                   check_width_stability,
                                   conditional_covariance_series,
-                                  conditional_spread_x, covariance_from_width,
+                                  conditional_spread_x,
                                   gaussian_sde_step, initial_spread,
                                   initial_spread_deviation, mean_square_x,
                                   riccati_matrices, riccati_residual, simulate_width,
-                                  spread_constants, spreads_ordered, SpreadConstants,
-                                  variance_covariance_series, variance_x, width_at,
-                                  width_linear_free)
+                                  spread_constants, spreads_ordered,
+                                  variance_covariance_series, variance_x, width_at)
 from unravelings.noise import derive_seed, wiener_path
 from unravelings.tolerances import TOL
 
@@ -33,7 +33,7 @@ def test_constants_free_natural_units():
     assert cons.rate == pytest.approx(1.0 + 1.0j, abs=1e-15)
     assert cons.asymptote == pytest.approx(0.5 - 0.5j, abs=1e-15)
     # offset reproduces the initial width by construction
-    assert a_closed_form(0.0, cons) == pytest.approx(0.25 + 0j, abs=1e-14)
+    assert width_at(0.0, P_NAT, 0.25 + 0j, 1.0) == pytest.approx(0.25 + 0j, abs=1e-14)
 
 
 def test_constants_harmonic_linear_member():
@@ -66,12 +66,38 @@ def test_constants_singular_inputs():
         spread_constants(p, 2.0 * c_lin + 0j, -1j)
 
 
-def test_width_ode_residual_is_second_order():
-    cons = spread_constants(P_NAT, 0.25 + 0j, 1.0)
+P_TRAP = MechanicalParams(mass=1.0, omega=0.5, lam=1.0, hbar=1.0)
 
+
+@pytest.mark.parametrize("a0", [complex(0.25, math.nan), complex(math.inf, 0.0),
+                                complex(math.nan, 0.0), complex(0.25, math.inf),
+                                complex(0.0, 0.1), complex(-0.1, 0.0)],
+                         ids=["im-nan", "re-inf", "re-nan", "im-inf", "re-zero", "re-negative"])
+@pytest.mark.parametrize("call", [
+    lambda a0: width_at(1.0, P_NAT, a0, 1.0),
+    lambda a0: width_at(1.0, P_NAT, a0, -1j),                 # the rational width
+    lambda a0: conditional_spread_x(1.0, P_NAT, a0, 1.0),
+    lambda a0: variance_x(1.0, P_NAT, a0),
+    lambda a0: variance_x(1.0, P_TRAP, a0),
+    lambda a0: initial_spread(a0),
+    lambda a0: mean_square_x(1.0, P_NAT, a0, 0.0, 0.0, 1.0),
+    lambda a0: check_width_stability(P_NAT, a0, 1.0, 1e-3),
+    lambda a0: check_width_stability(P_NAT, a0, -1j, 1e-3),
+    lambda a0: spread_constants(P_NAT, a0, 1.0),
+    lambda a0: gaussian_sde_step((a0, 0.0, 0.0), P_NAT, 1.0, 0.0, 1e-3),
+], ids=["width_at", "width_at-rational", "conditional_spread_x", "variance_x-free",
+        "variance_x-trapped", "initial_spread", "mean_square_x", "check_width_stability",
+        "check_width_stability-rational", "spread_constants", "gaussian_sde_step"])
+def test_closed_forms_reject_a_non_finite_or_non_positive_width(call, a0):
+    # a nan width flowed on as a nan spread, and Re a0 = inf as a finite, wrong one
+    with pytest.raises(ValueError, match="width must have a finite, positive real part"):
+        call(a0)
+
+
+def test_width_ode_residual_is_second_order():
     def max_resid(h):
         ts = 0.3 + np.arange(300) * h
-        a = a_closed_form(ts, cons)
+        a = width_at(ts, P_NAT, 0.25 + 0j, 1.0)
         dadt = (a[2:] - a[:-2]) / (2.0 * h)
         rhs = 1.0 - 2j * a[1:-1] ** 2
         return np.max(np.abs(dadt - rhs))
@@ -81,23 +107,23 @@ def test_width_ode_residual_is_second_order():
 
 def test_width_closed_form_asymptote():
     cons = spread_constants(P_NAT, 0.25 + 0j, 1.0)
-    a_inf = a_closed_form(50.0, cons)
+    a_inf = width_at(50.0, P_NAT, 0.25 + 0j, 1.0)
     assert abs(a_inf - cons.asymptote) <= 1e-12
 
 
 def test_width_pole_is_flagged():
-    # rate i, offset i*(pi/2 - t*) hits cosh+cos = 0 at t*
-    cons = SpreadConstants(rate=1j, asymptote=1.0 + 0j, offset=0.0 + 0.2j)
+    # rate i, offset 0.2 i: the tanh argument reaches the pole i pi/2, where cosh+cos = 0,
+    # at t* = pi/2 - 0.2
     with pytest.raises(ZeroDivisionError):
-        a_closed_form(np.pi / 2.0 - 0.2, cons)
+        _tanh_stable(1j * (np.pi / 2.0 - 0.2) + 0.2j)
 
 
-def test_width_linear_free_rational_form():
+def test_free_phase_noise_width_is_rational():
     # matches the explicit component formulas, including a0_im != 0
     p = MechanicalParams(mass=2.0, omega=0.0, lam=0.5, hbar=0.3)
     a0 = 0.8 - 0.4j
     for t in (0.0, 0.7, 3.0):
-        w = width_linear_free(t, p, a0)
+        w = width_at(t, p, a0, -1j)
         den = (p.mass - 2 * p.hbar * t * a0.imag) ** 2 + (2 * p.hbar * t * a0.real) ** 2
         assert w.real == pytest.approx(p.mass ** 2 * a0.real / den, rel=1e-13)
         expected_im = (p.mass ** 2 * a0.imag
@@ -246,7 +272,7 @@ def test_gaussian_sde_step_free_unitary_matches_rational_width():
     for _ in range(n):
         g = gaussian_sde_step(g, p, -1j, 0.0, dt)
     width, centroid, _ = g
-    ref = width_linear_free(n * dt, p, 0.25 + 0j)
+    ref = width_at(n * dt, p, 0.25 + 0j, -1j)
     assert abs(width - ref) <= 1e-5 * abs(ref)
     assert centroid == pytest.approx(0.3 * n * dt, rel=1e-12)
 
@@ -259,11 +285,10 @@ def test_gaussian_sde_step_rejects_width_loss():
 
 
 def test_simulate_width_tracks_closed_form():
-    cons = spread_constants(P_NAT, 0.25 + 0j, 1.0)
     n = 100_000
     dt = 10.0 / n
     path = simulate_width(P_NAT, 0.25 + 0j, 1.0, dt, n)
-    ref = a_closed_form(np.arange(n + 1) * dt, cons)
+    ref = width_at(np.arange(n + 1) * dt, P_NAT, 0.25 + 0j, 1.0)
     assert np.max(np.abs(path - ref) / np.abs(ref)) <= 1e-3
     with pytest.raises(ValueError, match="stability"):
         simulate_width(P_NAT, 0.25 + 0j, 1.0, 1.0, 10)
@@ -386,11 +411,12 @@ def test_riccati_matrices_entries():
             riccati_matrices(p, bad)
 
 
-def test_pure_state_covariance_has_minimal_determinant():
-    w = np.array([0.25 + 0j, 0.3 - 0.2j, 2.0 + 1.5j])
-    cov = covariance_from_width(w, hbar=1.0)
-    dets = np.linalg.det(cov)
-    assert np.max(np.abs(dets - 0.25)) <= 1e-12
+@pytest.mark.parametrize("xi", [1.0, -1j, np.exp(-0.3j)])
+def test_pure_state_covariance_has_minimal_determinant(xi):
+    ts = np.linspace(0.0, 3.0, 7)
+    for a0 in (0.25 + 0j, 0.3 - 0.2j, 2.0 + 1.5j):
+        dets = np.linalg.det(conditional_covariance_series(ts, P_NAT, a0, xi))
+        assert np.max(np.abs(dets - 0.25)) <= 1e-12
 
 
 @pytest.mark.parametrize("xi", [

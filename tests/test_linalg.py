@@ -28,6 +28,8 @@ def test_validators_reject_unnormalized_states_and_bad_numbers():
     assert_normalized((KET_UP + KET_DOWN) / np.sqrt(2.0))
     with pytest.raises(ValueError, match="not normalized"):
         assert_normalized(KET_UP + KET_DOWN)
+    with pytest.raises(ValueError, match="not normalized"):
+        assert_normalized(np.array([np.nan, 0.0], dtype=complex))
     require_finite("dt", 1e-3)
     require_finite("lam", 0.0, positive=False)
     for value in (0.0, -1.0, np.inf, np.nan):

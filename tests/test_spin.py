@@ -214,3 +214,6 @@ def test_spin_model_shapes():
     assert m.hbar == 3.0
     with pytest.raises(ValueError):
         SpinParams(lam=-1.0)
+    assert spin_model(SpinParams(nu=-2.0)).H[0, 0] == -2.0      # nu takes either sign
+    with pytest.raises(ValueError, match="hbar must be finite and positive"):
+        SpinParams(hbar=0.0)
