@@ -158,7 +158,7 @@ def _width_max_rel_err(p: MechanicalParams, a0: complex, dt: float, n: int) -> f
 
 
 def criterion_5() -> CriterionResult:
-    """Width SDE matches its closed form; centroid MC matches the quadrature.
+    """Width SDE matches its closed form; centroid MC matches the closed form of E[<x>^2].
 
     The million-step width path is checked here, block by block
     (:func:`_width_max_rel_err`), never held whole, while a forked child runs
@@ -185,7 +185,7 @@ def criterion_5() -> CriterionResult:
 
     return CriterionResult("parameter SDE vs closed forms", ok_width and ok_mc,
                            "width path rel err <= 1e-4 at dt = T/1e6; "
-                           "centroid MC within 4 SE of the quadrature",
+                           "centroid MC within 4 SE of the closed form",
                            {"width_max_rel_err": rel, "mc_worst_se": worst_se})
 
 

@@ -82,7 +82,12 @@ def _cmd_run(args) -> int:
     out_dir = _out_dir("run", args.out)
     if out_dir is None:
         return 2
-    written = run_scenario(cfg, out_dir)
+    try:
+        written = run_scenario(cfg, out_dir)
+    except (FloatingPointError, ZeroDivisionError, OverflowError) as exc:
+        print(f"run: {cfg.name} failed numerically: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return 3
     for p in written:
         print(f"wrote {p}")
     if args.check:

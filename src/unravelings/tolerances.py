@@ -14,7 +14,6 @@ class Tolerances:
     hermiticity: float = 1e-10      # max |M - M^dagger| elementwise
     unit_modulus: float = 1e-12     # | |xi|^2 - 1 | for unraveling parameters
     povm: float = 1e-6              # completeness defect of a measurement-operator family
-    quadrature_rel: float = 1e-8    # relative tolerance of adaptive quadrature
     stability_budget: float = 0.01  # lam * max_eig(L)^2 * dt must stay below this
 
 

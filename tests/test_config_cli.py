@@ -26,6 +26,8 @@ from unravelings.runner import (_REPORTS, _SETUPS, _SpinRun, _check_bell, _check
 from unravelings.spin import (SIGMA_Z, _sigma_z_paths, collapse_bound, collapse_statistics,
                               supermartingale_check)
 
+from quadrature import TOTAL_VARIANCE_RTOL, total_variance_deviation
+
 
 def test_all_presets_validate():
     for name in PRESETS:
@@ -225,6 +227,14 @@ def test_fig3_raises_in_the_tanh_pole_check(tmp_path):
         run_scenario(preset("fig3"), tmp_path)
     frame = traceback.extract_tb(err.value.__traceback__)[-1]
     assert (frame.name, Path(frame.filename).name) == ("_tanh_stable", "gaussian.py")
+
+
+def test_run_exits_3_on_a_numerical_failure_without_a_traceback(tmp_path, capsys):
+    # fig3's ZeroDivisionError from the tanh pole check is one line on stderr
+    assert main(["run", "--preset", "fig3", "--out", str(tmp_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert captured.err.startswith("run: fig3 failed numerically: ZeroDivisionError")
 
 
 def test_free_particle_config_at_its_own_cap_validates_and_runs(tmp_path):
@@ -651,7 +661,7 @@ def test_mechanical_sde_outputs(tmp_path):
 
 def test_harmonic_config_at_an_interior_member_runs_and_passes_its_checks(tmp_path):
     # xi = exp(-i pi/4): every mechanical output, and the Monte Carlo mean of
-    # <x>^2 against the member's quadrature
+    # <x>^2 against the member's closed form
     xi = [np.cos(np.pi / 4), -np.sin(np.pi / 4)]
     cfg = validate_config({
         "name": "mid", "model": "harmonic", "unraveling": {"xi": xi},
@@ -667,15 +677,34 @@ def test_harmonic_config_at_an_interior_member_runs_and_passes_its_checks(tmp_pa
     dev = np.abs(em["mean_x2_mc"] - em["mean_x2_closed_form"])
     # first snapshot is t = 0 where both sides vanish identically
     assert np.all(dev[1:] <= 4.0 * em["stderr_x2"][1:])
-    # the member's quadrature keeps the law of total variance, and the check sees a
-    # closed-form column that is off by one part in a million
-    total_variance = [c for c in outcomes if c.name.startswith("law of total variance")]
-    assert len(total_variance) == 1 and total_variance[0].passed
-    write_series(tmp_path / "mid_ensemble_mean.csv",
-                 {**em, "mean_x2_closed_form": em["mean_x2_closed_form"] * (1 + 1e-6)}, meta)
-    broken = [c for c in scenario_checks(cfg, tmp_path)
-              if c.name.startswith("law of total variance")]
-    assert len(broken) == 1 and not broken[0].passed, broken
+    # the written closed form keeps the law of total variance within the
+    # quadrature oracle's bound
+    assert total_variance_deviation(em["t"], em["mean_x2_closed_form"], cfg.mechanical(),
+                                    cfg.a0(), 0.0, 0.0, cfg.xi) <= TOTAL_VARIANCE_RTOL
+    # the check reads the Monte Carlo column: it passes here, and fails once one
+    # snapshot is moved 5 SE further from the closed form
+    def mean_square_check():
+        (check,) = [c for c in scenario_checks(cfg, tmp_path)
+                    if c.name.startswith("Monte Carlo mean of <x>^2")]
+        return check
+    assert mean_square_check().passed
+    mc = em["mean_x2_mc"].copy()
+    mc[10] += np.copysign(5.0 * em["stderr_x2"][10], mc[10] - em["mean_x2_closed_form"][10])
+    write_series(tmp_path / "mid_ensemble_mean.csv", {**em, "mean_x2_mc": mc}, meta)
+    assert not mean_square_check().passed
+
+
+def test_noiseless_mechanical_ensemble_has_no_monte_carlo_check(tmp_path):
+    # at lam = 0 every trajectory is the one Euler path: its standard error is
+    # rounding, and the Euler step's own error is no Monte Carlo error
+    cfg = validate_config({
+        "name": "still", "model": "harmonic", "unraveling": "nonlinear",
+        "params": {"mass": 1.0, "omega": 0.5, "lam": 0.0, "hbar": 1.0,
+                   "a0": [0.3, 0.1], "x0": 0.2, "k0": -0.4},
+        "dt": 5e-3, "t_final": 5.0, "n_trajectories": 20, "base_seed": 1,
+        "outputs": ["ensemble_mean"]})
+    run_scenario(cfg, tmp_path)
+    assert scenario_checks(cfg, tmp_path) == []
 
 
 def test_builders_cover_every_output_kind():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from unravelings import engine, procs
 from unravelings.config import preset
-from unravelings.gaussian import (SPREAD_RTOL, MechanicalParams, QuadratureError, _centroid_step,
+from unravelings.gaussian import (SPREAD_RTOL, MechanicalParams, _centroid_step,
                                   _tanh_stable, _width_blocks, centroid_ensemble,
                                   check_width_stability,
                                   conditional_covariance_series,
@@ -21,6 +21,7 @@ from unravelings.gaussian import (SPREAD_RTOL, MechanicalParams, QuadratureError
 from unravelings.noise import derive_seed, wiener_path
 from unravelings.tolerances import TOL
 
+import quadrature
 from test_engine import helper_blocks
 
 P_NAT = MechanicalParams(mass=1.0, omega=0.0, lam=1.0, hbar=1.0)
@@ -193,8 +194,8 @@ def test_mean_square_consistency_identity(xi, omega):
 @pytest.mark.parametrize("omega", [0.0, 0.5])
 def test_law_of_total_variance_for_interior_members(theta, omega):
     # Var(<x>) = var - spread for every member: the quadrature of the centroid's
-    # response (mean_square_x) against the closed-form width (conditional_spread_x),
-    # with no Monte Carlo; both read the width constant c = lam xi xi_r
+    # response (the oracle) against the closed form (mean_square_x), with no
+    # Monte Carlo; both read the width constant c = lam xi xi_r
     xi = np.exp(1j * theta)
     p = MechanicalParams(mass=1.0, omega=omega, lam=0.8, hbar=1.0)
     a0, x0, k0 = 0.3 + 0.1j, 0.2, -0.4
@@ -203,9 +204,24 @@ def test_law_of_total_variance_for_interior_members(theta, omega):
             ball = x0 + p.hbar * k0 * t / p.mass
         else:
             ball = p.hbar * k0 * np.sin(omega * t) / (p.mass * omega) + x0 * np.cos(omega * t)
-        centroid_var = mean_square_x(t, p, a0, x0, k0, xi) - ball ** 2
-        expected = variance_x(t, p, a0) - conditional_spread_x(t, p, a0, xi)
-        assert centroid_var == pytest.approx(expected, rel=10 * TOL.quadrature_rel)
+        centroid_var = quadrature.mean_square_x(t, p, a0, x0, k0, xi) - ball ** 2
+        expected = mean_square_x(t, p, a0, x0, k0, xi) - ball ** 2
+        assert centroid_var == pytest.approx(expected, rel=10 * quadrature.QUADRATURE_REL)
+
+
+@pytest.mark.parametrize("xi", [1.0, -1j, np.exp(-1j * np.pi / 4), np.exp(0.9j)],
+                         ids=["nonlinear", "linear", "interior-lower", "interior-upper"])
+@pytest.mark.parametrize("p, a0, ts", [
+    (P_FIG1, A0_FIG1, np.linspace(0.0025, 0.05, 20)),
+    (MechanicalParams(mass=1.0, omega=2.0, lam=1.0, hbar=1.0), 0.25 - 0.2j,
+     np.array([0.3, 1.0, 3.0]))], ids=["free-fig1", "trapped"])
+def test_mean_square_matches_the_quadrature_oracle_at_1e_12(p, a0, ts, xi):
+    # the closed form against the oracle run at rel_tol = 1e-12, within 2.5e-13
+    # measured; at fig1's phase-noise member, ballistic^2 + variance_x - spread
+    # misses by 3.5e-4, as variance_x (1e-9) cancels down to E[<x>^2] (6e-24)
+    closed = mean_square_x(ts, p, a0, 0.0, 0.0, xi)
+    oracle = quadrature.mean_square_x(ts, p, a0, 0.0, 0.0, xi, rel_tol=1e-12)
+    assert np.max(np.abs(closed / oracle - 1.0)) <= 1e-11
 
 
 def _fock_oscillator(levels, lam):
@@ -256,11 +272,11 @@ def test_mean_square_linear_free_closed_form():
     assert mean_square_x(0.0, P_FIG1, A0_FIG1, 0.0, 0.0, -1j) == 0.0
 
 
-def test_mean_square_resolves_the_width_boundary_layer():
+def test_oracle_resolves_the_width_boundary_layer():
     # SI parameters: the collapse-member width relaxes within ~2.5e-15 s,
     # twelve orders below t, yet the quadrature still recovers the variance
     t = 0.005
-    msq = mean_square_x(t, P_FIG1, A0_FIG1, 0.0, 0.0, 1.0)
+    msq = quadrature.mean_square_x(t, P_FIG1, A0_FIG1, 0.0, 0.0, 1.0)
     total = msq + conditional_spread_x(t, P_FIG1, A0_FIG1, 1.0)
     assert total == pytest.approx(variance_x(t, P_FIG1, A0_FIG1), rel=1e-6)
 
@@ -322,7 +338,7 @@ def test_width_blocks_check_dt_once_at_the_initial_width():
     assert joined.tobytes() == simulate_width(P_NAT, a0, -1j, dt, n).tobytes()
 
 
-def test_centroid_ensemble_matches_quadrature():
+def test_centroid_ensemble_matches_the_closed_form():
     xs, _ = centroid_ensemble(P_NAT, 0.25 + 0j, -1j, 0.0, 0.0, 1e-3, 1000,
                               2000, base_seed=77)
     assert xs.shape == (1, 2000)                # the final step alone by default
@@ -461,21 +477,20 @@ def test_variance_covariance_free_entries():
 
 
 def test_quadrature_error_is_raised_on_hopeless_integrand():
-    from unravelings.gaussian import _adaptive_simpson
     rng = np.random.default_rng(0)
-    with pytest.raises(QuadratureError):
-        _adaptive_simpson(lambda s, rows: rng.standard_normal(np.shape(s)), 0.0, 1.0, 1e-12,
-                          max_depth=6)
+    with pytest.raises(quadrature.QuadratureError):
+        quadrature._adaptive_simpson(lambda s, rows: rng.standard_normal(np.shape(s)),
+                                     0.0, 1.0, 1e-12, max_depth=6)
 
 
 def test_hopeless_integrand_hits_the_interval_cap_at_the_default_depth():
     # the cap on pending intervals, not the depth of 48 levels, stops the refinement
-    from unravelings.gaussian import _MAX_PENDING, _adaptive_simpson
     rng = np.random.default_rng(0)
     t0 = time.perf_counter()
-    with pytest.raises(QuadratureError, match=f"more than {_MAX_PENDING} intervals"):
-        _adaptive_simpson(lambda s, rows: rng.standard_normal(np.shape(s)),
-                          [0.0, 0.0], [1.0, 2.0], 1e-12)
+    with pytest.raises(quadrature.QuadratureError,
+                       match=f"more than {quadrature._MAX_PENDING} intervals"):
+        quadrature._adaptive_simpson(lambda s, rows: rng.standard_normal(np.shape(s)),
+                                     [0.0, 0.0], [1.0, 2.0], 1e-12)
     assert time.perf_counter() - t0 < 1.0
 
 
