@@ -84,8 +84,8 @@ class ScenarioConfig:
     def mechanical(self) -> MechanicalParams:
         p = self.params
         omega = p.get("omega", 0.0) if self.model == "harmonic" else 0.0
-        return MechanicalParams(mass=p["mass"], omega=omega, lam=p["lam"],
-                                hbar=p.get("hbar", HBAR_SI))
+        return MechanicalParams(mass=float(p["mass"]), omega=float(omega), lam=float(p["lam"]),
+                                hbar=float(p.get("hbar", HBAR_SI)))
 
     def a0(self) -> complex:
         re, im = self.params["a0"]
@@ -282,6 +282,8 @@ def validate_config(raw: dict) -> ScenarioConfig:
                 check_width_stability(cfg.mechanical(), cfg.a0(), cfg.xi, dt)
         except ValueError as exc:
             raise ConfigError([str(exc)]) from None
+        except ArithmeticError as exc:      # an overflow or a zero division in the rate
+            raise ConfigError([f"stability check failed numerically: {exc!r}"]) from None
     return cfg
 
 

@@ -126,7 +126,9 @@ import numpy as np
 from . import noise as noise_mod
 from . import procs
 from .linalg import assert_normalized, is_hermitian, projector, require_finite
-from .tolerances import TOL
+
+STABILITY_BUDGET = 0.01     # lam * max_eig(L)^2 * dt, or dt * |width rate|, must stay below this
+_UNIT_MODULUS_TOL = 1e-12   # | |xi|^2 - 1 | of an unraveling parameter
 
 
 @dataclass(frozen=True)
@@ -140,7 +142,7 @@ class UnravelingParams:
     def __post_init__(self):
         require_finite("xi_r", self.xi_r, positive=False)
         mod2 = self.xi_r ** 2 + self.xi_i ** 2
-        if not abs(mod2 - 1.0) <= TOL.unit_modulus:     # also a nan
+        if not abs(mod2 - 1.0) <= _UNIT_MODULUS_TOL:     # also a nan
             raise ValueError(f"|xi|^2 = {mod2:.15f} must equal 1")
         require_finite("lam", self.lam, positive=False)
 
@@ -192,13 +194,6 @@ class EnsembleResult:
     def times(self) -> np.ndarray:
         return self.step_indices * self.dt
 
-    def mean_of(self, name: str) -> np.ndarray:
-        return self.means[name].mean(axis=1)
-
-    def se_of(self, name: str) -> np.ndarray:
-        vals = self.means[name]
-        return vals.std(axis=1, ddof=1) / np.sqrt(vals.shape[1])
-
     def at_steps(self, steps) -> "EnsembleResult":
         """The snapshots at ``steps``, each of which must be a snapshot step.
 
@@ -219,7 +214,7 @@ def max_stable_dt(model: ModelSpec, u: UnravelingParams) -> float:
     lmax = float(np.max(np.abs(np.linalg.eigvalsh(model.L))))
     if u.lam == 0.0 or lmax == 0.0:
         return np.inf
-    return TOL.stability_budget / (u.lam * lmax ** 2)
+    return STABILITY_BUDGET / (u.lam * lmax ** 2)
 
 
 def _require_dt_within(dt: float, cap: float, budget: str) -> None:
@@ -236,7 +231,7 @@ def _require_dt_within(dt: float, cap: float, budget: str) -> None:
 
 def check_stability(model: ModelSpec, u: UnravelingParams, dt: float) -> None:
     _require_dt_within(dt, max_stable_dt(model, u),
-                       f"{TOL.stability_budget} of lam * max_eig(L)^2 * dt")
+                       f"{STABILITY_BUDGET} of lam * max_eig(L)^2 * dt")
 
 
 def _sum_rows(a: np.ndarray) -> np.ndarray:
@@ -680,6 +675,11 @@ def master_equation_oracle(result: EnsembleResult, model: ModelSpec, lam: float)
     rhos = dict(lindblad_evolve(projector(result.psi0), model, lam, result.dt / 10.0,
                                 max(steps), snapshot_steps=steps))
     return np.array([rhos[s] for s in steps])
+
+
+def mc_stderr(values: np.ndarray) -> np.ndarray:
+    """Standard error of each row's mean of an (n_snap, n_traj) array of samples."""
+    return values.std(axis=1, ddof=1) / np.sqrt(values.shape[1])
 
 
 def mc_tolerance(n_traj: int) -> float:

@@ -45,7 +45,6 @@ import numpy as np
 from . import engine as engine_mod
 from . import procs
 from .linalg import require_finite
-from .tolerances import TOL
 
 HBAR_SI = 1.054571817e-34  # J s
 
@@ -202,9 +201,10 @@ def variance_x(t, p: MechanicalParams, a0: complex):
     return float(out) if out.ndim == 0 else out
 
 
-# --- spread gates: series on one time grid that starts at t = 0 --------------
+# --- gates on series over one time grid that starts at t = 0 ----------------
 
-SPREAD_RTOL = 1e-12   # relative slack of both gates
+SPREAD_RTOL = 1e-12   # relative slack of both spread gates
+MEAN_SQUARE_MAX_SE = 4.0   # SEs a Monte Carlo E[<x>^2] may stray from its closed form
 
 
 def initial_spread(a0: complex) -> float:
@@ -223,6 +223,12 @@ def spreads_ordered(t, s_collapse, s_phase, var) -> bool:
     m = np.asarray(t) > 0
     return bool(np.all(s_collapse[m] <= s_phase[m] * (1 + SPREAD_RTOL))
                 and np.all(s_phase[m] <= var[m] * (1 + SPREAD_RTOL)))
+
+
+def mean_square_worst_se(t, mc, stderr, closed_form) -> float:
+    """Largest |mc - closed_form| / stderr at t > 0, where SEs are nonzero; 0.0 if no t > 0."""
+    after = np.asarray(t) > 0.0
+    return float(np.max(np.abs(mc - closed_form)[after] / stderr[after], initial=0.0))
 
 
 # --- noise average of <x>^2 --------------------------------------------------
@@ -269,8 +275,9 @@ def check_width_stability(p: MechanicalParams, a0: complex, xi: complex, dt: flo
     a0 = _checked_width(a0)
     rate = (2.0 * p.hbar * abs(a0) / p.mass if _rational_width(p, xi)
             else abs(spread_constants(p, a0, xi).rate))
-    engine_mod._require_dt_within(dt, TOL.stability_budget / rate if rate > 0.0 else math.inf,
-                                  f"{TOL.stability_budget} of dt * |width rate {rate:.3e} s^-1|")
+    budget = engine_mod.STABILITY_BUDGET
+    engine_mod._require_dt_within(dt, budget / rate if rate > 0.0 else math.inf,
+                                  f"{budget} of dt * |width rate {rate:.3e} s^-1|")
 
 
 def _width_path(a0: complex, p: MechanicalParams, xi: complex, dt: float,

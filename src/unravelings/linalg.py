@@ -8,14 +8,14 @@ precision.
 Conventions
 -----------
 * kets: ``KET_UP = [1, 0]``, ``KET_DOWN = [0, 1]``.
-* every validator tolerance comes from :data:`unravelings.tolerances.TOL`.
 """
 
 import math
 
 import numpy as np
 
-from .tolerances import TOL
+_NORM_TOL = 1e-10          # | ||psi||^2 - 1 | of a normalized state
+_HERMITICITY_TOL = 1e-10   # max |M - M^dagger| elementwise of a Hermitian operator
 
 KET_UP = np.array([1.0, 0.0], dtype=complex)
 KET_DOWN = np.array([0.0, 1.0], dtype=complex)
@@ -44,12 +44,12 @@ def require_finite(name: str, value: float, positive: bool = True) -> None:
 
 def assert_normalized(psi: np.ndarray) -> None:
     nrm2 = float(np.vdot(psi, psi).real)
-    if not abs(nrm2 - 1.0) <= TOL.norm:     # also a nan
+    if not abs(nrm2 - 1.0) <= _NORM_TOL:     # also a nan
         raise ValueError(f"state is not normalized: ||psi||^2 - 1 = {nrm2 - 1.0:.3e}")
 
 
 def is_hermitian(op: np.ndarray) -> bool:
-    return bool(np.max(np.abs(op - op.conj().T)) <= TOL.hermiticity)
+    return bool(np.max(np.abs(op - op.conj().T)) <= _HERMITICITY_TOL)
 
 
 def projector(psi: np.ndarray) -> np.ndarray:

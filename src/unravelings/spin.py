@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import EnsembleResult, ModelSpec, UnravelingParams, _column_means, \
+from .engine import EnsembleResult, ModelSpec, UnravelingParams, _column_means, mc_stderr, \
     simulate_ensemble, simulate_trajectory
 from .linalg import pauli, require_finite
 
@@ -148,7 +148,7 @@ def supermartingale_check(result: EnsembleResult, sp: SpinParams) -> Supermartin
     """Check E[s_t] <= s_0/(1 + 4 lam s_0 t) + 4 SE and monotone decrease."""
     spreads = sigma_z_spread(result.means["sz"])
     mean = spreads.mean(axis=1)
-    se = spreads.std(axis=1, ddof=1) / np.sqrt(spreads.shape[1])
+    se = mc_stderr(spreads)
     sigma0 = float(sigma_z_spread(sigma_z_mean(result.psi0)))
     bound = collapse_bound(sigma0, sp.lam, result.times)
     bound_ok = bool(np.all(mean <= bound + 4.0 * se + 1e-15))

@@ -2,10 +2,9 @@
 
 ``golden.json`` beside this module holds the ``repr`` of every ``observed``
 value of criteria 1-11 (without ``runtime_s``), a SHA-256 of each preset
-file's content without its ``created_at`` (``runner._without_timestamp``),
-and the Python and numpy versions they were taken with.  ``fig3`` raises,
-so its files are left out.  The bits depend on the numpy build, so a
-mismatch names the versions of both sides.  ``scripts/golden.py --write``
+file's bytes, and the Python and numpy versions they were taken with.
+``fig3`` raises, so its files are left out.  The bits depend on the numpy
+build, so a mismatch names the versions of both sides.  ``scripts/golden.py --write``
 regenerates the file; a change that moves a value on purpose does that and
 says so in ``CHANGES.md``.
 """
@@ -18,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from unravelings.config import PRESETS, preset
-from unravelings.runner import _without_timestamp, run_scenario
+from unravelings.runner import run_scenario
 
 PATH = Path(__file__).with_name("golden.json")
 FAILING_PRESETS = {"fig3"}      # raises ZeroDivisionError (ROADMAP item 1)
@@ -34,8 +33,8 @@ def observed(result) -> dict:
 
 
 def preset_digests(out_dir) -> dict:
-    """File name -> SHA-256 of its content without created_at, for every preset that runs."""
-    return {path.name: hashlib.sha256(repr(_without_timestamp(path)).encode()).hexdigest()
+    """File name -> SHA-256 of its bytes, for every preset that runs."""
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
             for name in PRESETS if name not in FAILING_PRESETS
             for path in run_scenario(preset(name), out_dir)}
 

@@ -14,14 +14,13 @@ import pytest
 from unravelings.cli import _DESCRIBE, main
 from unravelings.config import (FAMILIES, OUTPUT_KINDS, PRESETS, ConfigError,
                                 load_config, preset, validate_config)
-from unravelings.engine import (UnravelingParams, _EulerKernel, _state_stack, simulate_ensemble,
-                                simulate_trajectory)
+from unravelings.engine import (UnravelingParams, _EulerKernel, _state_stack, mc_stderr,
+                                simulate_ensemble, simulate_trajectory)
 from unravelings.gaussian import gaussian_sde_step
 from unravelings.noise import derive_seed, measurement_record, wiener_path
 from unravelings.runner import (_REPORTS, _SETUPS, _SpinRun, _check_bell, _check_collapse_stats,
                                 _check_settled, _check_spreads, _snapshot_steps,
-                                files_equal_ignoring_timestamp, read_report,
-                                read_series, run_scenario, scenario_checks,
+                                read_report, read_series, run_scenario, scenario_checks,
                                 write_series)
 from unravelings.spin import (SIGMA_Z, _sigma_z_paths, collapse_bound, collapse_statistics,
                               supermartingale_check)
@@ -212,6 +211,35 @@ def test_stability_violation_reports_usable_cap():
         cap = float(str(err.value).split("dt <= ")[1].strip())
         assert cap < raw["dt"]
         validate_config({**raw, "dt": cap, "t_final": 100 * cap})
+
+
+@pytest.mark.parametrize("hbar", [1e300, 1e-300], ids=["overflow", "zero_division"])
+def test_a_numerical_failure_in_the_stability_check_is_a_config_error(hbar, tmp_path, capsys):
+    # spread_constants overflows at hbar = 1e300 and divides by zero at 1e-300;
+    # the run reports a config error (exit 2), not a traceback, and writes nothing
+    raw = _with({**PRESETS["riccati_free"], "outputs": ["trajectory"]}, ("params", "hbar"), hbar)
+    with pytest.raises(ConfigError, match="stability check failed numerically"):
+        validate_config(raw)
+    cfg_path = tmp_path / "hbar.json"
+    cfg_path.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "stability check failed numerically" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_mechanical_params_are_floats_whatever_the_json_number(tmp_path):
+    # 2**64 is a JSON integer that np.sqrt cannot take as a Python int
+    cfg_path = tmp_path / "lam.json"
+    cfg_path.write_text(json.dumps(_with(PRESETS["riccati_free"], ("params", "lam"), 2 ** 64)),
+                        encoding="utf-8")
+    assert '"lam": 18446744073709551616' in cfg_path.read_text(encoding="utf-8")
+    cfg = load_config(str(cfg_path))
+    p = cfg.mechanical()
+    assert all(type(v) is float for v in (p.mass, p.omega, p.lam, p.hbar))
+    run_scenario(cfg, tmp_path / "out")
+    checks = scenario_checks(cfg, tmp_path / "out")
+    assert len(checks) == 3 and all(c.passed for c in checks), [c.line() for c in checks]
 
 
 def test_fig3_raises_in_the_tanh_pole_check(tmp_path):
@@ -533,7 +561,21 @@ def test_rerun_is_byte_identical(tmp_path):
     w1 = run_scenario(cfg, d1)
     w2 = run_scenario(cfg, d2)
     for a, b in zip(sorted(w1), sorted(w2)):
-        assert files_equal_ignoring_timestamp(a, b)
+        assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("name", ["fig2", "riccati_free"])
+def test_written_metadata_holds_no_wall_clock_time(name, tmp_path):
+    # every output kind of the family, each file's metadata: the config and
+    # the seed fix every byte, so no key outside these three (no created_at)
+    raw = PRESETS[name]
+    cfg = validate_config({**raw, "dt": 1e-3, "t_final": 0.02, "n_trajectories": 8,
+                           "outputs": list(OUTPUT_KINDS[FAMILIES[raw["model"]]])})
+    written = run_scenario(cfg, tmp_path)
+    assert len(written) == len(OUTPUT_KINDS[cfg.family])
+    for path in written:
+        meta = (read_report if path.suffix == ".json" else read_series)(path)[0]
+        assert set(meta) == {"config", "effective_seed", "version"}, path.name
 
 
 def test_seed_override_changes_stochastic_outputs(tmp_path):
@@ -798,8 +840,8 @@ def test_fig2_outputs_share_one_ensemble(tmp_path):
                             snapshot_steps=_snapshot_steps(cfg),
                             tracked_observables={"sz": SIGMA_Z})
     _, em = read_series(tmp_path / "fig2_ensemble_mean.csv")
-    assert np.array_equal(em["mean_sz"], res.mean_of("sz"))
-    assert np.array_equal(em["stderr_sz"], res.se_of("sz"))
+    assert np.array_equal(em["mean_sz"], res.means["sz"].mean(axis=1))
+    assert np.array_equal(em["stderr_sz"], mc_stderr(res.means["sz"]))
 
 
 @pytest.mark.parametrize("args", [["check", "--only", "7"], ["run", "--preset", "fig1"]],

@@ -19,7 +19,6 @@ from unravelings.gaussian import (SPREAD_RTOL, MechanicalParams, _centroid_step,
                                   spread_constants, spreads_ordered,
                                   variance_covariance_series, variance_x, width_at)
 from unravelings.noise import derive_seed, wiener_path
-from unravelings.tolerances import TOL
 
 import quadrature
 from test_engine import helper_blocks
@@ -328,7 +327,7 @@ def test_width_blocks_check_dt_once_at_the_initial_width():
     # grows from 2 sqrt(2) toward 4, so dt fits the budget at a0 but not at the
     # start of a later block
     a0, n, block = 1.0 + 1.0j, 100, 10
-    dt = 0.9 * TOL.stability_budget / (2.0 * abs(a0))
+    dt = 0.9 * engine.STABILITY_BUDGET / (2.0 * abs(a0))
     starts = [v[0] for _, v in _width_blocks(P_NAT, a0, -1j, dt, n, block)]
     check_width_stability(P_NAT, starts[0], -1j, dt)
     with pytest.raises(ValueError, match="stability"):
