@@ -4,7 +4,8 @@ Configs are JSON files.  Validation is strict (unknown keys are errors, not
 warnings) and exhaustive: every violation found is reported, not just the
 first.  Outputs that integrate a stochastic equation put dt through the
 integrator's own stability guard; closed-form series outputs only use dt
-as a grid spacing.
+as a grid spacing.  A mechanical config must give finite closed-form
+spreads and variance at t = 0 and t_final, whatever its outputs.
 """
 
 import json
@@ -15,7 +16,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .engine import UnravelingParams, check_stability
-from .gaussian import HBAR_SI, MechanicalParams, check_width_stability
+from .gaussian import HBAR_SI, MechanicalParams, check_width_stability, conditional_spread_x, \
+    variance_x
 from .spin import SpinParams, spin_model
 
 # model -> family; the models of one family share their output kinds
@@ -284,7 +286,25 @@ def validate_config(raw: dict) -> ScenarioConfig:
             raise ConfigError([str(exc)]) from None
         except ArithmeticError as exc:      # an overflow or a zero division in the rate
             raise ConfigError([f"stability check failed numerically: {exc!r}"]) from None
+    if model != "spin":
+        _check_closed_forms(cfg)
     return cfg
+
+
+def _check_closed_forms(cfg: ScenarioConfig) -> None:
+    """ConfigError unless both members' closed-form spreads and the variance are
+    finite at t = 0 and t_final; every mechanical output reads them."""
+    p, a0, ts = cfg.mechanical(), cfg.a0(), np.array([0.0, cfg.t_final])
+    try:
+        with np.errstate(all="ignore"):
+            values = [variance_x(ts, p, a0), conditional_spread_x(ts, p, a0, 1.0),
+                      conditional_spread_x(ts, p, a0, -1j)]
+    except ValueError as exc:
+        raise ConfigError([f"closed-form spreads: {exc}"]) from None
+    except ArithmeticError as exc:
+        raise ConfigError([f"closed-form spreads failed numerically: {exc!r}"]) from None
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(["closed-form spreads: not finite at t = 0 or t_final"])
 
 
 def load_config(path: str) -> ScenarioConfig:

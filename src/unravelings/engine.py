@@ -42,6 +42,8 @@ step forms ``A_e phi + sqrt(lam) dW g`` without the ``|phi|^2`` pass of
 general expressions, the sign of each zero included.  Norms are sums of
 ``re^2 + im^2`` over rows in a fixed order, and a non-finite or vanishing
 norm raises :class:`FloatingPointError` naming the trajectory and the step.
+One dot product tests every norm of a step: ``n2 . (1 / sqrt(n2))`` sums
+``sqrt(n2)``, which is finite unless some ``n2`` is 0, inf or nan.
 The drivers rotate once per batch, never per noise block, so a trajectory
 does not depend on where the blocks end: :func:`simulate_ensemble` starts at
 ``V^dag psi0`` and snapshots ``V^dag O V`` means and ``V (Phi Phi^dag) V^dag``;
@@ -104,10 +106,15 @@ full-width loop.  Both layouts draw their blocks through
 :func:`procs._drawn_blocks`; every child process starts and ends in :mod:`procs`.
 
 A batch sees its states only through ``after_step``, the one per-step output
-of :meth:`_ColumnKernel.run`: :func:`simulate_ensemble` copies each chunk's
-result into its preallocated result, and :func:`_state_stack` writes ``V phi``
-of each step into the one (n + 1, dim, N) stack it returns
-(:func:`simulate_trajectory` is its one-column case).
+of :meth:`_ColumnKernel.run`.  :func:`simulate_ensemble` copies a chunk's
+states at each snapshot step into one kept buffer of about
+``_SNAPSHOT_BUDGET`` doubles, and reduces the buffer when it fills and after
+the last block: one stacked ``s @ s^dag`` fills those rows of the chunk's
+rho sum, and one stacked :func:`_column_means` those of each tracked mean.
+Both give each snapshot the bits of its own per-step product.
+:func:`_state_stack` writes ``V phi`` of each step into the one
+(n + 1, dim, N) stack it returns (:func:`simulate_trajectory` is its
+one-column case).
 
 The master equation is written once, in :func:`lindblad_rhs`; the oracle
 takes classical RK4 steps of it.  The flow is linear, so the one-step
@@ -118,6 +125,7 @@ at that ensemble's snapshots.
 """
 
 import contextlib
+import math
 from dataclasses import dataclass, replace
 from functools import reduce
 
@@ -244,8 +252,12 @@ def _sum_rows(a: np.ndarray) -> np.ndarray:
 
 
 def _column_means(psis: np.ndarray, op: np.ndarray) -> np.ndarray:
-    """Conditional means <psi_n|op|psi_n> of the columns of psis, real parts."""
-    return _sum_rows((psis.conj() * (op @ psis)).real)
+    """Conditional means <psi_n|op|psi_n> of the columns of (..., dim, N) psis, real parts.
+
+    The rows are summed in row order, so each column set of a stack gets
+    the bits it would get alone.
+    """
+    return reduce(np.add, np.moveaxis((psis.conj() * (op @ psis)).real, -2, 0))
 
 
 def _abs2(psis: np.ndarray) -> np.ndarray:
@@ -301,17 +313,19 @@ class _ColumnKernel:
         trajectory ``first_traj + column`` and the step ``first_step + j``.
         """
         psis = np.ascontiguousarray(psis, dtype=complex)
-        # an overflow is reported by the norm check, not as a warning
-        with np.errstate(over="ignore", invalid="ignore"):
+        # an overflow or a zero norm is reported by the norm check, not as a warning
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for j in range(dW.shape[1]):
                 psis = self.update(psis, dW[:, j])
                 n2 = _sum_rows(_abs2(psis))
-                if not (n2.min() > 0.0 and n2.max() < np.inf):     # also a nan
+                inv = np.sqrt(n2)
+                np.divide(1.0, inv, out=inv)
+                # n2 * inv is sqrt(n2), finite for every n2 but 0, inf and nan
+                if not math.isfinite(n2 @ inv):
                     bad = ~(np.isfinite(n2) & (n2 > 0.0))
                     k = first_traj + int(np.flatnonzero(bad)[0])
                     raise FloatingPointError(f"trajectory {k} became non-finite at step "
                                              f"{first_step + j}; reduce dt")
-                inv = np.divide(1.0, np.sqrt(n2, out=n2), out=n2)     # 1 / sqrt(n2)
                 psis *= inv.astype(complex)
                 if after_step is not None:
                     after_step(first_step + j + 1, psis)
@@ -449,6 +463,7 @@ def _wiener_block(rngs, out: np.ndarray, sqrt_dt: float) -> None:
 
 _NOISE_BUDGET = 400_000   # doubles per noise block of one chunk (2500 x 160)
 _FIRST_BLOCK = 8          # steps in the first block of a plan that takes more than one
+_SNAPSHOT_BUDGET = 40_000  # doubles of states an ensemble chunk keeps per stacked reduction
 
 
 def _noise_blocks(base_seed: int, k0: int, k1: int, n_steps: int, dt: float):
@@ -540,15 +555,24 @@ def _step_index(s) -> int:
 
 
 def _checked_snapshots(snapshot_steps, n_steps: int) -> list:
-    """Sorted distinct snapshot steps, each a whole number in [0, n_steps]; default [n_steps]."""
+    """Sorted distinct snapshot steps, each a whole number in [0, n_steps]; default [n_steps].
+
+    The steps are checked in one array pass; the first one that is not a
+    whole number is named.
+    """
     if n_steps < 0:
         raise ValueError(f"n_steps must be >= 0, got {n_steps}")
     if snapshot_steps is None:
         return [n_steps]
-    snaps = sorted(set(_step_index(s) for s in snapshot_steps))
-    if any(s < 0 or s > n_steps for s in snaps):
+    steps = np.asarray(snapshot_steps, dtype=float)
+    if steps.ndim != 1:
+        raise TypeError(f"snapshot steps must be a sequence of numbers, got {snapshot_steps!r}")
+    whole = np.isfinite(steps) & (np.floor(steps) == steps)
+    if not whole.all():
+        raise ValueError(f"step {steps[~whole][0]} is not a whole number")
+    if steps.size and not (steps.min() >= 0 and steps.max() <= n_steps):
         raise ValueError("snapshot steps must lie in [0, n_steps]")
-    return snaps
+    return sorted(set(steps.astype(int).tolist()))   # np.unique pages in ~1.2 MB of sort code
 
 
 def simulate_ensemble(model: ModelSpec, u: UnravelingParams, psi0: np.ndarray,
@@ -574,25 +598,36 @@ def simulate_ensemble(model: ModelSpec, u: UnravelingParams, psi0: np.ndarray,
     tracked = {name: op if V is None else V.conj().T @ op @ V     # in the kernel's basis
                for name, op in (tracked_observables or {}).items()}
 
-    row_of = {s: i for i, s in enumerate(snaps)}
-
     def run_chunk(k0, k1):
         """Trajectories k0..k1-1: their rho sums (rotated back), tracked means and final states."""
         rho = np.empty((len(snaps), model.dim, model.dim), dtype=complex)
         chunk_means = {name: np.empty((len(snaps), k1 - k0)) for name in tracked}
+        depth = max(1, min(len(snaps), _SNAPSHOT_BUDGET // (2 * model.dim * (k1 - k0))))
+        kept = np.empty((depth, model.dim, k1 - k0), dtype=complex)
+        done = held = 0         # snapshot rows reduced, and rows held in kept after them
+
+        def reduce_kept():
+            nonlocal done, held
+            s, rows = kept[:held], slice(done, done + held)
+            rho[rows] = s @ s.conj().swapaxes(1, 2)
+            for name, op in tracked.items():
+                chunk_means[name][rows] = _column_means(s, op)
+            done, held = done + held, 0
 
         def take_snapshot(step, psis):
-            i = row_of.get(step)
-            if i is not None:
-                rho[i] = psis @ psis.conj().T
-                for name, op in tracked.items():
-                    chunk_means[name][i] = _column_means(psis, op)
+            nonlocal held
+            if done + held < len(snaps) and step == snaps[done + held]:
+                kept[held] = psis
+                held += 1
+                if held == depth:
+                    reduce_kept()
 
         psis = np.repeat(kernel.into_basis(psi0[:, None]), k1 - k0, axis=1)
         take_snapshot(0, psis)
         with contextlib.closing(_noise_blocks(base_seed, k0, k1, n_steps, dt)) as blocks:
             for start, dW in blocks:
                 psis = kernel.run(psis, dW, start, k0, after_step=take_snapshot)
+        reduce_kept()
         rho = rho if V is None else V @ rho @ V.conj().T
         return rho, chunk_means, kernel.out_of_basis(psis).T
 

@@ -228,6 +228,38 @@ def test_a_numerical_failure_in_the_stability_check_is_a_config_error(hbar, tmp_
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key, value", [("hbar", 1e300), ("mass", 1e300), ("hbar", 1e-300),
+                                        ("omega", 1e-300)])
+def test_closed_form_outputs_that_fail_numerically_are_a_config_error(key, value, tmp_path,
+                                                                      capsys):
+    # sigma and var integrate no SDE, so no stability check runs; their closed
+    # forms overflow (1e300) or divide by zero (1e-300) at t = 0 and t_final,
+    # which run reported as exit 3 after accepting the config
+    raw = _with({**PRESETS["riccati_harmonic"], "outputs": ["sigma", "var"]},
+                ("params", key), value)
+    with pytest.raises(ConfigError, match="closed-form spreads failed numerically"):
+        validate_config(raw)
+    cfg_path = tmp_path / f"{key}.json"
+    cfg_path.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "closed-form spreads failed numerically" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_closed_form_outputs_that_cannot_be_evaluated_are_a_config_error():
+    # the free variance grows as t^3, which overflows to inf at t = 1e300
+    raw = {**PRESETS["riccati_free"], "outputs": ["sigma", "var"], "dt": 1e299,
+           "t_final": 1e300}
+    with pytest.raises(ConfigError, match="not finite at t = 0 or t_final"):
+        validate_config(raw)
+    # a0 = m omega / 2 hbar is the phase-noise asymptote, where the tanh form has no offset
+    raw = _with({**PRESETS["riccati_harmonic"], "outputs": ["sigma"]}, ("params", "a0"),
+                [0.25, 0.0])
+    with pytest.raises(ConfigError, match="closed-form spreads: initial width coincides"):
+        validate_config(raw)
+
+
 def test_mechanical_params_are_floats_whatever_the_json_number(tmp_path):
     # 2**64 is a JSON integer that np.sqrt cannot take as a Python int
     cfg_path = tmp_path / "lam.json"

@@ -728,6 +728,82 @@ def test_snapshots_do_not_change_trajectories(monkeypatch, budget):
         assert np.array_equal(shared.times, on_grid.times)
 
 
+def _per_step_reduction(model, u, psi0, dt, n_steps, n_traj, base_seed, snaps, ops):
+    """The rho and tracked means of one chunk, reduced at each snapshot step as it is taken."""
+    kernel = _EulerKernel(model, u, dt)
+    V = kernel.V
+    ops = {name: op if V is None else V.conj().T @ op @ V for name, op in ops.items()}
+    rhos, means = {}, {name: {} for name in ops}
+
+    def per_step(step, psis):
+        if step in snaps:
+            rhos[step] = psis @ psis.conj().T
+            for name, op in ops.items():
+                means[name][step] = engine._column_means(psis, op)
+
+    psis = np.repeat(kernel.into_basis(psi0[:, None]), n_traj, axis=1)
+    per_step(0, psis)
+    for start, dW in engine._noise_blocks(base_seed, 0, n_traj, n_steps, dt):
+        psis = kernel.run(psis, dW, start, 0, after_step=per_step)
+    rho = np.array([rhos[s] for s in snaps])
+    rho_sum = np.zeros_like(rho)
+    rho_sum += rho if V is None else V @ rho @ V.conj().T
+    return rho_sum / n_traj, {name: np.array([m[s] for s in snaps]) for name, m in means.items()}
+
+
+@pytest.mark.parametrize("model, u", [("spin", UnravelingParams.nonlinear(1.0)),
+                                      ("spin", UnravelingParams.linear(1.0)),
+                                      ("dense", XI_INTERIOR)])
+@pytest.mark.parametrize("width", [6, 9, 61], ids=["fills", "remainder", "one"])
+def test_stacked_snapshot_reduction_has_the_per_step_bits(monkeypatch, model, u, width):
+    # 20 snapshots on a 240-double budget, which holds 60 // width spin and
+    # 30 // width dense snapshots (one at least): 6 columns fill every stack
+    # (10 or 5 deep), 9 leave a remainder (6 + 6 + 6 + 2, or 3 six times
+    # + 2) and 61 hold one snapshot per stack
+    monkeypatch.setattr(engine, "_SNAPSHOT_BUDGET", 240)
+    model, psi0 = (spin_model(), PSI0) if model == "spin" else (_dense_four_level(), _DENSE_PSI0)
+    snaps = [0, 1, 2, 5, 6, 9, 10, 11, 13, 17, 18, 20, 21, 25, 26, 28, 30, 31, 33, 35]
+    ops = {"L": model.L, "H": model.H}
+    res = simulate_ensemble(model, u, psi0, 1e-3, 35, width, base_seed=8,
+                            snapshot_steps=snaps, tracked_observables=ops)
+    rhos, means = _per_step_reduction(model, u, psi0, 1e-3, 35, width, 8, snaps, ops)
+    assert _same_bits(res.rhos, rhos)
+    for name in ops:
+        assert _same_bits(res.means[name], means[name])
+
+
+@pytest.mark.parametrize("dim", [2, 4, 48])
+@pytest.mark.parametrize("width", [1, 7, 2500])
+def test_stacked_products_equal_the_products_of_each_slice(dim, width):
+    rng = np.random.default_rng(dim + width)
+    stack = np.stack([_random_columns(rng, dim, width) for _ in range(3)])
+    op = _random_hermitian(rng, dim)
+    assert _same_bits(stack @ stack.conj().swapaxes(1, 2),
+                      np.array([s @ s.conj().T for s in stack]))
+    assert _same_bits(engine._column_means(stack, op),
+                      np.array([engine._column_means(s, op) for s in stack]))
+
+
+class _Scaling(engine._ColumnKernel):
+    """A kernel whose update multiplies column n by ``scales[n]``."""
+
+    def __init__(self, scales):
+        self.scales = np.asarray(scales, dtype=complex)
+
+    def update(self, psis, dW):
+        return psis * self.scales
+
+
+def test_norms_near_the_ends_of_the_double_range_renormalise():
+    # n2 near 1e-320 is subnormal and n2 near 1e300 nearly overflows; both
+    # have finite, non-zero 1 / sqrt(n2), so neither raises
+    psis = _random_columns(np.random.default_rng(16), 3, 3)
+    out = _Scaling([1e-160, 1e150, 1.0]).run(psis, np.zeros((3, 3)))
+    assert np.all(np.isfinite(out))
+    assert np.allclose(np.linalg.norm(out, axis=0), 1.0, rtol=1e-3, atol=0.0)
+    assert np.allclose(out[:, 1:2] / out[0, 1], psis[:, 1:2] / psis[0, 1], rtol=1e-12)
+
+
 @pytest.mark.parametrize("budget, n_steps, sizes", [
     (300, 500, [8, 16, 32, 64, 100, 100, 100, 80]),     # doubling up to 300 // 3 = 100 steps
     (300, 100, [100]),                                  # fits in one block: unchanged

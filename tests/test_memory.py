@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 from unravelings import acceptance
+from unravelings.engine import UnravelingParams, simulate_ensemble
 from unravelings.gaussian import spread_constants
 from unravelings.runner import read_series, write_series
+from unravelings.spin import SIGMA_Z, SpinParams, spin_model
 
 MB = 2.0 ** 20
 
@@ -39,6 +41,23 @@ def test_width_check_holds_one_block(monkeypatch):
 def test_criterion_8_draws_its_substep_noise_in_blocks():
     # the whole (1600, 1000) draw and its scaled copy are 25.6 MB; ~3.2 MB in blocks
     assert _traced_peak(acceptance.criterion_8) < 6.0 * MB
+
+
+def test_an_every_step_ensemble_reduces_its_snapshots_in_stacks():
+    # fig2's ensemble: 10 trajectories, each of 10 000 steps a snapshot.  Its
+    # results, held by the chunk and the caller, and its noise block come to
+    # ~3.5 MB (~4.9 MB traced in all); keeping every state for one reduction
+    # would add 3.2 MB, and as much again for their conjugates
+    model = spin_model(SpinParams(1.0, 1.0))
+    u, psi0 = UnravelingParams.nonlinear(1.0), np.array([0.5, np.sqrt(3.0) / 2.0])
+
+    def run(n_steps):
+        return simulate_ensemble(model, u, psi0, 1e-3, n_steps, 10, 7,
+                                 snapshot_steps=np.arange(n_steps + 1),
+                                 tracked_observables={"sz": SIGMA_Z})
+
+    run(10)         # the first call's imports are not the ensemble's
+    assert _traced_peak(lambda: run(10_000)) < 6.0 * MB
 
 
 @pytest.fixture
