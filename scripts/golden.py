@@ -3,9 +3,12 @@
 
 Runs every acceptance criterion and every preset that runs (with this
 interpreter's forked helpers) and prints the values as JSON; ``--write``
-writes them to tests/golden.json instead.  Takes about as long as
+writes them to tests/golden.json instead.  ``--diff`` lists every value
+that differs from tests/golden.json, with the relative change of each
+number, and exits 1 if any does.  Takes about as long as
 ``unravelings check``.
 
+    PYTHONPATH=src python scripts/golden.py --diff
     PYTHONPATH=src python scripts/golden.py --write
 """
 
@@ -24,13 +27,20 @@ from unravelings.acceptance import run_criteria  # noqa: E402
 def main():
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--write", action="store_true", help=f"write {golden.PATH}")
+    mode = ap.add_mutually_exclusive_group()
+    mode.add_argument("--write", action="store_true", help=f"write {golden.PATH}")
+    mode.add_argument("--diff", action="store_true",
+                      help=f"list what differs from {golden.PATH}; exit 1 if anything does")
     args = ap.parse_args()
     values = dict(golden.versions())
     values["criteria"] = {str(r.index): golden.observed(r) for r in run_criteria()}
     with tempfile.TemporaryDirectory() as out:
         values["presets"] = golden.preset_digests(out)
     text = json.dumps(values, indent=1, sort_keys=True) + "\n"
+    if args.diff:
+        lines, summary = golden.differences(golden.load(), values)
+        print("\n".join(lines + [summary]))
+        sys.exit(1 if lines else 0)
     if args.write:
         golden.PATH.write_text(text, encoding="utf-8")
         print(f"wrote {golden.PATH}")

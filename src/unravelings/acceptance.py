@@ -16,8 +16,8 @@ import numpy as np
 
 from .bell import bell_gates, bell_report
 from .engine import (ModelSpec, UnravelingParams, _EulerKernel, _ExponentialKernel,
-                     _matched_blocks, _state_stack, lindblad_rhs, master_equation_oracle,
-                     mc_stderr, mc_tolerance, simulate_ensemble)
+                     _matched_blocks, _normalised, _state_stack, lindblad_rhs,
+                     master_equation_oracle, mc_stderr, mc_tolerance, simulate_ensemble)
 from .gaussian import (MEAN_SQUARE_MAX_SE, SPREAD_RTOL, MechanicalParams, _width_blocks,
                        centroid_ensemble, conditional_covariance_series, conditional_spread_x,
                        initial_spread_deviation, mean_square_worst_se, mean_square_x,
@@ -303,7 +303,7 @@ def criterion_8() -> CriterionResult:
             # row by row, as a sum over axis 0 of the whole draw adds them
             window = functools.reduce(np.add, dWs, window)
         kr = _kraus_one_step(psis, window, dt, gp, nu)
-        return _phase_aligned_rms(kr, ref.T)
+        return _phase_aligned_rms(kr, _normalised(ref).T)
 
     r = [rms_vs_substepped(dt) for dt in (4e-2, 2e-2, 1e-2)]
     ratios = [r[0] / r[1], r[1] / r[2]]

@@ -5,7 +5,9 @@ warnings) and exhaustive: every violation found is reported, not just the
 first.  Outputs that integrate a stochastic equation put dt through the
 integrator's own stability guard; closed-form series outputs only use dt
 as a grid spacing.  A mechanical config must give finite closed-form
-spreads and variance at t = 0 and t_final, whatever its outputs.
+spreads and variance at t = 0 and t_final, whatever its outputs.  The step
+count, the trajectory count and their product have caps, so a config that
+validates can run.
 """
 
 import json
@@ -33,6 +35,17 @@ OUTPUT_KINDS = {
 _SE_KINDS = ("ensemble_mean", "collapse_stats")   # report a standard error (ddof = 1)
 # output files are named <name>_<kind>.<ext> inside the output directory
 _NAME = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]*")
+
+# The largest run a config may ask for.  What each cap bounds, at the cap,
+# on one core of a 2-core x86 machine:
+# - MAX_STEPS: the time grid and each per-step series column, 8 MB; one
+#   trajectory's state stack, 32 MB, and ~20 s of its serial steps;
+# - MAX_TRAJECTORIES: ~7 s of per-trajectory seeds, and 32 MB of final states;
+# - MAX_TRAJECTORY_STEPS (trajectories x steps): ~5 s of lock-step steps, and
+#   0.8 GB of the per-step means behind a spin "trajectory" output.
+MAX_STEPS = 10 ** 6
+MAX_TRAJECTORIES = 10 ** 6
+MAX_TRAJECTORY_STEPS = 10 ** 8
 
 _TOP_KEYS = {"name", "model", "unraveling", "params", "dt", "t_final",
              "n_trajectories", "base_seed", "outputs"}
@@ -181,13 +194,23 @@ def validate_config(raw: dict) -> ScenarioConfig:
 
     dt = _as_positive(raw.get("dt"), "dt", errs)
     t_final = _as_positive(raw.get("t_final"), "t_final", errs)
+    n_steps = None
     if dt is not None and t_final is not None:
         ratio = t_final / dt
-        if abs(ratio - round(ratio)) > 1e-9 * ratio:
+        if not ratio <= MAX_STEPS:          # an inf ratio too
+            errs.append(f"t_final / dt: {ratio:.4g} steps exceeds MAX_STEPS = {MAX_STEPS}")
+        elif abs(ratio - round(ratio)) > 1e-9 * ratio:
             errs.append(f"t_final: {t_final} is not a whole number of steps of dt = {dt}")
+        else:
+            n_steps = round(ratio)
     n_traj = raw.get("n_trajectories", 1)
     if not _is_int(n_traj) or n_traj < 1:
         errs.append(f"n_trajectories: must be a positive integer, got {n_traj!r}")
+    elif n_traj > MAX_TRAJECTORIES:
+        errs.append(f"n_trajectories: {n_traj} exceeds MAX_TRAJECTORIES = {MAX_TRAJECTORIES}")
+    elif n_steps is not None and n_traj * n_steps > MAX_TRAJECTORY_STEPS:
+        errs.append(f"n_trajectories x steps: {n_traj} x {n_steps} exceeds "
+                    f"MAX_TRAJECTORY_STEPS = {MAX_TRAJECTORY_STEPS}")
     base_seed = raw.get("base_seed", 0)
     if bad := _seed_violation(base_seed):
         errs.append(bad)

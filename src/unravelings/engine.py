@@ -18,8 +18,8 @@ dynamics; ``xi = -i`` is the stochastic-potential (phase-noise) dynamics.
 Conditional moments of order >= 2 differ between members of the family,
 which is exactly what the higher-level modules quantify.
 
-Integration scheme: Euler-Maruyama plus exact renormalization after every
-step.  Every Euler-Maruyama step in the library goes through one kernel,
+Integration scheme: Euler-Maruyama on unnormalised states, normalised only
+where they are read.  Every Euler-Maruyama step in the library goes through one kernel,
 :class:`_EulerKernel`, built once per (model, u, dt).  It keeps states as
 the columns of a ``(dim, N)`` array, so one call advances N trajectories in
 lock step, and it steps them in the eigenbasis of L: ``phi = V^dag psi``
@@ -37,13 +37,30 @@ vanishes on eigenstates of ``L`` for real ``xi`` (exactly, wherever ``l phi``
 and ``<L>`` round exactly, as for sigma_z on its eigenstates).  When
 ``xi_r = 0`` (the phase-noise member ``xi = -i``) every ``<L>`` term carries a
 factor ``xi_r``, so ``g = xi l phi`` with ``xi l`` fixed per kernel, and the
-step forms ``A_e phi + sqrt(lam) dW g`` without the ``|phi|^2`` pass of
-``<L>``; dropping the ``0 <L>`` and ``+0`` terms keeps every bit of the
-general expressions, the sign of each zero included.  Norms are sums of
-``re^2 + im^2`` over rows in a fixed order, and a non-finite or vanishing
-norm raises :class:`FloatingPointError` naming the trajectory and the step.
-One dot product tests every norm of a step: ``n2 . (1 / sqrt(n2))`` sums
-``sqrt(n2)``, which is finite unless some ``n2`` is 0, inf or nan.
+step forms ``A_e phi + sqrt(lam) dW g`` without reading ``<L>``; dropping
+the ``0 <L>`` and ``+0`` terms keeps every bit of the general expressions,
+the sign of each zero included.
+
+Given ``<L>``, read as ``sum_rows(l |phi|^2) / n2``, the step is linear in
+``phi``, so the kernels step unnormalised columns: the norm only carries
+the record's likelihood (Jacobs & Knight, PRA 57, 2301 (1998)).  One
+``|phi|^2`` pass after each step gives the squared norms ``n2``, ``r =
+1 / n2`` and the next step's ``<L> = sum_rows(l |phi|^2) r``; norms are sums
+of ``re^2 + im^2`` over rows in a fixed order.  Two dot products test every
+norm of a step: ``n2 . n2 + r . r`` is finite unless some ``n2`` is 0, inf
+or nan, or lies outside about [2^-512, 2^512].  Then a non-finite or
+vanishing norm raises :class:`FloatingPointError` naming the trajectory and
+the step, and every other column is multiplied, on its float view, by the
+power of two that brings its ``n2`` into [0.5, 2).  That changes no
+mantissa and no sign of zero (of a normal number), and a column scaled by
+a power of two reads the same ``<L>``, so no state handed out depends on
+when, or whether, a column was rescaled, nor on where blocks or batches
+end.  A state is normalised only where it is read, by :func:`_normalised`,
+``psis * (1 / sqrt(n2)).astype(complex)``: the snapshots and final states
+of :func:`simulate_ensemble`, each state of :func:`_state_stack`, the stops
+of :func:`_matched_blocks`, and :meth:`_ColumnKernel.step` (so
+:func:`sse_step`).  Step 0 is handed out as given.
+
 The drivers rotate once per batch, never per noise block, so a trajectory
 does not depend on where the blocks end: :func:`simulate_ensemble` starts at
 ``V^dag psi0`` and snapshots ``V^dag O V`` means and ``V (Phi Phi^dag) V^dag``;
@@ -76,9 +93,10 @@ built once per kernel; this agrees with the complex exponential of the whole
 exponent to a few units in the last place.  This kernel is the library's
 one statement of the xi = 1 closed form.
 
-The two kernels share the renormalization, the norm check, the column
-layout and the basis change through :class:`_ColumnKernel`, and nothing of
-the Euler increment, so they stay independent constructions of one member.
+The two kernels share the norm pass, the norm check, the rescaling, the
+column layout and the basis change through :class:`_ColumnKernel`, and
+nothing of the Euler increment, so they stay independent constructions of
+one member.
 
 :func:`simulate_ensemble` and :func:`gaussian.centroid_ensemble` run fixed
 chunks of trajectories through :func:`procs._chunked`, which hands back each
@@ -106,15 +124,17 @@ full-width loop.  Both layouts draw their blocks through
 :func:`procs._drawn_blocks`; every child process starts and ends in :mod:`procs`.
 
 A batch sees its states only through ``after_step``, the one per-step output
-of :meth:`_ColumnKernel.run`.  :func:`simulate_ensemble` copies a chunk's
-states at each snapshot step into one kept buffer of about
-``_SNAPSHOT_BUDGET`` doubles, and reduces the buffer when it fills and after
-the last block: one stacked ``s @ s^dag`` fills those rows of the chunk's
-rho sum, and one stacked :func:`_column_means` those of each tracked mean.
-Both give each snapshot the bits of its own per-step product.
-:func:`_state_stack` writes ``V phi`` of each step into the one
-(n + 1, dim, N) stack it returns (:func:`simulate_trajectory` is its
-one-column case).
+of :meth:`_ColumnKernel.run`, which passes the unnormalised states and their
+squared norms.  :func:`simulate_ensemble` copies a chunk's states at each
+snapshot step into one kept buffer of about ``_SNAPSHOT_BUDGET`` doubles,
+and their norms beside it, and reduces the buffer when it fills and after
+the last block: one pass normalises the stack in place, one stacked
+``s @ s^dag`` fills those rows of the chunk's rho sum, and one stacked :func:`_column_means` those of each
+tracked mean.  All three give each snapshot the bits of its own per-step
+product, and no step pays for a normalisation.  The snapshot of step 0 is
+reduced alone, as given.  :func:`_state_stack` writes ``V phi`` of each
+step, normalised with the norms of its pass, into the one (n + 1, dim, N)
+stack it returns (:func:`simulate_trajectory` is its one-column case).
 
 The master equation is written once, in :func:`lindblad_rhs`; the oracle
 takes classical RK4 steps of it.  The flow is linear, so the one-step
@@ -243,21 +263,18 @@ def check_stability(model: ModelSpec, u: UnravelingParams, dt: float) -> None:
 
 
 def _sum_rows(a: np.ndarray) -> np.ndarray:
-    """Sum a (dim, N) array over its rows in row order.
+    """Sum a (dim, N) array, or an (n, dim, N) stack of them, over its rows in row order.
 
-    Unlike ``a.sum(axis=0)``, the order of the additions does not depend on
-    N, so a column gives the same bits alone as inside a wider batch.
+    Unlike ``a.sum(axis=-2)``, the order of the additions does not depend on
+    N, so a column gives the same bits alone as inside a wider batch, and
+    each (dim, N) slice of a stack the bits it gets alone.
     """
-    return reduce(np.add, a)
+    return reduce(np.add, a.swapaxes(0, -2))
 
 
 def _column_means(psis: np.ndarray, op: np.ndarray) -> np.ndarray:
-    """Conditional means <psi_n|op|psi_n> of the columns of (..., dim, N) psis, real parts.
-
-    The rows are summed in row order, so each column set of a stack gets
-    the bits it would get alone.
-    """
-    return reduce(np.add, np.moveaxis((psis.conj() * (op @ psis)).real, -2, 0))
+    """Real parts of the conditional means <psi_n|op|psi_n> of (dim, N) or (n, dim, N) columns."""
+    return _sum_rows((psis.conj() * (op @ psis)).real)
 
 
 def _abs2(psis: np.ndarray) -> np.ndarray:
@@ -271,17 +288,21 @@ def _is_diagonal(op: np.ndarray) -> bool:
 
 
 class _ColumnKernel:
-    """Renormalized steps of (dim, N) column states.
+    """Steps of (dim, N) column states, carried without normalising.
 
-    A subclass supplies ``update(psis, dW)``, the un-normalized map of one
-    step of C-contiguous complex columns.  An elementwise update reads its (dim, 1)
-    complex constant ``row`` through :meth:`_across`, repeated over the columns.
-    :meth:`update`, :meth:`step` and :meth:`run` act on columns in the
-    kernel's basis, ``V^dag psi``, and ``V`` is None for the standard basis.
+    A subclass supplies ``update(psis, dW, ell)``: one step of C-contiguous
+    complex columns whose conditional means of L are ``ell``, a map linear
+    in ``psis``.  ``ell`` is None when ``reads_ell`` is false; otherwise the
+    subclass sets ``l``, the (dim, 1) eigenvalues of L.  An elementwise update
+    reads its (dim, 1) complex constant ``row`` through :meth:`_across`,
+    repeated over the columns.  :meth:`update`, :meth:`step` and :meth:`run`
+    act on columns in the kernel's basis, ``V^dag psi``, and ``V`` is None
+    for the standard basis.
     """
 
     row: np.ndarray
     V = None
+    reads_ell = False
     _wide = None
 
     def into_basis(self, psis: np.ndarray) -> np.ndarray:
@@ -299,46 +320,91 @@ class _ColumnKernel:
             wide = self._wide = np.repeat(self.row, n, axis=1)
         return wide
 
+    def norms_and_mean(self, psis: np.ndarray) -> tuple:
+        """One ``|phi|^2`` pass: ``(n2, r, ell)``, the squared column norms, ``1 / n2`` and <L>.
+
+        ``ell = sum_rows(l |phi|^2) * r`` is None unless ``reads_ell``.  A
+        column scaled by a power of two gets the same ``ell``.
+        """
+        p = _abs2(psis)
+        n2 = _sum_rows(p)
+        r = np.divide(1.0, n2)
+        ell = None
+        if self.reads_ell:
+            p *= self.l
+            ell = _sum_rows(p)
+            ell *= r
+        return n2, r, ell
+
     def step(self, psis: np.ndarray, dW: np.ndarray) -> np.ndarray:
-        """One renormalized step of every column; ``dW`` has one entry per column."""
-        return self.run(psis, dW[:, None])
+        """One step of every column, normalised; ``dW`` has one entry per column."""
+        return _normalised(self.run(psis, dW[:, None]))
 
     def run(self, psis: np.ndarray, dW: np.ndarray, first_step: int = 0,
             first_traj: int = 0, after_step=None) -> np.ndarray:
-        """Advance the columns of ``psis`` through ``dW.shape[1]`` renormalized steps.
+        """Advance the columns of ``psis`` through ``dW.shape[1]`` steps, unnormalised.
 
         ``dW`` is (N, n_steps) with one row per trajectory.  When given,
-        ``after_step(first_step + j + 1, psis)`` is called after step j.  A
+        ``after_step(first_step + j + 1, psis, n2)`` is called after step j
+        with the squared norms ``n2`` of the (unnormalised) columns.  A
         non-finite or vanishing norm raises FloatingPointError naming the
         trajectory ``first_traj + column`` and the step ``first_step + j``.
+        The returned columns are unnormalised too; :func:`_normalised` reads them.
         """
         psis = np.ascontiguousarray(psis, dtype=complex)
         # an overflow or a zero norm is reported by the norm check, not as a warning
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            n2, r, ell = self.norms_and_mean(psis)
             for j in range(dW.shape[1]):
-                psis = self.update(psis, dW[:, j])
-                n2 = _sum_rows(_abs2(psis))
-                inv = np.sqrt(n2)
-                np.divide(1.0, inv, out=inv)
-                # n2 * inv is sqrt(n2), finite for every n2 but 0, inf and nan
-                if not math.isfinite(n2 @ inv):
-                    bad = ~(np.isfinite(n2) & (n2 > 0.0))
-                    k = first_traj + int(np.flatnonzero(bad)[0])
-                    raise FloatingPointError(f"trajectory {k} became non-finite at step "
-                                             f"{first_step + j}; reduce dt")
-                psis *= inv.astype(complex)
+                psis = self.update(psis, dW[:, j], ell)
+                n2, r, ell = self.norms_and_mean(psis)
+                # finite unless some n2 is 0, inf or nan, or lies outside about [2^-512, 2^512]
+                if not math.isfinite(n2 @ n2 + r @ r):
+                    _rescale(psis, n2, first_traj, first_step + j)
+                    n2, r, ell = self.norms_and_mean(psis)
                 if after_step is not None:
-                    after_step(first_step + j + 1, psis)
+                    after_step(first_step + j + 1, psis, n2)
         return psis
 
 
+def _rescale(psis: np.ndarray, n2: np.ndarray, first_traj: int, step: int) -> None:
+    """Scale each column of ``psis`` in place by the power of two that brings its n2 into [0.5, 2).
+
+    The factor multiplies the float view, so it changes no mantissa and no
+    sign of zero, and no normalised state depends on it.  A non-finite or
+    vanishing n2 raises FloatingPointError naming its trajectory and ``step``.
+    """
+    bad = ~(np.isfinite(n2) & (n2 > 0.0))
+    if bad.any():
+        k = first_traj + int(np.flatnonzero(bad)[0])
+        raise FloatingPointError(f"trajectory {k} became non-finite at step {step}; reduce dt")
+    view = psis.view(float)             # re, im of column n at 2n, 2n + 1
+    view *= np.repeat(np.ldexp(1.0, -(np.frexp(n2)[1] // 2)), 2)
+
+
+def _normalised(psis: np.ndarray, n2: np.ndarray | None = None, out=None) -> np.ndarray:
+    """Each column of (dim, N) or (n, dim, N) ``psis`` at unit norm: ``psis * (1 / sqrt(n2))``.
+
+    The factor is cast to complex before it multiplies the columns, into
+    ``out`` when given.  ``n2`` defaults to the squared column norms of one
+    :func:`_abs2` pass, which has the bits of the kernel's own.  Every state
+    the library hands out of a kernel but the initial one goes through
+    here, so none depends on when, or whether, a column was rescaled by a
+    power of two.
+    """
+    if n2 is None:
+        n2 = _sum_rows(_abs2(psis))
+    inv = np.sqrt(n2)
+    np.divide(1.0, inv, out=inv)
+    return np.multiply(psis, inv.astype(complex)[..., None, :], out=out)
+
+
 class _EulerKernel(_ColumnKernel):
-    """Euler-Maruyama step plus renormalization on (dim, N) column states.
+    """Euler-Maruyama step on (dim, N) column states.
 
     See the module docstring for the step in the eigenbasis of L.  ``A`` is
     ``A_e`` when it is not diagonal, and None when ``row`` holds its diagonal.
-    At ``xi_r = 0`` (phase noise) the step reads no ``<L>``: ``g = xi l phi``,
-    and the one ``_abs2`` pass of a step is the norm's.
+    At ``xi_r = 0`` (phase noise) the step reads no ``<L>``: ``g = xi l phi``.
     """
 
     def __init__(self, model: ModelSpec, u: UnravelingParams, dt: float):
@@ -349,6 +415,7 @@ class _EulerKernel(_ColumnKernel):
             H, L = self.V.conj().T @ H @ self.V, np.diag(l).astype(complex)
         A = np.eye(model.dim) + ((-1j / model.hbar) * H - (0.5 * u.lam) * (L @ L)) * dt
         self.xi_r = u.xi_r
+        self.reads_ell = u.xi_r != 0.0
         self.sqrt_lam = np.sqrt(u.lam)
         self.c_ell = u.lam * dt * u.xi_r             # ell coefficient of g
         self.c_ell2 = 0.5 * u.lam * dt * u.xi_r ** 2  # ell^2 coefficient of psi
@@ -357,15 +424,11 @@ class _EulerKernel(_ColumnKernel):
         self.A = None if _is_diagonal(A) else A
         self.row = np.diag(A)[:, None].copy()        # A psi = a psi when A is None
 
-    def update(self, psis: np.ndarray, dW: np.ndarray) -> np.ndarray:
-        """The Euler-Maruyama update of normalized columns, before renormalization."""
-        ell = None
-        if self.xi_r == 0.0:        # phase noise: g = xi l psi, and no term reads <L>
+    def update(self, psis: np.ndarray, dW: np.ndarray, ell) -> np.ndarray:
+        """The Euler-Maruyama map of columns whose <L> is ``ell`` (None at xi_r = 0)."""
+        if ell is None:             # phase noise: g = xi l psi, and no term reads <L>
             coef = (self.sqrt_lam * dW).astype(complex) * self.xi_l
         else:
-            p = _abs2(psis)
-            p *= self.l
-            ell = _sum_rows(p)
             g = self.xi_l - (self.xi_r * ell).astype(complex)   # L psi = l psi, so g psi
             coef = np.multiply((self.c_ell * ell + self.sqrt_lam * dW).astype(complex), g, out=g)
         if self.A is None:
@@ -379,11 +442,13 @@ class _EulerKernel(_ColumnKernel):
 
 
 class _ExponentialKernel(_ColumnKernel):
-    """Exact exponential step plus renormalization on (dim, N) column states.
+    """Exact exponential step on (dim, N) column states.
 
     See the module docstring for the map.  Any other xi, or an H or L that
     is not diagonal, raises ValueError.
     """
+
+    reads_ell = True
 
     def __init__(self, model: ModelSpec, u: UnravelingParams, dt: float):
         require_finite("dt", dt)
@@ -398,11 +463,8 @@ class _ExponentialKernel(_ColumnKernel):
         self.decay = -u.lam * self.l ** 2 * dt
         self.row = np.exp((-1j * dt / model.hbar) * h)     # the phase, the same at every step
 
-    def update(self, psis: np.ndarray, dW: np.ndarray) -> np.ndarray:
-        """The exponential map of normalized columns, before renormalization."""
-        p = _abs2(psis)
-        p *= self.l
-        ell = _sum_rows(p)
+    def update(self, psis: np.ndarray, dW: np.ndarray, ell: np.ndarray) -> np.ndarray:
+        """The exponential map of columns whose <L> is ``ell``."""
         exponent = self.sqrt_lam_l * (dW + self.shift * ell)
         exponent += self.decay
         growth = np.exp(exponent, out=exponent).astype(complex)
@@ -413,7 +475,7 @@ class _ExponentialKernel(_ColumnKernel):
 
 def sse_step(psi: np.ndarray, model: ModelSpec, u: UnravelingParams,
              dW: float, dt: float) -> np.ndarray:
-    """One Euler-Maruyama step followed by exact renormalization."""
+    """One Euler-Maruyama step, normalised."""
     kernel = _EulerKernel(model, u, dt)
     phi = kernel.into_basis(np.asarray(psi, dtype=complex)[:, None])
     return kernel.out_of_basis(kernel.step(phi, np.array([dW])))[:, 0]
@@ -423,16 +485,16 @@ def _state_stack(kernel: _ColumnKernel, psi0: np.ndarray, dW: np.ndarray) -> np.
     """Every state, (n + 1, dim, N), of columns from ``psi0`` driven by the rows of (N, n) ``dW``.
 
     On a diagonal model each column gets the bits it would get alone.  Step
-    0 is ``psi0`` itself; each later step is rotated out of the kernel's
-    basis as it is kept, so the stack is the only one held.
+    0 is ``psi0`` itself; each later step is normalised and rotated out of
+    the kernel's basis as it is kept, so the stack is the only one held.
     """
     n_paths, n = dW.shape
     psi0 = np.asarray(psi0, dtype=complex)
     states = np.empty((n + 1, psi0.size, n_paths), dtype=complex)
     states[0] = psi0[:, None]
 
-    def keep(step, phis):
-        states[step] = kernel.out_of_basis(phis)
+    def keep(step, phis, n2):
+        states[step] = kernel.out_of_basis(_normalised(phis, n2))
 
     kernel.run(np.repeat(kernel.into_basis(psi0[:, None]), n_paths, axis=1), dW, after_step=keep)
     return states
@@ -544,7 +606,7 @@ def _matched_blocks(kernels, psi0: np.ndarray, rng, dt: float, n_steps: int,
                 for i, kernel in enumerate(kernels):
                     cols[i] = kernel.run(cols[i], dW[:, c0:c1].T, start, c0)
                 if end in ends:
-                    yield end, c0, [k.out_of_basis(c) for k, c in zip(kernels, cols)]
+                    yield end, c0, [k.out_of_basis(_normalised(c)) for k, c in zip(kernels, cols)]
 
 
 def _step_index(s) -> int:
@@ -604,31 +666,38 @@ def simulate_ensemble(model: ModelSpec, u: UnravelingParams, psi0: np.ndarray,
         chunk_means = {name: np.empty((len(snaps), k1 - k0)) for name in tracked}
         depth = max(1, min(len(snaps), _SNAPSHOT_BUDGET // (2 * model.dim * (k1 - k0))))
         kept = np.empty((depth, model.dim, k1 - k0), dtype=complex)
+        kept_n2 = np.empty((depth, k1 - k0))
         done = held = 0         # snapshot rows reduced, and rows held in kept after them
 
-        def reduce_kept():
+        def reduce_kept(given=False):
             nonlocal done, held
             s, rows = kept[:held], slice(done, done + held)
+            if not given:
+                _normalised(s, kept_n2[:held], out=s)
             rho[rows] = s @ s.conj().swapaxes(1, 2)
             for name, op in tracked.items():
                 chunk_means[name][rows] = _column_means(s, op)
             done, held = done + held, 0
 
-        def take_snapshot(step, psis):
+        def take_snapshot(step, psis, n2):
             nonlocal held
             if done + held < len(snaps) and step == snaps[done + held]:
                 kept[held] = psis
+                kept_n2[held] = n2
                 held += 1
                 if held == depth:
                     reduce_kept()
 
         psis = np.repeat(kernel.into_basis(psi0[:, None]), k1 - k0, axis=1)
-        take_snapshot(0, psis)
+        if snaps[:1] == [0]:            # step 0 is reduced alone, as given
+            kept[0], held = psis, 1
+            reduce_kept(given=True)
         with contextlib.closing(_noise_blocks(base_seed, k0, k1, n_steps, dt)) as blocks:
             for start, dW in blocks:
                 psis = kernel.run(psis, dW, start, k0, after_step=take_snapshot)
         reduce_kept()
         rho = rho if V is None else V @ rho @ V.conj().T
+        psis = psis if n_steps == 0 else _normalised(psis)      # step 0 as given
         return rho, chunk_means, kernel.out_of_basis(psis).T
 
     rho_sum = np.zeros((len(snaps), model.dim, model.dim), dtype=complex)

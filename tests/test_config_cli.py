@@ -6,11 +6,13 @@ import subprocess
 import sys
 import traceback
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from unravelings import config
 from unravelings.cli import _DESCRIBE, main
 from unravelings.config import (FAMILIES, OUTPUT_KINDS, PRESETS, ConfigError,
                                 load_config, preset, validate_config)
@@ -211,6 +213,47 @@ def test_stability_violation_reports_usable_cap():
         cap = float(str(err.value).split("dt <= ")[1].strip())
         assert cap < raw["dt"]
         validate_config({**raw, "dt": cap, "t_final": 100 * cap})
+
+
+@pytest.mark.parametrize("change, cap", [
+    ({"dt": 1e-12}, "MAX_STEPS"),                    # a 72.8 TiB MemoryError in runner._grid
+    ({"dt": 1e-300}, "MAX_STEPS"),                   # "Maximum allowed size exceeded"
+    ({"t_final": 1e12}, "MAX_STEPS"),                # a 7.11 PiB MemoryError
+    ({"n_trajectories": 2 ** 64}, "MAX_TRAJECTORIES"),   # "Maximum allowed dimension exceeded"
+    ({"n_trajectories": 10 ** 5}, "MAX_TRAJECTORY_STEPS"),
+], ids=["dt_1e-12", "dt_1e-300", "t_final_1e12", "n_2_64", "product"])
+def test_a_config_too_large_to_run_is_a_config_error(change, cap, tmp_path, capsys):
+    # validate_config accepted each of these, and run crashed with a traceback
+    raw = {**PRESETS["fig2"], **change}
+    with pytest.raises(ConfigError, match=f"exceeds {cap} = "):
+        validate_config(raw)
+    cfg_path = tmp_path / "large.json"
+    cfg_path.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert cap in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_snapshot_steps_equal_the_unique_grid(name):
+    cfg = preset(name)
+    for n_steps in (cfg.n_steps, 0, 1, 3, 40, 41):
+        small = replace(cfg, t_final=n_steps * cfg.dt)
+        for n_snap in (41, 21):
+            want = np.unique(np.linspace(0, small.n_steps, n_snap).astype(int))
+            got = _snapshot_steps(small, n_snap)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (n_steps, n_snap)
+
+
+def test_configs_at_the_size_caps_are_accepted():
+    fig2 = PRESETS["fig2"]
+    for raw in ({**fig2, "dt": 1e-5},                            # MAX_STEPS steps
+                {**fig2, "n_trajectories": config.MAX_TRAJECTORIES, "t_final": 0.1},
+                {**fig2, "n_trajectories": 10 ** 4}):            # MAX_TRAJECTORY_STEPS
+        cfg = validate_config(raw)
+        assert cfg.n_steps <= config.MAX_STEPS
+        assert cfg.n_steps * cfg.n_trajectories <= config.MAX_TRAJECTORY_STEPS
 
 
 @pytest.mark.parametrize("hbar", [1e300, 1e-300], ids=["overflow", "zero_division"])

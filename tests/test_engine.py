@@ -4,6 +4,7 @@ import math
 import os
 import signal
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -174,7 +175,7 @@ def test_kernel_step_equals_docstring_increment(case, xi):
     kernel = _EulerKernel(model, u, dt)
     assert kernel.A is not None and (kernel.V is None) == (case == "diagonal L")
     phis = kernel.into_basis(psis)
-    raw = kernel.out_of_basis(kernel.update(phis, dW))
+    raw = kernel.out_of_basis(kernel.update(phis, dW, kernel.norms_and_mean(phis)[2]))
     stepped = kernel.out_of_basis(kernel.step(phis, dW))
     for k in range(n):
         expect = psis[:, k] + _docstring_increment(psis[:, k], model, u, dW[k], dt)
@@ -275,11 +276,11 @@ def test_exponential_kernel_steps_compose_into_the_one_shot_map():
     dW = rng.standard_normal((1, n)) * np.sqrt(dt)
     states = np.empty((n, 3, 1), dtype=complex)
 
-    def keep(step, psis):                 # the state after every step
-        states[step - 1] = psis
+    def keep(step, psis, n2):             # the state after every step
+        states[step - 1] = engine._normalised(psis, n2)
 
-    final = _ExponentialKernel(model, UnravelingParams.nonlinear(lam), dt).run(
-        psi0, dW, after_step=keep)
+    final = engine._normalised(_ExponentialKernel(model, UnravelingParams.nonlinear(lam), dt).run(
+        psi0, dW, after_step=keep))
     l, h = np.diag(model.L).real, np.diag(model.H).real
     pre = np.concatenate([psi0[None], states[:-1]])[:, :, 0]
     ell = (np.abs(pre) ** 2) @ l
@@ -338,13 +339,12 @@ def test_exponential_kernel_update_matches_the_complex_exponent():
     ell = np.sum(l * np.abs(psis) ** 2, axis=0)
     drift = -lam * l ** 2 * dt - (1j * dt / model.hbar) * h
     ref = np.exp(np.sqrt(lam) * l * (dW + 2.0 * np.sqrt(lam) * dt * ell) + drift) * psis
-    new = kernel.update(psis, dW)
+    new = kernel.update(psis, dW, kernel.norms_and_mean(psis)[2])
     assert np.all(np.abs(new - ref) <= 4.0 * np.finfo(float).eps * np.abs(ref))
 
 
-def _reference_update(kernel, psis, dW):
-    """One un-normalized step of each kernel's update, written as plain expressions."""
-    ell = _sum_rows(kernel.l * (psis.real ** 2 + psis.imag ** 2))
+def _reference_update(kernel, psis, dW, ell):
+    """One unnormalised step of each kernel's update, written as plain expressions."""
     if isinstance(kernel, _ExponentialKernel):
         return (np.exp(kernel.sqrt_lam_l * (dW + kernel.shift * ell) + kernel.decay)
                 * kernel.row) * psis
@@ -358,10 +358,14 @@ def _reference_update(kernel, psis, dW):
 
 
 def _reference_run(kernel, psis, dW):
-    for j in range(dW.shape[1]):
-        psis = _reference_update(kernel, psis, dW[:, j])
-        psis *= 1.0 / np.sqrt(_sum_rows(psis.real ** 2 + psis.imag ** 2))
-    return psis
+    """The normalised end state of unnormalised steps, each reading <L> = sum(l p) * (1 / n2)."""
+    for j in range(dW.shape[1] + 1):
+        p = psis.real ** 2 + psis.imag ** 2
+        n2 = _sum_rows(p)
+        if j == dW.shape[1]:
+            return psis * (1.0 / np.sqrt(n2)).astype(complex)
+        ell = _sum_rows(kernel.l * p) * (1.0 / n2)
+        psis = _reference_update(kernel, psis, dW[:, j], ell)
 
 
 def _dense_four_level():
@@ -405,17 +409,17 @@ def test_kernel_run_has_the_bits_of_the_reference_expressions(kind, model, u, wi
     psis[:, -1] = -1j * np.eye(dim)[width % dim]        # zero entries of both signs
     dW = rng.standard_normal((width, 25)) * np.sqrt(1e-3)
     ref = _reference_run(kernel, psis, dW)
-    assert _same_bits(kernel.run(psis, dW), ref)
+    assert _same_bits(engine._normalised(kernel.run(psis, dW)), ref)
     # a (dim, N) view of (N, dim) rows, as criterion 8 passes its states
     rows = np.ascontiguousarray(psis.T)
-    assert _same_bits(kernel.run(rows.T, dW), ref)
+    assert _same_bits(engine._normalised(kernel.run(rows.T, dW)), ref)
     assert np.array_equal(rows.T, psis)                       # the input is not written
 
 
 @pytest.mark.parametrize("model", ["spin", "dense"])
-def test_the_phase_noise_step_squares_the_states_once(monkeypatch, model):
-    # every <L> term of the step carries a factor xi_r, so at xi_r = 0 the one
-    # _abs2 pass of a step is the norm's; at xi_r > 0 the step reads <L> first
+def test_every_step_squares_the_states_once(monkeypatch, model):
+    # one _abs2 pass after each step gives its norms and the next step's <L>,
+    # for every member; one more pass reads the initial states' <L>
     calls = []
     abs2 = engine._abs2
 
@@ -424,12 +428,12 @@ def test_the_phase_noise_step_squares_the_states_once(monkeypatch, model):
         return abs2(psis)
 
     monkeypatch.setattr(engine, "_abs2", counting)
-    for u, passes in ((UnravelingParams.linear(0.8), 1), (UnravelingParams(0.0, 1.0, 0.8), 1),
-                      (XI_INTERIOR, 2), (UnravelingParams.nonlinear(0.8), 2)):
+    for u in (UnravelingParams.linear(0.8), UnravelingParams(0.0, 1.0, 0.8), XI_INTERIOR,
+              UnravelingParams.nonlinear(0.8)):
         kernel, dim = _kernel_case(_EulerKernel, model, u)
         calls.clear()
         kernel.run(_random_columns(np.random.default_rng(17), dim, 5), np.full((5, 6), 0.01))
-        assert len(calls) == 6 * passes, u
+        assert len(calls) == 6 + 1, u
 
 
 @pytest.mark.parametrize("kind, model, u", _KERNEL_CASES)
@@ -474,9 +478,9 @@ def test_matched_blocks_equal_the_full_width_loop(monkeypatch):
     for k in range(1, n_steps + 1):
         dW = rng.standard_normal(n_cols) * np.sqrt(dt)
         for i, kernel in enumerate(kernels):
-            cols[i] = kernel.step(cols[i], dW)
+            cols[i] = kernel.run(cols[i], dW[:, None])
             if k in stops:
-                ref[i, stops.index(k)] = cols[i]
+                ref[i, stops.index(k)] = engine._normalised(cols[i])
 
     class CountingStream:
         """The generator of the reference loop, recording the steps of each draw."""
@@ -735,8 +739,9 @@ def _per_step_reduction(model, u, psi0, dt, n_steps, n_traj, base_seed, snaps, o
     ops = {name: op if V is None else V.conj().T @ op @ V for name, op in ops.items()}
     rhos, means = {}, {name: {} for name in ops}
 
-    def per_step(step, psis):
+    def per_step(step, psis, n2=None):
         if step in snaps:
+            psis = psis if step == 0 else engine._normalised(psis, n2)   # step 0 as given
             rhos[step] = psis @ psis.conj().T
             for name, op in ops.items():
                 means[name][step] = engine._column_means(psis, op)
@@ -790,18 +795,122 @@ class _Scaling(engine._ColumnKernel):
     def __init__(self, scales):
         self.scales = np.asarray(scales, dtype=complex)
 
-    def update(self, psis, dW):
+    def update(self, psis, dW, ell):
         return psis * self.scales
 
 
 def test_norms_near_the_ends_of_the_double_range_renormalise():
     # n2 near 1e-320 is subnormal and n2 near 1e300 nearly overflows; both
-    # have finite, non-zero 1 / sqrt(n2), so neither raises
+    # are finite and non-zero, so each step rescales them and neither raises
     psis = _random_columns(np.random.default_rng(16), 3, 3)
-    out = _Scaling([1e-160, 1e150, 1.0]).run(psis, np.zeros((3, 3)))
+    out = engine._normalised(_Scaling([1e-160, 1e150, 1.0]).run(psis, np.zeros((3, 3))))
     assert np.all(np.isfinite(out))
     assert np.allclose(np.linalg.norm(out, axis=0), 1.0, rtol=1e-3, atol=0.0)
     assert np.allclose(out[:, 1:2] / out[0, 1], psis[:, 1:2] / psis[0, 1], rtol=1e-12)
+
+
+def _scaled_by_powers_of_two(update, power, columns=slice(None)):
+    """``update``, then each of ``columns`` times 2**power (its input norm below 1) or 2**-power.
+
+    A power of 300 moves every n2 by 2**600, out of the kernel's window at
+    every step; 150 moves it by 2**300, which no step rescales.
+    """
+    def scaled(self, psis, dW, ell):
+        out = update(self, psis, dW, ell)
+        factor = np.ones(psis.shape[1])
+        below = np.linalg.norm(psis[:, columns], axis=0) < 1.0
+        factor[columns] = np.where(below, 2.0 ** power, 2.0 ** -power)
+        view = out.view(float)
+        view *= np.repeat(factor, 2)
+        return out
+    return scaled
+
+
+@pytest.fixture
+def rescales(monkeypatch):
+    """The count of calls to ``engine._rescale``, reset by ``clear()``."""
+    calls = []
+    rescale = engine._rescale
+
+    def counting(*args):
+        calls.append(None)
+        rescale(*args)
+
+    monkeypatch.setattr(engine, "_rescale", counting)
+    return calls
+
+
+@pytest.mark.parametrize("model, u", [("spin", UnravelingParams.nonlinear(1.0)),
+                                      ("spin", UnravelingParams.linear(1.0)),
+                                      ("dense", UnravelingParams.nonlinear(1.0)),
+                                      ("dense", XI_INTERIOR)])
+def test_ensembles_do_not_depend_on_rescaling(monkeypatch, rescales, model, u):
+    # the same ensemble with its columns rescaled at every step, scaled but
+    # never rescaled, and neither: snapshots (in stacks of 4 spin or 2 dense
+    # rows), means and final states keep every bit
+    monkeypatch.setattr(engine, "_SNAPSHOT_BUDGET", 80)
+    model, psi0 = (spin_model(), PSI0) if model == "spin" else (_dense_four_level(), _DENSE_PSI0)
+    update = _EulerKernel.update
+
+    def ensemble(power):
+        if power:
+            monkeypatch.setattr(_EulerKernel, "update", _scaled_by_powers_of_two(update, power))
+        rescales.clear()
+        res = simulate_ensemble(model, u, psi0, 1e-3, 60, 5, base_seed=4,
+                                snapshot_steps=[0, 1, 2, 7, 8, 9, 30, 31, 59, 60],
+                                tracked_observables={"L": model.L, "H": model.H})
+        return res, len(rescales)
+
+    (plain, n_plain), (scaled, n_scaled), (rescaled, n_rescaled) = map(ensemble, (0, 150, 300))
+    assert (n_plain, n_scaled, n_rescaled) == (0, 0, 60)
+    for res in (scaled, rescaled):
+        assert _same_bits(res.rhos, plain.rhos)
+        assert _same_bits(res.final_states, plain.final_states)
+        for name in plain.means:
+            assert _same_bits(res.means[name], plain.means[name])
+
+
+def test_matched_blocks_stops_do_not_depend_on_rescaling(monkeypatch, rescales):
+    # both collapse-member kernels on one shared stream, in chunks of 4 of 10
+    # columns and 3-step blocks that end at the stops 5 and 8
+    monkeypatch.setattr(engine, "_PAIR_CHUNK", 4)
+    monkeypatch.setattr(engine, "_PAIR_BUDGET", 30)
+    psi0 = _random_columns(np.random.default_rng(18), 3, 1)[:, 0]
+
+    def stops(power):
+        kernels = _both_kernels(1e-3)
+        for kernel in kernels:
+            if power:
+                kernel.update = types.MethodType(
+                    _scaled_by_powers_of_two(type(kernel).update, power), kernel)
+        rescales.clear()
+        got = list(engine._matched_blocks(kernels, psi0, np.random.default_rng(19), 1e-3, 12, 10,
+                                          stops=(5, 8)))
+        return got, len(rescales)
+
+    (plain, n_plain), (scaled, n_scaled), (rescaled, n_rescaled) = map(stops, (0, 150, 300))
+    assert (n_plain, n_scaled, n_rescaled) == (0, 0, 2 * 3 * 12)   # per kernel, chunk and step
+    for got in (scaled, rescaled):
+        assert [(step, c0) for step, c0, _ in got] == [(step, c0) for step, c0, _ in plain]
+        for (_, _, a), (_, _, b) in zip(got, plain):
+            assert all(_same_bits(x, y) for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("kind, u", [(_EulerKernel, UnravelingParams.nonlinear(0.8)),
+                                     (_EulerKernel, UnravelingParams.linear(0.8)),
+                                     (_ExponentialKernel, UnravelingParams.nonlinear(0.8))])
+def test_a_column_alone_equals_it_in_a_batch_whose_other_columns_rescale(rescales, kind, u):
+    # on a diagonal model, where a column has the bits alone that it has in a batch
+    kernel, dim = _kernel_case(kind, "spin", u)
+    psis = _random_columns(np.random.default_rng(20), dim, 6)
+    dW = np.random.default_rng(21).standard_normal((6, 40)) * np.sqrt(1e-3)
+    alone = engine._normalised(kernel.run(psis[:, 2:3], dW[2:3]))
+    assert len(rescales) == 0
+    kernel.update = types.MethodType(
+        _scaled_by_powers_of_two(kind.update, 300, columns=[0, 1, 3, 4, 5]), kernel)
+    batch = engine._normalised(kernel.run(psis, dW))
+    assert len(rescales) == 40
+    assert _same_bits(batch[:, 2:3], alone)
 
 
 @pytest.mark.parametrize("budget, n_steps, sizes", [
@@ -1181,7 +1290,8 @@ def test_weak_convergence_is_first_order():
     dW4 = rng.standard_normal((n4, n_traj)) * np.sqrt(h / 4.0)
 
     def final_mean_z2(dWs, dt):
-        psi = _EulerKernel(model, u, dt).run(np.tile(PSI0[:, None], (1, n_traj)), dWs.T)
+        psi = engine._normalised(
+            _EulerKernel(model, u, dt).run(np.tile(PSI0[:, None], (1, n_traj)), dWs.T))
         z = np.abs(psi[0]) ** 2 - np.abs(psi[1]) ** 2
         return np.mean(z ** 2)
 
@@ -1205,7 +1315,8 @@ def test_norm_drift_scalings():
         rng = np.random.default_rng(seed)
         psi = np.tile(PSI0[:, None], (1, n))
         dW = rng.standard_normal(n) * np.sqrt(dt)
-        raw = _EulerKernel(model, u, dt).update(psi, dW)
+        kernel = _EulerKernel(model, u, dt)
+        raw = kernel.update(psi, dW, kernel.norms_and_mean(psi)[2])
         d = np.sum(raw.real ** 2 + raw.imag ** 2, axis=0) - 1.0
         return np.sqrt(np.mean(d ** 2)), np.mean(d)
 
