@@ -253,11 +253,7 @@ def _kraus_one_step(psis, dWs, dt, gp, nu):
     """Normalized measurement update times the commuting Hamiltonian phase."""
     ell = np.abs(psis[:, 0]) ** 2 - np.abs(psis[:, 1]) ** 2
     dy = measurement_record(dWs, ell, dt, gp.xi.real, gp.gamma)
-    post, _ = kraus_apply(psis.T, SIGMA_Z, gp, dy, dt)
-    # each column's norm from the dot products np.linalg.norm takes of one
-    # vector, so a column gets the same bits as when it is updated alone
-    re, im = post.real.T[:, None, :], post.imag.T[:, None, :]
-    post = post / np.sqrt(re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1))[:, 0, 0]
+    post = _normalised(*kraus_apply(psis.T, SIGMA_Z, gp, dy, dt))
     return (np.exp(-1j * nu * dt * np.array([1.0, -1.0]))[:, None] * post).T
 
 
@@ -314,7 +310,7 @@ def criterion_8() -> CriterionResult:
         psis = _rand_states(rng, n_samples)
         dWs = rng.standard_normal(n_samples) * np.sqrt(dt)
         kr = _kraus_one_step(psis, dWs, dt, gp, nu)
-        eu = _EulerKernel(model, u, dt).step(psis.T, dWs).T
+        eu = _normalised(_EulerKernel(model, u, dt).run(psis.T, dWs[:, None])).T
         return _phase_aligned_rms(kr, eu)
 
     rs = [rms_vs_single_euler(dt) for dt in (2e-3, 1e-3)]

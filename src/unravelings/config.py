@@ -230,6 +230,9 @@ def validate_config(raw: dict) -> ScenarioConfig:
         elif o in _SE_KINDS and n_traj == 1 and _is_int(n_traj):
             errs.append(f"n_trajectories: {o!r} reports a standard error, which needs "
                         "at least 2 trajectories")
+        elif o == "riccati" and n_steps is not None and n_steps < 2:
+            errs.append(f"t_final / dt: 'riccati' takes central differences, which need "
+                        f"at least 2 steps, got {n_steps}")
 
     params = raw.get("params", {})
     if not isinstance(params, dict):

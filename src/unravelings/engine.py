@@ -56,10 +56,10 @@ mantissa and no sign of zero (of a normal number), and a column scaled by
 a power of two reads the same ``<L>``, so no state handed out depends on
 when, or whether, a column was rescaled, nor on where blocks or batches
 end.  A state is normalised only where it is read, by :func:`_normalised`,
-``psis * (1 / sqrt(n2)).astype(complex)``: the snapshots and final states
-of :func:`simulate_ensemble`, each state of :func:`_state_stack`, the stops
-of :func:`_matched_blocks`, and :meth:`_ColumnKernel.step` (so
-:func:`sse_step`).  Step 0 is handed out as given.
+``psis * (1 / sqrt(n2)).astype(complex)`` with the norms of the pass that
+produced it: the snapshots and final states of :func:`simulate_ensemble`,
+each state of :func:`_state_stack` (so :func:`sse_step`) and the stops of
+:func:`_matched_blocks`.
 
 The drivers rotate once per batch, never per noise block, so a trajectory
 does not depend on where the blocks end: :func:`simulate_ensemble` starts at
@@ -131,10 +131,11 @@ and their norms beside it, and reduces the buffer when it fills and after
 the last block: one pass normalises the stack in place, one stacked
 ``s @ s^dag`` fills those rows of the chunk's rho sum, and one stacked :func:`_column_means` those of each
 tracked mean.  All three give each snapshot the bits of its own per-step
-product, and no step pays for a normalisation.  The snapshot of step 0 is
-reduced alone, as given.  :func:`_state_stack` writes ``V phi`` of each
-step, normalised with the norms of its pass, into the one (n + 1, dim, N)
-stack it returns (:func:`simulate_trajectory` is its one-column case).
+product, and no step pays for a normalisation.  Step 0 enters with ``n2 =
+1``, whose factor ``1 + 0j`` changes no finite non-zero value (at most the
+sign of a zero part).  :func:`_state_stack` writes ``V phi`` of each step
+after 0, normalised with the norms of its pass, into the one (n + 1, dim,
+N) stack it returns (:func:`simulate_trajectory` is its one-column case).
 
 The master equation is written once, in :func:`lindblad_rhs`; the oracle
 takes classical RK4 steps of it.  The flow is linear, so the one-step
@@ -295,9 +296,9 @@ class _ColumnKernel:
     in ``psis``.  ``ell`` is None when ``reads_ell`` is false; otherwise the
     subclass sets ``l``, the (dim, 1) eigenvalues of L.  An elementwise update
     reads its (dim, 1) complex constant ``row`` through :meth:`_across`,
-    repeated over the columns.  :meth:`update`, :meth:`step` and :meth:`run`
-    act on columns in the kernel's basis, ``V^dag psi``, and ``V`` is None
-    for the standard basis.
+    repeated over the columns.  :meth:`update` and :meth:`run` act on
+    columns in the kernel's basis, ``V^dag psi``, and ``V`` is None for the
+    standard basis.
     """
 
     row: np.ndarray
@@ -335,10 +336,6 @@ class _ColumnKernel:
             ell = _sum_rows(p)
             ell *= r
         return n2, r, ell
-
-    def step(self, psis: np.ndarray, dW: np.ndarray) -> np.ndarray:
-        """One step of every column, normalised; ``dW`` has one entry per column."""
-        return _normalised(self.run(psis, dW[:, None]))
 
     def run(self, psis: np.ndarray, dW: np.ndarray, first_step: int = 0,
             first_traj: int = 0, after_step=None) -> np.ndarray:
@@ -386,11 +383,11 @@ def _normalised(psis: np.ndarray, n2: np.ndarray | None = None, out=None) -> np.
     """Each column of (dim, N) or (n, dim, N) ``psis`` at unit norm: ``psis * (1 / sqrt(n2))``.
 
     The factor is cast to complex before it multiplies the columns, into
-    ``out`` when given.  ``n2`` defaults to the squared column norms of one
-    :func:`_abs2` pass, which has the bits of the kernel's own.  Every state
-    the library hands out of a kernel but the initial one goes through
-    here, so none depends on when, or whether, a column was rescaled by a
-    power of two.
+    ``out`` when given.  ``n2`` is the squared column norms of the pass that
+    produced ``psis``; it defaults to those of one :func:`_abs2` pass, which
+    has the bits of the kernel's own.  Every state the library hands out of
+    a kernel goes through here, so none depends on when, or whether, a
+    column was rescaled by a power of two.
     """
     if n2 is None:
         n2 = _sum_rows(_abs2(psis))
@@ -475,10 +472,8 @@ class _ExponentialKernel(_ColumnKernel):
 
 def sse_step(psi: np.ndarray, model: ModelSpec, u: UnravelingParams,
              dW: float, dt: float) -> np.ndarray:
-    """One Euler-Maruyama step, normalised."""
-    kernel = _EulerKernel(model, u, dt)
-    phi = kernel.into_basis(np.asarray(psi, dtype=complex)[:, None])
-    return kernel.out_of_basis(kernel.step(phi, np.array([dW])))[:, 0]
+    """One Euler-Maruyama step, normalised: the one-column, one-step :func:`_state_stack`."""
+    return _state_stack(_EulerKernel(model, u, dt), psi, np.array([[dW]]))[1, :, 0]
 
 
 def _state_stack(kernel: _ColumnKernel, psi0: np.ndarray, dW: np.ndarray) -> np.ndarray:
@@ -669,18 +664,18 @@ def simulate_ensemble(model: ModelSpec, u: UnravelingParams, psi0: np.ndarray,
         kept_n2 = np.empty((depth, k1 - k0))
         done = held = 0         # snapshot rows reduced, and rows held in kept after them
 
-        def reduce_kept(given=False):
+        def reduce_kept():
             nonlocal done, held
             s, rows = kept[:held], slice(done, done + held)
-            if not given:
-                _normalised(s, kept_n2[:held], out=s)
+            _normalised(s, kept_n2[:held], out=s)
             rho[rows] = s @ s.conj().swapaxes(1, 2)
             for name, op in tracked.items():
                 chunk_means[name][rows] = _column_means(s, op)
             done, held = done + held, 0
 
         def take_snapshot(step, psis, n2):
-            nonlocal held
+            nonlocal held, last_n2
+            last_n2 = n2
             if done + held < len(snaps) and step == snaps[done + held]:
                 kept[held] = psis
                 kept_n2[held] = n2
@@ -689,16 +684,14 @@ def simulate_ensemble(model: ModelSpec, u: UnravelingParams, psi0: np.ndarray,
                     reduce_kept()
 
         psis = np.repeat(kernel.into_basis(psi0[:, None]), k1 - k0, axis=1)
-        if snaps[:1] == [0]:            # step 0 is reduced alone, as given
-            kept[0], held = psis, 1
-            reduce_kept(given=True)
+        last_n2 = np.ones(k1 - k0)      # the norms the hook saw last; step 0's are 1
+        take_snapshot(0, psis, last_n2)
         with contextlib.closing(_noise_blocks(base_seed, k0, k1, n_steps, dt)) as blocks:
             for start, dW in blocks:
                 psis = kernel.run(psis, dW, start, k0, after_step=take_snapshot)
         reduce_kept()
         rho = rho if V is None else V @ rho @ V.conj().T
-        psis = psis if n_steps == 0 else _normalised(psis)      # step 0 as given
-        return rho, chunk_means, kernel.out_of_basis(psis).T
+        return rho, chunk_means, kernel.out_of_basis(_normalised(psis, last_n2)).T
 
     rho_sum = np.zeros((len(snaps), model.dim, model.dim), dtype=complex)
     means = {name: np.empty((len(snaps), n_traj)) for name in tracked}
@@ -751,22 +744,21 @@ def lindblad_evolve(rho0: np.ndarray, model: ModelSpec, lam: float, dt: float,
 
     Returns a list of (step_index, rho) pairs for the requested steps, each
     in [0, n_steps].  Between snapshots the state jumps by the propagator's
-    power for the gap, computed by repeated squaring once per distinct gap.
+    power for the gap, computed by repeated squaring.  A rho that is not
+    finite raises FloatingPointError naming its snapshot step.
     """
     snaps = _checked_snapshots(snapshot_steps, n_steps)
-    P = lindblad_propagator(model, lam, dt)
-    powers = {}
     v = np.asarray(rho0, dtype=complex).reshape(-1)
     out = []
-    step = 0
-    for s in snaps:
-        gap = s - step
-        if gap:
-            if gap not in powers:
-                powers[gap] = np.linalg.matrix_power(P, gap)
-            v = powers[gap] @ v
-            step = s
-        out.append((s, v.reshape(model.dim, model.dim).copy()))
+    with np.errstate(over="ignore", invalid="ignore"):     # an overflow fails the test below
+        P = lindblad_propagator(model, lam, dt)
+        for step, s in zip([0] + snaps, snaps):
+            if s > step:
+                v = np.linalg.matrix_power(P, s - step) @ v
+            if not np.isfinite(v).all():
+                raise FloatingPointError(f"the master-equation rho is not finite at step {s}; "
+                                         "reduce dt")
+            out.append((s, v.reshape(model.dim, model.dim).copy()))
     return out
 
 

@@ -47,6 +47,8 @@ class SpinParams:
             raise ValueError(f"nu must be finite, got {self.nu}")
         require_finite("lam", self.lam, positive=False)
         require_finite("hbar", self.hbar)
+        if not np.isfinite(float(self.hbar) * float(self.nu)):     # the scale of H
+            raise ValueError(f"hbar * nu must be finite, got {self.hbar} * {self.nu}")
 
 
 def spin_model(sp: SpinParams) -> ModelSpec:
@@ -80,8 +82,7 @@ def spin_nonlinear_trajectory(psi0: np.ndarray, sp: SpinParams, dt: float, n_ste
 
 def _sigma_z_paths(states: np.ndarray) -> np.ndarray:
     """<sigma_z> series of an (n + 1, 2, N) state stack, (N, n + 1): one row per trajectory."""
-    n1, _, n_paths = states.shape
-    return _column_means(states.transpose(1, 2, 0).reshape(2, -1), SIGMA_Z).reshape(n_paths, n1)
+    return _column_means(states, SIGMA_Z).T
 
 
 def nonlinear_ensemble(psi0: np.ndarray, sp: SpinParams, dt: float, n_steps: int,

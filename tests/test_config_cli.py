@@ -303,6 +303,49 @@ def test_closed_form_outputs_that_cannot_be_evaluated_are_a_config_error():
         validate_config(raw)
 
 
+def test_riccati_with_fewer_than_two_steps_is_a_config_error(tmp_path, capsys):
+    # riccati_residual takes central differences, which need three grid
+    # points; at one step run ended in its ValueError traceback
+    raw = {**PRESETS["riccati_free"], "dt": 2, "t_final": 2.0}
+    with pytest.raises(ConfigError, match="'riccati' takes central differences"):
+        validate_config(raw)
+    validate_config({**raw, "t_final": 4.0})
+    cfg_path = tmp_path / "one_step.json"
+    cfg_path.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "at least 2 steps, got 1" in err and "Traceback" not in err
+
+
+def test_a_non_finite_master_equation_rho_exits_3(tmp_path, capsys):
+    # the stability budget reads only L, so nu = 2**64 validates; the power of
+    # the oracle's RK4 propagator then overflowed, with a numpy warning, and
+    # the oracle columns were written as nan
+    raw = _with({**PRESETS["fig2"], "t_final": 0.2}, ("params", "nu"), 2 ** 64)
+    validate_config(raw)
+    cfg_path = tmp_path / "nu.json"
+    cfg_path.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out"),
+                 "--check"]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("run: fig2 failed numerically: FloatingPointError: "
+                          "the master-equation rho is not finite at step ")
+
+
+def test_a_spin_hamiltonian_that_overflows_is_a_config_error(tmp_path, capsys):
+    # H = hbar nu sigma_z overflowed to inf, and inf * 0 warned in spin_model
+    # before validate_config reported "H is not Hermitian"
+    raw = _with(_with(PRESETS["fig2"], ("params", "hbar"), 1e300), ("params", "nu"), 1e300)
+    with pytest.raises(ConfigError, match="hbar \\* nu must be finite"):
+        validate_config(raw)
+    cfg_path = tmp_path / "h.json"
+    cfg_path.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "hbar * nu must be finite" in err and "Traceback" not in err
+
+
 def test_mechanical_params_are_floats_whatever_the_json_number(tmp_path):
     # 2**64 is a JSON integer that np.sqrt cannot take as a Python int
     cfg_path = tmp_path / "lam.json"

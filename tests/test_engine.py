@@ -176,7 +176,7 @@ def test_kernel_step_equals_docstring_increment(case, xi):
     assert kernel.A is not None and (kernel.V is None) == (case == "diagonal L")
     phis = kernel.into_basis(psis)
     raw = kernel.out_of_basis(kernel.update(phis, dW, kernel.norms_and_mean(phis)[2]))
-    stepped = kernel.out_of_basis(kernel.step(phis, dW))
+    stepped = kernel.out_of_basis(engine._normalised(kernel.run(phis, dW[:, None])))
     for k in range(n):
         expect = psis[:, k] + _docstring_increment(psis[:, k], model, u, dW[k], dt)
         assert np.max(np.abs(raw[:, k] - expect)) <= 1e-14
@@ -208,7 +208,7 @@ def test_two_point_step_gives_both_claims_for_every_member(dim, theta):
         dW = np.array([1.0, -1.0]) * np.sqrt(dt)
         kernel = _EulerKernel(model, u, dt)
         phis = np.repeat(kernel.into_basis(psi)[:, None], 2, axis=1)
-        out = kernel.out_of_basis(kernel.step(phis, dW))
+        out = kernel.out_of_basis(engine._normalised(kernel.run(phis, dW[:, None])))
         mixed = 0.5 * (out @ out.conj().T)
         claim_1 = np.max(np.abs(mixed - rho - engine.lindblad_rhs(rho, model, u.lam) * dt))
         m = np.einsum("in,ij,jn->n", out.conj(), O, out).real
@@ -1229,7 +1229,7 @@ def _batched_residual_rms(power, dt, n_traj=3000, T=1.0, seed=5):
     for _ in range(n):
         z = np.abs(psi[0]) ** 2 - np.abs(psi[1]) ** 2
         dW = rng.standard_normal(n_traj) * np.sqrt(dt)
-        nxt = kernel.step(psi, dW)
+        nxt = engine._normalised(kernel.run(psi, dW[:, None]))
         z2 = np.abs(nxt[0]) ** 2 - np.abs(nxt[1]) ** 2
         gain = 2.0 * (1.0 - z ** 2)
         if power == 1:

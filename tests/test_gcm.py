@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unravelings.engine import ModelSpec, UnravelingParams, _EulerKernel, lindblad_rhs
+from unravelings.engine import ModelSpec, UnravelingParams, _EulerKernel, _normalised, lindblad_rhs
 from unravelings.gcm import (_amplitudes, _eigs, channel_apply, kraus_apply, outcome_grid,
                              povm_completeness, solve_gcm_params)
 from unravelings.linalg import pauli, projector
@@ -190,7 +190,7 @@ def _one_step_rms_ratio(model, xi, rng, n=1500):
         post /= np.linalg.norm(post, axis=0)
         post = np.exp(-1j * dt * h)[:, None] * post
         kernel = _EulerKernel(model, u, dt)
-        ref = kernel.out_of_basis(kernel.step(kernel.into_basis(v), dW))
+        ref = kernel.out_of_basis(_normalised(kernel.run(kernel.into_basis(v), dW[:, None])))
         ph = np.sum(ref.conj() * post, axis=0)
         ph /= np.abs(ph)
         return np.sqrt(np.mean(np.linalg.norm(post - ph * ref, axis=0) ** 2))
