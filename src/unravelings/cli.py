@@ -16,8 +16,8 @@ fig1 (free particle, mass 1e-15 kg, coupling 1e23 /m^2/s, width 0.25e9 /m^2)
   sigma.csv   : sigma_nonlinear = 1/(4 Re a(t)) with the tanh-form width of the
                 collapsing member; sigma_linear = same for the phase-noise member
                 (rational width).  Both start at 1e-9 m^2.
-  var.csv     : density-matrix variance = phase-noise spread + lam hbar^2 t^3/(3 m^2);
-                member-independent.
+  var.csv     : density-matrix variance = free flow of the initial covariance +
+                lam hbar^2 t^3/(3 m^2); member-independent.
   riccati.csv : central-difference residuals of the covariance matrix flow
                 dS/dt = A S + S A^T + D - S B B^T S per member and for the variance.
 """,
@@ -34,7 +34,7 @@ fig2 (spin-1/2, hbar = nu = lam = 1, initial state (1/2, sqrt(3)/2))
 fig3 (trapped particle, omega 1e4 rad/s, SI units)
   sigma.csv : tanh-form conditional spreads of both members (trap-modified
               rate/asymptote constants).
-  var.csv   : breathing term plus windowed noise term
+  var.csv   : trapped flow of the initial covariance plus the noise term
               lam hbar^2/(2 m^2 omega^2) (t - sin(2 omega t)/(2 omega)).
 """,
     "bell": """\

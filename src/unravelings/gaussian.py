@@ -15,9 +15,12 @@ term of ``sqrt(lam) xi x dW`` (lam at xi = 1, 0 at xi = -i)::
 
 It is solved by ``a(t) = asymptote * tanh(rate * t + offset)``, or by a
 rational function of t at c = omega = 0; :func:`width_at` is the one function
-that evaluates either form, and every spread and covariance reads the width
-through it.  The centroid pair (centroid, wavenumber) is an
-Ornstein-Uhlenbeck-type linear SDE driven by the same Wiener process.
+that evaluates either form, and every conditional spread and covariance reads
+the width through it.  The density-matrix moments read no width: they are the
+unitary flow of the initial covariance plus the noise integrals
+(:func:`variance_covariance_series`).  The centroid pair (centroid,
+wavenumber) is an Ornstein-Uhlenbeck-type linear SDE driven by the same
+Wiener process.
 
 Three second moments are compared throughout:
 
@@ -161,49 +164,37 @@ def conditional_spread_x(t, p: MechanicalParams, a0: complex, xi: complex):
     return float(out) if out.ndim == 0 else out
 
 
-def _noise_spread_free(t, p: MechanicalParams):
-    return p.lam * p.hbar ** 2 * np.asarray(t, dtype=float) ** 3 / (3.0 * p.mass ** 2)
-
-
-def _noise_spread_harmonic(t, p: MechanicalParams):
-    """lam hbar^2/(2 m^2 omega^2) * (t - sin(2 omega t)/(2 omega)), series-guarded."""
+def _unitary_flow(t, p: MechanicalParams):
+    """(S, C) = (sin(omega t) / omega, cos(omega t)) of the unitary flow; S = t at omega = 0."""
     t = np.asarray(t, dtype=float)
-    u = p.omega * t
-    small = np.abs(u) < 1e-3
-    # direct form loses all digits for u -> 0; two series terms are 1e-13 accurate there
-    direct = t - np.sin(2.0 * u) / (2.0 * p.omega) if p.omega > 0 else np.zeros_like(t)
-    series = (2.0 / 3.0) * p.omega ** 2 * t ** 3 * (1.0 - 0.6 * u ** 2)
-    bracket = np.where(small, series, direct)
-    return p.lam * p.hbar ** 2 / (2.0 * (p.mass * p.omega) ** 2) * bracket
+    if p.omega == 0.0:
+        return t, np.ones_like(t)
+    return np.sin(p.omega * t) / p.omega, np.cos(p.omega * t)
+
+
+def _position_noise(t, p: MechanicalParams, s, c):
+    """lam hbar^2 / m^2 * int_0^t S^2, the noise part of the position variance.
+
+    The integral is (t - S C) / (2 omega^2), which cancels as u = omega t -> 0;
+    below |u| = 1e-3 it is the series (t^3 / 3)(1 - u^2 / 5), 2e-14 accurate there.
+    """
+    u, k = p.omega * t, p.lam * p.hbar ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):     # omega = 0 reads the series
+        direct = k * (t - s * c) / (2.0 * (p.mass * p.omega) ** 2)
+    series = k * t ** 3 * (1.0 - u * u / 5.0) / (3.0 * p.mass ** 2)
+    return np.where(np.abs(u) < 1e-3, series, direct)
 
 
 def variance_x(t, p: MechanicalParams, a0: complex):
-    """Density-matrix position variance; identical for every family member.
-
-    Free particle: the unitary spreading term plus lam hbar^2 t^3 / (3 m^2).
-    Trapped: the breathing term from the phase-noise width constants plus
-    the windowed-noise term lam hbar^2/(2 m^2 omega^2) (t - sin(2wt)/2w).
-    """
-    t = np.asarray(t, dtype=float)
-    a0 = _checked_width(a0)
-    if p.omega == 0.0:
-        unitary = (((p.mass - 2.0 * p.hbar * t * a0.imag) ** 2
-                    + (2.0 * p.hbar * t * a0.real) ** 2)
-                   / (4.0 * p.mass ** 2 * a0.real))
-        out = unitary + _noise_spread_free(t, p)
-    else:
-        cons = spread_constants(p, a0, -1j)     # the unitary width: xi = -i
-        k = cons.offset
-        breathing = (p.hbar / (2.0 * p.mass * p.omega)
-                     * (np.cosh(2.0 * k.real) + np.cos(2.0 * (p.omega * t + k.imag)))
-                     / np.sinh(2.0 * k.real))
-        out = breathing + _noise_spread_harmonic(t, p)
+    """Density-matrix position variance, the same for every member: the x-x entry of
+    :func:`variance_covariance_series`."""
+    out = variance_covariance_series(t, p, a0)[..., 0, 0]
     return float(out) if out.ndim == 0 else out
 
 
 # --- gates on series over one time grid that starts at t = 0 ----------------
 
-SPREAD_RTOL = 1e-12   # relative slack of both spread gates
+SPREAD_RTOL = 1e-12   # relative slack of the spread gates
 MEAN_SQUARE_MAX_SE = 4.0   # SEs a Monte Carlo E[<x>^2] may stray from its closed form
 
 
@@ -225,6 +216,12 @@ def spreads_ordered(t, s_collapse, s_phase, var) -> bool:
                 and np.all(s_phase[m] <= var[m] * (1 + SPREAD_RTOL)))
 
 
+def spreads_under_variance(t, var, *spreads) -> bool:
+    """Each spread <= variance at every t > 0, within SPREAD_RTOL: the law of total variance."""
+    m = np.asarray(t) > 0
+    return all(bool(np.all(s[m] <= var[m] * (1 + SPREAD_RTOL))) for s in spreads)
+
+
 def mean_square_worst_se(t, mc, stderr, closed_form) -> float:
     """Largest |mc - closed_form| / stderr at t > 0, where SEs are nonzero; 0.0 if no t > 0."""
     after = np.asarray(t) > 0.0
@@ -234,9 +231,8 @@ def mean_square_worst_se(t, mc, stderr, closed_form) -> float:
 # --- noise average of <x>^2 --------------------------------------------------
 
 def _ballistic_mean(t, p: MechanicalParams, x0: float, k0: float):
-    if p.omega == 0.0:
-        return x0 + p.hbar * k0 * t / p.mass
-    return (p.hbar * k0 / (p.mass * p.omega)) * np.sin(p.omega * t) + x0 * np.cos(p.omega * t)
+    s, c = _unitary_flow(t, p)
+    return x0 * c + p.hbar * k0 * s / p.mass
 
 
 def mean_square_x(t, p: MechanicalParams, a0: complex, x0: float, k0: float, xi: complex):
@@ -258,9 +254,8 @@ def mean_square_x(t, p: MechanicalParams, a0: complex, x0: float, k0: float, xi:
     pos = np.atleast_1d(t) > 0.0
     if pos.any():
         ts = np.atleast_1d(t)[pos]
-        noise = _noise_spread_free(ts, p) if p.omega == 0.0 else _noise_spread_harmonic(ts, p)
-        out[pos] += noise + (conditional_spread_x(ts, p, a0, -1j)
-                             - conditional_spread_x(ts, p, a0, xi))
+        out[pos] += _position_noise(ts, p, *_unitary_flow(ts, p)) + (
+            conditional_spread_x(ts, p, a0, -1j) - conditional_spread_x(ts, p, a0, xi))
     return float(out[0]) if t.ndim == 0 else out.reshape(t.shape)
 
 
@@ -438,39 +433,41 @@ def riccati_matrices(p: MechanicalParams, xi: complex | None = None) -> RiccatiM
     return RiccatiMatrices(drift=a, diffusion=b, backaction=d)
 
 
+def _matrices(xx, xp, px, pp) -> np.ndarray:
+    """The (..., 2, 2) stack [[xx, xp], [px, pp]] of four arrays of one shape."""
+    return np.stack([xx, xp, px, pp], axis=-1).reshape(np.shape(xx) + (2, 2))
+
+
+def _pure_covariance(w, hbar: float) -> np.ndarray:
+    """Covariances of the pure Gaussian states of widths ``w``: S_xx = 1/(4 Re a),
+    S_xp = -hbar Im a / (2 Re a) and S_pp = hbar^2 |a|^2 / Re a, so det S = hbar^2 / 4."""
+    re, im = w.real, w.imag
+    xp = -hbar * im / (2.0 * re)
+    return _matrices(1.0 / (4.0 * re), xp, xp, hbar ** 2 * (re ** 2 + im ** 2) / re)
+
+
 def conditional_covariance_series(ts, p: MechanicalParams, a0: complex,
                                   xi: complex) -> np.ndarray:
-    """Closed-form conditional covariance matrices of member ``xi`` on a time grid.
-
-    The pure Gaussian state of width a = :func:`width_at` has S_xx = 1/(4 Re a),
-    S_xp = -hbar Im a / (2 Re a) and S_pp = hbar^2 |a|^2 / Re a, so det S = hbar^2 / 4.
-    """
-    w = np.asarray(width_at(ts, p, a0, xi))
-    re, im = w.real, w.imag
-    out = np.empty(w.shape + (2, 2))
-    out[..., 0, 0] = 1.0 / (4.0 * re)
-    out[..., 0, 1] = out[..., 1, 0] = -p.hbar * im / (2.0 * re)
-    out[..., 1, 1] = p.hbar ** 2 * (re ** 2 + im ** 2) / re
-    return out
+    """Closed-form conditional covariance matrices of member ``xi`` on a time grid:
+    the pure covariance of the width :func:`width_at`."""
+    return _pure_covariance(np.asarray(width_at(ts, p, a0, xi)), p.hbar)
 
 
 def variance_covariance_series(ts, p: MechanicalParams, a0: complex) -> np.ndarray:
-    """Density-matrix covariance matrices: unitary part plus noise integrals."""
-    ts = np.asarray(ts, dtype=float)
-    base = conditional_covariance_series(ts, p, a0, -1j)   # the unitary part: xi = -i
-    lam, hb, m, om = p.lam, p.hbar, p.mass, p.omega
-    add = np.zeros(ts.shape + (2, 2))
-    if om == 0.0:
-        add[..., 0, 0] = _noise_spread_free(ts, p)
-        add[..., 0, 1] = add[..., 1, 0] = lam * hb ** 2 * ts ** 2 / (2.0 * m)
-        add[..., 1, 1] = lam * hb ** 2 * ts
-    else:
-        u = om * ts
-        add[..., 0, 0] = _noise_spread_harmonic(ts, p)
-        sin_ratio = np.sin(u) / om
-        add[..., 0, 1] = add[..., 1, 0] = lam * hb ** 2 * sin_ratio ** 2 / (2.0 * m)
-        add[..., 1, 1] = lam * hb ** 2 * (0.5 * ts + np.sin(2.0 * u) / (4.0 * om))
-    return base + add
+    """Density-matrix covariance matrices; identical for every family member.
+
+    The unitary flow M S0 M^T of the pure covariance S0 of ``a0``, with
+    M = [[C, S/m], [-m omega^2 S, C]] of :func:`_unitary_flow`, plus the noise
+    integrals lam hbar^2 int_0^t [[S^2/m^2, S C/m], [S C/m, C^2]].
+    """
+    t = np.asarray(ts, dtype=float)
+    s, c = _unitary_flow(t, p)
+    m, k = p.mass, p.lam * p.hbar ** 2
+    flow = _matrices(c, s / m, -m * p.omega ** 2 * s, c)
+    xp = k * (s * s) / (2.0 * m)
+    noise = _matrices(_position_noise(t, p, s, c), xp, xp, k * (t + s * c) / 2.0)
+    s0 = _pure_covariance(np.asarray(_checked_width(a0)), p.hbar)
+    return flow @ s0 @ np.swapaxes(flow, -1, -2) + noise
 
 
 def riccati_residual(sigma_series: np.ndarray, mats: RiccatiMatrices, dt: float) -> np.ndarray:

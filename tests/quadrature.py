@@ -1,15 +1,18 @@
-"""The noise average of <x>_t^2 by adaptive quadrature, for the tests.
+"""Oracles of the Gaussian closed forms, for the tests.
 
-Nothing in the library reads it: ``gaussian.mean_square_x`` takes the
-closed form of the law of total variance, and this oracle integrates the
-Ito isometry over the closed-form width history instead, so the two agree
-only if both are right.
+Nothing in the library reads them.  ``mean_square_x`` integrates the Ito
+isometry over the closed-form width history by adaptive quadrature, where
+``gaussian.mean_square_x`` takes the closed form of the law of total
+variance.  ``variance_covariance_series`` adds the noise integrals to the
+phase-noise member's covariance, which reads its width, where the library
+flows the initial covariance.  Each pair agrees only if both are right.
 """
 
 import numpy as np
 
 from unravelings.gaussian import (MechanicalParams, _ballistic_mean, _checked_width, _checked_xi,
-                                  conditional_spread_x, variance_x, width_at)
+                                  conditional_covariance_series, conditional_spread_x, variance_x,
+                                  width_at)
 
 QUADRATURE_REL = 1e-8       # relative tolerance the oracle is run at by default
 TOTAL_VARIANCE_RTOL = 10.0 * QUADRATURE_REL   # slack of the total-variance gate, of var
@@ -141,3 +144,22 @@ def total_variance_deviation(t, mean_x2, p: MechanicalParams, a0: complex, x0: f
     gap = (np.asarray(mean_x2, dtype=float) - _ballistic_mean(t, p, x0, k0) ** 2
            - (var - conditional_spread_x(t, p, a0, xi)))
     return float(np.max(np.abs(gap) / var))
+
+
+def variance_covariance_series(ts, p: MechanicalParams, a0: complex) -> np.ndarray:
+    """Density-matrix covariances: the phase-noise member's conditional covariance
+    (through :func:`width_at` at xi = -i) plus lam hbar^2 times the noise integrals,
+    written out for the free and the trapped particle."""
+    ts = np.asarray(ts, dtype=float)
+    m, om = p.mass, p.omega
+    add = np.empty(ts.shape + (2, 2))
+    if om == 0.0:
+        add[..., 0, 0] = ts ** 3 / (3.0 * m ** 2)
+        add[..., 0, 1] = add[..., 1, 0] = ts ** 2 / (2.0 * m)
+        add[..., 1, 1] = ts
+    else:
+        u = om * ts
+        add[..., 0, 0] = (ts - np.sin(2.0 * u) / (2.0 * om)) / (2.0 * (m * om) ** 2)
+        add[..., 0, 1] = add[..., 1, 0] = np.sin(u) ** 2 / (2.0 * m * om ** 2)
+        add[..., 1, 1] = 0.5 * ts + np.sin(2.0 * u) / (4.0 * om)
+    return conditional_covariance_series(ts, p, a0, -1j) + p.lam * p.hbar ** 2 * add

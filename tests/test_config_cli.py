@@ -589,10 +589,10 @@ def test_scenario_checks_detect_tampering(tmp_path):
 
 def test_scenario_checks_fail_on_hand_built_broken_gates():
     cfg = preset("fig1")
-    # collapse spread above the phase-noise one at t = 1
+    # the phase-noise spread above the variance at t = 2
     sig = {"t": np.array([0.0, 1.0, 2.0]), "sigma_nonlinear": np.array([1e-9, 3e-9, 2e-9]),
            "sigma_linear": np.array([1e-9, 2e-9, 3e-9])}
-    var = {"var": np.array([1e-9, 4e-9, 5e-9])}
+    var = {"var": np.array([1e-9, 4e-9, 2.5e-9])}
     assert [c.passed for c in _check_spreads(cfg, sig, var)] == [True, False]
     # every trajectory up at Born weight 1/4
     born = {"n_up": 100, "n_down": 0, "n_unresolved": 0, "threshold": 0.999,
@@ -603,6 +603,23 @@ def test_scenario_checks_fail_on_hand_built_broken_gates():
             "dynamical": {"rho_distance": [0.0, 0.01], "mc_rho_tolerance": 0.05,
                           "spread_gap_final": 0.9, "gap_floor": 0.786}}
     assert [c.passed for c in _check_bell(cfg, bell)] == [False, True, True, True]
+
+
+@pytest.mark.parametrize("name, path, value, t_final", [
+    ("riccati_free", ("params", "a0"), [1.0, 2.0], 2.0),
+    ("riccati_harmonic", ("params", "omega"), 1.0, 4.0),
+    ("riccati_harmonic", ("params", "omega"), 2.0, 4.0)],
+    ids=["chirped-free", "trapped-omega-1", "trapped-omega-2"])
+def test_run_check_passes_where_the_two_members_spreads_cross(tmp_path, capsys, name, path,
+                                                              value, t_final):
+    # the collapse spread rises above the phase-noise one here, so a gate on
+    # collapse <= phase-noise failed these valid configs (exit 1); each member's
+    # spread stays under the variance, by the law of total variance
+    raw = {**_with(PRESETS[name], path, value), "t_final": t_final}
+    cfg_path = tmp_path / "crossing.json"
+    cfg_path.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path), "--check"]) == 0
+    assert "[PASS] each member's spread <= variance" in capsys.readouterr().out
 
 
 def test_scenario_checks_read_only_the_outputs_the_config_asks_for(tmp_path):

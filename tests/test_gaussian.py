@@ -1,5 +1,6 @@
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from unravelings.gaussian import (SPREAD_RTOL, MechanicalParams, _centroid_step,
                                   gaussian_sde_step, initial_spread,
                                   initial_spread_deviation, mean_square_x,
                                   riccati_matrices, riccati_residual, simulate_width,
-                                  spread_constants, spreads_ordered,
+                                  spread_constants, spreads_ordered, spreads_under_variance,
                                   variance_covariance_series, variance_x, width_at)
 from unravelings.noise import derive_seed, wiener_path
 
@@ -145,16 +146,17 @@ def test_spread_gates_pass_on_fig1_and_fail_on_broken_series():
     v = variance_x(t, P_FIG1, A0_FIG1)
     assert initial_spread(A0_FIG1) == 1e-9
     assert initial_spread_deviation(A0_FIG1, s_c, s_p, v) <= SPREAD_RTOL
-    assert spreads_ordered(t, s_c, s_p, v)
+    assert spreads_ordered(t, s_c, s_p, v) and spreads_under_variance(t, v, s_c, s_p)
     # one point out of order at t > 0 breaks the ordering, on either side
     s_bad, v_bad = s_c.copy(), v.copy()
     s_bad[5], v_bad[7] = s_p[5] * (1 + 1e-9), s_p[7] * (1 - 1e-9)
     assert not spreads_ordered(t, s_bad, s_p, v)
     assert not spreads_ordered(t, s_c, s_p, v_bad)
+    assert not spreads_under_variance(t, v_bad, s_c, s_p)
     # t = 0 is the initial gate's, not the ordering's
     s_bad = s_c.copy()
     s_bad[0] = 2e-9
-    assert spreads_ordered(t, s_bad, s_p, v)
+    assert spreads_ordered(t, s_bad, s_p, v) and spreads_under_variance(t, v, s_bad, s_p)
     assert initial_spread_deviation(A0_FIG1, s_bad, s_p, v) == 1.0
 
 
@@ -473,6 +475,72 @@ def test_variance_covariance_free_entries():
         assert extra[i, 0, 0] == pytest.approx(0.5 * t ** 3 / (3 * 4), rel=1e-12, abs=1e-15)
         assert extra[i, 0, 1] == pytest.approx(0.5 * t ** 2 / (2 * 2), rel=1e-12, abs=1e-15)
         assert extra[i, 1, 1] == pytest.approx(0.5 * t, rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("omega", [0.0, 0.5, 2.0, 1e4])
+def test_variance_starts_at_the_initial_spread_bit_for_bit(omega):
+    # the flow is the identity at t = 0; a0 = 0.25 is the ground state at omega = 0.5,
+    # where the phase-noise width has no tanh-form offset
+    p = MechanicalParams(mass=1.0, omega=omega, lam=0.8, hbar=1.0)
+    for a0 in (0.25 + 0j, 0.3 + 0.1j, 0.25 - 0.2j, 1.0 + 2.0j):
+        assert variance_x(0.0, p, a0) == initial_spread(a0)
+
+
+@pytest.mark.parametrize("omega", [0.5, 2.0])
+def test_trapped_ground_state_covariance_is_stationary_without_noise(omega):
+    # a0 = m omega / (2 hbar) is the phase-noise width's tanh-form asymptote
+    p = MechanicalParams(mass=1.0, omega=omega, lam=0.0, hbar=1.0)
+    ts = np.linspace(0.0, 20.0 / omega, 201)
+    ser = variance_covariance_series(ts, p, p.mass * omega / (2.0 * p.hbar))
+    ground = np.diag([p.hbar / (2.0 * p.mass * omega), p.mass * omega * p.hbar / 2.0])
+    assert np.max(np.abs(ser - ground)) <= 1e-15
+
+
+def _grid(name):
+    cfg = preset(name)
+    return cfg.mechanical(), cfg.a0(), np.arange(cfg.n_steps + 1) * cfg.dt
+
+
+@pytest.mark.parametrize("p, a0, ts", [
+    *[pytest.param(*_grid(name), id=name) for name in ("fig1", "riccati_free", "riccati_harmonic")],
+    *[pytest.param(MechanicalParams(mass=1.0, omega=omega, lam=0.8, hbar=1.0), a0,
+                   np.linspace(0.0, 5.0, 51), id=f"omega-{omega}-a0-{a0}")
+      for omega in (0.0, 0.5, 2.0) for a0 in (0.3 + 0.1j, 0.25 - 0.2j, 1.0 + 2.0j)]])
+def test_covariance_flow_matches_the_width_route(p, a0, ts):
+    # each entry within 1e-13 of sqrt(S_ii S_jj), the scale Cauchy-Schwarz gives it
+    flow = variance_covariance_series(ts, p, a0)
+    oracle = quadrature.variance_covariance_series(ts, p, a0)
+    sd = np.sqrt(np.diagonal(oracle, axis1=-2, axis2=-1))
+    assert np.max(np.abs(flow - oracle) / (sd[..., :, None] * sd[..., None, :])) <= 1e-13
+
+
+P_TRAP_NOISE = MechanicalParams(mass=2.0, omega=3.0, lam=0.7, hbar=1.3)
+
+
+@pytest.mark.parametrize("u", [1e-4, 5e-4, 0.999e-3])
+def test_trapped_noise_term_follows_its_series_below_the_guard(u):
+    # at xi = -i the two spreads of mean_square_x cancel, leaving the noise term
+    # lam hbar^2 / m^2 (t^3 / 3)(1 - u^2 / 5 + 2 u^4 / 105 - ...) at u = omega t;
+    # a series of 1 - 0.6 u^2 misses it by 4e-7 at u = 1e-3
+    p = P_TRAP_NOISE
+    t = u / p.omega
+    series = p.lam * p.hbar ** 2 / p.mass ** 2 * t ** 3 / 3.0 * (1.0 - u ** 2 / 5.0
+                                                                  + 2.0 * u ** 4 / 105.0)
+    assert abs(mean_square_x(t, p, 0.3 + 0.1j, 0.0, 0.0, -1j) / series - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("omega", [0.5, 2.0, 1e4])
+def test_trapped_noise_term_is_continuous_across_the_series_guard(omega):
+    # adjacent times on either side of u = 1e-3; the direct form (t - S C) / (2 omega^2)
+    # above the guard carries rounding of about 2 eps / u^2, up to 4e-10 measured
+    p = replace(P_TRAP_NOISE, omega=omega)
+    above = 1e-3 / omega
+    while omega * above < 1e-3:
+        above = np.nextafter(above, np.inf)
+    below = np.nextafter(above, 0.0)
+    assert omega * below < 1e-3
+    lo, hi = mean_square_x(np.array([below, above]), p, 0.3 + 0.1j, 0.0, 0.0, -1j)
+    assert abs(hi / lo - 1.0) <= 1e-9
 
 
 def test_quadrature_error_is_raised_on_hopeless_integrand():
