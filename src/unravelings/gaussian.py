@@ -16,7 +16,9 @@ term of ``sqrt(lam) xi x dW`` (lam at xi = 1, 0 at xi = -i)::
 It is solved by ``a(t) = asymptote * tanh(rate * t + offset)``, or by a
 rational function of t at c = omega = 0; :func:`width_at` is the one function
 that evaluates either form, and every conditional spread and covariance reads
-the width through it.  The density-matrix moments read no width: they are the
+the width through it.  Only the offset, arctanh(a0 / asymptote), reads ``a0``,
+and it is infinite at a0 = asymptote: the trapped ground state at phase noise
+is a stationary width.  The density-matrix moments read no width: they are the
 unitary flow of the initial covariance plus the noise integrals
 (:func:`variance_covariance_series`).  The centroid pair (centroid,
 wavenumber) is an Ornstein-Uhlenbeck-type linear SDE driven by the same
@@ -38,7 +40,6 @@ triples differ per member; :func:`riccati_residual` measures how well a
 covariance series satisfies a given triple, on the whole stacked series at once.
 """
 
-import cmath
 import contextlib
 import math
 from dataclasses import dataclass
@@ -68,11 +69,10 @@ class MechanicalParams:
 
 @dataclass(frozen=True)
 class SpreadConstants:
-    """Constants of the tanh-form width solution a(t) = asymptote*tanh(rate*t + offset)."""
+    """The member's constants of the tanh-form width a(t) = asymptote*tanh(rate*t + offset)."""
 
     rate: complex            # s^-1
     asymptote: complex       # m^-2
-    offset: complex          # dimensionless
 
 
 def _checked_xi(xi) -> complex:
@@ -94,16 +94,15 @@ def _rational_width(p: MechanicalParams, xi: complex) -> bool:
     return p.omega == 0.0 and p.lam * xi.real == 0.0
 
 
-def spread_constants(p: MechanicalParams, a0: complex, xi: complex) -> SpreadConstants:
-    """Constants of the tanh-form width solution of member ``xi``.
+def spread_constants(p: MechanicalParams, xi: complex) -> SpreadConstants:
+    """Constants of the tanh-form width solution of member ``xi``; they read no width.
 
     (x_a, y_a) = (m^2 omega^2 / 4 hbar^2 + m lam xi_r xi_i / 2 hbar, m lam xi_r^2 / 2 hbar)
     fixes ``asymptote = sqrt(x_a - i y_a)`` (root with Re >= 0 >= Im) and
-    ``rate = 2 i hbar asymptote / m``; the offset matches the initial width.
+    ``rate = 2 i hbar asymptote / m``.
     At c = omega = 0 there is no tanh form; :func:`width_at` takes the rational one.
     """
     xi = _checked_xi(xi)
-    a0 = _checked_width(a0)
     if _rational_width(p, xi):
         raise ValueError("a free width at c = 0 is rational in t; "
                          "no tanh-form constants exist (see width_at)")
@@ -112,14 +111,7 @@ def spread_constants(p: MechanicalParams, a0: complex, xi: complex) -> SpreadCon
     y_a = p.mass * p.lam * xi.real ** 2 / (2.0 * p.hbar)
     r = np.hypot(x_a, y_a)
     c = complex(np.sqrt(0.5 * (r + x_a)), -np.sqrt(0.5 * (r - x_a)))
-    b = 2j * p.hbar * c / p.mass
-    ratio = a0 / c
-    if abs(ratio - 1.0) < 1e-14 or abs(ratio + 1.0) < 1e-14:
-        raise ValueError("initial width coincides with the tanh-form asymptote; "
-                         "offset is singular")
-    if ratio.imag == 0.0 and abs(ratio.real) >= 1.0:
-        raise ValueError(f"a0/asymptote = {ratio.real} lies on the arctanh branch cut")
-    return SpreadConstants(rate=b, asymptote=c, offset=cmath.atanh(ratio))
+    return SpreadConstants(rate=2j * p.hbar * c / p.mass, asymptote=c)
 
 
 def _tanh_stable(z: np.ndarray) -> np.ndarray:
@@ -141,7 +133,8 @@ def width_at(t, p: MechanicalParams, a0: complex, xi: complex):
 
     At c = omega = 0 (phase noise, or lam = 0, on a free particle) it is the
     rational a0 m / (m + 2 i hbar t a0); otherwise asymptote * tanh(rate * t +
-    offset) with the :func:`spread_constants` of ``xi``.  A scalar t gives a complex.
+    arctanh(a0 / asymptote)) with the :func:`spread_constants` of ``xi``.  A scalar
+    t gives a complex.
     """
     xi = _checked_xi(xi)
     a0 = _checked_width(a0)
@@ -149,18 +142,17 @@ def width_at(t, p: MechanicalParams, a0: complex, xi: complex):
     if _rational_width(p, xi):
         out = a0 * p.mass / (p.mass + 2j * p.hbar * t * a0)
     else:
-        cons = spread_constants(p, a0, xi)
-        out = cons.asymptote * _tanh_stable(cons.rate * t + cons.offset)
+        cons = spread_constants(p, xi)
+        with np.errstate(divide="ignore"):
+            offset = np.arctanh(a0 / cons.asymptote)
+        out = cons.asymptote * _tanh_stable(cons.rate * t + offset)
     return complex(out) if out.ndim == 0 else out
 
 
 def conditional_spread_x(t, p: MechanicalParams, a0: complex, xi: complex):
-    """Trajectory-level position spread 1 / (4 Re a(t)); member-dependent."""
-    w = np.asarray(width_at(t, p, a0, xi))
-    re = w.real
-    if np.any(re <= 0.0):
-        raise ValueError("closed-form width lost positivity; inputs are unphysical")
-    out = 1.0 / (4.0 * re)
+    """Trajectory-level position spread 1 / (4 Re a(t)), member-dependent: the x-x entry
+    of :func:`conditional_covariance_series`."""
+    out = conditional_covariance_series(t, p, a0, xi)[..., 0, 0]
     return float(out) if out.ndim == 0 else out
 
 
@@ -209,17 +201,10 @@ def initial_spread_deviation(a0: complex, s_collapse, s_phase, var) -> float:
     return float(max(abs(v[0] / sigma0 - 1.0) for v in (s_collapse, s_phase, var)))
 
 
-def spreads_ordered(t, s_collapse, s_phase, var) -> bool:
-    """collapse <= phase-noise <= variance at every t > 0, within SPREAD_RTOL."""
+def spreads_at_most(t, upper, *spreads) -> bool:
+    """Each spread <= upper at every t > 0, within SPREAD_RTOL."""
     m = np.asarray(t) > 0
-    return bool(np.all(s_collapse[m] <= s_phase[m] * (1 + SPREAD_RTOL))
-                and np.all(s_phase[m] <= var[m] * (1 + SPREAD_RTOL)))
-
-
-def spreads_under_variance(t, var, *spreads) -> bool:
-    """Each spread <= variance at every t > 0, within SPREAD_RTOL: the law of total variance."""
-    m = np.asarray(t) > 0
-    return all(bool(np.all(s[m] <= var[m] * (1 + SPREAD_RTOL))) for s in spreads)
+    return all(bool(np.all(s[m] <= upper[m] * (1 + SPREAD_RTOL))) for s in spreads)
 
 
 def mean_square_worst_se(t, mc, stderr, closed_form) -> float:
@@ -269,7 +254,7 @@ def check_width_stability(p: MechanicalParams, a0: complex, xi: complex, dt: flo
     xi = _checked_xi(xi)
     a0 = _checked_width(a0)
     rate = (2.0 * p.hbar * abs(a0) / p.mass if _rational_width(p, xi)
-            else abs(spread_constants(p, a0, xi).rate))
+            else abs(spread_constants(p, xi).rate))
     budget = engine_mod.STABILITY_BUDGET
     engine_mod._require_dt_within(dt, budget / rate if rate > 0.0 else math.inf,
                                   f"{budget} of dt * |width rate {rate:.3e} s^-1|")
@@ -442,6 +427,8 @@ def _pure_covariance(w, hbar: float) -> np.ndarray:
     """Covariances of the pure Gaussian states of widths ``w``: S_xx = 1/(4 Re a),
     S_xp = -hbar Im a / (2 Re a) and S_pp = hbar^2 |a|^2 / Re a, so det S = hbar^2 / 4."""
     re, im = w.real, w.imag
+    if np.any(re <= 0.0):
+        raise ValueError("closed-form width lost positivity; inputs are unphysical")
     xp = -hbar * im / (2.0 * re)
     return _matrices(1.0 / (4.0 * re), xp, xp, hbar ** 2 * (re ** 2 + im ** 2) / re)
 

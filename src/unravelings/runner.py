@@ -36,7 +36,7 @@ from .engine import (UnravelingParams, master_equation_oracle, mc_stderr, mc_tol
 from .gaussian import (MEAN_SQUARE_MAX_SE, SPREAD_RTOL, centroid_ensemble,
                        conditional_covariance_series, conditional_spread_x, initial_spread,
                        initial_spread_deviation, mean_square_worst_se, mean_square_x,
-                       riccati_matrices, riccati_residual, simulate_width, spreads_under_variance,
+                       riccati_matrices, riccati_residual, simulate_width, spreads_at_most,
                        variance_covariance_series, variance_x)
 from .noise import derive_seed, measurement_record, wiener_path
 from .spin import (SETTLED, SIGMA_Z, CollapseReport, collapse_statistics, spin_model,
@@ -306,7 +306,7 @@ def _check_spreads(cfg: ScenarioConfig, sig: dict, var: dict) -> list:
                          f"max rel dev {dev:.2e} of ({', '.join(f'{s[0]:.6e}' for s in series)})",
                          f"all equal {initial_spread(a0):.6e}"),
             CheckOutcome("each member's spread <= variance",
-                         spreads_under_variance(sig["t"], var["var"], *series[:2]),
+                         spreads_at_most(sig["t"], var["var"], *series[:2]),
                          "pointwise on the written grid", "holds for every t > 0")]
 
 

@@ -296,11 +296,6 @@ def test_closed_form_outputs_that_cannot_be_evaluated_are_a_config_error():
            "t_final": 1e300}
     with pytest.raises(ConfigError, match="not finite at t = 0 or t_final"):
         validate_config(raw)
-    # a0 = m omega / 2 hbar is the phase-noise asymptote, where the tanh form has no offset
-    raw = _with({**PRESETS["riccati_harmonic"], "outputs": ["sigma"]}, ("params", "a0"),
-                [0.25, 0.0])
-    with pytest.raises(ConfigError, match="closed-form spreads: initial width coincides"):
-        validate_config(raw)
 
 
 def test_riccati_with_fewer_than_two_steps_is_a_config_error(tmp_path, capsys):
@@ -620,6 +615,25 @@ def test_run_check_passes_where_the_two_members_spreads_cross(tmp_path, capsys, 
     cfg_path.write_text(json.dumps(raw), encoding="utf-8")
     assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path), "--check"]) == 0
     assert "[PASS] each member's spread <= variance" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("unraveling", ["nonlinear", "linear"])
+@pytest.mark.parametrize("a0", [[0.25, 0.0], [0.5, 0.0], [1.0, 0.0]],
+                         ids=["ground-state", "squeezed-2x", "squeezed-4x"])
+def test_run_check_passes_at_the_ground_state_and_real_squeezed_widths(tmp_path, a0,
+                                                                        unraveling):
+    # a0 = m omega / (2 hbar) = 0.25 is the phase-noise width's asymptote, and a
+    # real a0 above it put the tanh-form offset on the arctanh branch cut; both
+    # were rejected (exit 2), for either member, although every output is finite;
+    # the phase-noise member gives no measurement record
+    outputs = [o for o in OUTPUT_KINDS["mech"] if unraveling == "nonlinear" or o != "record"]
+    raw = {**_with(PRESETS["riccati_harmonic"], ("params", "a0"), a0), "dt": 0.005,
+           "unraveling": unraveling, "n_trajectories": 20, "outputs": outputs}
+    validate_config(raw)
+    cfg_path = tmp_path / "width.json"
+    cfg_path.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out"),
+                 "--check"]) == 0
 
 
 def test_scenario_checks_read_only_the_outputs_the_config_asks_for(tmp_path):

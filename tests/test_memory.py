@@ -34,7 +34,7 @@ def test_width_check_holds_one_block(monkeypatch):
     # the whole path with its closed form and temporaries is ~7.7 MB
     monkeypatch.setattr(acceptance, "_WIDTH_BLOCK", 1024)
     p, a0, n = acceptance._FIG1, acceptance._FIG1_A0, 100_000
-    dt = 10.0 / spread_constants(p, a0, 1.0).rate.real / n
+    dt = 10.0 / spread_constants(p, 1.0).rate.real / n
     assert _traced_peak(lambda: acceptance._width_max_rel_err(p, a0, dt, n)) < 1.0 * MB
 
 

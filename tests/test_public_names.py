@@ -1,4 +1,5 @@
-"""Every public top-level name of ``src/unravelings`` has a caller.
+"""Every public top-level name of ``src/unravelings`` has a caller, and every
+module-level import of ``src/unravelings`` and ``scripts/`` is read.
 
 A public function, class or constant counts as used when one of these holds:
 
@@ -74,3 +75,23 @@ def test_every_public_name_has_a_caller():
               if (mod, name) not in traced and (mod, name) not in ALLOWED
               and not any(name in names for stmt, names in references if stmt is not own)]
     assert unused == [], f"public names that nothing in src/, perfbench/ or scripts/ uses: {unused}"
+
+
+def _imported(stmt) -> list:
+    """The names a module-level import binds (``import a.b`` binds ``a``)."""
+    if not isinstance(stmt, (ast.Import, ast.ImportFrom)) or (
+            isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__"):
+        return []
+    return [a.asname or a.name.split(".")[0] for a in stmt.names if a.name != "*"]
+
+
+def test_every_module_level_import_is_read():
+    # no linter runs with the suite; this catches an import a deletion leaves behind
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "scripts").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {n.id for n in ast.walk(tree)
+                if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+        unused += [f"{path.relative_to(ROOT)}: {name}" for stmt in tree.body
+                   for name in _imported(stmt) if name not in read]
+    assert unused == [], f"module-level imports never read in their module: {unused}"
