@@ -102,8 +102,10 @@ one member.
 chunks of trajectories through :func:`procs._chunked`, which hands back each
 chunk's result in chunk order; the caller combines them in that order, so
 the bits do not depend on which process ran a chunk.  Both draw a chunk's
-Wiener increments from one driver, :func:`_noise_blocks`.  It derives the
-chunk's ``derive_seed(base_seed, k)`` seeds and yields blocks of at most
+Wiener increments from one driver, :func:`_noise_blocks`.  It takes the
+chunk's ``derive_seed(base_seed, k)`` seeds, which ``noise`` hashes 2048 at a
+time into a cached block, with one call per trajectory (the benchmark's
+tracer counts them), and yields blocks of at most
 ``_NOISE_BUDGET`` doubles, one contiguous row per trajectory stream; a block
 is valid until the next one is requested.  A stream that fits in one block is
 drawn in one; a longer one starts on a short block of ``_FIRST_BLOCK`` steps
@@ -536,6 +538,10 @@ def _noise_blocks(base_seed: int, k0: int, k1: int, n_steps: int, dt: float):
     next while the caller steps through it.  The buffers are sized by the
     largest block.  A caller that may stop early wraps the generator in
     ``contextlib.closing``, so a helper is reaped when it stops.
+
+    The seeds are read one ``derive_seed`` call per trajectory, which the
+    benchmark's tracer pins; each call is a lookup into a block that
+    ``noise`` hashed in one vectorised pass and caches.
     """
     seeds = [noise_mod.derive_seed(base_seed, k) for k in range(k0, k1)]
     cap = max(1, _NOISE_BUDGET // (k1 - k0))

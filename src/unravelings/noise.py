@@ -4,7 +4,8 @@ Every random draw in the library comes from numpy's PCG64 stream of an
 integer seed, so a run is fully determined by integer seeds.  Ensembles
 derive one child seed per trajectory with :func:`derive_seed`, which makes
 the members independent of each other and of the order in which they are
-simulated.  Trajectory ``k`` of an ensemble always draws the stream of
+simulated; it reads a cached block of child seeds hashed in one vectorised
+pass.  Trajectory ``k`` of an ensemble always draws the stream of
 ``wiener_path(derive_seed(base_seed, k), dt, n_steps)``; the lock-step
 ensembles open those streams with :func:`default_rngs`, which seeds many
 generators in one vectorised pass and gives the same generators as
@@ -26,6 +27,9 @@ arrays on the caller's grid of step ``dt``; the seed and ``dt`` stay with
 the caller, which passes them where they are needed.
 """
 
+import functools
+import operator
+
 import numpy as np
 
 from .linalg import require_finite
@@ -37,47 +41,104 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL = 4
+_SEED_BLOCK = 2048   # child seeds hashed per pass; it divides 2**32
 
 
-def _hash_chain(init: int, mult: int, n: int) -> list:
-    """The (xor, multiply) constants of ``n`` consecutive hash steps, as Python ints.
+def _checked_seed(seed) -> int:
+    """``seed`` as a Python int, once it is an integer (``operator.index``) and not negative.
+
+    A float raises TypeError rather than being truncated to another seed.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"a seed must be a non-negative integer, got {seed}")
+    return seed
+
+
+def _words(n: int) -> list:
+    """The uint32 entropy words ``SeedSequence`` takes from the int ``n >= 0``, low word first."""
+    words = [n & 0xFFFFFFFF]
+    while n := n >> 32:
+        words.append(n & 0xFFFFFFFF)
+    return words
+
+
+def _hash_consts(init: int, mult: int):
+    """The (xor, multiply) constants of consecutive hash steps, as Python ints.
 
     They do not depend on the data, and masking Python ints to 32 bits keeps
     every product exact.
     """
-    out, c = [], init
-    for _ in range(n):
+    c = init
+    while True:
         nxt = (c * mult) & 0xFFFFFFFF
-        out.append((c, nxt))
+        yield c, nxt
         c = nxt
-    return out
 
 
-_SEED_WORDS = _hash_chain(_INIT_B, _MULT_B, 2)   # generate_state(1, np.uint64)
-
-
-def derive_seed(base_seed: int, k: int) -> int:
-    """Deterministic 64-bit child seed for trajectory ``k`` of an ensemble.
-
-    ``np.random.SeedSequence([base_seed, k]).generate_state(1, np.uint64)[0]``:
-    the sequence's entropy pool, hashed into the low and the high 32-bit word
-    on Python ints.
-    """
-    pool = np.random.SeedSequence([int(base_seed), int(k)]).pool.tolist()
-    lo, hi = (_hashmix(word, consts) for word, consts in zip(pool, _SEED_WORDS))
-    return lo | hi << 32
-
-
-def _hashmix(value, consts: tuple):
-    """One hash step of a uint32 array, or of a Python int below 2**32."""
+def _hashmix(value: np.ndarray, consts: tuple) -> np.ndarray:
+    """One hash step of a uint32 array."""
     xor_c, mul_c = consts
-    value = ((value ^ xor_c) * mul_c) & 0xFFFFFFFF
+    value = (value ^ xor_c) * mul_c
     return value ^ (value >> 16)
 
 
 def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     r = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
     return r ^ (r >> np.uint32(16))
+
+
+def _seed_state(entropy: list, n_words: int) -> np.ndarray:
+    """``SeedSequence(entropy).generate_state(n_words, np.uint64)`` of many sequences at once.
+
+    ``entropy[i]`` is a uint32 array that holds word i of every sequence, one
+    lane each, so all lanes have as many words; the result is (lanes,
+    n_words).  This is numpy's hash, ``mix_entropy`` then ``generate_state``,
+    with no spawn key: a pool shorter than 4 words is padded with 0, and the
+    words past the fourth are mixed into every pool word.
+    """
+    consts = _hash_consts(_INIT_A, _MULT_A)
+    padded = entropy + [np.zeros_like(entropy[0])] * (_POOL - len(entropy))
+    pool = [_hashmix(word, next(consts)) for word in padded[:_POOL]]
+    for i_src in range(_POOL):
+        for i_dst in range(_POOL):
+            if i_src != i_dst:
+                pool[i_dst] = _mix(pool[i_dst], _hashmix(pool[i_src], next(consts)))
+    for word in entropy[_POOL:]:
+        for i_dst in range(_POOL):
+            pool[i_dst] = _mix(pool[i_dst], _hashmix(word, next(consts)))
+    consts = _hash_consts(_INIT_B, _MULT_B)
+    state = np.stack([_hashmix(pool[i % _POOL], next(consts)) for i in range(2 * n_words)],
+                     axis=-1)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+@functools.lru_cache(maxsize=8)
+def _seed_block(base_seed: int, block: int) -> np.ndarray:
+    """``derive_seed(base_seed, k)`` of the ``_SEED_BLOCK`` k from ``block * _SEED_BLOCK`` on.
+
+    A read-only uint64 array; the cache holds 8 blocks of 16 KB at most.  The
+    block is aligned and ``_SEED_BLOCK`` divides 2**32, so its k share every
+    entropy word but the low one, and with it their word count: one pass of
+    :func:`_seed_state` hashes them all.
+    """
+    base_words = _words(base_seed)
+    entropy = [np.full(_SEED_BLOCK, w, dtype=np.uint32)
+               for w in base_words + _words(block * _SEED_BLOCK)]
+    entropy[len(base_words)] += np.arange(_SEED_BLOCK, dtype=np.uint32)
+    seeds = _seed_state(entropy, 1)[:, 0]
+    seeds.flags.writeable = False
+    return seeds
+
+
+def derive_seed(base_seed: int, k: int) -> int:
+    """Deterministic 64-bit child seed for trajectory ``k`` of an ensemble.
+
+    ``np.random.SeedSequence([base_seed, k]).generate_state(1, np.uint64)[0]``,
+    read from the cached block of :func:`_seed_block` that holds ``k``.
+    """
+    base_seed, k = _checked_seed(base_seed), _checked_seed(k)
+    return int(_seed_block(base_seed, k // _SEED_BLOCK)[k % _SEED_BLOCK])
 
 
 class _FixedState(np.random.bit_generator.ISeedSequence):
@@ -95,26 +156,15 @@ class _FixedState(np.random.bit_generator.ISeedSequence):
 def default_rngs(seeds) -> list:
     """``[np.random.default_rng(s) for s in seeds]`` for seeds in [0, 2**64), bit for bit.
 
-    The ``SeedSequence`` hash (``mix_entropy``, then ``generate_state(4,
-    np.uint64)``) runs once on uint32 arrays with one lane per seed.  A seed
-    below 2**32 is one entropy word and any other is two; the pool pads a
-    missing word with 0, which is the high word of a small seed, so both
-    kinds take the same lanes.
+    The ``SeedSequence`` hash (:func:`_seed_state`) runs once with one lane
+    per seed.  A seed below 2**32 is one entropy word and any other is two;
+    the pool pads a missing word with 0, which is the high word of a small
+    seed, so both kinds take the same lanes.
     """
-    seeds = np.asarray([int(s) for s in seeds], dtype=np.uint64)
+    seeds = np.asarray([_checked_seed(s) for s in seeds], dtype=np.uint64)
     lo = (seeds & np.uint64(0xFFFFFFFF)).astype(np.uint32)
     hi = (seeds >> np.uint64(32)).astype(np.uint32)
-    zero = np.zeros_like(lo)
-    chain = iter(_hash_chain(_INIT_A, _MULT_A, _POOL * _POOL))
-    pool = [_hashmix(word, next(chain)) for word in (lo, hi, zero, zero)]
-    for i_src in range(_POOL):
-        for i_dst in range(_POOL):
-            if i_src != i_dst:
-                pool[i_dst] = _mix(pool[i_dst], _hashmix(pool[i_src], next(chain)))
-    state = np.empty((seeds.size, 2 * _POOL), dtype=np.uint32)
-    for i, consts in enumerate(_hash_chain(_INIT_B, _MULT_B, 2 * _POOL)):
-        state[:, i] = _hashmix(pool[i % _POOL], consts)
-    words = state.astype("<u4").view("<u8").astype(np.uint64)
+    words = _seed_state([lo, hi], 4)
     return [np.random.Generator(np.random.PCG64(_FixedState(w))) for w in words]
 
 
@@ -127,7 +177,7 @@ def wiener_path(seed: int, dt: float, n_steps: int) -> np.ndarray:
     require_finite("dt", dt)
     if n_steps < 1:
         raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(_checked_seed(seed))
     return rng.standard_normal(n_steps) * np.sqrt(dt)
 
 

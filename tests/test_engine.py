@@ -941,6 +941,23 @@ def test_a_fig2_sized_chunk_draws_one_block_and_forks_no_helper(monkeypatch):
     assert blocks == [(cfg.n_trajectories, cfg.n_steps)]
 
 
+def test_a_chunk_derives_one_seed_per_trajectory_from_two_hashed_blocks(monkeypatch):
+    # the benchmark's tracer counts one derive_seed call per trajectory, and
+    # the calls read cached blocks: 2500 trajectories touch blocks 0 and 1
+    monkeypatch.setattr(procs, "_FORK_HELPER", False)   # every call is made in this process
+    calls = []
+
+    def counted(base_seed, k):
+        calls.append(k)
+        return derive_seed(base_seed, k)
+
+    monkeypatch.setattr(noise, "derive_seed", counted)
+    noise._seed_block.cache_clear()
+    simulate_ensemble(spin_model(), XI_INTERIOR, PSI0, 1e-3, 4, 2500, base_seed=19)
+    assert sorted(calls) == list(range(2500))
+    assert 1 <= noise._seed_block.cache_info().misses <= 2
+
+
 def _no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from unravelings import noise
 from unravelings.noise import (default_rngs, derive_seed, measurement_record,
                                reconstruct_noise, wiener_path)
 
@@ -125,9 +126,8 @@ def _generate_state_seed(b, k):
 
 
 def test_derive_seed_is_the_seed_sequence_state():
-    # the pool read from SeedSequence and hashed on Python ints is the same
-    # 64-bit word as generate_state(1, np.uint64): one and two entropy words
-    # per argument, three for 2**70, and random pairs
+    # the vectorised hash of a cached block is generate_state(1, np.uint64):
+    # one and two entropy words per argument, three for 2**70, and random pairs
     edges = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1]
     pairs = [(b, k) for b in edges for k in edges] + [(2 ** 70, 0), (2 ** 70, 2 ** 64 - 1)]
     rng = np.random.default_rng(16)
@@ -135,3 +135,36 @@ def test_derive_seed_is_the_seed_sequence_state():
                                                         dtype=np.uint64)]
     for b, k in pairs:
         assert derive_seed(b, k) == _generate_state_seed(b, k), (b, k)
+    info = noise._seed_block.cache_info()
+    assert info.currsize <= info.maxsize
+
+
+def test_derive_seed_at_the_block_edges():
+    # the last and first k of a block, and the k where a word is added
+    ks = [2047, 2048, 4095, 4096, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1]
+    for b in [0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1, 2 ** 70]:
+        for k in ks:
+            seed = derive_seed(b, k)
+            assert type(seed) is int
+            assert seed == _generate_state_seed(b, k), (b, k)
+    block = noise._seed_block(0, 1)
+    assert block.dtype == np.uint64 and block.shape == (noise._SEED_BLOCK,)
+    with pytest.raises(ValueError, match="read-only"):
+        block[0] = 0
+    info = noise._seed_block.cache_info()
+    assert info.currsize <= info.maxsize
+
+
+@pytest.mark.parametrize("draw", [lambda s: derive_seed(s, 3), lambda s: derive_seed(3, s),
+                                  lambda s: wiener_path(s, 1e-3, 5),
+                                  lambda s: default_rngs([s])[0].standard_normal(5)],
+                         ids=["derive_seed_base", "derive_seed_k", "wiener_path", "default_rngs"])
+def test_seeds_are_integers_not_truncated_floats(draw):
+    # numpy integers are seeds; 1.5 is not seed 1, and a negative seed is no seed
+    assert np.array_equal(draw(np.uint64(7)), draw(7))
+    with pytest.raises(TypeError):
+        draw(7.0)
+    with pytest.raises(TypeError):
+        draw(np.float64(1.5))
+    with pytest.raises(ValueError, match="non-negative"):
+        draw(-1)
