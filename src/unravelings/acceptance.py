@@ -18,11 +18,11 @@ from .bell import bell_gates, bell_report
 from .engine import (ModelSpec, UnravelingParams, _EulerKernel, _ExponentialKernel,
                      _matched_blocks, _normalised, _state_stack, lindblad_rhs,
                      master_equation_oracle, mc_stderr, mc_tolerance, simulate_ensemble)
-from .gaussian import (MEAN_SQUARE_MAX_SE, SPREAD_RTOL, MechanicalParams, _width_blocks,
-                       centroid_ensemble, conditional_covariance_series, conditional_spread_x,
+from .gaussian import (MEAN_SQUARE_MAX_SE, SPREAD_RTOL, MechanicalParams, centroid_ensemble,
+                       conditional_covariance_series, conditional_spread_x,
                        initial_spread_deviation, mean_square_worst_se, mean_square_x,
-                       riccati_matrices, riccati_residual, spread_constants, spreads_at_most,
-                       variance_covariance_series, variance_x, width_at)
+                       riccati_matrices, riccati_residual, simulate_width, spread_constants,
+                       spreads_at_most, variance_covariance_series, variance_x, width_at)
 from .gcm import channel_apply, kraus_apply, povm_completeness, solve_gcm_params
 from .linalg import projector
 from .noise import measurement_record, wiener_path
@@ -147,13 +147,17 @@ def criterion_4() -> CriterionResult:
 def _width_max_rel_err(p: MechanicalParams, a0: complex, dt: float, n: int) -> float:
     """Largest relative gap of the collapse member's Euler width path from its tanh form.
 
-    The n + 1 points are stepped and compared _WIDTH_BLOCK at a time, so only
-    one block of the path is ever held; the running maximum keeps a NaN.
+    The n steps are taken and compared _WIDTH_BLOCK at a time, each block
+    from the last value of the one before, so only one block of the path is
+    ever held; the running maximum keeps a NaN.
     """
-    worst = 0.0
-    for k0, path in _width_blocks(p, a0, 1.0, dt, n, _WIDTH_BLOCK):
+    worst, a = 0.0, a0
+    for k0 in range(0, n, _WIDTH_BLOCK):
+        # xi = 1 has no rational width, so each block's budget check is the one at a0
+        path = simulate_width(p, a, 1.0, dt, min(_WIDTH_BLOCK, n - k0))
         ref = width_at(np.arange(k0, k0 + path.size) * dt, p, a0, 1.0)
         worst = np.maximum(worst, np.max(np.abs(path - ref) / np.abs(ref)))
+        a = path[-1]
     return float(worst)
 
 
@@ -295,11 +299,11 @@ def criterion_8() -> CriterionResult:
         for k0 in range(0, nsub, _SUBSTEP_ROWS):
             dWs = rng.standard_normal((min(_SUBSTEP_ROWS, nsub - k0), n_samples))
             dWs *= np.sqrt(dts)
-            ref = kernel.run(ref, dWs.T, k0)
+            ref, n2 = kernel.run(ref, dWs.T, k0)
             # row by row, as a sum over axis 0 of the whole draw adds them
             window = functools.reduce(np.add, dWs, window)
         kr = _kraus_one_step(psis, window, dt, gp, nu)
-        return _phase_aligned_rms(kr, _normalised(ref).T)
+        return _phase_aligned_rms(kr, _normalised(ref, n2).T)
 
     r = [rms_vs_substepped(dt) for dt in (4e-2, 2e-2, 1e-2)]
     ratios = [r[0] / r[1], r[1] / r[2]]
@@ -310,7 +314,7 @@ def criterion_8() -> CriterionResult:
         psis = _rand_states(rng, n_samples)
         dWs = rng.standard_normal(n_samples) * np.sqrt(dt)
         kr = _kraus_one_step(psis, dWs, dt, gp, nu)
-        eu = _normalised(_EulerKernel(model, u, dt).run(psis.T, dWs[:, None])).T
+        eu = _normalised(*_EulerKernel(model, u, dt).run(psis.T, dWs[:, None])).T
         return _phase_aligned_rms(kr, eu)
 
     rs = [rms_vs_single_euler(dt) for dt in (2e-3, 1e-3)]

@@ -21,8 +21,8 @@ and the ``bell`` scenario check both read through :func:`bell_gates`.
 import numpy as np
 
 from .engine import UnravelingParams, mc_tolerance, simulate_ensemble
-from .linalg import KET_DOWN, KET_UP, pauli, projector
-from .spin import SpinParams, collapse_bound, sigma_z_mean, sigma_z_spread, spin_model
+from .linalg import KET_DOWN, KET_UP, projector
+from .spin import SIGMA_Z, SpinParams, collapse_bound, sigma_z_mean, sigma_z_spread, spin_model
 
 
 def alice_measures(basis: str) -> tuple:
@@ -67,7 +67,7 @@ def dynamical_gap(sp: SpinParams = SpinParams(), psi0: np.ndarray = _PLUS_X, *,
     n_steps = int(round(t_final / dt))
     snaps = np.linspace(0, n_steps, n_snapshots).astype(int)
     rc, rp = (simulate_ensemble(model, u, psi0, dt, n_steps, n_traj, seed,
-                                snapshot_steps=snaps, tracked_observables={"sz": pauli("z")})
+                                snapshot_steps=snaps, tracked_observables={"sz": SIGMA_Z})
               for u, seed in ((UnravelingParams.nonlinear(sp.lam), base_seed),
                               (UnravelingParams.linear(sp.lam), base_seed + 1)))
     spread_c = sigma_z_spread(rc.means["sz"]).mean(axis=1)

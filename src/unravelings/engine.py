@@ -57,9 +57,10 @@ a power of two reads the same ``<L>``, so no state handed out depends on
 when, or whether, a column was rescaled, nor on where blocks or batches
 end.  A state is normalised only where it is read, by :func:`_normalised`,
 ``psis * (1 / sqrt(n2)).astype(complex)`` with the norms of the pass that
-produced it: the snapshots and final states of :func:`simulate_ensemble`,
-each state of :func:`_state_stack` (so :func:`sse_step`) and the stops of
-:func:`_matched_blocks`.
+produced it, which :meth:`_ColumnKernel.run` passes to ``after_step`` and
+returns beside the states: the snapshots and final states of
+:func:`simulate_ensemble`, each state of :func:`_state_stack` (so
+:func:`sse_step`) and the stops of :func:`_matched_blocks`.
 
 The drivers rotate once per batch, never per noise block, so a trajectory
 does not depend on where the blocks end: :func:`simulate_ensemble` starts at
@@ -340,15 +341,16 @@ class _ColumnKernel:
         return n2, r, ell
 
     def run(self, psis: np.ndarray, dW: np.ndarray, first_step: int = 0,
-            first_traj: int = 0, after_step=None) -> np.ndarray:
-        """Advance the columns of ``psis`` through ``dW.shape[1]`` steps, unnormalised.
+            first_traj: int = 0, after_step=None) -> tuple:
+        """Advance the columns of ``psis`` through ``dW.shape[1]`` steps: ``(psis, n2)``.
 
         ``dW`` is (N, n_steps) with one row per trajectory.  When given,
         ``after_step(first_step + j + 1, psis, n2)`` is called after step j
         with the squared norms ``n2`` of the (unnormalised) columns.  A
         non-finite or vanishing norm raises FloatingPointError naming the
         trajectory ``first_traj + column`` and the step ``first_step + j``.
-        The returned columns are unnormalised too; :func:`_normalised` reads them.
+        The returned columns are unnormalised too, and ``n2`` is their squared
+        norms from the last pass, after any rescale: ``_normalised(*run(...))``.
         """
         psis = np.ascontiguousarray(psis, dtype=complex)
         # an overflow or a zero norm is reported by the norm check, not as a warning
@@ -363,7 +365,7 @@ class _ColumnKernel:
                     n2, r, ell = self.norms_and_mean(psis)
                 if after_step is not None:
                     after_step(first_step + j + 1, psis, n2)
-        return psis
+        return psis, n2
 
 
 def _rescale(psis: np.ndarray, n2: np.ndarray, first_traj: int, step: int) -> None:
@@ -381,18 +383,16 @@ def _rescale(psis: np.ndarray, n2: np.ndarray, first_traj: int, step: int) -> No
     view *= np.repeat(np.ldexp(1.0, -(np.frexp(n2)[1] // 2)), 2)
 
 
-def _normalised(psis: np.ndarray, n2: np.ndarray | None = None, out=None) -> np.ndarray:
+def _normalised(psis: np.ndarray, n2: np.ndarray, out=None) -> np.ndarray:
     """Each column of (dim, N) or (n, dim, N) ``psis`` at unit norm: ``psis * (1 / sqrt(n2))``.
 
     The factor is cast to complex before it multiplies the columns, into
     ``out`` when given.  ``n2`` is the squared column norms of the pass that
-    produced ``psis``; it defaults to those of one :func:`_abs2` pass, which
-    has the bits of the kernel's own.  Every state the library hands out of
-    a kernel goes through here, so none depends on when, or whether, a
-    column was rescaled by a power of two.
+    produced ``psis``: the ``n2`` that :meth:`_ColumnKernel.run` returns or
+    passes to ``after_step``.  Every state the library hands out of a kernel
+    goes through here, so none depends on when, or whether, a column was
+    rescaled by a power of two.
     """
-    if n2 is None:
-        n2 = _sum_rows(_abs2(psis))
     inv = np.sqrt(n2)
     np.divide(1.0, inv, out=inv)
     return np.multiply(psis, inv.astype(complex)[..., None, :], out=out)
@@ -604,10 +604,13 @@ def _matched_blocks(kernels, psi0: np.ndarray, rng, dt: float, n_steps: int,
         for start, dW in blocks:
             end = start + dW.shape[0]
             for (c0, c1), cols in zip(chunks, psis):
+                n2s = []            # this block's norms; each kernel's input is freed as it steps
                 for i, kernel in enumerate(kernels):
-                    cols[i] = kernel.run(cols[i], dW[:, c0:c1].T, start, c0)
+                    cols[i], n2 = kernel.run(cols[i], dW[:, c0:c1].T, start, c0)
+                    n2s.append(n2)
                 if end in ends:
-                    yield end, c0, [k.out_of_basis(_normalised(c)) for k, c in zip(kernels, cols)]
+                    yield end, c0, [k.out_of_basis(_normalised(c, n2))
+                                    for k, c, n2 in zip(kernels, cols, n2s)]
 
 
 def _step_index(s) -> int:
@@ -680,8 +683,7 @@ def simulate_ensemble(model: ModelSpec, u: UnravelingParams, psi0: np.ndarray,
             done, held = done + held, 0
 
         def take_snapshot(step, psis, n2):
-            nonlocal held, last_n2
-            last_n2 = n2
+            nonlocal held
             if done + held < len(snaps) and step == snaps[done + held]:
                 kept[held] = psis
                 kept_n2[held] = n2
@@ -690,14 +692,14 @@ def simulate_ensemble(model: ModelSpec, u: UnravelingParams, psi0: np.ndarray,
                     reduce_kept()
 
         psis = np.repeat(kernel.into_basis(psi0[:, None]), k1 - k0, axis=1)
-        last_n2 = np.ones(k1 - k0)      # the norms the hook saw last; step 0's are 1
-        take_snapshot(0, psis, last_n2)
+        n2 = np.ones(k1 - k0)           # step 0's norms
+        take_snapshot(0, psis, n2)
         with contextlib.closing(_noise_blocks(base_seed, k0, k1, n_steps, dt)) as blocks:
             for start, dW in blocks:
-                psis = kernel.run(psis, dW, start, k0, after_step=take_snapshot)
+                psis, n2 = kernel.run(psis, dW, start, k0, after_step=take_snapshot)
         reduce_kept()
         rho = rho if V is None else V @ rho @ V.conj().T
-        return rho, chunk_means, kernel.out_of_basis(_normalised(psis, last_n2)).T
+        return rho, chunk_means, kernel.out_of_basis(_normalised(psis, n2)).T
 
     rho_sum = np.zeros((len(snaps), model.dim, model.dim), dtype=complex)
     means = {name: np.empty((len(snaps), n_traj)) for name in tracked}

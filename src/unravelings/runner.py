@@ -31,8 +31,8 @@ import numpy as np
 from . import __version__
 from .bell import bell_gates, bell_report
 from .config import ScenarioConfig
-from .engine import (UnravelingParams, master_equation_oracle, mc_stderr, mc_tolerance,
-                     simulate_ensemble, simulate_trajectory)
+from .engine import (UnravelingParams, _checked_snapshots, master_equation_oracle, mc_stderr,
+                     mc_tolerance, simulate_ensemble, simulate_trajectory)
 from .gaussian import (MEAN_SQUARE_MAX_SE, SPREAD_RTOL, centroid_ensemble,
                        conditional_covariance_series, conditional_spread_x, initial_spread,
                        initial_spread_deviation, mean_square_worst_se, mean_square_x,
@@ -108,13 +108,9 @@ def _grid(cfg: ScenarioConfig) -> np.ndarray:
 
 
 def _snapshot_steps(cfg: ScenarioConfig, n_snap: int = 41) -> np.ndarray:
-    """``n_snap`` evenly spaced steps of [0, n_steps], rounded down, each once (int64).
-
-    Deduplicated as :func:`engine._checked_snapshots` does: ``np.unique``
-    pages in ~1.2 MB of sort code.
-    """
-    grid = np.linspace(0, cfg.n_steps, n_snap).astype(np.int64).tolist()
-    return np.array(sorted(set(grid)), dtype=np.int64)
+    """``n_snap`` evenly spaced steps of [0, n_steps], rounded down, each once (int64)."""
+    grid = np.linspace(0, cfg.n_steps, n_snap).astype(np.int64)
+    return np.array(_checked_snapshots(grid, cfg.n_steps), dtype=np.int64)
 
 
 def _fields(report) -> dict:

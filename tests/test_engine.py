@@ -176,7 +176,7 @@ def test_kernel_step_equals_docstring_increment(case, xi):
     assert kernel.A is not None and (kernel.V is None) == (case == "diagonal L")
     phis = kernel.into_basis(psis)
     raw = kernel.out_of_basis(kernel.update(phis, dW, kernel.norms_and_mean(phis)[2]))
-    stepped = kernel.out_of_basis(engine._normalised(kernel.run(phis, dW[:, None])))
+    stepped = kernel.out_of_basis(engine._normalised(*kernel.run(phis, dW[:, None])))
     for k in range(n):
         expect = psis[:, k] + _docstring_increment(psis[:, k], model, u, dW[k], dt)
         assert np.max(np.abs(raw[:, k] - expect)) <= 1e-14
@@ -208,7 +208,7 @@ def test_two_point_step_gives_both_claims_for_every_member(dim, theta):
         dW = np.array([1.0, -1.0]) * np.sqrt(dt)
         kernel = _EulerKernel(model, u, dt)
         phis = np.repeat(kernel.into_basis(psi)[:, None], 2, axis=1)
-        out = kernel.out_of_basis(engine._normalised(kernel.run(phis, dW[:, None])))
+        out = kernel.out_of_basis(engine._normalised(*kernel.run(phis, dW[:, None])))
         mixed = 0.5 * (out @ out.conj().T)
         claim_1 = np.max(np.abs(mixed - rho - engine.lindblad_rhs(rho, model, u.lam) * dt))
         m = np.einsum("in,ij,jn->n", out.conj(), O, out).real
@@ -234,7 +234,7 @@ def test_kernel_diagonal_path_equals_general_path(u):
     psis = rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8))
     psis /= np.sqrt(np.sum(np.abs(psis) ** 2, axis=0))
     dW = rng.standard_normal((8, 100)) * np.sqrt(dt)
-    a, b = diagonal.run(psis, dW), general.run(psis, dW)
+    (a, _), (b, _) = diagonal.run(psis, dW), general.run(psis, dW)
     assert np.max(np.abs(a - b)) <= 1e-13
 
 
@@ -279,7 +279,7 @@ def test_exponential_kernel_steps_compose_into_the_one_shot_map():
     def keep(step, psis, n2):             # the state after every step
         states[step - 1] = engine._normalised(psis, n2)
 
-    final = engine._normalised(_ExponentialKernel(model, UnravelingParams.nonlinear(lam), dt).run(
+    final = engine._normalised(*_ExponentialKernel(model, UnravelingParams.nonlinear(lam), dt).run(
         psi0, dW, after_step=keep))
     l, h = np.diag(model.L).real, np.diag(model.H).real
     pre = np.concatenate([psi0[None], states[:-1]])[:, :, 0]
@@ -298,8 +298,8 @@ def test_exponential_kernel_column_alone_equals_column_in_batch():
     kernel = _ExponentialKernel(model, UnravelingParams.nonlinear(1.3), 1e-3)
     psis = _random_columns(rng, 3, 6)
     dW = rng.standard_normal((6, 50)) * np.sqrt(1e-3)
-    batch = kernel.run(psis, dW)
-    alone = kernel.run(psis[:, 2:3], dW[2:3])
+    batch, _ = kernel.run(psis, dW)
+    alone, _ = kernel.run(psis[:, 2:3], dW[2:3])
     assert np.array_equal(alone[:, 0], batch[:, 2])
 
 
@@ -409,17 +409,16 @@ def test_kernel_run_has_the_bits_of_the_reference_expressions(kind, model, u, wi
     psis[:, -1] = -1j * np.eye(dim)[width % dim]        # zero entries of both signs
     dW = rng.standard_normal((width, 25)) * np.sqrt(1e-3)
     ref = _reference_run(kernel, psis, dW)
-    assert _same_bits(engine._normalised(kernel.run(psis, dW)), ref)
+    assert _same_bits(engine._normalised(*kernel.run(psis, dW)), ref)
     # a (dim, N) view of (N, dim) rows, as criterion 8 passes its states
     rows = np.ascontiguousarray(psis.T)
-    assert _same_bits(engine._normalised(kernel.run(rows.T, dW)), ref)
+    assert _same_bits(engine._normalised(*kernel.run(rows.T, dW)), ref)
     assert np.array_equal(rows.T, psis)                       # the input is not written
 
 
-@pytest.mark.parametrize("model", ["spin", "dense"])
-def test_every_step_squares_the_states_once(monkeypatch, model):
-    # one _abs2 pass after each step gives its norms and the next step's <L>,
-    # for every member; one more pass reads the initial states' <L>
+@pytest.fixture
+def squarings(monkeypatch):
+    """The count of ``engine._abs2`` passes, reset by ``clear()``."""
     calls = []
     abs2 = engine._abs2
 
@@ -428,12 +427,55 @@ def test_every_step_squares_the_states_once(monkeypatch, model):
         return abs2(psis)
 
     monkeypatch.setattr(engine, "_abs2", counting)
+    return calls
+
+
+@pytest.mark.parametrize("model", ["spin", "dense"])
+def test_every_step_squares_the_states_once(squarings, model):
+    # one _abs2 pass after each step gives its norms and the next step's <L>,
+    # for every member; one more pass reads the initial states' <L>
     for u in (UnravelingParams.linear(0.8), UnravelingParams(0.0, 1.0, 0.8), XI_INTERIOR,
               UnravelingParams.nonlinear(0.8)):
         kernel, dim = _kernel_case(_EulerKernel, model, u)
-        calls.clear()
+        squarings.clear()
         kernel.run(_random_columns(np.random.default_rng(17), dim, 5), np.full((5, 6), 0.01))
-        assert len(calls) == 6 + 1, u
+        assert len(squarings) == 6 + 1, u
+
+
+def test_matched_blocks_stops_read_the_norms_of_their_last_step(monkeypatch, squarings):
+    # two kernels on chunks of 700 columns (1500 = 2 x 700 + 100), in blocks of
+    # 7, 3, 7, 7, 1, 7, 7 and 1 steps (at most 7, ending at the stops 10 and 25
+    # and at step 40): each run call squares its initial states once and each
+    # step once, and a stop squares nothing
+    n_cols, n_steps, dt = 1500, 40, 1e-3
+    monkeypatch.setattr(engine, "_PAIR_CHUNK", 700)
+    monkeypatch.setattr(engine, "_PAIR_BUDGET", 7 * n_cols)
+    monkeypatch.setattr(procs, "_FORK_HELPER", False)
+    kernels = _both_kernels(dt)
+    psi0 = _random_columns(np.random.default_rng(12), 3, 1)[:, 0]
+    squarings.clear()
+    seen = [(step, c0) for step, c0, _ in engine._matched_blocks(
+        kernels, psi0, np.random.default_rng(13), dt, n_steps, n_cols, stops=(10, 25))]
+    assert seen == [(s, c0) for s in (10, 25, 40) for c0 in (0, 700, 1400)]
+    assert len(squarings) == len(kernels) * 3 * (n_steps + 8)
+
+
+@pytest.mark.parametrize("n_steps", [0, 25])
+@pytest.mark.parametrize("kind, model, u", _KERNEL_CASES)
+def test_run_returns_the_norms_of_its_last_pass(kind, model, u, n_steps):
+    kernel, dim = _kernel_case(kind, model, u)
+    rng = np.random.default_rng(18)
+    psis = _random_columns(rng, dim, 7)
+    out, n2 = kernel.run(psis, rng.standard_normal((7, n_steps)) * np.sqrt(1e-3))
+    assert _same_bits(n2, engine._sum_rows(engine._abs2(out)))
+
+
+def test_run_returns_the_norms_after_a_rescale(rescales):
+    # each step moves two n2 out of the kernel's window, so each step rescales
+    psis = _random_columns(np.random.default_rng(16), 3, 3)
+    out, n2 = _Scaling([1e-160, 1e150, 1.0]).run(psis, np.zeros((3, 3)))
+    assert len(rescales) == 3
+    assert _same_bits(n2, engine._sum_rows(engine._abs2(out)))
 
 
 @pytest.mark.parametrize("kind, model, u", _KERNEL_CASES)
@@ -478,9 +520,9 @@ def test_matched_blocks_equal_the_full_width_loop(monkeypatch):
     for k in range(1, n_steps + 1):
         dW = rng.standard_normal(n_cols) * np.sqrt(dt)
         for i, kernel in enumerate(kernels):
-            cols[i] = kernel.run(cols[i], dW[:, None])
+            cols[i], n2 = kernel.run(cols[i], dW[:, None])
             if k in stops:
-                ref[i, stops.index(k)] = engine._normalised(cols[i])
+                ref[i, stops.index(k)] = engine._normalised(cols[i], n2)
 
     class CountingStream:
         """The generator of the reference loop, recording the steps of each draw."""
@@ -749,7 +791,7 @@ def _per_step_reduction(model, u, psi0, dt, n_steps, n_traj, base_seed, snaps, o
     psis = np.repeat(kernel.into_basis(psi0[:, None]), n_traj, axis=1)
     per_step(0, psis)
     for start, dW in engine._noise_blocks(base_seed, 0, n_traj, n_steps, dt):
-        psis = kernel.run(psis, dW, start, 0, after_step=per_step)
+        psis, _ = kernel.run(psis, dW, start, 0, after_step=per_step)
     rho = np.array([rhos[s] for s in snaps])
     rho_sum = np.zeros_like(rho)
     rho_sum += rho if V is None else V @ rho @ V.conj().T
@@ -803,7 +845,7 @@ def test_norms_near_the_ends_of_the_double_range_renormalise():
     # n2 near 1e-320 is subnormal and n2 near 1e300 nearly overflows; both
     # are finite and non-zero, so each step rescales them and neither raises
     psis = _random_columns(np.random.default_rng(16), 3, 3)
-    out = engine._normalised(_Scaling([1e-160, 1e150, 1.0]).run(psis, np.zeros((3, 3))))
+    out = engine._normalised(*_Scaling([1e-160, 1e150, 1.0]).run(psis, np.zeros((3, 3))))
     assert np.all(np.isfinite(out))
     assert np.allclose(np.linalg.norm(out, axis=0), 1.0, rtol=1e-3, atol=0.0)
     assert np.allclose(out[:, 1:2] / out[0, 1], psis[:, 1:2] / psis[0, 1], rtol=1e-12)
@@ -904,11 +946,11 @@ def test_a_column_alone_equals_it_in_a_batch_whose_other_columns_rescale(rescale
     kernel, dim = _kernel_case(kind, "spin", u)
     psis = _random_columns(np.random.default_rng(20), dim, 6)
     dW = np.random.default_rng(21).standard_normal((6, 40)) * np.sqrt(1e-3)
-    alone = engine._normalised(kernel.run(psis[:, 2:3], dW[2:3]))
+    alone = engine._normalised(*kernel.run(psis[:, 2:3], dW[2:3]))
     assert len(rescales) == 0
     kernel.update = types.MethodType(
         _scaled_by_powers_of_two(kind.update, 300, columns=[0, 1, 3, 4, 5]), kernel)
-    batch = engine._normalised(kernel.run(psis, dW))
+    batch = engine._normalised(*kernel.run(psis, dW))
     assert len(rescales) == 40
     assert _same_bits(batch[:, 2:3], alone)
 
@@ -1246,7 +1288,7 @@ def _batched_residual_rms(power, dt, n_traj=3000, T=1.0, seed=5):
     for _ in range(n):
         z = np.abs(psi[0]) ** 2 - np.abs(psi[1]) ** 2
         dW = rng.standard_normal(n_traj) * np.sqrt(dt)
-        nxt = engine._normalised(kernel.run(psi, dW[:, None]))
+        nxt = engine._normalised(*kernel.run(psi, dW[:, None]))
         z2 = np.abs(nxt[0]) ** 2 - np.abs(nxt[1]) ** 2
         gain = 2.0 * (1.0 - z ** 2)
         if power == 1:
@@ -1308,7 +1350,7 @@ def test_weak_convergence_is_first_order():
 
     def final_mean_z2(dWs, dt):
         psi = engine._normalised(
-            _EulerKernel(model, u, dt).run(np.tile(PSI0[:, None], (1, n_traj)), dWs.T))
+            *_EulerKernel(model, u, dt).run(np.tile(PSI0[:, None], (1, n_traj)), dWs.T))
         z = np.abs(psi[0]) ** 2 - np.abs(psi[1]) ** 2
         return np.mean(z ** 2)
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from unravelings import engine, procs
 from unravelings.config import preset
 from unravelings.gaussian import (SPREAD_RTOL, MechanicalParams, _centroid_step,
-                                  _tanh_stable, _width_blocks, centroid_ensemble,
+                                  _tanh_stable, centroid_ensemble,
                                   check_width_stability,
                                   conditional_covariance_series,
                                   conditional_spread_x,
@@ -307,31 +307,34 @@ def test_simulate_width_tracks_closed_form():
 
 
 @pytest.mark.parametrize("block", [1, 7, 12, 60, 61, 1000])
-def test_width_blocks_join_to_the_whole_path(block):
-    # 61 values: blocks of one value, of a size that leaves a short tail, of a
-    # divisor of n, of n (a one-value last block), of n + 1 and of more than that
+def test_chained_width_paths_join_to_the_whole_path(block):
+    # 60 steps: blocks of one step, of a size that leaves a short tail, of a
+    # divisor of n, of n, of n + 1 and of more than that; each call starts from
+    # the last value of the path before, which it repeats as its first
     p = MechanicalParams(mass=1.0, omega=0.5, lam=1.0, hbar=1.0)
     xi, a0, dt, n = np.exp(-0.3j), 0.3 + 0.1j, 5e-3, 60
-    blocks = list(_width_blocks(p, a0, xi, dt, n, block))
-    assert [first for first, _ in blocks] == list(range(0, n + 1, block))
-    assert all(v.size == min(block, n + 1 - first) for first, v in blocks)
-    joined = np.concatenate([v for _, v in blocks])
+    paths, a = [], a0
+    for k0 in range(0, n, block):
+        path = simulate_width(p, a, xi, dt, min(block, n - k0))
+        assert path[0] == a
+        paths.append(path if k0 == 0 else path[1:])
+        a = path[-1]
+    joined = np.concatenate(paths)
     assert joined.tobytes() == simulate_width(p, a0, xi, dt, n).tobytes()
 
 
-def test_width_blocks_check_dt_once_at_the_initial_width():
+def test_simulate_width_checks_dt_once_at_the_initial_width():
     # a converging free packet at xi = -i: the rational width's rate 2 hbar |a| / m
-    # grows from 2 sqrt(2) toward 4, so dt fits the budget at a0 but not at the
-    # start of a later block
-    a0, n, block = 1.0 + 1.0j, 100, 10
+    # grows from 2 sqrt(2) toward 4, so dt fits the budget at a0 but not at a
+    # later width of the path, which one call steps through all the same
+    a0, n = 1.0 + 1.0j, 100
     dt = 0.9 * engine.STABILITY_BUDGET / (2.0 * abs(a0))
-    starts = [v[0] for _, v in _width_blocks(P_NAT, a0, -1j, dt, n, block)]
-    check_width_stability(P_NAT, starts[0], -1j, dt)
+    path = simulate_width(P_NAT, a0, -1j, dt, n)
+    assert path.size == n + 1 and np.all(np.isfinite(path))
+    check_width_stability(P_NAT, path[0], -1j, dt)
     with pytest.raises(ValueError, match="stability"):
-        for a in starts[1:]:
+        for a in path[1:]:
             check_width_stability(P_NAT, a, -1j, dt)
-    joined = np.concatenate([v for _, v in _width_blocks(P_NAT, a0, -1j, dt, n, block)])
-    assert joined.tobytes() == simulate_width(P_NAT, a0, -1j, dt, n).tobytes()
 
 
 def test_centroid_ensemble_matches_the_closed_form():

@@ -190,7 +190,7 @@ def _one_step_rms_ratio(model, xi, rng, n=1500):
         post /= np.linalg.norm(post, axis=0)
         post = np.exp(-1j * dt * h)[:, None] * post
         kernel = _EulerKernel(model, u, dt)
-        ref = kernel.out_of_basis(_normalised(kernel.run(kernel.into_basis(v), dW[:, None])))
+        ref = kernel.out_of_basis(_normalised(*kernel.run(kernel.into_basis(v), dW[:, None])))
         ph = np.sum(ref.conj() * post, axis=0)
         ph /= np.abs(ph)
         return np.sqrt(np.mean(np.linalg.norm(post - ph * ref, axis=0) ** 2))
