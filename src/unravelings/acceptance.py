@@ -27,8 +27,8 @@ from .gcm import channel_apply, kraus_apply, povm_completeness, solve_gcm_params
 from .linalg import projector
 from .noise import measurement_record, wiener_path
 from .procs import _forked_map
-from .spin import (SIGMA_Z, SpinParams, _sigma_z_paths, collapse_statistics,
-                   nonlinear_ensemble, spin_model, supermartingale_check)
+from .spin import (SIGMA_Z, SpinParams, _sigma_z_paths, collapse_statistics, spin_model,
+                   supermartingale_check)
 
 _PSI0 = np.array([0.5, np.sqrt(3.0) / 2.0], dtype=complex)
 _FIG1 = MechanicalParams(mass=1e-15, omega=0.0, lam=1e23)
@@ -58,8 +58,9 @@ def _born_ensemble():
     sp = SpinParams(nu=1.0, lam=1.0)
     n_steps = 5000                       # dt = 2e-3, T = 10
     snaps = np.arange(0, n_steps + 1, 250)
-    return (nonlinear_ensemble(_PSI0, sp, 2e-3, n_steps, 10_000, base_seed=202,
-                               snapshot_steps=snaps), sp)
+    return (simulate_ensemble(spin_model(sp), UnravelingParams.nonlinear(sp.lam), _PSI0, 2e-3,
+                              n_steps, 10_000, base_seed=202, snapshot_steps=snaps,
+                              tracked_observables={"sz": SIGMA_Z}), sp)
 
 
 def criterion_1() -> CriterionResult:
@@ -372,10 +373,9 @@ def criterion_9() -> CriterionResult:
         j = 1
         with contextlib.closing(_matched_blocks(kernels, _PSI0, np.random.default_rng(seed),
                                                 dt, n, n_pairs, stops=idx[1:])) as pairs:
-            for _, c0, states in pairs:
-                c1 = c0 + states[0].shape[1]
-                for row, s in zip(spread, states):
-                    z = np.abs(s[0]) ** 2 - np.abs(s[1]) ** 2
+            for _, c0, means in pairs:           # <sigma_z> = <L> of each kernel
+                c1 = c0 + means[0].size
+                for row, z in zip(spread, means):
                     row[c0:c1] = 1.0 - z ** 2
                 if c1 == n_pairs:
                     curves[:, j] = [np.mean(row) for row in spread]

@@ -59,14 +59,15 @@ end.  A state is normalised only where it is read, by :func:`_normalised`,
 ``psis * (1 / sqrt(n2)).astype(complex)`` with the norms of the pass that
 produced it, which :meth:`_ColumnKernel.run` passes to ``after_step`` and
 returns beside the states: the snapshots and final states of
-:func:`simulate_ensemble`, each state of :func:`_state_stack` (so
-:func:`sse_step`) and the stops of :func:`_matched_blocks`.
+:func:`simulate_ensemble` and each state of :func:`_state_stack` (so
+:func:`sse_step`).  The stops of :func:`_matched_blocks` hand out no state,
+only each kernel's ``<L>`` from its own :meth:`_ColumnKernel.norms_and_mean`.
 
 The drivers rotate once per batch, never per noise block, so a trajectory
 does not depend on where the blocks end: :func:`simulate_ensemble` starts at
 ``V^dag psi0`` and snapshots ``V^dag O V`` means and ``V (Phi Phi^dag) V^dag``;
-:func:`_state_stack`, :func:`sse_step` and :func:`_matched_blocks` hand back
-``V phi``.
+:func:`_state_stack` and :func:`sse_step` hand back ``V phi``.  ``<L>`` is
+the same in either basis, so :func:`_matched_blocks` rotates nothing back.
 
 Operand layout of the elementwise step: the states are C-contiguous
 ``(dim, N)`` complex arrays, and every elementwise operation runs on
@@ -120,10 +121,11 @@ generator, so that each kernel sees the same increments (criterion 9's
 matched pairs).  Only :func:`_matched_blocks` chunks such a batch: it plans
 the stream in blocks of whole steps (the same numbers as one draw per step)
 and advances each kernel through a block on chunks of ``_PAIR_CHUNK``
-columns, which keeps a chunk's states in cache.  It hands back the states
-only at the caller's stop steps, where the blocks end.  On a diagonal model
-every step is elementwise, so a chunked column has the bits of the
-full-width loop.  Both layouts draw their blocks through
+columns, which keeps a chunk's states in cache.  At the caller's stop
+steps, where the blocks end, it hands back each kernel's ``<L>`` of the
+chunk, the one quantity through which the record reads a state.  On a
+diagonal model every step is elementwise, so a chunked column has the bits
+of the full-width loop.  Both layouts draw their blocks through
 :func:`procs._drawn_blocks`; every child process starts and ends in :mod:`procs`.
 
 A batch sees its states only through ``after_step``, the one per-step output
@@ -579,11 +581,14 @@ def _matched_blocks(kernels, psi0: np.ndarray, rng, dt: float, n_steps: int,
     generator.  Each kernel advances a block on chunks of ``_PAIR_CHUNK``
     columns, so a chunk's states stay in cache through the block.
 
-    Yields ``(step, c0, states)`` at each such stop step, once per chunk,
-    chunks in column order; ``states[i]`` (dim, width) is kernel i's state
-    of columns c0..c0+width-1 after that step.  The caller must not modify
-    it.  A non-finite state raises FloatingPointError naming its column and
-    step.  A caller that may stop early wraps the generator in
+    Every kernel must read <L> (``reads_ell``); criterion 9, the one
+    caller, passes the two collapse-member kernels.  Yields ``(step, c0,
+    means)`` at each such stop step, once per chunk, chunks in column order;
+    ``means[i]`` (width,) is kernel i's <L> of columns c0..c0+width-1 after
+    that step, read by its own ``norms_and_mean`` from the unnormalised
+    states.  <L> is the same in every basis, so nothing is rotated or
+    normalised.  A non-finite state raises FloatingPointError naming its
+    column and step.  A caller that may stop early wraps the generator in
     ``contextlib.closing``, so a helper is reaped when it stops.
     """
     psi0 = np.asarray(psi0, dtype=complex)
@@ -604,13 +609,10 @@ def _matched_blocks(kernels, psi0: np.ndarray, rng, dt: float, n_steps: int,
         for start, dW in blocks:
             end = start + dW.shape[0]
             for (c0, c1), cols in zip(chunks, psis):
-                n2s = []            # this block's norms; each kernel's input is freed as it steps
-                for i, kernel in enumerate(kernels):
-                    cols[i], n2 = kernel.run(cols[i], dW[:, c0:c1].T, start, c0)
-                    n2s.append(n2)
+                for i, kernel in enumerate(kernels):    # each input is freed as its kernel steps
+                    cols[i] = kernel.run(cols[i], dW[:, c0:c1].T, start, c0)[0]
                 if end in ends:
-                    yield end, c0, [k.out_of_basis(_normalised(c, n2))
-                                    for k, c, n2 in zip(kernels, cols, n2s)]
+                    yield end, c0, [k.norms_and_mean(c)[2] for k, c in zip(kernels, cols)]
 
 
 def _step_index(s) -> int:

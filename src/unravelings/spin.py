@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import EnsembleResult, ModelSpec, UnravelingParams, _column_means, mc_stderr, \
-    simulate_ensemble, simulate_trajectory
+from .engine import (EnsembleResult, ModelSpec, UnravelingParams, _column_means, mc_stderr,
+                     simulate_trajectory)
 from .linalg import pauli, require_finite
 
 SIGMA_Z = pauli("z")
@@ -83,15 +83,6 @@ def spin_nonlinear_trajectory(psi0: np.ndarray, sp: SpinParams, dt: float, n_ste
 def _sigma_z_paths(states: np.ndarray) -> np.ndarray:
     """<sigma_z> series of an (n + 1, 2, N) state stack, (N, n + 1): one row per trajectory."""
     return _column_means(states, SIGMA_Z).T
-
-
-def nonlinear_ensemble(psi0: np.ndarray, sp: SpinParams, dt: float, n_steps: int,
-                       n_traj: int, base_seed: int, snapshot_steps=None) -> EnsembleResult:
-    """Lock-step ensemble of collapse-member trajectories tracking <sigma_z>."""
-    return simulate_ensemble(spin_model(sp), UnravelingParams.nonlinear(sp.lam), psi0,
-                             dt, n_steps, n_traj, base_seed,
-                             snapshot_steps=snapshot_steps,
-                             tracked_observables={"sz": SIGMA_Z})
 
 
 @dataclass(frozen=True)

@@ -442,11 +442,12 @@ def test_every_step_squares_the_states_once(squarings, model):
         assert len(squarings) == 6 + 1, u
 
 
-def test_matched_blocks_stops_read_the_norms_of_their_last_step(monkeypatch, squarings):
+def test_matched_blocks_stops_square_each_chunk_once_per_kernel(monkeypatch, squarings):
     # two kernels on chunks of 700 columns (1500 = 2 x 700 + 100), in blocks of
     # 7, 3, 7, 7, 1, 7, 7 and 1 steps (at most 7, ending at the stops 10 and 25
     # and at step 40): each run call squares its initial states once and each
-    # step once, and a stop squares nothing
+    # step once, and each stop reads a chunk's <L> in one |phi|^2 pass per
+    # kernel, with no normalising multiply and no copy of the states
     n_cols, n_steps, dt = 1500, 40, 1e-3
     monkeypatch.setattr(engine, "_PAIR_CHUNK", 700)
     monkeypatch.setattr(engine, "_PAIR_BUDGET", 7 * n_cols)
@@ -457,7 +458,7 @@ def test_matched_blocks_stops_read_the_norms_of_their_last_step(monkeypatch, squ
     seen = [(step, c0) for step, c0, _ in engine._matched_blocks(
         kernels, psi0, np.random.default_rng(13), dt, n_steps, n_cols, stops=(10, 25))]
     assert seen == [(s, c0) for s in (10, 25, 40) for c0 in (0, 700, 1400)]
-    assert len(squarings) == len(kernels) * 3 * (n_steps + 8)
+    assert len(squarings) == len(kernels) * 3 * (n_steps + 8 + 3)
 
 
 @pytest.mark.parametrize("n_steps", [0, 25])
@@ -504,8 +505,9 @@ def _both_kernels(dt, lam=0.8):
 
 def test_matched_blocks_equal_the_full_width_loop(monkeypatch):
     # chunks of 700 columns (3001 = 4 x 700 + 301) and blocks of at most 7
-    # steps that also end at the stops 10, 25 and 33: the states handed back
-    # at the stops (and the last step) have the bits of one full-width step per draw
+    # steps that also end at the stops 10, 25 and 33: the means handed back at
+    # the stops (and the last step) have the bits of norms_and_mean after one
+    # full-width step per draw
     n_cols, n_steps, dt = 3001, 40, 1e-3
     stops = (10, 25, 33, n_steps)
     monkeypatch.setattr(engine, "_PAIR_CHUNK", 700)
@@ -515,14 +517,14 @@ def test_matched_blocks_equal_the_full_width_loop(monkeypatch):
     psi0 = _random_columns(np.random.default_rng(12), 3, 1)[:, 0]
 
     rng = np.random.default_rng(13)
-    ref = np.empty((2, len(stops), 3, n_cols), dtype=complex)
+    ref = np.empty((2, len(stops), n_cols))
     cols = [np.repeat(psi0[:, None], n_cols, axis=1) for _ in kernels]
     for k in range(1, n_steps + 1):
         dW = rng.standard_normal(n_cols) * np.sqrt(dt)
         for i, kernel in enumerate(kernels):
-            cols[i], n2 = kernel.run(cols[i], dW[:, None])
+            cols[i] = kernel.run(cols[i], dW[:, None])[0]
             if k in stops:
-                ref[i, stops.index(k)] = engine._normalised(cols[i], n2)
+                ref[i, stops.index(k)] = kernel.norms_and_mean(cols[i])[2]
 
     class CountingStream:
         """The generator of the reference loop, recording the steps of each draw."""
@@ -535,14 +537,14 @@ def test_matched_blocks_equal_the_full_width_loop(monkeypatch):
     stream = CountingStream()
     got = np.full_like(ref, np.nan)
     seen = []
-    for step, c0, states in engine._matched_blocks(kernels, psi0, stream, dt, n_steps, n_cols,
-                                                   stops=stops[:-1]):
+    for step, c0, means in engine._matched_blocks(kernels, psi0, stream, dt, n_steps, n_cols,
+                                                  stops=stops[:-1]):
         seen.append((step, c0))
-        for i, s in enumerate(states):
-            got[i, stops.index(step), :, c0:c0 + s.shape[1]] = s
+        for i, ell in enumerate(means):
+            got[i, stops.index(step), c0:c0 + ell.size] = ell
     assert stream.blocks == [7, 3, 7, 7, 1, 7, 1, 7]
     assert seen == [(s, c0) for s in stops for c0 in range(0, n_cols, 700)]
-    assert np.array_equal(got, ref)
+    assert _same_bits(got, ref)
 
 
 class SpikedStream:
@@ -914,7 +916,8 @@ def test_ensembles_do_not_depend_on_rescaling(monkeypatch, rescales, model, u):
 
 def test_matched_blocks_stops_do_not_depend_on_rescaling(monkeypatch, rescales):
     # both collapse-member kernels on one shared stream, in chunks of 4 of 10
-    # columns and 3-step blocks that end at the stops 5 and 8
+    # columns and 3-step blocks that end at the stops 5 and 8: a column scaled
+    # by a power of two reads the same <L>
     monkeypatch.setattr(engine, "_PAIR_CHUNK", 4)
     monkeypatch.setattr(engine, "_PAIR_BUDGET", 30)
     psi0 = _random_columns(np.random.default_rng(18), 3, 1)[:, 0]
@@ -1097,7 +1100,7 @@ def test_matched_blocks_forked_helper_gives_the_inline_bits(pair_blocks, deadlin
         rng = np.random.default_rng(15)
         with contextlib.closing(engine._matched_blocks(kernels, psi0, rng, 1e-3, n_steps, 10,
                                                        stops=stops)) as pairs:
-            got = [(step, c0, np.array(states)) for step, c0, states in pairs]
+            got = [(step, c0, np.array(means)) for step, c0, means in pairs]
         return got, rng.standard_normal()
 
     forked, next_draw = run()
@@ -1106,11 +1109,11 @@ def test_matched_blocks_forked_helper_gives_the_inline_bits(pair_blocks, deadlin
     pair_blocks.setattr(procs, "_FORK_HELPER", False)
     inline, _ = run()
     assert [(step, c0) for step, c0, _ in forked] == [(step, c0) for step, c0, _ in inline]
-    assert all(np.array_equal(a, b) for (_, _, a), (_, _, b) in zip(forked, inline))
+    assert all(_same_bits(a, b) for (_, _, a), (_, _, b) in zip(forked, inline))
 
 
 def _pairs(n_steps):
-    """The shared-stream states of 4 spin-model columns over ``n_steps``, stopping at 10 and 25."""
+    """The shared-stream <L> of 4 spin-model columns over ``n_steps``, stopping at 10 and 25."""
     return engine._matched_blocks([_EulerKernel(spin_model(), XI_INTERIOR, 1e-3)], PSI0,
                                   np.random.default_rng(5), 1e-3, n_steps, 4, stops=(10, 25))
 
@@ -1161,7 +1164,7 @@ def test_a_zero_step_ensemble_yields_only_its_initial_snapshot(consumer):
     elif consumer == "centroid_ensemble":
         assert np.array_equal(got, [[[0.2] * 4], [[-0.1] * 4]])
     else:
-        assert got == []        # states come back only after a step
+        assert got == []        # means come back only after a step
 
 
 @pytest.mark.parametrize("n_steps, n_traj", [(-3, 4), (10, 0), (10, -1)])

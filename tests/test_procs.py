@@ -223,19 +223,19 @@ def test_a_forked_piece_runs_its_own_pieces_inline(forked_map, deadline):
             assert inner == [piece] * 3
 
 
-def _matched_states(kernels, psi0, seed):
-    """Every state ``_matched_blocks`` hands back for 10 columns over 40 steps, stops 10 and 25."""
+def _matched_means(kernels, psi0, seed):
+    """Every <L> ``_matched_blocks`` hands back for 10 columns over 40 steps, stops 10 and 25."""
     with contextlib.closing(engine._matched_blocks(kernels, psi0, np.random.default_rng(seed),
                                                    1e-3, 40, 10, stops=(10, 25))) as pairs:
-        return [(step, c0, np.array(states)) for step, c0, states in pairs]
+        return [(step, c0, np.array(means)) for step, c0, means in pairs]
 
 
 def test_forked_map_gives_the_inline_bits(forked_map, pair_blocks, deadline):
     # the pieces run their own noise helpers inside the children
     kernels = _both_kernels(1e-3)
     psi0 = _random_columns(np.random.default_rng(18), 3, 1)[:, 0]
-    pieces = [lambda: (os.getpid(), _matched_states(kernels, psi0, 21)),
-              lambda: (os.getpid(), _matched_states(kernels, psi0, 22)),
+    pieces = [lambda: (os.getpid(), _matched_means(kernels, psi0, 21)),
+              lambda: (os.getpid(), _matched_means(kernels, psi0, 22)),
               lambda: (os.getpid(), simulate_ensemble(spin_model(), XI_INTERIOR, PSI0, 1e-3, 40,
                                                       10, base_seed=5).final_states)]
     forked = procs._forked_map(pieces)

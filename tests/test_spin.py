@@ -4,17 +4,23 @@ import numpy as np
 import pytest
 
 from unravelings.engine import (UnravelingParams, _EulerKernel, _ExponentialKernel,
-                                _matched_blocks, _state_stack)
+                                _matched_blocks, _state_stack, simulate_ensemble)
 from unravelings.noise import wiener_path
 from unravelings.spin import (SIGMA_Z, CollapseReport, SpinParams, _sigma_z_paths,
-                              collapse_bound, collapse_statistics, nonlinear_ensemble,
-                              sigma_z_mean, sigma_z_spread, spin_model,
-                              supermartingale_check)
+                              collapse_bound, collapse_statistics, sigma_z_mean,
+                              sigma_z_spread, spin_model, supermartingale_check)
 
 from moment_flow import conditional_moment_flow_residual
 
 PSI0 = np.array([0.5, np.sqrt(3.0) / 2.0], dtype=complex)
 SP = SpinParams(nu=1.0, lam=1.0)
+
+
+def _collapse_ensemble(psi0, dt, n_steps, n_traj, base_seed, snapshot_steps=None):
+    """Collapse-member ensemble of the spin model at ``SP``, tracking <sigma_z> as 'sz'."""
+    return simulate_ensemble(spin_model(SP), UnravelingParams.nonlinear(SP.lam), psi0, dt,
+                             n_steps, n_traj, base_seed, snapshot_steps=snapshot_steps,
+                             tracked_observables={"sz": SIGMA_Z})
 
 
 def spin_linear_solution(t, W_t, psi0, sp):
@@ -58,7 +64,7 @@ def test_down_eigenstate_is_a_fixed_point(route):
 def test_trajectorywise_spread_vanishes_at_long_times():
     # lam T = 10: the conditional spread of almost every realization is
     # below 1e-4 (assert fewer than 1% above)
-    res = nonlinear_ensemble(PSI0, SP, 2e-3, 5000, 400, base_seed=31)
+    res = _collapse_ensemble(PSI0, 2e-3, 5000, 400, base_seed=31)
     final_spread = sigma_z_spread(res.means["sz"][-1])
     assert np.mean(final_spread > 1e-4) < 0.01
 
@@ -94,9 +100,7 @@ def test_route_difference_contracts_at_strong_order_half():
         pairs = _matched_blocks(kernels, PSI0, np.random.default_rng(seed), dt, n, n_pairs,
                                 stops=range(1, n + 1))
         with contextlib.closing(pairs):
-            for _, _, (psi, phi) in pairs:
-                z_i = np.abs(psi[0]) ** 2 - np.abs(psi[1]) ** 2
-                z_ii = np.abs(phi[0]) ** 2 - np.abs(phi[1]) ** 2
+            for _, _, (z_i, z_ii) in pairs:      # <sigma_z> = <L> of each kernel
                 acc += float(np.sum((z_i - z_ii) ** 2))
         return np.sqrt(acc / (n * n_pairs))
 
@@ -130,7 +134,7 @@ def test_exponential_step_fidelity_deficit_halves():
 
 def test_collapse_statistics_eigenstate_all_up():
     up = np.array([1.0, 0.0], dtype=complex)
-    res = nonlinear_ensemble(up, SP, 2e-3, 500, 50, base_seed=2)
+    res = _collapse_ensemble(up, 2e-3, 500, 50, base_seed=2)
     rep = collapse_statistics(res)
     assert (rep.n_up, rep.n_down, rep.n_unresolved) == (50, 0, 0)
     assert rep.born_p_up == 1.0
@@ -138,7 +142,7 @@ def test_collapse_statistics_eigenstate_all_up():
 
 
 def test_collapse_statistics_born_fractions():
-    res = nonlinear_ensemble(PSI0, SP, 2e-3, 5000, 2000, base_seed=77)
+    res = _collapse_ensemble(PSI0, 2e-3, 5000, 2000, base_seed=77)
     rep = collapse_statistics(res)
     se = np.sqrt(0.25 * 0.75 / rep.n_total)
     assert abs(rep.fraction_up - 0.25) <= 3.0 * se
@@ -146,8 +150,7 @@ def test_collapse_statistics_born_fractions():
     assert rep.n_total == 2000
     # symmetric state: fraction 1/2
     plus = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
-    rep2 = collapse_statistics(nonlinear_ensemble(plus, SP, 2e-3, 5000, 2000,
-                                                  base_seed=78))
+    rep2 = collapse_statistics(_collapse_ensemble(plus, 2e-3, 5000, 2000, base_seed=78))
     assert abs(rep2.fraction_up - 0.5) <= 3.0 * np.sqrt(0.25 / 2000)
 
 
@@ -161,7 +164,7 @@ def test_born_gate_values_and_a_tally_that_fails_it():
 
 
 def test_supermartingale_check_bound_and_monotonicity():
-    res = nonlinear_ensemble(PSI0, SP, 2e-3, 2500, 1500, base_seed=41,
+    res = _collapse_ensemble(PSI0, 2e-3, 2500, 1500, base_seed=41,
                              snapshot_steps=np.arange(0, 2501, 125))
     sup = supermartingale_check(res, SP)
     assert sup.bound_ok and sup.monotone_ok
@@ -169,7 +172,7 @@ def test_supermartingale_check_bound_and_monotonicity():
     assert sup.mean_spread[0] == pytest.approx(0.75, abs=1e-14)
     # eigenstate ensemble: spread identically zero, bound trivially satisfied
     up = np.array([1.0, 0.0], dtype=complex)
-    res0 = nonlinear_ensemble(up, SP, 2e-3, 200, 30, base_seed=1)
+    res0 = _collapse_ensemble(up, 2e-3, 200, 30, base_seed=1)
     sup0 = supermartingale_check(res0, SP)
     assert sup0.bound_ok and np.max(sup0.mean_spread) <= 1e-12
 
@@ -190,7 +193,6 @@ def test_second_moments_distinguish_the_members():
     # the mean conditional spread at 0.75 (exactly, in the closed form;
     # within discretization noise, in the chain), the collapse member drives
     # it strictly under the bound 0.75/(1 + 3t)
-    from unravelings.engine import simulate_ensemble
     model = spin_model(SP)
     snaps = [500, 1000]
     res_lin = simulate_ensemble(model, UnravelingParams.linear(SP.lam), PSI0,

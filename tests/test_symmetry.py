@@ -23,7 +23,8 @@ from unravelings.engine import (ModelSpec, UnravelingParams, _EulerKernel, _stat
 from unravelings.spin import SpinParams, spin_model
 
 DT, N_STEPS, N_PATHS, LAM = 1e-3, 200, 50, 1.0
-THETAS = [0.0, -np.pi / 4, -np.pi / 2, np.pi / 3]
+# members xi = e^{i theta}; 0.4 is no rational multiple of pi
+THETAS = [0.0, -np.pi / 4, -np.pi / 2, np.pi / 3, 0.4]
 # (dimension, dense complex L); a diagonal L otherwise
 MODELS = [(2, False), (4, False), (3, True)]
 
