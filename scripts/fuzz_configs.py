@@ -3,7 +3,9 @@
 
 For each seed, runs ``--mutations`` mutated presets through
 ``validate_config`` and ``unravelings run --check`` and prints how each
-ended (rejected, too large to run, or the exit code), with the wall time.
+ended (rejected, too large to run, or the exit code), with the wall time,
+and under it the count of each exit 1 and exit 3 cause: the preset, and the
+first failed check or the error of a run that failed numerically.
 Every finding (a traceback, a warning, or an exit code other than 0, 1 or
 3 from a config that validated) is printed on its own line, and the script
 exits 1 if there is any.
@@ -33,9 +35,11 @@ def main():
     for seed in args.seeds:
         t0 = time.perf_counter()
         with tempfile.TemporaryDirectory() as out:
-            counts, findings = config_fuzz.sweep(seed, args.mutations, out)
+            counts, causes, findings = config_fuzz.sweep(seed, args.mutations, out)
         outcomes = ", ".join(f"{key} {n}" for key, n in sorted(counts.items()))
         print(f"seed {seed}: {outcomes} ({time.perf_counter() - t0:.1f} s)")
+        for (name, cause), n in sorted(causes.items(), key=lambda item: (-item[1], item[0])):
+            print(f"  {n:4d}  {name}: {cause}")
         found += findings
     for line in found:
         print(line)

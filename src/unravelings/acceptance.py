@@ -369,17 +369,12 @@ def criterion_9() -> CriterionResult:
         kernels = (_EulerKernel(model, u, dt), _ExponentialKernel(model, u, dt))
         idx = np.linspace(0, n, 11).astype(int)
         curves = np.full((2, 11), 0.75)          # rows: Euler chain, exponential map
-        spread = np.empty((2, n_pairs))
-        j = 1
         with contextlib.closing(_matched_blocks(kernels, _PSI0, np.random.default_rng(seed),
                                                 dt, n, n_pairs, stops=idx[1:])) as pairs:
-            for _, c0, means in pairs:           # <sigma_z> = <L> of each kernel
-                c1 = c0 + means[0].size
-                for row, z in zip(spread, means):
-                    row[c0:c1] = 1.0 - z ** 2
-                if c1 == n_pairs:
-                    curves[:, j] = [np.mean(row) for row in spread]
-                    j += 1
+            for j, (_, means) in enumerate(pairs, start=1):
+                for i, z in enumerate(means):    # <sigma_z> = <L>, squared in place
+                    np.square(z, out=z)
+                    curves[i, j] = np.mean(np.subtract(1.0, z, out=z))
         return curves
 
     # each step size on its own stream, the three at once

@@ -61,7 +61,7 @@ produced it, which :meth:`_ColumnKernel.run` passes to ``after_step`` and
 returns beside the states: the snapshots and final states of
 :func:`simulate_ensemble` and each state of :func:`_state_stack` (so
 :func:`sse_step`).  The stops of :func:`_matched_blocks` hand out no state,
-only each kernel's ``<L>`` from its own :meth:`_ColumnKernel.norms_and_mean`.
+only one ``<L>`` row per kernel, from its own :meth:`_ColumnKernel.norms_and_mean`.
 
 The drivers rotate once per batch, never per noise block, so a trajectory
 does not depend on where the blocks end: :func:`simulate_ensemble` starts at
@@ -122,10 +122,10 @@ matched pairs).  Only :func:`_matched_blocks` chunks such a batch: it plans
 the stream in blocks of whole steps (the same numbers as one draw per step)
 and advances each kernel through a block on chunks of ``_PAIR_CHUNK``
 columns, which keeps a chunk's states in cache.  At the caller's stop
-steps, where the blocks end, it hands back each kernel's ``<L>`` of the
-chunk, the one quantity through which the record reads a state.  On a
-diagonal model every step is elementwise, so a chunked column has the bits
-of the full-width loop.  Both layouts draw their blocks through
+steps, where the blocks end, it hands back one ``<L>`` row per kernel, the
+one quantity through which the record reads a state.  On a diagonal model
+every step is elementwise, so a chunked column has the bits of the
+full-width loop.  Both layouts draw their blocks through
 :func:`procs._drawn_blocks`; every child process starts and ends in :mod:`procs`.
 
 A batch sees its states only through ``after_step``, the one per-step output
@@ -582,11 +582,11 @@ def _matched_blocks(kernels, psi0: np.ndarray, rng, dt: float, n_steps: int,
     columns, so a chunk's states stay in cache through the block.
 
     Every kernel must read <L> (``reads_ell``); criterion 9, the one
-    caller, passes the two collapse-member kernels.  Yields ``(step, c0,
-    means)`` at each such stop step, once per chunk, chunks in column order;
-    ``means[i]`` (width,) is kernel i's <L> of columns c0..c0+width-1 after
-    that step, read by its own ``norms_and_mean`` from the unnormalised
-    states.  <L> is the same in every basis, so nothing is rotated or
+    caller, passes the two collapse-member kernels.  Yields ``(step,
+    means)`` at each such stop step: kernel i's <L> of every column, read
+    chunk by chunk by its own ``norms_and_mean`` from the unnormalised states
+    into row i of one array, which the caller may overwrite and the next stop
+    refills.  <L> is the same in every basis, so nothing is rotated or
     normalised.  A non-finite state raises FloatingPointError naming its
     column and step.  A caller that may stop early wraps the generator in
     ``contextlib.closing``, so a helper is reaped when it stops.
@@ -599,6 +599,7 @@ def _matched_blocks(kernels, psi0: np.ndarray, rng, dt: float, n_steps: int,
     chunks = [(c0, min(c0 + _PAIR_CHUNK, n_cols)) for c0 in range(0, n_cols, _PAIR_CHUNK)]
     psis = [[np.repeat(k.into_basis(psi0[:, None]), c1 - c0, axis=1) for k in kernels]
             for c0, c1 in chunks]
+    means = np.empty((len(kernels), n_cols))
     sqrt_dt = np.sqrt(dt)
 
     def fill(out):
@@ -611,8 +612,10 @@ def _matched_blocks(kernels, psi0: np.ndarray, rng, dt: float, n_steps: int,
             for (c0, c1), cols in zip(chunks, psis):
                 for i, kernel in enumerate(kernels):    # each input is freed as its kernel steps
                     cols[i] = kernel.run(cols[i], dW[:, c0:c1].T, start, c0)[0]
-                if end in ends:
-                    yield end, c0, [k.norms_and_mean(c)[2] for k, c in zip(kernels, cols)]
+                    if end in ends:
+                        means[i, c0:c1] = kernel.norms_and_mean(cols[i])[2]
+            if end in ends:
+                yield end, means
 
 
 def _step_index(s) -> int:

@@ -382,19 +382,19 @@ _CHECKS = {
 def scenario_checks(cfg: ScenarioConfig, out_dir) -> list:
     """Re-read the outputs ``cfg`` asks for and evaluate scenario-level expectations.
 
-    Fails only when no checkable output file is found; files whose checks
-    do not apply to ``cfg`` (an unsettled horizon, say) give no outcome.
+    Fails only when none of the requested output files is found; a file
+    that no check reads (a ``record``, say), or whose checks do not apply to
+    ``cfg`` (an unsettled horizon), gives no outcome.
     """
     out_dir = Path(out_dir)
-    checks, found = [], False
+    checks = []
     for kinds, check in _CHECKS[cfg.family]:
         paths = [_output_path(cfg, out_dir, kind) for kind in kinds]
         if set(kinds) <= set(cfg.outputs) and all(p.exists() for p in paths):
             data = [(read_report if kind in _REPORTS else read_series)(p)[1]
                     for kind, p in zip(kinds, paths)]
             checks += check(cfg, *data)
-            found = True
-    if not found:
+    if not any(_output_path(cfg, out_dir, kind).exists() for kind in cfg.outputs):
         checks.append(CheckOutcome("outputs present", False,
-                                   "no checkable output files found", "at least one"))
+                                   "no requested output files found", "at least one"))
     return checks

@@ -8,7 +8,9 @@ The contract: ``validate_config`` raises ConfigError, or ``unravelings run
 --check`` on the config returns 0, 1 or 3 and raises nothing, with every
 warning an error.  An accepted config above ``MAX_STEPS`` steps or
 ``MAX_TRAJECTORY_STEPS`` trajectory-steps is skipped unrun; below those
-sizes no run forks a noise helper or a chunk piece.
+sizes no run forks a noise helper or a chunk piece.  Each exit 1 or 3 is
+also counted by its cause: the name of the first failed check, or the
+error of a run that failed numerically.
 ``scripts/fuzz_configs.py`` runs the sweep from the command line.
 """
 
@@ -76,18 +78,29 @@ def mutation(rng: random.Random) -> tuple:
     return f"{name}: {', '.join(changes)}", raw
 
 
-def outcome(raw: dict, out_dir: Path) -> str:
-    """``"rejected"``, ``"too large"`` or ``"exit <code>"``; Finding outside the contract."""
+def _cause(printed: str) -> str | None:
+    """``"[FAIL] <check>"`` of the first failed check, or ``"failed numerically: <error>"``."""
+    for line in printed.splitlines():
+        if line.startswith("[FAIL] "):
+            return line.split(": observed ", 1)[0]
+        if " failed numerically: " in line:
+            return "failed numerically: " + line.split(" failed numerically: ", 1)[1]
+    return None
+
+
+def outcome(raw: dict, out_dir: Path) -> tuple:
+    """``(outcome, cause)``: ``"rejected"``, ``"too large"`` or ``"exit <code>"``, and the
+    :func:`_cause` of an exit 1 or 3 (None otherwise); Finding outside the contract."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         try:
             cfg = validate_config(raw)
         except ConfigError:
-            return "rejected"
+            return "rejected", None
         except Exception as exc:
             raise _raised("validate_config", exc) from None
         if cfg.n_steps > MAX_STEPS or cfg.n_steps * cfg.n_trajectories > MAX_TRAJECTORY_STEPS:
-            return "too large"
+            return "too large", None
         out_dir.mkdir(parents=True)
         path = out_dir / "config.json"
         path.write_text(json.dumps(raw), encoding="utf-8")
@@ -100,23 +113,28 @@ def outcome(raw: dict, out_dir: Path) -> str:
             raise _raised("run", exc) from None
     if code not in EXITS:
         raise Finding(f"run exited {code}: {printed.getvalue().strip()[-300:]}")
-    return f"exit {code}"
+    return f"exit {code}", _cause(printed.getvalue())
 
 
 def sweep(seed: int, n_mutations: int, out_dir) -> tuple:
-    """``(counts, findings)`` of ``n_mutations`` mutations from ``random.Random(seed)``.
+    """``(counts, causes, findings)`` of ``n_mutations`` mutations from ``random.Random(seed)``.
 
-    ``counts`` maps each outcome to its number; each finding names the seed,
-    the mutation's index, its preset and its changes.  Each run writes into
-    its own directory under ``out_dir``.
+    ``counts`` maps each outcome to its number, and ``causes`` each
+    ``(preset, cause)`` of an exit 1 or 3 to its number; each finding names
+    the seed, the mutation's index, its preset and its changes.  Each run
+    writes into its own directory under ``out_dir``.
     """
     rng = random.Random(seed)
-    counts, findings = Counter(), []
+    counts, causes, findings = Counter(), Counter(), []
     for i in range(n_mutations):
         label, raw = mutation(rng)
         try:
-            counts[outcome(raw, Path(out_dir) / f"{seed}_{i}")] += 1
+            ended, cause = outcome(raw, Path(out_dir) / f"{seed}_{i}")
         except Finding as exc:
             counts["finding"] += 1
             findings.append(f"seed {seed} mutation {i} ({label}): {exc}")
-    return counts, findings
+            continue
+        counts[ended] += 1
+        if cause is not None:
+            causes[label.split(":", 1)[0], cause] += 1
+    return counts, causes, findings

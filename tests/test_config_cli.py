@@ -701,7 +701,23 @@ def test_scenario_checks_empty_dir_is_failure(tmp_path):
     cfg = preset("fig1")
     checks = scenario_checks(cfg, tmp_path)
     assert len(checks) == 1 and not checks[0].passed
-    assert "no checkable output" in checks[0].observed
+    assert "no requested output" in checks[0].observed
+
+
+@pytest.mark.parametrize("name, changes", [
+    ("fig2", {"t_final": 0.1, "outputs": ["record"]}),
+    ("riccati_free", {"dt": 0.005, "outputs": ["record"]}),
+    ("riccati_free", {"dt": 0.005, "outputs": ["trajectory"]})],
+    ids=["spin-record", "mech-record", "mech-trajectory"])
+def test_run_check_passes_when_no_check_reads_the_outputs(tmp_path, capsys, name, changes):
+    # each requested file is written and found, though no check reads it: no
+    # check line, and no "outputs present" failure
+    cfg_path = tmp_path / "unchecked.json"
+    cfg_path.write_text(json.dumps({**PRESETS[name], **changes}), encoding="utf-8")
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out"),
+                 "--check"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("wrote "), lines
 
 
 def test_rerun_is_byte_identical(tmp_path):

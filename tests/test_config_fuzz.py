@@ -14,9 +14,13 @@ def test_every_accepted_config_ends_in_an_allowed_exit_code(tmp_path):
     # before riccati needed two steps and the master-equation oracle raised on
     # a non-finite rho, this seed found a riccati_free config at dt = 2 (a
     # ValueError traceback) and fig2 at nu = 2**64 (an overflow warning)
-    counts, findings = config_fuzz.sweep(SEED, N_MUTATIONS, tmp_path)
+    counts, causes, findings = config_fuzz.sweep(SEED, N_MUTATIONS, tmp_path)
     assert not findings, "\n".join(findings)
     assert sum(counts[f"exit {code}"] for code in config_fuzz.EXITS) >= 100, counts
+    # each exit 1 has a failed check for its cause, and each exit 3 a numerical failure
+    for code, kind in ((1, "[FAIL] "), (3, "failed numerically: ")):
+        assert sum(n for (_, cause), n in causes.items()
+                   if cause.startswith(kind)) == counts[f"exit {code}"], causes
 
 
 def test_mutations_start_from_capped_presets_and_repeat_by_seed():

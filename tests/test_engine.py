@@ -446,7 +446,7 @@ def test_matched_blocks_stops_square_each_chunk_once_per_kernel(monkeypatch, squ
     # two kernels on chunks of 700 columns (1500 = 2 x 700 + 100), in blocks of
     # 7, 3, 7, 7, 1, 7, 7 and 1 steps (at most 7, ending at the stops 10 and 25
     # and at step 40): each run call squares its initial states once and each
-    # step once, and each stop reads a chunk's <L> in one |phi|^2 pass per
+    # step once, and each stop reads each chunk's <L> in one |phi|^2 pass per
     # kernel, with no normalising multiply and no copy of the states
     n_cols, n_steps, dt = 1500, 40, 1e-3
     monkeypatch.setattr(engine, "_PAIR_CHUNK", 700)
@@ -455,9 +455,9 @@ def test_matched_blocks_stops_square_each_chunk_once_per_kernel(monkeypatch, squ
     kernels = _both_kernels(dt)
     psi0 = _random_columns(np.random.default_rng(12), 3, 1)[:, 0]
     squarings.clear()
-    seen = [(step, c0) for step, c0, _ in engine._matched_blocks(
+    seen = [(step, means.shape) for step, means in engine._matched_blocks(
         kernels, psi0, np.random.default_rng(13), dt, n_steps, n_cols, stops=(10, 25))]
-    assert seen == [(s, c0) for s in (10, 25, 40) for c0 in (0, 700, 1400)]
+    assert seen == [(s, (len(kernels), n_cols)) for s in (10, 25, 40)]
     assert len(squarings) == len(kernels) * 3 * (n_steps + 8 + 3)
 
 
@@ -503,21 +503,10 @@ def _both_kernels(dt, lam=0.8):
     return _EulerKernel(model, u, dt), _ExponentialKernel(model, u, dt)
 
 
-def test_matched_blocks_equal_the_full_width_loop(monkeypatch):
-    # chunks of 700 columns (3001 = 4 x 700 + 301) and blocks of at most 7
-    # steps that also end at the stops 10, 25 and 33: the means handed back at
-    # the stops (and the last step) have the bits of norms_and_mean after one
-    # full-width step per draw
-    n_cols, n_steps, dt = 3001, 40, 1e-3
-    stops = (10, 25, 33, n_steps)
-    monkeypatch.setattr(engine, "_PAIR_CHUNK", 700)
-    monkeypatch.setattr(engine, "_PAIR_BUDGET", 7 * n_cols)
-    monkeypatch.setattr(procs, "_FORK_HELPER", False)   # the draws are counted in this process
-    kernels = _both_kernels(dt)
-    psi0 = _random_columns(np.random.default_rng(12), 3, 1)[:, 0]
-
-    rng = np.random.default_rng(13)
-    ref = np.empty((2, len(stops), n_cols))
+def _full_width_means(kernels, psi0, seed, dt, n_steps, n_cols, stops):
+    """(len(kernels), len(stops), n_cols) <L> of one full-width step per draw, at ``stops``."""
+    rng = np.random.default_rng(seed)
+    ref = np.empty((len(kernels), len(stops), n_cols))
     cols = [np.repeat(psi0[:, None], n_cols, axis=1) for _ in kernels]
     for k in range(1, n_steps + 1):
         dW = rng.standard_normal(n_cols) * np.sqrt(dt)
@@ -525,6 +514,22 @@ def test_matched_blocks_equal_the_full_width_loop(monkeypatch):
             cols[i] = kernel.run(cols[i], dW[:, None])[0]
             if k in stops:
                 ref[i, stops.index(k)] = kernel.norms_and_mean(cols[i])[2]
+    return ref
+
+
+def test_matched_blocks_equal_the_full_width_loop(monkeypatch):
+    # chunks of 700 columns (3001 = 4 x 700 + 301) and blocks of at most 7
+    # steps that also end at the stops 10, 25 and 33: the <L> rows handed back
+    # at the stops (and the last step) have the bits of norms_and_mean after
+    # one full-width step per draw
+    n_cols, n_steps, dt = 3001, 40, 1e-3
+    stops = (10, 25, 33, n_steps)
+    monkeypatch.setattr(engine, "_PAIR_CHUNK", 700)
+    monkeypatch.setattr(engine, "_PAIR_BUDGET", 7 * n_cols)
+    monkeypatch.setattr(procs, "_FORK_HELPER", False)   # the draws are counted in this process
+    kernels = _both_kernels(dt)
+    psi0 = _random_columns(np.random.default_rng(12), 3, 1)[:, 0]
+    ref = _full_width_means(kernels, psi0, 13, dt, n_steps, n_cols, stops)
 
     class CountingStream:
         """The generator of the reference loop, recording the steps of each draw."""
@@ -535,16 +540,35 @@ def test_matched_blocks_equal_the_full_width_loop(monkeypatch):
             self.rng.standard_normal(out=out)
 
     stream = CountingStream()
-    got = np.full_like(ref, np.nan)
-    seen = []
-    for step, c0, means in engine._matched_blocks(kernels, psi0, stream, dt, n_steps, n_cols,
-                                                  stops=stops[:-1]):
-        seen.append((step, c0))
-        for i, ell in enumerate(means):
-            got[i, stops.index(step), c0:c0 + ell.size] = ell
+    got = [(step, means.copy()) for step, means in engine._matched_blocks(
+        kernels, psi0, stream, dt, n_steps, n_cols, stops=stops[:-1])]
     assert stream.blocks == [7, 3, 7, 7, 1, 7, 1, 7]
-    assert seen == [(s, c0) for s in stops for c0 in range(0, n_cols, 700)]
-    assert _same_bits(got, ref)
+    assert [step for step, _ in got] == list(stops)
+    assert _same_bits(np.stack([means for _, means in got], axis=1), ref)
+
+
+@pytest.mark.parametrize("forks", [False, True], ids=["inline", "forked"])
+def test_matched_blocks_refill_one_array_at_every_stop(pair_blocks, deadline, forks):
+    # 10 columns in chunks of 4 and blocks of at most 3 steps: every stop
+    # yields the same (2, 10) array, holding the bits of the full-width loop
+    # at that stop, even after the caller overwrote it at the stop before
+    if forks and not procs._FORK_HELPER:
+        pytest.skip("this interpreter draws every stream inline")
+    pair_blocks.setattr(procs, "_FORK_HELPER", forks)
+    n_steps, stops = 40, (10, 25, 33, 40)
+    kernels = _both_kernels(1e-3)
+    psi0 = _random_columns(np.random.default_rng(17), 3, 1)[:, 0]
+    ref = _full_width_means(kernels, psi0, 23, 1e-3, n_steps, 10, stops)
+    yielded = []
+    with contextlib.closing(engine._matched_blocks(kernels, psi0, np.random.default_rng(23),
+                                                   1e-3, n_steps, 10, stops=stops[:-1])) as pairs:
+        for step, means in pairs:
+            assert _same_bits(means, ref[:, stops.index(step)]), step
+            yielded.append(means)
+            means[...] = np.nan
+    assert len(yielded) == len(stops)
+    assert all(means is yielded[0] for means in yielded)
+    _no_child_left()
 
 
 class SpikedStream:
@@ -929,16 +953,15 @@ def test_matched_blocks_stops_do_not_depend_on_rescaling(monkeypatch, rescales):
                 kernel.update = types.MethodType(
                     _scaled_by_powers_of_two(type(kernel).update, power), kernel)
         rescales.clear()
-        got = list(engine._matched_blocks(kernels, psi0, np.random.default_rng(19), 1e-3, 12, 10,
-                                          stops=(5, 8)))
+        got = [(step, means.copy()) for step, means in engine._matched_blocks(
+            kernels, psi0, np.random.default_rng(19), 1e-3, 12, 10, stops=(5, 8))]
         return got, len(rescales)
 
     (plain, n_plain), (scaled, n_scaled), (rescaled, n_rescaled) = map(stops, (0, 150, 300))
     assert (n_plain, n_scaled, n_rescaled) == (0, 0, 2 * 3 * 12)   # per kernel, chunk and step
     for got in (scaled, rescaled):
-        assert [(step, c0) for step, c0, _ in got] == [(step, c0) for step, c0, _ in plain]
-        for (_, _, a), (_, _, b) in zip(got, plain):
-            assert all(_same_bits(x, y) for x, y in zip(a, b))
+        assert [step for step, _ in got] == [step for step, _ in plain] == [5, 8, 12]
+        assert all(_same_bits(a, b) for (_, a), (_, b) in zip(got, plain))
 
 
 @pytest.mark.parametrize("kind, u", [(_EulerKernel, UnravelingParams.nonlinear(0.8)),
@@ -1100,7 +1123,7 @@ def test_matched_blocks_forked_helper_gives_the_inline_bits(pair_blocks, deadlin
         rng = np.random.default_rng(15)
         with contextlib.closing(engine._matched_blocks(kernels, psi0, rng, 1e-3, n_steps, 10,
                                                        stops=stops)) as pairs:
-            got = [(step, c0, np.array(means)) for step, c0, means in pairs]
+            got = [(step, means.copy()) for step, means in pairs]
         return got, rng.standard_normal()
 
     forked, next_draw = run()
@@ -1108,8 +1131,8 @@ def test_matched_blocks_forked_helper_gives_the_inline_bits(pair_blocks, deadlin
     assert next_draw == np.random.default_rng(15).standard_normal()   # rng not advanced
     pair_blocks.setattr(procs, "_FORK_HELPER", False)
     inline, _ = run()
-    assert [(step, c0) for step, c0, _ in forked] == [(step, c0) for step, c0, _ in inline]
-    assert all(_same_bits(a, b) for (_, _, a), (_, _, b) in zip(forked, inline))
+    assert [step for step, _ in forked] == [step for step, _ in inline]
+    assert all(_same_bits(a, b) for (_, a), (_, b) in zip(forked, inline))
 
 
 def _pairs(n_steps):
@@ -1123,7 +1146,7 @@ _CONSUMERS = {   # each runs 4 trajectories (columns) over n steps to the end
                                                      base_seed=5, tracked_observables={"sz": SZ}),
     "centroid_ensemble": lambda n: centroid_ensemble(MechanicalParams(mass=1.0, omega=0.5, lam=1.0),
                                                      0.3 + 0.1j, -1j, 0.2, -0.1, 1e-3, n, 4, 5),
-    "_matched_blocks": lambda n: list(_pairs(n)),
+    "_matched_blocks": lambda n: [(step, means.copy()) for step, means in _pairs(n)],
 }
 
 

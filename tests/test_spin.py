@@ -100,7 +100,7 @@ def test_route_difference_contracts_at_strong_order_half():
         pairs = _matched_blocks(kernels, PSI0, np.random.default_rng(seed), dt, n, n_pairs,
                                 stops=range(1, n + 1))
         with contextlib.closing(pairs):
-            for _, _, (z_i, z_ii) in pairs:      # <sigma_z> = <L> of each kernel
+            for _, (z_i, z_ii) in pairs:         # <sigma_z> = <L> of each kernel
                 acc += float(np.sum((z_i - z_ii) ** 2))
         return np.sqrt(acc / (n * n_pairs))
 
