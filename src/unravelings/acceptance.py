@@ -16,7 +16,7 @@ import numpy as np
 
 from .bell import bell_gates, bell_report
 from .engine import (ModelSpec, UnravelingParams, _EulerKernel, _ExponentialKernel,
-                     _matched_blocks, _normalised, _state_stack, lindblad_rhs,
+                     _column_means, _matched_blocks, _normalised, _state_stack, lindblad_rhs,
                      master_equation_oracle, mc_stderr, mc_tolerance, simulate_ensemble)
 from .gaussian import (MEAN_SQUARE_MAX_SE, SPREAD_RTOL, MechanicalParams, centroid_ensemble,
                        conditional_covariance_series, conditional_spread_x,
@@ -27,8 +27,7 @@ from .gcm import channel_apply, kraus_apply, povm_completeness, solve_gcm_params
 from .linalg import projector
 from .noise import measurement_record, wiener_path
 from .procs import _forked_map
-from .spin import (SIGMA_Z, SpinParams, _sigma_z_paths, collapse_statistics, spin_model,
-                   supermartingale_check)
+from .spin import SIGMA_Z, SpinParams, collapse_statistics, spin_model, supermartingale_check
 
 _PSI0 = np.array([0.5, np.sqrt(3.0) / 2.0], dtype=complex)
 _FIG1 = MechanicalParams(mass=1e-15, omega=0.0, lam=1e23)
@@ -271,11 +270,12 @@ def _phase_aligned_rms(a, b):
 def criterion_8() -> CriterionResult:
     """Measurement-operator update is equivalent to the state equation.
 
-    (i) One operator update over a window dt matches the finely substepped
-    state equation on the same refined noise at order dt^{3/2} (RMS ratio
-    2.83 +/- 0.5 under dt halving).  The same-dt single Euler step differs
-    at order dt (its ratio is reported for transparency: the one-step
-    Euler map carries an O(dt) second-order noise remainder).
+    (i) One operator update over a window dt is compared with the state
+    equation, Euler-stepped over that window on the same noise, at two
+    substep counts.  At 16/dt substeps it matches at order dt^{3/2} (RMS
+    ratio 2.83 +/- 0.5 under dt halving).  At one substep it differs at
+    order dt (its ratio is reported for transparency: the one-step Euler
+    map carries an O(dt) second-order noise remainder).
     (ii) Outcome-operator completeness within 1e-6.
     (iii) Outcome-averaged channel reproduces the measurement part of the
     master-equation step at O(dt^2).
@@ -290,10 +290,9 @@ def criterion_8() -> CriterionResult:
     gp = solve_gcm_params(1.0 + 0.0j, sp.lam)
     n_samples = 1000
 
-    def rms_vs_substepped(dt):
-        rng = np.random.default_rng(808)
+    def rms_vs_euler(dt, nsub, seed):
+        rng = np.random.default_rng(seed)
         psis = _rand_states(rng, n_samples)
-        nsub = int(round(16.0 / dt))          # substep = dt^2 / 16
         dts = dt / nsub
         kernel = _EulerKernel(model, u, dts)
         ref, window = psis.T, np.zeros(n_samples)
@@ -306,19 +305,11 @@ def criterion_8() -> CriterionResult:
         kr = _kraus_one_step(psis, window, dt, gp, nu)
         return _phase_aligned_rms(kr, _normalised(ref, n2).T)
 
-    r = [rms_vs_substepped(dt) for dt in (4e-2, 2e-2, 1e-2)]
+    # the order test's substep is dt^2 / 16; the reported ratio takes one step of dt
+    r = [rms_vs_euler(dt, int(round(16.0 / dt)), 808) for dt in (4e-2, 2e-2, 1e-2)]
     ratios = [r[0] / r[1], r[1] / r[2]]
     ok_order = all(abs(x - 2.0 ** 1.5) <= 0.5 for x in ratios)
-
-    def rms_vs_single_euler(dt):
-        rng = np.random.default_rng(809)
-        psis = _rand_states(rng, n_samples)
-        dWs = rng.standard_normal(n_samples) * np.sqrt(dt)
-        kr = _kraus_one_step(psis, dWs, dt, gp, nu)
-        eu = _normalised(*_EulerKernel(model, u, dt).run(psis.T, dWs[:, None])).T
-        return _phase_aligned_rms(kr, eu)
-
-    rs = [rms_vs_single_euler(dt) for dt in (2e-3, 1e-3)]
+    rs = [rms_vs_euler(dt, 1, 809) for dt in (2e-3, 1e-3)]
     single_step_ratio = rs[0] / rs[1]
 
     worst_povm = 0.0
@@ -387,8 +378,9 @@ def criterion_9() -> CriterionResult:
     for dt in (2e-3, 1e-3):
         n = int(round(T / dt))
         dW = np.array([wiener_path(7000 + k, dt, n) for k in range(150)])
-        diff = (_sigma_z_paths(_state_stack(_EulerKernel(model, u, dt), _PSI0, dW))
-                - _sigma_z_paths(_state_stack(_ExponentialKernel(model, u, dt), _PSI0, dW)))
+        diff = (_column_means(_state_stack(_EulerKernel(model, u, dt), _PSI0, dW), SIGMA_Z)
+                - _column_means(_state_stack(_ExponentialKernel(model, u, dt), _PSI0, dW),
+                                SIGMA_Z)).T       # (N, n + 1): one row per trajectory
         # mean over time per trajectory, then over trajectories: a serial loop's bits
         strong.append(float(np.sqrt(np.mean(np.mean(diff ** 2, axis=1)))))
     return CriterionResult(

@@ -231,12 +231,14 @@ class EnsembleResult:
     def at_steps(self, steps) -> "EnsembleResult":
         """The snapshots at ``steps``, each of which must be a snapshot step.
 
-        A snapshot does not depend on which other steps were snapshotted, so
-        the rows equal those of a run at ``steps`` alone.
+        The steps are read as a run reads its snapshot steps: sorted, each
+        once.  A snapshot does not depend on which other steps were
+        snapshotted, so the rows equal those of a run at ``steps`` alone.
         """
         row_of = {int(s): i for i, s in enumerate(self.step_indices)}
+        last = int(self.step_indices.max(initial=0))
         try:
-            rows = np.array([row_of[_step_index(s)] for s in steps], dtype=int)
+            rows = np.array([row_of[s] for s in _checked_snapshots(steps, last)], dtype=int)
         except KeyError as exc:
             raise ValueError(f"step {exc.args[0]} is not a snapshot step") from None
         return replace(self, step_indices=self.step_indices[rows], rhos=self.rhos[rows],
@@ -618,13 +620,6 @@ def _matched_blocks(kernels, psi0: np.ndarray, rng, dt: float, n_steps: int,
                 yield end, means
 
 
-def _step_index(s) -> int:
-    """``s`` as an int; ValueError unless it is a whole number."""
-    if not float(s).is_integer():
-        raise ValueError(f"step {s} is not a whole number")
-    return int(s)
-
-
 def _checked_snapshots(snapshot_steps, n_steps: int) -> list:
     """Sorted distinct snapshot steps, each a whole number in [0, n_steps]; default [n_steps].
 
@@ -782,8 +777,8 @@ def master_equation_oracle(result: EnsembleResult, model: ModelSpec, lam: float)
     """
     steps = [int(s) * 10 for s in result.step_indices]
     rhos = dict(lindblad_evolve(projector(result.psi0), model, lam, result.dt / 10.0,
-                                max(steps), snapshot_steps=steps))
-    return np.array([rhos[s] for s in steps])
+                                max(steps, default=0), snapshot_steps=steps))
+    return np.array([rhos[s] for s in steps], dtype=complex).reshape(-1, model.dim, model.dim)
 
 
 def mc_stderr(values: np.ndarray) -> np.ndarray:

@@ -47,8 +47,10 @@ _SEED_BLOCK = 2048   # child seeds hashed per pass; it divides 2**32
 def _checked_seed(seed) -> int:
     """``seed`` as a Python int, once it is an integer (``operator.index``) and not negative.
 
-    A float raises TypeError rather than being truncated to another seed.
+    A float or a bool raises TypeError rather than being taken as another seed.
     """
+    if isinstance(seed, bool):
+        raise TypeError(f"a seed must be an integer, not {seed!r}")
     seed = operator.index(seed)
     if seed < 0:
         raise ValueError(f"a seed must be a non-negative integer, got {seed}")

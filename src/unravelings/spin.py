@@ -28,8 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import (EnsembleResult, ModelSpec, UnravelingParams, _column_means, mc_stderr,
-                     simulate_trajectory)
+from .engine import EnsembleResult, ModelSpec, UnravelingParams, mc_stderr, simulate_trajectory
 from .linalg import pauli, require_finite
 
 SIGMA_Z = pauli("z")
@@ -78,11 +77,6 @@ def spin_nonlinear_trajectory(psi0: np.ndarray, sp: SpinParams, dt: float, n_ste
     """Collapse-member ``(states, means)`` on wiener_path(seed, dt, n_steps), tracking 'sz'."""
     return simulate_trajectory(spin_model(sp), UnravelingParams.nonlinear(sp.lam), psi0, dt,
                                n_steps, seed, tracked_observables={"sz": SIGMA_Z})
-
-
-def _sigma_z_paths(states: np.ndarray) -> np.ndarray:
-    """<sigma_z> series of an (n + 1, 2, N) state stack, (N, n + 1): one row per trajectory."""
-    return _column_means(states, SIGMA_Z).T
 
 
 @dataclass(frozen=True)

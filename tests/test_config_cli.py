@@ -16,16 +16,15 @@ from unravelings import config
 from unravelings.cli import _DESCRIBE, main
 from unravelings.config import (FAMILIES, OUTPUT_KINDS, PRESETS, ConfigError,
                                 load_config, preset, validate_config)
-from unravelings.engine import (UnravelingParams, _EulerKernel, _state_stack, mc_stderr,
-                                simulate_ensemble, simulate_trajectory)
+from unravelings.engine import (UnravelingParams, _EulerKernel, _column_means, _state_stack,
+                                mc_stderr, simulate_ensemble, simulate_trajectory)
 from unravelings.gaussian import gaussian_sde_step
 from unravelings.noise import derive_seed, measurement_record, wiener_path
 from unravelings.runner import (_REPORTS, _SETUPS, _SpinRun, _check_bell, _check_collapse_stats,
                                 _check_settled, _check_spreads, _snapshot_steps,
                                 read_report, read_series, run_scenario, scenario_checks,
                                 write_series)
-from unravelings.spin import (SIGMA_Z, _sigma_z_paths, collapse_bound, collapse_statistics,
-                              supermartingale_check)
+from unravelings.spin import SIGMA_Z, collapse_bound, collapse_statistics, supermartingale_check
 
 from quadrature import TOTAL_VARIANCE_RTOL, total_variance_deviation
 
@@ -998,7 +997,7 @@ def test_fig2_outputs_share_one_ensemble(tmp_path):
     assert len(traj) == cfg.n_trajectories + 1
     dW = np.array([wiener_path(derive_seed(7, k), cfg.dt, cfg.n_steps)
                    for k in range(cfg.n_trajectories)])
-    sz = _sigma_z_paths(_state_stack(_EulerKernel(model, u, cfg.dt), psi0, dW))
+    sz = _column_means(_state_stack(_EulerKernel(model, u, cfg.dt), psi0, dW), SIGMA_Z).T
     for k in range(cfg.n_trajectories):
         assert np.array_equal(traj[f"sz_{k:03d}"], sz[k])
     res = simulate_ensemble(model, u, psi0, cfg.dt, cfg.n_steps, cfg.n_trajectories, 7,

@@ -1223,6 +1223,25 @@ def test_state_stack_holds_one_stack():
     assert peak <= 1.25 * states.nbytes
 
 
+def test_at_steps_reads_its_steps_as_a_run_does():
+    # an unsorted list with a repeated step gives the rows of a run at those steps
+    def run(snaps):
+        return simulate_ensemble(spin_model(), XI_INTERIOR, PSI0, 1e-3, 10, 2, base_seed=3,
+                                 snapshot_steps=snaps, tracked_observables={"sz": SZ})
+
+    picked, alone = run([0, 4, 7, 10]).at_steps([7, 4, 7]), run([7, 4, 7])
+    assert np.array_equal(picked.step_indices, [4, 7])
+    assert np.array_equal(picked.rhos, alone.rhos)
+    assert np.array_equal(picked.means["sz"], alone.means["sz"])
+
+
+def test_oracle_of_a_snapshot_free_ensemble_is_empty():
+    res = simulate_ensemble(spin_model(), XI_INTERIOR, PSI0, 1e-3, 10, 2, base_seed=3,
+                            snapshot_steps=[])
+    assert res.rhos.shape == (0, 2, 2)
+    assert engine.master_equation_oracle(res, spin_model(), 1.0).shape == (0, 2, 2)
+
+
 def test_at_steps_rejects_a_step_that_is_not_a_snapshot():
     res = simulate_ensemble(spin_model(), UnravelingParams.linear(1.0), PSI0, 1e-3, 10, 2,
                             base_seed=3, snapshot_steps=[0, 10])

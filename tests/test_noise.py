@@ -160,11 +160,11 @@ def test_derive_seed_at_the_block_edges():
                                   lambda s: default_rngs([s])[0].standard_normal(5)],
                          ids=["derive_seed_base", "derive_seed_k", "wiener_path", "default_rngs"])
 def test_seeds_are_integers_not_truncated_floats(draw):
-    # numpy integers are seeds; 1.5 is not seed 1, and a negative seed is no seed
+    # numpy integers are seeds; 1.5 is not seed 1, True is not seed 1, and a
+    # negative seed is no seed
     assert np.array_equal(draw(np.uint64(7)), draw(7))
-    with pytest.raises(TypeError):
-        draw(7.0)
-    with pytest.raises(TypeError):
-        draw(np.float64(1.5))
+    for bad in (7.0, np.float64(1.5), True):
+        with pytest.raises(TypeError):
+            draw(bad)
     with pytest.raises(ValueError, match="non-negative"):
         draw(-1)

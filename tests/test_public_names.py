@@ -1,7 +1,8 @@
-"""Every public top-level name of ``src/unravelings`` has a caller, and every
-module-level import of ``src/unravelings`` and ``scripts/`` is read.
+"""Every top-level name of ``src/unravelings``, public or private, has a
+caller, and every module-level import of ``src/unravelings`` and ``scripts/``
+is read.
 
-A public function, class or constant counts as used when one of these holds:
+A function, class or constant counts as used when one of these holds:
 
 * ``src/``, ``perfbench/*.py`` or ``scripts/`` refers to it, outside its own
   definition, as a name, an attribute or an import;
@@ -34,15 +35,13 @@ def _traced():
 
 
 def _defined(stmt) -> list:
-    """The public names a top-level statement defines."""
+    """The names a top-level statement defines."""
     if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-        names = [stmt.name]
-    elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        return [stmt.name]
+    if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
         targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-        names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
-    else:
-        names = []
-    return [n for n in names if not n.startswith("_")]
+        return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return []
 
 
 def _referenced(node) -> set:
@@ -58,7 +57,7 @@ def _referenced(node) -> set:
     return out
 
 
-def test_every_public_name_has_a_caller():
+def test_every_top_level_name_has_a_caller():
     sources = (sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
                + sorted((ROOT / "scripts").rglob("*.py")))
     definitions = []              # (module, name, the defining statement)
@@ -74,7 +73,7 @@ def test_every_public_name_has_a_caller():
     unused = [f"{mod}.{name}" for mod, name, own in definitions
               if (mod, name) not in traced and (mod, name) not in ALLOWED
               and not any(name in names for stmt, names in references if stmt is not own)]
-    assert unused == [], f"public names that nothing in src/, perfbench/ or scripts/ uses: {unused}"
+    assert unused == [], f"names that nothing in src/, perfbench/ or scripts/ uses: {unused}"
 
 
 def _imported(stmt) -> list:

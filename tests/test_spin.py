@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from unravelings.engine import (UnravelingParams, _EulerKernel, _ExponentialKernel,
-                                _matched_blocks, _state_stack, simulate_ensemble)
+                                _column_means, _matched_blocks, _state_stack, simulate_ensemble)
 from unravelings.noise import wiener_path
-from unravelings.spin import (SIGMA_Z, CollapseReport, SpinParams, _sigma_z_paths,
-                              collapse_bound, collapse_statistics, sigma_z_mean,
-                              sigma_z_spread, spin_model, supermartingale_check)
+from unravelings.spin import (SIGMA_Z, CollapseReport, SpinParams, collapse_bound,
+                              collapse_statistics, sigma_z_mean, sigma_z_spread, spin_model,
+                              supermartingale_check)
 
 from moment_flow import conditional_moment_flow_residual
 
@@ -57,7 +57,7 @@ def test_down_eigenstate_is_a_fixed_point(route):
     down = np.array([0.0, 1.0], dtype=complex)
     dW = wiener_path(4, 1e-3, 200)[None, :]
     model, u = spin_model(SP), UnravelingParams.nonlinear(SP.lam)
-    z = _sigma_z_paths(_state_stack(kernel(model, u, 1e-3), down, dW))
+    z = _column_means(_state_stack(kernel(model, u, 1e-3), down, dW), SIGMA_Z).T
     assert np.max(np.abs(z + 1.0)) <= 1e-12
 
 
@@ -77,8 +77,9 @@ def test_routes_agree_pathwise():
     def rms(dt, n_paths=60):
         n = int(round(1.0 / dt))
         dW = np.array([wiener_path(900 + k, dt, n) for k in range(n_paths)])
-        diff = (_sigma_z_paths(_state_stack(_EulerKernel(model, u, dt), PSI0, dW))
-                - _sigma_z_paths(_state_stack(_ExponentialKernel(model, u, dt), PSI0, dW)))
+        diff = (_column_means(_state_stack(_EulerKernel(model, u, dt), PSI0, dW), SIGMA_Z).T
+                - _column_means(_state_stack(_ExponentialKernel(model, u, dt), PSI0, dW),
+                                SIGMA_Z).T)
         return np.sqrt(np.mean(np.mean(diff ** 2, axis=1)))
 
     r1, r2 = rms(2e-3), rms(1e-3)
