@@ -27,7 +27,8 @@ from .gcm import channel_apply, kraus_apply, povm_completeness, solve_gcm_params
 from .linalg import projector
 from .noise import measurement_record, wiener_path
 from .procs import _forked_map
-from .spin import SIGMA_Z, SpinParams, collapse_statistics, spin_model, supermartingale_check
+from .spin import (SIGMA_Z, SpinParams, collapse_statistics, sigma_z_mean, spin_model,
+                   supermartingale_check)
 
 _PSI0 = np.array([0.5, np.sqrt(3.0) / 2.0], dtype=complex)
 _FIG1 = MechanicalParams(mass=1e-15, omega=0.0, lam=1e23)
@@ -253,12 +254,11 @@ def _rand_states(rng, n):
     return v / np.linalg.norm(v, axis=1)[:, None]
 
 
-def _kraus_one_step(psis, dWs, dt, gp, nu):
-    """Normalized measurement update times the commuting Hamiltonian phase."""
-    ell = np.abs(psis[:, 0]) ** 2 - np.abs(psis[:, 1]) ** 2
-    dy = measurement_record(dWs, ell, dt, gp.xi.real, gp.gamma)
-    post = _normalised(*kraus_apply(psis.T, SIGMA_Z, gp, dy, dt))
-    return (np.exp(-1j * nu * dt * np.array([1.0, -1.0]))[:, None] * post).T
+def _kraus_one_step(psis, dWs, dt, gp, model):
+    """Normalized measurement update of the spin model times its commuting Hamiltonian phase."""
+    dy = measurement_record(dWs, sigma_z_mean(psis), dt, gp.xi.real, gp.gamma)
+    post = _normalised(*kraus_apply(psis.T, model.L, gp, dy, dt))
+    return (np.exp((-1j * dt / model.hbar) * np.diag(model.H).real)[:, None] * post).T
 
 
 def _phase_aligned_rms(a, b):
@@ -283,8 +283,7 @@ def criterion_8() -> CriterionResult:
     The substep noise of (i) is drawn, stepped and summed _SUBSTEP_ROWS
     substeps at a time, with the bits of one whole draw.
     """
-    nu = 1.0
-    sp = SpinParams(nu=nu, lam=1.0)
+    sp = SpinParams(nu=1.0, lam=1.0)
     model = spin_model(sp)
     u = UnravelingParams.nonlinear(sp.lam)
     gp = solve_gcm_params(1.0 + 0.0j, sp.lam)
@@ -302,7 +301,7 @@ def criterion_8() -> CriterionResult:
             ref, n2 = kernel.run(ref, dWs.T, k0)
             # row by row, as a sum over axis 0 of the whole draw adds them
             window = functools.reduce(np.add, dWs, window)
-        kr = _kraus_one_step(psis, window, dt, gp, nu)
+        kr = _kraus_one_step(psis, window, dt, gp, model)
         return _phase_aligned_rms(kr, _normalised(ref, n2).T)
 
     # the order test's substep is dt^2 / 16; the reported ratio takes one step of dt

@@ -101,9 +101,10 @@ nothing of the Euler increment, so they stay independent constructions of
 one member.
 
 :func:`simulate_ensemble` and :func:`gaussian.centroid_ensemble` run fixed
-chunks of trajectories through :func:`procs._chunked`, which hands back each
-chunk's result in chunk order; the caller combines them in that order, so
-the bits do not depend on which process ran a chunk.  Both draw a chunk's
+chunks of trajectories through :func:`procs._chunked`, which returns plain
+chunk results in chunk order; the caller sums (``reduce(np.add, ...)``) or
+joins (``np.concatenate``) them in that order, so the bits do not depend on
+which process ran a chunk.  Both draw a chunk's
 Wiener increments from one driver, :func:`_noise_blocks`.  It takes the
 chunk's ``derive_seed(base_seed, k)`` seeds, which ``noise`` hashes 2048 at a
 time into a cached block, with one call per trajectory (the benchmark's
@@ -501,6 +502,16 @@ def _state_stack(kernel: _ColumnKernel, psi0: np.ndarray, dW: np.ndarray) -> np.
     return states
 
 
+def _check_inputs(model: ModelSpec, psi0, tracked_observables) -> None:
+    """ValueError unless psi0 is a unit (dim,) state and tracked ops Hermitian, as H is."""
+    if np.shape(psi0) != (model.dim,):
+        raise ValueError(f"psi0 must have shape ({model.dim},), got {np.shape(psi0)}")
+    assert_normalized(psi0)
+    for name, op in (tracked_observables or {}).items():
+        if np.shape(op) != model.H.shape or not is_hermitian(np.asarray(op)):
+            raise ValueError(f"observable {name!r} must be a Hermitian {model.H.shape} matrix")
+
+
 def simulate_trajectory(model: ModelSpec, u: UnravelingParams, psi0: np.ndarray,
                         dt: float, n_steps: int, seed: int,
                         tracked_observables: dict | None = None) -> tuple:
@@ -510,7 +521,7 @@ def simulate_trajectory(model: ModelSpec, u: UnravelingParams, psi0: np.ndarray,
     (n_steps + 1,) conditional means.
     """
     check_stability(model, u, dt)
-    assert_normalized(psi0)
+    _check_inputs(model, psi0, tracked_observables)
     dW = noise_mod.wiener_path(seed, dt, n_steps) if n_steps else np.empty(0)
     states = _state_stack(_EulerKernel(model, u, dt), psi0, dW[None, :])[:, :, 0]
     tracked = tracked_observables or {}
@@ -653,10 +664,8 @@ def simulate_ensemble(model: ModelSpec, u: UnravelingParams, psi0: np.ndarray,
     index order, and noise blocks end independently of the snapshot steps,
     so neither the snapshot steps nor ``n_traj`` changes any trajectory.
     """
-    if n_traj < 1:
-        raise ValueError(f"n_traj must be >= 1, got {n_traj}")
     psi0 = np.asarray(psi0, dtype=complex)
-    assert_normalized(psi0)
+    _check_inputs(model, psi0, tracked_observables)
     check_stability(model, u, dt)
     snaps = _checked_snapshots(snapshot_steps, n_steps)
     kernel = _EulerKernel(model, u, dt)
@@ -701,16 +710,12 @@ def simulate_ensemble(model: ModelSpec, u: UnravelingParams, psi0: np.ndarray,
         rho = rho if V is None else V @ rho @ V.conj().T
         return rho, chunk_means, kernel.out_of_basis(_normalised(psis, n2)).T
 
-    rho_sum = np.zeros((len(snaps), model.dim, model.dim), dtype=complex)
-    means = {name: np.empty((len(snaps), n_traj)) for name in tracked}
-    final_states = np.empty((n_traj, model.dim), dtype=complex)
-    for (k0, k1), (rho, chunk_means, finals) in procs._chunked(n_traj, run_chunk):
-        rho_sum += rho      # in chunk order, whichever process ran the chunk
-        for name, v in chunk_means.items():
-            means[name][:, k0:k1] = v
-        final_states[k0:k1] = finals
-    return EnsembleResult(step_indices=np.asarray(snaps), rhos=rho_sum / n_traj, means=means,
-                          final_states=final_states, psi0=psi0.copy(), dt=dt)
+    rhos, chunk_means, finals = zip(*procs._chunked(n_traj, run_chunk))
+    # out= keeps the result C-contiguous: the chunks' finals are transposed views
+    final_states = np.concatenate(finals, out=np.empty((n_traj, model.dim), dtype=complex))
+    means = {name: np.concatenate([m[name] for m in chunk_means], axis=1) for name in tracked}
+    return EnsembleResult(step_indices=np.asarray(snaps), rhos=reduce(np.add, rhos) / n_traj,
+                          means=means, final_states=final_states, psi0=psi0.copy(), dt=dt)
 
 
 # --- deterministic master-equation flow ------------------------------------

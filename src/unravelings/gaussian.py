@@ -336,8 +336,6 @@ def centroid_ensemble(p: MechanicalParams, a0: complex, xi: complex,
     Returns ``(centroids, wavenumbers)`` as (n_snapshots, n_traj) arrays, at
     the snapshot step indices (default: the final step alone).
     """
-    if n_traj < 1:
-        raise ValueError(f"n_traj must be >= 1, got {n_traj}")
     steps = engine_mod._checked_snapshots(snapshot_steps, n_steps)
     xi = _checked_xi(xi)
     widths = simulate_width(p, a0, xi, dt, n_steps)
@@ -359,10 +357,7 @@ def centroid_ensemble(p: MechanicalParams, a0: complex, xi: complex,
                         out[:, snaps[step + 1]] = x, kk
         return out
 
-    out = np.empty((2, len(snaps), n_traj))
-    for (c0, c1), chunk in procs._chunked(n_traj, run_chunk):
-        out[:, :, c0:c1] = chunk
-    return out[0], out[1]
+    return tuple(np.concatenate(procs._chunked(n_traj, run_chunk), axis=2))
 
 
 # --- covariance matrices and the Riccati flow --------------------------------

@@ -27,7 +27,9 @@ record equation above requires.  Normalizing the first moment to <L> dt
 instead would give outcome mass 1/xi_r, which is no measurement when
 xi_r < 1.
 
-The xi_r = 0 member admits no measurement reading and is rejected.
+The xi_r = 0 member admits no measurement reading and is rejected.  Each
+map diagonalizes L once per call; :func:`_quadrature` builds the outcome grid
+of :func:`povm_completeness` and :func:`channel_apply` and checks their dt.
 """
 
 from dataclasses import dataclass
@@ -104,8 +106,7 @@ def _amplitudes(evals: np.ndarray, gp: GcmParams, dys: np.ndarray, dt: float) ->
 def kraus_apply(states: np.ndarray, L: np.ndarray, gp: GcmParams, dys, dt: float):
     """Un-normalized posteriors A(dy)|psi> and their outcome weights ||A psi||^2.
 
-    ``states`` is (dim, N) columns with N outcomes ``dys``, one per column;
-    L is diagonalized once per call.
+    ``states`` is (dim, N) columns with N outcomes ``dys``, one per column.
     """
     require_finite("dt", dt)
     states = np.asarray(states, dtype=complex)
@@ -117,30 +118,27 @@ def kraus_apply(states: np.ndarray, L: np.ndarray, gp: GcmParams, dys, dt: float
     return out, np.sum(out.real ** 2 + out.imag ** 2, axis=0)
 
 
-def outcome_grid(L: np.ndarray, gp: GcmParams, dt: float) -> np.ndarray:
-    """Uniform dy grid covering every eigenvalue's outcome kernel.
+def _quadrature(L: np.ndarray, gp: GcmParams, dt: float) -> tuple:
+    """``(V, grid, amps)``: L's eigenvectors, a uniform dy grid and A(y)'s eigen-amplitudes on it.
 
     The kernel around eigenvalue ell is a Gaussian centered at
     xi_r * ell * dt with standard deviation sqrt(dt) / (2 sqrt(gamma));
     8 of them beyond the outer centers bound the truncated mass below
-    1e-14 of the total.  :func:`povm_completeness` and :func:`channel_apply`
-    check their ``dt`` here.
+    1e-14 of the total.
     """
     require_finite("dt", dt)
-    evals, _ = _eigs(L)
+    evals, V = _eigs(L)
     centers = gp.xi.real * evals * dt
     sd = np.sqrt(dt) / (2.0 * np.sqrt(gp.gamma))
-    return np.linspace(centers.min() - _GRID_WIDTHS * sd, centers.max() + _GRID_WIDTHS * sd,
+    grid = np.linspace(centers.min() - _GRID_WIDTHS * sd, centers.max() + _GRID_WIDTHS * sd,
                        _GRID_POINTS)
+    return V, grid, _amplitudes(evals, gp, grid, dt)
 
 
 def povm_completeness(L: np.ndarray, gp: GcmParams, dt: float) -> np.ndarray:
     """Quadrature of int A^dag(y) A(y) dy (the identity, up to quadrature error)."""
-    evals, V = _eigs(L)
-    grid = outcome_grid(L, gp, dt)
-    amps = _amplitudes(evals, gp, grid, dt)
-    dy = grid[1] - grid[0]
-    masses = np.sum(np.abs(amps) ** 2, axis=0) * dy
+    V, grid, amps = _quadrature(L, gp, dt)
+    masses = np.sum(np.abs(amps) ** 2, axis=0) * (grid[1] - grid[0])
     return (V * masses) @ V.conj().T
 
 
@@ -150,10 +148,7 @@ def channel_apply(rho: np.ndarray, L: np.ndarray, gp: GcmParams, dt: float) -> n
     It is trace preserving and reproduces one measurement-only
     master-equation step up to O(dt^2): rho -> rho - (gamma/2) [L, [L, rho]] dt.
     """
-    evals, V = _eigs(L)
-    grid = outcome_grid(L, gp, dt)
-    amps = _amplitudes(evals, gp, grid, dt)
-    dy = grid[1] - grid[0]
-    kernel = (amps.T @ amps.conj()) * dy        # K_ij = int amp_i conj(amp_j) dy
+    V, grid, amps = _quadrature(L, gp, dt)
+    kernel = (amps.T @ amps.conj()) * (grid[1] - grid[0])   # K_ij = int amp_i conj(amp_j) dy
     rho_eig = V.conj().T @ np.asarray(rho, dtype=complex) @ V
     return V @ (kernel * rho_eig) @ V.conj().T

@@ -20,20 +20,6 @@ _HERMITICITY_TOL = 1e-10   # max |M - M^dagger| elementwise of a Hermitian opera
 KET_UP = np.array([1.0, 0.0], dtype=complex)
 KET_DOWN = np.array([0.0, 1.0], dtype=complex)
 
-_PAULI = {
-    "x": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    "y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    "z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-}
-
-
-def pauli(axis: str) -> np.ndarray:
-    """Return a copy of the Pauli matrix for ``axis`` in {'x', 'y', 'z'}."""
-    try:
-        return _PAULI[axis].copy()
-    except KeyError:
-        raise ValueError(f"unknown Pauli axis {axis!r}; expected 'x', 'y' or 'z'") from None
-
 
 def require_finite(name: str, value: float, positive: bool = True) -> None:
     """ValueError unless ``value`` is finite and positive (``>= 0`` if not ``positive``)."""

@@ -42,18 +42,21 @@ def usable_cores() -> int:
 
 
 def _chunked(n_traj: int, run_chunk) -> list:
-    """``[((k0, k1), run_chunk(k0, k1))]`` over the fixed chunks of trajectories 0..n_traj-1.
+    """``[run_chunk(k0, k1)]`` over the fixed chunks of trajectories 0..n_traj-1, in chunk order.
 
     :func:`_forked_map` runs at most :func:`usable_cores` contiguous groups of
     chunks at once, whose chunk counts differ by one at most.  Each chunk is
-    independent, so the results, in chunk order, are those of one loop.
+    independent, so the results are those of one loop; a caller that joins
+    them in list order joins them in trajectory order.
     """
+    if n_traj < 1:
+        raise ValueError(f"n_traj must be >= 1, got {n_traj}")
     bounds = [(k0, min(k0 + _ENSEMBLE_CHUNK, n_traj)) for k0 in range(0, n_traj, _ENSEMBLE_CHUNK)]
     n_groups = min(len(bounds), usable_cores())
     cuts = [len(bounds) * g // n_groups for g in range(n_groups + 1)]
 
     def run_group(group):
-        return [(b, run_chunk(*b)) for b in group]
+        return [run_chunk(*b) for b in group]
 
     return [done for group in _forked_map([partial(run_group, bounds[a:b])
                                            for a, b in zip(cuts, cuts[1:])])

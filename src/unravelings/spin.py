@@ -29,9 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import EnsembleResult, ModelSpec, UnravelingParams, mc_stderr, simulate_trajectory
-from .linalg import pauli, require_finite
+from .linalg import require_finite
 
-SIGMA_Z = pauli("z")
+SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
 SETTLED = 0.999   # |<sigma_z>| above which a trajectory has settled on an eigenstate
 
 
@@ -54,9 +54,11 @@ def spin_model(sp: SpinParams) -> ModelSpec:
     return ModelSpec(H=sp.hbar * sp.nu * SIGMA_Z, L=SIGMA_Z.copy(), dim=2, hbar=sp.hbar)
 
 
-def sigma_z_mean(psi: np.ndarray) -> float:
+def sigma_z_mean(psi: np.ndarray):
+    """<sigma_z> of one state, as a float, or of each row of an (N, 2) stack of states."""
     psi = np.asarray(psi, dtype=complex)
-    return float(abs(psi[0]) ** 2 - abs(psi[1]) ** 2)
+    z = np.abs(psi[..., 0]) ** 2 - np.abs(psi[..., 1]) ** 2
+    return float(z) if psi.ndim == 1 else z
 
 
 def sigma_z_spread(z):

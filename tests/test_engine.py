@@ -16,13 +16,13 @@ from unravelings.engine import (ModelSpec, UnravelingParams, _EulerKernel,
                                 lindblad_step, max_stable_dt, simulate_ensemble,
                                 simulate_trajectory, sse_step)
 from unravelings.gaussian import MechanicalParams, centroid_ensemble
-from unravelings.linalg import pauli, projector
+from unravelings.linalg import projector
 from unravelings.noise import derive_seed, wiener_path
 from unravelings.spin import SpinParams
 
 from moment_flow import conditional_moment_flow_residual
 
-SZ = pauli("z")
+SZ = np.diag([1.0, -1.0]).astype(complex)
 PSI0 = np.array([0.5, np.sqrt(3.0) / 2.0], dtype=complex)
 XI_INTERIOR = UnravelingParams(np.cos(np.pi / 4.0), -np.sin(np.pi / 4.0), 1.0)
 
@@ -148,7 +148,8 @@ def _docstring_increment(psi, model, u, dW, dt):
 def _increment_model(case):
     """A random dense model of dimension ``case``, dense H on sigma_z, or a degenerate dense L."""
     if case == "diagonal L":
-        return np.random.default_rng(5), ModelSpec(H=pauli("x"), L=SZ.copy(), dim=2, hbar=0.7)
+        return np.random.default_rng(5), ModelSpec(H=np.array([[0, 1], [1, 0]], dtype=complex),
+                                                   L=SZ.copy(), dim=2, hbar=0.7)
     if case == "degenerate L":
         rng = np.random.default_rng(6)
         U, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
@@ -253,6 +254,43 @@ def test_ensemble_rejects_a_nan_initial_state(n_steps):
     with pytest.raises(ValueError, match="not normalized"):
         simulate_ensemble(spin_model(), UnravelingParams.nonlinear(1.0), psi0, 1e-3, n_steps, 4,
                           base_seed=1)
+
+
+_ENTRY_POINTS = {
+    "ensemble": lambda psi0, tracked: simulate_ensemble(
+        spin_model(), UnravelingParams.linear(1.0), psi0, 1e-3, 20, 4, 1,
+        snapshot_steps=[0, 20], tracked_observables=tracked),
+    "trajectory": lambda psi0, tracked: simulate_trajectory(
+        spin_model(), UnravelingParams.linear(1.0), psi0, 1e-3, 20, 1,
+        tracked_observables=tracked),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+@pytest.mark.parametrize("psi0", [np.array([1.0]), np.array([1.0, 0.0, 0.0]),
+                                  np.eye(2, dtype=complex)[:1]],
+                         ids=["one entry", "three entries", "a (1, 2) row"])
+def test_lock_step_entry_points_reject_a_state_of_another_dimension(entry, psi0):
+    # a one-entry state used to broadcast into a trace-2 rho at xi = -i
+    with pytest.raises(ValueError, match=r"psi0 must have shape \(2,\)"):
+        _ENTRY_POINTS[entry](psi0, None)
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+@pytest.mark.parametrize("op", [[[0, 1], [0, 0]], np.eye(3), [1.0, -1.0]],
+                         ids=["sigma plus", "3x3", "a vector"])
+def test_lock_step_entry_points_reject_a_non_hermitian_observable(entry, op):
+    # sigma plus used to be read as Re<sigma plus> without a word
+    with pytest.raises(ValueError, match=r"observable 's' must be a Hermitian \(2, 2\) matrix"):
+        _ENTRY_POINTS[entry](PSI0, {"sz": SZ, "s": op})
+
+
+@pytest.mark.parametrize("n_traj", [3, 7])
+def test_final_states_are_c_contiguous_for_one_and_two_chunks(monkeypatch, n_traj):
+    monkeypatch.setattr(procs, "_ENSEMBLE_CHUNK", 5)
+    res = simulate_ensemble(spin_model(), XI_INTERIOR, PSI0, 1e-3, 10, n_traj, 1)
+    assert res.final_states.shape == (n_traj, 2)
+    assert res.final_states.flags.c_contiguous
 
 
 def _diagonal_three_level(rng):

@@ -4,11 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unravelings.engine import ModelSpec, UnravelingParams, _EulerKernel, _normalised, lindblad_rhs
-from unravelings.gcm import (_amplitudes, _eigs, channel_apply, kraus_apply, outcome_grid,
+from unravelings.gcm import (_amplitudes, _eigs, _quadrature, channel_apply, kraus_apply,
                              povm_completeness, solve_gcm_params)
-from unravelings.linalg import pauli, projector
+from unravelings.linalg import projector
 
-SZ = pauli("z")
+SZ = np.diag([1.0, -1.0]).astype(complex)
 PSI0 = np.array([0.5, np.sqrt(3.0) / 2.0], dtype=complex)
 
 
@@ -94,9 +94,9 @@ def _outcome_moments(state, L, gp, dt):
     """(mean, mass, target): the outcome density's int y p dy and int p dy, and xi_r <L> dt."""
     evals, V = _eigs(L)
     w = np.abs(V.conj().T @ state) ** 2
-    grid = outcome_grid(L, gp, dt)
+    _, grid, amps = _quadrature(L, gp, dt)
     dy = grid[1] - grid[0]
-    dens = (np.abs(_amplitudes(evals, gp, grid, dt)) ** 2) @ w
+    dens = (np.abs(amps) ** 2) @ w
     return (float(np.sum(grid * dens) * dy), float(np.sum(dens) * dy),
             gp.xi.real * float(w @ evals) * dt)
 
@@ -217,10 +217,30 @@ def test_one_step_agreement_with_the_state_equation():
 
 def test_outcome_grid_covers_kernels():
     gp = solve_gcm_params(1.0 + 0.0j, 2.0)
-    grid = outcome_grid(SZ, gp, 1e-3)
+    V, grid, amps = _quadrature(SZ, gp, 1e-3)
     sd = np.sqrt(1e-3) / (2.0 * np.sqrt(2.0))
     assert grid[0] <= -1e-3 - 7.9 * sd and grid[-1] >= 1e-3 + 7.9 * sd
     assert grid.size == 10_001
+    assert np.array_equal(amps, _amplitudes(np.array([-1.0, 1.0]), gp, grid, 1e-3))
+    assert np.array_equal(np.abs(V), np.eye(2)[:, ::-1])
+
+
+@pytest.mark.parametrize("apply", [
+    povm_completeness,
+    lambda L, gp, dt: channel_apply(projector(PSI0), L, gp, dt),
+], ids=["povm_completeness", "channel_apply"])
+def test_quadrature_maps_diagonalise_the_coupling_once_per_call(apply, monkeypatch):
+    gp, eigh, calls = solve_gcm_params(np.exp(0.5j), 1.0), np.linalg.eigh, []
+
+    def counted_eigh(a):
+        calls.append(a)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    for L in (SZ, np.array([[0.3, 0.2 - 0.1j], [0.2 + 0.1j, -0.7]])):
+        calls.clear()
+        apply(L, gp, 1e-3)
+        assert len(calls) == 1
 
 
 @settings(max_examples=30, deadline=None)

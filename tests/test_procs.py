@@ -202,9 +202,8 @@ def test_chunk_driver_runs_contiguous_groups_of_chunks_at_once(forked_map, deadl
     forked_map.setattr(os, "fork", counted_fork)
     done = procs._chunked(10, lambda k0, k1: (os.getpid(), k0, k1))
     _no_child_left()
-    assert [bounds for bounds, _ in done] == [(k, k + 1) for k in range(10)]
-    assert all((k0, k1) == (a, b) for (k0, k1), (_, a, b) in done)
-    pids = [pid for _, (pid, _, _) in done]
+    assert [(k0, k1) for _, k0, k1 in done] == [(k, k + 1) for k in range(10)]
+    pids = [pid for pid, _, _ in done]
     assert [len(list(group)) for _, group in itertools.groupby(pids)] == sizes
     assert len(set(pids)) == len(sizes) and pids[0] == os.getpid()
     assert len(forks) == len(sizes) - 1
@@ -216,9 +215,9 @@ def test_a_forked_piece_runs_its_own_pieces_inline(forked_map, deadline):
     done = procs._chunked(10, lambda k0, k1: (os.getpid(),
                                                procs._forked_map([os.getpid] * 3)))
     _no_child_left()
-    piece = done[-1][1][0]
+    piece = done[-1][0]
     assert piece != os.getpid()
-    for _, (pid, inner) in done:
+    for pid, inner in done:
         if pid == piece:
             assert inner == [piece] * 3
 

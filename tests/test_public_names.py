@@ -9,6 +9,9 @@ A function, class or constant counts as used when one of these holds:
 * ``perfbench/spans.py`` traces it by name (``FUNCTIONS``);
 * it is in ``ALLOWED`` below, with the reason it stays.
 
+An ``ALLOWED`` entry lasts only as long as its reason: the test fails when the
+name has gained a caller or a trace, or is no longer defined.
+
 Tests do not count: a name only they reach belongs in the tests.
 """
 
@@ -69,11 +72,15 @@ def test_every_top_level_name_has_a_caller():
             if path.parent == PACKAGE:
                 definitions += [(path.stem, name, stmt) for name in _defined(stmt)]
     assert definitions
-    traced = _traced()
-    unused = [f"{mod}.{name}" for mod, name, own in definitions
-              if (mod, name) not in traced and (mod, name) not in ALLOWED
-              and not any(name in names for stmt, names in references if stmt is not own)]
+    used = _traced() | {(mod, name) for mod, name, own in definitions
+                        if any(name in names for stmt, names in references if stmt is not own)}
+    unused = [f"{mod}.{name}" for mod, name, _ in definitions
+              if (mod, name) not in used and (mod, name) not in ALLOWED]
     assert unused == [], f"names that nothing in src/, perfbench/ or scripts/ uses: {unused}"
+    defined = {(mod, name) for mod, name, _ in definitions}
+    stale = sorted(f"{mod}.{name}" for mod, name in ALLOWED if (mod, name) in used
+                   or (mod, name) not in defined)
+    assert stale == [], f"ALLOWED entries that are used or gone; drop them: {stale}"
 
 
 def _imported(stmt) -> list:

@@ -50,10 +50,10 @@ def test_collapse_bound_values():
     assert collapse_bound(0.75, 1.0, 1.0) == pytest.approx(0.1875, abs=1e-15)
 
 
-@pytest.mark.parametrize("route", ["sse", "girsanov"])
+@pytest.mark.parametrize("route", ["sse", "exponential"])
 def test_down_eigenstate_is_a_fixed_point(route):
     # both collapse-member kernels: Euler-Maruyama and the exact exponential
-    kernel = {"sse": _EulerKernel, "girsanov": _ExponentialKernel}[route]
+    kernel = {"sse": _EulerKernel, "exponential": _ExponentialKernel}[route]
     down = np.array([0.0, 1.0], dtype=complex)
     dW = wiener_path(4, 1e-3, 200)[None, :]
     model, u = spin_model(SP), UnravelingParams.nonlinear(SP.lam)
